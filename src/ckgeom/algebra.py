@@ -125,11 +125,14 @@ def casimir_coeffs(kp: KappaPair) -> tuple[float, float, float]:
 
 
 def structure_tensor(kp: KappaPair) -> np.ndarray:
-    """c[i, j, k] with [e_i, e_j] = sum_k c[i, j, k] e_k over the ordered basis."""
+    """c[i, j, k] with [e_i, e_j] = sum_k c[i, j, k] e_k over the ordered basis.
+
+    The six nonzero entries are the defining brackets and their negatives.
+    """
     c = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            c[i, j, :] = bracket(kp, BASIS[i], BASIS[j]).as_array()
+    c[0, 1, 2], c[1, 0, 2] = kp.k1, -kp.k1  # [J01, J02] = k1 J12
+    c[2, 0, 1], c[0, 2, 1] = 1.0, -1.0  # [J12, J01] = J02
+    c[1, 2, 0], c[2, 1, 0] = kp.k2, -kp.k2  # [J02, J12] = k2 J01
     return c
 
 

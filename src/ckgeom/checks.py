@@ -1066,9 +1066,10 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
             r = rmatrix(DeformationKind.FIRST_KIND, z)
             for _ in range(50):
                 gc = sample_group_coords(rng, kp, 0.35)
+                iv = invariant_fields_numeric(kp, gc)
                 for pair in _COORD_PAIRS:
                     closed = sklyanin_closed(kp, z, pair, gc)
-                    numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields="numeric")
+                    numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
                     w.update(abs(closed - numeric), f"{{{pair[0]},{pair[1]}}} {_kp_tag(kp)}")
     return w
 

@@ -62,6 +62,7 @@ from .poisson import (
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
+    invariant_fields_numeric,
     mcybe_defect,
     phs_points_bracket,
     rmatrix,
@@ -449,10 +450,15 @@ def _cmd_sklyanin(req: ReportRequest) -> Report:
             errors = 0
             for _ in range(req.sweep.sample_count):
                 gc = sample_group_coords(rng, kp, 0.35)
+                try:
+                    iv = invariant_fields_numeric(kp, gc)
+                except GeometryError:
+                    errors += len(pairs)  # every pair at this point needs the fields
+                    continue
                 for pair in pairs:
                     try:
                         closed = sklyanin_closed(kp, z, pair, gc)
-                        numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields="numeric")
+                        numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
                     except GeometryError:
                         errors += 1
                         continue

@@ -7,6 +7,13 @@ series with scaling and squaring serves as the independent route for
 cross-checking them.  Group elements are coordinatized by the ordered
 product g = exp(a1 P1) exp(a2 P2) exp(xi R) whose inversion is exact on
 the principal domains.
+
+Finiteness is checked once, where a GroupElement is built: every public
+function that returns one validates its 3x3 matrix in __post_init__.  The
+private helpers _exp_matrix and _coords_from_matrix work on raw arrays and
+check nothing, so inner loops that compose many matrices (the numeric
+invariant fields in poisson) validate their starting point themselves and
+skip the per-product check.
 """
 
 from __future__ import annotations
@@ -84,20 +91,23 @@ class GroupElement:
         return max(ortho, abs(float(np.linalg.det(self.m)) - 1.0))
 
 
-def exp_one_param(kp: KappaPair, generator: str, t: float) -> GroupElement:
-    """Closed-form exponential exp(t * rho(generator))."""
+def _exp_matrix(kp: KappaPair, generator: str, t: float) -> np.ndarray:
+    """Raw 3x3 array of exp(t * rho(generator)), not checked for finiteness."""
     if generator == "J01":
         c, s = ktrig.ck(kp.k1, t), ktrig.sk(kp.k1, t)
-        m = np.array([[c, -kp.k1 * s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    elif generator == "J02":
+        return np.array([[c, -kp.k1 * s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    if generator == "J02":
         c, s = ktrig.ck(kp.k12, t), ktrig.sk(kp.k12, t)
-        m = np.array([[c, 0.0, -kp.k12 * s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    elif generator == "J12":
+        return np.array([[c, 0.0, -kp.k12 * s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    if generator == "J12":
         c, s = ktrig.ck(kp.k2, t), ktrig.sk(kp.k2, t)
-        m = np.array([[1.0, 0.0, 0.0], [0.0, c, -kp.k2 * s], [0.0, s, c]])
-    else:
-        raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
-    return GroupElement(m, kp)
+        return np.array([[1.0, 0.0, 0.0], [0.0, c, -kp.k2 * s], [0.0, s, c]])
+    raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
+
+
+def exp_one_param(kp: KappaPair, generator: str, t: float) -> GroupElement:
+    """Closed-form exponential exp(t * rho(generator))."""
+    return GroupElement(_exp_matrix(kp, generator, t), kp)
 
 
 def expm_series(a: np.ndarray) -> np.ndarray:
@@ -156,7 +166,14 @@ def coords_from_group(
     vanishing, so the translation part is not invertible) raise
     ChartDomainError; no wrapping is attempted.
     """
-    s = g.m[:, 0]
+    return _coords_from_matrix(kp, g.m, chart_tol)
+
+
+def _coords_from_matrix(
+    kp: KappaPair, m: np.ndarray, chart_tol: float = DEFAULT_CHART_TOL
+) -> GroupCoordinates:
+    """coords_from_group on a raw 3x3 array the caller has already validated."""
+    s = m[:, 0]
     c2_sq = s[0] * s[0] + kp.k1 * s[1] * s[1]
     c2 = math.sqrt(max(c2_sq, 0.0))
     if c2 < chart_tol:
@@ -165,7 +182,7 @@ def coords_from_group(
         )
     a2 = ktrig.kinv(kp.k12, float(s[2]), c2)
     a1 = ktrig.kinv(kp.k1, float(s[1]) / c2, float(s[0]) / c2)
-    h = exp_one_param(kp, "J02", -a2).m @ exp_one_param(kp, "J01", -a1).m @ g.m
+    h = _exp_matrix(kp, "J02", -a2) @ _exp_matrix(kp, "J01", -a1) @ m
     xi = ktrig.kinv(kp.k2, float(h[2, 1]), float(h[1, 1]))
     return GroupCoordinates(a1, a2, xi)
 

@@ -22,12 +22,16 @@ from enum import Enum
 import numpy as np
 
 from . import ktrig
-from .algebra import BASIS, AlgebraElement, KappaPair, structure_tensor
+from .algebra import BASIS, GENERATOR_NAMES, AlgebraElement, KappaPair, structure_tensor
 from .errors import ChartDomainError, PoleError
-from .group import GroupCoordinates, GroupElement, coords_from_group, exp_one_param, group_from_coords
+from .group import GroupCoordinates, _coords_from_matrix, _exp_matrix
+# Kept bound here: perfbench/tests/test_tracer.py checks that the tracer
+# rebinds names a module imported from another layer, using this one.
+from .group import coords_from_group  # noqa: F401
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 GROUP_COORD_NAMES = ("a1", "a2", "xi")
+_COORD_INDEX = {name: i for i, name in enumerate(GROUP_COORD_NAMES)}
 TRANSLATION_STEP = 1e-6
 
 
@@ -247,10 +251,9 @@ def coisotropy_check(
     delta(h) = 0), COISOTROPIC when delta(h) only lies in h ^ g, FAILS
     otherwise.
     """
-    names = ("J01", "J02", "J12")
-    if h not in names:
-        raise ValueError(f"unknown generator {h!r}, expected one of {names}")
-    k = names.index(h)
+    if h not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {h!r}, expected one of {GENERATOR_NAMES}")
+    k = GENERATOR_NAMES.index(h)
     image = delta.image(k)
     if image.max_abs() <= tol:
         return CoisotropyVerdict.POISSON_SUBGROUP
@@ -304,20 +307,28 @@ def invariant_fields_numeric(
     kp: KappaPair, gc: GroupCoordinates, step: float = TRANSLATION_STEP
 ) -> InvariantFields:
     """Oracle route: rebuild the invariant fields by differentiating group
-    translations g exp(t X) (left fields) and exp(t X) g (right fields)."""
-    g0 = group_from_coords(kp, gc).m
+    translations g exp(t X) (left fields) and exp(t X) g (right fields).
+
+    The point g and its twelve translates are composed as raw 3x3 arrays;
+    only g is checked for finiteness (ValueError).  The translates multiply
+    g by matrices within `step` of the identity, so they are finite
+    whenever g is, short of the floating-point overflow threshold.
+    """
+    g0 = _exp_matrix(kp, "J01", gc.a1) @ _exp_matrix(kp, "J02", gc.a2) @ _exp_matrix(kp, "J12", gc.xi)
+    if not np.isfinite(g0).all():
+        raise ValueError(f"group coordinates {gc} give a non-finite group element")
     left = np.zeros((3, 3))
     right = np.zeros((3, 3))
-    for i, name in enumerate(("J01", "J02", "J12")):
-        plus = exp_one_param(kp, name, step).m
-        minus = exp_one_param(kp, name, -step).m
+    for i, name in enumerate(GENERATOR_NAMES):
+        plus = _exp_matrix(kp, name, step)
+        minus = _exp_matrix(kp, name, -step)
         left[i] = (
-            coords_from_group(kp, GroupElement(g0 @ plus, kp)).as_array()
-            - coords_from_group(kp, GroupElement(g0 @ minus, kp)).as_array()
+            _coords_from_matrix(kp, g0 @ plus).as_array()
+            - _coords_from_matrix(kp, g0 @ minus).as_array()
         ) / (2.0 * step)
         right[i] = (
-            coords_from_group(kp, GroupElement(plus @ g0, kp)).as_array()
-            - coords_from_group(kp, GroupElement(minus @ g0, kp)).as_array()
+            _coords_from_matrix(kp, plus @ g0).as_array()
+            - _coords_from_matrix(kp, minus @ g0).as_array()
         ) / (2.0 * step)
     return InvariantFields(left, right)
 
@@ -326,14 +337,13 @@ def sklyanin_closed(
     kp: KappaPair, z: float, pair: tuple[str, str], gc: GroupCoordinates
 ) -> float:
     """Closed-form first-kind multiplicative bracket of two group coordinates."""
-    order = {"a1": 0, "a2": 1, "xi": 2}
     for name in pair:
-        if name not in order:
+        if name not in _COORD_INDEX:
             raise ValueError(f"unknown coordinate {name!r}, expected one of {GROUP_COORD_NAMES}")
     f, g = pair
     if f == g:
         return 0.0
-    if order[f] > order[g]:
+    if _COORD_INDEX[f] > _COORD_INDEX[g]:
         return -sklyanin_closed(kp, z, (g, f), gc)
     c2 = ktrig.ck(kp.k12, gc.a2)
     if abs(c2) < 1e-12:
@@ -352,25 +362,28 @@ def sklyanin_numeric(
     f: str,
     g: str,
     gc: GroupCoordinates,
-    fields: str = "closed",
+    fields: str | InvariantFields = "closed",
 ) -> float:
     """Multiplicative bracket {f, g} = r^{ij} (L_i f L_j g - R_i f R_j g)
     of two coordinate functions, from invariant vector fields.
 
     fields = "closed" uses the closed-form fields, "numeric" the
-    translation-differentiation oracle.
+    translation-differentiation oracle.  An InvariantFields value is used
+    as given and must already be evaluated at gc; callers that bracket
+    several coordinate pairs at one point pass it to build the fields once.
     """
-    order = {"a1": 0, "a2": 1, "xi": 2}
-    if f not in order or g not in order:
+    if f not in _COORD_INDEX or g not in _COORD_INDEX:
         raise ValueError(f"coordinates must be among {GROUP_COORD_NAMES}")
-    if fields == "closed":
+    if isinstance(fields, InvariantFields):
+        iv = fields
+    elif fields == "closed":
         iv = invariant_vector_fields(kp, gc)
     elif fields == "numeric":
         iv = invariant_fields_numeric(kp, gc)
     else:
         raise ValueError(f"unknown field mode {fields!r}, expected 'closed' or 'numeric'")
     t = r.as_tensor()
-    cf, cg = order[f], order[g]
+    cf, cg = _COORD_INDEX[f], _COORD_INDEX[g]
     left = iv.left[:, cf] @ t @ iv.left[:, cg]
     right = iv.right[:, cf] @ t @ iv.right[:, cg]
     return float(left - right)

@@ -99,6 +99,14 @@ def test_rep_infinitesimal_metricity(kp):
 
 
 def test_structure_tensor_contracts_like_bracket():
+    for kp in (*NORMALIZED_PAIRS, KappaPair(0.7, -1.3)):
+        # reference: the tensor assembled from the nine basis brackets
+        want = np.zeros((3, 3, 3))
+        for i in range(3):
+            for j in range(3):
+                want[i, j, :] = bracket(kp, BASIS[i], BASIS[j]).as_array()
+        assert np.array_equal(structure_tensor(kp), want)
+
     kp = KappaPair(0.7, -1.3)
     t = structure_tensor(kp)
     rng = np.random.default_rng(11)

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from ckgeom import cli
 from ckgeom.cli import main
+from ckgeom.errors import ChartDomainError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -62,6 +67,34 @@ def test_sweep_all_is_byte_deterministic(capsys):
     assert a == b
     c = run(capsys, "sweep-all", "--samples", "4", "--seed", "4")
     assert c[1] != a[1]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("sweep_all_samples4_seed3.json", ["sweep-all", "--samples", "4", "--seed", "3"]),
+        (
+            "sklyanin_normalized9_z0.3_samples4_seed0.json",
+            ["sklyanin", "--grid", "normalized9", "--z", "0.3", "--samples", "4", "--seed", "0"],
+        ),
+    ],
+)
+def test_report_matches_the_golden_bytes(capsys, golden, argv):
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
+    def unavailable(kp, gc):
+        raise ChartDomainError("fields unavailable")
+
+    monkeypatch.setattr(cli, "invariant_fields_numeric", unavailable)
+    status, out = run(capsys, "sklyanin", "--k1", "1", "--k2", "1", "--z", "0.3", "--samples", "2")
+    assert status == 0
+    row = json.loads(out)["sklyanin"][0]
+    assert row["domain_errors"] == 6
+    assert row["max_defect"] == 0.0
 
 
 def test_tolerance_override_fails_the_run(capsys):

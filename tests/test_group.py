@@ -10,6 +10,7 @@ from ckgeom import (
     GENERATOR_NAMES,
     Ambient,
     GroupCoordinates,
+    GroupElement,
     KappaPair,
     act,
     ambient_defect,
@@ -17,6 +18,7 @@ from ckgeom import (
     exp_one_param,
     expm_series,
     group_from_coords,
+    invariant_fields_numeric,
     metric_matrix,
     rep,
 )
@@ -129,3 +131,32 @@ def test_group_is_closed_under_products():
     h = group_from_coords(kp, GroupCoordinates(-0.1, 0.4, -0.3)).m
     gh = g @ h
     assert np.max(np.abs(gh.T @ I @ gh - I)) < 1e-14
+
+
+def test_group_element_rejects_a_non_finite_matrix():
+    m = np.eye(3)
+    m[1, 2] = math.nan
+    with pytest.raises(ValueError):
+        GroupElement(m, KappaPair(1.0, 1.0))
+
+
+def test_group_element_rejects_a_non_3x3_matrix():
+    with pytest.raises(ValueError):
+        GroupElement(np.eye(2), KappaPair(1.0, 1.0))
+
+
+def test_product_over_different_labels_is_rejected():
+    g = exp_one_param(KappaPair(1.0, 1.0), "J01", 0.3)
+    h = exp_one_param(KappaPair(-1.0, 1.0), "J01", 0.3)
+    with pytest.raises(ValueError):
+        g @ h
+
+
+def test_exponential_of_a_non_finite_parameter_is_rejected():
+    with pytest.raises(ValueError):
+        exp_one_param(KappaPair(1.0, 1.0), "J01", math.nan)
+
+
+def test_numeric_invariant_fields_reject_non_finite_coordinates():
+    with pytest.raises(ValueError):
+        invariant_fields_numeric(KappaPair(1.0, 1.0), GroupCoordinates(math.nan, 0.0, 0.0))

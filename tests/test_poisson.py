@@ -11,10 +11,14 @@ from ckgeom import (
     CoisotropyVerdict,
     DeformationKind,
     GroupCoordinates,
+    InvariantFields,
     KappaPair,
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
+    coords_from_group,
+    exp_one_param,
+    group_from_coords,
     invariant_fields_numeric,
     invariant_vector_fields,
     mcybe_defect,
@@ -24,6 +28,7 @@ from ckgeom import (
     sklyanin_closed,
     sklyanin_numeric,
 )
+from ckgeom.poisson import TRANSLATION_STEP
 
 from helpers import (
     NINE,
@@ -130,6 +135,46 @@ def test_invariant_fields_match_numeric_differentials():
             numeric = invariant_fields_numeric(kp, gc)
             assert np.max(np.abs(closed.left - numeric.left)) < 1e-8
             assert np.max(np.abs(closed.right - numeric.right)) < 1e-8
+
+
+def reference_fields_numeric(
+    kp: KappaPair, gc: GroupCoordinates, step: float = TRANSLATION_STEP
+) -> InvariantFields:
+    """The oracle written through validated GroupElements at every product."""
+    g0 = group_from_coords(kp, gc)
+    left = np.zeros((3, 3))
+    right = np.zeros((3, 3))
+    for i, name in enumerate(GENERATOR_NAMES):
+        plus = exp_one_param(kp, name, step)
+        minus = exp_one_param(kp, name, -step)
+        left[i] = (
+            coords_from_group(kp, g0 @ plus).as_array() - coords_from_group(kp, g0 @ minus).as_array()
+        ) / (2.0 * step)
+        right[i] = (
+            coords_from_group(kp, plus @ g0).as_array() - coords_from_group(kp, minus @ g0).as_array()
+        ) / (2.0 * step)
+    return InvariantFields(left, right)
+
+
+@pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+def test_numeric_fields_equal_the_validated_reference(kp):
+    r = rmatrix(DeformationKind.FIRST_KIND, Z)
+    for _ in range(3):
+        gc = small_coords(kp)
+        iv = invariant_fields_numeric(kp, gc)
+        ref = reference_fields_numeric(kp, gc)
+        assert np.array_equal(iv.left, ref.left)
+        assert np.array_equal(iv.right, ref.right)
+        for f, g in (("a1", "a2"), ("a1", "xi"), ("a2", "xi"), ("xi", "a1")):
+            want = sklyanin_numeric(kp, r, f, g, gc, fields="numeric")
+            assert sklyanin_numeric(kp, r, f, g, gc, fields=iv) == want
+
+
+def test_unknown_field_mode_is_rejected():
+    kp = KappaPair(1.0, 1.0)
+    r = rmatrix(DeformationKind.FIRST_KIND, Z)
+    with pytest.raises(ValueError):
+        sklyanin_numeric(kp, r, "a1", "a2", GroupCoordinates(0.1, 0.2, 0.3), fields="series")
 
 
 @pytest.mark.parametrize("kp", NONDEGENERATE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
