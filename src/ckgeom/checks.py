@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .errors import (
     DegenerateMetricError,
     GeometryError,
     OffSurfaceError,
-    PoleError,
     UndefinedDualityError,
 )
 from .group import (
@@ -63,6 +62,9 @@ from .group import (
     rep_basis,
 )
 from .poisson import (
+    _PAIRS,
+    GROUP_COORD_NAMES,
+    GROUP_COORD_PAIRS,
     Bivector,
     CoisotropyVerdict,
     DeformationKind,
@@ -99,7 +101,8 @@ from .spaces import (
     to_ambient,
 )
 
-KAPPA_GRID_NAMES = ("normalized9",)
+_KAPPA_GRIDS = {"normalized9": NORMALIZED_PAIRS}
+KAPPA_GRID_NAMES = tuple(_KAPPA_GRIDS)
 
 TRIG_KAPPAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 TRIG_GRID = np.linspace(-3.0, 3.0, 61)
@@ -235,17 +238,6 @@ _CLASSIFICATION_ROWS = {
 }
 
 
-def sign_pair(kp: KappaPair) -> tuple[int, int]:
-    def sgn(v: float) -> int:
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
-
-    return sgn(kp.k1), sgn(kp.k2)
-
-
 # --- configuration and results ----------------------------------------------
 
 
@@ -302,9 +294,10 @@ class SweepConfig:
 
 
 def kappa_grid_from_name(name: str) -> tuple[KappaPair, ...]:
-    if name == "normalized9":
-        return tuple(KappaPair(k1, k2) for k1 in (-1.0, 0.0, 1.0) for k2 in (-1.0, 0.0, 1.0))
-    raise ConfigError(f"unknown kappa grid {name!r}, expected one of {KAPPA_GRID_NAMES}")
+    try:
+        return _KAPPA_GRIDS[name]
+    except KeyError:
+        raise ConfigError(f"unknown kappa grid {name!r}, expected one of {KAPPA_GRID_NAMES}") from None
 
 
 class _Worst:
@@ -328,6 +321,26 @@ class _Worst:
         return CheckResult(suite, name, float(self.value), tol, passed, self.samples, self.detail)
 
 
+CheckFn = Callable[[SweepConfig, np.random.Generator], _Worst]
+
+# (suite, name, function) in definition order; a check's index here seeds
+# its random stream
+_REGISTRY: list[tuple[str, str, CheckFn]] = []
+DEFAULT_TOLERANCES: dict[str, float] = {}
+
+
+def check(tol: float) -> Callable[[CheckFn], CheckFn]:
+    """Register `_check_<suite>_<rest>` as check `<suite>_<rest>` with default tolerance tol."""
+
+    def register(fn: CheckFn) -> CheckFn:
+        name = fn.__name__.removeprefix("_check_")
+        _REGISTRY.append((name.split("_", 1)[0], name, fn))
+        DEFAULT_TOLERANCES[name] = tol
+        return fn
+
+    return register
+
+
 def _kp_tag(kp: KappaPair) -> str:
     return f"kappa=({kp.k1:g},{kp.k2:g})"
 
@@ -335,6 +348,7 @@ def _kp_tag(kp: KappaPair) -> str:
 # --- trig suite --------------------------------------------------------------
 
 
+@check(1e-12)
 def _check_trig_identity(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     kappas = TRIG_KAPPAS + tuple(rng.uniform(-2.0, 2.0, 3))
@@ -348,6 +362,7 @@ def _check_trig_identity(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     return w
 
 
+@check(1e-12)
 def _check_trig_addition(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for k in TRIG_KAPPAS:
@@ -364,6 +379,7 @@ def _check_trig_addition(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     return w
 
 
+@check(1e-8)
 def _check_trig_derivatives(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     h = 1e-5
@@ -383,6 +399,7 @@ def _check_trig_derivatives(cfg: SweepConfig, rng: np.random.Generator) -> _Wors
     return w
 
 
+@check(1e-12)
 def _check_trig_taylor_match(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     # the small-label branch must agree with the exact circular/hyperbolic
     # forms evaluated just below the switch point
@@ -399,6 +416,7 @@ def _check_trig_taylor_match(cfg: SweepConfig, rng: np.random.Generator) -> _Wor
     return w
 
 
+@check(1e-10)
 def _check_trig_inverse_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for k in TRIG_KAPPAS:
@@ -419,6 +437,7 @@ def _check_trig_inverse_roundtrip(cfg: SweepConfig, rng: np.random.Generator) ->
 # --- algebra suite -----------------------------------------------------------
 
 
+@check(1e-13)
 def _check_algebra_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     pairs = cfg.kappa_grid + tuple(KappaPair(*rng.uniform(-2, 2, 2)) for _ in range(3))
@@ -434,6 +453,7 @@ def _check_algebra_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     return w
 
 
+@check(1e-12)
 def _check_algebra_casimir_commutes(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -445,6 +465,7 @@ def _check_algebra_casimir_commutes(cfg: SweepConfig, rng: np.random.Generator) 
     return w
 
 
+@check(1e-12)
 def _check_algebra_rep_homomorphism(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -456,6 +477,7 @@ def _check_algebra_rep_homomorphism(cfg: SweepConfig, rng: np.random.Generator) 
     return w
 
 
+@check(1e-12)
 def _check_algebra_rep_metricity(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -467,11 +489,12 @@ def _check_algebra_rep_metricity(cfg: SweepConfig, rng: np.random.Generator) -> 
     return w
 
 
+@check(0.5)
 def _check_algebra_classification(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in NORMALIZED_PAIRS:
         label = classify(kp)
-        name, group, isotropy = _CLASSIFICATION_ROWS[sign_pair(kp)]
+        name, group, isotropy = _CLASSIFICATION_ROWS[kp.signs()]
         ok = (
             label.name.value == name
             and label.group_name == group
@@ -482,7 +505,7 @@ def _check_algebra_classification(cfg: SweepConfig, rng: np.random.Generator) ->
     for _ in range(cfg.sample_count):
         k1, k2 = rng.uniform(0.1, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
         kp = KappaPair(float(k1), float(k2))
-        name, _, _ = _CLASSIFICATION_ROWS[sign_pair(kp)]
+        name, _, _ = _CLASSIFICATION_ROWS[kp.signs()]
         w.update(0.0 if classify(kp).name.value == name else 1.0, _kp_tag(kp))
     lam, c = -1.0, 3.0
     kp = kappa_from_kinematics(lam, c)
@@ -498,6 +521,7 @@ def _check_algebra_classification(cfg: SweepConfig, rng: np.random.Generator) ->
 # --- duality suite -----------------------------------------------------------
 
 
+@check(1e-13)
 def _check_duality_morphism(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     # each map sends the basis of the relabeled algebra to elements of the
     # original one; the images must reproduce the relabeled brackets inside
@@ -519,6 +543,7 @@ def _check_duality_morphism(cfg: SweepConfig, rng: np.random.Generator) -> _Wors
     return w
 
 
+@check(1e-13)
 def _check_duality_involution(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     pairs = cfg.kappa_grid + tuple(KappaPair(*rng.uniform(-2, 2, 2)) for _ in range(3))
@@ -534,6 +559,7 @@ def _check_duality_involution(cfg: SweepConfig, rng: np.random.Generator) -> _Wo
     return w
 
 
+@check(1e-13)
 def _check_duality_kappa_action(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     sphere = KappaPair(1.0, 1.0)
@@ -557,6 +583,7 @@ def _check_duality_kappa_action(cfg: SweepConfig, rng: np.random.Generator) -> _
     return w
 
 
+@check(0.5)
 def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     cases = (
@@ -588,6 +615,7 @@ def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> _
 # --- group suite -------------------------------------------------------------
 
 
+@check(1e-12)
 def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     ts = np.linspace(-2.0, 2.0, 21)
@@ -600,6 +628,7 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
     return w
 
 
+@check(1e-12)
 def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -611,6 +640,7 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> _Wors
     return w
 
 
+@check(1e-10)
 def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -625,6 +655,7 @@ def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) ->
     return w
 
 
+@check(1e-10)
 def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     origin = np.array([1.0, 0.0, 0.0])
@@ -642,6 +673,7 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> _
     return w
 
 
+@check(1e-12)
 def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -656,13 +688,14 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> _W
 # --- geometry suite ----------------------------------------------------------
 
 
+@check(1e-12)
 def _check_geometry_closed_forms(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     metric_rows = _metric_rows()
     field_rows = _field_rows()
     for kp in NORMALIZED_PAIRS:
-        mrow = metric_rows[sign_pair(kp)]
-        frow = field_rows[sign_pair(kp)]
+        mrow = metric_rows[kp.signs()]
+        frow = field_rows[kp.signs()]
         for _ in range(cfg.sample_count):
             p = sample_parallel1(rng, kp, 0.35)
             g11, g22 = mrow(p.a1, p.a2)
@@ -683,6 +716,7 @@ def _check_geometry_closed_forms(cfg: SweepConfig, rng: np.random.Generator) -> 
     return w
 
 
+@check(1e-10)
 def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -720,6 +754,7 @@ def _fd_jacobian(fn: Callable[[float, float], tuple[float, ...]], u: float, v: f
     return np.column_stack(cols)
 
 
+@check(1e-8)
 def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     h = 1e-6
@@ -756,6 +791,7 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
     return w
 
 
+@check(1e-6)
 def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -776,6 +812,7 @@ def _flow_map(kp: KappaPair, mat: np.ndarray) -> Callable[[float, float], tuple[
     return fn
 
 
+@check(1e-6)
 def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     h = 1e-6
@@ -802,6 +839,7 @@ def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> 
     return w
 
 
+@check(1e-6)
 def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     # the stored field components are the t-derivative at 0 of the inverse
     # one-parameter flow through the point
@@ -829,6 +867,7 @@ def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generat
     return w
 
 
+@check(1e-5)
 def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     h = 1e-5
@@ -855,9 +894,12 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
     return w
 
 
+@check(1e-5)
 def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
+    # oracle: Casimir-weighted second differences along the generator flows,
+    # with the O(h^2) truncation cancelled between steps h and 2h
     w = _Worst()
-    outer = 1e-3
+    fine_step, coarse_step = 1e-3, 2e-3
     funcs = (
         lambda a1, a2: math.sin(a1) + a2 * a2,
         lambda a1, a2: a1 * a2,
@@ -865,6 +907,21 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> _Wo
     )
     for kp in cfg.kappa_grid:
         coeffs = casimir_coeffs(kp)
+        flows = {
+            h: [
+                (_flow_map(kp, expm_series(-h * rep(kp, x))), _flow_map(kp, expm_series(h * rep(kp, x))))
+                for x in BASIS
+            ]
+            for h in (fine_step, coarse_step)
+        }
+
+        def flow_laplacian(f: Callable[[float, float], float], p: ParallelI, h: float) -> float:
+            f0 = f(p.a1, p.a2)
+            return sum(
+                c * (f(*plus(p.a1, p.a2)) - 2.0 * f0 + f(*minus(p.a1, p.a2))) / (h * h)
+                for c, (plus, minus) in zip(coeffs, flows[h])
+            )
+
         for f in funcs:
             for _ in range(4):
                 p = sample_parallel1(rng, kp, 0.3)
@@ -872,19 +929,12 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> _Wo
                     lb = laplace_beltrami_apply(kp, f, p)
                 except DegenerateMetricError:
                     continue
-                total = 0.0
-                ok = True
-                for i in range(3):
-                    try:
-                        plus = _flow_map(kp, expm_series(-outer * rep(kp, BASIS[i])))(p.a1, p.a2)
-                        minus = _flow_map(kp, expm_series(outer * rep(kp, BASIS[i])))(p.a1, p.a2)
-                    except ChartDomainError:
-                        ok = False
-                        break
-                    second = (f(*plus) - 2.0 * f(p.a1, p.a2) + f(*minus)) / (outer * outer)
-                    total += coeffs[i] * second
-                if ok:
-                    w.update(abs(lb - total), _kp_tag(kp))
+                try:
+                    fine = flow_laplacian(f, p, fine_step)
+                    coarse = flow_laplacian(f, p, coarse_step)
+                except ChartDomainError:
+                    continue
+                w.update(abs(lb - (4.0 * fine - coarse) / 3.0), _kp_tag(kp))
     # flat-space reference values
     kp = KappaPair(0.0, -1.0)
     w.update(abs(laplace_beltrami_apply(kp, lambda a1, a2: a1 * a2, ParallelI(0.3, -0.2))), "product")
@@ -892,6 +942,7 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> _Wo
     return w
 
 
+@check(1e-12)
 def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -911,6 +962,7 @@ def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> _Wo
     return w
 
 
+@check(0.5)
 def _check_geometry_domain_guards(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
 
@@ -951,14 +1003,18 @@ def _second_kind_images(kp: KappaPair, z: float) -> tuple[Bivector, Bivector, Bi
     )
 
 
+_KIND_IMAGES = {
+    DeformationKind.FIRST_KIND: _first_kind_images,
+    DeformationKind.SECOND_KIND: _second_kind_images,
+}
+
+
+@check(1e-13)
 def _check_bialgebra_cocommutator(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
-            for kind, literal in (
-                (DeformationKind.FIRST_KIND, _first_kind_images),
-                (DeformationKind.SECOND_KIND, _second_kind_images),
-            ):
+            for kind, literal in _KIND_IMAGES.items():
                 cm = cocommutator_map(kp, rmatrix(kind, z))
                 for img, ref, gname in zip(
                     (cm.d_j01, cm.d_j02, cm.d_j12), literal(kp, z), GENERATOR_NAMES
@@ -967,6 +1023,7 @@ def _check_bialgebra_cocommutator(cfg: SweepConfig, rng: np.random.Generator) ->
     return w
 
 
+@check(1e-13)
 def _check_bialgebra_cocycle(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -978,32 +1035,25 @@ def _check_bialgebra_cocycle(cfg: SweepConfig, rng: np.random.Generator) -> _Wor
     return w
 
 
+@check(1e-13)
 def _check_bialgebra_dual_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
-            for kind in DeformationKind:
+            for kind, literal in _KIND_IMAGES.items():
                 cm = cocommutator_map(kp, rmatrix(kind, z))
                 report = bialgebra_check(kp, cm)
                 w.update(report.dual_jacobi_defect, f"{kind.value} {_kp_tag(kp)}")
-                if kind is DeformationKind.FIRST_KIND:
-                    expect = {
-                        (0, 1): np.array([0.0, z * kp.k2, 0.0]),
-                        (0, 2): np.array([0.0, 0.0, z * kp.k2]),
-                        (1, 2): np.zeros(3),
-                    }
-                else:
-                    expect = {
-                        (0, 1): np.array([z, 0.0, 0.0]),
-                        (0, 2): np.zeros(3),
-                        (1, 2): np.array([0.0, 0.0, -z]),
-                    }
-                for (j, k), ref in expect.items():
+                # [e^j, e^k] of the dual algebra reads the e_j ^ e_k components of the images
+                images = literal(kp, z)
+                for j, k in _PAIRS:
+                    ref = np.array([img.component(j, k) for img in images])
                     got = report.dual_bracket_coeffs(j, k)
                     w.update(float(np.abs(got - ref).max()), f"dual [{j}{k}] {kind.value} {_kp_tag(kp)}")
     return w
 
 
+@check(1e-13)
 def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1015,6 +1065,7 @@ def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> _Wo
     return w
 
 
+@check(1e-13)
 def _check_bialgebra_mcybe(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1024,6 +1075,7 @@ def _check_bialgebra_mcybe(cfg: SweepConfig, rng: np.random.Generator) -> _Worst
     return w
 
 
+@check(0.5)
 def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1044,9 +1096,7 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> _
 
 # --- sklyanin suite ----------------------------------------------------------
 
-_COORD_PAIRS = (("a1", "a2"), ("a1", "xi"), ("a2", "xi"))
-
-
+@check(1e-8)
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1059,6 +1109,7 @@ def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> _Worst
     return w
 
 
+@check(1e-6)
 def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1067,17 +1118,18 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
             for _ in range(50):
                 gc = sample_group_coords(rng, kp, 0.35)
                 iv = invariant_fields_numeric(kp, gc)
-                for pair in _COORD_PAIRS:
+                for pair in GROUP_COORD_PAIRS:
                     closed = sklyanin_closed(kp, z, pair, gc)
                     numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
                     w.update(abs(closed - numeric), f"{{{pair[0]},{pair[1]}}} {_kp_tag(kp)}")
     return w
 
 
+@check(1e-5)
 def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     h = 1e-5
-    names = ("a1", "a2", "xi")
+    names = GROUP_COORD_NAMES
 
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
@@ -1111,23 +1163,25 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> _Worst
     return w
 
 
+@check(1e-12)
 def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     rows = _sklyanin_rows()
     for kp in NORMALIZED_PAIRS:
         if kp.k2 == 0.0:
             continue
-        row = rows[sign_pair(kp)]
+        row = rows[kp.signs()]
         for z in cfg.z_values:
             for _ in range(cfg.sample_count):
                 gc = sample_group_coords(rng, kp, 0.35)
                 ref = row(gc.a1, gc.a2, gc.xi, z)
-                for pair, val in zip(_COORD_PAIRS, ref):
+                for pair, val in zip(GROUP_COORD_PAIRS, ref):
                     got = sklyanin_closed(kp, z, pair, gc)
                     w.update(abs(got - val), f"{{{pair[0]},{pair[1]}}} {_kp_tag(kp)}")
     return w
 
 
+@check(1e-2)
 def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for z in cfg.z_values:
@@ -1135,7 +1189,7 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> _
             kp0 = KappaPair(k1, 0.0)
             for _ in range(cfg.sample_count):
                 gc = sample_group_coords(rng, kp0, 0.4)
-                for pair in _COORD_PAIRS:
+                for pair in GROUP_COORD_PAIRS:
                     w.update(abs(sklyanin_closed(kp0, z, pair, gc)), f"vanish k1={k1:g}")
             # shrinking the second label scales every bracket linearly
             slopes = []
@@ -1143,12 +1197,13 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> _
             for k2 in (1e-2, 1e-4, 1e-6):
                 kp = KappaPair(k1, k2)
                 slopes.append(
-                    np.array([sklyanin_closed(kp, z, pair, gc) for pair in _COORD_PAIRS]) / k2
+                    np.array([sklyanin_closed(kp, z, pair, gc) for pair in GROUP_COORD_PAIRS]) / k2
                 )
             w.update(float(np.abs(slopes[1] - slopes[2]).max()) / max(1.0, abs(z)), f"slope k1={k1:g}")
     return w
 
 
+@check(1e-6)
 def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     h = 1e-6
@@ -1173,6 +1228,7 @@ def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
 # --- quantum suite -----------------------------------------------------------
 
 
+@check(1e-9)
 def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1184,6 +1240,7 @@ def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> _Wor
     return w
 
 
+@check(1e-10)
 def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1195,6 +1252,7 @@ def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -
     return w
 
 
+@check(10.0)
 def _check_quantum_classical_limit(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     # the dressed coproduct approaches the primitive one linearly in z
     w = _Worst()
@@ -1207,6 +1265,7 @@ def _check_quantum_classical_limit(cfg: SweepConfig, rng: np.random.Generator) -
     return w
 
 
+@check(10.0)
 def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> _Worst:
     w = _Worst()
     for kp in cfg.kappa_grid:
@@ -1223,144 +1282,40 @@ def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> _W
     return w
 
 
-# --- registry ----------------------------------------------------------------
+# --- registry and runner -----------------------------------------------------
 
-CheckFn = Callable[[SweepConfig, np.random.Generator], _Worst]
+CHECK_NAMES = tuple(name for _, name, _ in _REGISTRY)
+SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in _REGISTRY))
 
-CHECKS: tuple[tuple[str, str, CheckFn], ...] = (
-    ("trig", "trig_identity", _check_trig_identity),
-    ("trig", "trig_addition", _check_trig_addition),
-    ("trig", "trig_derivatives", _check_trig_derivatives),
-    ("trig", "trig_taylor_match", _check_trig_taylor_match),
-    ("trig", "trig_inverse_roundtrip", _check_trig_inverse_roundtrip),
-    ("algebra", "algebra_jacobi", _check_algebra_jacobi),
-    ("algebra", "algebra_casimir_commutes", _check_algebra_casimir_commutes),
-    ("algebra", "algebra_rep_homomorphism", _check_algebra_rep_homomorphism),
-    ("algebra", "algebra_rep_metricity", _check_algebra_rep_metricity),
-    ("algebra", "algebra_classification", _check_algebra_classification),
-    ("duality", "duality_morphism", _check_duality_morphism),
-    ("duality", "duality_involution", _check_duality_involution),
-    ("duality", "duality_kappa_action", _check_duality_kappa_action),
-    ("duality", "duality_restrictions", _check_duality_restrictions),
-    ("group", "group_closed_vs_series", _check_group_closed_vs_series),
-    ("group", "group_invariants", _check_group_invariants),
-    ("group", "group_coords_roundtrip", _check_group_coords_roundtrip),
-    ("group", "group_action_surface", _check_group_action_surface),
-    ("group", "group_sinh_identity", _check_group_sinh_identity),
-    ("geometry", "geometry_closed_forms", _check_geometry_closed_forms),
-    ("geometry", "geometry_chart_roundtrip", _check_geometry_chart_roundtrip),
-    ("geometry", "geometry_metric_pullback", _check_geometry_metric_pullback),
-    ("geometry", "geometry_curvature", _check_geometry_curvature),
-    ("geometry", "geometry_killing_flow", _check_geometry_killing_flow),
-    ("geometry", "geometry_killing_fields_flow", _check_geometry_killing_fields_flow),
-    ("geometry", "geometry_field_commutators", _check_geometry_field_commutators),
-    ("geometry", "geometry_laplacian", _check_geometry_laplacian),
-    ("geometry", "geometry_foliation", _check_geometry_foliation),
-    ("geometry", "geometry_domain_guards", _check_geometry_domain_guards),
-    ("bialgebra", "bialgebra_cocommutator", _check_bialgebra_cocommutator),
-    ("bialgebra", "bialgebra_cocycle", _check_bialgebra_cocycle),
-    ("bialgebra", "bialgebra_dual_jacobi", _check_bialgebra_dual_jacobi),
-    ("bialgebra", "bialgebra_schouten", _check_bialgebra_schouten),
-    ("bialgebra", "bialgebra_mcybe", _check_bialgebra_mcybe),
-    ("bialgebra", "bialgebra_coisotropy", _check_bialgebra_coisotropy),
-    ("sklyanin", "sklyanin_fields", _check_sklyanin_fields),
-    ("sklyanin", "sklyanin_closed_vs_numeric", _check_sklyanin_closed_vs_numeric),
-    ("sklyanin", "sklyanin_jacobi", _check_sklyanin_jacobi),
-    ("sklyanin", "sklyanin_specializations", _check_sklyanin_specializations),
-    ("sklyanin", "sklyanin_kappa2_zero", _check_sklyanin_kappa2_zero),
-    ("sklyanin", "sklyanin_phs", _check_sklyanin_phs),
-    ("quantum", "quantum_relations", _check_quantum_relations),
-    ("quantum", "quantum_coassociativity", _check_quantum_coassociativity),
-    ("quantum", "quantum_classical_limit", _check_quantum_classical_limit),
-    ("quantum", "quantum_first_order", _check_quantum_first_order),
-)
 
-SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
-CHECK_NAMES = tuple(name for _, name, _ in CHECKS)
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "trig_identity": 1e-12,
-    "trig_addition": 1e-12,
-    "trig_derivatives": 1e-8,
-    "trig_taylor_match": 1e-12,
-    "trig_inverse_roundtrip": 1e-10,
-    "algebra_jacobi": 1e-13,
-    "algebra_casimir_commutes": 1e-12,
-    "algebra_rep_homomorphism": 1e-12,
-    "algebra_rep_metricity": 1e-12,
-    "algebra_classification": 0.5,
-    "duality_morphism": 1e-13,
-    "duality_involution": 1e-13,
-    "duality_kappa_action": 1e-13,
-    "duality_restrictions": 0.5,
-    "group_closed_vs_series": 1e-12,
-    "group_invariants": 1e-12,
-    "group_coords_roundtrip": 1e-10,
-    "group_action_surface": 1e-10,
-    "group_sinh_identity": 1e-12,
-    "geometry_closed_forms": 1e-12,
-    "geometry_chart_roundtrip": 1e-10,
-    "geometry_metric_pullback": 1e-8,
-    "geometry_curvature": 1e-6,
-    "geometry_killing_flow": 1e-6,
-    "geometry_killing_fields_flow": 1e-6,
-    "geometry_field_commutators": 1e-5,
-    "geometry_laplacian": 1e-5,
-    "geometry_foliation": 1e-12,
-    "geometry_domain_guards": 0.5,
-    "bialgebra_cocommutator": 1e-13,
-    "bialgebra_cocycle": 1e-13,
-    "bialgebra_dual_jacobi": 1e-13,
-    "bialgebra_schouten": 1e-13,
-    "bialgebra_mcybe": 1e-13,
-    "bialgebra_coisotropy": 0.5,
-    "sklyanin_fields": 1e-8,
-    "sklyanin_closed_vs_numeric": 1e-6,
-    "sklyanin_jacobi": 1e-5,
-    "sklyanin_specializations": 1e-12,
-    "sklyanin_kappa2_zero": 1e-2,
-    "sklyanin_phs": 1e-6,
-    "quantum_relations": 1e-9,
-    "quantum_coassociativity": 1e-10,
-    "quantum_classical_limit": 10.0,
-    "quantum_first_order": 10.0,
-}
-
-assert set(DEFAULT_TOLERANCES) == set(CHECK_NAMES)
+def _run(cfg: SweepConfig, selected: Callable[[str, str], bool]) -> list[CheckResult]:
+    # check i of the registry draws from its own stream [seed, i], so a
+    # result does not depend on which other checks run with it
+    cfg = cfg.validated()
+    return [
+        fn(cfg, np.random.default_rng([cfg.seed, idx])).result(suite, name, cfg.tolerance_for(name))
+        for idx, (suite, name, fn) in enumerate(_REGISTRY)
+        if selected(suite, name)
+    ]
 
 
 def run_check(name: str, cfg: SweepConfig) -> CheckResult:
     """Run one named check with its own deterministic stream."""
-    cfg = cfg.validated()
-    for idx, (suite, cname, fn) in enumerate(CHECKS):
-        if cname == name:
-            rng = np.random.default_rng([cfg.seed, idx])
-            worst = fn(cfg, rng)
-            return worst.result(suite, cname, cfg.tolerance_for(cname))
-    raise ConfigError(f"unknown check {name!r}")
+    results = _run(cfg, lambda suite, cname: cname == name)
+    if not results:
+        raise ConfigError(f"unknown check {name!r}")
+    return results[0]
 
 
 def run_suite(suite: str, cfg: SweepConfig) -> list[CheckResult]:
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
-    cfg = cfg.validated()
-    out = []
-    for idx, (sname, cname, fn) in enumerate(CHECKS):
-        if sname != suite:
-            continue
-        rng = np.random.default_rng([cfg.seed, idx])
-        out.append(fn(cfg, rng).result(sname, cname, cfg.tolerance_for(cname)))
-    return out
+    return _run(cfg, lambda sname, name: sname == suite)
 
 
 def run_all(cfg: SweepConfig) -> list[CheckResult]:
     """Every check, in registry order, each with an independent seed stream."""
-    cfg = cfg.validated()
-    out = []
-    for idx, (sname, cname, fn) in enumerate(CHECKS):
-        rng = np.random.default_rng([cfg.seed, idx])
-        out.append(fn(cfg, rng).result(sname, cname, cfg.tolerance_for(cname)))
-    return out
+    return _run(cfg, lambda suite, name: True)
 
 
 def suite_summary(results: Sequence[CheckResult]) -> dict[str, dict[str, float | bool]]:

@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .checks import (
     CHECK_NAMES,
-    DEFAULT_TOLERANCES,
+    KAPPA_GRID_NAMES,
     SweepConfig,
     kappa_grid_from_name,
     run_all,
@@ -58,6 +58,7 @@ from .errors import (
     UndefinedDualityError,
 )
 from .poisson import (
+    GROUP_COORD_PAIRS,
     DeformationKind,
     bialgebra_check,
     cocommutator_map,
@@ -105,7 +106,13 @@ SUBCOMMANDS = (
     "export-geodesics",
 )
 
+# subcommands that run on the normalized9 grid when no --k1/--k2 is given
+_GRID_COMMANDS = ("classify", "bracket", "bialgebra", "ybe", "sklyanin", "phs", "coproduct", "sweep-all")
+
 _KIND_FLAGS = {"first": DeformationKind.FIRST_KIND, "second": DeformationKind.SECOND_KIND}
+
+# the two-coordinate charts, by name
+_CHART_CLASSES = {"parallel1": ParallelI, "parallel2": ParallelII, "polar": Polar}
 
 
 @dataclass
@@ -186,18 +193,10 @@ def _base_payload(req: ReportRequest) -> dict:
     }
 
 
-def _tol(req: ReportRequest, name: str) -> float:
-    return req.sweep.tolerance_for(name)
-
-
 def _single_pair(req: ReportRequest) -> KappaPair:
     if len(req.sweep.kappa_grid) != 1:
         raise ConfigError(f"{req.command} needs exactly one kappa pair, got {len(req.sweep.kappa_grid)}")
     return req.sweep.kappa_grid[0]
-
-
-def _single_z(req: ReportRequest) -> float:
-    return req.sweep.z_values[0]
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -257,8 +256,7 @@ def _parse_point(chart: str, coords: Sequence[float]):
         return Ambient(*coords)
     if len(coords) != 2:
         raise ConfigError(f"{chart} chart needs two coordinates")
-    cls = {"parallel1": ParallelI, "parallel2": ParallelII, "polar": Polar}[chart]
-    return cls(*coords)
+    return _CHART_CLASSES[chart](*coords)
 
 
 def _point_values(p) -> list[float]:
@@ -313,7 +311,7 @@ def _cmd_curvature(req: ReportRequest) -> Report:
     kp = _single_pair(req)
     coords = req.options["coords"]
     payload = _base_payload(req)
-    tol = _tol(req, "geometry_curvature")
+    tol = req.sweep.tolerance_for("geometry_curvature")
     row = {"k1": kp.k1, "k2": kp.k2, "coords": list(coords), "tolerance": tol}
     passed = True
     try:
@@ -335,7 +333,7 @@ def _cmd_duality(req: ReportRequest) -> Report:
     wanted = req.options.get("name")
     names = [DualityName(wanted)] if wanted else list(DUALITIES)
     payload = _base_payload(req)
-    tol = _tol(req, "duality_morphism")
+    tol = req.sweep.tolerance_for("duality_morphism")
     rows = []
     passed = True
     rng = np.random.default_rng(req.sweep.seed)
@@ -371,7 +369,7 @@ def _cmd_duality(req: ReportRequest) -> Report:
 def _cmd_bialgebra(req: ReportRequest) -> Report:
     payload = _base_payload(req)
     kinds = _selected_kinds(req)
-    tol = _tol(req, "bialgebra_cocycle")
+    tol = req.sweep.tolerance_for("bialgebra_cocycle")
     rows = []
     passed = True
     for kp in req.sweep.kappa_grid:
@@ -407,7 +405,7 @@ def _cmd_bialgebra(req: ReportRequest) -> Report:
 def _cmd_ybe(req: ReportRequest) -> Report:
     payload = _base_payload(req)
     kinds = _selected_kinds(req)
-    tol = _tol(req, "bialgebra_mcybe")
+    tol = req.sweep.tolerance_for("bialgebra_mcybe")
     rows = []
     passed = True
     for kp in req.sweep.kappa_grid:
@@ -438,10 +436,9 @@ def _cmd_ybe(req: ReportRequest) -> Report:
 
 def _cmd_sklyanin(req: ReportRequest) -> Report:
     payload = _base_payload(req)
-    tol = _tol(req, "sklyanin_closed_vs_numeric")
+    tol = req.sweep.tolerance_for("sklyanin_closed_vs_numeric")
     rows = []
     passed = True
-    pairs = (("a1", "a2"), ("a1", "xi"), ("a2", "xi"))
     for kp in req.sweep.kappa_grid:
         for z in req.sweep.z_values:
             r = rmatrix(DeformationKind.FIRST_KIND, z)
@@ -453,9 +450,9 @@ def _cmd_sklyanin(req: ReportRequest) -> Report:
                 try:
                     iv = invariant_fields_numeric(kp, gc)
                 except GeometryError:
-                    errors += len(pairs)  # every pair at this point needs the fields
+                    errors += len(GROUP_COORD_PAIRS)  # every pair at this point needs the fields
                     continue
-                for pair in pairs:
+                for pair in GROUP_COORD_PAIRS:
                     try:
                         closed = sklyanin_closed(kp, z, pair, gc)
                         numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
@@ -500,8 +497,8 @@ def _cmd_phs(req: ReportRequest) -> Report:
 
 def _cmd_coproduct(req: ReportRequest) -> Report:
     payload = _base_payload(req)
-    rel_tol = _tol(req, "quantum_relations")
-    co_tol = _tol(req, "quantum_coassociativity")
+    rel_tol = req.sweep.tolerance_for("quantum_relations")
+    co_tol = req.sweep.tolerance_for("quantum_coassociativity")
     rows = []
     passed = True
     for kp in req.sweep.kappa_grid:
@@ -566,18 +563,13 @@ def _span_bound(label: float, span: float) -> float:
 
 
 def _geodesic_families(kp: KappaPair, chart: str, lines: int, span: float):
-    if chart == "parallel1":
-        b1, b2 = _span_bound(kp.k1, span), _span_bound(kp.k12, span)
-        make = lambda u, v: ParallelI(u, v)
-    elif chart == "parallel2":
-        b1, b2 = _span_bound(kp.k1, span), _span_bound(kp.k12, span)
-        make = lambda u, v: ParallelII(u, v)
-    elif chart == "polar":
-        b1, b2 = _span_bound(kp.k1, span), _span_bound(kp.k2, span)
-        make = lambda u, v: Polar(u, v)
-    else:
-        raise ConfigError(f"chart {chart!r} has no coordinate lines, expected one of "
-                          "('parallel1', 'parallel2', 'polar')")
+    make = _CHART_CLASSES.get(chart)
+    if make is None:
+        raise ConfigError(
+            f"chart {chart!r} has no coordinate lines, expected one of {tuple(_CHART_CLASSES)}"
+        )
+    b1 = _span_bound(kp.k1, span)
+    b2 = _span_bound(kp.k2 if chart == "polar" else kp.k12, span)
     if chart == "polar":
         # radial coordinate is nonnegative; rays fan out from the origin
         consts1 = np.linspace(b1 / lines, b1, lines)
@@ -678,14 +670,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k1", type=float, action="append", help="first curvature label (repeatable)")
         p.add_argument("--k2", type=float, action="append", help="second curvature label (repeatable)")
         if grid_default:
-            p.add_argument("--grid", choices=["normalized9"], help="named kappa grid")
+            p.add_argument("--grid", choices=KAPPA_GRID_NAMES, help="named kappa grid")
         p.add_argument("--z", type=float, action="append", help="deformation parameter (repeatable)")
         p.add_argument("--samples", type=int, default=20, help="sample count per check")
         p.add_argument("--seed", type=int, default=0, help="random stream seed")
         p.add_argument("--format", choices=["json", "csv"], default="json", dest="output_format")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
-    for name in ("classify", "bracket", "bialgebra", "ybe", "sklyanin", "phs", "coproduct", "sweep-all"):
+    for name in _GRID_COMMANDS:
         p = sub.add_parser(name)
         common(p, grid_default=True)
         if name in ("bialgebra", "ybe"):
@@ -711,7 +703,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "duality":
             p.add_argument("--name", choices=[d.value for d in DUALITIES])
         if name == "export-geodesics":
-            p.add_argument("--chart", choices=["parallel1", "parallel2", "polar"], default="parallel1")
+            p.add_argument("--chart", choices=list(_CHART_CLASSES), default="parallel1")
             p.add_argument("--points", type=int, default=64, help="samples per coordinate line")
             p.add_argument("--lines", type=int, default=5, help="coordinate lines per family")
             p.add_argument("--span", type=float, default=0.45, help="fraction of the quarter period to cover")
@@ -756,7 +748,7 @@ def _resolve_grid(args: argparse.Namespace) -> tuple[KappaPair, ...]:
         if len(k1s) != len(k2s):
             raise ConfigError(f"--k1 given {len(k1s)} times but --k2 {len(k2s)} times")
         return tuple(KappaPair(a, b) for a, b in zip(k1s, k2s))
-    if args.command in ("sweep-all", "classify", "bracket", "bialgebra", "ybe", "sklyanin", "phs", "coproduct"):
+    if args.command in _GRID_COMMANDS:
         return kappa_grid_from_name("normalized9")
     raise ConfigError(f"{args.command} needs --k1 and --k2")
 

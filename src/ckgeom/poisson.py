@@ -15,7 +15,6 @@ oracle mode that rebuilds the fields by differentiating group translations.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +30,7 @@ from .group import coords_from_group  # noqa: F401
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 GROUP_COORD_NAMES = ("a1", "a2", "xi")
+GROUP_COORD_PAIRS = tuple((GROUP_COORD_NAMES[i], GROUP_COORD_NAMES[j]) for i, j in _PAIRS)
 _COORD_INDEX = {name: i for i, name in enumerate(GROUP_COORD_NAMES)}
 TRANSLATION_STEP = 1e-6
 

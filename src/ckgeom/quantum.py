@@ -29,9 +29,7 @@ from . import ktrig
 from .algebra import GENERATOR_NAMES, KappaPair
 from .errors import ProjectionError
 from .group import expm_series, rep_basis
-from .poisson import Bivector, CocommutatorMap
-
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+from .poisson import _PAIRS, Bivector, CocommutatorMap
 
 # TensorSquareElement: a 9x9 real ndarray over the Kronecker-square basis.
 TensorSquareElement = np.ndarray

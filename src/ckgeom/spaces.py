@@ -22,10 +22,8 @@ import numpy as np
 from . import ktrig
 from .algebra import KappaPair
 from .errors import ChartDomainError, DegenerateMetricError, OffCurveError, OffSurfaceError
-from .group import ambient_defect
+from .group import DEFAULT_CHART_TOL, DEFAULT_SURFACE_TOL, ambient_defect
 
-DEFAULT_CHART_TOL = 1e-9
-DEFAULT_SURFACE_TOL = 1e-8
 CURVATURE_STEP = 1e-3
 OPERATOR_STEP = 1e-4
 

@@ -14,6 +14,7 @@ from ckgeom import (
     run_suite,
     suite_summary,
 )
+from ckgeom.checks import SUITE_NAMES
 
 LIGHT = SweepConfig(
     kappa_grid=kappa_grid_from_name("normalized9"),
@@ -44,9 +45,20 @@ def test_runs_are_deterministic():
 
 
 def test_check_results_are_order_independent():
-    solo = run_check("geometry_curvature", LIGHT)
-    in_suite = [r for r in run_suite("geometry", LIGHT) if r.name == "geometry_curvature"]
-    assert in_suite and in_suite[0].max_defect == solo.max_defect
+    full = {r.name: r for r in run_all(LIGHT)}
+    in_suites = {r.name: r for suite in SUITE_NAMES for r in run_suite(suite, LIGHT)}
+    assert list(full) == list(in_suites) == list(CHECK_NAMES)
+
+    def key(r):
+        return r.max_defect, r.samples, r.detail
+
+    for name in CHECK_NAMES:
+        assert key(run_check(name, LIGHT)) == key(in_suites[name]) == key(full[name]), name
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_laplacian_oracle_passes_for_every_seed(seed):
+    assert run_check("geometry_laplacian", SweepConfig(seed=seed)).passed
 
 
 def test_suite_summary_rolls_up():
