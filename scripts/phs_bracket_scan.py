@@ -16,7 +16,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,27 +32,18 @@ KINDS = {
 }
 
 
-@dataclass
-class ScanConfig:
-    z: float = 0.1
-    kind: str = "both"
-    grid_n: int = 21
-    span: float = 0.45
-    out: Path = Path("phs_scan.csv")
-    pairs: tuple[KappaPair, ...] = field(default_factory=lambda: NORMALIZED_PAIRS)
-
-    def axis(self, label: float) -> np.ndarray:
-        # only positive labels are periodic; flat and negative directions are unbounded
-        bound = self.span * half_period(label) if label > 1e-12 else 2.0 * self.span
-        return np.linspace(-bound, bound, self.grid_n)
+def axis(args: argparse.Namespace, label: float) -> np.ndarray:
+    # only positive labels are periodic; flat and negative directions are unbounded
+    bound = args.span * half_period(label) if label > 1e-12 else 2.0 * args.span
+    return np.linspace(-bound, bound, args.grid_n)
 
 
-def scan_pair(cfg: ScanConfig, kp: KappaPair, kind: DeformationKind) -> tuple[list[dict], dict]:
+def scan_pair(args: argparse.Namespace, kp: KappaPair, kind: DeformationKind) -> tuple[list[dict], dict]:
     rows = []
     worst = 0.0
     poles = 0
-    for a1 in cfg.axis(kp.k1):
-        for a2 in cfg.axis(kp.k12):
+    for a1 in axis(args, kp.k1):
+        for a2 in axis(args, kp.k12):
             row = {
                 "k1": kp.k1,
                 "k2": kp.k2,
@@ -62,7 +52,7 @@ def scan_pair(cfg: ScanConfig, kp: KappaPair, kind: DeformationKind) -> tuple[li
                 "a2": float(a2),
             }
             try:
-                val = phs_points_bracket(kp, cfg.z, kind, float(a1), float(a2))
+                val = phs_points_bracket(kp, args.z, kind, float(a1), float(a2))
             except ChartDomainError:
                 poles += 1
                 row["bracket"] = ""
@@ -92,26 +82,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("phs_scan.csv"))
     args = parser.parse_args(argv)
 
-    cfg = ScanConfig(z=args.z, kind=args.kind, grid_n=args.grid_n, span=args.span, out=args.out)
-    if not math.isfinite(cfg.z) or cfg.z == 0.0:
+    if not math.isfinite(args.z) or args.z == 0.0:
         parser.error("z must be finite and nonzero")
 
     all_rows: list[dict] = []
-    for kp in cfg.pairs:
-        for kind in KINDS[cfg.kind]:
-            rows, summary = scan_pair(cfg, kp, kind)
+    for kp in NORMALIZED_PAIRS:
+        for kind in KINDS[args.kind]:
+            rows, summary = scan_pair(args, kp, kind)
             all_rows.extend(rows)
             print(
                 f"{summary['geometry']:<28} {summary['kind']:<7} "
                 f"max|{{a1,a2}}| = {summary['max_abs']:.6e}  poles = {summary['pole_points']}"
             )
 
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out, "w", newline="") as fh:
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(all_rows[0].keys()), lineterminator="\n")
         writer.writeheader()
         writer.writerows(all_rows)
-    print(f"wrote {cfg.out} ({len(all_rows)} rows)")
+    print(f"wrote {args.out} ({len(all_rows)} rows)")
     return 0
 
 

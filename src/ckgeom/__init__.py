@@ -61,7 +61,6 @@ from .group import (
     ambient_defect,
     coords_from_group,
     exp_one_param,
-    exp_series,
     expm_series,
     group_from_coords,
     metric_matrix,

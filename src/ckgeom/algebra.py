@@ -51,11 +51,6 @@ class KappaPair:
     def signs(self) -> tuple[int, int]:
         return (_sign(self.k1), _sign(self.k2))
 
-    def normalized(self) -> "KappaPair":
-        """The representative with labels in {-1, 0, +1}."""
-        s1, s2 = self.signs()
-        return KappaPair(float(s1), float(s2))
-
 
 def _sign(x: float) -> int:
     if x > 0.0:

@@ -18,8 +18,9 @@ import csv
 import io
 import json
 import math
+import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .algebra import (
 from .checks import (
     CHECK_NAMES,
     KAPPA_GRID_NAMES,
+    SCHOUTEN_COEFFICIENTS,
     SweepConfig,
     kappa_grid_from_name,
     run_all,
@@ -77,10 +79,7 @@ from .quantum import (
 )
 from .spaces import (
     CHART_NAMES,
-    Ambient,
-    ParallelI,
-    ParallelII,
-    Polar,
+    CHARTS,
     from_ambient,
     gaussian_curvature,
     metric_main,
@@ -90,29 +89,13 @@ from .spaces import (
 
 SCHEMA_VERSION = 1
 
-SUBCOMMANDS = (
-    "classify",
-    "bracket",
-    "convert",
-    "metric",
-    "curvature",
-    "duality",
-    "bialgebra",
-    "ybe",
-    "sklyanin",
-    "phs",
-    "coproduct",
-    "sweep-all",
-    "export-geodesics",
-)
-
 # subcommands that run on the normalized9 grid when no --k1/--k2 is given
 _GRID_COMMANDS = ("classify", "bracket", "bialgebra", "ybe", "sklyanin", "phs", "coproduct", "sweep-all")
 
 _KIND_FLAGS = {"first": DeformationKind.FIRST_KIND, "second": DeformationKind.SECOND_KIND}
 
 # the two-coordinate charts, by name
-_CHART_CLASSES = {"parallel1": ParallelI, "parallel2": ParallelII, "polar": Polar}
+_CHART_CLASSES = {name: cls for name, cls in CHARTS.items() if name != "ambient"}
 
 
 @dataclass
@@ -250,17 +233,11 @@ def _cmd_bracket(req: ReportRequest) -> Report:
 
 
 def _parse_point(chart: str, coords: Sequence[float]):
-    if chart == "ambient":
-        if len(coords) != 3:
-            raise ConfigError("ambient chart needs three coordinates")
-        return Ambient(*coords)
-    if len(coords) != 2:
-        raise ConfigError(f"{chart} chart needs two coordinates")
-    return _CHART_CLASSES[chart](*coords)
-
-
-def _point_values(p) -> list[float]:
-    return [float(getattr(p, f)) for f in p.__dataclass_fields__]
+    make = CHARTS[chart]
+    count = len(fields(make))
+    if len(coords) != count:
+        raise ConfigError(f"{chart} chart needs {('two', 'three')[count - 2]} coordinates")
+    return make(*coords)
 
 
 def _cmd_convert(req: ReportRequest) -> Report:
@@ -272,15 +249,13 @@ def _cmd_convert(req: ReportRequest) -> Report:
     row = {"k1": kp.k1, "k2": kp.k2, "source": source, "target": target}
     try:
         p = _parse_point(source, coords)
-        ambient = to_ambient(kp, p) if source != "ambient" else p
+        ambient = to_ambient(kp, p)
         out = from_ambient(kp, ambient, target)
         row["ambient"] = list(ambient.as_array())
         row["coords_in"] = list(coords)
-        row["coords_out"] = _point_values(out)
-        back = from_ambient(kp, to_ambient(kp, out) if target != "ambient" else out, source)
-        row["roundtrip_defect"] = max(
-            abs(a - b) for a, b in zip(_point_values(back), _point_values(p))
-        )
+        row["coords_out"] = astuple(out)
+        back = from_ambient(kp, to_ambient(kp, out), source)
+        row["roundtrip_defect"] = max(abs(a - b) for a, b in zip(astuple(back), astuple(p)))
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     payload["conversion"] = row
@@ -289,7 +264,7 @@ def _cmd_convert(req: ReportRequest) -> Report:
 
 def _cmd_metric(req: ReportRequest) -> Report:
     kp = _single_pair(req)
-    chart = req.options.get("chart", "parallel1")
+    chart = req.options["chart"]
     coords = req.options["coords"]
     payload = _base_payload(req)
     row = {"k1": kp.k1, "k2": kp.k2, "chart": chart, "coords": list(coords)}
@@ -315,7 +290,7 @@ def _cmd_curvature(req: ReportRequest) -> Report:
     row = {"k1": kp.k1, "k2": kp.k2, "coords": list(coords), "tolerance": tol}
     passed = True
     try:
-        p = _parse_point(req.options.get("chart", "parallel1"), coords)
+        p = _parse_point(req.options["chart"], coords)
         value = gaussian_curvature(kp, p)
         row["curvature"] = value
         row["expected"] = kp.k1
@@ -330,7 +305,7 @@ def _cmd_curvature(req: ReportRequest) -> Report:
 
 def _cmd_duality(req: ReportRequest) -> Report:
     kp = _single_pair(req)
-    wanted = req.options.get("name")
+    wanted = req.options["name"]
     names = [DualityName(wanted)] if wanted else list(DUALITIES)
     payload = _base_payload(req)
     tol = req.sweep.tolerance_for("duality_morphism")
@@ -413,7 +388,7 @@ def _cmd_ybe(req: ReportRequest) -> Report:
             for kind in kinds:
                 r = rmatrix(kind, z)
                 coeff = schouten(kp, r).coefficient
-                expected = z * z * kp.k2 if kind is DeformationKind.FIRST_KIND else z * z
+                expected = SCHOUTEN_COEFFICIENTS[kind](kp, z)
                 defect = mcybe_defect(kp, r)
                 ok = defect <= tol and abs(coeff - expected) <= tol
                 passed = passed and ok
@@ -442,7 +417,9 @@ def _cmd_sklyanin(req: ReportRequest) -> Report:
     for kp in req.sweep.kappa_grid:
         for z in req.sweep.z_values:
             r = rmatrix(DeformationKind.FIRST_KIND, z)
-            rng = np.random.default_rng([req.sweep.seed, hash((kp.k1, kp.k2)) % (2**32)])
+            # the bit patterns of the labels; + 0.0 folds -0.0 into 0.0
+            label_bits = struct.unpack("<2Q", struct.pack("<2d", kp.k1 + 0.0, kp.k2 + 0.0))
+            rng = np.random.default_rng([req.sweep.seed, *label_bits])
             worst = 0.0
             errors = 0
             for _ in range(req.sweep.sample_count):
@@ -479,9 +456,9 @@ def _cmd_sklyanin(req: ReportRequest) -> Report:
 
 def _cmd_phs(req: ReportRequest) -> Report:
     payload = _base_payload(req)
-    kind = _KIND_FLAGS[req.options.get("kind", "first")]
-    a1 = req.options.get("a1", 0.0)
-    a2 = req.options.get("a2", 0.0)
+    kind = _KIND_FLAGS[req.options["kind"]]
+    a1 = req.options["a1"]
+    a2 = req.options["a2"]
     rows = []
     for kp in req.sweep.kappa_grid:
         for z in req.sweep.z_values:
@@ -588,10 +565,10 @@ def _geodesic_families(kp: KappaPair, chart: str, lines: int, span: float):
 
 def _cmd_export_geodesics(req: ReportRequest) -> Report:
     kp = _single_pair(req)
-    chart = req.options.get("chart", "parallel1")
-    n = req.options.get("points", 64)
-    lines = req.options.get("lines", 5)
-    span = req.options.get("span", 0.45)
+    chart = req.options["chart"]
+    n = req.options["points"]
+    lines = req.options["lines"]
+    span = req.options["span"]
     if n < 2:
         raise ConfigError(f"need at least 2 points per line, got {n}")
     if lines < 1:
@@ -617,7 +594,7 @@ def _cmd_export_geodesics(req: ReportRequest) -> Report:
 
 
 def _selected_kinds(req: ReportRequest) -> tuple[DeformationKind, ...]:
-    kind = req.options.get("kind", "both")
+    kind = req.options["kind"]
     if kind == "both":
         return (DeformationKind.FIRST_KIND, DeformationKind.SECOND_KIND)
     return (_KIND_FLAGS[kind],)
@@ -687,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a1", type=float, default=0.0)
             p.add_argument("--a2", type=float, default=0.0)
 
-    for name in ("convert", "metric", "curvature", "duality", "export-geodesics"):
+    for name in [cmd for cmd in _HANDLERS if cmd not in _GRID_COMMANDS]:
         p = sub.add_parser(name)
         common(p, grid_default=False)
         if name == "convert":
@@ -770,10 +747,12 @@ def _request_from_args(args: argparse.Namespace, tolerances: dict[str, float]) -
         seed=args.seed,
         tolerances=tolerances,
     ).validated()
-    options: dict = {}
-    for key in ("source_chart", "target_chart", "chart", "name", "kind", "a1", "a2", "points", "lines", "span"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            options[key] = getattr(args, key)
+    # every subcommand option argparse defined, None included; argparse holds the defaults
+    options = {
+        key: getattr(args, key)
+        for key in ("source_chart", "target_chart", "chart", "name", "kind", "a1", "a2", "points", "lines", "span")
+        if hasattr(args, key)
+    }
     if hasattr(args, "coords"):
         options["coords"] = _parse_coords(args.coords)
     return ReportRequest(

@@ -36,16 +36,6 @@ DUALITIES: tuple[DualityName, ...] = (
     DualityName.ID,
 )
 
-# Index permutation induced on the labels {0, 1, 2}, image-of-index form.
-PERMUTATIONS = {
-    DualityName.D0: (2, 1, 0),
-    DualityName.D1: (1, 0, 2),
-    DualityName.D2: (0, 2, 1),
-    DualityName.D0D1: (2, 0, 1),
-    DualityName.D0D2: (1, 2, 0),
-    DualityName.ID: (0, 1, 2),
-}
-
 # Curvature label whose vanishing makes the map undefined, if any.
 RESTRICTIONS = {
     DualityName.D0: None,

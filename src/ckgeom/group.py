@@ -84,12 +84,6 @@ class GroupElement:
             raise ValueError("cannot compose elements over different curvature labels")
         return GroupElement(self.m @ other.m, self.kp)
 
-    def invariant_defect(self) -> float:
-        """max of the metricity defect |g^T I g - I| and |det g - 1|."""
-        i_k = metric_matrix(self.kp)
-        ortho = float(np.max(np.abs(self.m.T @ i_k @ self.m - i_k)))
-        return max(ortho, abs(float(np.linalg.det(self.m)) - 1.0))
-
 
 def _exp_matrix(kp: KappaPair, generator: str, t: float) -> np.ndarray:
     """Raw 3x3 array of exp(t * rho(generator)), not checked for finiteness."""
@@ -142,11 +136,6 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def exp_series(kp: KappaPair, x: AlgebraElement) -> GroupElement:
-    """Series-route exponential of a general algebra element."""
-    return GroupElement(expm_series(rep(kp, x)), kp)
-
-
 def group_from_coords(kp: KappaPair, gc: GroupCoordinates) -> GroupElement:
     """Ordered product exp(a1 rho J01) exp(a2 rho J02) exp(xi rho J12)."""
     g1 = exp_one_param(kp, "J01", gc.a1)
@@ -155,9 +144,7 @@ def group_from_coords(kp: KappaPair, gc: GroupCoordinates) -> GroupElement:
     return g1 @ g2 @ g3
 
 
-def coords_from_group(
-    kp: KappaPair, g: GroupElement, chart_tol: float = DEFAULT_CHART_TOL
-) -> GroupCoordinates:
+def coords_from_group(kp: KappaPair, g: GroupElement) -> GroupCoordinates:
     """Invert the ordered-product coordinates.
 
     The first column of g is the image of the base point (1, 0, 0), from
@@ -166,19 +153,17 @@ def coords_from_group(
     vanishing, so the translation part is not invertible) raise
     ChartDomainError; no wrapping is attempted.
     """
-    return _coords_from_matrix(kp, g.m, chart_tol)
+    return _coords_from_matrix(kp, g.m)
 
 
-def _coords_from_matrix(
-    kp: KappaPair, m: np.ndarray, chart_tol: float = DEFAULT_CHART_TOL
-) -> GroupCoordinates:
+def _coords_from_matrix(kp: KappaPair, m: np.ndarray) -> GroupCoordinates:
     """coords_from_group on a raw 3x3 array the caller has already validated."""
     s = m[:, 0]
     c2_sq = s[0] * s[0] + kp.k1 * s[1] * s[1]
     c2 = math.sqrt(max(c2_sq, 0.0))
-    if c2 < chart_tol:
+    if c2 < DEFAULT_CHART_TOL:
         raise ChartDomainError(
-            f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {chart_tol!r}"
+            f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}"
         )
     a2 = ktrig.kinv(kp.k12, float(s[2]), c2)
     a1 = ktrig.kinv(kp.k1, float(s[1]) / c2, float(s[0]) / c2)
@@ -193,11 +178,11 @@ def ambient_defect(kp: KappaPair, point) -> float:
     return abs(float(s @ metric_matrix(kp) @ s) - 1.0)
 
 
-def act(kp: KappaPair, g: GroupElement, point, surface_tol: float = DEFAULT_SURFACE_TOL) -> np.ndarray:
+def act(kp: KappaPair, g: GroupElement, point) -> np.ndarray:
     """Apply a group element to an ambient triple on the quadric."""
     s = np.asarray(point, dtype=float)
     defect = ambient_defect(kp, s)
-    if defect > surface_tol:
+    if defect > DEFAULT_SURFACE_TOL:
         raise OffSurfaceError(
             f"act: point {s.tolist()} misses the quadric by {defect:.3e}"
         )

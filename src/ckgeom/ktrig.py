@@ -49,12 +49,12 @@ def sk(kappa: float, x: float) -> float:
     return math.sinh(rk * x) / rk
 
 
-def tk(kappa: float, x: float, pole_tol: float = DEFAULT_POLE_TOL) -> float:
-    """Generalized tangent sk/ck.  Raises PoleError within pole_tol of a pole."""
+def tk(kappa: float, x: float) -> float:
+    """Generalized tangent sk/ck.  Raises PoleError within DEFAULT_POLE_TOL of a pole."""
     c = ck(kappa, x)
-    if abs(c) < pole_tol:
+    if abs(c) < DEFAULT_POLE_TOL:
         raise PoleError(
-            f"tk({kappa!r}, {x!r}): cosine factor {c!r} is inside the pole tolerance {pole_tol!r}"
+            f"tk({kappa!r}, {x!r}): cosine factor {c!r} is inside the pole tolerance {DEFAULT_POLE_TOL!r}"
         )
     return sk(kappa, x) / c
 
@@ -76,18 +76,18 @@ def half_period(kappa: float) -> float:
     return math.inf
 
 
-def kinv(kappa: float, s: float, c: float, curve_tol: float = DEFAULT_CURVE_TOL) -> float:
+def kinv(kappa: float, s: float, c: float) -> float:
     """Inverse of the pair x -> (sk, ck): the unique x with sk(kappa, x) = s
     and ck(kappa, x) = c in the principal domain.
 
-    The pair must lie on the curve c**2 + kappa * s**2 = 1 within curve_tol,
+    The pair must lie on the curve c**2 + kappa * s**2 = 1 within DEFAULT_CURVE_TOL,
     and on the connected branch through (c, s) = (1, 0); otherwise
     OffCurveError.  Principal domain is (-pi/sqrt(kappa), pi/sqrt(kappa)]
     for kappa > 0 (ties at c = -1 resolve to +pi/sqrt(kappa)) and all of
     the reals otherwise.
     """
     deviation = abs(c * c + kappa * s * s - 1.0)
-    if deviation > curve_tol:
+    if deviation > DEFAULT_CURVE_TOL:
         raise OffCurveError(
             f"kinv({kappa!r}): pair (c={c!r}, s={s!r}) misses the unit curve by {deviation:.3e}"
         )

@@ -8,8 +8,9 @@ translation sector) and the "second kind" z J12 ^ J01.
 
 The induced multiplicative Poisson bracket on the group is available in
 two routes: closed forms in the labelled trigonometry, and the r-matrix
-contraction of left/right invariant vector fields, the latter with an
-oracle mode that rebuilds the fields by differentiating group translations.
+contraction of left/right invariant vector fields.  The fields come in
+closed form or from an oracle that rebuilds them by differentiating group
+translations.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ class Bivector:
         return t
 
     @classmethod
-    def from_tensor(cls, t: np.ndarray, tol: float = 1e-12) -> "Bivector":
+    def from_tensor(cls, t: np.ndarray) -> "Bivector":
         t = np.asarray(t, dtype=float)
         skew = float(np.max(np.abs(t + t.T)))
-        if skew > tol * max(1.0, float(np.max(np.abs(t)))):
+        if skew > 1e-12 * max(1.0, float(np.max(np.abs(t)))):
             raise ValueError(f"tensor is not antisymmetric (defect {skew:.3e})")
         return cls(float(t[0, 1]), float(t[0, 2]), float(t[1, 2]))
 
@@ -242,25 +243,23 @@ def mcybe_defect(kp: KappaPair, r: Bivector) -> float:
     return worst
 
 
-def coisotropy_check(
-    kp: KappaPair, delta: CocommutatorMap, h: str, tol: float = 1e-13
-) -> CoisotropyVerdict:
+def coisotropy_check(kp: KappaPair, delta: CocommutatorMap, h: str) -> CoisotropyVerdict:
     """Classify the one-generator subalgebra h against the cocommutator.
 
     POISSON_SUBGROUP when delta(h) lies in h ^ h (for a line this means
     delta(h) = 0), COISOTROPIC when delta(h) only lies in h ^ g, FAILS
-    otherwise.
+    otherwise.  Components up to 1e-13 in absolute value count as zero.
     """
     if h not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {h!r}, expected one of {GENERATOR_NAMES}")
     k = GENERATOR_NAMES.index(h)
     image = delta.image(k)
-    if image.max_abs() <= tol:
+    if image.max_abs() <= 1e-13:
         return CoisotropyVerdict.POISSON_SUBGROUP
     outside = max(
         abs(image.component(i, j)) for i, j in _PAIRS if i != k and j != k
     )
-    if outside <= tol:
+    if outside <= 1e-13:
         return CoisotropyVerdict.COISOTROPIC
     return CoisotropyVerdict.FAILS
 
@@ -303,15 +302,13 @@ def invariant_vector_fields(kp: KappaPair, gc: GroupCoordinates) -> InvariantFie
     return InvariantFields(left, right)
 
 
-def invariant_fields_numeric(
-    kp: KappaPair, gc: GroupCoordinates, step: float = TRANSLATION_STEP
-) -> InvariantFields:
+def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFields:
     """Oracle route: rebuild the invariant fields by differentiating group
     translations g exp(t X) (left fields) and exp(t X) g (right fields).
 
     The point g and its twelve translates are composed as raw 3x3 arrays;
     only g is checked for finiteness (ValueError).  The translates multiply
-    g by matrices within `step` of the identity, so they are finite
+    g by matrices within TRANSLATION_STEP of the identity, so they are finite
     whenever g is, short of the floating-point overflow threshold.
     """
     g0 = _exp_matrix(kp, "J01", gc.a1) @ _exp_matrix(kp, "J02", gc.a2) @ _exp_matrix(kp, "J12", gc.xi)
@@ -320,16 +317,16 @@ def invariant_fields_numeric(
     left = np.zeros((3, 3))
     right = np.zeros((3, 3))
     for i, name in enumerate(GENERATOR_NAMES):
-        plus = _exp_matrix(kp, name, step)
-        minus = _exp_matrix(kp, name, -step)
+        plus = _exp_matrix(kp, name, TRANSLATION_STEP)
+        minus = _exp_matrix(kp, name, -TRANSLATION_STEP)
         left[i] = (
             _coords_from_matrix(kp, g0 @ plus).as_array()
             - _coords_from_matrix(kp, g0 @ minus).as_array()
-        ) / (2.0 * step)
+        ) / (2.0 * TRANSLATION_STEP)
         right[i] = (
             _coords_from_matrix(kp, plus @ g0).as_array()
             - _coords_from_matrix(kp, minus @ g0).as_array()
-        ) / (2.0 * step)
+        ) / (2.0 * TRANSLATION_STEP)
     return InvariantFields(left, right)
 
 
@@ -362,30 +359,23 @@ def sklyanin_numeric(
     f: str,
     g: str,
     gc: GroupCoordinates,
-    fields: str | InvariantFields = "closed",
+    fields: InvariantFields,
 ) -> float:
     """Multiplicative bracket {f, g} = r^{ij} (L_i f L_j g - R_i f R_j g)
     of two coordinate functions, from invariant vector fields.
 
-    fields = "closed" uses the closed-form fields, "numeric" the
-    translation-differentiation oracle.  An InvariantFields value is used
-    as given and must already be evaluated at gc; callers that bracket
-    several coordinate pairs at one point pass it to build the fields once.
+    fields must already be evaluated at gc: invariant_vector_fields gives
+    the closed-form fields, invariant_fields_numeric the
+    translation-differentiation oracle.  Callers that bracket several
+    coordinate pairs at one point build the fields once and pass them to
+    each call.
     """
     if f not in _COORD_INDEX or g not in _COORD_INDEX:
         raise ValueError(f"coordinates must be among {GROUP_COORD_NAMES}")
-    if isinstance(fields, InvariantFields):
-        iv = fields
-    elif fields == "closed":
-        iv = invariant_vector_fields(kp, gc)
-    elif fields == "numeric":
-        iv = invariant_fields_numeric(kp, gc)
-    else:
-        raise ValueError(f"unknown field mode {fields!r}, expected 'closed' or 'numeric'")
     t = r.as_tensor()
     cf, cg = _COORD_INDEX[f], _COORD_INDEX[g]
-    left = iv.left[:, cf] @ t @ iv.left[:, cg]
-    right = iv.right[:, cf] @ t @ iv.right[:, cg]
+    left = fields.left[:, cf] @ t @ fields.left[:, cg]
+    right = fields.right[:, cf] @ t @ fields.right[:, cg]
     return float(left - right)
 
 

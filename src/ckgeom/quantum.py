@@ -35,15 +35,16 @@ from .poisson import _PAIRS, Bivector, CocommutatorMap
 TensorSquareElement = np.ndarray
 
 
-def _swap_matrix(dim: int = 3) -> np.ndarray:
-    s = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
+def _swap_matrix() -> np.ndarray:
+    """Flip u (x) v -> v (x) u of the 3-dimensional tensor square."""
+    s = np.zeros((9, 9))
+    for i in range(3):
+        for j in range(3):
+            s[i * 3 + j, j * 3 + i] = 1.0
     return s
 
 
-_SWAP9 = _swap_matrix(3)
+_SWAP9 = _swap_matrix()
 
 
 def closed_exp_j01(kp: KappaPair, t: float) -> np.ndarray:
@@ -107,23 +108,17 @@ def coproduct_rep(kp: KappaPair, z: float, generator: str) -> TensorSquareElemen
     return np.kron(rho, e_minus) + np.kron(e_plus, rho)
 
 
-def deformed_relation_defect(kp: KappaPair, z: float, single_copy: bool = False) -> float:
+def deformed_relation_defect(kp: KappaPair, z: float) -> float:
     """Largest defect of the deformed commutation relations.
 
     The relations are evaluated on the coproduct images in the tensor
-    square, where they close to rounding error.  With single_copy=True
-    the same relations are evaluated on the bare unscaled 3x3 matrices
-    instead; that number is a diagnostic, not an identity, because the
-    unscaled matrices satisfy the classical relations.
+    square, where they close to rounding error.
     """
     if z == 0.0:
         raise ValueError("deformed relations need z != 0; use the classical bracket instead")
-    if single_copy:
-        a01, a02, a12 = rep_basis(kp)
-    else:
-        a01 = coproduct_rep(kp, z, "J01")
-        a02 = coproduct_rep(kp, z, "J02")
-        a12 = coproduct_rep(kp, z, "J12")
+    a01 = coproduct_rep(kp, z, "J01")
+    a02 = coproduct_rep(kp, z, "J02")
+    a12 = coproduct_rep(kp, z, "J12")
 
     def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x @ y - y @ x
@@ -154,17 +149,6 @@ def coassociativity_defect(kp: KappaPair, z: float) -> float:
     return worst
 
 
-def bivector_to_rep(kp: KappaPair, b: Bivector) -> TensorSquareElement:
-    """Image of a wedge of generators in the tensor square."""
-    rho = rep_basis(kp)
-    out = np.zeros((9, 9))
-    for idx, (i, j) in enumerate(_PAIRS):
-        c = b.components()[idx]
-        if c != 0.0:
-            out += c * (np.kron(rho[i], rho[j]) - np.kron(rho[j], rho[i]))
-    return out
-
-
 def rep_to_bivector(kp: KappaPair, m: TensorSquareElement) -> tuple[Bivector, float]:
     """Least-squares coordinates of a 9x9 matrix over the wedge-basis images.
 
@@ -184,24 +168,20 @@ def rep_to_bivector(kp: KappaPair, m: TensorSquareElement) -> tuple[Bivector, fl
     return Bivector(*(float(c) for c in coeffs)), residual
 
 
-def first_order_delta(
-    kp: KappaPair, z: float, residual_tol: float | None = None
-) -> CocommutatorMap:
+def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
     """Extract the first-order cocommutator from the deformed coproduct.
 
     Antisymmetrizes (D_z - D_0)(X) with the tensor-square flip and projects
     back onto wedges of generators.  Intended for small z (the extraction
-    carries an O(z**2) error); the off-span residual above residual_tol
-    raises ProjectionError.  Default tolerance is 100 z**2 + 1e-13.
+    carries an O(z**2) error); an off-span residual above 100 z**2 + 1e-13
+    raises ProjectionError.
     """
-    if residual_tol is None:
-        residual_tol = 100.0 * z * z + 1e-13
     images = []
     for name in GENERATOR_NAMES:
         d = coproduct_rep(kp, z, name) - coproduct_classical(kp, name)
         skew = d - _SWAP9 @ d @ _SWAP9
         b, residual = rep_to_bivector(kp, skew)
-        if residual > residual_tol:
+        if residual > 100.0 * z * z + 1e-13:
             raise ProjectionError(
                 f"first-order image of {name} misses the wedge span by {residual:.3e}"
             )

@@ -27,8 +27,6 @@ from .group import DEFAULT_CHART_TOL, DEFAULT_SURFACE_TOL, ambient_defect
 CURVATURE_STEP = 1e-3
 OPERATOR_STEP = 1e-4
 
-CHART_NAMES = ("ambient", "parallel1", "parallel2", "polar")
-
 
 @dataclass(frozen=True)
 class Ambient:
@@ -68,6 +66,15 @@ class Polar:
 
 ChartPoint = Union[Ambient, ParallelI, ParallelII, Polar]
 
+# chart name -> point class; the one table of charts
+CHARTS: dict[str, type] = {
+    "ambient": Ambient,
+    "parallel1": ParallelI,
+    "parallel2": ParallelII,
+    "polar": Polar,
+}
+CHART_NAMES = tuple(CHARTS)
+
 
 @dataclass(frozen=True)
 class MetricValue:
@@ -81,28 +88,28 @@ class MetricValue:
         return np.array([[self.g11, self.g12], [self.g12, self.g22]])
 
 
-def _check_period(value: float, kappa: float, label: str, tol: float) -> None:
+def _check_period(value: float, kappa: float, label: str) -> None:
     limit = ktrig.half_period(kappa)
-    if abs(value) > limit + tol:
+    if abs(value) > limit + DEFAULT_CHART_TOL:
         raise ChartDomainError(f"{label} = {value!r} outside principal period (+-{limit!r})")
 
 
-def _check_quarter(value: float, kappa: float, label: str, tol: float) -> None:
+def _check_quarter(value: float, kappa: float, label: str) -> None:
     # Positive cosine factor needed for invertibility of the chart.
-    if kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - tol:
+    if kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL:
         raise ChartDomainError(
             f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}"
         )
 
 
-def to_ambient(kp: KappaPair, p: ChartPoint, tol: float = DEFAULT_CHART_TOL) -> Ambient:
+def to_ambient(kp: KappaPair, p: ChartPoint) -> Ambient:
     """Ambient coordinates of a chart point; validates the chart domain."""
     k1, k12, k2 = kp.k1, kp.k12, kp.k2
     if isinstance(p, Ambient):
         return p
     if isinstance(p, ParallelI):
-        _check_period(p.a1, k1, "a1", tol)
-        _check_quarter(p.a2, k12, "a2", tol)
+        _check_period(p.a1, k1, "a1")
+        _check_quarter(p.a2, k12, "a2")
         c2, s2 = ktrig.ck(k12, p.a2), ktrig.sk(k12, p.a2)
         return Ambient(
             ktrig.ck(k1, p.a1) * c2,
@@ -110,8 +117,8 @@ def to_ambient(kp: KappaPair, p: ChartPoint, tol: float = DEFAULT_CHART_TOL) -> 
             s2,
         )
     if isinstance(p, ParallelII):
-        _check_quarter(p.b1, k1, "b1", tol)
-        _check_period(p.b2, k12, "b2", tol)
+        _check_quarter(p.b1, k1, "b1")
+        _check_period(p.b2, k12, "b2")
         c1 = ktrig.ck(k1, p.b1)
         return Ambient(
             c1 * ktrig.ck(k12, p.b2),
@@ -121,8 +128,8 @@ def to_ambient(kp: KappaPair, p: ChartPoint, tol: float = DEFAULT_CHART_TOL) -> 
     if isinstance(p, Polar):
         if p.r < 0.0:
             raise ChartDomainError(f"polar radius must be nonnegative, got {p.r!r}")
-        _check_period(p.r, k1, "r", tol)
-        _check_period(p.phi, k2, "phi", tol)
+        _check_period(p.r, k1, "r")
+        _check_period(p.phi, k2, "phi")
         sr = ktrig.sk(k1, p.r)
         return Ambient(
             ktrig.ck(k1, p.r),
@@ -132,17 +139,11 @@ def to_ambient(kp: KappaPair, p: ChartPoint, tol: float = DEFAULT_CHART_TOL) -> 
     raise TypeError(f"unsupported chart point {type(p).__name__}")
 
 
-def from_ambient(
-    kp: KappaPair,
-    s: Ambient,
-    target: str,
-    tol: float = DEFAULT_CHART_TOL,
-    surface_tol: float = DEFAULT_SURFACE_TOL,
-) -> ChartPoint:
+def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:
     """Convert an ambient point to the named chart by inverting the pair maps."""
     arr = s.as_array()
     defect = ambient_defect(kp, arr)
-    if defect > surface_tol:
+    if defect > DEFAULT_SURFACE_TOL:
         raise OffSurfaceError(f"from_ambient: point misses the quadric by {defect:.3e}")
     s0, s1, s2 = float(arr[0]), float(arr[1]), float(arr[2])
     if target == "ambient":
@@ -150,21 +151,21 @@ def from_ambient(
     try:
         if target == "parallel1":
             c2 = math.sqrt(max(s0 * s0 + kp.k1 * s1 * s1, 0.0))
-            if c2 < tol:
+            if c2 < DEFAULT_CHART_TOL:
                 raise ChartDomainError("parallel1 chart: cosine factor of a2 vanishes here")
             a2 = ktrig.kinv(kp.k12, s2, c2)
             a1 = ktrig.kinv(kp.k1, s1 / c2, s0 / c2)
             return ParallelI(a1, a2)
         if target == "parallel2":
             c1 = math.sqrt(max(s0 * s0 + kp.k12 * s2 * s2, 0.0))
-            if c1 < tol:
+            if c1 < DEFAULT_CHART_TOL:
                 raise ChartDomainError("parallel2 chart: cosine factor of b1 vanishes here")
             b1 = ktrig.kinv(kp.k1, s1, c1)
             b2 = ktrig.kinv(kp.k12, s2 / c1, s0 / c1)
             return ParallelII(b1, b2)
         if target == "polar":
             sr_sq = s1 * s1 + kp.k2 * s2 * s2
-            if sr_sq < tol * tol:
+            if sr_sq < DEFAULT_CHART_TOL * DEFAULT_CHART_TOL:
                 raise ChartDomainError(
                     "polar chart: radial sine vanishes (origin, antipode or null sector), phi undefined"
                 )
@@ -200,11 +201,11 @@ def metric_main(kp: KappaPair, p: ChartPoint) -> MetricValue:
     if isinstance(p, Ambient):
         return metric_main(kp, _as_parallel1(kp, p))
     if isinstance(p, ParallelI):
-        _check_quarter(p.a2, k12, "a2", DEFAULT_CHART_TOL)
+        _check_quarter(p.a2, k12, "a2")
         c = ktrig.ck(k12, p.a2)
         return MetricValue(c * c, 0.0, k2)
     if isinstance(p, ParallelII):
-        _check_quarter(p.b1, k1, "b1", DEFAULT_CHART_TOL)
+        _check_quarter(p.b1, k1, "b1")
         c = ktrig.ck(k1, p.b1)
         return MetricValue(1.0, 0.0, k2 * c * c)
     if isinstance(p, Polar):
@@ -245,7 +246,7 @@ def killing_fields(
         return j01, j02, j12
     if chart == "parallel1":
         q = _as_parallel1(kp, p)
-        _check_quarter(q.a2, k12, "a2", DEFAULT_CHART_TOL)
+        _check_quarter(q.a2, k12, "a2")
         c1, s1 = ktrig.ck(k1, q.a1), ktrig.sk(k1, q.a1)
         t2 = ktrig.tk(k12, q.a2)
         j01 = np.array([-1.0, 0.0])
@@ -255,15 +256,15 @@ def killing_fields(
     raise ValueError(f"unsupported field frame {chart!r}, expected 'parallel1' or 'ambient'")
 
 
-def gaussian_curvature(kp: KappaPair, p: ChartPoint, step: float = CURVATURE_STEP) -> float:
+def gaussian_curvature(kp: KappaPair, p: ChartPoint) -> float:
     """Gaussian curvature at p from second differences of the main metric.
 
-    Combines two stencil widths (step and 2*step) to cancel the leading
-    quadratic truncation term; needs an invertible metric, so k2 = 0
+    Combines two stencil widths (CURVATURE_STEP and twice it) to cancel the
+    leading quadratic truncation term; needs an invertible metric, so k2 = 0
     raises DegenerateMetricError.
     """
-    coarse = _brioschi_curvature(kp, p, 2.0 * step)
-    fine = _brioschi_curvature(kp, p, step)
+    coarse = _brioschi_curvature(kp, p, 2.0 * CURVATURE_STEP)
+    fine = _brioschi_curvature(kp, p, CURVATURE_STEP)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -318,19 +319,15 @@ def _brioschi_curvature(kp: KappaPair, p: ChartPoint, step: float) -> float:
     return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det * det))
 
 
-def laplace_beltrami_apply(
-    kp: KappaPair,
-    f: Callable[[float, float], float],
-    p: ChartPoint,
-    step: float = OPERATOR_STEP,
-) -> float:
+def laplace_beltrami_apply(kp: KappaPair, f: Callable[[float, float], float], p: ChartPoint) -> float:
     """Apply the invariant second-order operator to a scalar field f(a1, a2).
 
     The operator is k2/ck(k12, a2)**2 d^2/da1^2 + d^2/da2^2
-    - k1 k2 tk(k12, a2) d/da2, evaluated with central differences.
+    - k1 k2 tk(k12, a2) d/da2, evaluated with central differences of step
+    OPERATOR_STEP.
     """
     q = _as_parallel1(kp, p)
-    a1, a2, h = q.a1, q.a2, step
+    a1, a2, h = q.a1, q.a2, OPERATOR_STEP
     c = ktrig.ck(kp.k12, a2)
     if abs(c) < 1e-12:
         raise ChartDomainError("operator coefficient diverges where the a2 cosine factor vanishes")

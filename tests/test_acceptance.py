@@ -46,6 +46,7 @@ from ckgeom import (
     from_ambient,
     gaussian_curvature,
     group_from_coords,
+    invariant_fields_numeric,
     killing_fields,
     metric_main,
     metric_matrix,
@@ -325,9 +326,10 @@ def test_criterion_7_sklyanin(capsys):
         for kp in NINE:
             for _ in range(50):
                 gc = group_point(rng, kp)
+                iv = invariant_fields_numeric(kp, gc)
                 for pair in pairs:
                     closed = sklyanin_closed(kp, z, pair, gc)
-                    numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields="numeric")
+                    numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
                     assert abs(closed - numeric) <= 1e-6
         for kp in NONDEGENERATE:
             for _ in range(20):

@@ -61,6 +61,12 @@ def test_laplacian_oracle_passes_for_every_seed(seed):
     assert run_check("geometry_laplacian", SweepConfig(seed=seed)).passed
 
 
+@pytest.mark.parametrize("seed", range(32))
+def test_sweep_passes_for_every_seed(seed):
+    failing = [(r.name, r.max_defect, r.detail) for r in run_all(SweepConfig(seed=seed)) if not r.passed]
+    assert failing == []
+
+
 def test_suite_summary_rolls_up():
     results = run_suite("trig", LIGHT)
     summary = suite_summary(results)

@@ -97,6 +97,16 @@ def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
     assert row["max_defect"] == 0.0
 
 
+@pytest.mark.parametrize("k1, k2", [("1", "-1"), ("-0.0", "1")])
+def test_sklyanin_row_is_the_same_alone_and_in_the_grid(capsys, k1, k2):
+    # each pair seeds its stream from its own labels, with -0.0 read as 0.0
+    argv = ("--z", "0.3", "--samples", "4", "--seed", "2")
+    _, grid = run(capsys, "sklyanin", "--grid", "normalized9", *argv)
+    _, single = run(capsys, "sklyanin", "--k1", k1, "--k2", k2, *argv)
+    rows = {(r["k1"], r["k2"]): r for r in json.loads(grid)["sklyanin"]}
+    assert json.loads(single)["sklyanin"][0] == rows[(float(k1), float(k2))]
+
+
 def test_tolerance_override_fails_the_run(capsys):
     status, out = run(
         capsys, "sweep-all", "--samples", "4", "--tol-geometry-curvature", "1e-18"

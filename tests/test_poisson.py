@@ -158,23 +158,12 @@ def reference_fields_numeric(
 
 @pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_numeric_fields_equal_the_validated_reference(kp):
-    r = rmatrix(DeformationKind.FIRST_KIND, Z)
     for _ in range(3):
         gc = small_coords(kp)
         iv = invariant_fields_numeric(kp, gc)
         ref = reference_fields_numeric(kp, gc)
         assert np.array_equal(iv.left, ref.left)
         assert np.array_equal(iv.right, ref.right)
-        for f, g in (("a1", "a2"), ("a1", "xi"), ("a2", "xi"), ("xi", "a1")):
-            want = sklyanin_numeric(kp, r, f, g, gc, fields="numeric")
-            assert sklyanin_numeric(kp, r, f, g, gc, fields=iv) == want
-
-
-def test_unknown_field_mode_is_rejected():
-    kp = KappaPair(1.0, 1.0)
-    r = rmatrix(DeformationKind.FIRST_KIND, Z)
-    with pytest.raises(ValueError):
-        sklyanin_numeric(kp, r, "a1", "a2", GroupCoordinates(0.1, 0.2, 0.3), fields="series")
 
 
 @pytest.mark.parametrize("kp", NONDEGENERATE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
@@ -196,9 +185,10 @@ def test_sklyanin_closed_vs_numeric_oracle(kp):
     r = rmatrix(DeformationKind.FIRST_KIND, Z)
     for _ in range(4):
         gc = small_coords(kp)
+        iv = invariant_fields_numeric(kp, gc)
         for pair in (("a1", "a2"), ("a1", "xi"), ("a2", "xi")):
             closed = sklyanin_closed(kp, Z, pair, gc)
-            numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields="numeric")
+            numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
             assert abs(closed - numeric) < 1e-6
 
 
@@ -206,8 +196,9 @@ def test_sklyanin_antisymmetry_and_leibniz_sanity():
     kp = KappaPair(1.0, 1.0)
     r = rmatrix(DeformationKind.FIRST_KIND, Z)
     gc = GroupCoordinates(0.2, 0.3, -0.4)
-    ab = sklyanin_numeric(kp, r, "a1", "a2", gc)
-    ba = sklyanin_numeric(kp, r, "a2", "a1", gc)
+    iv = invariant_vector_fields(kp, gc)
+    ab = sklyanin_numeric(kp, r, "a1", "a2", gc, fields=iv)
+    ba = sklyanin_numeric(kp, r, "a2", "a1", gc, fields=iv)
     assert abs(ab + ba) < 1e-9
 
 
