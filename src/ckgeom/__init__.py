@@ -67,7 +67,7 @@ from .group import (
     rep,
     rep_basis,
 )
-from .ktrig import ck, half_period, kinv, sk, tk, vk
+from .ktrig import ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
 from .poisson import (
     BialgebraReport,
     Bivector,
@@ -111,6 +111,7 @@ from .spaces import (
     metric_main,
     metric_subsidiary,
     to_ambient,
+    to_ambient_batch,
 )
 
 __version__ = "0.1.0"

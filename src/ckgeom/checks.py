@@ -1139,7 +1139,7 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
                 iv = invariant_fields_numeric(kp, gc)
                 for pair in GROUP_COORD_PAIRS:
                     closed = sklyanin_closed(kp, z, pair, gc)
-                    numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
+                    numeric = sklyanin_numeric(r, pair[0], pair[1], iv)
                     w.update(abs(closed - numeric), f"{{{pair[0]},{pair[1]}}} {_kp_tag(kp)}")
     return w
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -52,10 +53,8 @@ from .dualities import (
     duality_matrix,
 )
 from .errors import (
-    ChartDomainError,
     ConfigError,
     GeometryError,
-    PoleError,
     ProjectionError,
     UndefinedDualityError,
 )
@@ -85,6 +84,7 @@ from .spaces import (
     metric_main,
     metric_subsidiary,
     to_ambient,
+    to_ambient_batch,
 )
 
 SCHEMA_VERSION = 1
@@ -94,8 +94,8 @@ _GRID_COMMANDS = ("classify", "bracket", "bialgebra", "ybe", "sklyanin", "phs", 
 
 _KIND_FLAGS = {"first": DeformationKind.FIRST_KIND, "second": DeformationKind.SECOND_KIND}
 
-# the two-coordinate charts, by name
-_CHART_CLASSES = {name: cls for name, cls in CHARTS.items() if name != "ambient"}
+# the two-coordinate charts, the ones with coordinate lines
+_LINE_CHARTS = tuple(name for name in CHARTS if name != "ambient")
 
 
 @dataclass
@@ -142,23 +142,34 @@ def render_json(report: Report) -> str:
     return json.dumps(_clean(report.payload), indent=2, sort_keys=True) + "\n"
 
 
+# csv.writer spells cells of these types as _clean would: str as is, int
+# by str and float by repr, which gives nan, inf and -inf
+_CSV_PLAIN = frozenset((str, int, float))
+
+
+def _csv_cell(value):
+    """A cell of any other type: bools as true/false, numpy scalars as their
+    Python values, containers through _clean."""
+    value = _clean(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
 def render_csv(report: Report) -> str:
-    buf = io.StringIO()
     if not report.rows:
         return ""
-    fields = list(report.rows[0].keys())
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in report.rows:
-        out = {}
-        for key in fields:
-            v = _clean(row.get(key, ""))
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            out[key] = v
-        writer.writerow(out)
+    header = list(report.rows[0])
+    blanks = [""] * len(header)  # a key a row lacks is an empty cell
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [v if type(v) in _CSV_PLAIN else _csv_cell(v) for v in map(row.get, header, blanks)]
+        for row in report.rows
+    )
     return buf.getvalue()
 
 
@@ -432,7 +443,7 @@ def _cmd_sklyanin(req: ReportRequest) -> Report:
                 for pair in GROUP_COORD_PAIRS:
                     try:
                         closed = sklyanin_closed(kp, z, pair, gc)
-                        numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
+                        numeric = sklyanin_numeric(r, pair[0], pair[1], iv)
                     except GeometryError:
                         errors += 1
                         continue
@@ -522,45 +533,14 @@ def _cmd_sweep_all(req: ReportRequest) -> Report:
     return Report(payload, rows, bool(payload["passed"]))
 
 
-def _beltrami(kp: KappaPair, p) -> tuple[float, float]:
-    s = to_ambient(kp, p)
-    if abs(s.s0) < 1e-12:
-        raise ProjectionError("projection plane s0 = 1 unreachable from s0 = 0")
-    return s.s1 / s.s0, s.s2 / s.s0
-
-
 def _span_bound(label: float, span: float) -> float:
     """Half-width of the coordinate window: span is a fraction of the half
-    period for compact directions, a plain unit for unbounded ones.  Spans
+    period for compact directions and of 2 units for unbounded ones.  Spans
     past the chart boundary are allowed; samples beyond it become rows
     flagged as truncation points."""
     if label > 1e-12:
         return span * ktrig.half_period(label)
     return 2.0 * span
-
-
-def _geodesic_families(kp: KappaPair, chart: str, lines: int, span: float):
-    make = _CHART_CLASSES.get(chart)
-    if make is None:
-        raise ConfigError(
-            f"chart {chart!r} has no coordinate lines, expected one of {tuple(_CHART_CLASSES)}"
-        )
-    b1 = _span_bound(kp.k1, span)
-    b2 = _span_bound(kp.k2 if chart == "polar" else kp.k12, span)
-    if chart == "polar":
-        # radial coordinate is nonnegative; rays fan out from the origin
-        consts1 = np.linspace(b1 / lines, b1, lines)
-        line1_lo = 0.0
-    else:
-        consts1 = np.linspace(-b1, b1, lines)
-        line1_lo = -b1
-    consts2 = np.linspace(-b2, b2, lines)
-    families = []
-    for c in consts2:
-        families.append((f"{chart}:line1:{c:+.3f}", lambda t, c=c: make(t, c), line1_lo, b1))
-    for c in consts1:
-        families.append((f"{chart}:line2:{c:+.3f}", lambda t, c=c: make(c, t), -b2, b2))
-    return families
 
 
 def _cmd_export_geodesics(req: ReportRequest) -> Report:
@@ -573,21 +553,40 @@ def _cmd_export_geodesics(req: ReportRequest) -> Report:
         raise ConfigError(f"need at least 2 points per line, got {n}")
     if lines < 1:
         raise ConfigError(f"need at least one coordinate line, got {lines}")
+    if chart not in _LINE_CHARTS:
+        raise ConfigError(f"chart {chart!r} has no coordinate lines, expected one of {_LINE_CHARTS}")
     payload = _base_payload(req)
+    b1 = _span_bound(kp.k1, span)
+    b2 = _span_bound(kp.k2 if chart == "polar" else kp.k12, span)
+    if chart == "polar":
+        # radial coordinate is nonnegative; rays fan out from the origin
+        consts1 = np.linspace(b1 / lines, b1, lines)
+        lo1 = 0.0
+    else:
+        consts1 = np.linspace(-b1, b1, lines)
+        lo1 = -b1
+    t1, t2 = np.linspace(lo1, b1, n), np.linspace(-b2, b2, n)
+    # line1 runs the first coordinate at a constant second one; line2 the reverse
+    coordinate_lines = [("line1", c, t1, (t1, c)) for c in np.linspace(-b2, b2, lines)]
+    coordinate_lines += [("line2", c, t2, (c, t2)) for c in consts1]
     rows = []
-    for family, make, lo, hi in _geodesic_families(kp, chart, lines, span):
-        for t in np.linspace(lo, hi, n):
-            row = {"family": family, "t": float(t)}
-            try:
-                b1, b2 = _beltrami(kp, make(float(t)))
-                row["beltrami1"] = b1
-                row["beltrami2"] = b2
-                row["truncated"] = False
-            except (ChartDomainError, PoleError, ProjectionError):
-                row["beltrami1"] = ""
-                row["beltrami2"] = ""
-                row["truncated"] = True
-            rows.append(row)
+    for family, c, t, coords in coordinate_lines:
+        s, inside = to_ambient_batch(kp, chart, *coords)
+        # the projection plane s0 = 1 is unreachable from s0 = 0
+        kept = inside & (np.abs(s[0]) >= 1e-12)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beltrami = s[1:] / s[0]
+        label = f"{chart}:{family}:{c:+.3f}"
+        for ti, ok, u, v in zip(t.tolist(), kept.tolist(), *beltrami.tolist()):
+            rows.append(
+                {
+                    "family": label,
+                    "t": ti,
+                    "beltrami1": u if ok else "",
+                    "beltrami2": v if ok else "",
+                    "truncated": not ok,
+                }
+            )
     payload["chart"] = chart
     payload["points"] = rows
     return Report(payload, rows, True)
@@ -635,6 +634,7 @@ def run_report(command: str, req: ReportRequest) -> tuple[int, str]:
 # --- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckgeom",
@@ -680,10 +680,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "duality":
             p.add_argument("--name", choices=[d.value for d in DUALITIES])
         if name == "export-geodesics":
-            p.add_argument("--chart", choices=list(_CHART_CLASSES), default="parallel1")
+            p.add_argument("--chart", choices=_LINE_CHARTS, default="parallel1")
             p.add_argument("--points", type=int, default=64, help="samples per coordinate line")
             p.add_argument("--lines", type=int, default=5, help="coordinate lines per family")
-            p.add_argument("--span", type=float, default=0.45, help="fraction of the quarter period to cover")
+            p.add_argument(
+                "--span",
+                type=float,
+                default=0.45,
+                help="half-width of each line: a fraction of the half period pi/sqrt(kappa) "
+                "of a compact direction, or of 2 units of an unbounded one",
+            )
     return parser
 
 

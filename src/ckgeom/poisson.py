@@ -353,22 +353,15 @@ def sklyanin_closed(
     return -z * (c2 * ktrig.ck(kp.k2, gc.xi) - 1.0) / c2
 
 
-def sklyanin_numeric(
-    kp: KappaPair,
-    r: Bivector,
-    f: str,
-    g: str,
-    gc: GroupCoordinates,
-    fields: InvariantFields,
-) -> float:
+def sklyanin_numeric(r: Bivector, f: str, g: str, fields: InvariantFields) -> float:
     """Multiplicative bracket {f, g} = r^{ij} (L_i f L_j g - R_i f R_j g)
     of two coordinate functions, from invariant vector fields.
 
-    fields must already be evaluated at gc: invariant_vector_fields gives
-    the closed-form fields, invariant_fields_numeric the
-    translation-differentiation oracle.  Callers that bracket several
-    coordinate pairs at one point build the fields once and pass them to
-    each call.
+    The bracket is taken at the group point the fields were evaluated at:
+    invariant_vector_fields gives the closed-form fields,
+    invariant_fields_numeric the translation-differentiation oracle.
+    Callers that bracket several coordinate pairs at one point build the
+    fields once and pass them to each call.
     """
     if f not in _COORD_INDEX or g not in _COORD_INDEX:
         raise ValueError(f"coordinates must be among {GROUP_COORD_NAMES}")

@@ -8,7 +8,8 @@ interchange format; every conversion goes through it.
 
 Chart domains are enforced, not wrapped: parallel-type charts need the
 cosine factor of their second coordinate positive, the polar chart needs
-a nonzero radial sine.  Violations raise ChartDomainError.
+a nonzero radial sine.  Violations raise ChartDomainError; the batched
+map to_ambient_batch returns a mask of them instead.
 """
 
 from __future__ import annotations
@@ -88,15 +89,25 @@ class MetricValue:
         return np.array([[self.g11, self.g12], [self.g12, self.g22]])
 
 
+# The two domain predicates take a float or an array of values.
+def _outside_period(value, kappa: float):
+    return abs(value) > ktrig.half_period(kappa) + DEFAULT_CHART_TOL
+
+
+def _at_quarter(value, kappa: float):
+    # Positive cosine factor needed for invertibility of the chart.
+    return kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL
+
+
 def _check_period(value: float, kappa: float, label: str) -> None:
-    limit = ktrig.half_period(kappa)
-    if abs(value) > limit + DEFAULT_CHART_TOL:
-        raise ChartDomainError(f"{label} = {value!r} outside principal period (+-{limit!r})")
+    if _outside_period(value, kappa):
+        raise ChartDomainError(
+            f"{label} = {value!r} outside principal period (+-{ktrig.half_period(kappa)!r})"
+        )
 
 
 def _check_quarter(value: float, kappa: float, label: str) -> None:
-    # Positive cosine factor needed for invertibility of the chart.
-    if kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL:
+    if _at_quarter(value, kappa):
         raise ChartDomainError(
             f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}"
         )
@@ -137,6 +148,36 @@ def to_ambient(kp: KappaPair, p: ChartPoint) -> Ambient:
             sr * ktrig.sk(k2, p.phi),
         )
     raise TypeError(f"unsupported chart point {type(p).__name__}")
+
+
+def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """to_ambient of the points with coordinates (x1, x2) of a two-coordinate
+    chart, for arrays x1 and x2 that broadcast together.
+
+    Returns the ambient triples, shape (3, *shape), and the mask of points
+    inside the chart domain.  Where the mask is False, to_ambient raises
+    ChartDomainError and the triple is nan; elsewhere it equals
+    to_ambient's bit for bit.
+    """
+    k1, k12, k2 = kp.k1, kp.k12, kp.k2
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if chart == "parallel1":
+        outside = _outside_period(x1, k1) | _at_quarter(x2, k12)
+        c2 = ktrig.ck_array(k12, x2)
+        s = (ktrig.ck_array(k1, x1) * c2, ktrig.sk_array(k1, x1) * c2, ktrig.sk_array(k12, x2))
+    elif chart == "parallel2":
+        outside = _at_quarter(x1, k1) | _outside_period(x2, k12)
+        c1 = ktrig.ck_array(k1, x1)
+        s = (c1 * ktrig.ck_array(k12, x2), ktrig.sk_array(k1, x1), c1 * ktrig.sk_array(k12, x2))
+    elif chart == "polar":
+        outside = (x1 < 0.0) | _outside_period(x1, k1) | _outside_period(x2, k2)
+        sr = ktrig.sk_array(k1, x1)
+        s = (ktrig.ck_array(k1, x1), sr * ktrig.ck_array(k2, x2), sr * ktrig.sk_array(k2, x2))
+    else:
+        raise ValueError(f"chart {chart!r} has no two-coordinate map, expected parallel1, parallel2 or polar")
+    inside = ~np.broadcast_to(outside, np.broadcast_shapes(x1.shape, x2.shape))
+    return np.where(inside, np.stack(np.broadcast_arrays(*s)), np.nan), inside
 
 
 def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:

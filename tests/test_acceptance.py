@@ -329,7 +329,7 @@ def test_criterion_7_sklyanin(capsys):
                 iv = invariant_fields_numeric(kp, gc)
                 for pair in pairs:
                     closed = sklyanin_closed(kp, z, pair, gc)
-                    numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
+                    numeric = sklyanin_numeric(r, pair[0], pair[1], iv)
                     assert abs(closed - numeric) <= 1e-6
         for kp in NONDEGENERATE:
             for _ in range(20):

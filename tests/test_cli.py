@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ckgeom import cli
@@ -77,12 +78,58 @@ def test_sweep_all_is_byte_deterministic(capsys):
             "sklyanin_normalized9_z0.3_samples4_seed0.json",
             ["sklyanin", "--grid", "normalized9", "--z", "0.3", "--samples", "4", "--seed", "0"],
         ),
+        # anti-de Sitter parallel2 at span 0.6 passes the chart edge: truncation rows
+        (
+            "export_geodesics_k1_1_k2_-1_parallel2_span0.6.csv",
+            ["export-geodesics", "--k1", "1", "--k2", "-1", "--chart", "parallel2", "--span", "0.6",
+             "--format", "csv"],
+        ),
+        # hyperbolic polar lines: cosh and sinh must round as libm does
+        (
+            "export_geodesics_k1_-1_k2_1_polar_span0.6.csv",
+            ["export-geodesics", "--k1", "-1", "--k2", "1", "--chart", "polar", "--span", "0.6",
+             "--format", "csv"],
+        ),
+        # Galilean plane: both labels zero, the Taylor branch of ck and sk
+        (
+            "export_geodesics_k1_0_k2_0_parallel1.csv",
+            ["export-geodesics", "--k1", "0", "--k2", "0", "--chart", "parallel1", "--format", "csv"],
+        ),
+        # sphere polar rays through s0 = 0, where the projection truncates
+        (
+            "export_geodesics_k1_1_k2_1_polar_span0.8_points9_lines2.json",
+            ["export-geodesics", "--k1", "1", "--k2", "1", "--chart", "polar", "--span", "0.8",
+             "--points", "9", "--lines", "2"],
+        ),
     ],
 )
 def test_report_matches_the_golden_bytes(capsys, golden, argv):
     status, out = run(capsys, *argv)
     assert status == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_render_csv_spells_each_cell_type():
+    row = {
+        "str": "a,b",
+        "float": 0.1,
+        "np_float": np.float64(-0.0),
+        "nan": math.nan,
+        "inf": -math.inf,
+        "np_inf": np.float64(math.inf),
+        "bool": True,
+        "np_bool": np.bool_(False),
+        "int": 3,
+        "np_int": np.int64(-4),
+        "none": None,
+        "list": [np.float64(1.5), math.nan, np.bool_(True)],
+    }
+    text = cli.render_csv(cli.Report({}, [row, {"str": "only"}], True))
+    assert text.splitlines() == [
+        ",".join(row),
+        '"a,b",0.1,-0.0,nan,-inf,inf,true,false,3,-4,,"[1.5, \'nan\', True]"',
+        "only" + "," * (len(row) - 1),
+    ]
 
 
 def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckgeom import PoleError, ck, half_period, kinv, sk, tk, vk
+from ckgeom import PoleError, ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
 
 from helpers import ref_ck, ref_sk, ref_vk
 
@@ -112,3 +113,11 @@ def test_kinv_roundtrip(kappa, x):
 def test_kinv_rejects_off_curve_points():
     with pytest.raises(Exception):
         kinv(1.0, 5.0, 5.0)
+
+
+@pytest.mark.parametrize("kappa", [*KAPPAS, -2.7, 3.1, 1e-13, -1e-13])
+def test_array_forms_match_the_scalar_pair_bit_for_bit(kappa):
+    x = np.append(np.linspace(-3.0, 3.0, 601), -0.0)
+    for scalar, batched in ((ck, ck_array), (sk, sk_array)):
+        want = np.array([scalar(kappa, v) for v in x.tolist()])
+        assert batched(kappa, x).tobytes() == want.tobytes()

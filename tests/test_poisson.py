@@ -188,7 +188,7 @@ def test_sklyanin_closed_vs_numeric_oracle(kp):
         iv = invariant_fields_numeric(kp, gc)
         for pair in (("a1", "a2"), ("a1", "xi"), ("a2", "xi")):
             closed = sklyanin_closed(kp, Z, pair, gc)
-            numeric = sklyanin_numeric(kp, r, pair[0], pair[1], gc, fields=iv)
+            numeric = sklyanin_numeric(r, pair[0], pair[1], iv)
             assert abs(closed - numeric) < 1e-6
 
 
@@ -197,8 +197,8 @@ def test_sklyanin_antisymmetry_and_leibniz_sanity():
     r = rmatrix(DeformationKind.FIRST_KIND, Z)
     gc = GroupCoordinates(0.2, 0.3, -0.4)
     iv = invariant_vector_fields(kp, gc)
-    ab = sklyanin_numeric(kp, r, "a1", "a2", gc, fields=iv)
-    ba = sklyanin_numeric(kp, r, "a2", "a1", gc, fields=iv)
+    ab = sklyanin_numeric(r, "a1", "a2", iv)
+    ba = sklyanin_numeric(r, "a2", "a1", iv)
     assert abs(ab + ba) < 1e-9
 
 

@@ -22,7 +22,10 @@ from ckgeom import (
     metric_main,
     metric_subsidiary,
     to_ambient,
+    to_ambient_batch,
 )
+from ckgeom.group import DEFAULT_CHART_TOL
+from ckgeom.spaces import CHARTS
 
 from helpers import (
     NINE,
@@ -209,3 +212,39 @@ def test_sphere_distances_along_axes():
     s = to_ambient(kp, ParallelI(0.8, 0.0))
     assert s.s0 == pytest.approx(math.cos(0.8), abs=1e-15)
     assert s.s1 == pytest.approx(math.sin(0.8), abs=1e-15)
+
+
+def _edge_values(kappa: float) -> np.ndarray:
+    """Coordinate values past both ends of a label's window, through zero
+    and negative values, exactly on the quarter and half periods and one
+    chart tolerance to either side of them."""
+    if kappa <= 0.0:
+        return np.append(np.linspace(-2.5, 2.5, 31), -0.0)
+    half = math.pi / math.sqrt(kappa)
+    edges = [edge + d for edge in (0.5 * half, half) for d in (-DEFAULT_CHART_TOL, 0.0, DEFAULT_CHART_TOL)]
+    edges.append(0.5 * math.pi / math.sqrt(kappa))  # the quarter as _at_quarter computes it
+    return np.concatenate([np.linspace(-1.25 * half, 1.25 * half, 31), edges, np.negative(edges), [-0.0]])
+
+
+@pytest.mark.parametrize("chart", ["parallel1", "parallel2", "polar"])
+@pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+def test_batched_map_matches_to_ambient_bit_for_bit(kp, chart):
+    labels = (kp.k1, kp.k2) if chart == "polar" else (kp.k1, kp.k12)
+    x1, x2 = _edge_values(labels[0]), _edge_values(labels[1])
+    s, inside = to_ambient_batch(kp, chart, x1[:, None], x2[None, :])
+    assert s.shape == (3, len(x1), len(x2)) and inside.shape == (len(x1), len(x2))
+    make = CHARTS[chart]
+    for i, u in enumerate(x1.tolist()):
+        for j, v in enumerate(x2.tolist()):
+            try:
+                want = to_ambient(kp, make(u, v)).as_array()
+            except ChartDomainError:
+                assert not inside[i, j], (u, v)
+                assert np.isnan(s[:, i, j]).all()
+                continue
+            assert inside[i, j], (u, v)
+            assert s[:, i, j].tobytes() == want.tobytes(), (u, v)
+    # a coordinate line: one coordinate an array, the other a float
+    line, line_inside = to_ambient_batch(kp, chart, x1, float(x2[3]))
+    assert line.tobytes() == np.ascontiguousarray(s[:, :, 3]).tobytes()
+    assert (line_inside == inside[:, 3]).all()
