@@ -22,7 +22,7 @@ import numpy as np
 
 from ckgeom import NORMALIZED_PAIRS, DeformationKind, KappaPair, classify
 from ckgeom.errors import ChartDomainError
-from ckgeom.ktrig import half_period
+from ckgeom.ktrig import span_bound
 from ckgeom.poisson import phs_points_bracket
 
 KINDS = {
@@ -33,8 +33,7 @@ KINDS = {
 
 
 def axis(args: argparse.Namespace, label: float) -> np.ndarray:
-    # only positive labels are periodic; flat and negative directions are unbounded
-    bound = args.span * half_period(label) if label > 1e-12 else 2.0 * args.span
+    bound = span_bound(label, args.span)
     return np.linspace(-bound, bound, args.grid_n)
 
 

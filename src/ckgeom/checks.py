@@ -15,7 +15,7 @@ configuration produce identical results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -261,7 +261,6 @@ class SweepConfig:
     z_values: tuple[float, ...] = (0.1,)
     sample_count: int = 20
     seed: int = 0
-    tolerances: dict[str, float] = field(default_factory=dict)
 
     def validated(self) -> "SweepConfig":
         if not self.kappa_grid:
@@ -278,18 +277,9 @@ class SweepConfig:
             raise ConfigError(f"sample count must be positive, got {self.sample_count}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
-        for name, tol in self.tolerances.items():
-            if not (math.isfinite(tol) and tol > 0.0):
-                raise ConfigError(f"tolerance for {name} must be positive, got {tol!r}")
         grid = tuple(sorted(self.kappa_grid, key=lambda kp: (kp.k1, kp.k2)))
         zs = tuple(sorted(self.z_values))
         return replace(self, kappa_grid=grid, z_values=zs)
-
-    def tolerance_for(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
 def kappa_grid_from_name(name: str) -> tuple[KappaPair, ...]:
@@ -325,11 +315,12 @@ CheckFn = Callable[[SweepConfig, np.random.Generator], _Worst]
 # (suite, name, function) in definition order; a check's index here seeds
 # its random stream
 _REGISTRY: list[tuple[str, str, CheckFn]] = []
+# check name -> tolerance, the one table the runner and the CLI read
 DEFAULT_TOLERANCES: dict[str, float] = {}
 
 
 def check(tol: float) -> Callable[[CheckFn], CheckFn]:
-    """Register `_check_<suite>_<rest>` as check `<suite>_<rest>` with default tolerance tol."""
+    """Register `_check_<suite>_<rest>` as check `<suite>_<rest>` with tolerance tol."""
 
     def register(fn: CheckFn) -> CheckFn:
         name = fn.__name__.removeprefix("_check_")
@@ -897,14 +888,13 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
             base = fields_at(p.a1, p.a2)
             du = (fields_at(p.a1 + h, p.a2) - fields_at(p.a1 - h, p.a2)) / (2.0 * h)
             dv = (fields_at(p.a1, p.a2 + h) - fields_at(p.a1, p.a2 - h)) / (2.0 * h)
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    comm = (
-                        base[i, 0] * du[j] + base[i, 1] * dv[j]
-                        - base[j, 0] * du[i] - base[j, 1] * dv[i]
-                    )
-                    expect = ct[i, j, 0] * base[0] + ct[i, j, 1] * base[1] + ct[i, j, 2] * base[2]
-                    w.update(float(np.abs(comm - expect).max()), f"[{i}{j}] {_kp_tag(kp)}")
+            for i, j in _PAIRS:
+                comm = (
+                    base[i, 0] * du[j] + base[i, 1] * dv[j]
+                    - base[j, 0] * du[i] - base[j, 1] * dv[i]
+                )
+                expect = ct[i, j, 0] * base[0] + ct[i, j, 1] * base[1] + ct[i, j, 2] * base[2]
+                w.update(float(np.abs(comm - expect).max()), f"[{i}{j}] {_kp_tag(kp)}")
     return w
 
 
@@ -1155,11 +1145,10 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> _Worst
 
             def poisson_matrix(gc: GroupCoordinates) -> np.ndarray:
                 m = np.zeros((3, 3))
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        v = sklyanin_closed(kp, z, (names[i], names[j]), gc)
-                        m[i, j] = v
-                        m[j, i] = -v
+                for i, j in _PAIRS:
+                    v = sklyanin_closed(kp, z, (names[i], names[j]), gc)
+                    m[i, j] = v
+                    m[j, i] = -v
                 return m
 
             def nested(a: int, b: int, c: int, gc: GroupCoordinates) -> float:
@@ -1312,7 +1301,7 @@ def _run(cfg: SweepConfig, selected: Callable[[str, str], bool]) -> list[CheckRe
     # result does not depend on which other checks run with it
     cfg = cfg.validated()
     return [
-        fn(cfg, np.random.default_rng([cfg.seed, idx])).result(suite, name, cfg.tolerance_for(name))
+        fn(cfg, np.random.default_rng([cfg.seed, idx])).result(suite, name, DEFAULT_TOLERANCES[name])
         for idx, (suite, name, fn) in enumerate(_REGISTRY)
         if selected(suite, name)
     ]

@@ -21,12 +21,11 @@ import json
 import math
 import struct
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ktrig
 from .algebra import (
     BASIS,
     GENERATOR_NAMES,
@@ -37,7 +36,7 @@ from .algebra import (
     classify,
 )
 from .checks import (
-    CHECK_NAMES,
+    DEFAULT_TOLERANCES,
     KAPPA_GRID_NAMES,
     SCHOUTEN_COEFFICIENTS,
     SweepConfig,
@@ -55,10 +54,11 @@ from .dualities import (
 from .errors import (
     ConfigError,
     GeometryError,
-    ProjectionError,
     UndefinedDualityError,
 )
+from .ktrig import span_bound
 from .poisson import (
+    _PAIRS,
     GROUP_COORD_PAIRS,
     DeformationKind,
     bialgebra_check,
@@ -87,7 +87,7 @@ from .spaces import (
     to_ambient_batch,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # subcommands that run on the normalized9 grid when no --k1/--k2 is given
 _GRID_COMMANDS = ("classify", "bracket", "bialgebra", "ybe", "sklyanin", "phs", "coproduct", "sweep-all")
@@ -96,17 +96,6 @@ _KIND_FLAGS = {"first": DeformationKind.FIRST_KIND, "second": DeformationKind.SE
 
 # the two-coordinate charts, the ones with coordinate lines
 _LINE_CHARTS = tuple(name for name in CHARTS if name != "ambient")
-
-
-@dataclass
-class ReportRequest:
-    """Everything one subcommand invocation needs, already validated."""
-
-    command: str
-    sweep: SweepConfig
-    output_format: str = "json"
-    out_path: str | None = None
-    options: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -173,33 +162,32 @@ def render_csv(report: Report) -> str:
     return buf.getvalue()
 
 
-def _base_payload(req: ReportRequest) -> dict:
+def _base_payload(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "command": req.command,
+        "command": args.command,
         "config": {
-            "kappa_grid": [[kp.k1, kp.k2] for kp in req.sweep.kappa_grid],
-            "z_values": list(req.sweep.z_values),
-            "sample_count": req.sweep.sample_count,
-            "seed": req.sweep.seed,
-            "tolerances": dict(sorted(req.sweep.tolerances.items())),
+            "kappa_grid": [[kp.k1, kp.k2] for kp in sweep.kappa_grid],
+            "z_values": list(sweep.z_values),
+            "sample_count": sweep.sample_count,
+            "seed": sweep.seed,
         },
     }
 
 
-def _single_pair(req: ReportRequest) -> KappaPair:
-    if len(req.sweep.kappa_grid) != 1:
-        raise ConfigError(f"{req.command} needs exactly one kappa pair, got {len(req.sweep.kappa_grid)}")
-    return req.sweep.kappa_grid[0]
+def _single_pair(args: argparse.Namespace, sweep: SweepConfig) -> KappaPair:
+    if len(sweep.kappa_grid) != 1:
+        raise ConfigError(f"{args.command} needs exactly one kappa pair, got {len(sweep.kappa_grid)}")
+    return sweep.kappa_grid[0]
 
 
 # --- subcommand implementations ----------------------------------------------
 
 
-def _cmd_classify(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
+def _cmd_classify(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
     entries = []
-    for kp in req.sweep.kappa_grid:
+    for kp in sweep.kappa_grid:
         label = classify(kp)
         entries.append(
             {
@@ -218,27 +206,26 @@ def _cmd_classify(req: ReportRequest) -> Report:
     return Report(payload, entries, True)
 
 
-def _cmd_bracket(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
+def _cmd_bracket(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
     rows = []
-    for kp in req.sweep.kappa_grid:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                out = bracket(kp, BASIS[i], BASIS[j])
-                rows.append(
-                    {
-                        "k1": kp.k1,
-                        "k2": kp.k2,
-                        "x": GENERATOR_NAMES[i],
-                        "y": GENERATOR_NAMES[j],
-                        "c01": out.c01,
-                        "c02": out.c02,
-                        "c12": out.c12,
-                    }
-                )
+    for kp in sweep.kappa_grid:
+        for i, j in _PAIRS:
+            out = bracket(kp, BASIS[i], BASIS[j])
+            rows.append(
+                {
+                    "k1": kp.k1,
+                    "k2": kp.k2,
+                    "x": GENERATOR_NAMES[i],
+                    "y": GENERATOR_NAMES[j],
+                    "c01": out.c01,
+                    "c02": out.c02,
+                    "c12": out.c12,
+                }
+            )
     payload["brackets"] = rows
     payload["casimir_coefficients"] = {
-        f"({kp.k1:g},{kp.k2:g})": list(casimir_coeffs(kp)) for kp in req.sweep.kappa_grid
+        f"({kp.k1:g},{kp.k2:g})": list(casimir_coeffs(kp)) for kp in sweep.kappa_grid
     }
     return Report(payload, rows, True)
 
@@ -251,12 +238,12 @@ def _parse_point(chart: str, coords: Sequence[float]):
     return make(*coords)
 
 
-def _cmd_convert(req: ReportRequest) -> Report:
-    kp = _single_pair(req)
-    source = req.options["source_chart"]
-    target = req.options["target_chart"]
-    coords = req.options["coords"]
-    payload = _base_payload(req)
+def _cmd_convert(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    kp = _single_pair(args, sweep)
+    source = args.source_chart
+    target = args.target_chart
+    coords = _parse_coords(args.coords)
+    payload = _base_payload(args, sweep)
     row = {"k1": kp.k1, "k2": kp.k2, "source": source, "target": target}
     try:
         p = _parse_point(source, coords)
@@ -273,11 +260,11 @@ def _cmd_convert(req: ReportRequest) -> Report:
     return Report(payload, [row], True)
 
 
-def _cmd_metric(req: ReportRequest) -> Report:
-    kp = _single_pair(req)
-    chart = req.options["chart"]
-    coords = req.options["coords"]
-    payload = _base_payload(req)
+def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    kp = _single_pair(args, sweep)
+    chart = args.chart
+    coords = _parse_coords(args.coords)
+    payload = _base_payload(args, sweep)
     row = {"k1": kp.k1, "k2": kp.k2, "chart": chart, "coords": list(coords)}
     try:
         p = _parse_point(chart, coords)
@@ -293,15 +280,15 @@ def _cmd_metric(req: ReportRequest) -> Report:
     return Report(payload, [row], True)
 
 
-def _cmd_curvature(req: ReportRequest) -> Report:
-    kp = _single_pair(req)
-    coords = req.options["coords"]
-    payload = _base_payload(req)
-    tol = req.sweep.tolerance_for("geometry_curvature")
+def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    kp = _single_pair(args, sweep)
+    coords = _parse_coords(args.coords)
+    payload = _base_payload(args, sweep)
+    tol = DEFAULT_TOLERANCES["geometry_curvature"]
     row = {"k1": kp.k1, "k2": kp.k2, "coords": list(coords), "tolerance": tol}
     passed = True
     try:
-        p = _parse_point(req.options["chart"], coords)
+        p = _parse_point(args.chart, coords)
         value = gaussian_curvature(kp, p)
         row["curvature"] = value
         row["expected"] = kp.k1
@@ -314,15 +301,15 @@ def _cmd_curvature(req: ReportRequest) -> Report:
     return Report(payload, [row], passed)
 
 
-def _cmd_duality(req: ReportRequest) -> Report:
-    kp = _single_pair(req)
-    wanted = req.options["name"]
+def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    kp = _single_pair(args, sweep)
+    wanted = args.name
     names = [DualityName(wanted)] if wanted else list(DUALITIES)
-    payload = _base_payload(req)
-    tol = req.sweep.tolerance_for("duality_morphism")
+    payload = _base_payload(args, sweep)
+    tol = DEFAULT_TOLERANCES["duality_morphism"]
     rows = []
     passed = True
-    rng = np.random.default_rng(req.sweep.seed)
+    rng = np.random.default_rng(sweep.seed)
     for name in names:
         row = {"k1": kp.k1, "k2": kp.k2, "duality": name.value, "tolerance": tol}
         try:
@@ -332,7 +319,7 @@ def _cmd_duality(req: ReportRequest) -> Report:
             row["target_k2"] = kpd.k2
             row["matrix"] = [list(map(float, r)) for r in m]
             worst = 0.0
-            for _ in range(req.sweep.sample_count):
+            for _ in range(sweep.sample_count):
                 x = AlgebraElement(*rng.uniform(-2, 2, 3))
                 y = AlgebraElement(*rng.uniform(-2, 2, 3))
                 lhs = m @ bracket(kpd, x, y).as_array()
@@ -352,14 +339,14 @@ def _cmd_duality(req: ReportRequest) -> Report:
     return Report(payload, rows, passed)
 
 
-def _cmd_bialgebra(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
-    kinds = _selected_kinds(req)
-    tol = req.sweep.tolerance_for("bialgebra_cocycle")
+def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
+    kinds = _selected_kinds(args.kind)
+    tol = DEFAULT_TOLERANCES["bialgebra_cocycle"]
     rows = []
     passed = True
-    for kp in req.sweep.kappa_grid:
-        for z in req.sweep.z_values:
+    for kp in sweep.kappa_grid:
+        for z in sweep.z_values:
             for kind in kinds:
                 cm = cocommutator_map(kp, rmatrix(kind, z))
                 rep = bialgebra_check(kp, cm)
@@ -388,14 +375,14 @@ def _cmd_bialgebra(req: ReportRequest) -> Report:
     return Report(payload, rows, passed)
 
 
-def _cmd_ybe(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
-    kinds = _selected_kinds(req)
-    tol = req.sweep.tolerance_for("bialgebra_mcybe")
+def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
+    kinds = _selected_kinds(args.kind)
+    tol = DEFAULT_TOLERANCES["bialgebra_mcybe"]
     rows = []
     passed = True
-    for kp in req.sweep.kappa_grid:
-        for z in req.sweep.z_values:
+    for kp in sweep.kappa_grid:
+        for z in sweep.z_values:
             for kind in kinds:
                 r = rmatrix(kind, z)
                 coeff = schouten(kp, r).coefficient
@@ -420,20 +407,20 @@ def _cmd_ybe(req: ReportRequest) -> Report:
     return Report(payload, rows, passed)
 
 
-def _cmd_sklyanin(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
-    tol = req.sweep.tolerance_for("sklyanin_closed_vs_numeric")
+def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
+    tol = DEFAULT_TOLERANCES["sklyanin_closed_vs_numeric"]
     rows = []
     passed = True
-    for kp in req.sweep.kappa_grid:
-        for z in req.sweep.z_values:
+    for kp in sweep.kappa_grid:
+        for z in sweep.z_values:
             r = rmatrix(DeformationKind.FIRST_KIND, z)
             # the bit patterns of the labels; + 0.0 folds -0.0 into 0.0
             label_bits = struct.unpack("<2Q", struct.pack("<2d", kp.k1 + 0.0, kp.k2 + 0.0))
-            rng = np.random.default_rng([req.sweep.seed, *label_bits])
+            rng = np.random.default_rng([sweep.seed, *label_bits])
             worst = 0.0
             errors = 0
-            for _ in range(req.sweep.sample_count):
+            for _ in range(sweep.sample_count):
                 gc = sample_group_coords(rng, kp, 0.35)
                 try:
                     iv = invariant_fields_numeric(kp, gc)
@@ -465,14 +452,14 @@ def _cmd_sklyanin(req: ReportRequest) -> Report:
     return Report(payload, rows, passed)
 
 
-def _cmd_phs(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
-    kind = _KIND_FLAGS[req.options["kind"]]
-    a1 = req.options["a1"]
-    a2 = req.options["a2"]
+def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
+    kind = _KIND_FLAGS[args.kind]
+    a1 = args.a1
+    a2 = args.a2
     rows = []
-    for kp in req.sweep.kappa_grid:
-        for z in req.sweep.z_values:
+    for kp in sweep.kappa_grid:
+        for z in sweep.z_values:
             row = {"k1": kp.k1, "k2": kp.k2, "z": z, "kind": kind.value, "a1": a1, "a2": a2}
             try:
                 row["bracket"] = phs_points_bracket(kp, z, kind, a1, a2)
@@ -483,14 +470,14 @@ def _cmd_phs(req: ReportRequest) -> Report:
     return Report(payload, rows, True)
 
 
-def _cmd_coproduct(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
-    rel_tol = req.sweep.tolerance_for("quantum_relations")
-    co_tol = req.sweep.tolerance_for("quantum_coassociativity")
+def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
+    rel_tol = DEFAULT_TOLERANCES["quantum_relations"]
+    co_tol = DEFAULT_TOLERANCES["quantum_coassociativity"]
     rows = []
     passed = True
-    for kp in req.sweep.kappa_grid:
-        for z in req.sweep.z_values:
+    for kp in sweep.kappa_grid:
+        for z in sweep.z_values:
             row = {"k1": kp.k1, "k2": kp.k2, "z": z}
             try:
                 row["relation_defect"] = deformed_relation_defect(kp, z)
@@ -503,7 +490,7 @@ def _cmd_coproduct(req: ReportRequest) -> Report:
                 )
                 row["passed"] = ok
                 passed = passed and ok
-            except (ValueError, ProjectionError, GeometryError) as exc:
+            except (ValueError, GeometryError) as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
                 passed = False
             rows.append(row)
@@ -511,9 +498,9 @@ def _cmd_coproduct(req: ReportRequest) -> Report:
     return Report(payload, rows, passed)
 
 
-def _cmd_sweep_all(req: ReportRequest) -> Report:
-    payload = _base_payload(req)
-    results = run_all(req.sweep)
+def _cmd_sweep_all(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    payload = _base_payload(args, sweep)
+    results = run_all(sweep)
     rows = []
     for r in results:
         rows.append(
@@ -533,31 +520,22 @@ def _cmd_sweep_all(req: ReportRequest) -> Report:
     return Report(payload, rows, bool(payload["passed"]))
 
 
-def _span_bound(label: float, span: float) -> float:
-    """Half-width of the coordinate window: span is a fraction of the half
-    period for compact directions and of 2 units for unbounded ones.  Spans
-    past the chart boundary are allowed; samples beyond it become rows
-    flagged as truncation points."""
-    if label > 1e-12:
-        return span * ktrig.half_period(label)
-    return 2.0 * span
-
-
-def _cmd_export_geodesics(req: ReportRequest) -> Report:
-    kp = _single_pair(req)
-    chart = req.options["chart"]
-    n = req.options["points"]
-    lines = req.options["lines"]
-    span = req.options["span"]
+def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+    kp = _single_pair(args, sweep)
+    chart = args.chart
+    n = args.points
+    lines = args.lines
+    span = args.span
     if n < 2:
         raise ConfigError(f"need at least 2 points per line, got {n}")
     if lines < 1:
         raise ConfigError(f"need at least one coordinate line, got {lines}")
     if chart not in _LINE_CHARTS:
         raise ConfigError(f"chart {chart!r} has no coordinate lines, expected one of {_LINE_CHARTS}")
-    payload = _base_payload(req)
-    b1 = _span_bound(kp.k1, span)
-    b2 = _span_bound(kp.k2 if chart == "polar" else kp.k12, span)
+    payload = _base_payload(args, sweep)
+    # windows may pass the chart boundary; samples beyond it become truncation rows
+    b1 = span_bound(kp.k1, span)
+    b2 = span_bound(kp.k2 if chart == "polar" else kp.k12, span)
     if chart == "polar":
         # radial coordinate is nonnegative; rays fan out from the origin
         consts1 = np.linspace(b1 / lines, b1, lines)
@@ -592,14 +570,13 @@ def _cmd_export_geodesics(req: ReportRequest) -> Report:
     return Report(payload, rows, True)
 
 
-def _selected_kinds(req: ReportRequest) -> tuple[DeformationKind, ...]:
-    kind = req.options["kind"]
+def _selected_kinds(kind: str) -> tuple[DeformationKind, ...]:
     if kind == "both":
         return (DeformationKind.FIRST_KIND, DeformationKind.SECOND_KIND)
     return (_KIND_FLAGS[kind],)
 
 
-_HANDLERS: dict[str, Callable[[ReportRequest], Report]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace, SweepConfig], Report]] = {
     "classify": _cmd_classify,
     "bracket": _cmd_bracket,
     "convert": _cmd_convert,
@@ -614,21 +591,6 @@ _HANDLERS: dict[str, Callable[[ReportRequest], Report]] = {
     "sweep-all": _cmd_sweep_all,
     "export-geodesics": _cmd_export_geodesics,
 }
-
-
-def run_report(command: str, req: ReportRequest) -> tuple[int, str]:
-    """Execute one subcommand and serialize its report.
-
-    Returns (exit status, rendered text).  Domain errors inside single
-    evaluations become report entries; configuration problems raise
-    ConfigError for the caller to map to exit status 2.
-    """
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        raise ConfigError(f"unknown subcommand {command!r}")
-    report = handler(req)
-    text = render_json(report) if req.output_format == "json" else render_csv(report)
-    return (0 if report.passed else 1), text
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -693,32 +655,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extract_tolerances(extras: list[str]) -> dict[str, float]:
-    tolerances: dict[str, float] = {}
-    i = 0
-    while i < len(extras):
-        token = extras[i]
-        if not token.startswith("--tol-"):
-            raise ConfigError(f"unrecognized argument {token!r}")
-        if "=" in token:
-            flag, raw = token.split("=", 1)
-            i += 1
-        else:
-            flag = token
-            if i + 1 >= len(extras):
-                raise ConfigError(f"flag {flag!r} needs a value")
-            raw = extras[i + 1]
-            i += 2
-        name = flag[len("--tol-"):].replace("-", "_")
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check name in {flag!r}")
-        try:
-            tolerances[name] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value {raw!r} for {flag!r}") from exc
-    return tolerances
-
-
 def _resolve_grid(args: argparse.Namespace) -> tuple[KappaPair, ...]:
     k1s = args.k1 or []
     k2s = args.k2 or []
@@ -743,49 +679,32 @@ def _parse_coords(raw: str) -> tuple[float, ...]:
         raise ConfigError(f"bad coordinate list {raw!r}") from exc
 
 
-def _request_from_args(args: argparse.Namespace, tolerances: dict[str, float]) -> ReportRequest:
-    grid = _resolve_grid(args)
-    zs = tuple(args.z) if args.z else (0.1,)
-    sweep = SweepConfig(
-        kappa_grid=grid,
-        z_values=zs,
-        sample_count=args.samples,
-        seed=args.seed,
-        tolerances=tolerances,
-    ).validated()
-    # every subcommand option argparse defined, None included; argparse holds the defaults
-    options = {
-        key: getattr(args, key)
-        for key in ("source_chart", "target_chart", "chart", "name", "kind", "a1", "a2", "points", "lines", "span")
-        if hasattr(args, key)
-    }
-    if hasattr(args, "coords"):
-        options["coords"] = _parse_coords(args.coords)
-    return ReportRequest(
-        command=args.command,
-        sweep=sweep,
-        output_format=args.output_format,
-        out_path=args.out,
-        options=options,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    """Run one subcommand and write its report.
+
+    Returns the exit status.  Domain errors inside single evaluations become
+    report entries; a ConfigError becomes exit status 2, as argparse's own
+    usage errors do.
+    """
+    args = _build_parser().parse_args(argv)
     try:
-        tolerances = _extract_tolerances(list(extras))
-        req = _request_from_args(args, tolerances)
-        status, text = run_report(args.command, req)
+        sweep = SweepConfig(
+            kappa_grid=_resolve_grid(args),
+            z_values=tuple(args.z) if args.z else (0.1,),
+            sample_count=args.samples,
+            seed=args.seed,
+        ).validated()
+        report = _HANDLERS[args.command](args, sweep)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if req.out_path:
-        with open(req.out_path, "w", newline="") as fh:
+    text = render_json(report) if args.output_format == "json" else render_csv(report)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return status
+    return 0 if report.passed else 1
 
 
 def entrypoint() -> None:

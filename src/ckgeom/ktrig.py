@@ -11,6 +11,8 @@ Both are entire functions of kappa * x**2 (times x for sk), which is what
 makes the contraction kappa -> 0 non-singular.  The functions here take
 scalars; ck_array and sk_array evaluate the pair over an array of x for one
 scalar label and agree with ck and sk bit for bit element by element.
+Where a hyperbolic value overflows a double, ck and sk raise
+ChartDomainError and the array forms give an infinite element.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import OffCurveError, PoleError
+from .errors import ChartDomainError, OffCurveError, PoleError
 
 # Below this |kappa| the sqrt-based closed forms are replaced by a 4-term
 # Taylor expansion in kappa; at the cutoff the truncation error is
@@ -30,6 +32,27 @@ DEFAULT_POLE_TOL = 1e-12
 DEFAULT_CURVE_TOL = 1e-8
 
 
+def _cosh_or_inf(v: float) -> float:
+    try:
+        return math.cosh(v)
+    except OverflowError:
+        return math.inf
+
+
+def _sinh_or_inf(v: float) -> float:
+    try:
+        return math.sinh(v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+# np.cos and np.sin round like math.cos and math.sin, but np.cosh and
+# np.sinh differ from libm in the last place on about a quarter of inputs,
+# so the hyperbolic branch maps the math functions over the elements.
+_cosh = np.frompyfunc(_cosh_or_inf, 1, 1)
+_sinh = np.frompyfunc(_sinh_or_inf, 1, 1)
+
+
 def ck(kappa: float, x: float) -> float:
     """Generalized cosine of x at curvature kappa."""
     if abs(kappa) < TAYLOR_CUTOFF:
@@ -38,7 +61,10 @@ def ck(kappa: float, x: float) -> float:
         return 1.0 + kappa * x2 * (-0.5 + kappa * x2 * (1.0 / 24.0 - kappa * x2 / 720.0))
     if kappa > 0.0:
         return math.cos(math.sqrt(kappa) * x)
-    return math.cosh(math.sqrt(-kappa) * x)
+    v = _cosh_or_inf(math.sqrt(-kappa) * x)
+    if math.isinf(v):
+        raise ChartDomainError(f"ck({kappa!r}, {x!r}) overflows a double")
+    return v
 
 
 def sk(kappa: float, x: float) -> float:
@@ -51,14 +77,11 @@ def sk(kappa: float, x: float) -> float:
         rk = math.sqrt(kappa)
         return math.sin(rk * x) / rk
     rk = math.sqrt(-kappa)
-    return math.sinh(rk * x) / rk
-
-
-# np.cos and np.sin round like math.cos and math.sin, but np.cosh and
-# np.sinh differ from libm in the last place on about a quarter of inputs,
-# so the hyperbolic branch maps the math functions over the elements.
-_cosh = np.frompyfunc(math.cosh, 1, 1)
-_sinh = np.frompyfunc(math.sinh, 1, 1)
+    # the quotient can overflow where sinh does not, when -kappa < 1
+    v = _sinh_or_inf(rk * x) / rk
+    if math.isinf(v):
+        raise ChartDomainError(f"sk({kappa!r}, {x!r}) overflows a double")
+    return v
 
 
 def ck_array(kappa: float, x) -> np.ndarray:
@@ -68,7 +91,8 @@ def ck_array(kappa: float, x) -> np.ndarray:
         return ck(kappa, x)
     if kappa > 0.0:
         return np.cos(math.sqrt(kappa) * x)
-    return np.asarray(_cosh(math.sqrt(-kappa) * x), dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing element is inf, as documented
+        return np.asarray(_cosh(math.sqrt(-kappa) * x), dtype=float)
 
 
 def sk_array(kappa: float, x) -> np.ndarray:
@@ -80,7 +104,8 @@ def sk_array(kappa: float, x) -> np.ndarray:
         rk = math.sqrt(kappa)
         return np.sin(rk * x) / rk
     rk = math.sqrt(-kappa)
-    return np.asarray(_sinh(rk * x), dtype=float) / rk
+    with np.errstate(over="ignore"):  # an overflowing element is inf, as documented
+        return np.asarray(_sinh(rk * x), dtype=float) / rk
 
 
 def tk(kappa: float, x: float) -> float:
@@ -108,6 +133,13 @@ def half_period(kappa: float) -> float:
     if kappa > TAYLOR_CUTOFF:
         return math.pi / math.sqrt(kappa)
     return math.inf
+
+
+def span_bound(kappa: float, span: float) -> float:
+    """Half-width of a coordinate window along a direction of label kappa:
+    span is a fraction of the half period of a compact direction and of 2
+    units of an unbounded one."""
+    return span * half_period(kappa) if kappa > TAYLOR_CUTOFF else 2.0 * span
 
 
 def kinv(kappa: float, s: float, c: float) -> float:

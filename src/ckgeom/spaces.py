@@ -8,8 +8,9 @@ interchange format; every conversion goes through it.
 
 Chart domains are enforced, not wrapped: parallel-type charts need the
 cosine factor of their second coordinate positive, the polar chart needs
-a nonzero radial sine.  Violations raise ChartDomainError; the batched
-map to_ambient_batch returns a mask of them instead.
+a nonzero radial sine, and every chart needs a finite ambient triple.
+Violations raise ChartDomainError; the batched map to_ambient_batch
+returns a mask of them instead.
 """
 
 from __future__ import annotations
@@ -122,32 +123,36 @@ def to_ambient(kp: KappaPair, p: ChartPoint) -> Ambient:
         _check_period(p.a1, k1, "a1")
         _check_quarter(p.a2, k12, "a2")
         c2, s2 = ktrig.ck(k12, p.a2), ktrig.sk(k12, p.a2)
-        return Ambient(
+        s = Ambient(
             ktrig.ck(k1, p.a1) * c2,
             ktrig.sk(k1, p.a1) * c2,
             s2,
         )
-    if isinstance(p, ParallelII):
+    elif isinstance(p, ParallelII):
         _check_quarter(p.b1, k1, "b1")
         _check_period(p.b2, k12, "b2")
         c1 = ktrig.ck(k1, p.b1)
-        return Ambient(
+        s = Ambient(
             c1 * ktrig.ck(k12, p.b2),
             ktrig.sk(k1, p.b1),
             c1 * ktrig.sk(k12, p.b2),
         )
-    if isinstance(p, Polar):
+    elif isinstance(p, Polar):
         if p.r < 0.0:
             raise ChartDomainError(f"polar radius must be nonnegative, got {p.r!r}")
         _check_period(p.r, k1, "r")
         _check_period(p.phi, k2, "phi")
         sr = ktrig.sk(k1, p.r)
-        return Ambient(
+        s = Ambient(
             ktrig.ck(k1, p.r),
             sr * ktrig.ck(k2, p.phi),
             sr * ktrig.sk(k2, p.phi),
         )
-    raise TypeError(f"unsupported chart point {type(p).__name__}")
+    else:
+        raise TypeError(f"unsupported chart point {type(p).__name__}")
+    if not (math.isfinite(s.s0) and math.isfinite(s.s1) and math.isfinite(s.s2)):
+        raise ChartDomainError(f"{p} has the non-finite ambient triple ({s.s0!r}, {s.s1!r}, {s.s2!r})")
+    return s
 
 
 def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.ndarray]:
@@ -162,22 +167,25 @@ def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.
     k1, k12, k2 = kp.k1, kp.k12, kp.k2
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if chart == "parallel1":
-        outside = _outside_period(x1, k1) | _at_quarter(x2, k12)
-        c2 = ktrig.ck_array(k12, x2)
-        s = (ktrig.ck_array(k1, x1) * c2, ktrig.sk_array(k1, x1) * c2, ktrig.sk_array(k12, x2))
-    elif chart == "parallel2":
-        outside = _at_quarter(x1, k1) | _outside_period(x2, k12)
-        c1 = ktrig.ck_array(k1, x1)
-        s = (c1 * ktrig.ck_array(k12, x2), ktrig.sk_array(k1, x1), c1 * ktrig.sk_array(k12, x2))
-    elif chart == "polar":
-        outside = (x1 < 0.0) | _outside_period(x1, k1) | _outside_period(x2, k2)
-        sr = ktrig.sk_array(k1, x1)
-        s = (ktrig.ck_array(k1, x1), sr * ktrig.ck_array(k2, x2), sr * ktrig.sk_array(k2, x2))
-    else:
-        raise ValueError(f"chart {chart!r} has no two-coordinate map, expected parallel1, parallel2 or polar")
-    inside = ~np.broadcast_to(outside, np.broadcast_shapes(x1.shape, x2.shape))
-    return np.where(inside, np.stack(np.broadcast_arrays(*s)), np.nan), inside
+    # overflowing points give inf or nan here and are masked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chart == "parallel1":
+            outside = _outside_period(x1, k1) | _at_quarter(x2, k12)
+            c2 = ktrig.ck_array(k12, x2)
+            s = (ktrig.ck_array(k1, x1) * c2, ktrig.sk_array(k1, x1) * c2, ktrig.sk_array(k12, x2))
+        elif chart == "parallel2":
+            outside = _at_quarter(x1, k1) | _outside_period(x2, k12)
+            c1 = ktrig.ck_array(k1, x1)
+            s = (c1 * ktrig.ck_array(k12, x2), ktrig.sk_array(k1, x1), c1 * ktrig.sk_array(k12, x2))
+        elif chart == "polar":
+            outside = (x1 < 0.0) | _outside_period(x1, k1) | _outside_period(x2, k2)
+            sr = ktrig.sk_array(k1, x1)
+            s = (ktrig.ck_array(k1, x1), sr * ktrig.ck_array(k2, x2), sr * ktrig.sk_array(k2, x2))
+        else:
+            raise ValueError(f"chart {chart!r} has no two-coordinate map, expected parallel1, parallel2 or polar")
+    triple = np.stack(np.broadcast_arrays(*s))
+    inside = ~np.broadcast_to(outside, triple.shape[1:]) & np.isfinite(triple).all(axis=0)
+    return np.where(inside, triple, np.nan), inside
 
 
 def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:

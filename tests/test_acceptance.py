@@ -381,7 +381,7 @@ def test_criterion_9_cli_sweep(capsys):
         assert second.returncode == 0
         assert first.stdout == second.stdout
         doc = json.loads(first.stdout)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["passed"] is True
         suites_seen = {c["suite"] for c in doc["checks"]}
         assert set(doc["suites"]) == suites_seen

@@ -57,11 +57,6 @@ def test_check_results_are_order_independent():
 
 
 @pytest.mark.parametrize("seed", range(32))
-def test_laplacian_oracle_passes_for_every_seed(seed):
-    assert run_check("geometry_laplacian", SweepConfig(seed=seed)).passed
-
-
-@pytest.mark.parametrize("seed", range(32))
 def test_sweep_passes_for_every_seed(seed):
     failing = [(r.name, r.max_defect, r.detail) for r in run_all(SweepConfig(seed=seed)) if not r.passed]
     assert failing == []
@@ -75,13 +70,9 @@ def test_suite_summary_rolls_up():
     assert summary["trig"]["passed"] is True
 
 
-def test_tolerance_override_can_fail_a_check():
-    cfg = SweepConfig(
-        kappa_grid=(KappaPair(1.0, 1.0),),
-        sample_count=4,
-        seed=1,
-        tolerances={"geometry_curvature": 1e-18},
-    )
+def test_tolerance_override_can_fail_a_check(monkeypatch):
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "geometry_curvature", 1e-18)
+    cfg = SweepConfig(kappa_grid=(KappaPair(1.0, 1.0),), sample_count=4, seed=1)
     result = run_check("geometry_curvature", cfg)
     assert not result.passed
     assert result.tolerance == 1e-18
@@ -100,12 +91,6 @@ def test_config_validation_guards():
         SweepConfig(kappa_grid=LIGHT.kappa_grid, z_values=(0.0,)).validated()
     with pytest.raises(ConfigError):
         SweepConfig(kappa_grid=LIGHT.kappa_grid, sample_count=0).validated()
-    with pytest.raises(ConfigError):
-        SweepConfig(kappa_grid=LIGHT.kappa_grid, tolerances={"nope": 1.0}).validated()
-    with pytest.raises(ConfigError):
-        SweepConfig(
-            kappa_grid=LIGHT.kappa_grid, tolerances={"trig_identity": -1.0}
-        ).validated()
 
 
 def test_validated_sorts_the_grid():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckgeom import cli
+from ckgeom import checks, cli
 from ckgeom.cli import main
 from ckgeom.errors import ChartDomainError
 
@@ -26,7 +26,7 @@ def test_classify_example(capsys):
     status, out = run(capsys, "classify", "--k1", "0", "--k2", "-1")
     assert status == 0
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     entry = doc["geometries"][0]
     assert entry["name"] == "minkowskian"
     assert entry["group"] == "ISO(1,1)"
@@ -52,7 +52,7 @@ def test_sweep_all_report_shape(capsys):
     status, out = run(capsys, "sweep-all", "--grid", "normalized9", "--z", "0.1", "--samples", "4")
     assert status == 0
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
     assert len(names) == len(doc["checks"])
@@ -154,10 +154,9 @@ def test_sklyanin_row_is_the_same_alone_and_in_the_grid(capsys, k1, k2):
     assert json.loads(single)["sklyanin"][0] == rows[(float(k1), float(k2))]
 
 
-def test_tolerance_override_fails_the_run(capsys):
-    status, out = run(
-        capsys, "sweep-all", "--samples", "4", "--tol-geometry-curvature", "1e-18"
-    )
+def test_tolerance_override_fails_the_run(capsys, monkeypatch):
+    monkeypatch.setitem(checks.DEFAULT_TOLERANCES, "geometry_curvature", 1e-18)
+    status, out = run(capsys, "sweep-all", "--samples", "4")
     assert status == 1
     doc = json.loads(out)
     assert doc["passed"] is False
@@ -167,7 +166,10 @@ def test_tolerance_override_fails_the_run(capsys):
 
 
 def test_unknown_tolerance_is_a_config_error(capsys):
-    assert main(["sweep-all", "--tol-nonsense", "1"]) == 2
+    # tolerances are fixed per check; a --tol-* flag is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-all", "--tol-nonsense", "1"])
+    assert exc.value.code == 2
 
 
 def test_mismatched_kappa_flags_are_a_config_error(capsys):
@@ -199,6 +201,33 @@ def test_convert_domain_error_becomes_report_entry(capsys):
     assert status == 0
     doc = json.loads(out)
     assert "ChartDomainError" in doc["conversion"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # cosh(800) overflows a double
+        ["convert", "--from", "parallel1", "--to", "polar", "--coords", "800,0"],
+        ["metric", "--coords", "0,800"],
+        ["curvature", "--coords", "0,800"],
+        # cosh(500) is finite but the ambient s0 = cosh(500)**2 is not
+        ["convert", "--from", "parallel1", "--to", "polar", "--coords", "500,500"],
+    ],
+)
+def test_hyperbolic_overflow_becomes_an_error_entry(capsys, argv):
+    status, out = run(capsys, *argv, "--k1", "-1", "--k2", "1", "--format", "csv")
+    assert status == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["error"].startswith("ChartDomainError: ")
+
+
+def test_geodesics_past_the_overflow_are_truncation_rows(capsys):
+    status, out = run(capsys, "export-geodesics", "--k1", "-1", "--k2", "1", "--span", "400", "--format", "csv")
+    assert status == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    regular = [r for r in rows if r["truncated"] == "false"]
+    assert regular and len(regular) < len(rows)
+    assert all(math.isfinite(float(r["beltrami1"])) for r in regular)
 
 
 def test_curvature_matches_the_label(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckgeom import PoleError, ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
+from ckgeom import ChartDomainError, PoleError, ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
 
 from helpers import ref_ck, ref_sk, ref_vk
 
@@ -121,3 +121,23 @@ def test_array_forms_match_the_scalar_pair_bit_for_bit(kappa):
     for scalar, batched in ((ck, ck_array), (sk, sk_array)):
         want = np.array([scalar(kappa, v) for v in x.tolist()])
         assert batched(kappa, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -2.7])
+def test_hyperbolic_overflow_is_a_domain_error(kappa):
+    for scalar in (ck, sk):
+        with pytest.raises(ChartDomainError):
+            scalar(kappa, -800.0)
+    x = np.array([0.5, 800.0, -800.0])
+    assert ck_array(kappa, x).tolist() == [ck(kappa, 0.5), math.inf, math.inf]
+    assert sk_array(kappa, x).tolist() == [sk(kappa, 0.5), math.inf, -math.inf]
+
+
+def test_sinh_quotient_overflow_is_a_domain_error():
+    # with -kappa < 1, sinh(rk x) / rk overflows where sinh(rk x) does not
+    assert math.isfinite(math.sinh(0.5 * 1420.9))
+    with pytest.raises(ChartDomainError):
+        sk(-0.25, 1420.9)
+    with pytest.raises(ChartDomainError):
+        sk(-0.25, -1420.9)
+    assert sk_array(-0.25, np.array([1420.9, -1420.9])).tolist() == [math.inf, -math.inf]

@@ -217,9 +217,11 @@ def test_sphere_distances_along_axes():
 def _edge_values(kappa: float) -> np.ndarray:
     """Coordinate values past both ends of a label's window, through zero
     and negative values, exactly on the quarter and half periods and one
-    chart tolerance to either side of them."""
+    chart tolerance to either side of them.  An unbounded direction also
+    gets values where a hyperbolic cosh or sinh (800) or a product of two
+    (400) overflows a double."""
     if kappa <= 0.0:
-        return np.append(np.linspace(-2.5, 2.5, 31), -0.0)
+        return np.concatenate([np.linspace(-2.5, 2.5, 31), [-0.0, -800.0, -400.0, 400.0, 800.0]])
     half = math.pi / math.sqrt(kappa)
     edges = [edge + d for edge in (0.5 * half, half) for d in (-DEFAULT_CHART_TOL, 0.0, DEFAULT_CHART_TOL)]
     edges.append(0.5 * math.pi / math.sqrt(kappa))  # the quarter as _at_quarter computes it
