@@ -25,13 +25,6 @@ from ckgeom.errors import ChartDomainError
 from ckgeom.ktrig import span_bound
 from ckgeom.poisson import phs_points_bracket
 
-KINDS = {
-    "first": (DeformationKind.FIRST_KIND,),
-    "second": (DeformationKind.SECOND_KIND,),
-    "both": (DeformationKind.FIRST_KIND, DeformationKind.SECOND_KIND),
-}
-
-
 def axis(args: argparse.Namespace, label: float) -> np.ndarray:
     bound = span_bound(label, args.span)
     return np.linspace(-bound, bound, args.grid_n)
@@ -46,7 +39,7 @@ def scan_pair(args: argparse.Namespace, kp: KappaPair, kind: DeformationKind) ->
             row = {
                 "k1": kp.k1,
                 "k2": kp.k2,
-                "kind": kind.name.lower().removesuffix("_kind"),
+                "kind": kind.value,
                 "a1": float(a1),
                 "a2": float(a2),
             }
@@ -63,7 +56,7 @@ def scan_pair(args: argparse.Namespace, kp: KappaPair, kind: DeformationKind) ->
             rows.append(row)
     summary = {
         "geometry": classify(kp).display_name,
-        "kind": kind.name.lower().removesuffix("_kind"),
+        "kind": kind.value,
         "max_abs": worst,
         "pole_points": poles,
     }
@@ -75,7 +68,7 @@ def scan_pair(args: argparse.Namespace, kp: KappaPair, kind: DeformationKind) ->
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--z", type=float, default=0.1)
-    parser.add_argument("--kind", choices=sorted(KINDS), default="both")
+    parser.add_argument("--kind", choices=["both", *(kind.value for kind in DeformationKind)], default="both")
     parser.add_argument("--grid-n", type=int, default=21)
     parser.add_argument("--span", type=float, default=0.45)
     parser.add_argument("--out", type=Path, default=Path("phs_scan.csv"))
@@ -84,9 +77,10 @@ def main(argv=None) -> int:
     if not math.isfinite(args.z) or args.z == 0.0:
         parser.error("z must be finite and nonzero")
 
+    kinds = list(DeformationKind) if args.kind == "both" else [DeformationKind(args.kind)]
     all_rows: list[dict] = []
     for kp in NORMALIZED_PAIRS:
-        for kind in KINDS[args.kind]:
+        for kind in kinds:
             rows, summary = scan_pair(args, kp, kind)
             all_rows.extend(rows)
             print(

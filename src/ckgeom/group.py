@@ -19,6 +19,7 @@ skip the per-product check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +110,19 @@ def expm_series(a: np.ndarray) -> np.ndarray:
 
     Independent of the closed forms above on purpose: this is the oracle
     route.  Raises ConvergenceError if the final series term is still above
-    the residual tolerance after the term cap.
+    the residual tolerance after the term cap, and where the input, the
+    scaling 2**squarings or the result is not finite.
     """
     a = np.asarray(a, dtype=float)
     norm = float(np.max(np.abs(a))) if a.size else 0.0
+    if not math.isfinite(norm):
+        raise ConvergenceError(f"series exponential of a matrix with entry {norm!r}")
     squarings = 0
     while norm > SERIES_SCALE_THRESHOLD:
         norm *= 0.5
         squarings += 1
+    if squarings >= sys.float_info.max_exp:
+        raise ConvergenceError(f"series exponential: the scaling 2**{squarings} overflows")
     b = a / (2.0 ** squarings)
     result = np.eye(a.shape[0])
     term = np.eye(a.shape[0])
@@ -131,8 +137,12 @@ def expm_series(a: np.ndarray) -> np.ndarray:
         raise ConvergenceError(
             f"series exponential: residual {term_norm:.3e} after {SERIES_MAX_TERMS} terms"
         )
-    for _ in range(squarings):
-        result = result @ result
+    # an overflowing square is caught below, as a non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            result = result @ result
+    if not np.isfinite(result).all():
+        raise ConvergenceError(f"series exponential: {squarings} squarings overflow")
     return result
 
 

@@ -245,6 +245,7 @@ def metric_main(kp: KappaPair, p: ChartPoint) -> MetricValue:
     """Main metric components in the chart the point is given in.
 
     Ambient input is answered in parallel-I components after conversion.
+    A component that overflows raises ChartDomainError, as in to_ambient.
     """
     k1, k12, k2 = kp.k1, kp.k12, kp.k2
     if isinstance(p, Ambient):
@@ -252,15 +253,19 @@ def metric_main(kp: KappaPair, p: ChartPoint) -> MetricValue:
     if isinstance(p, ParallelI):
         _check_quarter(p.a2, k12, "a2")
         c = ktrig.ck(k12, p.a2)
-        return MetricValue(c * c, 0.0, k2)
-    if isinstance(p, ParallelII):
+        m = MetricValue(c * c, 0.0, k2)
+    elif isinstance(p, ParallelII):
         _check_quarter(p.b1, k1, "b1")
         c = ktrig.ck(k1, p.b1)
-        return MetricValue(1.0, 0.0, k2 * c * c)
-    if isinstance(p, Polar):
+        m = MetricValue(1.0, 0.0, k2 * c * c)
+    elif isinstance(p, Polar):
         s = ktrig.sk(k1, p.r)
-        return MetricValue(1.0, 0.0, k2 * s * s)
-    raise TypeError(f"unsupported chart point {type(p).__name__}")
+        m = MetricValue(1.0, 0.0, k2 * s * s)
+    else:
+        raise TypeError(f"unsupported chart point {type(p).__name__}")
+    if not (math.isfinite(m.g11) and math.isfinite(m.g12) and math.isfinite(m.g22)):
+        raise ChartDomainError(f"{p} has the non-finite metric ({m.g11!r}, {m.g12!r}, {m.g22!r})")
+    return m
 
 
 def metric_subsidiary(kp: KappaPair, p: ChartPoint) -> MetricValue:

@@ -1,5 +1,8 @@
 """Self-verification sweep: registry consistency, determinism, config guards."""
 
+import inspect
+import math
+
 import pytest
 
 from ckgeom import (
@@ -14,6 +17,7 @@ from ckgeom import (
     run_suite,
     suite_summary,
 )
+from ckgeom import checks
 from ckgeom.checks import SUITE_NAMES
 
 LIGHT = SweepConfig(
@@ -27,6 +31,29 @@ LIGHT = SweepConfig(
 def test_registry_and_tolerances_agree():
     assert set(DEFAULT_TOLERANCES) == set(CHECK_NAMES)
     assert len(CHECK_NAMES) == len(set(CHECK_NAMES))
+
+
+def test_every_check_is_a_generator():
+    assert [name for _, name, fn in checks._REGISTRY if not inspect.isgeneratorfunction(fn)] == []
+
+
+def test_reduce_keeps_the_first_worst_sample_and_counts_every_yield():
+    def reduce(*pairs):
+        r = checks._reduce("trig", "trig_identity", iter(pairs))
+        return r.max_defect, r.detail, r.samples, r.passed
+
+    assert reduce() == (0.0, "", 0, True)
+    assert reduce((0.0, "zero"), (1e-12, "at tol")) == (1e-12, "at tol", 2, True)
+    assert reduce((0.0, "zero"), (2.0, "first"), (1.0, "less"), (2.0, "tie")) == (2.0, "first", 4, False)
+    assert reduce((1.0, "one"), (math.nan, "nan"), (math.inf, "inf")) == (math.inf, "nan", 3, False)
+
+
+def test_quantum_overflow_is_a_failing_row():
+    cfg = SweepConfig(kappa_grid=(KappaPair(1.0, 1.0),), z_values=(1e308,))
+    result = run_check("quantum_relations", cfg)
+    assert not result.passed
+    assert result.max_defect == math.inf
+    assert result.samples == 1
 
 
 def test_full_run_passes_on_light_config():

@@ -136,7 +136,7 @@ def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
     def unavailable(kp, gc):
         raise ChartDomainError("fields unavailable")
 
-    monkeypatch.setattr(cli, "invariant_fields_numeric", unavailable)
+    monkeypatch.setattr(checks, "invariant_fields_numeric", unavailable)
     status, out = run(capsys, "sklyanin", "--k1", "1", "--k2", "1", "--z", "0.3", "--samples", "2")
     assert status == 0
     row = json.loads(out)["sklyanin"][0]
@@ -212,6 +212,9 @@ def test_convert_domain_error_becomes_report_entry(capsys):
         ["curvature", "--coords", "0,800"],
         # cosh(500) is finite but the ambient s0 = cosh(500)**2 is not
         ["convert", "--from", "parallel1", "--to", "polar", "--coords", "500,500"],
+        # cosh(400) is finite but the metric entry cosh(400)**2 is not
+        ["metric", "--coords", "0,400"],
+        ["curvature", "--coords", "0,400"],
     ],
 )
 def test_hyperbolic_overflow_becomes_an_error_entry(capsys, argv):
@@ -219,6 +222,20 @@ def test_hyperbolic_overflow_becomes_an_error_entry(capsys, argv):
     assert status == 0
     (row,) = csv.DictReader(io.StringIO(out))
     assert row["error"].startswith("ChartDomainError: ")
+
+
+def test_coproduct_overflow_is_an_error_row(capsys):
+    status, out = run(capsys, "coproduct", "--k1", "1", "--k2", "1", "--z", "1e308", "--format", "csv")
+    assert status == 1
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["error"].startswith("ConvergenceError: ")
+
+
+@pytest.mark.parametrize("span", ["nan", "inf", "0", "-0.3"])
+def test_geodesics_span_must_be_finite_and_positive(capsys, span):
+    status, out = run(capsys, "export-geodesics", "--k1", "-1", "--k2", "1", "--span", span)
+    assert status == 2
+    assert out == ""
 
 
 def test_geodesics_past_the_overflow_are_truncation_rows(capsys):
@@ -304,3 +321,15 @@ def test_out_flag_writes_the_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["geometries"][0]["name"] == "spherical"
+
+
+@pytest.mark.parametrize(
+    "name, command", [("bialgebra_dual_jacobi", "bialgebra"), ("bialgebra_schouten", "ybe")]
+)
+def test_each_defect_is_judged_by_its_own_checks_tolerance(capsys, monkeypatch, name, command):
+    # the defects here are exactly 0.0, so only a negative tolerance can fail them
+    monkeypatch.setitem(checks.DEFAULT_TOLERANCES, name, -1.0)
+    status, out = run(capsys, command, "--k1", "1", "--k2", "1", "--kind", "first")
+    assert status == 1
+    (row,) = json.loads(out)[command]
+    assert row["passed"] is False

@@ -9,6 +9,7 @@ from ckgeom import (
     BASIS,
     GENERATOR_NAMES,
     Ambient,
+    ConvergenceError,
     GroupCoordinates,
     GroupElement,
     KappaPair,
@@ -160,3 +161,20 @@ def test_exponential_of_a_non_finite_parameter_is_rejected():
 def test_numeric_invariant_fields_reject_non_finite_coordinates():
     with pytest.raises(ValueError):
         invariant_fields_numeric(KappaPair(1.0, 1.0), GroupCoordinates(math.nan, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag([math.inf, 0.0, 0.0]),
+        np.diag([math.nan, 0.0, 0.0]),
+        # 2**1025 halvings of the norm: the scaling itself overflows
+        np.full((3, 3), 1e308),
+        # exp(800) overflows while squaring
+        np.diag([800.0, 0.0, 0.0]),
+    ],
+    ids=["inf", "nan", "scaling", "squaring"],
+)
+def test_series_exponential_overflow_is_a_convergence_error(a):
+    with pytest.raises(ConvergenceError):
+        expm_series(a)
