@@ -13,7 +13,10 @@ A check is a generator registered with `@check(tol)`.  It yields one
 pairs into its CheckResult: the worst defect starts at 0.0, nan counts as
 inf, a strictly larger defect is needed to move the location (so the first
 worst sample wins), `samples` is the number of pairs, and the check passes
-when the worst defect is at most its tolerance.
+when the worst defect is at most its tolerance.  A GeometryError that
+escapes the generator ends the check with defect inf and the detail
+"<Type>: <message>", so one check cannot abort the sweep; `samples` keeps
+the pairs yielded before it.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
@@ -990,7 +993,7 @@ def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> Def
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
             for kind, expected in SCHOUTEN_COEFFICIENTS.items():
-                coeff = schouten(kp, rmatrix(kind, z)).coefficient
+                coeff = schouten(kp, rmatrix(kind, z))
                 yield abs(coeff - expected(kp, z)), f"{kind.value} {_kp_tag(kp)}"
 
 
@@ -1210,11 +1213,14 @@ def _reduce(suite: str, name: str, defects: Defects) -> CheckResult:
     """Fold a check's (defect, where) pairs into its result, by the rules
     the module docstring states."""
     worst, where, samples = 0.0, "", 0
-    for samples, (defect, tag) in enumerate(defects, 1):
-        if math.isnan(defect):
-            defect = math.inf
-        if defect > worst:
-            worst, where = defect, tag
+    try:
+        for samples, (defect, tag) in enumerate(defects, 1):
+            if math.isnan(defect):
+                defect = math.inf
+            if defect > worst:
+                worst, where = defect, tag
+    except GeometryError as exc:
+        worst, where = math.inf, f"{type(exc).__name__}: {exc}"
     tol = DEFAULT_TOLERANCES[name]
     return CheckResult(suite, name, float(worst), tol, bool(worst <= tol), samples, where)
 

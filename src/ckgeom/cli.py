@@ -373,7 +373,7 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
         for z in sweep.z_values:
             for kind in kinds:
                 r = rmatrix(kind, z)
-                coeff = schouten(kp, r).coefficient
+                coeff = schouten(kp, r)
                 expected = SCHOUTEN_COEFFICIENTS[kind](kp, z)
                 defect = mcybe_defect(kp, r)
                 ok = defect <= tol and abs(coeff - expected) <= schouten_tol

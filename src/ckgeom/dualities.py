@@ -5,11 +5,13 @@ permutations of itself and acts on the curvature labels so that the
 transformed generators close the same bracket pattern with the new labels.
 Two of the six maps need a nonzero label to be defined (the weight would
 otherwise collapse a basis direction); applying one of those to a pair
-with that label equal to zero raises UndefinedDualityError.
+with that label equal to zero raises UndefinedDualityError, as does a map
+whose target label k1 * k2 overflows a double.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -78,20 +80,24 @@ def duality_matrix(name: DualityName, kp: KappaPair) -> np.ndarray:
 
 
 def duality_kappa(name: DualityName, kp: KappaPair) -> KappaPair:
-    """Transformed curvature labels."""
+    """Transformed curvature labels.
+
+    Raises UndefinedDualityError where the map is undefined at kp, and where
+    a target label k1 * k2 is not a finite double.
+    """
     _require_defined(name, kp)
-    k1, k2 = kp.k1, kp.k2
-    if name is DualityName.D0:
-        return KappaPair(k2, k1)
-    if name is DualityName.D1:
-        return KappaPair(k1, k1 * k2)
-    if name is DualityName.D2:
-        return KappaPair(k1 * k2, k2)
-    if name is DualityName.D0D1:
-        return KappaPair(k1 * k2, k1)
-    if name is DualityName.D0D2:
-        return KappaPair(k2, k1 * k2)
-    return kp
+    k1, k2, k12 = kp.k1, kp.k2, kp.k1 * kp.k2
+    labels = {
+        DualityName.D0: (k2, k1),
+        DualityName.D1: (k1, k12),
+        DualityName.D2: (k12, k2),
+        DualityName.D0D1: (k12, k1),
+        DualityName.D0D2: (k2, k12),
+        DualityName.ID: (k1, k2),
+    }[name]
+    if not all(math.isfinite(k) for k in labels):
+        raise UndefinedDualityError(f"{name.value} sends ({k1!r}, {k2!r}) past a finite label: {labels}")
+    return KappaPair(*labels)
 
 
 def apply_duality(

@@ -15,7 +15,6 @@ translations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,13 +111,6 @@ class Bivector:
 
 
 @dataclass(frozen=True)
-class Trivector:
-    """Multiple of J01 ^ J02 ^ J12 (six-term alternating tensor convention)."""
-
-    coefficient: float
-
-
-@dataclass(frozen=True)
 class CocommutatorMap:
     """Images of the basis under a cocommutator delta."""
 
@@ -155,20 +147,18 @@ def _ad_matrix(kp: KappaPair, x: AlgebraElement) -> np.ndarray:
     return np.einsum("k,kim->mi", x.as_array(), c)
 
 
+def _act(ad: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Adjoint action ad t + t ad^T on bivector tensors (broadcasts over stacks)."""
+    return ad @ t + t @ np.swapaxes(ad, -1, -2)
+
+
 def cocommutator(kp: KappaPair, r: Bivector, x: AlgebraElement) -> Bivector:
     """Coboundary cocommutator delta(x) = [x (x) 1 + 1 (x) x, r]."""
-    ad = _ad_matrix(kp, x)
-    t = r.as_tensor()
-    return Bivector.from_tensor(ad @ t + t @ ad.T)
+    return Bivector.from_tensor(_act(_ad_matrix(kp, x), r.as_tensor()))
 
 
 def cocommutator_map(kp: KappaPair, r: Bivector) -> CocommutatorMap:
     return CocommutatorMap(*(cocommutator(kp, r, e) for e in BASIS))
-
-
-def _act_on_bivector_tensor(kp: KappaPair, i: int, t: np.ndarray) -> np.ndarray:
-    ad = _ad_matrix(kp, BASIS[i])
-    return ad @ t + t @ ad.T
 
 
 def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
@@ -180,28 +170,18 @@ def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
     identity is evaluated directly.
     """
     c = structure_tensor(kp)
-    images = [delta.image(i).as_tensor() for i in range(3)]
+    ad = c.transpose(0, 2, 1)  # ad[i] = ad(e_i)
+    images = np.stack([delta.image(i).as_tensor() for i in range(3)])
 
-    cocycle = 0.0
-    for i, j in _PAIRS:
-        lhs = sum(c[i, j, k] * images[k] for k in range(3))
-        rhs = _act_on_bivector_tensor(kp, i, images[j]) - _act_on_bivector_tensor(kp, j, images[i])
-        cocycle = max(cocycle, float(np.max(np.abs(lhs - rhs))))
+    # lhs[i, j] = delta([e_i, e_j]), act[i, j] = e_i acting on delta(e_j)
+    lhs = np.sum(c[:, :, :, None, None] * images, axis=2)
+    act = _act(ad[:, None], images[None, :])
+    cocycle = float(np.max(np.abs(lhs - (act - act.transpose(1, 0, 2, 3)))))
 
-    f = np.zeros((3, 3, 3))
-    for i in range(3):
-        f[:, :, i] = delta.image(i).as_tensor()
-
-    jacobi = 0.0
-    for a, b, cc in itertools.product(range(3), repeat=3):
-        term = (
-            f[a, b, :] @ f[:, cc, :]
-            + f[b, cc, :] @ f[:, a, :]
-            + f[cc, a, :] @ f[:, b, :]
-        )
-        jacobi = max(jacobi, float(np.max(np.abs(term))))
-
-    return BialgebraReport(cocycle, jacobi, f)
+    f = images.transpose(1, 2, 0)  # f[j, k, i] = delta(e_i) on e_j (x) e_k
+    jac = np.einsum("abm,mcn->abcn", f, f)
+    term = jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3)
+    return BialgebraReport(cocycle, float(np.max(np.abs(term))), f)
 
 
 def _schouten_tensor(kp: KappaPair, r: Bivector) -> np.ndarray:
@@ -220,27 +200,26 @@ _EPSILON3 = {perm: sign for perm, sign in (
 )}
 
 
-def schouten(kp: KappaPair, r: Bivector) -> Trivector:
-    """Schouten bracket [[r, r]] projected on J01 ^ J02 ^ J12."""
+def schouten(kp: KappaPair, r: Bivector) -> float:
+    """Coefficient of the Schouten bracket [[r, r]] on J01 ^ J02 ^ J12.
+
+    The projection is the alternating sum over the six index orders of the
+    coefficient tensor, divided by 6.
+    """
     t = _schouten_tensor(kp, r)
-    coeff = sum(sign * t[perm] for perm, sign in _EPSILON3.items()) / 6.0
-    return Trivector(float(coeff))
+    return float(sum(sign * t[perm] for perm, sign in _EPSILON3.items()) / 6.0)
 
 
 def mcybe_defect(kp: KappaPair, r: Bivector) -> float:
     """Adjoint-invariance defect of [[r, r]] (modified classical YBE)."""
     t = _schouten_tensor(kp, r)
-    c = structure_tensor(kp)
-    worst = 0.0
-    for b in range(3):
-        ad = np.einsum("im->mi", c[b])  # ad[m, i] = c[b, i, m]
-        moved = (
-            np.einsum("am,mbc->abc", ad, t)
-            + np.einsum("bm,amc->abc", ad, t)
-            + np.einsum("cm,abm->abc", ad, t)
-        )
-        worst = max(worst, float(np.max(np.abs(moved))))
-    return worst
+    ad = structure_tensor(kp).transpose(0, 2, 1)  # ad[b, m, i] = c[b, i, m]
+    moved = (
+        np.einsum("xam,mbc->xabc", ad, t)
+        + np.einsum("xbm,amc->xabc", ad, t)
+        + np.einsum("xcm,abm->xabc", ad, t)
+    )
+    return float(np.max(np.abs(moved)))
 
 
 def coisotropy_check(kp: KappaPair, delta: CocommutatorMap, h: str) -> CoisotropyVerdict:
@@ -306,27 +285,34 @@ def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFi
     """Oracle route: rebuild the invariant fields by differentiating group
     translations g exp(t X) (left fields) and exp(t X) g (right fields).
 
-    The point g and its twelve translates are composed as raw 3x3 arrays;
-    only g is checked for finiteness (ValueError).  The translates multiply
-    g by matrices within TRANSLATION_STEP of the identity, so they are finite
-    whenever g is, short of the floating-point overflow threshold.
+    The point g and its twelve translates are composed as raw 3x3 arrays.
+    Non-finite coordinates raise ValueError.  Finite ones whose product g,
+    or whose differentiated coordinates, overflow raise ChartDomainError:
+    the translates differ from g by TRANSLATION_STEP, but reading their
+    coordinates back squares the entries of g.
     """
-    g0 = _exp_matrix(kp, "J01", gc.a1) @ _exp_matrix(kp, "J02", gc.a2) @ _exp_matrix(kp, "J12", gc.xi)
-    if not np.isfinite(g0).all():
-        raise ValueError(f"group coordinates {gc} give a non-finite group element")
+    if not np.isfinite(gc.as_array()).all():
+        raise ValueError(f"group coordinates {gc} are not finite")
     left = np.zeros((3, 3))
     right = np.zeros((3, 3))
-    for i, name in enumerate(GENERATOR_NAMES):
-        plus = _exp_matrix(kp, name, TRANSLATION_STEP)
-        minus = _exp_matrix(kp, name, -TRANSLATION_STEP)
-        left[i] = (
-            _coords_from_matrix(kp, g0 @ plus).as_array()
-            - _coords_from_matrix(kp, g0 @ minus).as_array()
-        ) / (2.0 * TRANSLATION_STEP)
-        right[i] = (
-            _coords_from_matrix(kp, plus @ g0).as_array()
-            - _coords_from_matrix(kp, minus @ g0).as_array()
-        ) / (2.0 * TRANSLATION_STEP)
+    # an overflow below surfaces as a non-finite g or field, checked after it
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0 = _exp_matrix(kp, "J01", gc.a1) @ _exp_matrix(kp, "J02", gc.a2) @ _exp_matrix(kp, "J12", gc.xi)
+        if not np.isfinite(g0).all():
+            raise ChartDomainError(f"group coordinates {gc} overflow the group product")
+        for i, name in enumerate(GENERATOR_NAMES):
+            plus = _exp_matrix(kp, name, TRANSLATION_STEP)
+            minus = _exp_matrix(kp, name, -TRANSLATION_STEP)
+            left[i] = (
+                _coords_from_matrix(kp, g0 @ plus).as_array()
+                - _coords_from_matrix(kp, g0 @ minus).as_array()
+            ) / (2.0 * TRANSLATION_STEP)
+            right[i] = (
+                _coords_from_matrix(kp, plus @ g0).as_array()
+                - _coords_from_matrix(kp, minus @ g0).as_array()
+            ) / (2.0 * TRANSLATION_STEP)
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise ChartDomainError(f"numeric invariant fields at {gc} overflow")
     return InvariantFields(left, right)
 
 

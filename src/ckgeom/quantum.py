@@ -12,8 +12,11 @@ It is an algebra homomorphism for the deformed commutation relations
 To witness that statement with matrices, the 3-dimensional images of J02
 and J12 are rescaled by gamma = sqrt(sk(k1, z k2)/(z k2)), the unique
 positive factor making the single copy close on -sinh(z k2 rho(J01))/z
-instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.  All
-checks then run on 9x9 (and 27x27 for coassociativity) Kronecker products.
+instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.  One
+private builder, _coproduct_images, makes the scaled single copy, the two
+dressing exponentials and the three coproduct images once per (kp, z);
+coproduct_rep and every check read them from it.  The checks run on 9x9
+(and 27x27 for coassociativity) Kronecker products.
 Matrix functions of rho(J01) use its minimal polynomial
 rho(J01)**3 = -k1 rho(J01), which closes exponentials in the labelled
 trigonometry of the parameter.
@@ -31,31 +34,11 @@ from .errors import ProjectionError
 from .group import expm_series, rep_basis
 from .poisson import _PAIRS, Bivector, CocommutatorMap
 
-# TensorSquareElement: a 9x9 real ndarray over the Kronecker-square basis.
-TensorSquareElement = np.ndarray
-
-
-def _swap_matrix() -> np.ndarray:
-    """Flip u (x) v -> v (x) u of the 3-dimensional tensor square."""
-    s = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            s[i * 3 + j, j * 3 + i] = 1.0
-    return s
-
-
-_SWAP9 = _swap_matrix()
-
 
 def closed_exp_j01(kp: KappaPair, t: float) -> np.ndarray:
     """exp(t rho(J01)) through the minimal-polynomial identity."""
     p = rep_basis(kp)[0]
     return np.eye(3) + ktrig.sk(kp.k1, t) * p + ktrig.vk(kp.k1, t) * (p @ p)
-
-
-def matrix_sinh(m: np.ndarray) -> np.ndarray:
-    """Odd part of the series exponential."""
-    return 0.5 * (expm_series(m) - expm_series(-m))
 
 
 def deformation_scale(kp: KappaPair, z: float) -> float:
@@ -76,114 +59,97 @@ def deformation_scale(kp: KappaPair, z: float) -> float:
     return math.sqrt(ratio)
 
 
-def deformed_rep_basis(kp: KappaPair, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Images of (J01, J02, J12) satisfying the deformed relations.
+def _coproduct_images(kp: KappaPair, z: float) -> tuple[tuple, tuple, tuple]:
+    """Single-copy images, dressings and coproduct images of (J01, J02, J12).
 
-    J01 is kept; J02 and J12 are scaled by deformation_scale, after which
+    rho keeps J01 and scales J02, J12 by deformation_scale, after which
     [J12, J02] = -sinh(z k2 J01)/z holds in the single copy and the other
-    two relations are untouched.
+    two relations are untouched.  dress[g] is the pair (minus, plus) with
+    D_z(g) = rho_g (x) minus + plus (x) rho_g: the identity twice for the
+    primitive J01, exp(-+(z/2) k2 rho(J01)) for J02 and J12.
     """
     j01, j02, j12 = rep_basis(kp)
     gamma = deformation_scale(kp, z)
-    return j01, gamma * j02, gamma * j12
+    rho = (j01, gamma * j02, gamma * j12)
+    eye = np.eye(3)
+    dressed = (closed_exp_j01(kp, -0.5 * z * kp.k2), closed_exp_j01(kp, 0.5 * z * kp.k2))
+    dress = ((eye, eye), dressed, dressed)
+    images = tuple(np.kron(r, minus) + np.kron(plus, r) for r, (minus, plus) in zip(rho, dress))
+    return rho, dress, images
 
 
-def coproduct_classical(kp: KappaPair, generator: str) -> TensorSquareElement:
-    """Undeformed (primitive) coproduct image."""
+def coproduct_classical(kp: KappaPair, generator: str) -> np.ndarray:
+    """Undeformed (primitive) coproduct image in the 9x9 tensor square."""
     rho = dict(zip(GENERATOR_NAMES, rep_basis(kp)))[generator]
     eye = np.eye(3)
     return np.kron(rho, eye) + np.kron(eye, rho)
 
 
-def coproduct_rep(kp: KappaPair, z: float, generator: str) -> TensorSquareElement:
-    """Deformed coproduct image of a generator in the tensor square."""
+def coproduct_rep(kp: KappaPair, z: float, generator: str) -> np.ndarray:
+    """Deformed coproduct image of a generator in the 9x9 tensor square."""
     if generator not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
-    rho = dict(zip(GENERATOR_NAMES, deformed_rep_basis(kp, z)))[generator]
-    if generator == "J01":
-        eye = np.eye(3)
-        return np.kron(rho, eye) + np.kron(eye, rho)
-    e_minus = closed_exp_j01(kp, -0.5 * z * kp.k2)
-    e_plus = closed_exp_j01(kp, 0.5 * z * kp.k2)
-    return np.kron(rho, e_minus) + np.kron(e_plus, rho)
+    return _coproduct_images(kp, z)[2][GENERATOR_NAMES.index(generator)]
 
 
 def deformed_relation_defect(kp: KappaPair, z: float) -> float:
     """Largest defect of the deformed commutation relations.
 
     The relations are evaluated on the coproduct images in the tensor
-    square, where they close to rounding error.
+    square, where they close to rounding error.  sinh is the odd part of
+    the series exponential.
     """
     if z == 0.0:
         raise ValueError("deformed relations need z != 0; use the classical bracket instead")
-    a01 = coproduct_rep(kp, z, "J01")
-    a02 = coproduct_rep(kp, z, "J02")
-    a12 = coproduct_rep(kp, z, "J12")
+    a01, a02, a12 = _coproduct_images(kp, z)[2]
 
     def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x @ y - y @ x
 
+    m = z * kp.k2 * a01
+    sinh = 0.5 * (expm_series(m) - expm_series(-m))
     defect1 = np.max(np.abs(comm(a12, a01) - a02))
-    defect2 = np.max(np.abs(comm(a12, a02) + matrix_sinh(z * kp.k2 * a01) / z))
+    defect2 = np.max(np.abs(comm(a12, a02) + sinh / z))
     defect3 = np.max(np.abs(comm(a01, a02) - kp.k1 * a12))
     return float(max(defect1, defect2, defect3))
 
 
 def coassociativity_defect(kp: KappaPair, z: float) -> float:
     """Largest entry of (D (x) id) D - (id (x) D) D over the generators."""
-    rho = dict(zip(GENERATOR_NAMES, deformed_rep_basis(kp, z)))
-    eye3 = np.eye(3)
-    eye9 = np.eye(9)
-    e_minus = closed_exp_j01(kp, -0.5 * z * kp.k2)
-    e_plus = closed_exp_j01(kp, 0.5 * z * kp.k2)
+    rho, dress, images = _coproduct_images(kp, z)
     worst = 0.0
-    for name in GENERATOR_NAMES:
-        d1 = coproduct_rep(kp, z, name)
-        if name == "J01":
-            lhs = np.kron(d1, eye3) + np.kron(eye9, rho[name])
-            rhs = np.kron(rho[name], eye9) + np.kron(eye3, d1)
-        else:
-            lhs = np.kron(d1, e_minus) + np.kron(np.kron(e_plus, e_plus), rho[name])
-            rhs = np.kron(rho[name], np.kron(e_minus, e_minus)) + np.kron(e_plus, d1)
+    for r, (minus, plus), d1 in zip(rho, dress, images):
+        lhs = np.kron(d1, minus) + np.kron(np.kron(plus, plus), r)
+        rhs = np.kron(r, np.kron(minus, minus)) + np.kron(plus, d1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def rep_to_bivector(kp: KappaPair, m: TensorSquareElement) -> tuple[Bivector, float]:
-    """Least-squares coordinates of a 9x9 matrix over the wedge-basis images.
-
-    Returns the bivector and the max-abs reconstruction residual.  The
-    wedge-basis images are linearly independent for every label pair (their
-    supports in the Kronecker square are disjoint), so the projection is
-    well defined.
-    """
-    rho = rep_basis(kp)
-    columns = []
-    for i, j in _PAIRS:
-        w = np.kron(rho[i], rho[j]) - np.kron(rho[j], rho[i])
-        columns.append(w.ravel())
-    basis = np.array(columns).T
-    coeffs, *_ = np.linalg.lstsq(basis, np.asarray(m, dtype=float).ravel(), rcond=None)
-    residual = float(np.max(np.abs(np.asarray(m).ravel() - basis @ coeffs)))
-    return Bivector(*(float(c) for c in coeffs)), residual
 
 
 def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
     """Extract the first-order cocommutator from the deformed coproduct.
 
     Antisymmetrizes (D_z - D_0)(X) with the tensor-square flip and projects
-    back onto wedges of generators.  Intended for small z (the extraction
-    carries an O(z**2) error); an off-span residual above 100 z**2 + 1e-13
-    raises ProjectionError.
+    back onto wedges of generators by least squares.  The wedge images are
+    linearly independent for every label pair (their supports in the
+    Kronecker square are disjoint), so the projection is well defined.
+    Intended for small z (the extraction carries an O(z**2) error); an
+    off-span residual above 100 z**2 + 1e-13 raises ProjectionError.
     """
+    rho = rep_basis(kp)
+    basis = np.array(
+        [(np.kron(rho[i], rho[j]) - np.kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
+    ).T
+    deformed = _coproduct_images(kp, z)[2]
     images = []
-    for name in GENERATOR_NAMES:
-        d = coproduct_rep(kp, z, name) - coproduct_classical(kp, name)
-        skew = d - _SWAP9 @ d @ _SWAP9
-        b, residual = rep_to_bivector(kp, skew)
+    for name, dz in zip(GENERATOR_NAMES, deformed):
+        d = dz - coproduct_classical(kp, name)
+        # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
+        skew = (d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel()
+        coeffs, *_ = np.linalg.lstsq(basis, skew, rcond=None)
+        residual = float(np.max(np.abs(skew - basis @ coeffs)))
         if residual > 100.0 * z * z + 1e-13:
             raise ProjectionError(
                 f"first-order image of {name} misses the wedge span by {residual:.3e}"
             )
-        images.append(b)
+        images.append(Bivector(*(float(c) for c in coeffs)))
     return CocommutatorMap(*images)

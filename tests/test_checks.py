@@ -19,6 +19,7 @@ from ckgeom import (
 )
 from ckgeom import checks
 from ckgeom.checks import SUITE_NAMES
+from ckgeom.errors import OffSurfaceError
 
 LIGHT = SweepConfig(
     kappa_grid=kappa_grid_from_name("normalized9"),
@@ -46,6 +47,20 @@ def test_reduce_keeps_the_first_worst_sample_and_counts_every_yield():
     assert reduce((0.0, "zero"), (1e-12, "at tol")) == (1e-12, "at tol", 2, True)
     assert reduce((0.0, "zero"), (2.0, "first"), (1.0, "less"), (2.0, "tie")) == (2.0, "first", 4, False)
     assert reduce((1.0, "one"), (math.nan, "nan"), (math.inf, "inf")) == (math.inf, "nan", 3, False)
+
+
+def test_reduce_ends_a_check_at_an_escaping_geometry_error():
+    def defects(error):
+        yield 0.5, "first"
+        raise error
+
+    r = checks._reduce("trig", "trig_identity", defects(OffSurfaceError("misses the quadric")))
+    assert (r.max_defect, r.detail, r.samples, r.passed) == (
+        math.inf, "OffSurfaceError: misses the quadric", 1, False
+    )
+    # only geometry errors are results; anything else is a bug and propagates
+    with pytest.raises(ValueError):
+        checks._reduce("trig", "trig_identity", defects(ValueError("bug")))
 
 
 def test_quantum_overflow_is_a_failing_row():

@@ -101,6 +101,21 @@ def test_sweep_all_is_byte_deterministic(capsys):
             ["export-geodesics", "--k1", "1", "--k2", "1", "--chart", "polar", "--span", "0.8",
              "--points", "9", "--lines", "2"],
         ),
+        # cocycle, dual-Jacobi and coisotropy over the nine planes, both kinds
+        (
+            "bialgebra_normalized9_z0.37_z1.3.json",
+            ["bialgebra", "--grid", "normalized9", "--z", "0.37", "--z", "1.3"],
+        ),
+        # Schouten coefficients such as -0.11699999999999999 pin the summation order
+        (
+            "ybe_k1_0.7_k2_-1.3_z0.3_z1.1.csv",
+            ["ybe", "--k1", "0.7", "--k2", "-1.3", "--z", "0.3", "--z", "1.1", "--format", "csv"],
+        ),
+        # deformed relations and coassociativity carry rounding-level defects
+        (
+            "coproduct_normalized9_z0.37_z1.3.csv",
+            ["coproduct", "--grid", "normalized9", "--z", "0.37", "--z", "1.3", "--format", "csv"],
+        ),
     ],
 )
 def test_report_matches_the_golden_bytes(capsys, golden, argv):
@@ -142,6 +157,38 @@ def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
     row = json.loads(out)["sklyanin"][0]
     assert row["domain_errors"] == 6
     assert row["max_defect"] == 0.0
+
+
+def test_sklyanin_counts_overflowing_group_points_as_domain_errors(capsys):
+    # at k1 = -1e6 every sampled point overflows the group product or the
+    # numeric fields; none may end the command in a traceback
+    status, out = run(capsys, "sklyanin", "--k1=-1e6", "--k2", "1")
+    assert status == 0
+    row = json.loads(out)["sklyanin"][0]
+    assert row["domain_errors"] == 60
+
+
+def test_duality_with_overflowing_target_labels_gives_error_rows(capsys):
+    status, out = run(capsys, "duality", "--k1", "1e200", "--k2", "1e200")
+    assert status == 0
+    rows = {row["duality"]: row for row in json.loads(out)["dualities"]}
+    for name in ("D1", "D2", "D0D1", "D0D2"):
+        assert rows[name]["error"].startswith("UndefinedDualityError: ")
+    for name in ("D0", "ID"):
+        assert "error" not in rows[name]
+        assert rows[name]["passed"] is True
+
+
+def test_sweep_reports_every_check_when_one_raises(capsys):
+    # at k1 = -30 flows drift off the quadric and some checks end in an
+    # OffSurfaceError; the sweep still reports all of them and fails
+    status, out = run(capsys, "sweep-all", "--k1=-30", "--k2", "1", "--samples", "3")
+    assert status == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows] == list(checks.CHECK_NAMES)
+    raised = [row for row in rows if row["detail"].startswith("OffSurfaceError: ")]
+    assert raised
+    assert all(row["max_defect"] == "inf" and not row["passed"] for row in raised)
 
 
 @pytest.mark.parametrize("k1, k2", [("1", "-1"), ("-0.0", "1")])

@@ -114,3 +114,14 @@ def test_undefined_dualities_raise():
     # degenerate labels admit no inverse rescaling for the maps that need one
     assert all(0 in signs for _, signs in undefined)
     assert undefined, "at least one map must be undefined somewhere"
+
+
+def test_overflowing_target_labels_are_undefined():
+    # k1 * k2 = 1e400 is not a double: only D0 and ID keep finite labels
+    kp = KappaPair(1e200, 1e200)
+    for name in DUALITIES:
+        if name in (DualityName.D0, DualityName.ID):
+            assert duality_kappa(name, kp) == kp
+        else:
+            with pytest.raises(UndefinedDualityError, match="finite label"):
+                duality_kappa(name, kp)

@@ -9,6 +9,7 @@ from ckgeom import (
     BASIS,
     GENERATOR_NAMES,
     Ambient,
+    ChartDomainError,
     ConvergenceError,
     GroupCoordinates,
     GroupElement,
@@ -161,6 +162,21 @@ def test_exponential_of_a_non_finite_parameter_is_rejected():
 def test_numeric_invariant_fields_reject_non_finite_coordinates():
     with pytest.raises(ValueError):
         invariant_fields_numeric(KappaPair(1.0, 1.0), GroupCoordinates(math.nan, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "gc, message",
+    [
+        # cosh(1000 * 0.48) * cosh(1000 * 0.35) overflows the product g
+        (GroupCoordinates(0.48, -0.35, 0.0), "overflow the group product"),
+        # g is finite, but reading the translates' coordinates squares its entries
+        (GroupCoordinates(0.2, 0.17, 0.0), "numeric invariant fields"),
+    ],
+    ids=["product", "fields"],
+)
+def test_numeric_invariant_fields_overflow_is_a_domain_error(gc, message):
+    with pytest.raises(ChartDomainError, match=message):
+        invariant_fields_numeric(KappaPair(-1e6, 1.0), gc)
 
 
 @pytest.mark.parametrize(
