@@ -73,7 +73,7 @@ from .group import (
 )
 from .poisson import (
     _PAIRS,
-    GROUP_COORD_NAMES,
+    _UPPER,
     GROUP_COORD_PAIRS,
     Bivector,
     CoisotropyVerdict,
@@ -1035,22 +1035,15 @@ def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defect
             yield float(np.abs(closed.right - numeric.right).max()), f"right {_kp_tag(kp)}"
 
 
-def sklyanin_pair_defects(kp: KappaPair, z: float, r: Bivector, gc: GroupCoordinates) -> list[float | None]:
+def sklyanin_pair_defects(kp: KappaPair, z: float, r: Bivector, gc: GroupCoordinates) -> list[float]:
     """|closed - numeric| of the first-kind bracket {f, g} at gc, where
     r = rmatrix(FIRST_KIND, z), for each pair (f, g) of GROUP_COORD_PAIRS.
 
-    A pair whose bracket raises a GeometryError gives None.  The numeric
-    invariant fields at gc are built once for every pair, so a
-    GeometryError from them propagates.
+    Both routes give the whole bracket matrix, the numeric one from the
+    oracle invariant fields at gc; a GeometryError from either propagates.
     """
-    iv = invariant_fields_numeric(kp, gc)
-    defects: list[float | None] = []
-    for f, g in GROUP_COORD_PAIRS:
-        try:
-            defects.append(abs(sklyanin_closed(kp, z, (f, g), gc) - sklyanin_numeric(r, f, g, iv)))
-        except GeometryError:
-            defects.append(None)
-    return defects
+    numeric = sklyanin_numeric(r, invariant_fields_numeric(kp, gc))
+    return np.abs(sklyanin_closed(kp, z, gc) - numeric)[_UPPER].tolist()
 
 
 @check(1e-6)
@@ -1061,42 +1054,28 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
             for _ in range(50):
                 gc = sample_group_coords(rng, kp, 0.35)
                 for (f, g), defect in zip(GROUP_COORD_PAIRS, sklyanin_pair_defects(kp, z, r, gc)):
-                    yield (math.inf if defect is None else defect), f"{{{f},{g}}} {_kp_tag(kp)}"
+                    yield defect, f"{{{f},{g}}} {_kp_tag(kp)}"
 
 
 @check(1e-5)
 def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+    # sum over cyclic (a, b, c) of {{x_a, x_b}, x_c} = grad P[a, b] . P[:, c],
+    # each gradient by central differences of the bracket matrix
     h = 1e-5
-    names = GROUP_COORD_NAMES
-
+    steps = h * np.eye(3)
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
-
-            def poisson_matrix(gc: GroupCoordinates) -> np.ndarray:
-                m = np.zeros((3, 3))
-                for i, j in _PAIRS:
-                    v = sklyanin_closed(kp, z, (names[i], names[j]), gc)
-                    m[i, j] = v
-                    m[j, i] = -v
-                return m
-
-            def nested(a: int, b: int, c: int, gc: GroupCoordinates) -> float:
-                base = np.array([gc.a1, gc.a2, gc.xi])
-                grad = np.zeros(3)
-                for d in range(3):
-                    dp, dm = base.copy(), base.copy()
-                    dp[d] += h
-                    dm[d] -= h
-                    grad[d] = (
-                        sklyanin_closed(kp, z, (names[a], names[b]), GroupCoordinates(*dp))
-                        - sklyanin_closed(kp, z, (names[a], names[b]), GroupCoordinates(*dm))
-                    ) / (2.0 * h)
-                return float(grad @ poisson_matrix(gc)[:, c])
-
             for _ in range(max(3, cfg.sample_count // 5)):
                 gc = sample_group_coords(rng, kp, 0.3)
-                total = nested(0, 1, 2, gc) + nested(1, 2, 0, gc) + nested(2, 0, 1, gc)
-                yield abs(total), _kp_tag(kp)
+                base = gc.as_array()
+                p = sklyanin_closed(kp, z, gc)
+                dp = np.stack([
+                    sklyanin_closed(kp, z, GroupCoordinates(*(base + step)))
+                    - sklyanin_closed(kp, z, GroupCoordinates(*(base - step)))
+                    for step in steps
+                ]) / (2.0 * h)
+                total = sum(dp[:, a, b] @ p[:, c] for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+                yield abs(float(total)), _kp_tag(kp)
 
 
 @check(1e-12)
@@ -1109,10 +1088,9 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
         for z in cfg.z_values:
             for _ in range(cfg.sample_count):
                 gc = sample_group_coords(rng, kp, 0.35)
-                ref = row(gc.a1, gc.a2, gc.xi, z)
-                for pair, val in zip(GROUP_COORD_PAIRS, ref):
-                    got = sklyanin_closed(kp, z, pair, gc)
-                    yield abs(got - val), f"{{{pair[0]},{pair[1]}}} {_kp_tag(kp)}"
+                got = sklyanin_closed(kp, z, gc)[_UPPER]
+                for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(gc.a1, gc.a2, gc.xi, z)):
+                    yield abs(val - ref), f"{{{f},{g}}} {_kp_tag(kp)}"
 
 
 @check(1e-2)
@@ -1122,17 +1100,12 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> D
             kp0 = KappaPair(k1, 0.0)
             for _ in range(cfg.sample_count):
                 gc = sample_group_coords(rng, kp0, 0.4)
-                for pair in GROUP_COORD_PAIRS:
-                    yield abs(sklyanin_closed(kp0, z, pair, gc)), f"vanish k1={k1:g}"
+                for val in np.abs(sklyanin_closed(kp0, z, gc)[_UPPER]):
+                    yield val, f"vanish k1={k1:g}"
             # shrinking the second label scales every bracket linearly
-            slopes = []
             gc = sample_group_coords(rng, kp0, 0.3)
-            for k2 in (1e-2, 1e-4, 1e-6):
-                kp = KappaPair(k1, k2)
-                slopes.append(
-                    np.array([sklyanin_closed(kp, z, pair, gc) for pair in GROUP_COORD_PAIRS]) / k2
-                )
-            yield float(np.abs(slopes[1] - slopes[2]).max()) / max(1.0, abs(z)), f"slope k1={k1:g}"
+            slopes = [sklyanin_closed(KappaPair(k1, k2), z, gc)[_UPPER] / k2 for k2 in (1e-4, 1e-6)]
+            yield float(np.abs(slopes[0] - slopes[1]).max()) / max(1.0, abs(z)), f"slope k1={k1:g}"
 
 
 @check(1e-6)

@@ -6,9 +6,9 @@ the full verification sweep (sweep-all) and plot-ready exports of chart
 coordinate lines (export-geodesics).
 
 Reports are deterministic for a fixed seed and configuration: no
-timestamps, sorted keys, repr-exact floats.  Exit status is 0 when every
-asserted defect stays within tolerance, 1 when a check fails and 2 for
-configuration errors.
+timestamps, sorted keys, repr-exact floats.  Exit status is 1 exactly when
+some report row has a false `passed`, 2 for configuration errors and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ _LINE_CHARTS = tuple(name for name in CHARTS if name != "ambient")
 class Report:
     payload: dict
     rows: list[dict]
-    passed: bool
 
 
 # --- serialization -----------------------------------------------------------
@@ -147,6 +146,9 @@ def render_csv(report: Report) -> str:
     if not report.rows:
         return ""
     header = list(report.rows[0])
+    if len(set().union(*report.rows)) > len(header):
+        # keys that first appear after the first row follow its keys, in order
+        header = list(dict.fromkeys(key for row in report.rows for key in row))
     blanks = [""] * len(header)  # a key a row lacks is an empty cell
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -199,7 +201,7 @@ def _cmd_classify(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             }
         )
     payload["geometries"] = entries
-    return Report(payload, entries, True)
+    return Report(payload, entries)
 
 
 def _cmd_bracket(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -223,7 +225,7 @@ def _cmd_bracket(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload["casimir_coefficients"] = {
         f"({kp.k1:g},{kp.k2:g})": list(casimir_coeffs(kp)) for kp in sweep.kappa_grid
     }
-    return Report(payload, rows, True)
+    return Report(payload, rows)
 
 
 def _parse_point(chart: str, coords: Sequence[float]):
@@ -253,7 +255,7 @@ def _cmd_convert(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     payload["conversion"] = row
-    return Report(payload, [row], True)
+    return Report(payload, [row])
 
 
 def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -273,7 +275,7 @@ def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     payload["metric"] = row
-    return Report(payload, [row], True)
+    return Report(payload, [row])
 
 
 def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -282,19 +284,17 @@ def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload = _base_payload(args, sweep)
     tol = DEFAULT_TOLERANCES["geometry_curvature"]
     row = {"k1": kp.k1, "k2": kp.k2, "coords": list(coords), "tolerance": tol}
-    passed = True
     try:
         p = _parse_point(args.chart, coords)
         value = gaussian_curvature(kp, p)
         row["curvature"] = value
         row["expected"] = kp.k1
         row["defect"] = abs(value - kp.k1)
-        passed = row["defect"] <= tol
-        row["passed"] = passed
+        row["passed"] = row["defect"] <= tol
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     payload["curvature"] = row
-    return Report(payload, [row], passed)
+    return Report(payload, [row])
 
 
 def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -304,7 +304,6 @@ def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload = _base_payload(args, sweep)
     tol = DEFAULT_TOLERANCES["duality_morphism"]
     rows = []
-    passed = True
     rng = np.random.default_rng(sweep.seed)
     for name in names:
         row = {"k1": kp.k1, "k2": kp.k2, "duality": name.value, "tolerance": tol}
@@ -317,12 +316,11 @@ def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             worst = functools.reduce(max, duality_morphism_defects(kp, kpd, m, rng, sweep.sample_count), 0.0)
             row["morphism_defect"] = worst
             row["passed"] = worst <= tol
-            passed = passed and row["passed"]
         except UndefinedDualityError as exc:
             row["error"] = f"UndefinedDualityError: {exc}"
         rows.append(row)
     payload["dualities"] = rows
-    return Report(payload, rows, passed)
+    return Report(payload, rows)
 
 
 def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -331,7 +329,6 @@ def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     tol = DEFAULT_TOLERANCES["bialgebra_cocycle"]
     jacobi_tol = DEFAULT_TOLERANCES["bialgebra_dual_jacobi"]
     rows = []
-    passed = True
     for kp in sweep.kappa_grid:
         for z in sweep.z_values:
             for kind in kinds:
@@ -341,8 +338,6 @@ def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     gen: coisotropy_check(kp, cm, gen).value
                     for gen in GENERATOR_NAMES
                 }
-                ok = rep.cocycle_defect <= tol and rep.dual_jacobi_defect <= jacobi_tol
-                passed = passed and ok
                 rows.append(
                     {
                         "k1": kp.k1,
@@ -355,11 +350,11 @@ def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                         "coisotropy_J01": verdicts["J01"],
                         "coisotropy_J02": verdicts["J02"],
                         "coisotropy_J12": verdicts["J12"],
-                        "passed": ok,
+                        "passed": rep.cocycle_defect <= tol and rep.dual_jacobi_defect <= jacobi_tol,
                     }
                 )
     payload["bialgebra"] = rows
-    return Report(payload, rows, passed)
+    return Report(payload, rows)
 
 
 def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -368,7 +363,6 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     tol = DEFAULT_TOLERANCES["bialgebra_mcybe"]
     schouten_tol = DEFAULT_TOLERANCES["bialgebra_schouten"]
     rows = []
-    passed = True
     for kp in sweep.kappa_grid:
         for z in sweep.z_values:
             for kind in kinds:
@@ -376,8 +370,6 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                 coeff = schouten(kp, r)
                 expected = SCHOUTEN_COEFFICIENTS[kind](kp, z)
                 defect = mcybe_defect(kp, r)
-                ok = defect <= tol and abs(coeff - expected) <= schouten_tol
-                passed = passed and ok
                 rows.append(
                     {
                         "k1": kp.k1,
@@ -388,18 +380,17 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                         "schouten_expected": expected,
                         "mcybe_defect": defect,
                         "tolerance": tol,
-                        "passed": ok,
+                        "passed": defect <= tol and abs(coeff - expected) <= schouten_tol,
                     }
                 )
     payload["ybe"] = rows
-    return Report(payload, rows, passed)
+    return Report(payload, rows)
 
 
 def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload = _base_payload(args, sweep)
     tol = DEFAULT_TOLERANCES["sklyanin_closed_vs_numeric"]
     rows = []
-    passed = True
     for kp in sweep.kappa_grid:
         for z in sweep.z_values:
             r = rmatrix(DeformationKind.FIRST_KIND, z)
@@ -411,14 +402,9 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             for _ in range(sweep.sample_count):
                 gc = sample_group_coords(rng, kp, 0.35)
                 try:
-                    defects = sklyanin_pair_defects(kp, z, r, gc)
+                    worst = functools.reduce(max, sklyanin_pair_defects(kp, z, r, gc), worst)
                 except GeometryError:
-                    errors += len(GROUP_COORD_PAIRS)  # every pair at this point needs the fields
-                    continue
-                errors += defects.count(None)
-                worst = functools.reduce(max, (d for d in defects if d is not None), worst)
-            ok = worst <= tol
-            passed = passed and ok
+                    errors += len(GROUP_COORD_PAIRS)  # every pair at this point failed with it
             rows.append(
                 {
                     "k1": kp.k1,
@@ -427,11 +413,12 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     "max_defect": worst,
                     "tolerance": tol,
                     "domain_errors": errors,
-                    "passed": ok,
+                    # a row that evaluated no pair verified nothing
+                    "passed": worst <= tol and errors < len(GROUP_COORD_PAIRS) * sweep.sample_count,
                 }
             )
     payload["sklyanin"] = rows
-    return Report(payload, rows, passed)
+    return Report(payload, rows)
 
 
 def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -449,7 +436,7 @@ def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
     payload["phs"] = rows
-    return Report(payload, rows, True)
+    return Report(payload, rows)
 
 
 def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -457,7 +444,6 @@ def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     rel_tol = DEFAULT_TOLERANCES["quantum_relations"]
     co_tol = DEFAULT_TOLERANCES["quantum_coassociativity"]
     rows = []
-    passed = True
     for kp in sweep.kappa_grid:
         for z in sweep.z_values:
             row = {"k1": kp.k1, "k2": kp.k2, "z": z}
@@ -466,18 +452,16 @@ def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                 row["coassociativity_defect"] = coassociativity_defect(kp, z)
                 row["relation_tolerance"] = rel_tol
                 row["coassociativity_tolerance"] = co_tol
-                ok = (
+                row["passed"] = (
                     row["relation_defect"] <= rel_tol
                     and row["coassociativity_defect"] <= co_tol
                 )
-                row["passed"] = ok
-                passed = passed and ok
             except (ValueError, GeometryError) as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
-                passed = False
+                row["passed"] = False
             rows.append(row)
     payload["coproduct"] = rows
-    return Report(payload, rows, passed)
+    return Report(payload, rows)
 
 
 def _cmd_sweep_all(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -499,7 +483,7 @@ def _cmd_sweep_all(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload["checks"] = rows
     payload["suites"] = suite_summary(results)
     payload["passed"] = all(r.passed for r in results)
-    return Report(payload, rows, bool(payload["passed"]))
+    return Report(payload, rows)
 
 
 def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Report:
@@ -551,7 +535,7 @@ def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Repor
             )
     payload["chart"] = chart
     payload["points"] = rows
-    return Report(payload, rows, True)
+    return Report(payload, rows)
 
 
 _HANDLERS: dict[str, Callable[[argparse.Namespace, SweepConfig], Report]] = {
@@ -682,7 +666,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if report.passed else 1
+    return 1 if any(not row.get("passed", True) for row in report.rows) else 0
 
 
 def entrypoint() -> None:

@@ -9,7 +9,9 @@ product g = exp(a1 P1) exp(a2 P2) exp(xi R) whose inversion is exact on
 the principal domains.
 
 Finiteness is checked once, where a GroupElement is built: every public
-function that returns one validates its 3x3 matrix in __post_init__.  The
+function that returns one validates its 3x3 matrix in __post_init__, which
+rejects a non-finite matrix with ValueError.  The product of two finite
+elements that overflows is a ChartDomainError instead.  The
 private helpers _exp_matrix and _coords_from_matrix work on raw arrays and
 check nothing, so inner loops that compose many matrices (the numeric
 invariant fields in poisson) validate their starting point themselves and
@@ -83,7 +85,12 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.kp != self.kp:
             raise ValueError("cannot compose elements over different curvature labels")
-        return GroupElement(self.m @ other.m, self.kp)
+        # an overflowing product is caught below, as a non-finite matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.m @ other.m
+        if not np.isfinite(m).all():
+            raise ChartDomainError("the product of two finite group elements overflows")
+        return GroupElement(m, self.kp)
 
 
 def _exp_matrix(kp: KappaPair, generator: str, t: float) -> np.ndarray:

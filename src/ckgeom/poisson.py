@@ -6,11 +6,13 @@ wedge convention is a ^ b = a (x) b - b (x) a.  Two coboundary families are
 covered: the "first kind" classical r-matrix z J12 ^ J02 (deforming the
 translation sector) and the "second kind" z J12 ^ J01.
 
-The induced multiplicative Poisson bracket on the group is available in
-two routes: closed forms in the labelled trigonometry, and the r-matrix
-contraction of left/right invariant vector fields.  The fields come in
-closed form or from an oracle that rebuilds them by differentiating group
-translations.
+The induced multiplicative (Sklyanin) Poisson bracket on the group is one
+bivector: in the group coordinates x = (a1, a2, xi) it is the
+antisymmetric 3x3 matrix P[i, j] = {x_i, x_j}.  It is available in two
+routes: closed forms in the labelled trigonometry, and the r-matrix
+contraction L^T r L - R^T r R of the left/right invariant vector fields.
+The fields come in closed form or from an oracle that rebuilds them by
+differentiating group translations.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .group import GroupCoordinates, _coords_from_matrix, _exp_matrix
 from .group import coords_from_group  # noqa: F401
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+# index of the upper triangle of a 3x3 matrix, in _PAIRS order
+_UPPER = tuple(zip(*_PAIRS))
 GROUP_COORD_NAMES = ("a1", "a2", "xi")
 GROUP_COORD_PAIRS = tuple((GROUP_COORD_NAMES[i], GROUP_COORD_NAMES[j]) for i, j in _PAIRS)
-_COORD_INDEX = {name: i for i, name in enumerate(GROUP_COORD_NAMES)}
 TRANSLATION_STEP = 1e-6
 
 
@@ -316,46 +319,31 @@ def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFi
     return InvariantFields(left, right)
 
 
-def sklyanin_closed(
-    kp: KappaPair, z: float, pair: tuple[str, str], gc: GroupCoordinates
-) -> float:
-    """Closed-form first-kind multiplicative bracket of two group coordinates."""
-    for name in pair:
-        if name not in _COORD_INDEX:
-            raise ValueError(f"unknown coordinate {name!r}, expected one of {GROUP_COORD_NAMES}")
-    f, g = pair
-    if f == g:
-        return 0.0
-    if _COORD_INDEX[f] > _COORD_INDEX[g]:
-        return -sklyanin_closed(kp, z, (g, f), gc)
+def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray:
+    """Closed-form first-kind multiplicative bracket as the antisymmetric
+    3x3 matrix P[i, j] = {x_i, x_j} over the group coordinates
+    x = (a1, a2, xi)."""
     c2 = ktrig.ck(kp.k12, gc.a2)
     if abs(c2) < 1e-12:
         raise ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
-    if (f, g) == ("a1", "a2"):
-        return z * kp.k2 * ktrig.tk(kp.k12, gc.a2)
-    if (f, g) == ("a1", "xi"):
-        return z * kp.k2 * ktrig.sk(kp.k2, gc.xi) / c2
-    # (a2, xi)
-    return -z * (c2 * ktrig.ck(kp.k2, gc.xi) - 1.0) / c2
+    return Bivector(
+        z * kp.k2 * ktrig.tk(kp.k12, gc.a2),
+        z * kp.k2 * ktrig.sk(kp.k2, gc.xi) / c2,
+        -z * (c2 * ktrig.ck(kp.k2, gc.xi) - 1.0) / c2,
+    ).as_tensor()
 
 
-def sklyanin_numeric(r: Bivector, f: str, g: str, fields: InvariantFields) -> float:
-    """Multiplicative bracket {f, g} = r^{ij} (L_i f L_j g - R_i f R_j g)
-    of two coordinate functions, from invariant vector fields.
+def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
+    """Multiplicative bracket matrix P[i, j] = r^{ab} (L_a x_i L_b x_j -
+    R_a x_i R_b x_j) of the group coordinates, from invariant vector fields.
 
     The bracket is taken at the group point the fields were evaluated at:
     invariant_vector_fields gives the closed-form fields,
     invariant_fields_numeric the translation-differentiation oracle.
-    Callers that bracket several coordinate pairs at one point build the
-    fields once and pass them to each call.
     """
-    if f not in _COORD_INDEX or g not in _COORD_INDEX:
-        raise ValueError(f"coordinates must be among {GROUP_COORD_NAMES}")
     t = r.as_tensor()
-    cf, cg = _COORD_INDEX[f], _COORD_INDEX[g]
-    left = fields.left[:, cf] @ t @ fields.left[:, cg]
-    right = fields.right[:, cf] @ t @ fields.right[:, cg]
-    return float(left - right)
+    left, right = fields.left, fields.right
+    return left.T @ t @ left - right.T @ t @ right
 
 
 def phs_points_bracket(

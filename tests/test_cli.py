@@ -116,6 +116,17 @@ def test_sweep_all_is_byte_deterministic(capsys):
             "coproduct_normalized9_z0.37_z1.3.csv",
             ["coproduct", "--grid", "normalized9", "--z", "0.37", "--z", "1.3", "--format", "csv"],
         ),
+        # closed-vs-numeric bracket matrices off the normalized labels, at two z
+        (
+            "sklyanin_k1_0.7_k2_-1.3_z0.2_z1.1_samples30_seed5.csv",
+            ["sklyanin", "--k1", "0.7", "--k2", "-1.3", "--z", "0.2", "--z", "1.1", "--samples", "30",
+             "--seed", "5", "--format", "csv"],
+        ),
+        # the Jacobi and kappa2 = 0 checks away from the default z
+        (
+            "sweep_all_z0.37_z1.3_samples4_seed7.json",
+            ["sweep-all", "--z", "0.37", "--z", "1.3", "--samples", "4", "--seed", "7"],
+        ),
     ],
 )
 def test_report_matches_the_golden_bytes(capsys, golden, argv):
@@ -139,12 +150,39 @@ def test_render_csv_spells_each_cell_type():
         "none": None,
         "list": [np.float64(1.5), math.nan, np.bool_(True)],
     }
-    text = cli.render_csv(cli.Report({}, [row, {"str": "only"}], True))
+    text = cli.render_csv(cli.Report({}, [row, {"str": "only"}]))
     assert text.splitlines() == [
         ",".join(row),
         '"a,b",0.1,-0.0,nan,-inf,inf,true,false,3,-4,,"[1.5, \'nan\', True]"',
         "only" + "," * (len(row) - 1),
     ]
+
+
+def test_csv_header_keeps_keys_first_seen_after_the_first_row(capsys):
+    # at k1 = 0 only D1 and D0D1 are undefined, so only their rows carry an error
+    status, out = run(capsys, "duality", "--k1", "0", "--k2", "1", "--format", "csv")
+    assert status == 0
+    rows = {row["duality"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert out.splitlines()[0].endswith(",passed,error")
+    for name in ("D1", "D0D1"):
+        assert rows[name]["error"] == f"UndefinedDualityError: {name} is undefined at k1 = 0"
+    assert rows["D0"]["error"] == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bialgebra", "--k1", "1", "--k2", "1"],
+        ["duality", "--k1", "0", "--k2", "1"],
+        ["curvature", "--k1", "-1", "--k2", "1", "--coords", "0,400"],
+        ["coproduct", "--k1", "1", "--k2", "1", "--z", "0.3", "--z", "1e308"],
+        ["sklyanin", "--k1=-1e6", "--k2", "1", "--k1", "1", "--k2", "1", "--samples", "2"],
+    ],
+)
+def test_exit_status_is_one_exactly_when_a_row_fails(capsys, argv):
+    status, out = run(capsys, *argv, "--format", "csv")
+    failed = any(row.get("passed") == "false" for row in csv.DictReader(io.StringIO(out)))
+    assert status == (1 if failed else 0)
 
 
 def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
@@ -153,19 +191,21 @@ def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
 
     monkeypatch.setattr(checks, "invariant_fields_numeric", unavailable)
     status, out = run(capsys, "sklyanin", "--k1", "1", "--k2", "1", "--z", "0.3", "--samples", "2")
-    assert status == 0
+    assert status == 1
     row = json.loads(out)["sklyanin"][0]
     assert row["domain_errors"] == 6
     assert row["max_defect"] == 0.0
+    assert row["passed"] is False
 
 
 def test_sklyanin_counts_overflowing_group_points_as_domain_errors(capsys):
     # at k1 = -1e6 every sampled point overflows the group product or the
     # numeric fields; none may end the command in a traceback
     status, out = run(capsys, "sklyanin", "--k1=-1e6", "--k2", "1")
-    assert status == 0
+    assert status == 1
     row = json.loads(out)["sklyanin"][0]
     assert row["domain_errors"] == 60
+    assert row["passed"] is False
 
 
 def test_duality_with_overflowing_target_labels_gives_error_rows(capsys):
@@ -276,6 +316,7 @@ def test_coproduct_overflow_is_an_error_row(capsys):
     assert status == 1
     (row,) = csv.DictReader(io.StringIO(out))
     assert row["error"].startswith("ConvergenceError: ")
+    assert row["passed"] == "false"
 
 
 @pytest.mark.parametrize("span", ["nan", "inf", "0", "-0.3"])

@@ -142,6 +142,15 @@ def test_group_element_rejects_a_non_finite_matrix():
         GroupElement(m, KappaPair(1.0, 1.0))
 
 
+def test_overflowing_product_of_finite_elements_is_a_domain_error():
+    # cosh(500) * cosh(500) overflows a double
+    kp = KappaPair(-1e6, 1.0)
+    g = exp_one_param(kp, "J01", 0.5)
+    h = exp_one_param(kp, "J02", 0.5)
+    with pytest.raises(ChartDomainError):
+        g @ h
+
+
 def test_group_element_rejects_a_non_3x3_matrix():
     with pytest.raises(ValueError):
         GroupElement(np.eye(2), KappaPair(1.0, 1.0))
