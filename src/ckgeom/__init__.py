@@ -46,6 +46,7 @@ from .errors import (
     ChartDomainError,
     ConfigError,
     ConvergenceError,
+    DeformationDomainError,
     DegenerateMetricError,
     GeometryError,
     OffCurveError,
@@ -67,7 +68,7 @@ from .group import (
     rep,
     rep_basis,
 )
-from .ktrig import ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
+from .ktrig import ck, ck_array, half_period, kinv, kinv_array, sk, sk_array, tk, vk
 from .poisson import (
     BialgebraReport,
     Bivector,

@@ -107,10 +107,18 @@ BASIS = (J01, J02, J12)
 
 def bracket(kp: KappaPair, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Lie bracket [x, y] at curvature labels kp."""
-    return AlgebraElement(
-        kp.k2 * (x.c02 * y.c12 - x.c12 * y.c02),
-        x.c12 * y.c01 - x.c01 * y.c12,
-        kp.k1 * (x.c01 * y.c02 - x.c02 * y.c01),
+    return AlgebraElement(*_bracket_coeffs(kp, (x.c01, x.c02, x.c12), (y.c01, y.c02, y.c12)))
+
+
+def _bracket_coeffs(kp: KappaPair, x, y) -> tuple:
+    """Coefficients of [x, y] from the coefficient triples x and y, whose
+    entries are floats or arrays of one shape."""
+    x01, x02, x12 = x
+    y01, y02, y12 = y
+    return (
+        kp.k2 * (x02 * y12 - x12 * y02),
+        x12 * y01 - x01 * y12,
+        kp.k1 * (x01 * y02 - x02 * y01),
     )
 
 

@@ -18,6 +18,15 @@ escapes the generator ends the check with defect inf and the detail
 "<Type>: <message>", so one check cannot abort the sweep; `samples` keeps
 the pairs yielded before it.
 
+Checks over many sampled group points evaluate all of them at once
+through the stack forms of group and poisson, one call per label pair (and
+per z).  sample_group_stack draws the same doubles as one
+sample_group_coords call per sample, and a stack form equals its scalar
+form bit for bit wherever the scalar form returns.  At a sample the stack
+form flags, the check calls the scalar form first, so that the scalar
+form's GeometryError ends the check at that sample, with the `samples`
+count and detail of a sample-by-sample loop.
+
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
 """
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +46,7 @@ from .algebra import (
     NORMALIZED_PAIRS,
     AlgebraElement,
     KappaPair,
+    _bracket_coeffs,
     bracket,
     casimir_coeffs,
     classify,
@@ -54,15 +64,20 @@ from .errors import (
     BadSpeedError,
     ChartDomainError,
     ConfigError,
+    ConvergenceError,
     DegenerateMetricError,
     GeometryError,
     OffSurfaceError,
     UndefinedDualityError,
 )
 from .group import (
+    DEFAULT_SURFACE_TOL,
     GroupCoordinates,
+    _ambient_defect_stack,
+    _coords_stack,
+    _exp_stack,
+    _group_stack,
     act,
-    ambient_defect,
     coords_from_group,
     exp_one_param,
     expm_series,
@@ -74,6 +89,9 @@ from .group import (
 from .poisson import (
     _PAIRS,
     _UPPER,
+    _bracket_matrix,
+    _invariant_fields_stack,
+    _sklyanin_closed_stack,
     GROUP_COORD_PAIRS,
     Bivector,
     CoisotropyVerdict,
@@ -110,6 +128,7 @@ from .spaces import (
     metric_main,
     metric_subsidiary,
     to_ambient,
+    to_ambient_batch,
 )
 
 _KAPPA_GRIDS = {"normalized9": NORMALIZED_PAIRS}
@@ -137,13 +156,22 @@ def sample_parallel1(rng: np.random.Generator, kp: KappaPair, frac: float) -> Pa
     return ParallelI(rng.uniform(-b1, b1), rng.uniform(-b2, b2))
 
 
+def _group_bounds(kp: KappaPair, frac: float) -> tuple[float, float, float]:
+    return coord_bound(kp.k1, frac), coord_bound(kp.k12, frac), coord_bound(kp.k2, frac)
+
+
 def sample_group_coords(rng: np.random.Generator, kp: KappaPair, frac: float) -> GroupCoordinates:
-    b1 = coord_bound(kp.k1, frac)
-    b2 = coord_bound(kp.k12, frac)
-    bx = coord_bound(kp.k2, frac)
+    b1, b2, bx = _group_bounds(kp, frac)
     return GroupCoordinates(
         rng.uniform(-b1, b1), rng.uniform(-b2, b2), rng.uniform(-bx, bx)
     )
+
+
+def sample_group_stack(rng: np.random.Generator, kp: KappaPair, frac: float, n: int) -> np.ndarray:
+    """n sample_group_coords draws as the rows (a1, a2, xi) of an (n, 3)
+    array: the same doubles, leaving rng in the same state."""
+    b = np.array(_group_bounds(kp, frac))
+    return rng.uniform(-b, b, size=(n, 3))
 
 
 def sample_element(rng: np.random.Generator) -> AlgebraElement:
@@ -438,9 +466,12 @@ def _check_algebra_casimir_commutes(cfg: SweepConfig, rng: np.random.Generator) 
     for kp in cfg.kappa_grid:
         coeffs = casimir_coeffs(kp)
         mats = rep_basis(kp)
-        cas = sum(c * (m @ m) for c, m in zip(coeffs, mats))
-        for m in mats:
-            yield float(np.abs(cas @ m - m @ cas).max()), _kp_tag(kp)
+        # an overflow at huge labels is a nan or inf defect, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            cas = sum(c * (m @ m) for c, m in zip(coeffs, mats))
+            defects = [float(np.abs(cas @ m - m @ cas).max()) for m in mats]
+        for defect in defects:
+            yield defect, _kp_tag(kp)
 
 
 @check(1e-12)
@@ -493,17 +524,23 @@ def _check_algebra_classification(cfg: SweepConfig, rng: np.random.Generator) ->
 # --- duality suite -----------------------------------------------------------
 
 
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for each row v of the (N, 3) array v."""
+    return (m @ v[..., None])[..., 0]
+
+
 def duality_morphism_defects(
     kp: KappaPair, kpd: KappaPair, m: np.ndarray, rng: np.random.Generator, count: int
-) -> Iterator[float]:
+) -> list[float]:
     """Bracket-morphism defect max|m [x, y]_kpd - [m x, m y]_kp| of the
     duality matrix m from the algebra labelled kpd to the one labelled kp,
-    at `count` pairs of elements drawn from rng."""
-    for _ in range(count):
-        x, y = sample_element(rng), sample_element(rng)
-        lhs = m @ bracket(kpd, x, y).as_array()
-        rhs = bracket(kp, AlgebraElement(*(m @ x.as_array())), AlgebraElement(*(m @ y.as_array()))).as_array()
-        yield float(np.abs(lhs - rhs).max())
+    at `count` pairs of elements, drawn from rng as pairs of sample_element
+    draws; an overflow at huge labels is an inf or nan defect."""
+    x, y = rng.uniform(-2.0, 2.0, size=(count, 2, 3)).transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _apply(m, np.stack(_bracket_coeffs(kpd, x.T, y.T), axis=-1))
+        rhs = np.stack(_bracket_coeffs(kp, _apply(m, x).T, _apply(m, y).T), axis=-1)
+        return np.abs(lhs - rhs).max(axis=1).tolist()
 
 
 @check(1e-13)
@@ -582,51 +619,96 @@ def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> D
 # --- group suite -------------------------------------------------------------
 
 
+def _series_each(mats: np.ndarray) -> Iterable[np.ndarray]:
+    """expm_series of each matrix of the stack mats, in order: one stack
+    call, unless some matrix raises; then one call per matrix, so that the
+    first matrix that raises does, after the ones before it returned."""
+    try:
+        return expm_series(mats)
+    except ConvergenceError:
+        return (expm_series(a) for a in mats)
+
+
 @check(1e-12)
 def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     ts = np.linspace(-2.0, 2.0, 21)
     for kp in cfg.kappa_grid:
         for i, gname in enumerate(GENERATOR_NAMES):
-            for t in ts:
-                closed = exp_one_param(kp, gname, float(t)).m
-                series = expm_series(float(t) * rep(kp, BASIS[i]))
-                yield float(np.abs(closed - series).max()), f"{gname} {_kp_tag(kp)}"
+            closed = _exp_stack(kp, gname, ts)
+            if not np.isfinite(closed).all():
+                # some t raises: take them one at a time, as exp_one_param does
+                closed = (exp_one_param(kp, gname, float(t)).m for t in ts)
+            series = _series_each(ts[:, None, None] * rep(kp, BASIS[i]))
+            for c, s in zip(closed, series):
+                yield float(np.abs(c - s).max()), f"{gname} {_kp_tag(kp)}"
 
 
 @check(1e-12)
 def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
-        for _ in range(100):
-            g = group_from_coords(kp, sample_group_coords(rng, kp, 0.4))
-            yield float(np.abs(g.m.T @ im @ g.m - im).max()), _kp_tag(kp)
-            yield abs(float(np.linalg.det(g.m)) - 1.0), f"det {_kp_tag(kp)}"
+        x = sample_group_stack(rng, kp, 0.4, 100)
+        g = _group_stack(kp, x)
+        ok = np.isfinite(g).all(axis=(1, 2))
+        # an overflow at huge labels is a nan or inf defect, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
+            det = np.abs(np.linalg.det(g) - 1.0)
+        for point, good, form_defect, det_defect in zip(x.tolist(), ok, form.tolist(), det.tolist()):
+            if not good:
+                group_from_coords(kp, GroupCoordinates(*point))
+            yield form_defect, _kp_tag(kp)
+            yield det_defect, f"det {_kp_tag(kp)}"
 
 
 @check(1e-10)
 def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for _ in range(cfg.sample_count):
-            gc = sample_group_coords(rng, kp, 0.35)
-            g = group_from_coords(kp, gc)
-            back = coords_from_group(kp, g)
-            yield max(abs(back.a1 - gc.a1), abs(back.a2 - gc.a2), abs(back.xi - gc.xi)), _kp_tag(kp)
+        x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
+        g = _group_stack(kp, x)
+        back, ok = _coords_stack(kp, g)
+        ok &= np.isfinite(g).all(axis=(1, 2))
+        with np.errstate(invalid="ignore"):
+            defects = np.abs(back - x).max(axis=1)
+        for point, good, defect in zip(x.tolist(), ok, defects.tolist()):
+            if not good:
+                coords_from_group(kp, group_from_coords(kp, GroupCoordinates(*point)))
+            yield defect, _kp_tag(kp)
 
 
 @check(1e-10)
 def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     origin = np.array([1.0, 0.0, 0.0])
     for kp in cfg.kappa_grid:
-        for _ in range(cfg.sample_count):
-            gc = sample_group_coords(rng, kp, 0.35)
-            g = group_from_coords(kp, gc)
-            p = to_ambient(kp, sample_parallel1(rng, kp, 0.35)).as_array()
-            moved = act(kp, g, p)
-            yield ambient_defect(kp, moved), f"surface {_kp_tag(kp)}"
+        # each sample draws its group point, then a parallel1 point (a1, a2)
+        b = _group_bounds(kp, 0.35)
+        b = np.array(b + b[:2])
+        draws = rng.uniform(-b, b, size=(cfg.sample_count, 5))
+        x, q = draws[:, :3], draws[:, 3:]
+        g = _group_stack(kp, x)
+        p, p_ok = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
+        expect, expect_ok = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = _apply(g, p.T)
+            orbit = g @ origin
+            orbit_defects = np.abs(orbit - expect.T).max(axis=1)
+        # act raises where its point misses the quadric or its image overflows
+        moved_ok = (
+            np.isfinite(g).all(axis=(1, 2)) & p_ok & ~(_ambient_defect_stack(kp, p.T) > DEFAULT_SURFACE_TOL)
+            & np.isfinite(moved).all(axis=1)
+        )
+        orbit_ok = expect_ok & np.isfinite(orbit).all(axis=1)
+        rows = zip(x.tolist(), q.tolist(), moved_ok, orbit_ok, _ambient_defect_stack(kp, moved).tolist(), orbit_defects.tolist())
+        for point, pq, good_moved, good_orbit, moved_defect, orbit_defect in rows:
+            if not good_moved:
+                g_i = group_from_coords(kp, GroupCoordinates(*point))
+                act(kp, g_i, to_ambient(kp, ParallelI(*pq)).as_array())
+            yield moved_defect, f"surface {_kp_tag(kp)}"
             # the orbit of the base point recovers the translation part
-            orbit = act(kp, g, origin)
-            expect = to_ambient(kp, ParallelI(gc.a1, gc.a2)).as_array()
-            yield float(np.abs(orbit - expect).max()), f"orbit {_kp_tag(kp)}"
+            if not good_orbit:
+                act(kp, group_from_coords(kp, GroupCoordinates(*point)), origin)
+                to_ambient(kp, ParallelI(point[0], point[1]))
+            yield orbit_defect, f"orbit {_kp_tag(kp)}"
 
 
 @check(1e-12)
@@ -634,8 +716,10 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> De
     for kp in cfg.kappa_grid:
         p = rep_basis(kp)[0]
         yield float(np.abs(p @ p @ p + kp.k1 * p).max()), f"cube {_kp_tag(kp)}"
-        for t in (-1.5, -0.4, 0.7, 2.0):
-            m = 0.5 * (expm_series(t * p) - expm_series(-t * p))
+        ts = (-1.5, -0.4, 0.7, 2.0)
+        series = iter(_series_each(np.array([m for t in ts for m in (t * p, -t * p)])))
+        for t in ts:
+            m = 0.5 * (next(series) - next(series))
             yield float(np.abs(m - ktrig.sk(kp.k1, t) * p).max()), f"t={t:g} {_kp_tag(kp)}"
 
 
@@ -1027,33 +1111,54 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> D
 @check(1e-8)
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for _ in range(cfg.sample_count):
-            gc = sample_group_coords(rng, kp, 0.35)
+        x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
+        numeric, ok = _invariant_fields_stack(kp, x)
+        for point, good, left, right in zip(x.tolist(), ok, numeric.left, numeric.right):
+            gc = GroupCoordinates(*point)
             closed = invariant_vector_fields(kp, gc)
-            numeric = invariant_fields_numeric(kp, gc)
-            yield float(np.abs(closed.left - numeric.left).max()), f"left {_kp_tag(kp)}"
-            yield float(np.abs(closed.right - numeric.right).max()), f"right {_kp_tag(kp)}"
+            if not good:
+                invariant_fields_numeric(kp, gc)
+            yield float(np.abs(closed.left - left).max()), f"left {_kp_tag(kp)}"
+            yield float(np.abs(closed.right - right).max()), f"right {_kp_tag(kp)}"
 
 
-def sklyanin_pair_defects(kp: KappaPair, z: float, r: Bivector, gc: GroupCoordinates) -> list[float]:
-    """|closed - numeric| of the first-kind bracket {f, g} at gc, where
-    r = rmatrix(FIRST_KIND, z), for each pair (f, g) of GROUP_COORD_PAIRS.
+def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray) -> Iterator[list[float] | GeometryError]:
+    """|closed - numeric| of the first-kind bracket {f, g} for each pair
+    (f, g) of GROUP_COORD_PAIRS, at each row (a1, a2, xi) of the (N, 3)
+    array x, in row order.
 
-    Both routes give the whole bracket matrix, the numeric one from the
-    oracle invariant fields at gc; a GeometryError from either propagates.
+    Both routes give the bracket matrices of all N points at once, the
+    numeric one from the oracle invariant fields.  At a point the stack
+    forms flag, the scalar routes run first; a GeometryError they raise
+    there is yielded in place of that point's defects.
     """
-    numeric = sklyanin_numeric(r, invariant_fields_numeric(kp, gc))
-    return np.abs(sklyanin_closed(kp, z, gc) - numeric)[_UPPER].tolist()
+    r = rmatrix(DeformationKind.FIRST_KIND, z)
+    fields, ok = _invariant_fields_stack(kp, x)
+    closed, closed_ok = _sklyanin_closed_stack(kp, z, x)
+    numeric = _bracket_matrix(r, fields)
+    ok &= closed_ok & np.isfinite(numeric).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        defects = np.abs(closed - numeric)[:, _UPPER[0], _UPPER[1]]
+    for point, good, row in zip(x.tolist(), ok, defects.tolist()):
+        if not good:
+            gc = GroupCoordinates(*point)
+            try:
+                sklyanin_numeric(r, invariant_fields_numeric(kp, gc))
+                sklyanin_closed(kp, z, gc)
+            except GeometryError as exc:
+                row = exc
+        yield row
 
 
 @check(1e-6)
 def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
-            r = rmatrix(DeformationKind.FIRST_KIND, z)
-            for _ in range(50):
-                gc = sample_group_coords(rng, kp, 0.35)
-                for (f, g), defect in zip(GROUP_COORD_PAIRS, sklyanin_pair_defects(kp, z, r, gc)):
+            x = sample_group_stack(rng, kp, 0.35, 50)
+            for defects in sklyanin_pair_defects(kp, z, x):
+                if isinstance(defects, GeometryError):
+                    raise defects
+                for (f, g), defect in zip(GROUP_COORD_PAIRS, defects):
                     yield defect, f"{{{f},{g}}} {_kp_tag(kp)}"
 
 
@@ -1065,17 +1170,26 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
     steps = h * np.eye(3)
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
-            for _ in range(max(3, cfg.sample_count // 5)):
-                gc = sample_group_coords(rng, kp, 0.3)
-                base = gc.as_array()
-                p = sklyanin_closed(kp, z, gc)
-                dp = np.stack([
-                    sklyanin_closed(kp, z, GroupCoordinates(*(base + step)))
-                    - sklyanin_closed(kp, z, GroupCoordinates(*(base - step)))
-                    for step in steps
-                ]) / (2.0 * h)
-                total = sum(dp[:, a, b] @ p[:, c] for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-                yield abs(float(total)), _kp_tag(kp)
+            x = sample_group_stack(rng, kp, 0.3, max(3, cfg.sample_count // 5))
+            # each sample's point, then the point + and - each step
+            points = [x]
+            for step in steps:
+                points += [x + step, x - step]
+            p, ok = _sklyanin_closed_stack(kp, z, np.concatenate(points))
+            p = p.reshape(len(points), len(x), 3, 3)
+            ok = ok.reshape(len(points), len(x)).all(axis=0)
+            # an overflow at huge z is a nan or inf defect, which fails the check
+            with np.errstate(over="ignore", invalid="ignore"):
+                dp = np.stack([p[1] - p[2], p[3] - p[4], p[5] - p[6]], axis=1) / (2.0 * h)
+                total = sum(
+                    (dp[:, None, :, a, b] @ p[0, :, :, c, None])[:, 0, 0]
+                    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+                )
+            for i, (good, defect) in enumerate(zip(ok, np.abs(total).tolist())):
+                if not good:
+                    for pts in points:
+                        sklyanin_closed(kp, z, GroupCoordinates(*pts[i].tolist()))
+                yield defect, _kp_tag(kp)
 
 
 @check(1e-12)
@@ -1136,7 +1250,7 @@ def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> Defe
         for z in cfg.z_values:
             try:
                 yield deformed_relation_defect(kp, z), f"z={z:g} {_kp_tag(kp)}"
-            except (ValueError, GeometryError) as exc:
+            except GeometryError as exc:
                 yield math.inf, f"z={z:g} {_kp_tag(kp)}: {exc}"
 
 
@@ -1146,7 +1260,7 @@ def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -
         for z in cfg.z_values:
             try:
                 yield coassociativity_defect(kp, z), f"z={z:g} {_kp_tag(kp)}"
-            except (ValueError, GeometryError) as exc:
+            except GeometryError as exc:
                 yield math.inf, f"z={z:g} {_kp_tag(kp)}: {exc}"
 
 
@@ -1167,7 +1281,7 @@ def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> De
         for z in (1e-3, 1e-4):
             try:
                 cm = first_order_delta(kp, z)
-            except (ValueError, GeometryError) as exc:
+            except GeometryError as exc:
                 yield math.inf, f"z={z:g} {_kp_tag(kp)}: {exc}"
                 continue
             literal = _first_kind_images(kp, z)

@@ -42,7 +42,7 @@ from .checks import (
     duality_morphism_defects,
     kappa_grid_from_name,
     run_all,
-    sample_group_coords,
+    sample_group_stack,
     sklyanin_pair_defects,
     suite_summary,
 )
@@ -393,18 +393,16 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     rows = []
     for kp in sweep.kappa_grid:
         for z in sweep.z_values:
-            r = rmatrix(DeformationKind.FIRST_KIND, z)
             # the bit patterns of the labels; + 0.0 folds -0.0 into 0.0
             label_bits = struct.unpack("<2Q", struct.pack("<2d", kp.k1 + 0.0, kp.k2 + 0.0))
             rng = np.random.default_rng([sweep.seed, *label_bits])
             worst = 0.0
             errors = 0
-            for _ in range(sweep.sample_count):
-                gc = sample_group_coords(rng, kp, 0.35)
-                try:
-                    worst = functools.reduce(max, sklyanin_pair_defects(kp, z, r, gc), worst)
-                except GeometryError:
+            for defects in sklyanin_pair_defects(kp, z, sample_group_stack(rng, kp, 0.35, sweep.sample_count)):
+                if isinstance(defects, GeometryError):
                     errors += len(GROUP_COORD_PAIRS)  # every pair at this point failed with it
+                else:
+                    worst = functools.reduce(max, defects, worst)
             rows.append(
                 {
                     "k1": kp.k1,

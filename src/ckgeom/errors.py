@@ -34,6 +34,10 @@ class OffSurfaceError(GeometryError):
     """Ambient triple does not satisfy the quadric constraint."""
 
 
+class DeformationDomainError(GeometryError):
+    """Deformation parameter outside the range where the deformed structure exists."""
+
+
 class ConvergenceError(GeometryError):
     """Iterative routine exhausted its term budget before converging."""
 

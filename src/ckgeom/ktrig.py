@@ -9,10 +9,18 @@ families in a single smooth parametrization:
 
 Both are entire functions of kappa * x**2 (times x for sk), which is what
 makes the contraction kappa -> 0 non-singular.  The functions here take
-scalars; ck_array and sk_array evaluate the pair over an array of x for one
-scalar label and agree with ck and sk bit for bit element by element.
+scalars; ck_array, sk_array and kinv_array evaluate them over arrays for one
+scalar label and agree with ck, sk and kinv bit for bit element by element.
 Where a hyperbolic value overflows a double, ck and sk raise
-ChartDomainError and the array forms give an infinite element.
+ChartDomainError and the array forms give an infinite element; kinv_array
+returns a mask of the elements where kinv would not raise.
+
+Bit identity decides which function an array form calls.  Elementwise
+arithmetic, np.sqrt, np.cos and np.sin round like their scalar forms, so
+the array forms use them directly.  np.cosh, np.sinh, np.arcsinh and
+np.arctan2 differ from libm in the last place on a share of inputs, so the
+array forms map math.cosh, math.sinh, math.asinh and math.atan2 over the
+elements instead.
 """
 
 from __future__ import annotations
@@ -46,11 +54,11 @@ def _sinh_or_inf(v: float) -> float:
         return math.copysign(math.inf, v)
 
 
-# np.cos and np.sin round like math.cos and math.sin, but np.cosh and
-# np.sinh differ from libm in the last place on about a quarter of inputs,
-# so the hyperbolic branch maps the math functions over the elements.
+# math functions mapped over arrays; see the module docstring
 _cosh = np.frompyfunc(_cosh_or_inf, 1, 1)
 _sinh = np.frompyfunc(_sinh_or_inf, 1, 1)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_asinh = np.frompyfunc(math.asinh, 1, 1)
 
 
 def ck(kappa: float, x: float) -> float:
@@ -170,3 +178,22 @@ def kinv(kappa: float, s: float, c: float) -> float:
         return s
     rk = math.sqrt(-kappa)
     return math.asinh(rk * s) / rk
+
+
+def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, np.ndarray]:
+    """kinv(kappa, s, c) for every element of the arrays s and c, and the
+    mask of the elements where kinv returns instead of raising OffCurveError."""
+    s = np.asarray(s, dtype=float)
+    c = np.asarray(c, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = ~(np.abs(c * c + kappa * s * s - 1.0) > DEFAULT_CURVE_TOL)
+        if kappa > TAYLOR_CUTOFF:
+            rk = math.sqrt(kappa)
+            x = np.asarray(_atan2(rk * s, c), dtype=float) / rk
+            # the antipode pin of kinv, for s = +0.0 and -0.0 alike
+            return np.where(s == 0.0, np.where(c < 0.0, math.pi / rk, 0.0), x), ok
+        ok &= ~(c < 0.0)
+        if abs(kappa) <= TAYLOR_CUTOFF:
+            return s.copy(), ok
+        rk = math.sqrt(-kappa)
+        return np.asarray(_asinh(rk * s), dtype=float) / rk, ok

@@ -13,6 +13,13 @@ routes: closed forms in the labelled trigonometry, and the r-matrix
 contraction L^T r L - R^T r R of the left/right invariant vector fields.
 The fields come in closed form or from an oracle that rebuilds them by
 differentiating group translations.
+
+The oracle fields and the closed-form bracket also have stack forms over
+the N rows (a1, a2, xi) of an (N, 3) array, _invariant_fields_stack and
+_sklyanin_closed_stack.  Like the stack forms in group, they raise nothing,
+return a mask of the points where the scalar form returns, and equal the
+scalar form bit for bit wherever it returns; sklyanin_numeric takes one
+point's fields or stacks of them.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from . import ktrig
 from .algebra import BASIS, GENERATOR_NAMES, AlgebraElement, KappaPair, structure_tensor
 from .errors import ChartDomainError, PoleError
-from .group import GroupCoordinates, _coords_from_matrix, _exp_matrix
+from .group import GroupCoordinates, _coords_from_matrix, _coords_stack, _exp_matrix, _group_stack
 # Kept bound here: perfbench/tests/test_tracer.py checks that the tracer
 # rebinds names a module imported from another layer, using this one.
 from .group import coords_from_group  # noqa: F401
@@ -170,21 +177,26 @@ def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
     The cocycle condition compares delta([e_i, e_j]) against the adjoint
     action of each argument on the other image.  The dual structure tensor
     is read off the bivector components of the images and its Jacobi
-    identity is evaluated directly.
+    identity is evaluated directly.  A defect whose sums overflow is inf or
+    nan.
     """
     c = structure_tensor(kp)
     ad = c.transpose(0, 2, 1)  # ad[i] = ad(e_i)
     images = np.stack([delta.image(i).as_tensor() for i in range(3)])
 
-    # lhs[i, j] = delta([e_i, e_j]), act[i, j] = e_i acting on delta(e_j)
-    lhs = np.sum(c[:, :, :, None, None] * images, axis=2)
-    act = _act(ad[:, None], images[None, :])
-    cocycle = float(np.max(np.abs(lhs - (act - act.transpose(1, 0, 2, 3)))))
+    # a sum that overflows below makes its defect inf or nan, which no
+    # tolerance passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        # lhs[i, j] = delta([e_i, e_j]), act[i, j] = e_i acting on delta(e_j)
+        lhs = np.sum(c[:, :, :, None, None] * images, axis=2)
+        act = _act(ad[:, None], images[None, :])
+        cocycle = float(np.max(np.abs(lhs - (act - act.transpose(1, 0, 2, 3)))))
 
-    f = images.transpose(1, 2, 0)  # f[j, k, i] = delta(e_i) on e_j (x) e_k
-    jac = np.einsum("abm,mcn->abcn", f, f)
-    term = jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3)
-    return BialgebraReport(cocycle, float(np.max(np.abs(term))), f)
+        f = images.transpose(1, 2, 0)  # f[j, k, i] = delta(e_i) on e_j (x) e_k
+        jac = np.einsum("abm,mcn->abcn", f, f)
+        term = jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3)
+        jacobi = float(np.max(np.abs(term)))
+    return BialgebraReport(cocycle, jacobi, f)
 
 
 def _schouten_tensor(kp: KappaPair, r: Bivector) -> np.ndarray:
@@ -319,6 +331,34 @@ def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFi
     return InvariantFields(left, right)
 
 
+def _invariant_fields_stack(kp: KappaPair, x: np.ndarray) -> tuple[InvariantFields, np.ndarray]:
+    """invariant_fields_numeric at the N finite points x, as (N, 3, 3)
+    stacks, and the mask of the points where it returns.
+
+    The twelve translates of all N points are read back as one stack of
+    12 N matrices.
+    """
+    g0 = _group_stack(kp, x)
+    translates = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in GENERATOR_NAMES:
+            plus = _exp_matrix(kp, name, TRANSLATION_STEP)
+            minus = _exp_matrix(kp, name, -TRANSLATION_STEP)
+            translates += [g0 @ plus, g0 @ minus, plus @ g0, minus @ g0]
+        coords, ok = _coords_stack(kp, np.concatenate(translates))
+        # [generator, translate, point, coordinate] -> rows by generator, per point
+        c = coords.reshape(3, 4, len(x), 3).transpose(1, 2, 0, 3)
+        left = (c[0] - c[1]) / (2.0 * TRANSLATION_STEP)
+        right = (c[2] - c[3]) / (2.0 * TRANSLATION_STEP)
+    ok = (
+        np.isfinite(g0).all(axis=(1, 2))
+        & ok.reshape(12, len(x)).all(axis=0)
+        & np.isfinite(left).all(axis=(1, 2))
+        & np.isfinite(right).all(axis=(1, 2))
+    )
+    return InvariantFields(left, right), ok
+
+
 def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray:
     """Closed-form first-kind multiplicative bracket as the antisymmetric
     3x3 matrix P[i, j] = {x_i, x_j} over the group coordinates
@@ -333,17 +373,46 @@ def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray
     ).as_tensor()
 
 
+def _sklyanin_closed_stack(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sklyanin_closed at the N points x, as an (N, 3, 3) stack, and the mask
+    of the points where it returns."""
+    a2, xi = x[:, 1], x[:, 2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c2, s2 = ktrig.ck_array(kp.k12, a2), ktrig.sk_array(kp.k12, a2)
+        cxi, sxi = ktrig.ck_array(kp.k2, xi), ktrig.sk_array(kp.k2, xi)
+        upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
+    # laid out as Bivector.as_tensor lays out its components
+    p = np.zeros((len(x), 3, 3))
+    for (i, j), c in zip(_PAIRS, upper):
+        p[:, i, j] += c
+        p[:, j, i] -= c
+    ok = (np.abs(c2) >= 1e-12) & np.isfinite(np.stack([c2, s2, cxi, sxi])).all(axis=0)
+    return p, ok
+
+
+def _bracket_matrix(r: Bivector, fields: InvariantFields) -> np.ndarray:
+    """L^T r L - R^T r R at one point or a stack of them; an entry that
+    overflows is not finite."""
+    t = r.as_tensor()
+    left, right = fields.left, fields.right
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
+
+
 def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
     """Multiplicative bracket matrix P[i, j] = r^{ab} (L_a x_i L_b x_j -
     R_a x_i R_b x_j) of the group coordinates, from invariant vector fields.
 
     The bracket is taken at the group point the fields were evaluated at:
     invariant_vector_fields gives the closed-form fields,
-    invariant_fields_numeric the translation-differentiation oracle.
+    invariant_fields_numeric the translation-differentiation oracle.  Fields
+    stacked over N points give the (N, 3, 3) stack of their brackets.  A
+    bracket that overflows raises ChartDomainError.
     """
-    t = r.as_tensor()
-    left, right = fields.left, fields.right
-    return left.T @ t @ left - right.T @ t @ right
+    p = _bracket_matrix(r, fields)
+    if not np.isfinite(p).all():
+        raise ChartDomainError("the numeric Sklyanin bracket overflows")
+    return p
 
 
 def phs_points_bracket(

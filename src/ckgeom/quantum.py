@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ktrig
 from .algebra import GENERATOR_NAMES, KappaPair
-from .errors import ProjectionError
+from .errors import ChartDomainError, DeformationDomainError, ProjectionError
 from .group import expm_series, rep_basis
 from .poisson import _PAIRS, Bivector, CocommutatorMap
 
@@ -46,13 +46,15 @@ def deformation_scale(kp: KappaPair, z: float) -> float:
 
     gamma**2 * k2 = sk(k1, z k2)/z, so the rescaled commutator of J12 and
     J02 equals -sinh(z k2 rho(J01))/z exactly.  Equals 1 when z k2 = 0.
+    Raises DeformationDomainError where sk(k1, z k2) changes sign, so that
+    no real gamma exists.
     """
     u = z * kp.k2
     if u == 0.0:
         return 1.0
     ratio = ktrig.sk(kp.k1, u) / u
     if ratio <= 0.0:
-        raise ValueError(
+        raise DeformationDomainError(
             f"deformation parameter too large: sk({kp.k1!r}, {u!r}) changes sign, "
             "no real rescaling exists"
         )
@@ -107,7 +109,8 @@ def deformed_relation_defect(kp: KappaPair, z: float) -> float:
         return x @ y - y @ x
 
     m = z * kp.k2 * a01
-    sinh = 0.5 * (expm_series(m) - expm_series(-m))
+    plus, minus = expm_series(np.stack([m, -m]))
+    sinh = 0.5 * (plus - minus)
     defect1 = np.max(np.abs(comm(a12, a01) - a02))
     defect2 = np.max(np.abs(comm(a12, a02) + sinh / z))
     defect3 = np.max(np.abs(comm(a01, a02) - kp.k1 * a12))
@@ -133,18 +136,24 @@ def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
     linearly independent for every label pair (their supports in the
     Kronecker square are disjoint), so the projection is well defined.
     Intended for small z (the extraction carries an O(z**2) error); an
-    off-span residual above 100 z**2 + 1e-13 raises ProjectionError.
+    off-span residual above 100 z**2 + 1e-13 raises ProjectionError, and
+    a wedge basis or an image that overflows raises ChartDomainError.
     """
     rho = rep_basis(kp)
-    basis = np.array(
-        [(np.kron(rho[i], rho[j]) - np.kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
-    ).T
-    deformed = _coproduct_images(kp, z)[2]
+    # an overflow here is caught below, as a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = np.array(
+            [(np.kron(rho[i], rho[j]) - np.kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
+        ).T
+        skews = []
+        for name, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, z)[2]):
+            d = dz - coproduct_classical(kp, name)
+            # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
+            skews.append((d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel())
+    if not (np.isfinite(basis).all() and np.isfinite(skews).all()):
+        raise ChartDomainError("first_order_delta: the wedge basis or a first-order image overflows")
     images = []
-    for name, dz in zip(GENERATOR_NAMES, deformed):
-        d = dz - coproduct_classical(kp, name)
-        # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
-        skew = (d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel()
+    for name, skew in zip(GENERATOR_NAMES, skews):
         coeffs, *_ = np.linalg.lstsq(basis, skew, rcond=None)
         residual = float(np.max(np.abs(skew - basis @ coeffs)))
         if residual > 100.0 * z * z + 1e-13:

@@ -168,6 +168,26 @@ def test_exponential_of_a_non_finite_parameter_is_rejected():
         exp_one_param(KappaPair(1.0, 1.0), "J01", math.nan)
 
 
+def test_coordinates_that_overflow_are_a_domain_error():
+    # g is finite, but its entries near 1e159 overflow when squared
+    kp = KappaPair(-1e6, 1.0)
+    g = group_from_coords(kp, GroupCoordinates(0.2, 0.17, 0.0))
+    with pytest.raises(ChartDomainError, match="not finite"):
+        coords_from_group(kp, g)
+
+
+def test_an_image_that_overflows_is_a_domain_error():
+    kp = KappaPair(1.0, 1.0)
+    g = GroupElement(np.full((3, 3), 1.5e308), kp)
+    with pytest.raises(ChartDomainError, match="overflows"):
+        act(kp, g, [0.6, 0.8, 0.0])
+
+
+def test_quadric_defect_of_a_point_whose_form_overflows_is_infinite():
+    assert ambient_defect(KappaPair(1.0, 1.0), [1e200, 0.0, 0.0]) == math.inf
+    assert ambient_defect(KappaPair(-1.0, 1.0), [1e200, 1e200, 0.0]) == math.inf
+
+
 def test_numeric_invariant_fields_reject_non_finite_coordinates():
     with pytest.raises(ValueError):
         invariant_fields_numeric(KappaPair(1.0, 1.0), GroupCoordinates(math.nan, 0.0, 0.0))

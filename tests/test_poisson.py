@@ -8,6 +8,7 @@ import pytest
 from ckgeom import (
     GENERATOR_NAMES,
     Bivector,
+    ChartDomainError,
     CoisotropyVerdict,
     DeformationKind,
     GroupCoordinates,
@@ -194,6 +195,21 @@ def test_sklyanin_antisymmetry_and_leibniz_sanity():
     iv = invariant_vector_fields(kp, gc)
     p = sklyanin_numeric(r, iv)
     assert np.abs(p + p.T).max() < 1e-9
+
+
+def test_bialgebra_sum_that_overflows_fails_its_defect():
+    # at z = 1e308 the cocycle holds exactly, while the dual-Jacobi sum
+    # overflows; under tier-1's warning filter an unhandled overflow fails here
+    kp = KappaPair(1.0, 1.0)
+    report = bialgebra_check(kp, cocommutator_map(kp, rmatrix(DeformationKind.FIRST_KIND, 1e308)))
+    assert report.cocycle_defect == 0.0
+    assert not math.isfinite(report.dual_jacobi_defect)
+
+
+def test_numeric_bracket_that_overflows_is_a_domain_error():
+    fields = InvariantFields(np.full((3, 3), 1e160), np.eye(3))
+    with pytest.raises(ChartDomainError, match="overflows"):
+        sklyanin_numeric(rmatrix(DeformationKind.FIRST_KIND, 1.0), fields)
 
 
 def test_sklyanin_brackets_scale_linearly_in_z():

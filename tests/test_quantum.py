@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ckgeom import (
+    ChartDomainError,
+    DeformationDomainError,
     DeformationKind,
     GENERATOR_NAMES,
     KappaPair,
@@ -70,6 +72,18 @@ def test_deformation_scale_limits():
     kp = KappaPair(1.0, 1.0)
     assert deformation_scale(kp, 1e-9) == pytest.approx(1.0, abs=1e-9)
     assert deformation_scale(KappaPair(1.0, 0.0), 0.3) == 1.0
+
+
+def test_deformation_scale_without_a_real_rescaling_is_a_domain_error():
+    # sk(1, 4) = sin(4) < 0, so gamma**2 would be negative
+    with pytest.raises(DeformationDomainError, match="changes sign"):
+        deformation_scale(KappaPair(1.0, 1.0), 4.0)
+
+
+def test_first_order_images_that_overflow_are_a_domain_error():
+    # the wedge basis holds products of k1 k2 = 1e300 with k2 = 1e150
+    with pytest.raises(ChartDomainError, match="overflows"):
+        first_order_delta(KappaPair(1e150, 1e150), 1e-3)
 
 
 def test_relation_defect_grows_from_zero():
