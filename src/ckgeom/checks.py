@@ -19,13 +19,12 @@ escapes the generator ends the check with defect inf and the detail
 the pairs yielded before it.
 
 Checks over many sampled group points evaluate all of them at once
-through the stack forms of group and poisson, one call per label pair (and
-per z).  sample_group_stack draws the same doubles as one
-sample_group_coords call per sample, and a stack form equals its scalar
-form bit for bit wherever the scalar form returns.  At a sample the stack
-form flags, the check calls the scalar form first, so that the scalar
-form's GeometryError ends the check at that sample, with the `samples`
-count and detail of a sample-by-sample loop.
+through the stack forms of group, poisson and spaces, one call per label
+pair (and per z).  sample_group_stack draws the same doubles as one
+sample_group_coords call per sample.  A stack form returns the exception
+its scalar form raises at each flagged row, and the check raises it at
+that sample, with the `samples` count and detail of a sample-by-sample
+loop.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
@@ -68,20 +67,19 @@ from .errors import (
     DegenerateMetricError,
     GeometryError,
     OffSurfaceError,
+    RowErrors,
     UndefinedDualityError,
+    first_errors,
+    point_errors,
 )
 from .group import (
-    DEFAULT_SURFACE_TOL,
     GroupCoordinates,
+    _act_stack,
     _ambient_defect_stack,
     _coords_stack,
     _exp_stack,
     _group_stack,
-    act,
-    coords_from_group,
-    exp_one_param,
     expm_series,
-    group_from_coords,
     metric_matrix,
     rep,
     rep_basis,
@@ -99,15 +97,14 @@ from .poisson import (
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
-    invariant_fields_numeric,
     invariant_vector_fields,
     mcybe_defect,
     phs_points_bracket,
     rmatrix,
     schouten,
     sklyanin_closed,
-    sklyanin_numeric,
 )
+from .poisson import sklyanin_numeric  # noqa: F401  (perfbench/tests/test_tracer.py traces this binding)
 from .quantum import (
     coproduct_classical,
     coproduct_rep,
@@ -353,6 +350,15 @@ def check(tol: float) -> Callable[[CheckFn], CheckFn]:
 
 def _kp_tag(kp: KappaPair) -> str:
     return f"kappa=({kp.k1:g},{kp.k2:g})"
+
+
+def _unflagged(rows: Iterable, errors: RowErrors) -> Iterator:
+    """The rows of a stack form's results in order, raising the row error
+    of a flagged row in its place."""
+    for i, row in enumerate(rows):
+        if i in errors:
+            raise errors[i]
+        yield row
 
 
 def _accepted(exc: type[Exception], fn: Callable[..., object], *args: object) -> float:
@@ -634,13 +640,10 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
     ts = np.linspace(-2.0, 2.0, 21)
     for kp in cfg.kappa_grid:
         for i, gname in enumerate(GENERATOR_NAMES):
-            closed = _exp_stack(kp, gname, ts)
-            if not np.isfinite(closed).all():
-                # some t raises: take them one at a time, as exp_one_param does
-                closed = (exp_one_param(kp, gname, float(t)).m for t in ts)
-            series = _series_each(ts[:, None, None] * rep(kp, BASIS[i]))
-            for c, s in zip(closed, series):
-                yield float(np.abs(c - s).max()), f"{gname} {_kp_tag(kp)}"
+            closed, errors = _exp_stack(kp, gname, ts)
+            series = iter(_series_each(ts[:, None, None] * rep(kp, BASIS[i])))
+            for c in _unflagged(closed, errors):
+                yield float(np.abs(c - next(series)).max()), f"{gname} {_kp_tag(kp)}"
 
 
 @check(1e-12)
@@ -648,15 +651,12 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
         x = sample_group_stack(rng, kp, 0.4, 100)
-        g = _group_stack(kp, x)
-        ok = np.isfinite(g).all(axis=(1, 2))
+        g, errors = _group_stack(kp, x)
         # an overflow at huge labels is a nan or inf defect, which fails the check
         with np.errstate(over="ignore", invalid="ignore"):
             form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
             det = np.abs(np.linalg.det(g) - 1.0)
-        for point, good, form_defect, det_defect in zip(x.tolist(), ok, form.tolist(), det.tolist()):
-            if not good:
-                group_from_coords(kp, GroupCoordinates(*point))
+        for form_defect, det_defect in _unflagged(zip(form.tolist(), det.tolist()), errors):
             yield form_defect, _kp_tag(kp)
             yield det_defect, f"det {_kp_tag(kp)}"
 
@@ -665,49 +665,38 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
 def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        g = _group_stack(kp, x)
-        back, ok = _coords_stack(kp, g)
-        ok &= np.isfinite(g).all(axis=(1, 2))
+        g, errors = _group_stack(kp, x)
+        back, back_errors = _coords_stack(kp, g)
         with np.errstate(invalid="ignore"):
             defects = np.abs(back - x).max(axis=1)
-        for point, good, defect in zip(x.tolist(), ok, defects.tolist()):
-            if not good:
-                coords_from_group(kp, group_from_coords(kp, GroupCoordinates(*point)))
+        for defect in _unflagged(defects.tolist(), first_errors(errors, back_errors)):
             yield defect, _kp_tag(kp)
 
 
 @check(1e-10)
 def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    origin = np.array([1.0, 0.0, 0.0])
     for kp in cfg.kappa_grid:
         # each sample draws its group point, then a parallel1 point (a1, a2)
         b = _group_bounds(kp, 0.35)
         b = np.array(b + b[:2])
         draws = rng.uniform(-b, b, size=(cfg.sample_count, 5))
         x, q = draws[:, :3], draws[:, 3:]
-        g = _group_stack(kp, x)
-        p, p_ok = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
-        expect, expect_ok = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
+        g, g_errors = _group_stack(kp, x)
+        p, p_errors = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
+        expect, expect_errors = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
+        moved, moved_errors = _act_stack(kp, g, p.T)
+        moved_errors = first_errors(g_errors, p_errors, moved_errors)
+        # the orbit of the base point, the first column of g, recovers the
+        # translation part; act at the base point cannot fail where g is finite
         with np.errstate(over="ignore", invalid="ignore"):
-            moved = _apply(g, p.T)
-            orbit = g @ origin
-            orbit_defects = np.abs(orbit - expect.T).max(axis=1)
-        # act raises where its point misses the quadric or its image overflows
-        moved_ok = (
-            np.isfinite(g).all(axis=(1, 2)) & p_ok & ~(_ambient_defect_stack(kp, p.T) > DEFAULT_SURFACE_TOL)
-            & np.isfinite(moved).all(axis=1)
-        )
-        orbit_ok = expect_ok & np.isfinite(orbit).all(axis=1)
-        rows = zip(x.tolist(), q.tolist(), moved_ok, orbit_ok, _ambient_defect_stack(kp, moved).tolist(), orbit_defects.tolist())
-        for point, pq, good_moved, good_orbit, moved_defect, orbit_defect in rows:
-            if not good_moved:
-                g_i = group_from_coords(kp, GroupCoordinates(*point))
-                act(kp, g_i, to_ambient(kp, ParallelI(*pq)).as_array())
+            orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
+        moved_defects = _ambient_defect_stack(kp, moved)
+        for i, (moved_defect, orbit_defect) in enumerate(zip(moved_defects.tolist(), orbit_defects.tolist())):
+            if i in moved_errors:
+                raise moved_errors[i]
             yield moved_defect, f"surface {_kp_tag(kp)}"
-            # the orbit of the base point recovers the translation part
-            if not good_orbit:
-                act(kp, group_from_coords(kp, GroupCoordinates(*point)), origin)
-                to_ambient(kp, ParallelI(point[0], point[1]))
+            if i in expect_errors:
+                raise expect_errors[i]
             yield orbit_defect, f"orbit {_kp_tag(kp)}"
 
 
@@ -1112,12 +1101,11 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> D
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        numeric, ok = _invariant_fields_stack(kp, x)
-        for point, good, left, right in zip(x.tolist(), ok, numeric.left, numeric.right):
-            gc = GroupCoordinates(*point)
-            closed = invariant_vector_fields(kp, gc)
-            if not good:
-                invariant_fields_numeric(kp, gc)
+        numeric, errors = _invariant_fields_stack(kp, x)
+        for i, (point, left, right) in enumerate(zip(x.tolist(), numeric.left, numeric.right)):
+            closed = invariant_vector_fields(kp, GroupCoordinates(*point))
+            if i in errors:
+                raise errors[i]
             yield float(np.abs(closed.left - left).max()), f"left {_kp_tag(kp)}"
             yield float(np.abs(closed.right - right).max()), f"right {_kp_tag(kp)}"
 
@@ -1128,26 +1116,18 @@ def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray) -> Iterator[li
     array x, in row order.
 
     Both routes give the bracket matrices of all N points at once, the
-    numeric one from the oracle invariant fields.  At a point the stack
-    forms flag, the scalar routes run first; a GeometryError they raise
-    there is yielded in place of that point's defects.
+    numeric one from the oracle invariant fields.  At a point where either
+    route fails, the GeometryError of the first failing step, numeric route
+    first, is yielded in place of that point's defects.
     """
-    r = rmatrix(DeformationKind.FIRST_KIND, z)
-    fields, ok = _invariant_fields_stack(kp, x)
-    closed, closed_ok = _sklyanin_closed_stack(kp, z, x)
-    numeric = _bracket_matrix(r, fields)
-    ok &= closed_ok & np.isfinite(numeric).all(axis=(1, 2))
+    fields, errors = _invariant_fields_stack(kp, x)
+    numeric, numeric_errors = _bracket_matrix(rmatrix(DeformationKind.FIRST_KIND, z), fields)
+    closed, closed_errors = _sklyanin_closed_stack(kp, z, x)
+    errors = first_errors(errors, numeric_errors, closed_errors)
     with np.errstate(invalid="ignore"):
         defects = np.abs(closed - numeric)[:, _UPPER[0], _UPPER[1]]
-    for point, good, row in zip(x.tolist(), ok, defects.tolist()):
-        if not good:
-            gc = GroupCoordinates(*point)
-            try:
-                sklyanin_numeric(r, invariant_fields_numeric(kp, gc))
-                sklyanin_closed(kp, z, gc)
-            except GeometryError as exc:
-                row = exc
-        yield row
+    for i, row in enumerate(defects.tolist()):
+        yield errors.get(i, row)
 
 
 @check(1e-6)
@@ -1175,9 +1155,8 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
             points = [x]
             for step in steps:
                 points += [x + step, x - step]
-            p, ok = _sklyanin_closed_stack(kp, z, np.concatenate(points))
+            p, errors = _sklyanin_closed_stack(kp, z, np.concatenate(points))
             p = p.reshape(len(points), len(x), 3, 3)
-            ok = ok.reshape(len(points), len(x)).all(axis=0)
             # an overflow at huge z is a nan or inf defect, which fails the check
             with np.errstate(over="ignore", invalid="ignore"):
                 dp = np.stack([p[1] - p[2], p[3] - p[4], p[5] - p[6]], axis=1) / (2.0 * h)
@@ -1185,10 +1164,7 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
                     (dp[:, None, :, a, b] @ p[0, :, :, c, None])[:, 0, 0]
                     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
                 )
-            for i, (good, defect) in enumerate(zip(ok, np.abs(total).tolist())):
-                if not good:
-                    for pts in points:
-                        sklyanin_closed(kp, z, GroupCoordinates(*pts[i].tolist()))
+            for defect in _unflagged(np.abs(total).tolist(), point_errors(errors, len(x))):
                 yield defect, _kp_tag(kp)
 
 
@@ -1200,10 +1176,10 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
             continue
         row = rows[kp.signs()]
         for z in cfg.z_values:
-            for _ in range(cfg.sample_count):
-                gc = sample_group_coords(rng, kp, 0.35)
-                got = sklyanin_closed(kp, z, gc)[_UPPER]
-                for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(gc.a1, gc.a2, gc.xi, z)):
+            x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
+            p, errors = _sklyanin_closed_stack(kp, z, x)
+            for point, got in _unflagged(zip(x.tolist(), p[:, _UPPER[0], _UPPER[1]].tolist()), errors):
+                for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(*point, z)):
                     yield abs(val - ref), f"{{{f},{g}}} {_kp_tag(kp)}"
 
 
@@ -1212,9 +1188,9 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> D
     for z in cfg.z_values:
         for k1 in (-1.0, 0.0, 1.0):
             kp0 = KappaPair(k1, 0.0)
-            for _ in range(cfg.sample_count):
-                gc = sample_group_coords(rng, kp0, 0.4)
-                for val in np.abs(sklyanin_closed(kp0, z, gc)[_UPPER]):
+            p, errors = _sklyanin_closed_stack(kp0, z, sample_group_stack(rng, kp0, 0.4, cfg.sample_count))
+            for vals in _unflagged(np.abs(p[:, _UPPER[0], _UPPER[1]]).tolist(), errors):
+                for val in vals:
                     yield val, f"vanish k1={k1:g}"
             # shrinking the second label scales every bracket linearly
             gc = sample_group_coords(rng, kp0, 0.3)

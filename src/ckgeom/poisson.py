@@ -14,12 +14,12 @@ contraction L^T r L - R^T r R of the left/right invariant vector fields.
 The fields come in closed form or from an oracle that rebuilds them by
 differentiating group translations.
 
-The oracle fields and the closed-form bracket also have stack forms over
-the N rows (a1, a2, xi) of an (N, 3) array, _invariant_fields_stack and
-_sklyanin_closed_stack.  Like the stack forms in group, they raise nothing,
-return a mask of the points where the scalar form returns, and equal the
-scalar form bit for bit wherever it returns; sklyanin_numeric takes one
-point's fields or stacks of them.
+The oracle fields and the closed-form bracket are written once, as the
+stack forms _invariant_fields_stack and _sklyanin_closed_stack over the N
+rows (a1, a2, xi) of an (N, 3) array.  Like the stack forms in group, they
+raise nothing and return their row errors; invariant_fields_numeric and
+sklyanin_closed are the one-row calls.  sklyanin_numeric takes one point's
+fields or stacks of them.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from . import ktrig
 from .algebra import BASIS, GENERATOR_NAMES, AlgebraElement, KappaPair, structure_tensor
-from .errors import ChartDomainError, PoleError
-from .group import GroupCoordinates, _coords_from_matrix, _coords_stack, _exp_matrix, _group_stack
+from .errors import ChartDomainError, PoleError, RowErrors, first_errors, point_errors, row_errors
+from .group import GroupCoordinates, _coords_read, _exp_stack, _group_stack
 # Kept bound here: perfbench/tests/test_tracer.py checks that the tracer
 # rebinds names a module imported from another layer, using this one.
 from .group import coords_from_group  # noqa: F401
@@ -226,14 +226,18 @@ def schouten(kp: KappaPair, r: Bivector) -> float:
 
 
 def mcybe_defect(kp: KappaPair, r: Bivector) -> float:
-    """Adjoint-invariance defect of [[r, r]] (modified classical YBE)."""
+    """Adjoint-invariance defect of [[r, r]] (modified classical YBE); a
+    defect whose sums overflow is inf or nan."""
     t = _schouten_tensor(kp, r)
     ad = structure_tensor(kp).transpose(0, 2, 1)  # ad[b, m, i] = c[b, i, m]
-    moved = (
-        np.einsum("xam,mbc->xabc", ad, t)
-        + np.einsum("xbm,amc->xabc", ad, t)
-        + np.einsum("xcm,abm->xabc", ad, t)
-    )
+    # a sum that overflows at huge labels makes the defect inf or nan, which
+    # no tolerance passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = (
+            np.einsum("xam,mbc->xabc", ad, t)
+            + np.einsum("xbm,amc->xabc", ad, t)
+            + np.einsum("xcm,abm->xabc", ad, t)
+        )
     return float(np.max(np.abs(moved)))
 
 
@@ -308,95 +312,84 @@ def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFi
     """
     if not np.isfinite(gc.as_array()).all():
         raise ValueError(f"group coordinates {gc} are not finite")
-    left = np.zeros((3, 3))
-    right = np.zeros((3, 3))
-    # an overflow below surfaces as a non-finite g or field, checked after it
-    with np.errstate(over="ignore", invalid="ignore"):
-        g0 = _exp_matrix(kp, "J01", gc.a1) @ _exp_matrix(kp, "J02", gc.a2) @ _exp_matrix(kp, "J12", gc.xi)
-        if not np.isfinite(g0).all():
-            raise ChartDomainError(f"group coordinates {gc} overflow the group product")
-        for i, name in enumerate(GENERATOR_NAMES):
-            plus = _exp_matrix(kp, name, TRANSLATION_STEP)
-            minus = _exp_matrix(kp, name, -TRANSLATION_STEP)
-            left[i] = (
-                _coords_from_matrix(kp, g0 @ plus).as_array()
-                - _coords_from_matrix(kp, g0 @ minus).as_array()
-            ) / (2.0 * TRANSLATION_STEP)
-            right[i] = (
-                _coords_from_matrix(kp, plus @ g0).as_array()
-                - _coords_from_matrix(kp, minus @ g0).as_array()
-            ) / (2.0 * TRANSLATION_STEP)
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
-        raise ChartDomainError(f"numeric invariant fields at {gc} overflow")
-    return InvariantFields(left, right)
+    fields, errors = _invariant_fields_stack(kp, gc.as_array()[None])
+    if errors:
+        raise errors[0]
+    return InvariantFields(fields.left[0], fields.right[0])
 
 
-def _invariant_fields_stack(kp: KappaPair, x: np.ndarray) -> tuple[InvariantFields, np.ndarray]:
+def _invariant_fields_stack(kp: KappaPair, x: np.ndarray) -> tuple[InvariantFields, RowErrors]:
     """invariant_fields_numeric at the N finite points x, as (N, 3, 3)
-    stacks, and the mask of the points where it returns.
+    stacks, and its row errors.
 
     The twelve translates of all N points are read back as one stack of
     12 N matrices.
     """
-    g0 = _group_stack(kp, x)
+    n = len(x)
+    g0, errors = _group_stack(kp, x)
     translates = []
     with np.errstate(over="ignore", invalid="ignore"):
         for name in GENERATOR_NAMES:
-            plus = _exp_matrix(kp, name, TRANSLATION_STEP)
-            minus = _exp_matrix(kp, name, -TRANSLATION_STEP)
+            (plus, minus), step = _exp_stack(kp, name, [TRANSLATION_STEP, -TRANSLATION_STEP])
+            # at a label so large that the step itself overflows, every point fails
+            errors = first_errors(errors, row_errors(np.full(n, bool(step)), lambda i, step=step: step[min(step)]))
             translates += [g0 @ plus, g0 @ minus, plus @ g0, minus @ g0]
-        coords, ok = _coords_stack(kp, np.concatenate(translates))
+        coords, translate_errors = _coords_read(kp, np.concatenate(translates))
         # [generator, translate, point, coordinate] -> rows by generator, per point
-        c = coords.reshape(3, 4, len(x), 3).transpose(1, 2, 0, 3)
+        c = coords.reshape(3, 4, n, 3).transpose(1, 2, 0, 3)
         left = (c[0] - c[1]) / (2.0 * TRANSLATION_STEP)
         right = (c[2] - c[3]) / (2.0 * TRANSLATION_STEP)
-    ok = (
-        np.isfinite(g0).all(axis=(1, 2))
-        & ok.reshape(12, len(x)).all(axis=0)
-        & np.isfinite(left).all(axis=(1, 2))
-        & np.isfinite(right).all(axis=(1, 2))
-    )
-    return InvariantFields(left, right), ok
+
+    def overflow(i: int) -> ChartDomainError:
+        return ChartDomainError(f"numeric invariant fields at {GroupCoordinates(*x[i].tolist())} overflow")
+
+    finite = np.isfinite(left).all(axis=(1, 2)) & np.isfinite(right).all(axis=(1, 2))
+    errors = first_errors(errors, point_errors(translate_errors, n), row_errors(~finite, overflow))
+    return InvariantFields(left, right), errors
+
+
+_DIVERGE = "bracket coefficients diverge where the a2 cosine factor vanishes"
 
 
 def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray:
     """Closed-form first-kind multiplicative bracket as the antisymmetric
     3x3 matrix P[i, j] = {x_i, x_j} over the group coordinates
     x = (a1, a2, xi)."""
-    c2 = ktrig.ck(kp.k12, gc.a2)
-    if abs(c2) < 1e-12:
-        raise ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
-    return Bivector(
-        z * kp.k2 * ktrig.tk(kp.k12, gc.a2),
-        z * kp.k2 * ktrig.sk(kp.k2, gc.xi) / c2,
-        -z * (c2 * ktrig.ck(kp.k2, gc.xi) - 1.0) / c2,
-    ).as_tensor()
+    p, errors = _sklyanin_closed_stack(kp, z, gc.as_array()[None])
+    if errors:
+        raise errors[0]
+    return p[0]
 
 
-def _sklyanin_closed_stack(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sklyanin_closed at the N points x, as an (N, 3, 3) stack, and the mask
-    of the points where it returns."""
+def _sklyanin_closed_stack(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, RowErrors]:
+    """sklyanin_closed at the N points x, as an (N, 3, 3) stack, and its row
+    errors."""
     a2, xi = x[:, 1], x[:, 2]
+    log: list[RowErrors] = []
+    ck, sk = ktrig.logged_arrays(log, a2.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c2, s2 = ktrig.ck_array(kp.k12, a2), ktrig.sk_array(kp.k12, a2)
-        cxi, sxi = ktrig.ck_array(kp.k2, xi), ktrig.sk_array(kp.k2, xi)
+        c2, s2, sxi, cxi = ck(kp.k12, a2), sk(kp.k12, a2), sk(kp.k2, xi), ck(kp.k2, xi)
         upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
     # laid out as Bivector.as_tensor lays out its components
     p = np.zeros((len(x), 3, 3))
     for (i, j), c in zip(_PAIRS, upper):
         p[:, i, j] += c
         p[:, j, i] -= c
-    ok = (np.abs(c2) >= 1e-12) & np.isfinite(np.stack([c2, s2, cxi, sxi])).all(axis=0)
-    return p, ok
+    # a vanishing c2 may come first: where ck(k12, a2) overflows, c2 is inf
+    diverge = row_errors(np.abs(c2) < 1e-12, lambda i: ChartDomainError(_DIVERGE))
+    return p, first_errors(diverge, *log)
 
 
-def _bracket_matrix(r: Bivector, fields: InvariantFields) -> np.ndarray:
-    """L^T r L - R^T r R at one point or a stack of them; an entry that
-    overflows is not finite."""
+def _bracket_matrix(r: Bivector, fields: InvariantFields) -> tuple[np.ndarray, RowErrors]:
+    """L^T r L - R^T r R at one point or a stack of them, and the row errors
+    of sklyanin_numeric."""
     t = r.as_tensor()
     left, right = fields.left, fields.right
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
+        p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
+    return p, row_errors(
+        ~np.isfinite(p).all(axis=(-2, -1)), lambda i: ChartDomainError("the numeric Sklyanin bracket overflows")
+    )
 
 
 def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
@@ -409,9 +402,9 @@ def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
     stacked over N points give the (N, 3, 3) stack of their brackets.  A
     bracket that overflows raises ChartDomainError.
     """
-    p = _bracket_matrix(r, fields)
-    if not np.isfinite(p).all():
-        raise ChartDomainError("the numeric Sklyanin bracket overflows")
+    p, errors = _bracket_matrix(r, fields)
+    if errors:
+        raise next(iter(errors.values()))
     return p
 
 

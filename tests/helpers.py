@@ -21,6 +21,11 @@ NONDEGENERATE = tuple(kp for kp in NINE if kp.k2 != 0.0)
 CURVED = tuple(kp for kp in NINE if kp.k1 != 0.0)
 
 
+def same_error(a, b) -> bool:
+    """a and b are exceptions of one type with one message."""
+    return type(a) is type(b) and str(a) == str(b)
+
+
 def ref_ck(kappa: float, x: float) -> float:
     if kappa > 0:
         return math.cos(math.sqrt(kappa) * x)

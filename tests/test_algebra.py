@@ -10,6 +10,7 @@ from ckgeom import (
     GENERATOR_NAMES,
     NORMALIZED_PAIRS,
     AlgebraElement,
+    BadSpeedError,
     KappaPair,
     bracket,
     casimir_coeffs,
@@ -134,6 +135,11 @@ def test_classification_ignores_scale():
 def test_normalized_pairs_cover_all_sign_patterns():
     assert len(NORMALIZED_PAIRS) == 9
     assert {kp.signs() for kp in NORMALIZED_PAIRS} == set(CLASSIFICATION)
+
+
+def test_zero_speed_has_no_geometry():
+    with pytest.raises(BadSpeedError, match="c = 0"):
+        kappa_from_kinematics(0.0, 0.0)
 
 
 def test_kinematical_parameters():

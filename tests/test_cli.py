@@ -11,7 +11,7 @@ import pytest
 
 from ckgeom import checks, cli
 from ckgeom.cli import main
-from ckgeom.errors import ChartDomainError
+from ckgeom.errors import ChartDomainError, row_errors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -200,17 +200,13 @@ def test_exit_status_is_one_exactly_when_a_row_fails(capsys, argv):
 
 
 def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
-    def unavailable(kp, gc):
-        raise ChartDomainError("fields unavailable")
+    def unavailable(kp, x):
+        fields, _ = stack(kp, x)
+        return fields, row_errors(np.ones(len(x), dtype=bool), lambda i: ChartDomainError("fields unavailable"))
 
-    def flagged(kp, x):
-        fields, ok = stack(kp, x)
-        return fields, np.zeros_like(ok)
-
-    # the batch flags every point, so the scalar route runs at each of them
+    # the fields stack returns an error row for every point
     stack = checks._invariant_fields_stack
-    monkeypatch.setattr(checks, "_invariant_fields_stack", flagged)
-    monkeypatch.setattr(checks, "invariant_fields_numeric", unavailable)
+    monkeypatch.setattr(checks, "_invariant_fields_stack", unavailable)
     status, out = run(capsys, "sklyanin", "--k1", "1", "--k2", "1", "--z", "0.3", "--samples", "2")
     assert status == 1
     row = json.loads(out)["sklyanin"][0]
@@ -226,6 +222,15 @@ def test_sklyanin_counts_overflowing_group_points_as_domain_errors(capsys):
     assert status == 1
     row = json.loads(out)["sklyanin"][0]
     assert row["domain_errors"] == 60
+    assert row["passed"] is False
+
+
+def test_sklyanin_counts_points_whose_translation_step_overflows(capsys):
+    # at k1 = -1e20 even ck(k1, 1e-6) overflows, at every sampled point
+    status, out = run(capsys, "sklyanin", "--k1=-1e20", "--k2", "1", "--samples", "2")
+    assert status == 1
+    row = json.loads(out)["sklyanin"][0]
+    assert row["domain_errors"] == 6
     assert row["passed"] is False
 
 
@@ -266,6 +271,14 @@ def test_sweep_at_huge_labels_or_z_reports_every_check(capsys, argv):
     status, out = run(capsys, "sweep-all", *argv)
     assert status == 1
     assert len(json.loads(out)["checks"]) == len(checks.CHECK_NAMES) == 45
+
+
+def test_ybe_at_huge_labels_fails_its_row_without_a_warning(capsys):
+    # the mCYBE sums overflow to a nan defect; tier-1 turns a numpy
+    # RuntimeWarning into an error
+    status, out = run(capsys, "ybe", "--k1", "1e200", "--k2", "1e200")
+    assert status == 1
+    assert any(row["passed"] is False for row in json.loads(out)["ybe"])
 
 
 @pytest.mark.parametrize("k1, k2", [("1", "-1"), ("-0.0", "1")])

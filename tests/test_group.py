@@ -168,6 +168,14 @@ def test_exponential_of_a_non_finite_parameter_is_rejected():
         exp_one_param(KappaPair(1.0, 1.0), "J01", math.nan)
 
 
+def test_coordinates_at_the_chart_edge_are_a_domain_error():
+    # at a2 = pi/2 the cosine factor of a2 is cos(pi/2) = 6.1e-17
+    kp = KappaPair(1.0, 1.0)
+    g = group_from_coords(kp, GroupCoordinates(0.3, math.pi / 2, 0.2))
+    with pytest.raises(ChartDomainError, match="cosine factor 6.123e-17 of a2 below tolerance 1e-09"):
+        coords_from_group(kp, g)
+
+
 def test_coordinates_that_overflow_are_a_domain_error():
     # g is finite, but its entries near 1e159 overflow when squared
     kp = KappaPair(-1e6, 1.0)

@@ -1,13 +1,14 @@
 """Label-dependent trigonometry: closed values, identities, inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckgeom import ChartDomainError, PoleError, ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
+from ckgeom import ChartDomainError, OffCurveError, PoleError, ck, ck_array, half_period, kinv, sk, sk_array, tk, vk
 
 from helpers import ref_ck, ref_sk, ref_vk
 
@@ -111,8 +112,12 @@ def test_kinv_roundtrip(kappa, x):
 
 
 def test_kinv_rejects_off_curve_points():
-    with pytest.raises(Exception):
+    with pytest.raises(OffCurveError, match=re.escape("kinv(1.0): pair (c=5.0, s=5.0) misses the unit curve by 4.900e+01")):
         kinv(1.0, 5.0, 5.0)
+    # on the curve c**2 - s**2 = 1, but on the branch c < 0
+    c = -math.cosh(0.5)
+    with pytest.raises(OffCurveError, match=re.escape(f"kinv(-1.0): c={c!r} lies on the branch not connected to the identity")):
+        kinv(-1.0, math.sinh(0.5), c)
 
 
 @pytest.mark.parametrize("kappa", [*KAPPAS, -2.7, 3.1, 1e-13, -1e-13])

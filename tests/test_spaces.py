@@ -35,6 +35,7 @@ from helpers import (
     polar_metric,
     ref_ck,
     ref_sk,
+    same_error,
 )
 
 RNG = np.random.default_rng(31)
@@ -233,20 +234,22 @@ def _edge_values(kappa: float) -> np.ndarray:
 def test_batched_map_matches_to_ambient_bit_for_bit(kp, chart):
     labels = (kp.k1, kp.k2) if chart == "polar" else (kp.k1, kp.k12)
     x1, x2 = _edge_values(labels[0]), _edge_values(labels[1])
-    s, inside = to_ambient_batch(kp, chart, x1[:, None], x2[None, :])
-    assert s.shape == (3, len(x1), len(x2)) and inside.shape == (len(x1), len(x2))
+    s, errors = to_ambient_batch(kp, chart, x1[:, None], x2[None, :])
+    assert s.shape == (3, len(x1), len(x2))
     make = CHARTS[chart]
     for i, u in enumerate(x1.tolist()):
         for j, v in enumerate(x2.tolist()):
+            flat = i * len(x2) + j
             try:
                 want = to_ambient(kp, make(u, v)).as_array()
-            except ChartDomainError:
-                assert not inside[i, j], (u, v)
+            except ChartDomainError as exc:
+                assert same_error(errors.get(flat), exc), (u, v)
                 assert np.isnan(s[:, i, j]).all()
                 continue
-            assert inside[i, j], (u, v)
+            assert flat not in errors, (u, v)
             assert s[:, i, j].tobytes() == want.tobytes(), (u, v)
     # a coordinate line: one coordinate an array, the other a float
-    line, line_inside = to_ambient_batch(kp, chart, x1, float(x2[3]))
+    line, line_errors = to_ambient_batch(kp, chart, x1, float(x2[3]))
     assert line.tobytes() == np.ascontiguousarray(s[:, :, 3]).tobytes()
-    assert (line_inside == inside[:, 3]).all()
+    assert all(same_error(e, errors.get(i * len(x2) + 3)) for i, e in line_errors.items())
+    assert len(line_errors) == sum(i * len(x2) + 3 in errors for i in range(len(x1)))

@@ -1,10 +1,16 @@
-"""Stack forms against their scalar forms, bit for bit.
+"""Stack forms, bit for bit and error for error.
 
-A stack form evaluates N points at once and raises nothing.  It must flag
-every point where its scalar form raises, and wherever the scalar form
-returns, its values must equal the scalar ones bit for bit (nan where the
-scalar value is nan).  The sweep relies on both: it evaluates a batch and
-calls the scalar form only at the flagged points.
+A stack form evaluates N points at once and raises nothing: it returns its
+values and the row errors, the exception of each flagged row.  Where a
+separate scalar form stays (ktrig, the group exponential and product,
+to_ambient, ambient_defect), the stack form must flag every point where
+the scalar form raises, with an exception of the same type and text, and
+elsewhere equal the scalar values bit for bit (nan where the scalar value
+is nan).  Where the scalar form is the one-row stack call
+(coords_from_group, invariant_fields_numeric, sklyanin_closed, act), row i
+of an N-row call must equal the one-row call of row i.  The sweep relies
+on both: it evaluates a batch and raises the flagged row's exception at
+that sample.
 """
 
 import math
@@ -18,6 +24,7 @@ from ckgeom import (
     BASIS,
     GENERATOR_NAMES,
     AlgebraElement,
+    ChartDomainError,
     ConvergenceError,
     DeformationKind,
     GeometryError,
@@ -29,17 +36,17 @@ from ckgeom import (
     ck,
     expm_series,
     group_from_coords,
-    invariant_fields_numeric,
     kinv,
     kinv_array,
     rep,
     rmatrix,
     sk,
-    sklyanin_closed,
     sklyanin_numeric,
 )
 from ckgeom import checks, group, poisson
 from ckgeom.algebra import _bracket_coeffs
+
+from helpers import same_error
 
 # normalized, Taylor-branch (|kappa| < 1e-12), off-normal and overflowing labels
 LABELS = [1.0, 0.0, -1.0, 9e-13, -9e-13, 0.7, -1.3, 2.5, -30.0, 1e6, -1e6]
@@ -68,12 +75,25 @@ def scalar(fn, *args):
         return exc
 
 
-def assert_matches(stack_values, ok, scalar_results, value_of=lambda r: r):
-    """ok is False wherever the scalar form raised; elsewhere the values agree."""
-    for got, good, want in zip(stack_values, ok, scalar_results):
+def assert_rows_are_one_row_calls(call, n):
+    """call(rows) is a stack call on the rows selected by the slice rows;
+    row i of the n-row call equals the one-row call of row i, bit for bit
+    and error for error."""
+    values, errors = call(slice(None))
+    for i in range(n):
+        one, one_errors = call(slice(i, i + 1))
+        assert same_bits(values[i], one[0])
+        assert same_error(errors.get(i), one_errors.get(0)), (errors.get(i), one_errors.get(0))
+
+
+def assert_matches(stack_values, errors, scalar_results, value_of=lambda r: r):
+    """The row errors hold the scalar form's exception wherever it raised,
+    and only there; elsewhere the values agree."""
+    for i, (got, want) in enumerate(zip(stack_values, scalar_results)):
         if isinstance(want, GeometryError):
-            assert not good, want
+            assert same_error(errors.get(i), want), (errors.get(i), want)
         else:
+            assert i not in errors, errors[i]
             assert same_bits(got, value_of(want))
 
 
@@ -93,27 +113,26 @@ def test_kinv_array_matches_kinv(kappa, xs, off):
     pairs = [(sk(kappa, x), ck(kappa, x)) for x in xs]
     pairs += [(s, -c) for s, c in pairs] + off
     s, c = np.array(pairs).T
-    x, ok = kinv_array(kappa, s, c)
-    results = [scalar(kinv, kappa, si, ci) for si, ci in pairs]
-    assert_matches(x, ok, results)
-    assert ok.tolist() == [not isinstance(r, GeometryError) for r in results]
+    x, errors = kinv_array(kappa, s, c)
+    assert_matches(x, errors, [scalar(kinv, kappa, si, ci) for si, ci in pairs])
 
 
 @given(kp=kp_st, generator=st.sampled_from(GENERATOR_NAMES), ts=st.lists(st.floats(-1000.0, 1000.0) | coord_st, min_size=1, max_size=6))
 @SETTINGS
 def test_exp_stack_matches_exp_matrix(kp, generator, ts):
-    # an ck or sk overflow raises in the scalar form and is infinite in the stack
-    stack = group._exp_stack(kp, generator, np.array(ts))
-    results = [scalar(group._exp_matrix, kp, generator, t) for t in ts]
-    assert_matches(stack, np.isfinite(stack).all(axis=(1, 2)), results)
+    # a ck or sk overflow raises in the scalar form and is infinite in the
+    # stack; the raw matrix, as exp_one_param builds it before validating it
+    stack, errors = group._exp_stack(kp, generator, np.array(ts))
+    results = [scalar(group._one_param, kp, generator, t, ck, sk) for t in ts]
+    assert_matches(stack, errors, results)
 
 
 @given(kp=kp_st, x=points_st)
 @SETTINGS
 def test_group_stack_matches_group_from_coords(kp, x):
-    stack = group._group_stack(kp, x)
+    stack, errors = group._group_stack(kp, x)
     results = [scalar(group_from_coords, kp, GroupCoordinates(*p)) for p in x.tolist()]
-    assert_matches(stack, np.isfinite(stack).all(axis=(1, 2)), results, lambda g: g.m)
+    assert_matches(stack, errors, results, lambda g: g.m)
 
 
 @given(kp=kp_st, x=points_st, junk=st.lists(st.lists(coord_st, min_size=9, max_size=9), max_size=2))
@@ -122,25 +141,18 @@ def test_group_stack_matches_group_from_coords(kp, x):
 # entries near 1e159, whose squares overflow to inf and nan
 @example(kp=KappaPair(-1e6, 1.0), x=np.array([[0.2, 0.17, 0.0], [0.2, 0.0, 0.0]]), junk=[])
 @SETTINGS
-def test_coords_stack_matches_coords_from_matrix(kp, x, junk):
-    g = group._group_stack(kp, x)
+def test_coords_stack_rows_match_one_row_calls(kp, x, junk):
+    g, _ = group._group_stack(kp, x)
     m = np.concatenate([g[np.isfinite(g).all(axis=(1, 2))], np.reshape(junk, (-1, 3, 3))])
-    if not len(m):
-        return
-    coords, ok = group._coords_stack(kp, m)
-    results = [scalar(group._coords_from_matrix, kp, mi) for mi in m]
-    assert_matches(coords, ok, results, lambda gc: gc.as_array())
-    for good, r in zip(ok, results):
-        if good:
-            assert np.isfinite(r.as_array()).all()
+    assert_rows_are_one_row_calls(lambda rows: group._coords_stack(kp, m[rows]), len(m))
 
 
 def test_coords_stack_flags_the_chart_edge_and_the_overflow():
-    edge = group._group_stack(KappaPair(1.0, 1.0), np.array([[0.3, math.pi / 2, 0.2]]))
-    huge = group._group_stack(KappaPair(-1e6, 1.0), np.array([[0.2, 0.17, 0.0]]))
+    edge, _ = group._group_stack(KappaPair(1.0, 1.0), np.array([[0.3, math.pi / 2, 0.2]]))
+    huge, _ = group._group_stack(KappaPair(-1e6, 1.0), np.array([[0.2, 0.17, 0.0]]))
     assert np.isfinite(huge).all()
-    assert not group._coords_stack(KappaPair(1.0, 1.0), edge)[1].any()
-    assert not group._coords_stack(KappaPair(-1e6, 1.0), huge)[1].any()
+    assert [type(e) for e in group._coords_stack(KappaPair(1.0, 1.0), edge)[1].values()] == [ChartDomainError]
+    assert [type(e) for e in group._coords_stack(KappaPair(-1e6, 1.0), huge)[1].values()] == [ChartDomainError]
 
 
 @given(
@@ -163,21 +175,21 @@ def test_series_exponential_of_a_stack_matches_each_matrix(kp, ts, extra):
 
 @given(kp=kp_st, x=points_st)
 @example(kp=KappaPair(-1e6, 1.0), x=np.array([[0.48, -0.35, 0.0], [0.2, 0.17, 0.0], [0.0, 0.0, 0.1]]))
+# the translation step itself overflows
+@example(kp=KappaPair(-1e20, 1.0), x=np.array([[0.0, 0.0, 0.0], [1e-11, 0.0, 0.0]]))
 @SETTINGS
-def test_invariant_fields_stack_matches_invariant_fields_numeric(kp, x):
-    fields, ok = poisson._invariant_fields_stack(kp, x)
-    results = [scalar(invariant_fields_numeric, kp, GroupCoordinates(*p)) for p in x.tolist()]
-    stack = np.stack([fields.left, fields.right], axis=1)
-    assert_matches(stack, ok, results, lambda f: np.stack([f.left, f.right]))
-    assert all(not isinstance(r, GeometryError) for r, good in zip(results, ok) if good)
+def test_invariant_fields_stack_rows_match_one_row_calls(kp, x):
+    def call(rows):
+        fields, errors = poisson._invariant_fields_stack(kp, x[rows])
+        return np.stack([fields.left, fields.right], axis=1), errors
+
+    assert_rows_are_one_row_calls(call, len(x))
 
 
 @given(kp=kp_st, z=st.sampled_from([0.1, 1.3, -0.4, 1e308]), x=points_st)
 @SETTINGS
-def test_sklyanin_closed_stack_matches_sklyanin_closed(kp, z, x):
-    p, ok = poisson._sklyanin_closed_stack(kp, z, x)
-    results = [scalar(sklyanin_closed, kp, z, GroupCoordinates(*q)) for q in x.tolist()]
-    assert_matches(p, ok, results)
+def test_sklyanin_closed_stack_rows_match_one_row_calls(kp, z, x):
+    assert_rows_are_one_row_calls(lambda rows: poisson._sklyanin_closed_stack(kp, z, x[rows]), len(x))
 
 
 @given(
@@ -236,3 +248,18 @@ def test_bracket_coefficients_of_arrays_match_bracket(kp, xs):
 def test_ambient_defect_stack_matches_ambient_defect(kp, s):
     got = group._ambient_defect_stack(kp, np.array(s))
     assert same_bits(got, [ambient_defect(kp, p) for p in s])
+
+
+@given(
+    kp=kp_st,
+    x=points_st,
+    s=st.lists(st.tuples(coord_st, coord_st, coord_st | st.sampled_from([1e200, -1e160])), min_size=6, max_size=6),
+)
+@SETTINGS
+def test_act_stack_rows_match_one_row_calls(kp, x, s):
+    # points on the quadric, through the orbit of the base point, and points off it
+    g, _ = group._group_stack(kp, x)
+    g = g[np.isfinite(g).all(axis=(1, 2))]
+    orbit = (np.arange(len(g)) % 2 == 0)[:, None]
+    points = np.where(orbit, g[:, :, 0], np.array(s)[: len(g)])
+    assert_rows_are_one_row_calls(lambda rows: group._act_stack(kp, g[rows], points[rows]), len(g))
