@@ -71,7 +71,14 @@ def test_sweep_all_is_byte_deterministic(capsys):
 
 
 # goldens whose command exits 1: some check fails at these labels
-_FAILING_GOLDENS = {"sweep_all_k1_-30_k2_1_samples3.json"}
+_FAILING_GOLDENS = {
+    "sweep_all_k1_-30_k2_1_samples3.json",
+    "sweep_all_k1_-1e6_k2_1_samples3.json",
+    "sweep_all_k1_-1e6_k2_-1e6_samples3.json",
+    "sweep_all_k1_1e150_k2_1e150_samples2.json",
+    "sweep_all_k1_1_k2_1_z1e308_samples2.json",
+    "sklyanin_k1_-1e20_k2_1_samples2.json",
+}
 
 
 @pytest.mark.parametrize(
@@ -140,6 +147,33 @@ _FAILING_GOLDENS = {"sweep_all_k1_-30_k2_1_samples3.json"}
         (
             "duality_k1_0.7_k2_-1.3_samples40_seed4.json",
             ["duality", "--k1", "0.7", "--k2", "-1.3", "--samples", "40", "--seed", "4"],
+        ),
+        # the error path at huge labels: ck and sk overflow, the group product,
+        # the numeric fields and the series' squarings overflow, and a finite
+        # element reads back non-finite coordinates
+        (
+            "sweep_all_k1_-1e6_k2_1_samples3.json",
+            ["sweep-all", "--k1=-1e6", "--k2", "1", "--samples", "3"],
+        ),
+        # the quarter chart-domain text at k1 k2 = 1e12, and the product overflow
+        (
+            "sweep_all_k1_-1e6_k2_-1e6_samples3.json",
+            ["sweep-all", "--k1=-1e6", "--k2=-1e6", "--samples", "3"],
+        ),
+        # the period and quarter chart-domain texts and the deformation domain
+        (
+            "sweep_all_k1_1e150_k2_1e150_samples2.json",
+            ["sweep-all", "--k1", "1e150", "--k2", "1e150", "--samples", "2"],
+        ),
+        # a huge z: the series scaling and the numeric bracket overflow
+        (
+            "sweep_all_k1_1_k2_1_z1e308_samples2.json",
+            ["sweep-all", "--k1", "1", "--k2", "1", "--z", "1e308", "--samples", "2"],
+        ),
+        # the translation step itself overflows at every sampled point
+        (
+            "sklyanin_k1_-1e20_k2_1_samples2.json",
+            ["sklyanin", "--k1=-1e20", "--k2", "1", "--samples", "2"],
         ),
     ],
 )
