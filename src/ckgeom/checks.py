@@ -21,10 +21,11 @@ the pairs yielded before it.
 Checks over many sampled group points evaluate all of them at once
 through the stack forms of group, poisson and spaces, one call per label
 pair (and per z).  sample_group_stack draws the same doubles as one
-sample_group_coords call per sample.  A stack form returns the exception
-its scalar form raises at each flagged row, and the check raises it at
-that sample, with the `samples` count and detail of a sample-by-sample
-loop.
+sample_group_coords call per sample.  A stack form returns the mask of the
+rows where its scalar form raises.  At the first flagged sample the check
+evaluates that sample through the scalar forms, which raise the error of
+the first failing step, so `samples` and the detail are those of a
+sample-by-sample loop.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
@@ -63,23 +64,25 @@ from .errors import (
     BadSpeedError,
     ChartDomainError,
     ConfigError,
-    ConvergenceError,
     DegenerateMetricError,
     GeometryError,
     OffSurfaceError,
-    RowErrors,
     UndefinedDualityError,
-    first_errors,
-    point_errors,
 )
 from .group import (
     GroupCoordinates,
+    GroupElement,
     _act_stack,
     _ambient_defect_stack,
     _coords_stack,
     _exp_stack,
     _group_stack,
+    _series_stack,
+    act,
+    coords_from_group,
+    exp_one_param,
     expm_series,
+    group_from_coords,
     metric_matrix,
     rep,
     rep_basis,
@@ -97,14 +100,15 @@ from .poisson import (
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
+    invariant_fields_numeric,
     invariant_vector_fields,
     mcybe_defect,
     phs_points_bracket,
     rmatrix,
     schouten,
     sklyanin_closed,
+    sklyanin_numeric,
 )
-from .poisson import sklyanin_numeric  # noqa: F401  (perfbench/tests/test_tracer.py traces this binding)
 from .quantum import (
     coproduct_classical,
     coproduct_rep,
@@ -352,12 +356,13 @@ def _kp_tag(kp: KappaPair) -> str:
     return f"kappa=({kp.k1:g},{kp.k2:g})"
 
 
-def _unflagged(rows: Iterable, errors: RowErrors) -> Iterator:
-    """The rows of a stack form's results in order, raising the row error
-    of a flagged row in its place."""
+def _unflagged(rows: Iterable, bad: np.ndarray, raise_at: Callable[[int], object]) -> Iterator:
+    """The rows of a stack form's results in order, up to the first row
+    flagged in the mask bad, where raise_at(i) evaluates row i through the
+    scalar forms, which raise its error."""
     for i, row in enumerate(rows):
-        if i in errors:
-            raise errors[i]
+        if bad[i]:
+            raise_at(i)
         yield row
 
 
@@ -625,14 +630,8 @@ def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> D
 # --- group suite -------------------------------------------------------------
 
 
-def _series_each(mats: np.ndarray) -> Iterable[np.ndarray]:
-    """expm_series of each matrix of the stack mats, in order: one stack
-    call, unless some matrix raises; then one call per matrix, so that the
-    first matrix that raises does, after the ones before it returned."""
-    try:
-        return expm_series(mats)
-    except ConvergenceError:
-        return (expm_series(a) for a in mats)
+def _group_at(kp: KappaPair, x: np.ndarray) -> GroupElement:
+    return group_from_coords(kp, GroupCoordinates(*x.tolist()))
 
 
 @check(1e-12)
@@ -640,10 +639,14 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
     ts = np.linspace(-2.0, 2.0, 21)
     for kp in cfg.kappa_grid:
         for i, gname in enumerate(GENERATOR_NAMES):
-            closed, errors = _exp_stack(kp, gname, ts)
-            series = iter(_series_each(ts[:, None, None] * rep(kp, BASIS[i])))
-            for c in _unflagged(closed, errors):
-                yield float(np.abs(c - next(series)).max()), f"{gname} {_kp_tag(kp)}"
+            mats = ts[:, None, None] * rep(kp, BASIS[i])
+            closed, closed_bad = _exp_stack(kp, gname, ts)
+            series, series_bad = _series_stack(mats)
+            rows = _unflagged(
+                zip(closed, series), closed_bad | series_bad, lambda k: (exp_one_param(kp, gname, ts[k]), expm_series(mats[k]))
+            )
+            for c, e in rows:
+                yield float(np.abs(c - e).max()), f"{gname} {_kp_tag(kp)}"
 
 
 @check(1e-12)
@@ -651,12 +654,12 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
         x = sample_group_stack(rng, kp, 0.4, 100)
-        g, errors = _group_stack(kp, x)
+        g, bad = _group_stack(kp, x)
         # an overflow at huge labels is a nan or inf defect, which fails the check
         with np.errstate(over="ignore", invalid="ignore"):
             form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
             det = np.abs(np.linalg.det(g) - 1.0)
-        for form_defect, det_defect in _unflagged(zip(form.tolist(), det.tolist()), errors):
+        for form_defect, det_defect in _unflagged(zip(form.tolist(), det.tolist()), bad, lambda i: _group_at(kp, x[i])):
             yield form_defect, _kp_tag(kp)
             yield det_defect, f"det {_kp_tag(kp)}"
 
@@ -665,11 +668,11 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
 def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        g, errors = _group_stack(kp, x)
-        back, back_errors = _coords_stack(kp, g)
+        g, g_bad = _group_stack(kp, x)
+        back, back_bad = _coords_stack(kp, g)
         with np.errstate(invalid="ignore"):
             defects = np.abs(back - x).max(axis=1)
-        for defect in _unflagged(defects.tolist(), first_errors(errors, back_errors)):
+        for defect in _unflagged(defects.tolist(), g_bad | back_bad, lambda i: coords_from_group(kp, _group_at(kp, x[i]))):
             yield defect, _kp_tag(kp)
 
 
@@ -681,22 +684,21 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> D
         b = np.array(b + b[:2])
         draws = rng.uniform(-b, b, size=(cfg.sample_count, 5))
         x, q = draws[:, :3], draws[:, 3:]
-        g, g_errors = _group_stack(kp, x)
-        p, p_errors = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
-        expect, expect_errors = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
-        moved, moved_errors = _act_stack(kp, g, p.T)
-        moved_errors = first_errors(g_errors, p_errors, moved_errors)
+        g, g_bad = _group_stack(kp, x)
+        p, p_bad = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
+        expect, expect_bad = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
+        moved, moved_bad = _act_stack(kp, g, p.T)
         # the orbit of the base point, the first column of g, recovers the
         # translation part; act at the base point cannot fail where g is finite
         with np.errstate(over="ignore", invalid="ignore"):
             orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
         moved_defects = _ambient_defect_stack(kp, moved)
         for i, (moved_defect, orbit_defect) in enumerate(zip(moved_defects.tolist(), orbit_defects.tolist())):
-            if i in moved_errors:
-                raise moved_errors[i]
+            if g_bad[i] or p_bad[i] or moved_bad[i]:
+                act(kp, _group_at(kp, x[i]), to_ambient(kp, ParallelI(*q[i].tolist())).as_array())
             yield moved_defect, f"surface {_kp_tag(kp)}"
-            if i in expect_errors:
-                raise expect_errors[i]
+            if expect_bad[i]:
+                to_ambient(kp, ParallelI(*x[i, :2].tolist()))
             yield orbit_defect, f"orbit {_kp_tag(kp)}"
 
 
@@ -706,9 +708,10 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> De
         p = rep_basis(kp)[0]
         yield float(np.abs(p @ p @ p + kp.k1 * p).max()), f"cube {_kp_tag(kp)}"
         ts = (-1.5, -0.4, 0.7, 2.0)
-        series = iter(_series_each(np.array([m for t in ts for m in (t * p, -t * p)])))
-        for t in ts:
-            m = 0.5 * (next(series) - next(series))
+        mats = np.array([[t * p, -t * p] for t in ts])
+        series, bad = _series_stack(mats)
+        for t, (plus, minus) in zip(ts, _unflagged(series, bad.any(axis=1), lambda k: [expm_series(m) for m in mats[k]])):
+            m = 0.5 * (plus - minus)
             yield float(np.abs(m - ktrig.sk(kp.k1, t) * p).max()), f"t={t:g} {_kp_tag(kp)}"
 
 
@@ -1101,33 +1104,42 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> D
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        numeric, errors = _invariant_fields_stack(kp, x)
+        numeric, bad = _invariant_fields_stack(kp, x)
         for i, (point, left, right) in enumerate(zip(x.tolist(), numeric.left, numeric.right)):
             closed = invariant_vector_fields(kp, GroupCoordinates(*point))
-            if i in errors:
-                raise errors[i]
+            if bad[i]:
+                invariant_fields_numeric(kp, GroupCoordinates(*point))
             yield float(np.abs(closed.left - left).max()), f"left {_kp_tag(kp)}"
             yield float(np.abs(closed.right - right).max()), f"right {_kp_tag(kp)}"
 
 
-def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray) -> Iterator[list[float] | GeometryError]:
+def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|closed - numeric| of the first-kind bracket {f, g} for each pair
     (f, g) of GROUP_COORD_PAIRS, at each row (a1, a2, xi) of the (N, 3)
-    array x, in row order.
+    array x, as an (N, 3) array, and the mask of the points where either
+    route raises (see _sklyanin_pair_error).
 
     Both routes give the bracket matrices of all N points at once, the
-    numeric one from the oracle invariant fields.  At a point where either
-    route fails, the GeometryError of the first failing step, numeric route
-    first, is yielded in place of that point's defects.
+    numeric one from the oracle invariant fields.
     """
-    fields, errors = _invariant_fields_stack(kp, x)
-    numeric, numeric_errors = _bracket_matrix(rmatrix(DeformationKind.FIRST_KIND, z), fields)
-    closed, closed_errors = _sklyanin_closed_stack(kp, z, x)
-    errors = first_errors(errors, numeric_errors, closed_errors)
+    fields, bad = _invariant_fields_stack(kp, x)
+    numeric, numeric_bad = _bracket_matrix(rmatrix(DeformationKind.FIRST_KIND, z), fields)
+    closed, closed_bad = _sklyanin_closed_stack(kp, z, x)
     with np.errstate(invalid="ignore"):
         defects = np.abs(closed - numeric)[:, _UPPER[0], _UPPER[1]]
-    for i, row in enumerate(defects.tolist()):
-        yield errors.get(i, row)
+    return defects, bad | numeric_bad | closed_bad
+
+
+def _sklyanin_pair_error(kp: KappaPair, z: float, point: np.ndarray) -> None:
+    """Evaluate both routes of sklyanin_pair_defects at one flagged point,
+    numeric route first: raises the GeometryError of the first failing step."""
+    gc = GroupCoordinates(*point.tolist())
+    sklyanin_numeric(rmatrix(DeformationKind.FIRST_KIND, z), invariant_fields_numeric(kp, gc))
+    sklyanin_closed(kp, z, gc)
+
+
+def _closed_at(kp: KappaPair, z: float, point: np.ndarray) -> np.ndarray:
+    return sklyanin_closed(kp, z, GroupCoordinates(*point.tolist()))
 
 
 @check(1e-6)
@@ -1135,10 +1147,9 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, 50)
-            for defects in sklyanin_pair_defects(kp, z, x):
-                if isinstance(defects, GeometryError):
-                    raise defects
-                for (f, g), defect in zip(GROUP_COORD_PAIRS, defects):
+            defects, bad = sklyanin_pair_defects(kp, z, x)
+            for row in _unflagged(defects.tolist(), bad, lambda i: _sklyanin_pair_error(kp, z, x[i])):
+                for (f, g), defect in zip(GROUP_COORD_PAIRS, row):
                     yield defect, f"{{{f},{g}}} {_kp_tag(kp)}"
 
 
@@ -1155,7 +1166,7 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
             points = [x]
             for step in steps:
                 points += [x + step, x - step]
-            p, errors = _sklyanin_closed_stack(kp, z, np.concatenate(points))
+            p, bad = _sklyanin_closed_stack(kp, z, np.concatenate(points))
             p = p.reshape(len(points), len(x), 3, 3)
             # an overflow at huge z is a nan or inf defect, which fails the check
             with np.errstate(over="ignore", invalid="ignore"):
@@ -1164,7 +1175,9 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
                     (dp[:, None, :, a, b] @ p[0, :, :, c, None])[:, 0, 0]
                     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
                 )
-            for defect in _unflagged(np.abs(total).tolist(), point_errors(errors, len(x))):
+            # a sample fails at its first flagged point, in the order of points
+            bad = bad.reshape(len(points), len(x)).any(axis=0)
+            for defect in _unflagged(np.abs(total).tolist(), bad, lambda i: [_closed_at(kp, z, b[i]) for b in points]):
                 yield defect, _kp_tag(kp)
 
 
@@ -1177,8 +1190,9 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
         row = rows[kp.signs()]
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-            p, errors = _sklyanin_closed_stack(kp, z, x)
-            for point, got in _unflagged(zip(x.tolist(), p[:, _UPPER[0], _UPPER[1]].tolist()), errors):
+            p, bad = _sklyanin_closed_stack(kp, z, x)
+            upper = p[:, _UPPER[0], _UPPER[1]].tolist()
+            for point, got in _unflagged(zip(x.tolist(), upper), bad, lambda i: _closed_at(kp, z, x[i])):
                 for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(*point, z)):
                     yield abs(val - ref), f"{{{f},{g}}} {_kp_tag(kp)}"
 
@@ -1188,8 +1202,10 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> D
     for z in cfg.z_values:
         for k1 in (-1.0, 0.0, 1.0):
             kp0 = KappaPair(k1, 0.0)
-            p, errors = _sklyanin_closed_stack(kp0, z, sample_group_stack(rng, kp0, 0.4, cfg.sample_count))
-            for vals in _unflagged(np.abs(p[:, _UPPER[0], _UPPER[1]]).tolist(), errors):
+            x = sample_group_stack(rng, kp0, 0.4, cfg.sample_count)
+            p, bad = _sklyanin_closed_stack(kp0, z, x)
+            upper = np.abs(p[:, _UPPER[0], _UPPER[1]]).tolist()
+            for vals in _unflagged(upper, bad, lambda i: _closed_at(kp0, z, x[i])):
                 for val in vals:
                     yield val, f"vanish k1={k1:g}"
             # shrinking the second label scales every bracket linearly

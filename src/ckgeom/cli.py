@@ -396,13 +396,10 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             # the bit patterns of the labels; + 0.0 folds -0.0 into 0.0
             label_bits = struct.unpack("<2Q", struct.pack("<2d", kp.k1 + 0.0, kp.k2 + 0.0))
             rng = np.random.default_rng([sweep.seed, *label_bits])
-            worst = 0.0
-            errors = 0
-            for defects in sklyanin_pair_defects(kp, z, sample_group_stack(rng, kp, 0.35, sweep.sample_count)):
-                if isinstance(defects, GeometryError):
-                    errors += len(GROUP_COORD_PAIRS)  # every pair at this point failed with it
-                else:
-                    worst = functools.reduce(max, defects, worst)
+            defects, bad = sklyanin_pair_defects(kp, z, sample_group_stack(rng, kp, 0.35, sweep.sample_count))
+            worst = functools.reduce(max, defects[~bad].ravel().tolist(), 0.0)
+            # every pair at a flagged point failed
+            errors = len(GROUP_COORD_PAIRS) * int(np.count_nonzero(bad))
             rows.append(
                 {
                     "k1": kp.k1,

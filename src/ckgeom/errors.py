@@ -5,13 +5,10 @@ callers can catch the whole family with one handler while still
 distinguishing the individual conditions.
 
 A stack form, which evaluates a map at N points at once, raises nothing:
-it returns its RowErrors, the GeometryError its scalar form raises at each
-flagged row, built by the helpers below.
+it returns the mask of the rows where its scalar form raises, and the
+error of a flagged row comes from evaluating that row through the scalar
+form (see ktrig).
 """
-
-from collections.abc import Callable, Iterator, Mapping
-
-import numpy as np
 
 
 class GeometryError(Exception):
@@ -60,45 +57,3 @@ class ProjectionError(GeometryError):
 
 class ConfigError(GeometryError):
     """Invalid configuration value passed to a report or sweep entry point."""
-
-
-class RowErrors(Mapping[int, GeometryError]):
-    """The row errors of a stack form: the GeometryError of each flagged row,
-    keyed by the row's index.  An error is built when it is looked up, from
-    arrays the stack form holds on to, so a caller that only counts or masks
-    the flagged rows formats no message."""
-
-    def __init__(self, builders: dict[int, Callable[[int], GeometryError]]):
-        self.builders = builders  # row -> the function of the row that builds its error
-
-    def __getitem__(self, i: int) -> GeometryError:
-        return self.builders[i](i)
-
-    def __contains__(self, i: object) -> bool:
-        return i in self.builders
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.builders)
-
-    def __len__(self) -> int:
-        return len(self.builders)
-
-
-def row_errors(mask, error: Callable[[int], GeometryError]) -> RowErrors:
-    """error(i) at each flat index i where the boolean array mask is True."""
-    return RowErrors(dict.fromkeys(np.asarray(mask).reshape(-1).nonzero()[0].tolist(), error))
-
-
-def first_errors(*stages: RowErrors) -> RowErrors:
-    """The row errors of stages in the order the scalar form runs them: at
-    each row, the error of the first stage that flags it."""
-    builders: dict[int, Callable[[int], GeometryError]] = {}
-    for stage in reversed(stages):
-        builders.update(stage.builders)
-    return RowErrors(builders)
-
-
-def point_errors(errors: RowErrors, n: int) -> RowErrors:
-    """The row errors of a stack of blocks of n points each, per point: at
-    each point, the error of its first flagged row."""
-    return RowErrors({row % n: lambda _, row=row: errors[row] for row in sorted(errors, reverse=True)})

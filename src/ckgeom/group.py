@@ -10,19 +10,21 @@ the principal domains.
 
 Finiteness is checked once, where a GroupElement is built: every public
 function that returns one validates its 3x3 matrix in __post_init__, which
-rejects a non-finite matrix with ValueError.  The product of two finite
-elements that overflows is a ChartDomainError instead.
+rejects a non-finite matrix with ValueError.  A one-parameter factor or a
+product of finite elements that overflows is a ChartDomainError instead.
 
 The stack forms _exp_stack, _group_stack, _coords_stack, _act_stack and
 _ambient_defect_stack evaluate a map at N points at once, over (N, 3, 3)
 stacks of raw arrays and (N, 3) arrays of points.  They raise nothing:
-each returns its values and its row errors (see errors).  coords_from_group
-and act are one-row stack calls.  Three scalar forms stay, equal to their
-stack forms bit for bit and error for error: exp_one_param and
-group_from_coords share _one_param with theirs and build GroupElements
-through the checked product, and ambient_defect, at 5.9 us against 10.8 us
-for a one-row call, would add 21 ms to a 0.28 s sweep over its 4,500
-calls.  expm_series takes one matrix or a stack of them.
+each returns its values and the mask of the rows where its scalar form
+raises.  Each map is written once over the steps of ktrig._Flag and
+ktrig._RAISE, so exp_one_param, the group product, coords_from_group and
+act raise where their stack forms flag, at the first failing step.
+group_from_coords composes exp_one_param factors through the checked
+product.  ambient_defect stays a separate transcription: at 5.9 us
+against 10.8 us for a stack call on one point, it would add 21 ms to a
+0.28 s sweep over its 4,500 calls.  _series_stack flags the matrices
+where expm_series raises.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import ktrig
 from .algebra import GENERATOR_NAMES, AlgebraElement, KappaPair
-from .errors import ChartDomainError, ConvergenceError, OffSurfaceError, RowErrors, first_errors, row_errors
+from .errors import ChartDomainError, ConvergenceError, OffSurfaceError
 
 SERIES_MAX_TERMS = 30
 SERIES_SCALE_THRESHOLD = 0.5
@@ -92,20 +94,24 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.kp != self.kp:
             raise ValueError("cannot compose elements over different curvature labels")
-        # an overflowing product is caught below, as a non-finite matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = self.m @ other.m
-        if not np.isfinite(m).all():
-            raise ChartDomainError(_PRODUCT_OVERFLOW)
-        return GroupElement(m, self.kp)
+        return GroupElement(_product(self.m, other.m, ktrig._RAISE), self.kp)
 
 
-_PRODUCT_OVERFLOW = "two finite group elements overflow the group product"
+def _product(a: np.ndarray, b: np.ndarray, steps) -> np.ndarray:
+    """The product a @ b of raw matrices or stacks of them, through steps
+    (see ktrig): an overflowing product fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a @ b
+    steps.check(
+        ~np.isfinite(m).all(axis=(-2, -1)),
+        lambda: ChartDomainError("two finite group elements overflow the group product"),
+    )
+    return m
 
 
-def _one_param(kp: KappaPair, generator: str, t, ck, sk) -> np.ndarray:
-    """Raw exp(t * rho(generator)) from the labelled cosine ck and sine sk:
-    one 3x3 array for a scalar t, an (N, 3, 3) stack for an (N,) array t."""
+def _one_param(kp: KappaPair, generator: str, t, steps) -> np.ndarray:
+    """Raw exp(t * rho(generator)) through steps (see ktrig): one 3x3 array
+    for a scalar t, an (N, 3, 3) stack for an (N,) array t."""
     if generator == "J01":
         i, j, kappa = 0, 1, kp.k1
     elif generator == "J02":
@@ -114,40 +120,48 @@ def _one_param(kp: KappaPair, generator: str, t, ck, sk) -> np.ndarray:
         i, j, kappa = 1, 2, kp.k2
     else:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
-    c, s = ck(kappa, t), sk(kappa, t)
+    # an entry that overflows fails its step; -kappa * s can overflow where
+    # sk does not, when |kappa| > 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = steps.ck(kappa, t), steps.sk(kappa, t)
+        ks = -kappa * s
+    steps.check(np.isinf(ks), lambda: ChartDomainError(f"{-kappa!r} * sk({kappa!r}, {float(t)!r}) overflows a double"))
     m = np.zeros(np.shape(t) + (3, 3))
     m[..., i, i] = c
     m[..., j, j] = c
     m[..., j, i] = s
-    m[..., i, j] = -kappa * s
+    m[..., i, j] = ks
     m[..., 3 - i - j, 3 - i - j] = 1.0
     return m
 
 
-def _exp_stack(kp: KappaPair, generator: str, t: np.ndarray) -> tuple[np.ndarray, RowErrors]:
+def _exp_stack(kp: KappaPair, generator: str, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp_one_param at each element of the (N,) array t, as an (N, 3, 3)
-    stack of raw arrays, and its row errors."""
+    stack of raw arrays, and the mask of the elements where it raises."""
     t = np.asarray(t, dtype=float)
-    log: list[RowErrors] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an entry -kappa * s may overflow
-        m = _one_param(kp, generator, t, *ktrig.logged_arrays(log, t.shape))
-    return m, first_errors(*log)
+    flag = ktrig._Flag(t.shape)
+    return _one_param(kp, generator, t, flag), flag.bad
 
 
-def _group_stack(kp: KappaPair, x: np.ndarray) -> tuple[np.ndarray, RowErrors]:
+def _group(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
+    """The ordered product of group_from_coords at the points x, (..., 3),
+    as raw (..., 3, 3) arrays, through steps (see ktrig)."""
+    g1, g2, g3 = (_one_param(kp, name, x[..., k], steps) for k, name in enumerate(GENERATOR_NAMES))
+    return _product(_product(g1, g2, steps), g3, steps)
+
+
+def _group_stack(kp: KappaPair, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """group_from_coords at each row (a1, a2, xi) of the (N, 3) array x, as
-    an (N, 3, 3) stack of raw arrays, and its row errors."""
-    (g1, e1), (g2, e2), (g3, e3) = (_exp_stack(kp, name, x[:, k]) for k, name in enumerate(GENERATOR_NAMES))
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = g1 @ g2 @ g3
-    overflow = row_errors(~np.isfinite(g).all(axis=(1, 2)), lambda i: ChartDomainError(_PRODUCT_OVERFLOW))
-    return g, first_errors(e1, e2, e3, overflow)
+    an (N, 3, 3) stack of raw arrays, and the mask of the rows where it
+    raises."""
+    flag = ktrig._Flag(len(x))
+    return _group(kp, x, flag), flag.bad
 
 
 def exp_one_param(kp: KappaPair, generator: str, t: float) -> GroupElement:
-    """Closed-form exponential exp(t * rho(generator)); a ck or sk overflow
-    raises ChartDomainError."""
-    return GroupElement(_one_param(kp, generator, t, ktrig.ck, ktrig.sk), kp)
+    """Closed-form exponential exp(t * rho(generator)); an entry that
+    overflows a double raises ChartDomainError."""
+    return GroupElement(_one_param(kp, generator, t, ktrig._RAISE), kp)
 
 
 def expm_series(a: np.ndarray) -> np.ndarray:
@@ -157,54 +171,68 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     route.  a is one square matrix or a stack of them.  Each matrix of a
     stack gets its own scaling, term count and squarings, so its result
     equals expm_series of that matrix alone bit for bit.  Raises
-    ConvergenceError if the final series term is still above the residual
-    tolerance after the term cap, and where the input, the scaling
-    2**squarings or the result is not finite; in a stack, for the first
-    matrix that fails the earliest of these tests.
+    ConvergenceError where the input or the scaling 2**squarings is not
+    finite, where the final series term is still above the residual
+    tolerance after the term cap, and where the result is not finite; in a
+    stack, for the first matrix that fails.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-    bad = ~np.isfinite(norm)
+    result, bad = _series_stack(a)
     if np.count_nonzero(bad):
-        raise ConvergenceError(f"series exponential of a matrix with entry {float(norm[bad][0])!r}")
-    # the number of halvings that bring the norm to SERIES_SCALE_THRESHOLD or
-    # below: with norm / (2 SERIES_SCALE_THRESHOLD) = mant * 2**e and
-    # 0.5 <= mant < 1, that is e, plus one where mant > 0.5
-    mant, e = np.frexp(norm / (2.0 * SERIES_SCALE_THRESHOLD))
-    squarings = np.maximum(e + (mant > 0.5), 0)
-    bad = squarings >= sys.float_info.max_exp
-    if np.count_nonzero(bad):
-        raise ConvergenceError(f"series exponential: the scaling 2**{int(squarings[bad][0])} overflows")
-    b = a / np.ldexp(1.0, squarings)[..., None, None]
-    result = term = np.eye(a.shape[-1])
-    # each matrix keeps the sum and term norm of the term that stopped it:
-    # the first below 1e-17, or the last
-    final = np.empty(a.shape)
-    final_norm = np.empty(norm.shape)
-    running = np.ones(norm.shape, dtype=bool)
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        term = term @ b / n
-        result = result + term
-        term_norm = np.abs(term).max(axis=(-2, -1))
-        stop = running & (term_norm < 1e-17) if n < SERIES_MAX_TERMS else running
-        if np.count_nonzero(stop):
-            np.copyto(final, result, where=stop[..., None, None])
-            np.copyto(final_norm, term_norm, where=stop)
-            running &= ~stop
-            if not np.count_nonzero(running):
-                break
-    bad = final_norm > SERIES_RESIDUAL_TOL
-    if np.count_nonzero(bad):
-        raise ConvergenceError(
-            f"series exponential: residual {float(final_norm[bad][0]):.3e} after {SERIES_MAX_TERMS} terms"
-        )
-    # an overflowing square is caught below, as a non-finite result
+        _series(a[bad][0], ktrig._RAISE)
+    return result
+
+
+def _series_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """expm_series of each matrix of the stack a, (..., n, n), and the mask
+    of the matrices where it raises."""
+    flag = ktrig._Flag(a.shape[:-2])
+    return _series(a, flag), flag.bad
+
+
+def _series(a: np.ndarray, steps) -> np.ndarray:
+    """The series exponential of the matrices a, (..., n, n), through steps
+    (see ktrig)."""
+    # a matrix that fails a step below is flagged or raised there
     with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+        steps.check(~np.isfinite(norm), lambda: ConvergenceError(f"series exponential of a matrix with entry {float(norm)!r}"))
+        # the number of halvings that bring the norm to SERIES_SCALE_THRESHOLD
+        # or below: with norm / (2 SERIES_SCALE_THRESHOLD) = mant * 2**e and
+        # 0.5 <= mant < 1, that is e, plus one where mant > 0.5
+        mant, e = np.frexp(norm / (2.0 * SERIES_SCALE_THRESHOLD))
+        squarings = np.maximum(e + (mant > 0.5), 0)
+        overflow = squarings >= sys.float_info.max_exp
+        steps.check(overflow, lambda: ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows"))
+        squarings = np.where(overflow, 0, squarings)  # a flagged matrix is not squared
+        b = a / np.ldexp(1.0, squarings)[..., None, None]
+        result = term = np.eye(a.shape[-1])
+        # each matrix keeps the sum and term norm of the term that stopped
+        # it: the first below 1e-17, or the last
+        final = np.empty(a.shape)
+        final_norm = np.empty(norm.shape)
+        running = np.ones(norm.shape, dtype=bool)
+        for n in range(1, SERIES_MAX_TERMS + 1):
+            term = term @ b / n
+            result = result + term
+            term_norm = np.abs(term).max(axis=(-2, -1))
+            stop = running & (term_norm < 1e-17) if n < SERIES_MAX_TERMS else running
+            if np.count_nonzero(stop):
+                np.copyto(final, result, where=stop[..., None, None])
+                np.copyto(final_norm, term_norm, where=stop)
+                running &= ~stop
+                if not np.count_nonzero(running):
+                    break
+        steps.check(
+            final_norm > SERIES_RESIDUAL_TOL,
+            lambda: ConvergenceError(f"series exponential: residual {float(final_norm):.3e} after {SERIES_MAX_TERMS} terms"),
+        )
         for k in range(int(squarings.max(initial=0))):
             np.copyto(final, final @ final, where=(squarings > k)[..., None, None])
-    if not np.isfinite(final).all():
-        bad = ~np.isfinite(final).all(axis=(-2, -1))
-        raise ConvergenceError(f"series exponential: {int(squarings[bad][0])} squarings overflow")
+        steps.check(
+            ~np.isfinite(final).all(axis=(-2, -1)),
+            lambda: ConvergenceError(f"series exponential: {int(squarings)} squarings overflow"),
+        )
     return final
 
 
@@ -226,40 +254,41 @@ def coords_from_group(kp: KappaPair, g: GroupElement) -> GroupCoordinates:
     ChartDomainError; no wrapping is attempted.  So does an element whose
     coordinates overflow on the way.
     """
-    x, errors = _coords_stack(kp, g.m[None])
-    if errors:
-        raise errors[0]
-    return GroupCoordinates(*x[0].tolist())
+    return GroupCoordinates(*_coords(kp, g.m, ktrig._RAISE).tolist())
 
 
-def _coords_stack(kp: KappaPair, m: np.ndarray) -> tuple[np.ndarray, RowErrors]:
+def _coords_stack(kp: KappaPair, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """coords_from_group at each matrix of the (N, 3, 3) stack m, as the
-    (N, 3) coordinates (a1, a2, xi), and its row errors."""
-    x, errors = _coords_read(kp, m)
-
-    def not_finite(i: int) -> ChartDomainError:
-        gc = GroupCoordinates(*x[i].tolist())
-        return ChartDomainError(f"coords_from_group: the coordinates {gc} of a finite element are not finite")
-
-    return x, first_errors(errors, row_errors(~np.isfinite(x).all(axis=1), not_finite))
+    (N, 3) coordinates (a1, a2, xi), and the mask of the rows where it
+    raises."""
+    flag = ktrig._Flag(len(m))
+    return _coords(kp, m, flag), flag.bad
 
 
-def _coords_read(kp: KappaPair, m: np.ndarray) -> tuple[np.ndarray, RowErrors]:
-    """_coords_stack without its check that the coordinates are finite."""
+def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndarray:
+    """The coordinates (a1, a2, xi) of the matrices m, (..., 3, 3) -> (..., 3),
+    through steps (see ktrig); finite=False leaves out the last step, the
+    check that they are finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s0, s1, s2 = m[:, 0, 0], m[:, 1, 0], m[:, 2, 0]
+        s0, s1, s2 = m[..., 0, 0], m[..., 1, 0], m[..., 2, 0]
         c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
-        a2, e2 = ktrig.kinv_array(kp.k12, s2, c2)
-        a1, e1 = ktrig.kinv_array(kp.k1, s1 / c2, s0 / c2)
-        (h2, f2), (h1, f1) = _exp_stack(kp, "J02", -a2), _exp_stack(kp, "J01", -a1)
-        h = h2 @ h1 @ m
-        xi, e3 = ktrig.kinv_array(kp.k2, h[:, 2, 1], h[:, 1, 1])
-
-    def vanishing(i: int) -> ChartDomainError:
-        return ChartDomainError(f"coords_from_group: cosine factor {c2[i]:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}")
-
-    vanishes = row_errors(c2 < DEFAULT_CHART_TOL, vanishing)
-    return np.stack([a1, a2, xi], axis=1), first_errors(vanishes, e2, e1, f2, f1, e3)
+        steps.check(
+            c2 < DEFAULT_CHART_TOL,
+            lambda: ChartDomainError(f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}"),
+        )
+        a2 = steps.kinv(kp.k12, s2, c2)
+        a1 = steps.kinv(kp.k1, s1 / c2, s0 / c2)
+        h = _one_param(kp, "J02", -a2, steps) @ _one_param(kp, "J01", -a1, steps) @ m
+        xi = steps.kinv(kp.k2, h[..., 2, 1], h[..., 1, 1])
+    x = np.stack([a1, a2, xi], axis=-1)
+    if finite:
+        steps.check(
+            ~np.isfinite(x).all(axis=-1),
+            lambda: ChartDomainError(
+                f"coords_from_group: the coordinates {GroupCoordinates(*x.tolist())} of a finite element are not finite"
+            ),
+        )
+    return x
 
 
 def ambient_defect(kp: KappaPair, point) -> float:
@@ -272,32 +301,36 @@ def ambient_defect(kp: KappaPair, point) -> float:
 
 
 def _ambient_defect_stack(kp: KappaPair, s: np.ndarray) -> np.ndarray:
-    """ambient_defect at each row of the (N, 3) array s."""
+    """ambient_defect at each row of the array s, (..., 3)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = (s[:, None, :] @ metric_matrix(kp) @ s[:, :, None])[:, 0, 0]
+        q = (s[..., None, :] @ metric_matrix(kp) @ s[..., :, None])[..., 0, 0]
         return np.where(np.isfinite(q), np.abs(q - 1.0), math.inf)
 
 
 def act(kp: KappaPair, g: GroupElement, point) -> np.ndarray:
     """Apply a group element to an ambient triple on the quadric."""
-    images, errors = _act_stack(kp, g.m[None], np.asarray(point, dtype=float)[None])
-    if errors:
-        raise errors[0]
-    return images[0]
+    return _act(kp, g.m, np.asarray(point, dtype=float), ktrig._RAISE)
 
 
-def _act_stack(kp: KappaPair, g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, RowErrors]:
+def _act_stack(kp: KappaPair, g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """act of each matrix of the (N, 3, 3) stack g on the matching row of the
-    (N, 3) array s, as the (N, 3) images, and its row errors."""
+    (N, 3) array s, as the (N, 3) images, and the mask of the rows where it
+    raises."""
+    flag = ktrig._Flag(len(s))
+    return _act(kp, g, s, flag), flag.bad
+
+
+def _act(kp: KappaPair, g: np.ndarray, s: np.ndarray, steps) -> np.ndarray:
+    """The images g s of the points s, (..., 3), under the matrices g,
+    (..., 3, 3), through steps (see ktrig)."""
     defect = _ambient_defect_stack(kp, s)
+    steps.check(
+        defect > DEFAULT_SURFACE_TOL,
+        lambda: OffSurfaceError(f"act: point {s.tolist()} misses the quadric by {float(defect):.3e}"),
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        image = (g @ s[:, :, None])[:, :, 0]
-
-    def off_surface(i: int) -> OffSurfaceError:
-        return OffSurfaceError(f"act: point {s[i].tolist()} misses the quadric by {defect[i]:.3e}")
-
-    def overflow(i: int) -> ChartDomainError:
-        return ChartDomainError(f"act: the image of the point {s[i].tolist()} overflows")
-
-    finite = np.isfinite(image).all(axis=1)
-    return image, first_errors(row_errors(defect > DEFAULT_SURFACE_TOL, off_surface), row_errors(~finite, overflow))
+        image = (g @ s[..., None])[..., 0]
+    steps.check(
+        ~np.isfinite(image).all(axis=-1), lambda: ChartDomainError(f"act: the image of the point {s.tolist()} overflows")
+    )
+    return image

@@ -12,11 +12,18 @@ makes the contraction kappa -> 0 non-singular.  The functions here take
 scalars; ck_array, sk_array and kinv_array evaluate them over arrays for one
 scalar label and agree with ck, sk and kinv bit for bit element by element.
 Where a hyperbolic value overflows a double, ck and sk raise
-ChartDomainError and the array forms give an infinite element, which
-logged_arrays turns into that error; kinv_array returns the row errors of
-kinv.  One function formats each error text for both forms.  The scalar
-forms stay: a sweep makes about 48,000 calls to them at 0.17-0.29 us, and
-a one-element array call, at 1.4-14 us, would add 0.2-0.3 s to its 0.28 s.
+ChartDomainError and the array forms give an infinite element; kinv_array
+returns the mask of the elements where kinv raises.  The scalar forms stay:
+a sweep makes about 48,000 calls to them at 0.2-0.3 us, and a one-element
+array call, at 1.5-10 us, would add 0.1-0.3 s to its 0.3 s.
+
+A map that other modules evaluate at N points at once (a "stack form") is
+written once, over the steps _Flag and _RAISE provide.  _Flag runs the
+array forms and ORs the rows where a step's scalar form would raise into
+its mask `bad`; nothing is raised or formatted.  _RAISE runs the same
+steps at one point through the scalar forms, so the first step that fails
+raises, from its own raise site.  check(fails, error) is the step of a
+domain test: error() builds its exception and is called only to raise it.
 
 Bit identity decides which function an array form calls.  Elementwise
 arithmetic, np.sqrt, np.cos and np.sin round like their scalar forms, so
@@ -33,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ChartDomainError, OffCurveError, PoleError, RowErrors, first_errors, row_errors
+from .errors import ChartDomainError, GeometryError, OffCurveError, PoleError
 
 # Below this |kappa| the sqrt-based closed forms are replaced by a 4-term
 # Taylor expansion in kappa; at the cutoff the truncation error is
@@ -58,18 +65,6 @@ def _sinh_or_inf(v: float) -> float:
         return math.copysign(math.inf, v)
 
 
-def _overflow(name: str, kappa: float, x: float) -> ChartDomainError:
-    return ChartDomainError(f"{name}({kappa!r}, {x!r}) overflows a double")
-
-
-def _off_curve(kappa: float, s: float, c: float, deviation: float) -> OffCurveError:
-    return OffCurveError(f"kinv({kappa!r}): pair (c={c!r}, s={s!r}) misses the unit curve by {deviation:.3e}")
-
-
-def _wrong_branch(kappa: float, c: float) -> OffCurveError:
-    return OffCurveError(f"kinv({kappa!r}): c={c!r} lies on the branch not connected to the identity")
-
-
 # math functions mapped over arrays; see the module docstring
 _cosh = np.frompyfunc(_cosh_or_inf, 1, 1)
 _sinh = np.frompyfunc(_sinh_or_inf, 1, 1)
@@ -87,7 +82,7 @@ def ck(kappa: float, x: float) -> float:
         return math.cos(math.sqrt(kappa) * x)
     v = _cosh_or_inf(math.sqrt(-kappa) * x)
     if math.isinf(v):
-        raise _overflow("ck", kappa, x)
+        raise ChartDomainError(f"ck({kappa!r}, {x!r}) overflows a double")
     return v
 
 
@@ -104,7 +99,7 @@ def sk(kappa: float, x: float) -> float:
     # the quotient can overflow where sinh does not, when -kappa < 1
     v = _sinh_or_inf(rk * x) / rk
     if math.isinf(v):
-        raise _overflow("sk", kappa, x)
+        raise ChartDomainError(f"sk({kappa!r}, {x!r}) overflows a double")
     return v
 
 
@@ -130,27 +125,6 @@ def sk_array(kappa: float, x) -> np.ndarray:
     rk = math.sqrt(-kappa)
     with np.errstate(over="ignore"):  # an overflowing element is inf, as documented
         return np.asarray(_sinh(rk * x), dtype=float) / rk
-
-
-def logged_arrays(log: list[RowErrors], shape: tuple[int, ...]) -> tuple[Callable, Callable]:
-    """ck_array and sk_array, each also appending to log the row errors of
-    ck or sk over its array x, keyed by the flat index of x broadcast to
-    shape: a formula written once over ck and sk logs through them the
-    errors of its scalar evaluation, in call order."""
-
-    def logged(name: str, form: Callable) -> Callable:
-        def call(kappa: float, x: np.ndarray) -> np.ndarray:
-            values = form(kappa, x)
-            if kappa <= -TAYLOR_CUTOFF:  # only the hyperbolic branch raises
-                overflow = np.isinf(values)
-                if overflow.shape != shape:
-                    overflow = np.broadcast_to(overflow, shape)
-                log.append(row_errors(overflow, lambda i: _overflow(name, kappa, np.broadcast_to(x, shape).flat[i].item())))
-            return values
-
-        return call
-
-    return logged("ck", ck_array), logged("sk", sk_array)
 
 
 def tk(kappa: float, x: float) -> float:
@@ -199,38 +173,99 @@ def kinv(kappa: float, s: float, c: float) -> float:
     """
     deviation = abs(c * c + kappa * s * s - 1.0)
     if deviation > DEFAULT_CURVE_TOL:
-        raise _off_curve(kappa, s, c, deviation)
+        raise OffCurveError(f"kinv({kappa!r}): pair (c={c!r}, s={s!r}) misses the unit curve by {deviation:.3e}")
     if kappa > TAYLOR_CUTOFF:
         if s == 0.0:
             # atan2 would return -pi for s = -0.0; pin the antipode to +pi.
             return math.pi / math.sqrt(kappa) if c < 0.0 else 0.0
         return math.atan2(math.sqrt(kappa) * s, c) / math.sqrt(kappa)
     if c < 0.0:
-        raise _wrong_branch(kappa, c)
+        raise OffCurveError(f"kinv({kappa!r}): c={c!r} lies on the branch not connected to the identity")
     if abs(kappa) <= TAYLOR_CUTOFF:
         return s
     rk = math.sqrt(-kappa)
     return math.asinh(rk * s) / rk
 
 
-def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, RowErrors]:
+def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, np.ndarray]:
     """kinv(kappa, s, c) for every element of the arrays s and c, of one
-    shape, and the row errors of kinv."""
+    shape, and the mask of the elements where kinv raises."""
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.abs(c * c + kappa * s * s - 1.0)
-        errors = row_errors(
-            deviation > DEFAULT_CURVE_TOL,
-            lambda i: _off_curve(kappa, s.flat[i].item(), c.flat[i].item(), deviation.flat[i].item()),
-        )
+        bad = np.abs(c * c + kappa * s * s - 1.0) > DEFAULT_CURVE_TOL
         if kappa > TAYLOR_CUTOFF:
             rk = math.sqrt(kappa)
             x = np.asarray(_atan2(rk * s, c), dtype=float) / rk
             # the antipode pin of kinv, for s = +0.0 and -0.0 alike
-            return np.where(s == 0.0, np.where(c < 0.0, math.pi / rk, 0.0), x), errors
-        errors = first_errors(errors, row_errors(c < 0.0, lambda i: _wrong_branch(kappa, c.flat[i].item())))
+            return np.where(s == 0.0, np.where(c < 0.0, math.pi / rk, 0.0), x), bad
+        bad |= c < 0.0
         if abs(kappa) <= TAYLOR_CUTOFF:
-            return s.copy(), errors
+            return s.copy(), bad
         rk = math.sqrt(-kappa)
-        return np.asarray(_asinh(rk * s), dtype=float) / rk, errors
+        return np.asarray(_asinh(rk * s), dtype=float) / rk, bad
+
+
+class _Flag:
+    """The steps of a stack form over arrays: each ORs into bad, an array of
+    the stack's shape, the rows where the step's scalar form raises."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.bad = np.zeros(shape, dtype=bool)
+
+    def check(self, fails, error: Callable[[], GeometryError]) -> None:
+        self.bad |= fails
+
+    def _overflow(self, kappa: float, values: np.ndarray) -> np.ndarray:
+        if kappa <= -TAYLOR_CUTOFF:  # only the hyperbolic branch raises
+            self.bad |= np.isinf(values)
+        return values
+
+    def ck(self, kappa: float, x) -> np.ndarray:
+        return self._overflow(kappa, ck_array(kappa, x))
+
+    def sk(self, kappa: float, x) -> np.ndarray:
+        return self._overflow(kappa, sk_array(kappa, x))
+
+    def kinv(self, kappa: float, s, c) -> np.ndarray:
+        x, bad = kinv_array(kappa, s, c)
+        self.bad |= bad
+        return x
+
+    def each(self, form: Callable, rows: np.ndarray) -> np.ndarray:
+        """form(rows, steps) for a stack rows of k inputs per point, shape
+        (k, *bad.shape, ...): a point is flagged where any of its k is."""
+        each = _Flag(rows.shape[: self.bad.ndim + 1])
+        values = form(rows, each)
+        self.bad |= each.bad.any(axis=0)
+        return values
+
+
+class _Raise:
+    """The same steps at one point, through the scalar forms: the first that
+    fails raises.  Values are passed on as Python floats, as a caller of the
+    scalar forms passes them."""
+
+    @staticmethod
+    def check(fails, error: Callable[[], GeometryError]) -> None:
+        if fails:
+            raise error()
+
+    @staticmethod
+    def ck(kappa: float, x) -> float:
+        return ck(kappa, float(x))
+
+    @staticmethod
+    def sk(kappa: float, x) -> float:
+        return sk(kappa, float(x))
+
+    @staticmethod
+    def kinv(kappa: float, s, c) -> float:
+        return kinv(kappa, float(s), float(c))
+
+    @staticmethod
+    def each(form: Callable, rows: np.ndarray) -> np.ndarray:
+        return np.stack([form(row, _RAISE) for row in rows])
+
+
+_RAISE = _Raise()

@@ -14,12 +14,14 @@ contraction L^T r L - R^T r R of the left/right invariant vector fields.
 The fields come in closed form or from an oracle that rebuilds them by
 differentiating group translations.
 
-The oracle fields and the closed-form bracket are written once, as the
-stack forms _invariant_fields_stack and _sklyanin_closed_stack over the N
-rows (a1, a2, xi) of an (N, 3) array.  Like the stack forms in group, they
-raise nothing and return their row errors; invariant_fields_numeric and
-sklyanin_closed are the one-row calls.  sklyanin_numeric takes one point's
-fields or stacks of them.
+The oracle fields and the closed-form bracket are each written once, over
+the steps of ktrig._Flag and ktrig._RAISE.  Their stack forms
+_invariant_fields_stack and _sklyanin_closed_stack take the N rows
+(a1, a2, xi) of an (N, 3) array and, like the stack forms in group, raise
+nothing: they return their values and the mask of the rows where
+invariant_fields_numeric or sklyanin_closed raises.  sklyanin_numeric takes
+one point's fields or stacks of them; _bracket_matrix flags the points
+where it raises.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import ktrig
 from .algebra import BASIS, GENERATOR_NAMES, AlgebraElement, KappaPair, structure_tensor
-from .errors import ChartDomainError, PoleError, RowErrors, first_errors, point_errors, row_errors
-from .group import GroupCoordinates, _coords_read, _exp_stack, _group_stack
+from .errors import ChartDomainError, PoleError
+from .group import GroupCoordinates, _coords, _group, _one_param
 # Kept bound here: perfbench/tests/test_tracer.py checks that the tracer
 # rebinds names a module imported from another layer, using this one.
 from .group import coords_from_group  # noqa: F401
@@ -312,84 +314,78 @@ def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFi
     """
     if not np.isfinite(gc.as_array()).all():
         raise ValueError(f"group coordinates {gc} are not finite")
-    fields, errors = _invariant_fields_stack(kp, gc.as_array()[None])
-    if errors:
-        raise errors[0]
-    return InvariantFields(fields.left[0], fields.right[0])
+    return _invariant_fields(kp, gc.as_array(), ktrig._RAISE)
 
 
-def _invariant_fields_stack(kp: KappaPair, x: np.ndarray) -> tuple[InvariantFields, RowErrors]:
+def _invariant_fields_stack(kp: KappaPair, x: np.ndarray) -> tuple[InvariantFields, np.ndarray]:
     """invariant_fields_numeric at the N finite points x, as (N, 3, 3)
-    stacks, and its row errors.
+    stacks, and the mask of the points where it raises."""
+    flag = ktrig._Flag(len(x))
+    return _invariant_fields(kp, x, flag), flag.bad
 
-    The twelve translates of all N points are read back as one stack of
-    12 N matrices.
-    """
-    n = len(x)
-    g0, errors = _group_stack(kp, x)
+
+def _invariant_fields(kp: KappaPair, x: np.ndarray, steps) -> InvariantFields:
+    """The oracle fields at the points x, (..., 3), through steps (see
+    ktrig).  The twelve translates of every point are read back at once."""
+    g0 = _group(kp, x, steps)
     translates = []
     with np.errstate(over="ignore", invalid="ignore"):
         for name in GENERATOR_NAMES:
-            (plus, minus), step = _exp_stack(kp, name, [TRANSLATION_STEP, -TRANSLATION_STEP])
-            # at a label so large that the step itself overflows, every point fails
-            errors = first_errors(errors, row_errors(np.full(n, bool(step)), lambda i, step=step: step[min(step)]))
+            plus, minus = (_one_param(kp, name, t, steps) for t in (TRANSLATION_STEP, -TRANSLATION_STEP))
             translates += [g0 @ plus, g0 @ minus, plus @ g0, minus @ g0]
-        coords, translate_errors = _coords_read(kp, np.concatenate(translates))
-        # [generator, translate, point, coordinate] -> rows by generator, per point
-        c = coords.reshape(3, 4, n, 3).transpose(1, 2, 0, 3)
+        coords = steps.each(lambda m, each: _coords(kp, m, each, finite=False), np.stack(translates))
+        # [generator, translate, ..., coordinate] -> [translate, ..., generator, coordinate]
+        c = np.moveaxis(coords.reshape(3, 4, *x.shape), 0, -2)
         left = (c[0] - c[1]) / (2.0 * TRANSLATION_STEP)
         right = (c[2] - c[3]) / (2.0 * TRANSLATION_STEP)
-
-    def overflow(i: int) -> ChartDomainError:
-        return ChartDomainError(f"numeric invariant fields at {GroupCoordinates(*x[i].tolist())} overflow")
-
-    finite = np.isfinite(left).all(axis=(1, 2)) & np.isfinite(right).all(axis=(1, 2))
-    errors = first_errors(errors, point_errors(translate_errors, n), row_errors(~finite, overflow))
-    return InvariantFields(left, right), errors
-
-
-_DIVERGE = "bracket coefficients diverge where the a2 cosine factor vanishes"
+    finite = np.isfinite(left).all(axis=(-2, -1)) & np.isfinite(right).all(axis=(-2, -1))
+    steps.check(
+        ~finite, lambda: ChartDomainError(f"numeric invariant fields at {GroupCoordinates(*x.tolist())} overflow")
+    )
+    return InvariantFields(left, right)
 
 
 def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray:
     """Closed-form first-kind multiplicative bracket as the antisymmetric
     3x3 matrix P[i, j] = {x_i, x_j} over the group coordinates
     x = (a1, a2, xi)."""
-    p, errors = _sklyanin_closed_stack(kp, z, gc.as_array()[None])
-    if errors:
-        raise errors[0]
-    return p[0]
+    return _sklyanin_closed(kp, z, gc.as_array(), ktrig._RAISE)
 
 
-def _sklyanin_closed_stack(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, RowErrors]:
-    """sklyanin_closed at the N points x, as an (N, 3, 3) stack, and its row
-    errors."""
-    a2, xi = x[:, 1], x[:, 2]
-    log: list[RowErrors] = []
-    ck, sk = ktrig.logged_arrays(log, a2.shape)
+def _sklyanin_closed_stack(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sklyanin_closed at the N points x, as an (N, 3, 3) stack, and the
+    mask of the points where it raises."""
+    flag = ktrig._Flag(len(x))
+    return _sklyanin_closed(kp, z, x, flag), flag.bad
+
+
+def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
+    """The closed-form bracket matrices at the points x, (..., 3), through
+    steps (see ktrig)."""
+    a2, xi = x[..., 1], x[..., 2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c2, s2, sxi, cxi = ck(kp.k12, a2), sk(kp.k12, a2), sk(kp.k2, xi), ck(kp.k2, xi)
+        c2 = steps.ck(kp.k12, a2)
+        steps.check(
+            abs(c2) < 1e-12, lambda: ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
+        )
+        s2, sxi, cxi = steps.sk(kp.k12, a2), steps.sk(kp.k2, xi), steps.ck(kp.k2, xi)
         upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
     # laid out as Bivector.as_tensor lays out its components
-    p = np.zeros((len(x), 3, 3))
+    p = np.zeros(x.shape[:-1] + (3, 3))
     for (i, j), c in zip(_PAIRS, upper):
-        p[:, i, j] += c
-        p[:, j, i] -= c
-    # a vanishing c2 may come first: where ck(k12, a2) overflows, c2 is inf
-    diverge = row_errors(np.abs(c2) < 1e-12, lambda i: ChartDomainError(_DIVERGE))
-    return p, first_errors(diverge, *log)
+        p[..., i, j] += c
+        p[..., j, i] -= c
+    return p
 
 
-def _bracket_matrix(r: Bivector, fields: InvariantFields) -> tuple[np.ndarray, RowErrors]:
-    """L^T r L - R^T r R at one point or a stack of them, and the row errors
-    of sklyanin_numeric."""
+def _bracket_matrix(r: Bivector, fields: InvariantFields) -> tuple[np.ndarray, np.ndarray]:
+    """L^T r L - R^T r R at one point or a stack of them, and the mask of
+    the points where sklyanin_numeric raises."""
     t = r.as_tensor()
     left, right = fields.left, fields.right
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
-    return p, row_errors(
-        ~np.isfinite(p).all(axis=(-2, -1)), lambda i: ChartDomainError("the numeric Sklyanin bracket overflows")
-    )
+    return p, ~np.isfinite(p).all(axis=(-2, -1))
 
 
 def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
@@ -402,9 +398,9 @@ def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
     stacked over N points give the (N, 3, 3) stack of their brackets.  A
     bracket that overflows raises ChartDomainError.
     """
-    p, errors = _bracket_matrix(r, fields)
-    if errors:
-        raise next(iter(errors.values()))
+    p, bad = _bracket_matrix(r, fields)
+    if np.count_nonzero(bad):
+        raise ChartDomainError("the numeric Sklyanin bracket overflows")
     return p
 
 

@@ -10,9 +10,11 @@ Chart domains are enforced, not wrapped: parallel-type charts need the
 cosine factor of their second coordinate positive, the polar chart needs
 a nonzero radial sine, and every chart needs a finite ambient triple.
 Violations raise ChartDomainError; the batched map to_ambient_batch
-returns them as row errors instead.  Both evaluate one transcription of
-the chart maps.  The scalar to_ambient stays: a sweep calls it about 4,800
-times at 2.4 us, and a one-row batch call, at 54 us, would add 0.25 s.
+flags them instead, in the mask it returns.  Both evaluate one
+transcription of the chart maps, over the steps of ktrig._RAISE and
+ktrig._Flag.  The point-by-point to_ambient stays: a sweep calls it about
+4,800 times at 2.4 us, and a one-point batch call, at 54 us, would add
+0.25 s.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ import numpy as np
 
 from . import ktrig
 from .algebra import KappaPair
-from .errors import (
-    ChartDomainError,
-    DegenerateMetricError,
-    OffCurveError,
-    OffSurfaceError,
-    RowErrors,
-    first_errors,
-    row_errors,
-)
+from .errors import ChartDomainError, DegenerateMetricError, OffCurveError, OffSurfaceError
 from .group import DEFAULT_CHART_TOL, DEFAULT_SURFACE_TOL, ambient_defect
 
 CURVATURE_STEP = 1e-3
@@ -127,89 +121,65 @@ def _radius_message(value: float, kappa: float, label: str) -> str:
     return f"polar radius must be nonnegative, got {value!r}"
 
 
-def _check(predicate: Callable, message: Callable, value: float, kappa: float, label: str) -> None:
-    if predicate(value, kappa):
-        raise ChartDomainError(message(value, kappa, label))
+def _check(steps, predicate: Callable, message: Callable, value: float, kappa: float, label: str) -> None:
+    steps.check(predicate(value, kappa), lambda: ChartDomainError(message(value, kappa, label)))
 
 
-def _triple_message(p: ChartPoint, s: Ambient) -> str:
-    return f"{p} has the non-finite ambient triple ({s.s0!r}, {s.s1!r}, {s.s2!r})"
-
-
-def _ambient_of(kp: KappaPair, p: ChartPoint, check: Callable, ck: Callable, sk: Callable) -> tuple:
-    """The ambient triple of a two-coordinate chart point.
-
-    Written once for to_ambient and to_ambient_batch, whose points hold
-    floats and arrays: check(predicate, message, value, kappa, label)
-    enforces the domain, and ck and sk are ktrig's scalar or array forms.
-    """
+def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
+    """The ambient triple of a two-coordinate chart point, through steps
+    (see ktrig): written once for to_ambient and to_ambient_batch, whose
+    points hold floats and arrays."""
     k1, k12, k2 = kp.k1, kp.k12, kp.k2
     if isinstance(p, ParallelI):
-        check(_outside_period, _period_message, p.a1, k1, "a1")
-        check(_at_quarter, _quarter_message, p.a2, k12, "a2")
-        c2, s2 = ck(k12, p.a2), sk(k12, p.a2)
-        return ck(k1, p.a1) * c2, sk(k1, p.a1) * c2, s2
-    if isinstance(p, ParallelII):
-        check(_at_quarter, _quarter_message, p.b1, k1, "b1")
-        check(_outside_period, _period_message, p.b2, k12, "b2")
-        c1 = ck(k1, p.b1)
-        return c1 * ck(k12, p.b2), sk(k1, p.b1), c1 * sk(k12, p.b2)
-    if isinstance(p, Polar):
-        check(_negative, _radius_message, p.r, k1, "r")
-        check(_outside_period, _period_message, p.r, k1, "r")
-        check(_outside_period, _period_message, p.phi, k2, "phi")
-        sr = sk(k1, p.r)
-        return ck(k1, p.r), sr * ck(k2, p.phi), sr * sk(k2, p.phi)
-    raise TypeError(f"unsupported chart point {type(p).__name__}")
+        _check(steps, _outside_period, _period_message, p.a1, k1, "a1")
+        _check(steps, _at_quarter, _quarter_message, p.a2, k12, "a2")
+        c2, s2 = steps.ck(k12, p.a2), steps.sk(k12, p.a2)
+        s = steps.ck(k1, p.a1) * c2, steps.sk(k1, p.a1) * c2, s2
+    elif isinstance(p, ParallelII):
+        _check(steps, _at_quarter, _quarter_message, p.b1, k1, "b1")
+        _check(steps, _outside_period, _period_message, p.b2, k12, "b2")
+        c1 = steps.ck(k1, p.b1)
+        s = c1 * steps.ck(k12, p.b2), steps.sk(k1, p.b1), c1 * steps.sk(k12, p.b2)
+    elif isinstance(p, Polar):
+        _check(steps, _negative, _radius_message, p.r, k1, "r")
+        _check(steps, _outside_period, _period_message, p.r, k1, "r")
+        _check(steps, _outside_period, _period_message, p.phi, k2, "phi")
+        sr = steps.sk(k1, p.r)
+        s = steps.ck(k1, p.r), sr * steps.ck(k2, p.phi), sr * steps.sk(k2, p.phi)
+    else:
+        raise TypeError(f"unsupported chart point {type(p).__name__}")
+    # x * 0.0 is 0.0 for a finite x and nan otherwise
+    steps.check(
+        s[0] * 0.0 + s[1] * 0.0 + s[2] * 0.0 != 0.0,
+        lambda: ChartDomainError(f"{p} has the non-finite ambient triple ({s[0]!r}, {s[1]!r}, {s[2]!r})"),
+    )
+    return s
 
 
 def to_ambient(kp: KappaPair, p: ChartPoint) -> Ambient:
     """Ambient coordinates of a chart point; validates the chart domain."""
     if isinstance(p, Ambient):
         return p
-    s = Ambient(*_ambient_of(kp, p, _check, ktrig.ck, ktrig.sk))
-    if not (math.isfinite(s.s0) and math.isfinite(s.s1) and math.isfinite(s.s2)):
-        raise ChartDomainError(_triple_message(p, s))
-    return s
+    return Ambient(*_ambient_of(kp, p, ktrig._RAISE))
 
 
-def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, RowErrors]:
+def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """to_ambient of the points with coordinates (x1, x2) of a two-coordinate
-    chart, for arrays x1 and x2 that broadcast together.
+    chart, for arrays x1 and x2 that broadcast together to shape.
 
-    Returns the ambient triples, shape (3, *shape), and the row errors of
-    to_ambient, keyed by the flat index of the point.  A flagged triple is
-    nan; the others equal to_ambient's bit for bit.
+    Returns the ambient triples, shape (3, *shape), and the mask, of shape
+    shape, of the points where to_ambient raises.  A flagged triple is nan;
+    the others equal to_ambient's bit for bit.
     """
     cls = CHARTS.get(chart)
     if cls not in (ParallelI, ParallelII, Polar):
         raise ValueError(f"chart {chart!r} has no two-coordinate map, expected parallel1, parallel2 or polar")
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    log: list[RowErrors] = []
-
-    def full(a) -> np.ndarray:
-        return a if np.shape(a) == shape else np.broadcast_to(a, shape)
-
-    def value(x: np.ndarray, i: int) -> float:
-        return full(x).flat[i].item()
-
-    def check(predicate: Callable, message: Callable, x: np.ndarray, kappa: float, label: str) -> None:
-        log.append(row_errors(full(predicate(x, kappa)), lambda i: ChartDomainError(message(value(x, i), kappa, label))))
-
-    # overflowing points give inf or nan here and are flagged below
+    flag = ktrig._Flag(np.broadcast_shapes(x1.shape, x2.shape))
+    # overflowing points give inf or nan here and are flagged
     with np.errstate(over="ignore", invalid="ignore"):
-        triple = np.stack(np.broadcast_arrays(*_ambient_of(kp, cls(x1, x2), check, *ktrig.logged_arrays(log, shape))))
-    flat = triple.reshape(3, -1)
-
-    def triple_error(i: int) -> ChartDomainError:
-        p = cls(value(x1, i), value(x2, i))
-        return ChartDomainError(_triple_message(p, Ambient(*flat[:, i].tolist())))
-
-    errors = first_errors(*log, row_errors(~np.isfinite(flat).all(axis=0), triple_error))
-    out = triple.copy()
-    out.reshape(3, -1)[:, list(errors)] = np.nan
-    return out, errors
+        triple = np.stack(np.broadcast_arrays(*_ambient_of(kp, cls(x1, x2), flag)))
+    return np.where(flag.bad, np.nan, triple), flag.bad
 
 
 def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:
@@ -275,11 +245,11 @@ def metric_main(kp: KappaPair, p: ChartPoint) -> MetricValue:
     if isinstance(p, Ambient):
         return metric_main(kp, _as_parallel1(kp, p))
     if isinstance(p, ParallelI):
-        _check(_at_quarter, _quarter_message, p.a2, k12, "a2")
+        _check(ktrig._RAISE, _at_quarter, _quarter_message, p.a2, k12, "a2")
         c = ktrig.ck(k12, p.a2)
         m = MetricValue(c * c, 0.0, k2)
     elif isinstance(p, ParallelII):
-        _check(_at_quarter, _quarter_message, p.b1, k1, "b1")
+        _check(ktrig._RAISE, _at_quarter, _quarter_message, p.b1, k1, "b1")
         c = ktrig.ck(k1, p.b1)
         m = MetricValue(1.0, 0.0, k2 * c * c)
     elif isinstance(p, Polar):
@@ -324,7 +294,7 @@ def killing_fields(
         return j01, j02, j12
     if chart == "parallel1":
         q = _as_parallel1(kp, p)
-        _check(_at_quarter, _quarter_message, q.a2, k12, "a2")
+        _check(ktrig._RAISE, _at_quarter, _quarter_message, q.a2, k12, "a2")
         c1, s1 = ktrig.ck(k1, q.a1), ktrig.sk(k1, q.a1)
         t2 = ktrig.tk(k12, q.a2)
         j01 = np.array([-1.0, 0.0])

@@ -1,16 +1,18 @@
-"""Stack forms, bit for bit and error for error.
+"""Stack forms: a mask, bit for bit, and the raising form's errors.
 
 A stack form evaluates N points at once and raises nothing: it returns its
-values and the row errors, the exception of each flagged row.  Where a
-separate scalar form stays (ktrig, the group exponential and product,
-to_ambient, ambient_defect), the stack form must flag every point where
-the scalar form raises, with an exception of the same type and text, and
-elsewhere equal the scalar values bit for bit (nan where the scalar value
-is nan).  Where the scalar form is the one-row stack call
-(coords_from_group, invariant_fields_numeric, sklyanin_closed, act), row i
-of an N-row call must equal the one-row call of row i.  The sweep relies
-on both: it evaluates a batch and raises the flagged row's exception at
-that sample.
+values and the mask bad of the rows where its raising form raises.  For
+every stack form, bad must equal the set of rows where the raising form
+raises, and the unflagged values must equal the raising form's bit for
+bit.  The raising form is the scalar form where one stays (ktrig's kinv,
+ck and sk, exp_one_param, group_from_coords, to_ambient, expm_series,
+sklyanin_numeric) and otherwise the one-point call (coords_from_group, act,
+invariant_fields_numeric, sklyanin_closed).  Where a map is evaluated at a
+flagged point through its transcription's raising steps rather than
+through the scalar form that stays, the error must be the scalar form's in
+type and text.  The sweep relies on all three: it evaluates a batch, and at
+the first flagged sample it raises that sample's error through the
+raising form.
 """
 
 import math
@@ -24,26 +26,31 @@ from ckgeom import (
     BASIS,
     GENERATOR_NAMES,
     AlgebraElement,
-    ChartDomainError,
     ConvergenceError,
     DeformationKind,
     GeometryError,
     GroupCoordinates,
+    GroupElement,
     InvariantFields,
     KappaPair,
+    act,
     ambient_defect,
     bracket,
     ck,
+    coords_from_group,
+    exp_one_param,
     expm_series,
     group_from_coords,
+    invariant_fields_numeric,
     kinv,
     kinv_array,
     rep,
     rmatrix,
     sk,
+    sklyanin_closed,
     sklyanin_numeric,
 )
-from ckgeom import checks, group, poisson
+from ckgeom import checks, group, ktrig, poisson
 from ckgeom.algebra import _bracket_coeffs
 
 from helpers import same_error
@@ -58,6 +65,9 @@ coord_st = st.sampled_from([0.0, -0.0, 1.0, -math.pi, math.pi / 2, math.pi]) | s
 points_st = st.lists(st.tuples(coord_st, coord_st, coord_st), min_size=1, max_size=6).map(np.array)
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+# the entry -kappa * sk of exp(t J01) overflows where ck and sk do not
+ENTRY_OVERFLOW = (KappaPair(-1e6, 1.0), 0.7055)
 
 
 def same_bits(a, b) -> bool:
@@ -75,26 +85,14 @@ def scalar(fn, *args):
         return exc
 
 
-def assert_rows_are_one_row_calls(call, n):
-    """call(rows) is a stack call on the rows selected by the slice rows;
-    row i of the n-row call equals the one-row call of row i, bit for bit
-    and error for error."""
-    values, errors = call(slice(None))
-    for i in range(n):
-        one, one_errors = call(slice(i, i + 1))
-        assert same_bits(values[i], one[0])
-        assert same_error(errors.get(i), one_errors.get(0)), (errors.get(i), one_errors.get(0))
-
-
-def assert_matches(stack_values, errors, scalar_results, value_of=lambda r: r):
-    """The row errors hold the scalar form's exception wherever it raised,
-    and only there; elsewhere the values agree."""
-    for i, (got, want) in enumerate(zip(stack_values, scalar_results)):
-        if isinstance(want, GeometryError):
-            assert same_error(errors.get(i), want), (errors.get(i), want)
-        else:
-            assert i not in errors, errors[i]
-            assert same_bits(got, value_of(want))
+def assert_flags(values, bad, results, value_of=lambda r: r):
+    """bad marks the rows whose raising form raised (results holds the
+    error there), and only those; elsewhere the values agree bit for bit."""
+    assert bad.shape == (len(results),)
+    for i, (got, want) in enumerate(zip(values, results)):
+        assert bool(bad[i]) == isinstance(want, GeometryError), (i, want)
+        if not bad[i]:
+            assert same_bits(got, value_of(want)), i
 
 
 @given(
@@ -113,26 +111,38 @@ def test_kinv_array_matches_kinv(kappa, xs, off):
     pairs = [(sk(kappa, x), ck(kappa, x)) for x in xs]
     pairs += [(s, -c) for s, c in pairs] + off
     s, c = np.array(pairs).T
-    x, errors = kinv_array(kappa, s, c)
-    assert_matches(x, errors, [scalar(kinv, kappa, si, ci) for si, ci in pairs])
+    x, bad = kinv_array(kappa, s, c)
+    assert_flags(x, bad, [scalar(kinv, kappa, si, ci) for si, ci in pairs])
+
+
+@given(kappa=st.sampled_from(LABELS) | st.floats(-1e6, 4.0), xs=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=6))
+@SETTINGS
+def test_flagged_ck_and_sk_match_ck_and_sk(kappa, xs):
+    for form, name in ((ck, "ck"), (sk, "sk")):
+        flag = ktrig._Flag(len(xs))
+        values = getattr(flag, name)(kappa, np.array(xs))
+        assert_flags(values, flag.bad, [scalar(form, kappa, x) for x in xs])
 
 
 @given(kp=kp_st, generator=st.sampled_from(GENERATOR_NAMES), ts=st.lists(st.floats(-1000.0, 1000.0) | coord_st, min_size=1, max_size=6))
+@example(kp=ENTRY_OVERFLOW[0], generator="J01", ts=[ENTRY_OVERFLOW[1], 0.1])
 @SETTINGS
 def test_exp_stack_matches_exp_matrix(kp, generator, ts):
-    # a ck or sk overflow raises in the scalar form and is infinite in the
-    # stack; the raw matrix, as exp_one_param builds it before validating it
-    stack, errors = group._exp_stack(kp, generator, np.array(ts))
-    results = [scalar(group._one_param, kp, generator, t, ck, sk) for t in ts]
-    assert_matches(stack, errors, results)
+    stack, bad = group._exp_stack(kp, generator, np.array(ts))
+    assert_flags(stack, bad, [scalar(exp_one_param, kp, generator, t) for t in ts], lambda g: g.m)
 
 
 @given(kp=kp_st, x=points_st)
+@example(kp=ENTRY_OVERFLOW[0], x=np.array([[ENTRY_OVERFLOW[1], 0.0, 0.0], [0.1, 0.2, 0.3]]))
 @SETTINGS
 def test_group_stack_matches_group_from_coords(kp, x):
-    stack, errors = group._group_stack(kp, x)
+    stack, bad = group._group_stack(kp, x)
     results = [scalar(group_from_coords, kp, GroupCoordinates(*p)) for p in x.tolist()]
-    assert_matches(stack, errors, results, lambda g: g.m)
+    assert_flags(stack, bad, results, lambda g: g.m)
+    # the oracle fields raise through the transcription's own steps
+    for p, want in zip(x, results):
+        got = scalar(group._group, kp, p, ktrig._RAISE)
+        assert same_error(got, want) if isinstance(want, GeometryError) else same_bits(got, want.m)
 
 
 @given(kp=kp_st, x=points_st, junk=st.lists(st.lists(coord_st, min_size=9, max_size=9), max_size=2))
@@ -144,15 +154,17 @@ def test_group_stack_matches_group_from_coords(kp, x):
 def test_coords_stack_rows_match_one_row_calls(kp, x, junk):
     g, _ = group._group_stack(kp, x)
     m = np.concatenate([g[np.isfinite(g).all(axis=(1, 2))], np.reshape(junk, (-1, 3, 3))])
-    assert_rows_are_one_row_calls(lambda rows: group._coords_stack(kp, m[rows]), len(m))
+    values, bad = group._coords_stack(kp, m)
+    results = [scalar(coords_from_group, kp, GroupElement(a, kp)) for a in m]
+    assert_flags(values, bad, results, lambda gc: gc.as_array())
 
 
 def test_coords_stack_flags_the_chart_edge_and_the_overflow():
     edge, _ = group._group_stack(KappaPair(1.0, 1.0), np.array([[0.3, math.pi / 2, 0.2]]))
     huge, _ = group._group_stack(KappaPair(-1e6, 1.0), np.array([[0.2, 0.17, 0.0]]))
     assert np.isfinite(huge).all()
-    assert [type(e) for e in group._coords_stack(KappaPair(1.0, 1.0), edge)[1].values()] == [ChartDomainError]
-    assert [type(e) for e in group._coords_stack(KappaPair(-1e6, 1.0), huge)[1].values()] == [ChartDomainError]
+    assert group._coords_stack(KappaPair(1.0, 1.0), edge)[1].tolist() == [True]
+    assert group._coords_stack(KappaPair(-1e6, 1.0), huge)[1].tolist() == [True]
 
 
 @given(
@@ -166,11 +178,16 @@ def test_series_exponential_of_a_stack_matches_each_matrix(kp, ts, extra):
     mats = [t * rep(kp, x) for t in ts for x in BASIS]
     mats += [np.diag([v, 0.0, 0.0]) if v != 1e308 else np.full((3, 3), v) for v in extra]
     results = [scalar(expm_series, a) for a in mats]
-    if any(isinstance(r, GeometryError) for r in results):
-        with pytest.raises(ConvergenceError):
+    values, bad = group._series_stack(np.array(mats))
+    assert_flags(values, bad, results)
+    # the stack call raises the error of its first failing matrix
+    failed = [r for r in results if isinstance(r, GeometryError)]
+    if failed:
+        with pytest.raises(ConvergenceError) as info:
             expm_series(np.array(mats))
+        assert same_error(info.value, failed[0])
     else:
-        assert same_bits(expm_series(np.array(mats)), np.array(results))
+        assert same_bits(expm_series(np.array(mats)), values)
 
 
 @given(kp=kp_st, x=points_st)
@@ -179,17 +196,17 @@ def test_series_exponential_of_a_stack_matches_each_matrix(kp, ts, extra):
 @example(kp=KappaPair(-1e20, 1.0), x=np.array([[0.0, 0.0, 0.0], [1e-11, 0.0, 0.0]]))
 @SETTINGS
 def test_invariant_fields_stack_rows_match_one_row_calls(kp, x):
-    def call(rows):
-        fields, errors = poisson._invariant_fields_stack(kp, x[rows])
-        return np.stack([fields.left, fields.right], axis=1), errors
-
-    assert_rows_are_one_row_calls(call, len(x))
+    fields, bad = poisson._invariant_fields_stack(kp, x)
+    values = np.stack([fields.left, fields.right], axis=1)
+    results = [scalar(invariant_fields_numeric, kp, GroupCoordinates(*p)) for p in x.tolist()]
+    assert_flags(values, bad, results, lambda f: np.stack([f.left, f.right]))
 
 
 @given(kp=kp_st, z=st.sampled_from([0.1, 1.3, -0.4, 1e308]), x=points_st)
 @SETTINGS
 def test_sklyanin_closed_stack_rows_match_one_row_calls(kp, z, x):
-    assert_rows_are_one_row_calls(lambda rows: poisson._sklyanin_closed_stack(kp, z, x[rows]), len(x))
+    p, bad = poisson._sklyanin_closed_stack(kp, z, x)
+    assert_flags(p, bad, [scalar(sklyanin_closed, kp, z, GroupCoordinates(*q)) for q in x.tolist()])
 
 
 @given(
@@ -202,11 +219,13 @@ def test_sklyanin_numeric_of_stacked_fields_matches_each_point(z, entries):
     lr = np.reshape(entries[: 18 * n], (n, 2, 3, 3))
     r = rmatrix(DeformationKind.FIRST_KIND, z)
     per_point = [scalar(sklyanin_numeric, r, InvariantFields(f[0], f[1])) for f in lr]
+    p, bad = poisson._bracket_matrix(r, InvariantFields(lr[:, 0], lr[:, 1]))
+    assert_flags(p, bad, per_point)
     stacked = scalar(sklyanin_numeric, r, InvariantFields(lr[:, 0], lr[:, 1]))
-    if any(isinstance(p, GeometryError) for p in per_point):
+    if bad.any():
         assert isinstance(stacked, GeometryError)
     else:
-        assert same_bits(stacked, np.array(per_point))
+        assert same_bits(stacked, p)
 
 
 @given(seed=st.integers(0, 2**32), kp=kp_st, frac=st.sampled_from([0.3, 0.35, 0.4]), n=st.integers(1, 12))
@@ -262,4 +281,5 @@ def test_act_stack_rows_match_one_row_calls(kp, x, s):
     g = g[np.isfinite(g).all(axis=(1, 2))]
     orbit = (np.arange(len(g)) % 2 == 0)[:, None]
     points = np.where(orbit, g[:, :, 0], np.array(s)[: len(g)])
-    assert_rows_are_one_row_calls(lambda rows: group._act_stack(kp, g[rows], points[rows]), len(g))
+    images, bad = group._act_stack(kp, g, points)
+    assert_flags(images, bad, [scalar(act, kp, GroupElement(a, kp), q) for a, q in zip(g, points)])
