@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import ktrig
+from .ktrig import _Flag
 from .algebra import (
     BASIS,
     GENERATOR_NAMES,
@@ -72,12 +73,12 @@ from .errors import (
 from .group import (
     GroupCoordinates,
     GroupElement,
-    _act_stack,
+    _act,
     _ambient_defect_stack,
-    _coords_stack,
-    _exp_stack,
-    _group_stack,
-    _series_stack,
+    _coords,
+    _group,
+    _one_param,
+    _series,
     act,
     coords_from_group,
     exp_one_param,
@@ -90,9 +91,9 @@ from .group import (
 from .poisson import (
     _PAIRS,
     _UPPER,
-    _bracket_matrix,
-    _invariant_fields_stack,
-    _sklyanin_closed_stack,
+    _bracket,
+    _invariant_fields,
+    _sklyanin_closed,
     GROUP_COORD_PAIRS,
     Bivector,
     CoisotropyVerdict,
@@ -107,8 +108,8 @@ from .poisson import (
     rmatrix,
     schouten,
     sklyanin_closed,
-    sklyanin_numeric,
 )
+from .poisson import sklyanin_numeric  # noqa: F401  (perfbench/tests/test_tracer.py traces this binding)
 from .quantum import (
     coproduct_classical,
     coproduct_rep,
@@ -640,12 +641,9 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
     for kp in cfg.kappa_grid:
         for i, gname in enumerate(GENERATOR_NAMES):
             mats = ts[:, None, None] * rep(kp, BASIS[i])
-            closed, closed_bad = _exp_stack(kp, gname, ts)
-            series, series_bad = _series_stack(mats)
-            rows = _unflagged(
-                zip(closed, series), closed_bad | series_bad, lambda k: (exp_one_param(kp, gname, ts[k]), expm_series(mats[k]))
-            )
-            for c, e in rows:
+            flag = _Flag(len(ts))
+            rows = zip(_one_param(kp, gname, ts, flag), _series(mats, flag))
+            for c, e in _unflagged(rows, flag.bad, lambda k: (exp_one_param(kp, gname, ts[k]), expm_series(mats[k]))):
                 yield float(np.abs(c - e).max()), f"{gname} {_kp_tag(kp)}"
 
 
@@ -654,12 +652,13 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
         x = sample_group_stack(rng, kp, 0.4, 100)
-        g, bad = _group_stack(kp, x)
+        flag = _Flag(len(x))
+        g = _group(kp, x, flag)
         # an overflow at huge labels is a nan or inf defect, which fails the check
         with np.errstate(over="ignore", invalid="ignore"):
             form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
             det = np.abs(np.linalg.det(g) - 1.0)
-        for form_defect, det_defect in _unflagged(zip(form.tolist(), det.tolist()), bad, lambda i: _group_at(kp, x[i])):
+        for form_defect, det_defect in _unflagged(zip(form.tolist(), det.tolist()), flag.bad, lambda i: _group_at(kp, x[i])):
             yield form_defect, _kp_tag(kp)
             yield det_defect, f"det {_kp_tag(kp)}"
 
@@ -668,11 +667,11 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
 def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        g, g_bad = _group_stack(kp, x)
-        back, back_bad = _coords_stack(kp, g)
+        flag = _Flag(len(x))
+        back = _coords(kp, _group(kp, x, flag), flag)
         with np.errstate(invalid="ignore"):
             defects = np.abs(back - x).max(axis=1)
-        for defect in _unflagged(defects.tolist(), g_bad | back_bad, lambda i: coords_from_group(kp, _group_at(kp, x[i]))):
+        for defect in _unflagged(defects.tolist(), flag.bad, lambda i: coords_from_group(kp, _group_at(kp, x[i]))):
             yield defect, _kp_tag(kp)
 
 
@@ -684,17 +683,18 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> D
         b = np.array(b + b[:2])
         draws = rng.uniform(-b, b, size=(cfg.sample_count, 5))
         x, q = draws[:, :3], draws[:, 3:]
-        g, g_bad = _group_stack(kp, x)
+        flag = _Flag(len(x))
+        g = _group(kp, x, flag)
         p, p_bad = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
         expect, expect_bad = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
-        moved, moved_bad = _act_stack(kp, g, p.T)
+        moved = _act(kp, g, p.T, flag)
         # the orbit of the base point, the first column of g, recovers the
         # translation part; act at the base point cannot fail where g is finite
         with np.errstate(over="ignore", invalid="ignore"):
             orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
         moved_defects = _ambient_defect_stack(kp, moved)
         for i, (moved_defect, orbit_defect) in enumerate(zip(moved_defects.tolist(), orbit_defects.tolist())):
-            if g_bad[i] or p_bad[i] or moved_bad[i]:
+            if flag.bad[i] or p_bad[i]:
                 act(kp, _group_at(kp, x[i]), to_ambient(kp, ParallelI(*q[i].tolist())).as_array())
             yield moved_defect, f"surface {_kp_tag(kp)}"
             if expect_bad[i]:
@@ -709,8 +709,9 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> De
         yield float(np.abs(p @ p @ p + kp.k1 * p).max()), f"cube {_kp_tag(kp)}"
         ts = (-1.5, -0.4, 0.7, 2.0)
         mats = np.array([[t * p, -t * p] for t in ts])
-        series, bad = _series_stack(mats)
-        for t, (plus, minus) in zip(ts, _unflagged(series, bad.any(axis=1), lambda k: [expm_series(m) for m in mats[k]])):
+        flag = _Flag(mats.shape[:2])
+        series = _series(mats, flag)
+        for t, (plus, minus) in zip(ts, _unflagged(series, flag.bad.any(axis=1), lambda k: [expm_series(m) for m in mats[k]])):
             m = 0.5 * (plus - minus)
             yield float(np.abs(m - ktrig.sk(kp.k1, t) * p).max()), f"t={t:g} {_kp_tag(kp)}"
 
@@ -1104,38 +1105,29 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> D
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        numeric, bad = _invariant_fields_stack(kp, x)
+        flag = _Flag(len(x))
+        numeric = _invariant_fields(kp, x, flag)
         for i, (point, left, right) in enumerate(zip(x.tolist(), numeric.left, numeric.right)):
             closed = invariant_vector_fields(kp, GroupCoordinates(*point))
-            if bad[i]:
+            if flag.bad[i]:
                 invariant_fields_numeric(kp, GroupCoordinates(*point))
             yield float(np.abs(closed.left - left).max()), f"left {_kp_tag(kp)}"
             yield float(np.abs(closed.right - right).max()), f"right {_kp_tag(kp)}"
 
 
-def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
     """|closed - numeric| of the first-kind bracket {f, g} for each pair
-    (f, g) of GROUP_COORD_PAIRS, at each row (a1, a2, xi) of the (N, 3)
-    array x, as an (N, 3) array, and the mask of the points where either
-    route raises (see _sklyanin_pair_error).
+    (f, g) of GROUP_COORD_PAIRS, at the points (a1, a2, xi) of x, (..., 3),
+    as (..., 3), through steps (see ktrig).
 
-    Both routes give the bracket matrices of all N points at once, the
-    numeric one from the oracle invariant fields.
+    Both routes give the bracket matrices of all points at once, the numeric
+    one from the oracle invariant fields.  The numeric route runs first, so
+    at one point with ktrig as the steps its errors take precedence.
     """
-    fields, bad = _invariant_fields_stack(kp, x)
-    numeric, numeric_bad = _bracket_matrix(rmatrix(DeformationKind.FIRST_KIND, z), fields)
-    closed, closed_bad = _sklyanin_closed_stack(kp, z, x)
+    numeric = _bracket(rmatrix(DeformationKind.FIRST_KIND, z), _invariant_fields(kp, x, steps), steps)
+    closed = _sklyanin_closed(kp, z, x, steps)
     with np.errstate(invalid="ignore"):
-        defects = np.abs(closed - numeric)[:, _UPPER[0], _UPPER[1]]
-    return defects, bad | numeric_bad | closed_bad
-
-
-def _sklyanin_pair_error(kp: KappaPair, z: float, point: np.ndarray) -> None:
-    """Evaluate both routes of sklyanin_pair_defects at one flagged point,
-    numeric route first: raises the GeometryError of the first failing step."""
-    gc = GroupCoordinates(*point.tolist())
-    sklyanin_numeric(rmatrix(DeformationKind.FIRST_KIND, z), invariant_fields_numeric(kp, gc))
-    sklyanin_closed(kp, z, gc)
+        return np.abs(closed - numeric)[..., _UPPER[0], _UPPER[1]]
 
 
 def _closed_at(kp: KappaPair, z: float, point: np.ndarray) -> np.ndarray:
@@ -1147,8 +1139,9 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, 50)
-            defects, bad = sklyanin_pair_defects(kp, z, x)
-            for row in _unflagged(defects.tolist(), bad, lambda i: _sklyanin_pair_error(kp, z, x[i])):
+            flag = _Flag(len(x))
+            defects = sklyanin_pair_defects(kp, z, x, flag)
+            for row in _unflagged(defects.tolist(), flag.bad, lambda i: sklyanin_pair_defects(kp, z, x[i], ktrig)):
                 for (f, g), defect in zip(GROUP_COORD_PAIRS, row):
                     yield defect, f"{{{f},{g}}} {_kp_tag(kp)}"
 
@@ -1166,8 +1159,8 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
             points = [x]
             for step in steps:
                 points += [x + step, x - step]
-            p, bad = _sklyanin_closed_stack(kp, z, np.concatenate(points))
-            p = p.reshape(len(points), len(x), 3, 3)
+            flag = _Flag(len(points) * len(x))
+            p = _sklyanin_closed(kp, z, np.concatenate(points), flag).reshape(len(points), len(x), 3, 3)
             # an overflow at huge z is a nan or inf defect, which fails the check
             with np.errstate(over="ignore", invalid="ignore"):
                 dp = np.stack([p[1] - p[2], p[3] - p[4], p[5] - p[6]], axis=1) / (2.0 * h)
@@ -1176,7 +1169,7 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
                     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
                 )
             # a sample fails at its first flagged point, in the order of points
-            bad = bad.reshape(len(points), len(x)).any(axis=0)
+            bad = flag.bad.reshape(len(points), len(x)).any(axis=0)
             for defect in _unflagged(np.abs(total).tolist(), bad, lambda i: [_closed_at(kp, z, b[i]) for b in points]):
                 yield defect, _kp_tag(kp)
 
@@ -1190,9 +1183,9 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
         row = rows[kp.signs()]
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-            p, bad = _sklyanin_closed_stack(kp, z, x)
-            upper = p[:, _UPPER[0], _UPPER[1]].tolist()
-            for point, got in _unflagged(zip(x.tolist(), upper), bad, lambda i: _closed_at(kp, z, x[i])):
+            flag = _Flag(len(x))
+            upper = _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]].tolist()
+            for point, got in _unflagged(zip(x.tolist(), upper), flag.bad, lambda i: _closed_at(kp, z, x[i])):
                 for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(*point, z)):
                     yield abs(val - ref), f"{{{f},{g}}} {_kp_tag(kp)}"
 
@@ -1203,9 +1196,9 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> D
         for k1 in (-1.0, 0.0, 1.0):
             kp0 = KappaPair(k1, 0.0)
             x = sample_group_stack(rng, kp0, 0.4, cfg.sample_count)
-            p, bad = _sklyanin_closed_stack(kp0, z, x)
-            upper = np.abs(p[:, _UPPER[0], _UPPER[1]]).tolist()
-            for vals in _unflagged(upper, bad, lambda i: _closed_at(kp0, z, x[i])):
+            flag = _Flag(len(x))
+            upper = np.abs(_sklyanin_closed(kp0, z, x, flag)[:, _UPPER[0], _UPPER[1]]).tolist()
+            for vals in _unflagged(upper, flag.bad, lambda i: _closed_at(kp0, z, x[i])):
                 for val in vals:
                     yield val, f"vanish k1={k1:g}"
             # shrinking the second label scales every bracket linearly

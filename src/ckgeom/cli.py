@@ -57,7 +57,7 @@ from .errors import (
     GeometryError,
     UndefinedDualityError,
 )
-from .ktrig import span_bound
+from .ktrig import _Flag, span_bound
 from .poisson import (
     _PAIRS,
     GROUP_COORD_PAIRS,
@@ -396,10 +396,11 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             # the bit patterns of the labels; + 0.0 folds -0.0 into 0.0
             label_bits = struct.unpack("<2Q", struct.pack("<2d", kp.k1 + 0.0, kp.k2 + 0.0))
             rng = np.random.default_rng([sweep.seed, *label_bits])
-            defects, bad = sklyanin_pair_defects(kp, z, sample_group_stack(rng, kp, 0.35, sweep.sample_count))
-            worst = functools.reduce(max, defects[~bad].ravel().tolist(), 0.0)
+            flag = _Flag(sweep.sample_count)
+            defects = sklyanin_pair_defects(kp, z, sample_group_stack(rng, kp, 0.35, sweep.sample_count), flag)
+            worst = functools.reduce(max, defects[~flag.bad].ravel().tolist(), 0.0)
             # every pair at a flagged point failed
-            errors = len(GROUP_COORD_PAIRS) * int(np.count_nonzero(bad))
+            errors = len(GROUP_COORD_PAIRS) * int(np.count_nonzero(flag.bad))
             rows.append(
                 {
                     "k1": kp.k1,

@@ -13,18 +13,14 @@ function that returns one validates its 3x3 matrix in __post_init__, which
 rejects a non-finite matrix with ValueError.  A one-parameter factor or a
 product of finite elements that overflows is a ChartDomainError instead.
 
-The stack forms _exp_stack, _group_stack, _coords_stack, _act_stack and
-_ambient_defect_stack evaluate a map at N points at once, over (N, 3, 3)
-stacks of raw arrays and (N, 3) arrays of points.  They raise nothing:
-each returns its values and the mask of the rows where its scalar form
-raises.  Each map is written once over the steps of ktrig._Flag and
-ktrig._RAISE, so exp_one_param, the group product, coords_from_group and
-act raise where their stack forms flag, at the first failing step.
-group_from_coords composes exp_one_param factors through the checked
-product.  ambient_defect stays a separate transcription: at 5.9 us
-against 10.8 us for a stack call on one point, it would add 21 ms to a
-0.28 s sweep over its 4,500 calls.  _series_stack flags the matrices
-where expm_series raises.
+The maps the checks evaluate at many points at once are each written once
+over the steps of ktrig (see there): _one_param, _product, _group, _coords,
+_act and _series.  With ktrig as the steps, exp_one_param, the group
+product, coords_from_group, act and expm_series raise at the first failing
+step; with a ktrig._Flag they are stack forms.  ambient_defect stays a
+separate transcription from _ambient_defect_stack: at 5.9 us against 12 us
+for a stack call on one point, it would add 27 ms to a 0.4 s sweep over its
+4,500 calls.
 """
 
 from __future__ import annotations
@@ -94,7 +90,7 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.kp != self.kp:
             raise ValueError("cannot compose elements over different curvature labels")
-        return GroupElement(_product(self.m, other.m, ktrig._RAISE), self.kp)
+        return GroupElement(_product(self.m, other.m, ktrig), self.kp)
 
 
 def _product(a: np.ndarray, b: np.ndarray, steps) -> np.ndarray:
@@ -125,7 +121,7 @@ def _one_param(kp: KappaPair, generator: str, t, steps) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = steps.ck(kappa, t), steps.sk(kappa, t)
         ks = -kappa * s
-    steps.check(np.isinf(ks), lambda: ChartDomainError(f"{-kappa!r} * sk({kappa!r}, {float(t)!r}) overflows a double"))
+    steps.check(abs(ks) == math.inf, lambda: ChartDomainError(f"{-kappa!r} * sk({kappa!r}, {float(t)!r}) overflows a double"))
     m = np.zeros(np.shape(t) + (3, 3))
     m[..., i, i] = c
     m[..., j, j] = c
@@ -135,14 +131,6 @@ def _one_param(kp: KappaPair, generator: str, t, steps) -> np.ndarray:
     return m
 
 
-def _exp_stack(kp: KappaPair, generator: str, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp_one_param at each element of the (N,) array t, as an (N, 3, 3)
-    stack of raw arrays, and the mask of the elements where it raises."""
-    t = np.asarray(t, dtype=float)
-    flag = ktrig._Flag(t.shape)
-    return _one_param(kp, generator, t, flag), flag.bad
-
-
 def _group(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
     """The ordered product of group_from_coords at the points x, (..., 3),
     as raw (..., 3, 3) arrays, through steps (see ktrig)."""
@@ -150,18 +138,10 @@ def _group(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
     return _product(_product(g1, g2, steps), g3, steps)
 
 
-def _group_stack(kp: KappaPair, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """group_from_coords at each row (a1, a2, xi) of the (N, 3) array x, as
-    an (N, 3, 3) stack of raw arrays, and the mask of the rows where it
-    raises."""
-    flag = ktrig._Flag(len(x))
-    return _group(kp, x, flag), flag.bad
-
-
 def exp_one_param(kp: KappaPair, generator: str, t: float) -> GroupElement:
     """Closed-form exponential exp(t * rho(generator)); an entry that
     overflows a double raises ChartDomainError."""
-    return GroupElement(_one_param(kp, generator, t, ktrig._RAISE), kp)
+    return GroupElement(_one_param(kp, generator, t, ktrig), kp)
 
 
 def expm_series(a: np.ndarray) -> np.ndarray:
@@ -177,17 +157,11 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     stack, for the first matrix that fails.
     """
     a = np.asarray(a, dtype=float)
-    result, bad = _series_stack(a)
-    if np.count_nonzero(bad):
-        _series(a[bad][0], ktrig._RAISE)
-    return result
-
-
-def _series_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """expm_series of each matrix of the stack a, (..., n, n), and the mask
-    of the matrices where it raises."""
     flag = ktrig._Flag(a.shape[:-2])
-    return _series(a, flag), flag.bad
+    result = _series(a, flag)
+    if np.count_nonzero(flag.bad):
+        _series(a[flag.bad][0], ktrig)
+    return result
 
 
 def _series(a: np.ndarray, steps) -> np.ndarray:
@@ -204,7 +178,6 @@ def _series(a: np.ndarray, steps) -> np.ndarray:
         squarings = np.maximum(e + (mant > 0.5), 0)
         overflow = squarings >= sys.float_info.max_exp
         steps.check(overflow, lambda: ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows"))
-        squarings = np.where(overflow, 0, squarings)  # a flagged matrix is not squared
         b = a / np.ldexp(1.0, squarings)[..., None, None]
         result = term = np.eye(a.shape[-1])
         # each matrix keeps the sum and term norm of the term that stopped
@@ -254,15 +227,7 @@ def coords_from_group(kp: KappaPair, g: GroupElement) -> GroupCoordinates:
     ChartDomainError; no wrapping is attempted.  So does an element whose
     coordinates overflow on the way.
     """
-    return GroupCoordinates(*_coords(kp, g.m, ktrig._RAISE).tolist())
-
-
-def _coords_stack(kp: KappaPair, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """coords_from_group at each matrix of the (N, 3, 3) stack m, as the
-    (N, 3) coordinates (a1, a2, xi), and the mask of the rows where it
-    raises."""
-    flag = ktrig._Flag(len(m))
-    return _coords(kp, m, flag), flag.bad
+    return GroupCoordinates(*_coords(kp, g.m, ktrig).tolist())
 
 
 def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndarray:
@@ -309,15 +274,7 @@ def _ambient_defect_stack(kp: KappaPair, s: np.ndarray) -> np.ndarray:
 
 def act(kp: KappaPair, g: GroupElement, point) -> np.ndarray:
     """Apply a group element to an ambient triple on the quadric."""
-    return _act(kp, g.m, np.asarray(point, dtype=float), ktrig._RAISE)
-
-
-def _act_stack(kp: KappaPair, g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """act of each matrix of the (N, 3, 3) stack g on the matching row of the
-    (N, 3) array s, as the (N, 3) images, and the mask of the rows where it
-    raises."""
-    flag = ktrig._Flag(len(s))
-    return _act(kp, g, s, flag), flag.bad
+    return _act(kp, g.m, np.asarray(point, dtype=float), ktrig)
 
 
 def _act(kp: KappaPair, g: np.ndarray, s: np.ndarray, steps) -> np.ndarray:

@@ -17,13 +17,15 @@ returns the mask of the elements where kinv raises.  The scalar forms stay:
 a sweep makes about 48,000 calls to them at 0.2-0.3 us, and a one-element
 array call, at 1.5-10 us, would add 0.1-0.3 s to its 0.3 s.
 
-A map that other modules evaluate at N points at once (a "stack form") is
-written once, over the steps _Flag and _RAISE provide.  _Flag runs the
-array forms and ORs the rows where a step's scalar form would raise into
-its mask `bad`; nothing is raised or formatted.  _RAISE runs the same
-steps at one point through the scalar forms, so the first step that fails
-raises, from its own raise site.  check(fails, error) is the step of a
-domain test: error() builds its exception and is called only to raise it.
+A map that other modules evaluate at many points at once is written once,
+over "steps": ck, sk, kinv, check(fails, error) for a domain test, whose
+error() builds the exception, and each(form, rows) for k inputs per point.
+This module is the raising set of steps: evaluated at one point, the first
+step that fails raises, from its scalar form's raise site; a message
+formats a point's numpy scalars as floats.  A _Flag is the flagging set:
+over a stack of points it runs the array forms and ORs into its mask `bad`
+the points where a step raises in the scalar form.  It builds no error.
+With a _Flag a map is its stack form.
 
 Bit identity decides which function an array form calls.  Elementwise
 arithmetic, np.sqrt, np.cos and np.sin round like their scalar forms, so
@@ -36,6 +38,7 @@ elements instead.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -82,7 +85,7 @@ def ck(kappa: float, x: float) -> float:
         return math.cos(math.sqrt(kappa) * x)
     v = _cosh_or_inf(math.sqrt(-kappa) * x)
     if math.isinf(v):
-        raise ChartDomainError(f"ck({kappa!r}, {x!r}) overflows a double")
+        raise ChartDomainError(f"ck({kappa!r}, {float(x)!r}) overflows a double")
     return v
 
 
@@ -99,7 +102,7 @@ def sk(kappa: float, x: float) -> float:
     # the quotient can overflow where sinh does not, when -kappa < 1
     v = _sinh_or_inf(rk * x) / rk
     if math.isinf(v):
-        raise ChartDomainError(f"sk({kappa!r}, {x!r}) overflows a double")
+        raise ChartDomainError(f"sk({kappa!r}, {float(x)!r}) overflows a double")
     return v
 
 
@@ -173,14 +176,16 @@ def kinv(kappa: float, s: float, c: float) -> float:
     """
     deviation = abs(c * c + kappa * s * s - 1.0)
     if deviation > DEFAULT_CURVE_TOL:
-        raise OffCurveError(f"kinv({kappa!r}): pair (c={c!r}, s={s!r}) misses the unit curve by {deviation:.3e}")
+        raise OffCurveError(
+            f"kinv({kappa!r}): pair (c={float(c)!r}, s={float(s)!r}) misses the unit curve by {deviation:.3e}"
+        )
     if kappa > TAYLOR_CUTOFF:
         if s == 0.0:
             # atan2 would return -pi for s = -0.0; pin the antipode to +pi.
             return math.pi / math.sqrt(kappa) if c < 0.0 else 0.0
         return math.atan2(math.sqrt(kappa) * s, c) / math.sqrt(kappa)
     if c < 0.0:
-        raise OffCurveError(f"kinv({kappa!r}): c={c!r} lies on the branch not connected to the identity")
+        raise OffCurveError(f"kinv({kappa!r}): c={float(c)!r} lies on the branch not connected to the identity")
     if abs(kappa) <= TAYLOR_CUTOFF:
         return s
     rk = math.sqrt(-kappa)
@@ -241,31 +246,14 @@ class _Flag:
         return values
 
 
-class _Raise:
-    """The same steps at one point, through the scalar forms: the first that
-    fails raises.  Values are passed on as Python floats, as a caller of the
-    scalar forms passes them."""
-
-    @staticmethod
-    def check(fails, error: Callable[[], GeometryError]) -> None:
-        if fails:
-            raise error()
-
-    @staticmethod
-    def ck(kappa: float, x) -> float:
-        return ck(kappa, float(x))
-
-    @staticmethod
-    def sk(kappa: float, x) -> float:
-        return sk(kappa, float(x))
-
-    @staticmethod
-    def kinv(kappa: float, s, c) -> float:
-        return kinv(kappa, float(s), float(c))
-
-    @staticmethod
-    def each(form: Callable, rows: np.ndarray) -> np.ndarray:
-        return np.stack([form(row, _RAISE) for row in rows])
+def check(fails, error: Callable[[], GeometryError]) -> None:
+    """The raising form of a domain test at one point: raise error() if
+    fails."""
+    if fails:
+        raise error()
 
 
-_RAISE = _Raise()
+def each(form: Callable, rows: np.ndarray) -> np.ndarray:
+    """form(row, steps) for each row of rows in turn, through this module's
+    raising steps, stacked."""
+    return np.stack([form(row, sys.modules[__name__]) for row in rows])

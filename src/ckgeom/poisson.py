@@ -14,14 +14,11 @@ contraction L^T r L - R^T r R of the left/right invariant vector fields.
 The fields come in closed form or from an oracle that rebuilds them by
 differentiating group translations.
 
-The oracle fields and the closed-form bracket are each written once, over
-the steps of ktrig._Flag and ktrig._RAISE.  Their stack forms
-_invariant_fields_stack and _sklyanin_closed_stack take the N rows
-(a1, a2, xi) of an (N, 3) array and, like the stack forms in group, raise
-nothing: they return their values and the mask of the rows where
-invariant_fields_numeric or sklyanin_closed raises.  sklyanin_numeric takes
-one point's fields or stacks of them; _bracket_matrix flags the points
-where it raises.
+The oracle fields and the closed-form bracket are each written once, as
+_invariant_fields and _sklyanin_closed over a stack of points (a1, a2, xi)
+and the steps of ktrig: invariant_fields_numeric and sklyanin_closed take
+ktrig as the steps, the stack forms a ktrig._Flag.  So does
+sklyanin_numeric, through _bracket.
 """
 
 from __future__ import annotations
@@ -314,14 +311,7 @@ def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFi
     """
     if not np.isfinite(gc.as_array()).all():
         raise ValueError(f"group coordinates {gc} are not finite")
-    return _invariant_fields(kp, gc.as_array(), ktrig._RAISE)
-
-
-def _invariant_fields_stack(kp: KappaPair, x: np.ndarray) -> tuple[InvariantFields, np.ndarray]:
-    """invariant_fields_numeric at the N finite points x, as (N, 3, 3)
-    stacks, and the mask of the points where it raises."""
-    flag = ktrig._Flag(len(x))
-    return _invariant_fields(kp, x, flag), flag.bad
+    return _invariant_fields(kp, gc.as_array(), ktrig)
 
 
 def _invariant_fields(kp: KappaPair, x: np.ndarray, steps) -> InvariantFields:
@@ -349,14 +339,7 @@ def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray
     """Closed-form first-kind multiplicative bracket as the antisymmetric
     3x3 matrix P[i, j] = {x_i, x_j} over the group coordinates
     x = (a1, a2, xi)."""
-    return _sklyanin_closed(kp, z, gc.as_array(), ktrig._RAISE)
-
-
-def _sklyanin_closed_stack(kp: KappaPair, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sklyanin_closed at the N points x, as an (N, 3, 3) stack, and the
-    mask of the points where it raises."""
-    flag = ktrig._Flag(len(x))
-    return _sklyanin_closed(kp, z, x, flag), flag.bad
+    return _sklyanin_closed(kp, z, gc.as_array(), ktrig)
 
 
 def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
@@ -378,14 +361,15 @@ def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarra
     return p
 
 
-def _bracket_matrix(r: Bivector, fields: InvariantFields) -> tuple[np.ndarray, np.ndarray]:
-    """L^T r L - R^T r R at one point or a stack of them, and the mask of
-    the points where sklyanin_numeric raises."""
+def _bracket(r: Bivector, fields: InvariantFields, steps) -> np.ndarray:
+    """L^T r L - R^T r R at the points of fields, one or a stack of them,
+    through steps (see ktrig): a bracket that overflows fails."""
     t = r.as_tensor()
     left, right = fields.left, fields.right
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
-    return p, ~np.isfinite(p).all(axis=(-2, -1))
+    steps.check(~np.isfinite(p).all(axis=(-2, -1)), lambda: ChartDomainError("the numeric Sklyanin bracket overflows"))
+    return p
 
 
 def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
@@ -398,9 +382,10 @@ def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
     stacked over N points give the (N, 3, 3) stack of their brackets.  A
     bracket that overflows raises ChartDomainError.
     """
-    p, bad = _bracket_matrix(r, fields)
-    if np.count_nonzero(bad):
-        raise ChartDomainError("the numeric Sklyanin bracket overflows")
+    flag = ktrig._Flag(np.shape(fields.left)[:-2])
+    p = _bracket(r, fields, flag)
+    if np.count_nonzero(flag.bad):
+        _bracket(r, InvariantFields(fields.left[flag.bad][0], fields.right[flag.bad][0]), ktrig)
     return p
 
 

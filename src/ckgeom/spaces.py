@@ -9,12 +9,11 @@ interchange format; every conversion goes through it.
 Chart domains are enforced, not wrapped: parallel-type charts need the
 cosine factor of their second coordinate positive, the polar chart needs
 a nonzero radial sine, and every chart needs a finite ambient triple.
-Violations raise ChartDomainError; the batched map to_ambient_batch
-flags them instead, in the mask it returns.  Both evaluate one
-transcription of the chart maps, over the steps of ktrig._RAISE and
-ktrig._Flag.  The point-by-point to_ambient stays: a sweep calls it about
-4,800 times at 2.4 us, and a one-point batch call, at 54 us, would add
-0.25 s.
+Violations raise ChartDomainError.  to_ambient and to_ambient_batch, which
+flags them in the mask it returns instead, are one transcription of the
+chart maps over the steps of ktrig.  The point-by-point to_ambient is its
+call with ktrig as the steps: a sweep calls it about 4,800 times at 3 to
+5 us, and a one-point batch call, at 37 us, would add 0.15 s.
 """
 
 from __future__ import annotations
@@ -94,35 +93,22 @@ class MetricValue:
         return np.array([[self.g11, self.g12], [self.g12, self.g22]])
 
 
-# The domain predicates take a float or an array of values, and each
-# message function formats the text of the error its predicate raises.
-def _outside_period(value, kappa: float):
-    return abs(value) > ktrig.half_period(kappa) + DEFAULT_CHART_TOL
+# Chart domain tests of a float or an array of values, through steps (see
+# ktrig).
+def _in_period(steps, value, kappa: float, label: str) -> None:
+    half = ktrig.half_period(kappa)
+    steps.check(
+        abs(value) > half + DEFAULT_CHART_TOL,
+        lambda: ChartDomainError(f"{label} = {value!r} outside principal period (+-{half!r})"),
+    )
 
 
-def _period_message(value: float, kappa: float, label: str) -> str:
-    return f"{label} = {value!r} outside principal period (+-{ktrig.half_period(kappa)!r})"
-
-
-def _at_quarter(value, kappa: float):
+def _below_quarter(steps, value, kappa: float, label: str) -> None:
     # Positive cosine factor needed for invertibility of the chart.
-    return kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL
-
-
-def _quarter_message(value: float, kappa: float, label: str) -> str:
-    return f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}"
-
-
-def _negative(value, kappa: float):
-    return value < 0.0
-
-
-def _radius_message(value: float, kappa: float, label: str) -> str:
-    return f"polar radius must be nonnegative, got {value!r}"
-
-
-def _check(steps, predicate: Callable, message: Callable, value: float, kappa: float, label: str) -> None:
-    steps.check(predicate(value, kappa), lambda: ChartDomainError(message(value, kappa, label)))
+    steps.check(
+        kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL,
+        lambda: ChartDomainError(f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}"),
+    )
 
 
 def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
@@ -131,19 +117,19 @@ def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
     points hold floats and arrays."""
     k1, k12, k2 = kp.k1, kp.k12, kp.k2
     if isinstance(p, ParallelI):
-        _check(steps, _outside_period, _period_message, p.a1, k1, "a1")
-        _check(steps, _at_quarter, _quarter_message, p.a2, k12, "a2")
+        _in_period(steps, p.a1, k1, "a1")
+        _below_quarter(steps, p.a2, k12, "a2")
         c2, s2 = steps.ck(k12, p.a2), steps.sk(k12, p.a2)
         s = steps.ck(k1, p.a1) * c2, steps.sk(k1, p.a1) * c2, s2
     elif isinstance(p, ParallelII):
-        _check(steps, _at_quarter, _quarter_message, p.b1, k1, "b1")
-        _check(steps, _outside_period, _period_message, p.b2, k12, "b2")
+        _below_quarter(steps, p.b1, k1, "b1")
+        _in_period(steps, p.b2, k12, "b2")
         c1 = steps.ck(k1, p.b1)
         s = c1 * steps.ck(k12, p.b2), steps.sk(k1, p.b1), c1 * steps.sk(k12, p.b2)
     elif isinstance(p, Polar):
-        _check(steps, _negative, _radius_message, p.r, k1, "r")
-        _check(steps, _outside_period, _period_message, p.r, k1, "r")
-        _check(steps, _outside_period, _period_message, p.phi, k2, "phi")
+        steps.check(p.r < 0.0, lambda: ChartDomainError(f"polar radius must be nonnegative, got {p.r!r}"))
+        _in_period(steps, p.r, k1, "r")
+        _in_period(steps, p.phi, k2, "phi")
         sr = steps.sk(k1, p.r)
         s = steps.ck(k1, p.r), sr * steps.ck(k2, p.phi), sr * steps.sk(k2, p.phi)
     else:
@@ -160,7 +146,7 @@ def to_ambient(kp: KappaPair, p: ChartPoint) -> Ambient:
     """Ambient coordinates of a chart point; validates the chart domain."""
     if isinstance(p, Ambient):
         return p
-    return Ambient(*_ambient_of(kp, p, ktrig._RAISE))
+    return Ambient(*_ambient_of(kp, p, ktrig))
 
 
 def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.ndarray]:
@@ -245,11 +231,11 @@ def metric_main(kp: KappaPair, p: ChartPoint) -> MetricValue:
     if isinstance(p, Ambient):
         return metric_main(kp, _as_parallel1(kp, p))
     if isinstance(p, ParallelI):
-        _check(ktrig._RAISE, _at_quarter, _quarter_message, p.a2, k12, "a2")
+        _below_quarter(ktrig, p.a2, k12, "a2")
         c = ktrig.ck(k12, p.a2)
         m = MetricValue(c * c, 0.0, k2)
     elif isinstance(p, ParallelII):
-        _check(ktrig._RAISE, _at_quarter, _quarter_message, p.b1, k1, "b1")
+        _below_quarter(ktrig, p.b1, k1, "b1")
         c = ktrig.ck(k1, p.b1)
         m = MetricValue(1.0, 0.0, k2 * c * c)
     elif isinstance(p, Polar):
@@ -294,7 +280,7 @@ def killing_fields(
         return j01, j02, j12
     if chart == "parallel1":
         q = _as_parallel1(kp, p)
-        _check(ktrig._RAISE, _at_quarter, _quarter_message, q.a2, k12, "a2")
+        _below_quarter(ktrig, q.a2, k12, "a2")
         c1, s1 = ktrig.ck(k1, q.a1), ktrig.sk(k1, q.a1)
         t2 = ktrig.tk(k12, q.a2)
         j01 = np.array([-1.0, 0.0])

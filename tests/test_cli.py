@@ -233,13 +233,13 @@ def test_exit_status_is_one_exactly_when_a_row_fails(capsys, argv):
 
 
 def test_sklyanin_counts_every_pair_when_the_fields_fail(capsys, monkeypatch):
-    def unavailable(kp, x):
-        fields, _ = stack(kp, x)
-        return fields, np.ones(len(x), dtype=bool)
+    def unavailable(kp, x, steps):
+        steps.check(np.ones(len(x), dtype=bool), None)
+        return fields(kp, x, steps)
 
-    # the fields stack flags every point
-    stack = checks._invariant_fields_stack
-    monkeypatch.setattr(checks, "_invariant_fields_stack", unavailable)
+    # the fields flag every point
+    fields = checks._invariant_fields
+    monkeypatch.setattr(checks, "_invariant_fields", unavailable)
     status, out = run(capsys, "sklyanin", "--k1", "1", "--k2", "1", "--z", "0.3", "--samples", "2")
     assert status == 1
     row = json.loads(out)["sklyanin"][0]

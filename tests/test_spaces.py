@@ -224,7 +224,7 @@ def _edge_values(kappa: float) -> np.ndarray:
         return np.concatenate([np.linspace(-2.5, 2.5, 31), [-0.0, -800.0, -400.0, 400.0, 800.0]])
     half = math.pi / math.sqrt(kappa)
     edges = [edge + d for edge in (0.5 * half, half) for d in (-DEFAULT_CHART_TOL, 0.0, DEFAULT_CHART_TOL)]
-    edges.append(0.5 * math.pi / math.sqrt(kappa))  # the quarter as _at_quarter computes it
+    edges.append(0.5 * math.pi / math.sqrt(kappa))  # the quarter as _below_quarter computes it
     return np.concatenate([np.linspace(-1.25 * half, 1.25 * half, 31), edges, np.negative(edges), [-0.0]])
 
 

@@ -85,6 +85,13 @@ def scalar(fn, *args):
         return exc
 
 
+def flagged(form, shape, *args):
+    """The stack form of the transcription form: form(*args, steps) with
+    flagging steps for a stack of the given shape, and their mask."""
+    flag = ktrig._Flag(shape)
+    return form(*args, flag), flag.bad
+
+
 def assert_flags(values, bad, results, value_of=lambda r: r):
     """bad marks the rows whose raising form raised (results holds the
     error there), and only those; elsewhere the values agree bit for bit."""
@@ -128,7 +135,7 @@ def test_flagged_ck_and_sk_match_ck_and_sk(kappa, xs):
 @example(kp=ENTRY_OVERFLOW[0], generator="J01", ts=[ENTRY_OVERFLOW[1], 0.1])
 @SETTINGS
 def test_exp_stack_matches_exp_matrix(kp, generator, ts):
-    stack, bad = group._exp_stack(kp, generator, np.array(ts))
+    stack, bad = flagged(group._one_param, len(ts), kp, generator, np.array(ts))
     assert_flags(stack, bad, [scalar(exp_one_param, kp, generator, t) for t in ts], lambda g: g.m)
 
 
@@ -136,12 +143,12 @@ def test_exp_stack_matches_exp_matrix(kp, generator, ts):
 @example(kp=ENTRY_OVERFLOW[0], x=np.array([[ENTRY_OVERFLOW[1], 0.0, 0.0], [0.1, 0.2, 0.3]]))
 @SETTINGS
 def test_group_stack_matches_group_from_coords(kp, x):
-    stack, bad = group._group_stack(kp, x)
+    stack, bad = flagged(group._group, len(x), kp, x)
     results = [scalar(group_from_coords, kp, GroupCoordinates(*p)) for p in x.tolist()]
     assert_flags(stack, bad, results, lambda g: g.m)
     # the oracle fields raise through the transcription's own steps
     for p, want in zip(x, results):
-        got = scalar(group._group, kp, p, ktrig._RAISE)
+        got = scalar(group._group, kp, p, ktrig)
         assert same_error(got, want) if isinstance(want, GeometryError) else same_bits(got, want.m)
 
 
@@ -152,19 +159,18 @@ def test_group_stack_matches_group_from_coords(kp, x):
 @example(kp=KappaPair(-1e6, 1.0), x=np.array([[0.2, 0.17, 0.0], [0.2, 0.0, 0.0]]), junk=[])
 @SETTINGS
 def test_coords_stack_rows_match_one_row_calls(kp, x, junk):
-    g, _ = group._group_stack(kp, x)
+    g = group._group(kp, x, ktrig._Flag(len(x)))
     m = np.concatenate([g[np.isfinite(g).all(axis=(1, 2))], np.reshape(junk, (-1, 3, 3))])
-    values, bad = group._coords_stack(kp, m)
+    values, bad = flagged(group._coords, len(m), kp, m)
     results = [scalar(coords_from_group, kp, GroupElement(a, kp)) for a in m]
     assert_flags(values, bad, results, lambda gc: gc.as_array())
 
 
 def test_coords_stack_flags_the_chart_edge_and_the_overflow():
-    edge, _ = group._group_stack(KappaPair(1.0, 1.0), np.array([[0.3, math.pi / 2, 0.2]]))
-    huge, _ = group._group_stack(KappaPair(-1e6, 1.0), np.array([[0.2, 0.17, 0.0]]))
-    assert np.isfinite(huge).all()
-    assert group._coords_stack(KappaPair(1.0, 1.0), edge)[1].tolist() == [True]
-    assert group._coords_stack(KappaPair(-1e6, 1.0), huge)[1].tolist() == [True]
+    for kp, x in ((KappaPair(1.0, 1.0), [[0.3, math.pi / 2, 0.2]]), (KappaPair(-1e6, 1.0), [[0.2, 0.17, 0.0]])):
+        g, bad = flagged(group._group, 1, kp, np.array(x))
+        assert np.isfinite(g).all() and not bad.any()
+        assert flagged(group._coords, 1, kp, g)[1].tolist() == [True]
 
 
 @given(
@@ -178,7 +184,7 @@ def test_series_exponential_of_a_stack_matches_each_matrix(kp, ts, extra):
     mats = [t * rep(kp, x) for t in ts for x in BASIS]
     mats += [np.diag([v, 0.0, 0.0]) if v != 1e308 else np.full((3, 3), v) for v in extra]
     results = [scalar(expm_series, a) for a in mats]
-    values, bad = group._series_stack(np.array(mats))
+    values, bad = flagged(group._series, len(mats), np.array(mats))
     assert_flags(values, bad, results)
     # the stack call raises the error of its first failing matrix
     failed = [r for r in results if isinstance(r, GeometryError)]
@@ -196,7 +202,7 @@ def test_series_exponential_of_a_stack_matches_each_matrix(kp, ts, extra):
 @example(kp=KappaPair(-1e20, 1.0), x=np.array([[0.0, 0.0, 0.0], [1e-11, 0.0, 0.0]]))
 @SETTINGS
 def test_invariant_fields_stack_rows_match_one_row_calls(kp, x):
-    fields, bad = poisson._invariant_fields_stack(kp, x)
+    fields, bad = flagged(poisson._invariant_fields, len(x), kp, x)
     values = np.stack([fields.left, fields.right], axis=1)
     results = [scalar(invariant_fields_numeric, kp, GroupCoordinates(*p)) for p in x.tolist()]
     assert_flags(values, bad, results, lambda f: np.stack([f.left, f.right]))
@@ -205,7 +211,7 @@ def test_invariant_fields_stack_rows_match_one_row_calls(kp, x):
 @given(kp=kp_st, z=st.sampled_from([0.1, 1.3, -0.4, 1e308]), x=points_st)
 @SETTINGS
 def test_sklyanin_closed_stack_rows_match_one_row_calls(kp, z, x):
-    p, bad = poisson._sklyanin_closed_stack(kp, z, x)
+    p, bad = flagged(poisson._sklyanin_closed, len(x), kp, z, x)
     assert_flags(p, bad, [scalar(sklyanin_closed, kp, z, GroupCoordinates(*q)) for q in x.tolist()])
 
 
@@ -219,7 +225,7 @@ def test_sklyanin_numeric_of_stacked_fields_matches_each_point(z, entries):
     lr = np.reshape(entries[: 18 * n], (n, 2, 3, 3))
     r = rmatrix(DeformationKind.FIRST_KIND, z)
     per_point = [scalar(sklyanin_numeric, r, InvariantFields(f[0], f[1])) for f in lr]
-    p, bad = poisson._bracket_matrix(r, InvariantFields(lr[:, 0], lr[:, 1]))
+    p, bad = flagged(poisson._bracket, n, r, InvariantFields(lr[:, 0], lr[:, 1]))
     assert_flags(p, bad, per_point)
     stacked = scalar(sklyanin_numeric, r, InvariantFields(lr[:, 0], lr[:, 1]))
     if bad.any():
@@ -277,9 +283,9 @@ def test_ambient_defect_stack_matches_ambient_defect(kp, s):
 @SETTINGS
 def test_act_stack_rows_match_one_row_calls(kp, x, s):
     # points on the quadric, through the orbit of the base point, and points off it
-    g, _ = group._group_stack(kp, x)
+    g = group._group(kp, x, ktrig._Flag(len(x)))
     g = g[np.isfinite(g).all(axis=(1, 2))]
     orbit = (np.arange(len(g)) % 2 == 0)[:, None]
     points = np.where(orbit, g[:, :, 0], np.array(s)[: len(g)])
-    images, bad = group._act_stack(kp, g, points)
+    images, bad = flagged(group._act, len(g), kp, g, points)
     assert_flags(images, bad, [scalar(act, kp, GroupElement(a, kp), q) for a, q in zip(g, points)])
