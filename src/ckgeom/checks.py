@@ -21,11 +21,11 @@ the pairs yielded before it.
 Checks over many sampled group points evaluate all of them at once
 through the stack forms of group, poisson and spaces, one call per label
 pair (and per z).  sample_group_stack draws the same doubles as one
-sample_group_coords call per sample.  A stack form returns the mask of the
-rows where its scalar form raises.  At the first flagged sample the check
-evaluates that sample through the scalar forms, which raise the error of
-the first failing step, so `samples` and the detail are those of a
-sample-by-sample loop.
+sample_group_coords call per sample.  A stack form flags the rows where
+the map raises (see ktrig).  At the first flagged sample the check
+evaluates that sample again with ktrig as the steps, which raises the
+error of its first failing step, so `samples` and the detail are those of
+a sample-by-sample loop.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
@@ -72,18 +72,13 @@ from .errors import (
 )
 from .group import (
     GroupCoordinates,
-    GroupElement,
     _act,
     _ambient_defect_stack,
     _coords,
     _group,
     _one_param,
     _series,
-    act,
-    coords_from_group,
-    exp_one_param,
     expm_series,
-    group_from_coords,
     metric_matrix,
     rep,
     rep_basis,
@@ -101,7 +96,6 @@ from .poisson import (
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
-    invariant_fields_numeric,
     invariant_vector_fields,
     mcybe_defect,
     phs_points_bracket,
@@ -359,8 +353,8 @@ def _kp_tag(kp: KappaPair) -> str:
 
 def _unflagged(rows: Iterable, bad: np.ndarray, raise_at: Callable[[int], object]) -> Iterator:
     """The rows of a stack form's results in order, up to the first row
-    flagged in the mask bad, where raise_at(i) evaluates row i through the
-    scalar forms, which raise its error."""
+    flagged in the mask bad, where raise_at(i) evaluates row i with ktrig as
+    the steps, which raises its error."""
     for i, row in enumerate(rows):
         if bad[i]:
             raise_at(i)
@@ -631,10 +625,6 @@ def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> D
 # --- group suite -------------------------------------------------------------
 
 
-def _group_at(kp: KappaPair, x: np.ndarray) -> GroupElement:
-    return group_from_coords(kp, GroupCoordinates(*x.tolist()))
-
-
 @check(1e-12)
 def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     ts = np.linspace(-2.0, 2.0, 21)
@@ -643,7 +633,9 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
             mats = ts[:, None, None] * rep(kp, BASIS[i])
             flag = _Flag(len(ts))
             rows = zip(_one_param(kp, gname, ts, flag), _series(mats, flag))
-            for c, e in _unflagged(rows, flag.bad, lambda k: (exp_one_param(kp, gname, ts[k]), expm_series(mats[k]))):
+            for c, e in _unflagged(
+                rows, flag.bad, lambda k: (_one_param(kp, gname, ts[k], ktrig), _series(mats[k], ktrig))
+            ):
                 yield float(np.abs(c - e).max()), f"{gname} {_kp_tag(kp)}"
 
 
@@ -658,7 +650,8 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
         with np.errstate(over="ignore", invalid="ignore"):
             form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
             det = np.abs(np.linalg.det(g) - 1.0)
-        for form_defect, det_defect in _unflagged(zip(form.tolist(), det.tolist()), flag.bad, lambda i: _group_at(kp, x[i])):
+        rows = zip(form.tolist(), det.tolist())
+        for form_defect, det_defect in _unflagged(rows, flag.bad, lambda i: _group(kp, x[i], ktrig)):
             yield form_defect, _kp_tag(kp)
             yield det_defect, f"det {_kp_tag(kp)}"
 
@@ -671,7 +664,7 @@ def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) ->
         back = _coords(kp, _group(kp, x, flag), flag)
         with np.errstate(invalid="ignore"):
             defects = np.abs(back - x).max(axis=1)
-        for defect in _unflagged(defects.tolist(), flag.bad, lambda i: coords_from_group(kp, _group_at(kp, x[i]))):
+        for defect in _unflagged(defects.tolist(), flag.bad, lambda i: _coords(kp, _group(kp, x[i], ktrig), ktrig)):
             yield defect, _kp_tag(kp)
 
 
@@ -695,7 +688,7 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> D
         moved_defects = _ambient_defect_stack(kp, moved)
         for i, (moved_defect, orbit_defect) in enumerate(zip(moved_defects.tolist(), orbit_defects.tolist())):
             if flag.bad[i] or p_bad[i]:
-                act(kp, _group_at(kp, x[i]), to_ambient(kp, ParallelI(*q[i].tolist())).as_array())
+                _act(kp, _group(kp, x[i], ktrig), to_ambient(kp, ParallelI(*q[i].tolist())).as_array(), ktrig)
             yield moved_defect, f"surface {_kp_tag(kp)}"
             if expect_bad[i]:
                 to_ambient(kp, ParallelI(*x[i, :2].tolist()))
@@ -711,7 +704,8 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> De
         mats = np.array([[t * p, -t * p] for t in ts])
         flag = _Flag(mats.shape[:2])
         series = _series(mats, flag)
-        for t, (plus, minus) in zip(ts, _unflagged(series, flag.bad.any(axis=1), lambda k: [expm_series(m) for m in mats[k]])):
+        pairs = _unflagged(series, flag.bad.any(axis=1), lambda k: [_series(m, ktrig) for m in mats[k]])
+        for t, (plus, minus) in zip(ts, pairs):
             m = 0.5 * (plus - minus)
             yield float(np.abs(m - ktrig.sk(kp.k1, t) * p).max()), f"t={t:g} {_kp_tag(kp)}"
 
@@ -1110,7 +1104,7 @@ def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defect
         for i, (point, left, right) in enumerate(zip(x.tolist(), numeric.left, numeric.right)):
             closed = invariant_vector_fields(kp, GroupCoordinates(*point))
             if flag.bad[i]:
-                invariant_fields_numeric(kp, GroupCoordinates(*point))
+                _invariant_fields(kp, x[i], ktrig)
             yield float(np.abs(closed.left - left).max()), f"left {_kp_tag(kp)}"
             yield float(np.abs(closed.right - right).max()), f"right {_kp_tag(kp)}"
 
@@ -1128,10 +1122,6 @@ def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.n
     closed = _sklyanin_closed(kp, z, x, steps)
     with np.errstate(invalid="ignore"):
         return np.abs(closed - numeric)[..., _UPPER[0], _UPPER[1]]
-
-
-def _closed_at(kp: KappaPair, z: float, point: np.ndarray) -> np.ndarray:
-    return sklyanin_closed(kp, z, GroupCoordinates(*point.tolist()))
 
 
 @check(1e-6)
@@ -1170,7 +1160,9 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
                 )
             # a sample fails at its first flagged point, in the order of points
             bad = flag.bad.reshape(len(points), len(x)).any(axis=0)
-            for defect in _unflagged(np.abs(total).tolist(), bad, lambda i: [_closed_at(kp, z, b[i]) for b in points]):
+            for defect in _unflagged(
+                np.abs(total).tolist(), bad, lambda i: [_sklyanin_closed(kp, z, b[i], ktrig) for b in points]
+            ):
                 yield defect, _kp_tag(kp)
 
 
@@ -1184,8 +1176,8 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
             flag = _Flag(len(x))
-            upper = _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]].tolist()
-            for point, got in _unflagged(zip(x.tolist(), upper), flag.bad, lambda i: _closed_at(kp, z, x[i])):
+            upper = zip(x.tolist(), _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]].tolist())
+            for point, got in _unflagged(upper, flag.bad, lambda i: _sklyanin_closed(kp, z, x[i], ktrig)):
                 for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(*point, z)):
                     yield abs(val - ref), f"{{{f},{g}}} {_kp_tag(kp)}"
 
@@ -1198,7 +1190,7 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> D
             x = sample_group_stack(rng, kp0, 0.4, cfg.sample_count)
             flag = _Flag(len(x))
             upper = np.abs(_sklyanin_closed(kp0, z, x, flag)[:, _UPPER[0], _UPPER[1]]).tolist()
-            for vals in _unflagged(upper, flag.bad, lambda i: _closed_at(kp0, z, x[i])):
+            for vals in _unflagged(upper, flag.bad, lambda i: _sklyanin_closed(kp0, z, x[i], ktrig)):
                 for val in vals:
                     yield val, f"vanish k1={k1:g}"
             # shrinking the second label scales every bracket linearly

@@ -4,10 +4,8 @@ Every error raised on a domain violation derives from GeometryError so
 callers can catch the whole family with one handler while still
 distinguishing the individual conditions.
 
-A stack form, which evaluates a map at N points at once, raises nothing:
-it returns the mask of the rows where its scalar form raises, and the
-error of a flagged row comes from evaluating that row through the scalar
-form (see ktrig).
+A stack form, which evaluates a map at many points at once, raises
+nothing; it flags the points where the map raises (see ktrig).
 """
 
 

@@ -13,14 +13,12 @@ function that returns one validates its 3x3 matrix in __post_init__, which
 rejects a non-finite matrix with ValueError.  A one-parameter factor or a
 product of finite elements that overflows is a ChartDomainError instead.
 
-The maps the checks evaluate at many points at once are each written once
-over the steps of ktrig (see there): _one_param, _product, _group, _coords,
-_act and _series.  With ktrig as the steps, exp_one_param, the group
-product, coords_from_group, act and expm_series raise at the first failing
-step; with a ktrig._Flag they are stack forms.  ambient_defect stays a
-separate transcription from _ambient_defect_stack: at 5.9 us against 12 us
-for a stack call on one point, it would add 27 ms to a 0.4 s sweep over its
-4,500 calls.
+_one_param, _product, _group, _coords, _act and _series are written once,
+over the steps of ktrig (see there): exp_one_param, the group product,
+coords_from_group, act and expm_series are their raising calls.
+ambient_defect stays a separate transcription from _ambient_defect_stack:
+at 5.9 us against 12 us for a stack call on one point, it would add 27 ms
+to a 0.4 s sweep over its 4,500 calls.
 """
 
 from __future__ import annotations
@@ -98,10 +96,8 @@ def _product(a: np.ndarray, b: np.ndarray, steps) -> np.ndarray:
     (see ktrig): an overflowing product fails."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = a @ b
-    steps.check(
-        ~np.isfinite(m).all(axis=(-2, -1)),
-        lambda: ChartDomainError("two finite group elements overflow the group product"),
-    )
+    if steps.fails(~np.isfinite(m).all(axis=(-2, -1))):
+        raise ChartDomainError("two finite group elements overflow the group product")
     return m
 
 
@@ -121,7 +117,8 @@ def _one_param(kp: KappaPair, generator: str, t, steps) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = steps.ck(kappa, t), steps.sk(kappa, t)
         ks = -kappa * s
-    steps.check(abs(ks) == math.inf, lambda: ChartDomainError(f"{-kappa!r} * sk({kappa!r}, {float(t)!r}) overflows a double"))
+    if steps.fails(abs(ks) == math.inf):
+        raise ChartDomainError(f"{-kappa!r} * sk({kappa!r}, {float(t)!r}) overflows a double")
     m = np.zeros(np.shape(t) + (3, 3))
     m[..., i, i] = c
     m[..., j, j] = c
@@ -157,6 +154,8 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     stack, for the first matrix that fails.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim == 2:
+        return _series(a, ktrig)
     flag = ktrig._Flag(a.shape[:-2])
     result = _series(a, flag)
     if np.count_nonzero(flag.bad):
@@ -170,14 +169,15 @@ def _series(a: np.ndarray, steps) -> np.ndarray:
     # a matrix that fails a step below is flagged or raised there
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-        steps.check(~np.isfinite(norm), lambda: ConvergenceError(f"series exponential of a matrix with entry {float(norm)!r}"))
+        if steps.fails(~np.isfinite(norm)):
+            raise ConvergenceError(f"series exponential of a matrix with entry {float(norm)!r}")
         # the number of halvings that bring the norm to SERIES_SCALE_THRESHOLD
         # or below: with norm / (2 SERIES_SCALE_THRESHOLD) = mant * 2**e and
         # 0.5 <= mant < 1, that is e, plus one where mant > 0.5
         mant, e = np.frexp(norm / (2.0 * SERIES_SCALE_THRESHOLD))
         squarings = np.maximum(e + (mant > 0.5), 0)
-        overflow = squarings >= sys.float_info.max_exp
-        steps.check(overflow, lambda: ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows"))
+        if steps.fails(squarings >= sys.float_info.max_exp):
+            raise ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows")
         b = a / np.ldexp(1.0, squarings)[..., None, None]
         result = term = np.eye(a.shape[-1])
         # each matrix keeps the sum and term norm of the term that stopped
@@ -196,16 +196,14 @@ def _series(a: np.ndarray, steps) -> np.ndarray:
                 running &= ~stop
                 if not np.count_nonzero(running):
                     break
-        steps.check(
-            final_norm > SERIES_RESIDUAL_TOL,
-            lambda: ConvergenceError(f"series exponential: residual {float(final_norm):.3e} after {SERIES_MAX_TERMS} terms"),
-        )
+        if steps.fails(final_norm > SERIES_RESIDUAL_TOL):
+            raise ConvergenceError(
+                f"series exponential: residual {float(final_norm):.3e} after {SERIES_MAX_TERMS} terms"
+            )
         for k in range(int(squarings.max(initial=0))):
             np.copyto(final, final @ final, where=(squarings > k)[..., None, None])
-        steps.check(
-            ~np.isfinite(final).all(axis=(-2, -1)),
-            lambda: ConvergenceError(f"series exponential: {int(squarings)} squarings overflow"),
-        )
+        if steps.fails(~np.isfinite(final).all(axis=(-2, -1))):
+            raise ConvergenceError(f"series exponential: {int(squarings)} squarings overflow")
     return final
 
 
@@ -237,22 +235,19 @@ def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s0, s1, s2 = m[..., 0, 0], m[..., 1, 0], m[..., 2, 0]
         c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
-        steps.check(
-            c2 < DEFAULT_CHART_TOL,
-            lambda: ChartDomainError(f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}"),
-        )
+        if steps.fails(c2 < DEFAULT_CHART_TOL):
+            raise ChartDomainError(
+                f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}"
+            )
         a2 = steps.kinv(kp.k12, s2, c2)
         a1 = steps.kinv(kp.k1, s1 / c2, s0 / c2)
         h = _one_param(kp, "J02", -a2, steps) @ _one_param(kp, "J01", -a1, steps) @ m
         xi = steps.kinv(kp.k2, h[..., 2, 1], h[..., 1, 1])
     x = np.stack([a1, a2, xi], axis=-1)
     if finite:
-        steps.check(
-            ~np.isfinite(x).all(axis=-1),
-            lambda: ChartDomainError(
-                f"coords_from_group: the coordinates {GroupCoordinates(*x.tolist())} of a finite element are not finite"
-            ),
-        )
+        if steps.fails(~np.isfinite(x).all(axis=-1)):
+            gc = GroupCoordinates(*x.tolist())
+            raise ChartDomainError(f"coords_from_group: the coordinates {gc} of a finite element are not finite")
     return x
 
 
@@ -281,13 +276,10 @@ def _act(kp: KappaPair, g: np.ndarray, s: np.ndarray, steps) -> np.ndarray:
     """The images g s of the points s, (..., 3), under the matrices g,
     (..., 3, 3), through steps (see ktrig)."""
     defect = _ambient_defect_stack(kp, s)
-    steps.check(
-        defect > DEFAULT_SURFACE_TOL,
-        lambda: OffSurfaceError(f"act: point {s.tolist()} misses the quadric by {float(defect):.3e}"),
-    )
+    if steps.fails(defect > DEFAULT_SURFACE_TOL):
+        raise OffSurfaceError(f"act: point {s.tolist()} misses the quadric by {float(defect):.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
         image = (g @ s[..., None])[..., 0]
-    steps.check(
-        ~np.isfinite(image).all(axis=-1), lambda: ChartDomainError(f"act: the image of the point {s.tolist()} overflows")
-    )
+    if steps.fails(~np.isfinite(image).all(axis=-1)):
+        raise ChartDomainError(f"act: the image of the point {s.tolist()} overflows")
     return image

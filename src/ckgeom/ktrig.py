@@ -14,18 +14,18 @@ scalar label and agree with ck, sk and kinv bit for bit element by element.
 Where a hyperbolic value overflows a double, ck and sk raise
 ChartDomainError and the array forms give an infinite element; kinv_array
 returns the mask of the elements where kinv raises.  The scalar forms stay:
-a sweep makes about 48,000 calls to them at 0.2-0.3 us, and a one-element
-array call, at 1.5-10 us, would add 0.1-0.3 s to its 0.3 s.
+a sweep makes about 46,500 calls to them at 0.2-0.3 us, and a one-element
+array call, at 2-15 us, would add about 0.3 s to its 0.4 s.
 
 A map that other modules evaluate at many points at once is written once,
-over "steps": ck, sk, kinv, check(fails, error) for a domain test, whose
-error() builds the exception, and each(form, rows) for k inputs per point.
-This module is the raising set of steps: evaluated at one point, the first
-step that fails raises, from its scalar form's raise site; a message
-formats a point's numpy scalars as floats.  A _Flag is the flagging set:
-over a stack of points it runs the array forms and ORs into its mask `bad`
-the points where a step raises in the scalar form.  It builds no error.
-With a _Flag a map is its stack form.
+over steps: ck, sk, kinv, each(form, rows) for k inputs per point, and
+fails(mask) for a domain test, which reads `if steps.fails(mask): raise`.
+This module is the raising set of steps, for one point: the first step
+that fails raises, from its own raise site, and a message formats numpy
+scalars as floats.  A _Flag is the flagging set, for a stack of points: it
+runs the array forms and ORs into its mask `bad` the points where a step
+would raise; its fails() returns False, so it raises and formats nothing.
+A map called with a _Flag is its stack form.
 
 Bit identity decides which function an array form calls.  Elementwise
 arithmetic, np.sqrt, np.cos and np.sin round like their scalar forms, so
@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ChartDomainError, GeometryError, OffCurveError, PoleError
+from .errors import ChartDomainError, OffCurveError, PoleError
 
 # Below this |kappa| the sqrt-based closed forms are replaced by a 4-term
 # Taylor expansion in kappa; at the cutoff the truncation error is
@@ -218,8 +218,9 @@ class _Flag:
     def __init__(self, shape: tuple[int, ...]):
         self.bad = np.zeros(shape, dtype=bool)
 
-    def check(self, fails, error: Callable[[], GeometryError]) -> None:
-        self.bad |= fails
+    def fails(self, mask) -> bool:
+        self.bad |= mask
+        return False
 
     def _overflow(self, kappa: float, values: np.ndarray) -> np.ndarray:
         if kappa <= -TAYLOR_CUTOFF:  # only the hyperbolic branch raises
@@ -246,11 +247,10 @@ class _Flag:
         return values
 
 
-def check(fails, error: Callable[[], GeometryError]) -> None:
-    """The raising form of a domain test at one point: raise error() if
-    fails."""
-    if fails:
-        raise error()
+def fails(mask):
+    """A domain test at one point, through the raising steps: the caller
+    raises where mask is true."""
+    return mask
 
 
 def each(form: Callable, rows: np.ndarray) -> np.ndarray:

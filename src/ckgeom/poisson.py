@@ -14,11 +14,9 @@ contraction L^T r L - R^T r R of the left/right invariant vector fields.
 The fields come in closed form or from an oracle that rebuilds them by
 differentiating group translations.
 
-The oracle fields and the closed-form bracket are each written once, as
-_invariant_fields and _sklyanin_closed over a stack of points (a1, a2, xi)
-and the steps of ktrig: invariant_fields_numeric and sklyanin_closed take
-ktrig as the steps, the stack forms a ktrig._Flag.  So does
-sklyanin_numeric, through _bracket.
+The oracle fields, the closed-form bracket and the contraction are written
+once, as _invariant_fields, _sklyanin_closed and _bracket over the steps of
+ktrig (see there).
 """
 
 from __future__ import annotations
@@ -329,9 +327,8 @@ def _invariant_fields(kp: KappaPair, x: np.ndarray, steps) -> InvariantFields:
         left = (c[0] - c[1]) / (2.0 * TRANSLATION_STEP)
         right = (c[2] - c[3]) / (2.0 * TRANSLATION_STEP)
     finite = np.isfinite(left).all(axis=(-2, -1)) & np.isfinite(right).all(axis=(-2, -1))
-    steps.check(
-        ~finite, lambda: ChartDomainError(f"numeric invariant fields at {GroupCoordinates(*x.tolist())} overflow")
-    )
+    if steps.fails(~finite):
+        raise ChartDomainError(f"numeric invariant fields at {GroupCoordinates(*x.tolist())} overflow")
     return InvariantFields(left, right)
 
 
@@ -348,9 +345,8 @@ def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarra
     a2, xi = x[..., 1], x[..., 2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c2 = steps.ck(kp.k12, a2)
-        steps.check(
-            abs(c2) < 1e-12, lambda: ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
-        )
+        if steps.fails(abs(c2) < 1e-12):
+            raise ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
         s2, sxi, cxi = steps.sk(kp.k12, a2), steps.sk(kp.k2, xi), steps.ck(kp.k2, xi)
         upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
     # laid out as Bivector.as_tensor lays out its components
@@ -368,7 +364,8 @@ def _bracket(r: Bivector, fields: InvariantFields, steps) -> np.ndarray:
     left, right = fields.left, fields.right
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
-    steps.check(~np.isfinite(p).all(axis=(-2, -1)), lambda: ChartDomainError("the numeric Sklyanin bracket overflows"))
+    if steps.fails(~np.isfinite(p).all(axis=(-2, -1))):
+        raise ChartDomainError("the numeric Sklyanin bracket overflows")
     return p
 
 

@@ -97,18 +97,14 @@ class MetricValue:
 # ktrig).
 def _in_period(steps, value, kappa: float, label: str) -> None:
     half = ktrig.half_period(kappa)
-    steps.check(
-        abs(value) > half + DEFAULT_CHART_TOL,
-        lambda: ChartDomainError(f"{label} = {value!r} outside principal period (+-{half!r})"),
-    )
+    if steps.fails(abs(value) > half + DEFAULT_CHART_TOL):
+        raise ChartDomainError(f"{label} = {value!r} outside principal period (+-{half!r})")
 
 
 def _below_quarter(steps, value, kappa: float, label: str) -> None:
     # Positive cosine factor needed for invertibility of the chart.
-    steps.check(
-        kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL,
-        lambda: ChartDomainError(f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}"),
-    )
+    if steps.fails(kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL):
+        raise ChartDomainError(f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}")
 
 
 def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
@@ -127,7 +123,8 @@ def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
         c1 = steps.ck(k1, p.b1)
         s = c1 * steps.ck(k12, p.b2), steps.sk(k1, p.b1), c1 * steps.sk(k12, p.b2)
     elif isinstance(p, Polar):
-        steps.check(p.r < 0.0, lambda: ChartDomainError(f"polar radius must be nonnegative, got {p.r!r}"))
+        if steps.fails(p.r < 0.0):
+            raise ChartDomainError(f"polar radius must be nonnegative, got {p.r!r}")
         _in_period(steps, p.r, k1, "r")
         _in_period(steps, p.phi, k2, "phi")
         sr = steps.sk(k1, p.r)
@@ -135,10 +132,8 @@ def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
     else:
         raise TypeError(f"unsupported chart point {type(p).__name__}")
     # x * 0.0 is 0.0 for a finite x and nan otherwise
-    steps.check(
-        s[0] * 0.0 + s[1] * 0.0 + s[2] * 0.0 != 0.0,
-        lambda: ChartDomainError(f"{p} has the non-finite ambient triple ({s[0]!r}, {s[1]!r}, {s[2]!r})"),
-    )
+    if steps.fails(s[0] * 0.0 + s[1] * 0.0 + s[2] * 0.0 != 0.0):
+        raise ChartDomainError(f"{p} has the non-finite ambient triple ({s[0]!r}, {s[1]!r}, {s[2]!r})")
     return s
 
 

@@ -1,18 +1,17 @@
 """Stack forms: a mask, bit for bit, and the raising form's errors.
 
-A stack form evaluates N points at once and raises nothing: it returns its
-values and the mask bad of the rows where its raising form raises.  For
-every stack form, bad must equal the set of rows where the raising form
-raises, and the unflagged values must equal the raising form's bit for
-bit.  The raising form is the scalar form where one stays (ktrig's kinv,
-ck and sk, exp_one_param, group_from_coords, to_ambient, expm_series,
-sklyanin_numeric) and otherwise the one-point call (coords_from_group, act,
-invariant_fields_numeric, sklyanin_closed).  Where a map is evaluated at a
-flagged point through its transcription's raising steps rather than
-through the scalar form that stays, the error must be the scalar form's in
-type and text.  The sweep relies on all three: it evaluates a batch, and at
-the first flagged sample it raises that sample's error through the
-raising form.
+A map evaluated at many points at once is written once, over steps (see
+ktrig).  With a ktrig._Flag as the steps it is a stack form: it raises
+nothing, and the flag's mask bad marks the rows where the raising form
+raises.  For every stack form, bad must equal the set of rows where the
+raising form raises, and the unflagged values must equal the raising
+form's bit for bit.  The raising form is the scalar form where one stays
+(ktrig's kinv, ck and sk, exp_one_param, group_from_coords, to_ambient,
+expm_series, sklyanin_numeric) and otherwise the one-point call
+(coords_from_group, act, invariant_fields_numeric, sklyanin_closed).  The
+sweep evaluates a flagged sample through the transcription with ktrig as
+the steps; where a scalar form stays beside it, the error must be the
+scalar form's in type and text.
 """
 
 import math
