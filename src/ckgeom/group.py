@@ -176,8 +176,10 @@ def _series(a: np.ndarray, steps) -> np.ndarray:
         # 0.5 <= mant < 1, that is e, plus one where mant > 0.5
         mant, e = np.frexp(norm / (2.0 * SERIES_SCALE_THRESHOLD))
         squarings = np.maximum(e + (mant > 0.5), 0)
-        if steps.fails(squarings >= sys.float_info.max_exp):
+        overflow = squarings >= sys.float_info.max_exp
+        if steps.fails(overflow):
             raise ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows")
+        squarings = np.where(overflow, 0, squarings)  # a flagged matrix is not squared
         b = a / np.ldexp(1.0, squarings)[..., None, None]
         result = term = np.eye(a.shape[-1])
         # each matrix keeps the sum and term norm of the term that stopped
