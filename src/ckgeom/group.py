@@ -246,10 +246,9 @@ def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndar
         h = _one_param(kp, "J02", -a2, steps) @ _one_param(kp, "J01", -a1, steps) @ m
         xi = steps.kinv(kp.k2, h[..., 2, 1], h[..., 1, 1])
     x = np.stack([a1, a2, xi], axis=-1)
-    if finite:
-        if steps.fails(~np.isfinite(x).all(axis=-1)):
-            gc = GroupCoordinates(*x.tolist())
-            raise ChartDomainError(f"coords_from_group: the coordinates {gc} of a finite element are not finite")
+    if finite and steps.fails(~np.isfinite(x).all(axis=-1)):
+        gc = GroupCoordinates(*x.tolist())
+        raise ChartDomainError(f"coords_from_group: the coordinates {gc} of a finite element are not finite")
     return x
 
 
