@@ -18,14 +18,27 @@ escapes the generator ends the check with defect inf and the detail
 "<Type>: <message>", so one check cannot abort the sweep; `samples` keeps
 the pairs yielded before it.
 
-Checks over many sampled group points evaluate all of them at once
-through the stack forms of group, poisson and spaces, one call per label
-pair (and per z).  sample_group_stack draws the same doubles as one
-sample_group_coords call per sample.  A stack form flags the rows where
-the map raises (see ktrig).  At the first flagged sample the check
-evaluates that sample again with ktrig as the steps, which raises the
-error of its first failing step, so `samples` and the detail are those of
-a sample-by-sample loop.
+The group, Sklyanin and geometry checks evaluate the samples of one label
+pair (and z) at once, through the stack forms of group, poisson and
+spaces and the flow map _flow.  sample_group_stack and
+sample_parallel1_stack draw the same doubles as one sample_group_coords or
+sample_parallel1 call per sample, and the series exponentials a check
+needs for a label pair are one stack call.  A stack form flags the rows
+where the map raises (see ktrig).  The check then walks its samples in the
+order of a sample-by-sample loop.  At a flagged sample it evaluates the
+flagged stage again with ktrig as the steps, which raises the error of its
+first failing step, at the place and inside the `try` of that loop: a
+ChartDomainError that the loop skips skips the sample (_skipped), and any
+other error ends the check.  So `samples`, the defects and the detail are
+those of the sample-by-sample loop.
+
+Two geometry checks draw by rejection, `while done < want and attempts <
+cap`.  _rejection_sampled draws a block of candidates ahead, as if every
+attempt were accepted, and evaluates the block at once.  It then makes the
+attempts in order up to the first candidate the block gave to the wrong
+loop, puts rng back to its state before the block, and draws the
+candidates of those attempts again, so rng advances by the draws of the
+attempts the loop made.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
@@ -78,7 +91,6 @@ from .group import (
     _group,
     _one_param,
     _series,
-    expm_series,
     metric_matrix,
     rep,
     rep_basis,
@@ -116,7 +128,15 @@ from .spaces import (
     ParallelI,
     ParallelII,
     Polar,
-    convert,
+    _ambient_fields,
+    _ambient_of,
+    _chart_of,
+    _convert,
+    _curvature_of,
+    _fields_of,
+    _laplacian_of,
+    _matrix,
+    _metric_of,
     from_ambient,
     gaussian_curvature,
     killing_fields,
@@ -150,6 +170,13 @@ def sample_parallel1(rng: np.random.Generator, kp: KappaPair, frac: float) -> Pa
     b1 = coord_bound(kp.k1, frac)
     b2 = coord_bound(kp.k12, frac)
     return ParallelI(rng.uniform(-b1, b1), rng.uniform(-b2, b2))
+
+
+def sample_parallel1_stack(rng: np.random.Generator, kp: KappaPair, frac: float, n: int) -> np.ndarray:
+    """n sample_parallel1 draws as the rows (a1, a2) of an (n, 2) array: the
+    same doubles, leaving rng in the same state."""
+    b = np.array([coord_bound(kp.k1, frac), coord_bound(kp.k12, frac)])
+    return rng.uniform(-b, b, size=(n, 2))
 
 
 def _group_bounds(kp: KappaPair, frac: float) -> tuple[float, float, float]:
@@ -369,6 +396,61 @@ def _accepted(exc: type[Exception], fn: Callable[..., object], *args: object) ->
     except exc:
         return 0.0
     return 1.0
+
+
+def _skipped(flagged: bool, again: Callable[[], object]) -> bool:
+    """Whether a sample is skipped at a stage its check guards with
+    `except ChartDomainError`: where the stage's stack form flagged the
+    sample, again() evaluates it with ktrig as the steps, which raises the
+    error of its first failing step, and any other error ends the check."""
+    if flagged:
+        try:
+            again()
+        except ChartDomainError:
+            return True
+    return False
+
+
+def _rejection_sampled(
+    rng: np.random.Generator,
+    loops: Sequence[tuple[int, int]],
+    draw: Callable[[list[int]], object],
+    block: Callable[[list[int], object], Callable[[int], tuple[float, str] | None]],
+) -> Defects:
+    """The defects of the rejection-sampling loops `while done < want and
+    attempts < cap`, loops[l] = (want, cap), run in turn, with their
+    attempts evaluated a block at a time (see the module docstring).
+
+    draw(ids) draws from rng one candidate per attempt k, of loop ids[k], as
+    the loops would.  block(ids, candidates) evaluates them and returns
+    outcome: outcome(k) is the (defect, where) of attempt k, None where it
+    is rejected, and raises where the loop raises.  A block holds the
+    attempts left if each is accepted, to the end of the last loop; after a
+    rejection, twice the attempts left in that loop alone.
+    """
+    loop = done = attempts = 0
+    rejected = False
+    while loop < len(loops):
+        want, cap = loops[loop]
+        ids = [loop] * min(cap - attempts, (2 if rejected else 1) * (want - done))
+        if not rejected:
+            ids += [later for later in range(loop + 1, len(loops)) for _ in range(min(loops[later]))]
+        state = rng.bit_generator.state
+        outcome = block(ids, draw(ids))
+        made = 0
+        while made < len(ids) and ids[made] == loop:
+            result = outcome(made)
+            made += 1
+            attempts += 1
+            if result is None:
+                rejected = True
+            else:
+                done += 1
+                yield result
+            if done == loops[loop][0] or attempts == loops[loop][1]:
+                loop, done, attempts, rejected = loop + 1, 0, 0, False
+        rng.bit_generator.state = state
+        draw(ids[:made])
 
 
 # --- trig suite --------------------------------------------------------------
@@ -739,51 +821,72 @@ def _check_geometry_closed_forms(cfg: SweepConfig, rng: np.random.Generator) -> 
 @check(1e-10)
 def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for _ in range(cfg.sample_count):
-            p = sample_parallel1(rng, kp, 0.35)
-            q = from_ambient(kp, to_ambient(kp, p), "parallel1")
-            yield max(abs(q.a1 - p.a1), abs(q.a2 - p.a2)), f"parallel1 {_kp_tag(kp)}"
-            for target in ("parallel2", "polar"):
-                if target == "polar":
-                    b1 = coord_bound(kp.k1, 0.3)
-                    p2 = ParallelI(rng.uniform(0.2, max(b1, 0.3)), p.a2)
-                    s = to_ambient(kp, p2)
-                    if s.s1 * s.s1 + kp.k2 * s.s2 * s.s2 < 0.1:
-                        continue
-                else:
-                    p2 = p
-                try:
-                    mid = convert(kp, p2, target)
-                    back = convert(kp, mid, "parallel1")
-                except ChartDomainError:
-                    continue
-                yield max(abs(back.a1 - p2.a1), abs(back.a2 - p2.a2)), f"{target} {_kp_tag(kp)}"
+        tag = _kp_tag(kp)
+        # each sample draws its point (a1, a2), then the radius of a polar point
+        b1, b2 = coord_bound(kp.k1, 0.35), coord_bound(kp.k12, 0.35)
+        x = rng.uniform([-b1, -b2, 0.2], [b1, b2, max(coord_bound(kp.k1, 0.3), 0.3)], size=(cfg.sample_count, 3))
+        p, p2 = ParallelI(x[:, 0], x[:, 1]), ParallelI(x[:, 2], x[:, 1])
+        direct, second, outside, polar = (_Flag(len(x)) for _ in range(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = [_convert(kp, p, "parallel1", direct), _roundtrip(kp, p, "parallel2", second)]
+            s = _ambient_of(kp, p2, outside)
+            narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
+            back.append(_roundtrip(kp, p2, "polar", polar))
+            direct_d, second_d, polar_d = (
+                _max(abs(q.a1 - a.a1), abs(q.a2 - a.a2)).tolist() for q, a in zip(back, (p, p, p2))
+            )
+        for i, (a1, a2, r) in enumerate(x.tolist()):
+            if direct.bad[i]:
+                _convert(kp, ParallelI(a1, a2), "parallel1", ktrig)
+            yield direct_d[i], f"parallel1 {tag}"
+            if not _skipped(second.bad[i], lambda: _roundtrip(kp, ParallelI(a1, a2), "parallel2", ktrig)):
+                yield second_d[i], f"parallel2 {tag}"
+            if outside.bad[i]:
+                to_ambient(kp, ParallelI(r, a2))
+            if narrow[i] or _skipped(polar.bad[i], lambda: _roundtrip(kp, ParallelI(r, a2), "polar", ktrig)):
+                continue
+            yield polar_d[i], f"polar {tag}"
 
 
-def _fd_jacobian(fn: Callable[[float, float], tuple[float, ...]], u: float, v: float, h: float) -> np.ndarray:
-    cols = []
-    for du, dv in ((h, 0.0), (0.0, h)):
-        plus = np.array(fn(u + du, v + dv))
-        minus = np.array(fn(u - du, v - dv))
-        cols.append((plus - minus) / (2.0 * h))
-    return np.column_stack(cols)
+def _roundtrip(kp: KappaPair, p: ParallelI, target: str, steps) -> ParallelI:
+    """convert(convert(p, target), "parallel1") through steps (see ktrig)."""
+    return _convert(kp, _convert(kp, p, target, steps), "parallel1", steps)
 
 
-def _chart_derivative(kp: KappaPair, p: ParallelI | ParallelII | Polar) -> np.ndarray:
-    """Exact 3x2 derivative of to_ambient at a two-coordinate chart point,
-    from ck' = -kappa sk and sk' = ck."""
+def _max(a, b):
+    """max(a, b) elementwise as Python's max picks it: b only where b > a,
+    so a nan in a is kept and a nan in b is not."""
+    return np.where(b > a, b, a)
+
+
+def _chart_derivative(kp: KappaPair, p: ParallelI | ParallelII | Polar, steps) -> np.ndarray:
+    """Exact (..., 3, 2) derivative of to_ambient at two-coordinate chart
+    points, from ck' = -kappa sk and sk' = ck, through steps (see ktrig)."""
     k1, k2, k12 = kp.k1, kp.k2, kp.k12
     if isinstance(p, ParallelI):
-        c1, s1 = ktrig.ck(k1, p.a1), ktrig.sk(k1, p.a1)
-        c2, s2 = ktrig.ck(k12, p.a2), ktrig.sk(k12, p.a2)
-        return np.array([[-k1 * s1 * c2, -k12 * c1 * s2], [c1 * c2, -k12 * s1 * s2], [0.0, c2]])
+        c1, s1 = steps.ck(k1, p.a1), steps.sk(k1, p.a1)
+        c2, s2 = steps.ck(k12, p.a2), steps.sk(k12, p.a2)
+        return _matrix([[-k1 * s1 * c2, -k12 * c1 * s2], [c1 * c2, -k12 * s1 * s2], [0.0, c2]])
     if isinstance(p, ParallelII):
-        c1, s1 = ktrig.ck(k1, p.b1), ktrig.sk(k1, p.b1)
-        c2, s2 = ktrig.ck(k12, p.b2), ktrig.sk(k12, p.b2)
-        return np.array([[-k1 * s1 * c2, -k12 * c1 * s2], [c1, 0.0], [-k1 * s1 * s2, c1 * c2]])
-    cr, sr = ktrig.ck(k1, p.r), ktrig.sk(k1, p.r)
-    cp, sp = ktrig.ck(k2, p.phi), ktrig.sk(k2, p.phi)
-    return np.array([[-k1 * sr, 0.0], [cr * cp, -k2 * sr * sp], [cr * sp, sr * cp]])
+        c1, s1 = steps.ck(k1, p.b1), steps.sk(k1, p.b1)
+        c2, s2 = steps.ck(k12, p.b2), steps.sk(k12, p.b2)
+        return _matrix([[-k1 * s1 * c2, -k12 * c1 * s2], [c1, 0.0], [-k1 * s1 * s2, c1 * c2]])
+    cr, sr = steps.ck(k1, p.r), steps.sk(k1, p.r)
+    cp, sp = steps.ck(k2, p.phi), steps.sk(k2, p.phi)
+    return _matrix([[-k1 * sr, 0.0], [cr * cp, -k2 * sr * sp], [cr * sp, sr * cp]])
+
+
+def _pullback_terms(kp: KappaPair, p: ParallelI, target: str, steps) -> tuple:
+    """The chart derivatives at q = convert(p, target) and at p, and the
+    metric matrices at p and at q, through steps (see ktrig)."""
+    q = _convert(kp, p, target, steps)
+    dq, dp = _chart_derivative(kp, q, steps), _chart_derivative(kp, p, steps)
+    return dq, dp, _metric_of(kp, p, steps).as_matrix(), _metric_of(kp, q, steps).as_matrix()
+
+
+def _pullback_defect(jac: np.ndarray, gb: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """max |J^T g_b J - g_a| of each (..., 2, 2) matrix."""
+    return np.abs(np.swapaxes(jac, -1, -2) @ gb @ jac - ga).max(axis=(-2, -1))
 
 
 @check(1e-8)
@@ -793,30 +896,49 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
     # D_target has full column rank inside the chart), so J^T g_q J = g_p
     # holds up to rounding in the ck/sk products and the 2x2 solve; the
     # tolerance has no truncation error to cover.
+    targets = ("parallel2", "polar")
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
-        for target in ("parallel2", "polar"):
-            done = attempts = 0
-            while done < cfg.sample_count and attempts < 20 * cfg.sample_count:
-                attempts += 1
-                if target == "polar":
-                    b1 = coord_bound(kp.k1, 0.3)
-                    p = ParallelI(rng.uniform(0.2, max(b1, 0.3)), sample_parallel1(rng, kp, 0.3).a2)
-                    s = to_ambient(kp, p)
-                    if s.s1 * s.s1 + kp.k2 * s.s2 * s.s2 < 0.1:
-                        continue
-                else:
-                    p = sample_parallel1(rng, kp, 0.3)
-                try:
-                    q = convert(kp, p, target)
-                    jac = np.linalg.lstsq(_chart_derivative(kp, q), _chart_derivative(kp, p), rcond=None)[0]
-                    ga = metric_main(kp, p).as_matrix()
-                    gb = metric_main(kp, q).as_matrix()
-                except ChartDomainError:
-                    continue
-                done += 1
-                yield float(np.abs(jac.T @ gb @ jac - ga).max()), f"{target} {_kp_tag(kp)}"
+        tag = _kp_tag(kp)
+        # a parallel2 attempt draws a point (a1, a2); a polar one draws a
+        # radius and a point, of which it keeps a2: a2 is the last draw of both
+        b1, b2 = coord_bound(kp.k1, 0.3), coord_bound(kp.k12, 0.3)
+        bounds = ([-b1, -b2], [b1, b2]), ([0.2, -b1, -b2], [max(b1, 0.3), b1, b2])
+
+        def draw(ids: list[int]) -> list[np.ndarray]:
+            return [rng.uniform(*bounds[t], size=(ids.count(t), len(bounds[t][0]))) for t in (0, 1)]
+
+        def block(ids: list[int], draws: list[np.ndarray]) -> Callable[[int], tuple[float, str] | None]:
+            points = [ParallelI(x[:, 0], x[:, -1]) for x in draws]
+            outside, flags = _Flag(len(draws[1])), [_Flag(len(x)) for x in draws]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                s = _ambient_of(kp, points[1], outside)
+                narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
+                terms = [_pullback_terms(kp, p, target, f) for p, target, f in zip(points, targets, flags)]
+            rows = [x.tolist() for x in draws]
+            offset = ids.count(0)
+
+            def outcome(k: int) -> tuple[float, str] | None:
+                t, i = (0, k) if k < offset else (1, k - offset)
+                p = ParallelI(rows[t][i][0], rows[t][i][-1])
+                if t == 1:
+                    if outside.bad[i]:
+                        to_ambient(kp, p)
+                    if narrow[i]:
+                        return None
+                dq, dp, ga, gb = (term[i] for term in terms[t])
+                if flags[t].bad[i]:
+                    try:
+                        dq, dp, ga, gb = _pullback_terms(kp, p, targets[t], ktrig)
+                    except ChartDomainError:
+                        return None
+                jac = np.linalg.lstsq(dq, dp, rcond=None)[0]
+                return float(_pullback_defect(jac, gb, ga)), f"{targets[t]} {tag}"
+
+            return outcome
+
+        yield from _rejection_sampled(rng, [(cfg.sample_count, 20 * cfg.sample_count)] * 2, draw, block)
 
 
 @check(1e-6)
@@ -824,43 +946,80 @@ def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> Def
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
-        for _ in range(cfg.sample_count):
-            p = sample_parallel1(rng, kp, 0.3)
-            yield abs(gaussian_curvature(kp, p) - kp.k1), _kp_tag(kp)
+        tag = _kp_tag(kp)
+        x = sample_parallel1_stack(rng, kp, 0.3, cfg.sample_count)
+        flag = _Flag(len(x))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            defects = np.abs(_curvature_of(kp, ParallelI(x[:, 0], x[:, 1]), flag) - kp.k1)
+        for defect in _unflagged(
+            defects.tolist(), flag.bad, lambda i: gaussian_curvature(kp, ParallelI(*x[i].tolist()))
+        ):
+            yield defect, tag
 
 
-def _flow_map(kp: KappaPair, mat: np.ndarray) -> Callable[[float, float], tuple[float, float]]:
-    def fn(u: float, v: float) -> tuple[float, float]:
-        s = to_ambient(kp, ParallelI(u, v)).as_array()
-        out = from_ambient(kp, Ambient(*(mat @ s)), "parallel1")
-        return out.a1, out.a2
+def _flow(kp: KappaPair, mat: np.ndarray, a1, a2, steps) -> tuple:
+    """The parallel1 image (a1, a2) of the parallel1 points (a1, a2) under
+    the ambient matrices mat, (..., 3, 3), through steps (see ktrig)."""
+    # a point that fails a step below is flagged or raised there
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.stack(np.broadcast_arrays(*_ambient_of(kp, ParallelI(a1, a2), steps)), axis=-1)
+        image = (mat @ s[..., None])[..., 0]
+    q = _chart_of(kp, *np.moveaxis(image, -1, 0), "parallel1", steps)
+    return q.a1, q.a2
 
-    return fn
+
+def _flow_jacobian(kp: KappaPair, mat: np.ndarray, x: np.ndarray, h: float, steps) -> tuple:
+    """The Jacobian, by central differences of step h, of the flow of mat at
+    the parallel1 points x, (..., 2), and the metric matrix at their
+    images, through steps (see ktrig)."""
+    a1, a2 = x[..., 0], x[..., 1]
+    # the point, then the stencil in (a1, a2) order
+    stencil = [(a1, a2), (a1 + h, a2 + 0.0), (a1 - h, a2 - 0.0), (a1 + 0.0, a2 + h), (a1 - 0.0, a2 - h)]
+    stencil = np.stack([np.stack(uv, axis=-1) for uv in stencil])
+    q = steps.each(lambda uv, st: np.stack(_flow(kp, mat, uv[..., 0], uv[..., 1], st), axis=-1), stencil)
+    with np.errstate(over="ignore", invalid="ignore"):  # at a flagged point
+        jac = np.stack([(q[1] - q[2]) / (2.0 * h), (q[3] - q[4]) / (2.0 * h)], axis=-1)
+    return jac, _metric_of(kp, ParallelI(q[0][..., 0], q[0][..., 1]), steps).as_matrix()
 
 
 @check(1e-6)
 def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     h = 1e-6
+    flows = [(i, gname, t) for i, gname in enumerate(GENERATOR_NAMES) for t in (0.1, 0.3)]
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
-        for i, gname in enumerate(GENERATOR_NAMES):
-            for t in (0.1, 0.3):
-                mat = expm_series(-t * rep(kp, BASIS[i]))
-                flow = _flow_map(kp, mat)
-                done = attempts = 0
-                while done < 5 and attempts < 100:
-                    attempts += 1
-                    p = sample_parallel1(rng, kp, 0.25)
-                    try:
-                        q1, q2 = flow(p.a1, p.a2)
-                        jac = _fd_jacobian(flow, p.a1, p.a2, h)
-                        gq = metric_main(kp, ParallelI(q1, q2)).as_matrix()
-                    except ChartDomainError:
-                        continue
-                    done += 1
-                    gp = metric_main(kp, p).as_matrix()
-                    yield float(np.abs(jac.T @ gq @ jac - gp).max()), f"{gname} t={t:g} {_kp_tag(kp)}"
+        tag = _kp_tag(kp)
+        gens = np.array([-t * rep(kp, BASIS[i]) for i, _, t in flows])
+        exp_flag = _Flag(len(flows))
+        mats = _series(gens, exp_flag)
+        b = np.array([coord_bound(kp.k1, 0.25), coord_bound(kp.k12, 0.25)])
+
+        def draw(ids: list[int]) -> np.ndarray:
+            return rng.uniform(-b, b, size=(len(ids), 2))
+
+        def block(ids: list[int], x: np.ndarray) -> Callable[[int], tuple[float, str] | None]:
+            flag, at_p = _Flag(len(x)), _Flag(len(x))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                jac, gq = _flow_jacobian(kp, mats[ids], x, h, flag)
+                gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), at_p).as_matrix()
+                defects = _pullback_defect(jac, gq, gp).tolist()
+
+            def outcome(k: int) -> tuple[float, str] | None:
+                f = ids[k]
+                if exp_flag.bad[f]:
+                    _series(gens[f], ktrig)
+                p = ParallelI(*x[k].tolist())
+                if _skipped(flag.bad[k], lambda: _flow_jacobian(kp, mats[f], x[k], h, ktrig)):
+                    return None
+                if at_p.bad[k]:
+                    metric_main(kp, p)
+                _, gname, t = flows[f]
+                return defects[k], f"{gname} t={t:g} {tag}"
+
+            return outcome
+
+        yield from _rejection_sampled(rng, [(5, 100)] * len(flows), draw, block)
 
 
 @check(1e-6)
@@ -868,91 +1027,122 @@ def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generat
     # the stored field components are the t-derivative at 0 of the inverse
     # one-parameter flow through the point
     h = 1e-6
+    n = cfg.sample_count
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
+        gens = np.array([[-h * rep(kp, x), h * rep(kp, x)] for x in BASIS])
+        exp_flag = _Flag(gens.shape[:2])
+        mats = _series(gens, exp_flag)
+        # the samples of J01, then of J02 and J12
+        x = sample_parallel1_stack(rng, kp, 0.3, 3 * n).reshape(3, n, 2)
+        p = ParallelI(x[..., 0], x[..., 1])
+        onto, chart, fields = _Flag((3, n)), _Flag((3, n)), _Flag((3, n))
+        # the field of each sample's own generator, of (generator, sample, field, 2 or 3)
+        own = np.arange(3), slice(None), np.arange(3)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = np.stack(np.broadcast_arrays(*_ambient_of(kp, p, onto)), axis=-1)
+            # (generator, sign, sample, 3)
+            images = (mats[:, :, None] @ s[:, None, :, :, None])[..., 0]
+            fd = (images[:, 0] - images[:, 1]) / (2.0 * h)
+            fa = _matrix(_ambient_fields(kp, *np.moveaxis(s, -1, 0)))[own]
+            ambient_d = np.abs(fd - fa).max(axis=-1).tolist()
+            pp, pm = (_chart_of(kp, *np.moveaxis(images[:, k], -1, 0), "parallel1", chart) for k in (0, 1))
+            fc = _matrix(_fields_of(kp, p, fields))[own]
+            d1 = (pp.a1 - pm.a1) / (2.0 * h)
+            d2 = (pp.a2 - pm.a2) / (2.0 * h)
+            chart_d = _max(abs(d1 - fc[..., 0]), abs(d2 - fc[..., 1])).tolist()
         for i, gname in enumerate(GENERATOR_NAMES):
-            plus = expm_series(-h * rep(kp, BASIS[i]))
-            minus = expm_series(h * rep(kp, BASIS[i]))
-            for _ in range(cfg.sample_count):
-                p = sample_parallel1(rng, kp, 0.3)
-                s = to_ambient(kp, p).as_array()
-                fa = killing_fields(kp, Ambient(*s), chart="ambient")[i]
-                fd = (plus @ s - minus @ s) / (2.0 * h)
-                yield float(np.abs(fd - fa).max()), f"ambient {gname} {_kp_tag(kp)}"
-                try:
-                    pp = from_ambient(kp, Ambient(*(plus @ s)), "parallel1")
-                    pm = from_ambient(kp, Ambient(*(minus @ s)), "parallel1")
-                except ChartDomainError:
+            if exp_flag.bad[i].any():
+                for g in gens[i]:
+                    _series(g, ktrig)
+            for j, (a1, a2) in enumerate(x[i].tolist()):
+                if onto.bad[i, j]:
+                    to_ambient(kp, ParallelI(a1, a2))
+                yield ambient_d[i][j], f"ambient {gname} {tag}"
+                if _skipped(
+                    chart.bad[i, j], lambda: [from_ambient(kp, Ambient(*images[i, k, j]), "parallel1") for k in (0, 1)]
+                ):
                     continue
-                fc = killing_fields(kp, p, chart="parallel1")[i]
-                d1 = (pp.a1 - pm.a1) / (2.0 * h)
-                d2 = (pp.a2 - pm.a2) / (2.0 * h)
-                yield max(abs(d1 - fc[0]), abs(d2 - fc[1])), f"chart {gname} {_kp_tag(kp)}"
+                if fields.bad[i, j]:
+                    killing_fields(kp, ParallelI(a1, a2), chart="parallel1")
+                yield chart_d[i][j], f"chart {gname} {tag}"
 
 
 @check(1e-5)
 def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     h = 1e-5
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         ct = structure_tensor(kp)
-
-        def fields_at(u: float, v: float) -> np.ndarray:
-            f = killing_fields(kp, ParallelI(u, v), chart="parallel1")
-            return np.array(f)
-
-        for _ in range(max(4, cfg.sample_count // 4)):
-            p = sample_parallel1(rng, kp, 0.3)
-            base = fields_at(p.a1, p.a2)
-            du = (fields_at(p.a1 + h, p.a2) - fields_at(p.a1 - h, p.a2)) / (2.0 * h)
-            dv = (fields_at(p.a1, p.a2 + h) - fields_at(p.a1, p.a2 - h)) / (2.0 * h)
+        x = sample_parallel1_stack(rng, kp, 0.3, max(4, cfg.sample_count // 4))
+        a1, a2 = x[:, 0], x[:, 1]
+        # each sample's point, then its stencil in (a1, a2) order
+        stencil = [(a1, a2), (a1 + h, a2), (a1 - h, a2), (a1, a2 + h), (a1, a2 - h)]
+        u, v = (np.stack(c) for c in zip(*stencil))
+        flag = _Flag(u.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            base, up, um, vp, vm = _matrix(_fields_of(kp, ParallelI(u, v), flag))
+            du = (up - um) / (2.0 * h)
+            dv = (vp - vm) / (2.0 * h)
+            defects = []
             for i, j in _PAIRS:
                 comm = (
-                    base[i, 0] * du[j] + base[i, 1] * dv[j]
-                    - base[j, 0] * du[i] - base[j, 1] * dv[i]
+                    base[:, i, 0, None] * du[:, j] + base[:, i, 1, None] * dv[:, j]
+                    - base[:, j, 0, None] * du[:, i] - base[:, j, 1, None] * dv[:, i]
                 )
-                expect = ct[i, j, 0] * base[0] + ct[i, j, 1] * base[1] + ct[i, j, 2] * base[2]
-                yield float(np.abs(comm - expect).max()), f"[{i}{j}] {_kp_tag(kp)}"
+                expect = ct[i, j, 0] * base[:, 0] + ct[i, j, 1] * base[:, 1] + ct[i, j, 2] * base[:, 2]
+                defects.append(np.abs(comm - expect).max(axis=-1))
+        rows = np.stack(defects, axis=-1).tolist()
+        again = lambda k: [killing_fields(kp, ParallelI(uu[k], vv[k])) for uu, vv in zip(u.tolist(), v.tolist())]
+        for row in _unflagged(rows, flag.bad.any(axis=0), again):
+            for (i, j), defect in zip(_PAIRS, row):
+                yield defect, f"[{i}{j}] {tag}"
 
 
 @check(1e-5)
 def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     # oracle: Casimir-weighted second differences along the generator flows,
     # with the O(h^2) truncation cancelled between steps h and 2h
-    fine_step, coarse_step = 1e-3, 2e-3
+    steps_h = (1e-3, 2e-3)
     funcs = (
-        lambda a1, a2: math.sin(a1) + a2 * a2,
+        lambda a1, a2: np.sin(a1) + a2 * a2,
         lambda a1, a2: a1 * a2,
-        lambda a1, a2: math.cos(a2) * a1,
+        lambda a1, a2: np.cos(a2) * a1,
     )
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         coeffs = casimir_coeffs(kp)
-        flows = {
-            h: [
-                (_flow_map(kp, expm_series(-h * rep(kp, x))), _flow_map(kp, expm_series(h * rep(kp, x))))
-                for x in BASIS
-            ]
-            for h in (fine_step, coarse_step)
-        }
-
-        def flow_laplacian(f: Callable[[float, float], float], p: ParallelI, h: float) -> float:
-            f0 = f(p.a1, p.a2)
-            return sum(
-                c * (f(*plus(p.a1, p.a2)) - 2.0 * f0 + f(*minus(p.a1, p.a2))) / (h * h)
-                for c, (plus, minus) in zip(coeffs, flows[h])
-            )
-
-        for f in funcs:
-            for _ in range(4):
-                p = sample_parallel1(rng, kp, 0.3)
-                try:
-                    lb = laplace_beltrami_apply(kp, f, p)
-                except DegenerateMetricError:
+        # (step, generator, sign): the flows of exp(-h x) and exp(h x)
+        gens = np.array([[[-h * rep(kp, x), h * rep(kp, x)] for x in BASIS] for h in steps_h])
+        exp_flag = _Flag(gens.shape[:3])
+        mats = _series(gens, exp_flag)
+        if exp_flag.bad.any():
+            for g in gens.reshape(-1, 3, 3):
+                _series(g, ktrig)
+        # four samples per function
+        x = sample_parallel1_stack(rng, kp, 0.3, 4 * len(funcs)).reshape(len(funcs), 4, 2)
+        a1, a2 = x[..., 0], x[..., 1]
+        lb_flags, flow_flag = [_Flag(4) for _ in funcs], _Flag(mats.shape[:3] + a1.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q1, q2 = _flow(kp, mats[..., None, None, :, :], a1, a2, flow_flag)
+            lb, oracle = [], []
+            for k, f in enumerate(funcs):
+                lb.append(_laplacian_of(kp, f, ParallelI(a1[k], a2[k]), lb_flags[k]))
+                fq, f0 = f(q1[..., k, :], q2[..., k, :]), f(a1[k], a2[k])
+                fine, coarse = (
+                    sum(c * (fq[n, g, 0] - 2.0 * f0 + fq[n, g, 1]) / (h * h) for g, c in enumerate(coeffs))
+                    for n, h in enumerate(steps_h)
+                )
+                oracle.append((4.0 * fine - coarse) / 3.0)
+            defects = np.abs(np.array(lb) - np.array(oracle)).tolist()
+        flow_bad = flow_flag.bad.any(axis=(0, 1, 2))
+        for k, f in enumerate(funcs):
+            for j, (u, v) in enumerate(x[k].tolist()):
+                if lb_flags[k].bad[j]:
+                    laplace_beltrami_apply(kp, f, ParallelI(u, v))
+                if _skipped(flow_bad[k, j], lambda: [_flow(kp, m, u, v, ktrig) for m in mats.reshape(-1, 3, 3)]):
                     continue
-                try:
-                    fine = flow_laplacian(f, p, fine_step)
-                    coarse = flow_laplacian(f, p, coarse_step)
-                except ChartDomainError:
-                    continue
-                yield abs(lb - (4.0 * fine - coarse) / 3.0), _kp_tag(kp)
+                yield defects[k][j], tag
     # flat-space reference values
     kp = KappaPair(0.0, -1.0)
     yield abs(laplace_beltrami_apply(kp, lambda a1, a2: a1 * a2, ParallelI(0.3, -0.2))), "product"
@@ -964,17 +1154,29 @@ def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> Def
     for kp in cfg.kappa_grid:
         if kp.k2 != 0.0:
             continue
-        for _ in range(cfg.sample_count):
-            p = sample_parallel1(rng, kp, 0.4)
-            fields = killing_fields(kp, p, chart="parallel1")
+        tag = _kp_tag(kp)
+        gens = np.array([-0.3 * rep(kp, BASIS[i]) for i in (1, 2)])
+        exp_flag = _Flag(2)
+        mats = _series(gens, exp_flag)
+        x = sample_parallel1_stack(rng, kp, 0.4, cfg.sample_count)
+        fields, flow = _Flag(len(x)), _Flag((2, len(x)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fc = _matrix(_fields_of(kp, ParallelI(x[:, 0], x[:, 1]), fields))
+            q1, _ = _flow(kp, mats[:, None], x[:, 0], x[:, 1], flow)
             # fibers a1 = const are preserved by the isotropy directions
-            yield abs(fields[1][0]), f"J02 {_kp_tag(kp)}"
-            yield abs(fields[2][0]), f"J12 {_kp_tag(kp)}"
-            for i in (1, 2):
-                mat = expm_series(-0.3 * rep(kp, BASIS[i]))
-                s = to_ambient(kp, p).as_array()
-                q = from_ambient(kp, Ambient(*(mat @ s)), "parallel1")
-                yield abs(q.a1 - p.a1), f"flow J{i} {_kp_tag(kp)}"
+            across = np.abs(fc[:, 1:, 0]).tolist()
+            drift = np.abs(q1 - x[:, 0]).tolist()
+        for j, (a1, a2) in enumerate(x.tolist()):
+            if fields.bad[j]:
+                killing_fields(kp, ParallelI(a1, a2), chart="parallel1")
+            yield across[j][0], f"J02 {tag}"
+            yield across[j][1], f"J12 {tag}"
+            for k, i in enumerate((1, 2)):
+                if exp_flag.bad[k]:
+                    _series(gens[k], ktrig)
+                if flow.bad[k, j]:
+                    _flow(kp, mats[k], a1, a2, ktrig)
+                yield drift[k][j], f"flow J{i} {tag}"
 
 
 @check(0.5)

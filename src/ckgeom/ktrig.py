@@ -14,11 +14,11 @@ scalar label and agree with ck, sk and kinv bit for bit element by element.
 Where a hyperbolic value overflows a double, ck and sk raise
 ChartDomainError and the array forms give an infinite element; kinv_array
 returns the mask of the elements where kinv raises.  The scalar forms stay:
-a sweep makes about 46,500 calls to them at 0.2-0.3 us, and a one-element
-array call, at 2-15 us, would add about 0.3 s to its 0.4 s.
+a sweep makes about 14,100 calls to ck, sk, tk and kinv at 0.2-0.3 us, and
+a one-element array call, at 2-11 us, would add about 0.1 s to its 0.27 s.
 
 A map that other modules evaluate at many points at once is written once,
-over steps: ck, sk, kinv, each(form, rows) for k inputs per point, and
+over steps: ck, sk, tk, kinv, each(form, rows) for k inputs per point, and
 fails(mask) for a domain test, which reads `if steps.fails(mask): raise`.
 This module is the raising set of steps, for one point: the first step
 that fails raises, from its own raise site, and a message formats numpy
@@ -132,12 +132,17 @@ def sk_array(kappa: float, x) -> np.ndarray:
 
 def tk(kappa: float, x: float) -> float:
     """Generalized tangent sk/ck.  Raises PoleError within DEFAULT_POLE_TOL of a pole."""
-    c = ck(kappa, x)
-    if abs(c) < DEFAULT_POLE_TOL:
+    return _tk(kappa, x, sys.modules[__name__])
+
+
+def _tk(kappa: float, x, steps):
+    """tk through steps: the tk step of both sets."""
+    c = steps.ck(kappa, x)
+    if steps.fails(abs(c) < DEFAULT_POLE_TOL):
         raise PoleError(
             f"tk({kappa!r}, {x!r}): cosine factor {c!r} is inside the pole tolerance {DEFAULT_POLE_TOL!r}"
         )
-    return sk(kappa, x) / c
+    return steps.sk(kappa, x) / c
 
 
 def vk(kappa: float, x: float) -> float:
@@ -237,6 +242,10 @@ class _Flag:
         x, bad = kinv_array(kappa, s, c)
         self.bad |= bad
         return x
+
+    def tk(self, kappa: float, x) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a pole is flagged
+            return _tk(kappa, np.asarray(x, dtype=float), self)
 
     def each(self, form: Callable, rows: np.ndarray) -> np.ndarray:
         """form(rows, steps) for a stack rows of k inputs per point, shape

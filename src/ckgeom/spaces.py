@@ -9,11 +9,16 @@ interchange format; every conversion goes through it.
 Chart domains are enforced, not wrapped: parallel-type charts need the
 cosine factor of their second coordinate positive, the polar chart needs
 a nonzero radial sine, and every chart needs a finite ambient triple.
-Violations raise ChartDomainError.  to_ambient and to_ambient_batch, which
-flags them in the mask it returns instead, are one transcription of the
-chart maps over the steps of ktrig.  The point-by-point to_ambient is its
-call with ktrig as the steps: a sweep calls it about 4,800 times at 3 to
-5 us, and a one-point batch call, at 37 us, would add 0.15 s.
+Violations raise ChartDomainError.
+
+Each map here is one transcription over the steps of ktrig (see there):
+the chart maps (_ambient_of), their inverses (_chart_of), the metric, the
+symmetry fields, the curvature stencil and the operator stencil.  The
+public functions are their calls with ktrig as the steps, at one point;
+called with a ktrig._Flag they are stack forms, and to_ambient_batch is
+the one public stack form.  The geometry checks of the sweep evaluate their
+samples through the stack forms, so a sweep calls to_ambient 3 times and
+from_ambient 5 times, where it made about 4,800 and 4,500 one-point calls.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from . import ktrig
 from .algebra import KappaPair
 from .errors import ChartDomainError, DegenerateMetricError, OffCurveError, OffSurfaceError
-from .group import DEFAULT_CHART_TOL, DEFAULT_SURFACE_TOL, ambient_defect
+from .group import DEFAULT_CHART_TOL, DEFAULT_SURFACE_TOL, _ambient_defect_stack
 
 CURVATURE_STEP = 1e-3
 OPERATOR_STEP = 1e-4
@@ -90,7 +95,9 @@ class MetricValue:
     g22: float
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
+        """[[g11, g12], [g12, g22]], of shape (..., 2, 2) for components
+        that broadcast to shape (...)."""
+        return _matrix([[self.g11, self.g12], [self.g12, self.g22]])
 
 
 # Chart domain tests of a float or an array of values, through steps (see
@@ -165,47 +172,57 @@ def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.
 
 def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:
     """Convert an ambient point to the named chart by inverting the pair maps."""
-    arr = s.as_array()
-    defect = ambient_defect(kp, arr)
-    if defect > DEFAULT_SURFACE_TOL:
-        raise OffSurfaceError(f"from_ambient: point misses the quadric by {defect:.3e}")
-    s0, s1, s2 = float(arr[0]), float(arr[1]), float(arr[2])
-    if target == "ambient":
-        return Ambient(s0, s1, s2)
-    try:
-        if target == "parallel1":
-            c2 = math.sqrt(max(s0 * s0 + kp.k1 * s1 * s1, 0.0))
-            if c2 < DEFAULT_CHART_TOL:
-                raise ChartDomainError("parallel1 chart: cosine factor of a2 vanishes here")
-            a2 = ktrig.kinv(kp.k12, s2, c2)
-            a1 = ktrig.kinv(kp.k1, s1 / c2, s0 / c2)
-            return ParallelI(a1, a2)
-        if target == "parallel2":
-            c1 = math.sqrt(max(s0 * s0 + kp.k12 * s2 * s2, 0.0))
-            if c1 < DEFAULT_CHART_TOL:
-                raise ChartDomainError("parallel2 chart: cosine factor of b1 vanishes here")
-            b1 = ktrig.kinv(kp.k1, s1, c1)
-            b2 = ktrig.kinv(kp.k12, s2 / c1, s0 / c1)
-            return ParallelII(b1, b2)
-        if target == "polar":
-            sr_sq = s1 * s1 + kp.k2 * s2 * s2
-            if sr_sq < DEFAULT_CHART_TOL * DEFAULT_CHART_TOL:
-                raise ChartDomainError(
-                    "polar chart: radial sine vanishes (origin, antipode or null sector), phi undefined"
-                )
-            sr = math.sqrt(sr_sq)
-            r = ktrig.kinv(kp.k1, sr, s0)
-            phi = ktrig.kinv(kp.k2, s2 / sr, s1 / sr)
-            return Polar(r, phi)
-    except OffCurveError as exc:
-        # negative-label inversions reject points outside the chart's wedge
-        raise ChartDomainError(f"{target} chart does not cover this point: {exc}") from exc
+    q = _chart_of(kp, float(s.s0), float(s.s1), float(s.s2), target, ktrig)
+    return type(q)(*(float(x) for x in vars(q).values()))
+
+
+def _chart_of(kp: KappaPair, s0, s1, s2, target: str, steps) -> ChartPoint:
+    """The target chart point of the ambient triples (s0, s1, s2), through
+    steps (see ktrig): written once for from_ambient and its stack form,
+    whose triples hold floats and arrays."""
+    # a point that fails a step below is flagged or raised there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        defect = _ambient_defect_stack(kp, np.stack(np.broadcast_arrays(s0, s1, s2), axis=-1))
+        if steps.fails(defect > DEFAULT_SURFACE_TOL):
+            raise OffSurfaceError(f"from_ambient: point misses the quadric by {defect:.3e}")
+        if target == "ambient":
+            return Ambient(s0, s1, s2)
+        try:
+            if target == "parallel1":
+                c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
+                if steps.fails(c2 < DEFAULT_CHART_TOL):
+                    raise ChartDomainError("parallel1 chart: cosine factor of a2 vanishes here")
+                a2 = steps.kinv(kp.k12, s2, c2)
+                return ParallelI(steps.kinv(kp.k1, s1 / c2, s0 / c2), a2)
+            if target == "parallel2":
+                c1 = np.sqrt(np.maximum(s0 * s0 + kp.k12 * s2 * s2, 0.0))
+                if steps.fails(c1 < DEFAULT_CHART_TOL):
+                    raise ChartDomainError("parallel2 chart: cosine factor of b1 vanishes here")
+                b1 = steps.kinv(kp.k1, s1, c1)
+                return ParallelII(b1, steps.kinv(kp.k12, s2 / c1, s0 / c1))
+            if target == "polar":
+                sr_sq = s1 * s1 + kp.k2 * s2 * s2
+                if steps.fails(sr_sq < DEFAULT_CHART_TOL * DEFAULT_CHART_TOL):
+                    raise ChartDomainError(
+                        "polar chart: radial sine vanishes (origin, antipode or null sector), phi undefined"
+                    )
+                sr = np.sqrt(sr_sq)
+                r = steps.kinv(kp.k1, sr, s0)
+                return Polar(r, steps.kinv(kp.k2, s2 / sr, s1 / sr))
+        except OffCurveError as exc:
+            # negative-label inversions reject points outside the chart's wedge
+            raise ChartDomainError(f"{target} chart does not cover this point: {exc}") from exc
     raise ValueError(f"unknown chart {target!r}, expected one of {CHART_NAMES}")
 
 
 def convert(kp: KappaPair, p: ChartPoint, target: str) -> ChartPoint:
     """Chart-to-chart conversion through the ambient format."""
     return from_ambient(kp, to_ambient(kp, p), target)
+
+
+def _convert(kp: KappaPair, p: ChartPoint, target: str, steps) -> ChartPoint:
+    """convert of two-coordinate chart points through steps (see ktrig)."""
+    return _chart_of(kp, *_ambient_of(kp, p, steps), target, steps)
 
 
 def _as_parallel1(kp: KappaPair, p: ChartPoint) -> ParallelI:
@@ -222,25 +239,42 @@ def metric_main(kp: KappaPair, p: ChartPoint) -> MetricValue:
     Ambient input is answered in parallel-I components after conversion.
     A component that overflows raises ChartDomainError, as in to_ambient.
     """
-    k1, k12, k2 = kp.k1, kp.k12, kp.k2
     if isinstance(p, Ambient):
-        return metric_main(kp, _as_parallel1(kp, p))
-    if isinstance(p, ParallelI):
-        _below_quarter(ktrig, p.a2, k12, "a2")
-        c = ktrig.ck(k12, p.a2)
-        m = MetricValue(c * c, 0.0, k2)
-    elif isinstance(p, ParallelII):
-        _below_quarter(ktrig, p.b1, k1, "b1")
-        c = ktrig.ck(k1, p.b1)
-        m = MetricValue(1.0, 0.0, k2 * c * c)
-    elif isinstance(p, Polar):
-        s = ktrig.sk(k1, p.r)
-        m = MetricValue(1.0, 0.0, k2 * s * s)
-    else:
-        raise TypeError(f"unsupported chart point {type(p).__name__}")
-    if not (math.isfinite(m.g11) and math.isfinite(m.g12) and math.isfinite(m.g22)):
-        raise ChartDomainError(f"{p} has the non-finite metric ({m.g11!r}, {m.g12!r}, {m.g22!r})")
-    return m
+        p = _as_parallel1(kp, p)
+    return _metric_of(kp, p, ktrig)
+
+
+def _metric_of(kp: KappaPair, p: ChartPoint, steps) -> MetricValue:
+    """metric_main of a two-coordinate chart point, through steps (see
+    ktrig): written once for metric_main and its stack form, whose points
+    and components hold floats and arrays."""
+    k1, k12, k2 = kp.k1, kp.k12, kp.k2
+    # a point that fails a step below is flagged or raised there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(p, ParallelI):
+            _below_quarter(steps, p.a2, k12, "a2")
+            c = steps.ck(k12, p.a2)
+            g = c * c, 0.0, k2
+        elif isinstance(p, ParallelII):
+            _below_quarter(steps, p.b1, k1, "b1")
+            c = steps.ck(k1, p.b1)
+            g = 1.0, 0.0, k2 * c * c
+        elif isinstance(p, Polar):
+            s = steps.sk(k1, p.r)
+            g = 1.0, 0.0, k2 * s * s
+        else:
+            raise TypeError(f"unsupported chart point {type(p).__name__}")
+        # x * 0.0 is 0.0 for a finite x and nan otherwise
+        if steps.fails(g[0] * 0.0 + g[1] * 0.0 + g[2] * 0.0 != 0.0):
+            raise ChartDomainError(f"{p} has the non-finite metric ({g[0]!r}, {g[1]!r}, {g[2]!r})")
+        return MetricValue(*g)
+
+
+def _matrix(rows: list) -> np.ndarray:
+    """The matrix of rows of floats and arrays, of shape (..., len(rows),
+    len(rows[0])) for entries that broadcast to shape (...)."""
+    entries = np.broadcast_arrays(*(x for row in rows for x in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
 
 
 def metric_subsidiary(kp: KappaPair, p: ChartPoint) -> MetricValue:
@@ -266,23 +300,34 @@ def killing_fields(
     components, "ambient" gives ambient components of the quadric-tangent
     fields.
     """
-    k1, k2, k12 = kp.k1, kp.k2, kp.k12
     if chart == "ambient":
         s = to_ambient(kp, p)
-        j01 = np.array([k1 * s.s1, -s.s0, 0.0])
-        j02 = np.array([k12 * s.s2, 0.0, -s.s0])
-        j12 = np.array([0.0, k2 * s.s2, -s.s1])
-        return j01, j02, j12
-    if chart == "parallel1":
-        q = _as_parallel1(kp, p)
-        _below_quarter(ktrig, q.a2, k12, "a2")
-        c1, s1 = ktrig.ck(k1, q.a1), ktrig.sk(k1, q.a1)
-        t2 = ktrig.tk(k12, q.a2)
-        j01 = np.array([-1.0, 0.0])
-        j02 = np.array([-k12 * s1 * t2, -c1])
-        j12 = np.array([k2 * c1 * t2, -s1])
-        return j01, j02, j12
-    raise ValueError(f"unsupported field frame {chart!r}, expected 'parallel1' or 'ambient'")
+        fields = _ambient_fields(kp, s.s0, s.s1, s.s2)
+    elif chart == "parallel1":
+        fields = _fields_of(kp, _as_parallel1(kp, p), ktrig)
+    else:
+        raise ValueError(f"unsupported field frame {chart!r}, expected 'parallel1' or 'ambient'")
+    j01, j02, j12 = (np.array(f) for f in fields)
+    return j01, j02, j12
+
+
+def _ambient_fields(kp: KappaPair, s0, s1, s2) -> tuple:
+    """The ambient components of (J01, J02, J12) at the ambient triples
+    (s0, s1, s2), for floats and arrays."""
+    return (kp.k1 * s1, -s0, 0.0), (kp.k12 * s2, 0.0, -s0), (0.0, kp.k2 * s2, -s1)
+
+
+def _fields_of(kp: KappaPair, q: ParallelI, steps) -> tuple:
+    """The parallel1 components of (J01, J02, J12) at the parallel1 point q,
+    through steps (see ktrig): written once for killing_fields and its
+    stack form, whose points hold floats and arrays."""
+    k1, k12 = kp.k1, kp.k12
+    # a point that fails a step below is flagged or raised there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _below_quarter(steps, q.a2, k12, "a2")
+        c1, s1 = steps.ck(k1, q.a1), steps.sk(k1, q.a1)
+        t2 = steps.tk(k12, q.a2)
+        return (-1.0, 0.0), (-k12 * s1 * t2, -c1), (kp.k2 * c1 * t2, -s1)
 
 
 def gaussian_curvature(kp: KappaPair, p: ChartPoint) -> float:
@@ -292,21 +337,29 @@ def gaussian_curvature(kp: KappaPair, p: ChartPoint) -> float:
     leading quadratic truncation term; needs an invertible metric, so k2 = 0
     raises DegenerateMetricError.
     """
-    coarse = _brioschi_curvature(kp, p, 2.0 * CURVATURE_STEP)
-    fine = _brioschi_curvature(kp, p, CURVATURE_STEP)
-    return (4.0 * fine - coarse) / 3.0
+    return float(_curvature_of(kp, p, ktrig))
 
 
-def _brioschi_curvature(kp: KappaPair, p: ChartPoint, step: float) -> float:
-    # determinant form of the curvature of a 2D metric; signature-agnostic
+def _curvature_of(kp: KappaPair, p: ChartPoint, steps):
+    """gaussian_curvature through steps (see ktrig): written once for it and
+    its stack form, whose parallel1 points hold arrays."""
     if kp.k2 == 0.0:
         raise DegenerateMetricError("curvature of the degenerate main metric is undefined")
     q = _as_parallel1(kp, p)
+    # a point that fails a step below is flagged or raised there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coarse = _brioschi_curvature(kp, q, 2.0 * CURVATURE_STEP, steps)
+        fine = _brioschi_curvature(kp, q, CURVATURE_STEP, steps)
+        return (4.0 * fine - coarse) / 3.0
+
+
+def _brioschi_curvature(kp: KappaPair, q: ParallelI, step: float, steps):
+    # determinant form of the curvature of a 2D metric; signature-agnostic
     u, v, h = q.a1, q.a2, step
 
-    def components(uu: float, vv: float) -> np.ndarray:
-        m = metric_main(kp, ParallelI(uu, vv))
-        return np.array([m.g11, m.g12, m.g22])
+    def components(uu, vv) -> np.ndarray:
+        m = _metric_of(kp, ParallelI(uu, vv), steps)
+        return np.array(np.broadcast_arrays(m.g11, m.g12, m.g22))
 
     center = components(u, v)
     up, um = components(u + h, v), components(u - h, v)
@@ -329,23 +382,23 @@ def _brioschi_curvature(kp: KappaPair, p: ChartPoint, step: float) -> float:
     f_uv = d_uv[1]
 
     det = e * g - f * f
-    if abs(det) < 1e-12:
+    if steps.fails(abs(det) < 1e-12):
         raise DegenerateMetricError(f"metric determinant {det:.3e} too small for curvature")
-    m1 = np.array(
+    m1 = _matrix(
         [
             [-0.5 * e_vv + f_uv - 0.5 * g_uu, 0.5 * e_u, f_u - 0.5 * e_v],
             [f_v - 0.5 * g_u, e, f],
             [0.5 * g_v, f, g],
         ]
     )
-    m2 = np.array(
+    m2 = _matrix(
         [
             [0.0, 0.5 * e_v, 0.5 * g_u],
             [0.5 * e_v, e, f],
             [0.5 * g_u, f, g],
         ]
     )
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det * det))
+    return (np.linalg.det(m1) - np.linalg.det(m2)) / (det * det)
 
 
 def laplace_beltrami_apply(kp: KappaPair, f: Callable[[float, float], float], p: ChartPoint) -> float:
@@ -355,14 +408,22 @@ def laplace_beltrami_apply(kp: KappaPair, f: Callable[[float, float], float], p:
     - k1 k2 tk(k12, a2) d/da2, evaluated with central differences of step
     OPERATOR_STEP.
     """
-    q = _as_parallel1(kp, p)
+    return _laplacian_of(kp, f, _as_parallel1(kp, p), ktrig)
+
+
+def _laplacian_of(kp: KappaPair, f: Callable, q: ParallelI, steps):
+    """laplace_beltrami_apply at the parallel1 point q through steps (see
+    ktrig): written once for it and its stack form, whose points hold floats
+    and arrays, and whose f takes arrays."""
     a1, a2, h = q.a1, q.a2, OPERATOR_STEP
-    c = ktrig.ck(kp.k12, a2)
-    if abs(c) < 1e-12:
-        raise ChartDomainError("operator coefficient diverges where the a2 cosine factor vanishes")
-    f0 = f(a1, a2)
-    d2_a1 = (f(a1 + h, a2) - 2.0 * f0 + f(a1 - h, a2)) / (h * h)
-    f_vp, f_vm = f(a1, a2 + h), f(a1, a2 - h)
-    d2_a2 = (f_vp - 2.0 * f0 + f_vm) / (h * h)
-    d_a2 = (f_vp - f_vm) / (2.0 * h)
-    return kp.k2 / (c * c) * d2_a1 + d2_a2 - kp.k12 * ktrig.tk(kp.k12, a2) * d_a2
+    # a point that fails a step below is flagged or raised there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = steps.ck(kp.k12, a2)
+        if steps.fails(abs(c) < 1e-12):
+            raise ChartDomainError("operator coefficient diverges where the a2 cosine factor vanishes")
+        f0 = f(a1, a2)
+        d2_a1 = (f(a1 + h, a2) - 2.0 * f0 + f(a1 - h, a2)) / (h * h)
+        f_vp, f_vm = f(a1, a2 + h), f(a1, a2 - h)
+        d2_a2 = (f_vp - 2.0 * f0 + f_vm) / (h * h)
+        d_a2 = (f_vp - f_vm) / (2.0 * h)
+        return kp.k2 / (c * c) * d2_a1 + d2_a2 - kp.k12 * steps.tk(kp.k12, a2) * d_a2

@@ -1,7 +1,9 @@
 """Self-verification sweep: registry consistency, determinism, config guards."""
 
 import inspect
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ from ckgeom import (
 from ckgeom import checks
 from ckgeom.checks import SUITE_NAMES
 from ckgeom.errors import OffSurfaceError
+
+# each geometry check's result at seeds 0-7, as the sample-by-sample checks gave it
+GEOMETRY_GOLDEN = Path(__file__).parent / "golden" / "geometry_suite_seeds0-7.json"
 
 LIGHT = SweepConfig(
     kappa_grid=kappa_grid_from_name("normalized9"),
@@ -102,6 +107,16 @@ def test_check_results_are_order_independent():
 def test_sweep_passes_for_every_seed(seed):
     failing = [(r.name, r.max_defect, r.detail) for r in run_all(SweepConfig(seed=seed)) if not r.passed]
     assert failing == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_geometry_suite_matches_its_pinned_results(seed):
+    want = json.loads(GEOMETRY_GOLDEN.read_text())[str(seed)]
+    got = {
+        r.name: {"max_defect": repr(r.max_defect), "samples": r.samples, "detail": r.detail, "passed": r.passed}
+        for r in run_suite("geometry", SweepConfig(seed=seed))
+    }
+    assert got == want
 
 
 def test_suite_summary_rolls_up():

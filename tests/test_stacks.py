@@ -6,32 +6,40 @@ nothing, and the flag's mask bad marks the rows where the raising form
 raises.  For every stack form, bad must equal the set of rows where the
 raising form raises, and the unflagged values must equal the raising
 form's bit for bit.  The raising form is the scalar form where one stays
-(ktrig's kinv, ck and sk, exp_one_param, group_from_coords, to_ambient,
-expm_series, sklyanin_numeric) and otherwise the one-point call
-(coords_from_group, act, invariant_fields_numeric, sklyanin_closed).  The
-sweep evaluates a flagged sample through the transcription with ktrig as
-the steps; where a scalar form stays beside it, the error must be the
-scalar form's in type and text.
+(ktrig's kinv, ck, sk and tk, exp_one_param, group_from_coords,
+to_ambient, expm_series, sklyanin_numeric) and otherwise the one-point call
+(coords_from_group, act, invariant_fields_numeric, sklyanin_closed,
+from_ambient, metric_main, killing_fields, gaussian_curvature,
+laplace_beltrami_apply, and the to_ambient, product and from_ambient of the
+checks' flow map).  The sweep evaluates a flagged sample through the
+transcription with ktrig as the steps; where a scalar form stays beside it,
+the error must be the scalar form's in type and text.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ckgeom import (
     BASIS,
+    CHART_NAMES,
     GENERATOR_NAMES,
+    Ambient,
     AlgebraElement,
     ConvergenceError,
     DeformationKind,
+    DegenerateMetricError,
     GeometryError,
     GroupCoordinates,
     GroupElement,
     InvariantFields,
     KappaPair,
+    ParallelI,
+    ParallelII,
+    Polar,
     act,
     ambient_defect,
     bracket,
@@ -39,17 +47,25 @@ from ckgeom import (
     coords_from_group,
     exp_one_param,
     expm_series,
+    from_ambient,
+    gaussian_curvature,
     group_from_coords,
     invariant_fields_numeric,
+    killing_fields,
     kinv,
     kinv_array,
+    laplace_beltrami_apply,
+    metric_main,
     rep,
     rmatrix,
     sk,
     sklyanin_closed,
     sklyanin_numeric,
+    tk,
+    to_ambient,
+    to_ambient_batch,
 )
-from ckgeom import checks, group, ktrig, poisson
+from ckgeom import checks, group, ktrig, poisson, spaces
 from ckgeom.algebra import _bracket_coeffs
 
 from helpers import same_error
@@ -288,3 +304,165 @@ def test_act_stack_rows_match_one_row_calls(kp, x, s):
     points = np.where(orbit, g[:, :, 0], np.array(s)[: len(g)])
     images, bad = flagged(group._act, len(g), kp, g, points)
     assert_flags(images, bad, [scalar(act, kp, GroupElement(a, kp), q) for a, q in zip(g, points)])
+
+
+# --- the geometry stack forms ------------------------------------------------
+
+TWO_COORD = (ParallelI, ParallelII, Polar)
+
+
+def components(point) -> np.ndarray:
+    """The coordinates of a chart point, last axis."""
+    return np.stack(np.broadcast_arrays(*vars(point).values()), axis=-1)
+
+
+@given(kappa=st.sampled_from(LABELS) | st.floats(-4.0, 4.0), xs=st.lists(coord_st | st.floats(-1000.0, 1000.0), min_size=1, max_size=6))
+@SETTINGS
+def test_flagged_tk_matches_tk(kappa, xs):
+    flag = ktrig._Flag(len(xs))
+    values = flag.tk(kappa, np.array(xs))
+    assert_flags(values, flag.bad, [scalar(tk, kappa, x) for x in xs])
+
+
+@given(
+    kp=kp_st,
+    chart=st.sampled_from(["parallel1", "parallel2", "polar"]),
+    x=points_st,
+    junk=st.lists(st.tuples(coord_st, coord_st, coord_st | st.sampled_from([1e200, -1e160])), min_size=1, max_size=3),
+    target=st.sampled_from(CHART_NAMES),
+)
+@SETTINGS
+def test_chart_stack_matches_from_ambient(kp, chart, x, junk, target):
+    # triples on the quadric, from chart points, and triples off it
+    s, bad = to_ambient_batch(kp, chart, x[:, 0], x[:, 1])
+    s = np.concatenate([s.T[~bad], np.reshape(junk, (-1, 3))])
+    q, bad = flagged(spaces._chart_of, len(s), kp, *s.T, target)
+    results = [scalar(from_ambient, kp, Ambient(*t), target) for t in s.tolist()]
+    assert_flags(components(q), bad, results, components)
+
+
+@given(kp=kp_st, cls=st.sampled_from(TWO_COORD), x=points_st)
+@example(kp=KappaPair(-1e6, 1.0), cls=Polar, x=np.array([[0.7, 0.1, 0.0]]))
+@SETTINGS
+def test_metric_stack_matches_metric_main(kp, cls, x):
+    g, bad = flagged(spaces._metric_of, len(x), kp, cls(x[:, 0], x[:, 1]))
+    results = [scalar(metric_main, kp, cls(*p[:2])) for p in x.tolist()]
+    assert_flags(g.as_matrix(), bad, results, lambda m: m.as_matrix())
+
+
+@given(kp=kp_st, x=points_st)
+@example(kp=KappaPair(1.0, 1.0), x=np.array([[0.3, math.pi / 2, 0.0], [0.3, 0.2, 0.0]]))
+@SETTINGS
+def test_field_stacks_match_killing_fields(kp, x):
+    p = ParallelI(x[:, 0], x[:, 1])
+    fields, bad = flagged(spaces._fields_of, len(x), kp, p)
+    points = [ParallelI(*q[:2]) for q in x.tolist()]
+    results = [scalar(killing_fields, kp, q, "parallel1") for q in points]
+    assert_flags(spaces._matrix(fields), bad, results, np.array)
+    # the ambient frame, at the points to_ambient takes
+    s, bad = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
+    fields = spaces._matrix(spaces._ambient_fields(kp, *s))
+    results = [scalar(killing_fields, kp, q, "ambient") for q in points]
+    assert_flags(fields, bad, results, np.array)
+
+
+@given(kp=kp_st, x=points_st, generator=st.sampled_from(BASIS), t=st.sampled_from([0.1, -0.3, 2.0, 40.0]))
+# the chart map overflows at the first point
+@example(kp=KappaPair(-1e6, 1.0), x=np.array([[0.7, 0.1, 0.0], [0.0, 0.1, 0.0]]), generator=BASIS[0], t=0.1)
+@SETTINGS
+def test_flow_stack_matches_the_flow_of_each_point(kp, x, generator, t):
+    mats, bad = flagged(group._series, len(x), t * np.arange(1.0, len(x) + 1.0)[:, None, None] * rep(kp, generator))
+    mats, x = mats[~bad], x[~bad]
+    (a1, a2), bad = flagged(checks._flow, len(x), kp, mats, x[:, 0], x[:, 1])
+
+    def flow(mat, u, v):
+        s = to_ambient(kp, ParallelI(u, v)).as_array()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing image is off the quadric
+            image = mat @ s
+        return from_ambient(kp, Ambient(*image), "parallel1")
+
+    results = [scalar(flow, m, *p[:2]) for m, p in zip(mats, x.tolist())]
+    assert_flags(np.stack([a1, a2], axis=-1), bad, results, components)
+
+
+@given(kp=kp_st, x=points_st, generator=st.sampled_from(BASIS), t=st.sampled_from([0.1, -0.3, 2.0]))
+# the point leaves the parallel1 chart along the flow
+@example(kp=KappaPair(-1.0, -1.0), x=np.array([[3.0, 0.0, 0.0], [0.3, 0.2, 0.0]]), generator=BASIS[1], t=0.1)
+@SETTINGS
+def test_flow_jacobian_rows_match_one_point_calls(kp, x, generator, t):
+    # the killing-flow check evaluates a flagged sample again with ktrig as the steps
+    mat = scalar(expm_series, t * rep(kp, generator))
+    assume(not isinstance(mat, GeometryError))
+    (jac, gq), bad = flagged(checks._flow_jacobian, len(x), kp, mat, x[:, :2], 1e-6)
+    results = [scalar(checks._flow_jacobian, kp, mat, p, 1e-6, ktrig) for p in x[:, :2]]
+    assert_flags(np.concatenate([jac, gq], axis=-1), bad, results, lambda r: np.concatenate(r, axis=-1))
+
+
+@given(kp=kp_st, x=points_st)
+@example(kp=KappaPair(0.7, 1e-10), x=np.array([[0.3, 0.4, 0.0]]))
+@SETTINGS
+def test_curvature_stack_matches_gaussian_curvature(kp, x):
+    p = ParallelI(x[:, 0], x[:, 1])
+    if kp.k2 == 0.0:
+        with pytest.raises(DegenerateMetricError):
+            flagged(spaces._curvature_of, len(x), kp, p)
+        return
+    k, bad = flagged(spaces._curvature_of, len(x), kp, p)
+    assert_flags(k, bad, [scalar(gaussian_curvature, kp, ParallelI(*q[:2])) for q in x.tolist()])
+
+
+@given(kp=kp_st, x=points_st)
+@example(kp=KappaPair(1.0, 1.0), x=np.array([[0.3, math.pi / 2, 0.0], [0.3, -0.2, 0.0]]))
+@SETTINGS
+def test_laplacian_stack_matches_laplace_beltrami_apply(kp, x):
+    def f(a1, a2):
+        return np.sin(a1) + a2 * a2 * a1
+
+    values, bad = flagged(spaces._laplacian_of, len(x), kp, f, ParallelI(x[:, 0], x[:, 1]))
+    results = [scalar(laplace_beltrami_apply, kp, f, ParallelI(*q[:2])) for q in x.tolist()]
+    assert_flags(values, bad, results)
+
+
+@given(seed=st.integers(0, 2**32), kp=kp_st, frac=st.sampled_from([0.25, 0.3, 0.4]), n=st.integers(1, 12))
+@SETTINGS
+def test_parallel1_stack_sampling_draws_what_sample_parallel1_draws(seed, kp, frac, n):
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    each = [[p.a1, p.a2] for p in (checks.sample_parallel1(one, kp, frac) for _ in range(n))]
+    assert same_bits(checks.sample_parallel1_stack(many, kp, frac, n), np.array(each))
+    assert one.random() == many.random()
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    loops=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 12)), min_size=1, max_size=5),
+    share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    sizes=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+)
+@SETTINGS
+def test_rejection_blocks_make_the_draws_of_the_loops(seed, loops, share, sizes):
+    # loop l draws sizes[l] doubles per attempt and accepts a candidate whose
+    # first double is at least share; the defect is that double
+    def accepted(x):
+        return (x[0], f"{x.tolist()}") if x[0] >= share else None
+
+    one = np.random.default_rng(seed)
+    want = []
+    for l, (n, cap) in enumerate(loops):
+        done = attempts = 0
+        while done < n and attempts < cap:
+            attempts += 1
+            result = accepted(one.random(sizes[l]))
+            if result is not None:
+                done += 1
+                want.append(result)
+
+    many = np.random.default_rng(seed)
+
+    def draw(ids):
+        return [many.random(sizes[l]) for l in ids]
+
+    def block(ids, candidates):
+        return lambda k: accepted(candidates[k])
+
+    assert list(checks._rejection_sampled(many, loops, draw, block)) == want
+    assert one.random() == many.random()
