@@ -1103,7 +1103,7 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
 def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     # oracle: Casimir-weighted second differences along the generator flows,
     # with the O(h^2) truncation cancelled between steps h and 2h
-    steps_h = (1e-3, 2e-3)
+    fine_coarse = (1e-3, 2e-3)
     funcs = (
         lambda a1, a2: np.sin(a1) + a2 * a2,
         lambda a1, a2: a1 * a2,
@@ -1113,7 +1113,7 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Def
         tag = _kp_tag(kp)
         coeffs = casimir_coeffs(kp)
         # (step, generator, sign): the flows of exp(-h x) and exp(h x)
-        gens = np.array([[[-h * rep(kp, x), h * rep(kp, x)] for x in BASIS] for h in steps_h])
+        gens = np.array([[[-h * rep(kp, x), h * rep(kp, x)] for x in BASIS] for h in fine_coarse])
         exp_flag = _Flag(gens.shape[:3])
         mats = _series(gens, exp_flag)
         if exp_flag.bad.any():
@@ -1131,7 +1131,7 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Def
                 fq, f0 = f(q1[..., k, :], q2[..., k, :]), f(a1[k], a2[k])
                 fine, coarse = (
                     sum(c * (fq[n, g, 0] - 2.0 * f0 + fq[n, g, 1]) / (h * h) for g, c in enumerate(coeffs))
-                    for n, h in enumerate(steps_h)
+                    for n, h in enumerate(fine_coarse)
                 )
                 oracle.append((4.0 * fine - coarse) / 3.0)
             defects = np.abs(np.array(lb) - np.array(oracle)).tolist()
