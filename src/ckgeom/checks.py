@@ -117,8 +117,9 @@ from .poisson import (
 )
 from .poisson import sklyanin_numeric  # noqa: F401  (perfbench/tests/test_tracer.py traces this binding)
 from .quantum import (
+    _coproduct_images,
+    _defect_stack,
     coproduct_classical,
-    coproduct_rep,
     coassociativity_defect,
     deformed_relation_defect,
     first_order_delta,
@@ -1300,6 +1301,7 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> D
 @check(1e-8)
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
         flag = _Flag(len(x))
         numeric = _invariant_fields(kp, x, flag)
@@ -1307,8 +1309,8 @@ def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defect
             closed = invariant_vector_fields(kp, GroupCoordinates(*point))
             if flag.bad[i]:
                 _invariant_fields(kp, x[i], ktrig)
-            yield float(np.abs(closed.left - left).max()), f"left {_kp_tag(kp)}"
-            yield float(np.abs(closed.right - right).max()), f"right {_kp_tag(kp)}"
+            yield float(np.abs(closed.left - left).max()), f"left {tag}"
+            yield float(np.abs(closed.right - right).max()), f"right {tag}"
 
 
 def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
@@ -1329,13 +1331,14 @@ def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.n
 @check(1e-6)
 def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, 50)
             flag = _Flag(len(x))
             defects = sklyanin_pair_defects(kp, z, x, flag)
             for row in _unflagged(defects.tolist(), flag.bad, lambda i: sklyanin_pair_defects(kp, z, x[i], ktrig)):
                 for (f, g), defect in zip(GROUP_COORD_PAIRS, row):
-                    yield defect, f"{{{f},{g}}} {_kp_tag(kp)}"
+                    yield defect, f"{{{f},{g}}} {tag}"
 
 
 @check(1e-5)
@@ -1345,6 +1348,7 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
     h = 1e-5
     steps = h * np.eye(3)
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.3, max(3, cfg.sample_count // 5))
             # each sample's point, then the point + and - each step
@@ -1365,7 +1369,7 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
             for defect in _unflagged(
                 np.abs(total).tolist(), bad, lambda i: [_sklyanin_closed(kp, z, b[i], ktrig) for b in points]
             ):
-                yield defect, _kp_tag(kp)
+                yield defect, tag
 
 
 @check(1e-12)
@@ -1374,6 +1378,7 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
     for kp in NORMALIZED_PAIRS:
         if kp.k2 == 0.0:
             continue
+        tag = _kp_tag(kp)
         row = rows[kp.signs()]
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
@@ -1381,7 +1386,7 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
             upper = zip(x.tolist(), _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]].tolist())
             for point, got in _unflagged(upper, flag.bad, lambda i: _sklyanin_closed(kp, z, x[i], ktrig)):
                 for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(*point, z)):
-                    yield abs(val - ref), f"{{{f},{g}}} {_kp_tag(kp)}"
+                    yield abs(val - ref), f"{{{f},{g}}} {tag}"
 
 
 @check(1e-2)
@@ -1405,6 +1410,7 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> D
 def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     h = 1e-6
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         for z in cfg.z_values:
             for _ in range(cfg.sample_count):
                 p = sample_parallel1(rng, kp, 0.35)
@@ -1412,35 +1418,39 @@ def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
                     first = phs_points_bracket(kp, z, DeformationKind.FIRST_KIND, p.a1, p.a2)
                 except ChartDomainError:
                     continue
-                yield abs(first - z * kp.k2 * ktrig.tk(kp.k12, p.a2)), f"first {_kp_tag(kp)}"
+                yield abs(first - z * kp.k2 * ktrig.tk(kp.k12, p.a2)), f"first {tag}"
                 second = phs_points_bracket(kp, z, DeformationKind.SECOND_KIND, p.a1, p.a2)
-                yield abs(second - z * ktrig.sk(kp.k1, p.a1)), f"second {_kp_tag(kp)}"
+                yield abs(second - z * ktrig.sk(kp.k1, p.a1)), f"second {tag}"
             plus = phs_points_bracket(kp, z, DeformationKind.FIRST_KIND, 0.2, h)
             minus = phs_points_bracket(kp, z, DeformationKind.FIRST_KIND, 0.2, -h)
-            yield abs((plus - minus) / (2.0 * h) - z * kp.k2), f"slope {_kp_tag(kp)}"
+            yield abs((plus - minus) / (2.0 * h) - z * kp.k2), f"slope {tag}"
 
 
 # --- quantum suite -----------------------------------------------------------
 
 
+def _quantum_defects(cfg: SweepConfig, which: int, again: Callable[[KappaPair, float], float]) -> Defects:
+    """The relation (which = 0) or coassociativity (which = 1) defect at each
+    label pair and z, from one _defect_stack call per label pair; a flagged z
+    is evaluated again with again, and its GeometryError is an inf defect."""
+    for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
+        stack = _defect_stack(kp, np.array(cfg.z_values))
+        for z, defect, flagged in zip(cfg.z_values, stack[which].tolist(), stack[2 + which]):
+            try:
+                yield (again(kp, z) if flagged else defect), f"z={z:g} {tag}"
+            except GeometryError as exc:
+                yield math.inf, f"z={z:g} {tag}: {exc}"
+
+
 @check(1e-9)
 def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            try:
-                yield deformed_relation_defect(kp, z), f"z={z:g} {_kp_tag(kp)}"
-            except GeometryError as exc:
-                yield math.inf, f"z={z:g} {_kp_tag(kp)}: {exc}"
+    yield from _quantum_defects(cfg, 0, deformed_relation_defect)
 
 
 @check(1e-10)
 def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            try:
-                yield coassociativity_defect(kp, z), f"z={z:g} {_kp_tag(kp)}"
-            except GeometryError as exc:
-                yield math.inf, f"z={z:g} {_kp_tag(kp)}: {exc}"
+    yield from _quantum_defects(cfg, 1, coassociativity_defect)
 
 
 @check(10.0)
@@ -1448,25 +1458,26 @@ def _check_quantum_classical_limit(cfg: SweepConfig, rng: np.random.Generator) -
     # the dressed coproduct approaches the primitive one linearly in z
     zt = 1e-6
     for kp in cfg.kappa_grid:
-        for gen in GENERATOR_NAMES:
-            dz = coproduct_rep(kp, zt, gen)
+        tag = _kp_tag(kp)
+        for gen, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, zt, ktrig)[2]):
             d0 = coproduct_classical(kp, gen)
-            yield float(np.abs(dz - d0).max()) / zt, f"{gen} {_kp_tag(kp)}"
+            yield float(np.abs(dz - d0).max()) / zt, f"{gen} {tag}"
 
 
 @check(10.0)
 def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
+        tag = _kp_tag(kp)
         for z in (1e-3, 1e-4):
             try:
                 cm = first_order_delta(kp, z)
             except GeometryError as exc:
-                yield math.inf, f"z={z:g} {_kp_tag(kp)}: {exc}"
+                yield math.inf, f"z={z:g} {tag}: {exc}"
                 continue
             literal = _first_kind_images(kp, z)
             images = (cm.d_j01, cm.d_j02, cm.d_j12)
             for got, ref, gname in zip(images, literal, GENERATOR_NAMES):
-                yield (got - ref).max_abs() / (z * z), f"{gname} z={z:g} {_kp_tag(kp)}"
+                yield (got - ref).max_abs() / (z * z), f"{gname} z={z:g} {tag}"
 
 
 # --- registry and runner -----------------------------------------------------

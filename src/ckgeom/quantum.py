@@ -12,11 +12,18 @@ It is an algebra homomorphism for the deformed commutation relations
 To witness that statement with matrices, the 3-dimensional images of J02
 and J12 are rescaled by gamma = sqrt(sk(k1, z k2)/(z k2)), the unique
 positive factor making the single copy close on -sinh(z k2 rho(J01))/z
-instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.  One
-private builder, _coproduct_images, makes the scaled single copy, the two
-dressing exponentials and the three coproduct images once per (kp, z);
-coproduct_rep and every check read them from it.  The checks run on 9x9
-(and 27x27 for coassociativity) Kronecker products.
+instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.
+
+_coproduct_images (the scaled single copy, the dressing exponentials and
+the coproduct images) and the relation and coassociativity defects are
+written once over the steps of ktrig, for one z or an axis of them, and
+fold their entries with nan-propagating maxima.  The public functions are
+their one-z calls with ktrig as the steps.  _defect_stack evaluates both
+defects at every z of a label pair from one build of the images, and the
+Kronecker products are broadcast products (_kron) with np.kron's bits.  A
+`coproduct` command over normalized9 with 16 z makes 9 _defect_stack calls
+and 180 Kronecker products; one-z calls made 288 builds and 4,320 np.kron.
+
 Matrix functions of rho(J01) use its minimal polynomial
 rho(J01)**3 = -k1 rho(J01), which closes exponentials in the labelled
 trigonometry of the parameter.
@@ -24,25 +31,41 @@ trigonometry of the parameter.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
 from . import ktrig
 from .algebra import GENERATOR_NAMES, KappaPair
 from .errors import ChartDomainError, DeformationDomainError, ProjectionError
-from .group import expm_series, rep_basis
+from .group import _series, rep_basis
 from .poisson import _PAIRS, Bivector, CocommutatorMap
 
 
-def closed_exp_j01(kp: KappaPair, t: float) -> np.ndarray:
-    """exp(t rho(J01)) through the minimal-polynomial identity."""
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the matrices in the last two axes of a and b, broadcast
+    over the axes before them: each entry is np.kron's product a[i, j] * b[k, l]."""
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return p.reshape(p.shape[:-4] + (p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1]))
+
+
+def _col(v) -> np.ndarray:
+    # one scalar or an axis of them, against the matrices of that axis
+    return np.asarray(v)[..., None, None]
+
+
+def closed_exp_j01(kp: KappaPair, t, steps=ktrig) -> np.ndarray:
+    """exp(t rho(J01)) through the minimal-polynomial identity, at one t or
+    an axis of them, through steps (see ktrig)."""
     p = rep_basis(kp)[0]
-    return np.eye(3) + ktrig.sk(kp.k1, t) * p + ktrig.vk(kp.k1, t) * (p @ p)
+    s = steps.sk(kp.k1, t)
+    h = steps.sk(kp.k1, 0.5 * t)  # the versine vk(k1, t) is 2 h**2
+    return np.eye(3) + _col(s) * p + _col(2.0 * h * h) * (p @ p)
 
 
-def deformation_scale(kp: KappaPair, z: float) -> float:
-    """Rescaling gamma of the J02/J12 images at deformation parameter z.
+def deformation_scale(kp: KappaPair, z, steps=ktrig):
+    """Rescaling gamma of the J02/J12 images at deformation parameter z, one
+    or an axis of them, through steps (see ktrig).
 
     gamma**2 * k2 = sk(k1, z k2)/z, so the rescaled commutator of J12 and
     J02 equals -sinh(z k2 rho(J01))/z exactly.  Equals 1 when z k2 = 0.
@@ -50,48 +73,51 @@ def deformation_scale(kp: KappaPair, z: float) -> float:
     no real gamma exists.
     """
     u = z * kp.k2
-    if u == 0.0:
-        return 1.0
-    ratio = ktrig.sk(kp.k1, u) / u
-    if ratio <= 0.0:
+    # u = 0 gives 0/0, a nan that fails no test and gives way to gamma = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(steps.sk(kp.k1, u), u)
+    if steps.fails(ratio <= 0.0):
         raise DeformationDomainError(
             f"deformation parameter too large: sk({kp.k1!r}, {u!r}) changes sign, "
             "no real rescaling exists"
         )
-    return math.sqrt(ratio)
+    return np.sqrt(np.where(u == 0.0, 1.0, ratio))
 
 
-def _coproduct_images(kp: KappaPair, z: float) -> tuple[tuple, tuple, tuple]:
-    """Single-copy images, dressings and coproduct images of (J01, J02, J12).
+def _coproduct_images(kp: KappaPair, z, steps) -> tuple[tuple, tuple, tuple]:
+    """Single-copy images, dressing and coproduct images of (J01, J02, J12)
+    at one z or an axis of them, through steps (see ktrig).
 
     rho keeps J01 and scales J02, J12 by deformation_scale, after which
     [J12, J02] = -sinh(z k2 J01)/z holds in the single copy and the other
-    two relations are untouched.  dress[g] is the pair (minus, plus) with
-    D_z(g) = rho_g (x) minus + plus (x) rho_g: the identity twice for the
-    primitive J01, exp(-+(z/2) k2 rho(J01)) for J02 and J12.
+    two relations are untouched.  The dressing (minus, plus) =
+    exp(-+(z/2) k2 rho(J01)) gives D_z(g) = rho_g (x) minus + plus (x) rho_g
+    for J02 and J12; the primitive J01 is dressed with the identity, and its
+    single copy and image carry no z axis.
     """
     j01, j02, j12 = rep_basis(kp)
-    gamma = deformation_scale(kp, z)
-    rho = (j01, gamma * j02, gamma * j12)
     eye = np.eye(3)
-    dressed = (closed_exp_j01(kp, -0.5 * z * kp.k2), closed_exp_j01(kp, 0.5 * z * kp.k2))
-    dress = ((eye, eye), dressed, dressed)
-    images = tuple(np.kron(r, minus) + np.kron(plus, r) for r, (minus, plus) in zip(rho, dress))
-    return rho, dress, images
+    with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
+        gamma = _col(deformation_scale(kp, z, steps))
+        rho = (j01, gamma * j02, gamma * j12)
+        minus = closed_exp_j01(kp, -0.5 * z * kp.k2, steps)
+        plus = closed_exp_j01(kp, 0.5 * z * kp.k2, steps)
+        images = (_kron(j01, eye) + _kron(eye, j01), *(_kron(r, minus) + _kron(plus, r) for r in rho[1:]))
+    return rho, (minus, plus), images
 
 
 def coproduct_classical(kp: KappaPair, generator: str) -> np.ndarray:
     """Undeformed (primitive) coproduct image in the 9x9 tensor square."""
     rho = dict(zip(GENERATOR_NAMES, rep_basis(kp)))[generator]
     eye = np.eye(3)
-    return np.kron(rho, eye) + np.kron(eye, rho)
+    return _kron(rho, eye) + _kron(eye, rho)
 
 
 def coproduct_rep(kp: KappaPair, z: float, generator: str) -> np.ndarray:
     """Deformed coproduct image of a generator in the 9x9 tensor square."""
     if generator not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
-    return _coproduct_images(kp, z)[2][GENERATOR_NAMES.index(generator)]
+    return _coproduct_images(kp, z, ktrig)[2][GENERATOR_NAMES.index(generator)]
 
 
 def deformed_relation_defect(kp: KappaPair, z: float) -> float:
@@ -103,29 +129,51 @@ def deformed_relation_defect(kp: KappaPair, z: float) -> float:
     """
     if z == 0.0:
         raise ValueError("deformed relations need z != 0; use the classical bracket instead")
-    a01, a02, a12 = _coproduct_images(kp, z)[2]
+    return float(_relation_defect(kp, z, _coproduct_images(kp, z, ktrig)[2], ktrig))
 
-    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x @ y - y @ x
 
-    m = z * kp.k2 * a01
-    plus, minus = expm_series(np.stack([m, -m]))
-    sinh = 0.5 * (plus - minus)
-    defect1 = np.max(np.abs(comm(a12, a01) - a02))
-    defect2 = np.max(np.abs(comm(a12, a02) + sinh / z))
-    defect3 = np.max(np.abs(comm(a01, a02) - kp.k1 * a12))
-    return float(max(defect1, defect2, defect3))
+def _relation_defect(kp: KappaPair, z, images: tuple, steps):
+    a01, a02, a12 = images
+    with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
+        m = _col(z * kp.k2) * a01
+        plus, minus = steps.each(_series, np.stack([m, -m]))
+        defects = (
+            a12 @ a01 - a01 @ a12 - a02,
+            a12 @ a02 - a02 @ a12 + 0.5 * (plus - minus) / _col(z),
+            a01 @ a02 - a02 @ a01 - kp.k1 * a12,
+        )
+        return functools.reduce(np.maximum, (np.abs(d).max(axis=(-2, -1)) for d in defects))
 
 
 def coassociativity_defect(kp: KappaPair, z: float) -> float:
     """Largest entry of (D (x) id) D - (id (x) D) D over the generators."""
-    rho, dress, images = _coproduct_images(kp, z)
-    worst = 0.0
-    for r, (minus, plus), d1 in zip(rho, dress, images):
-        lhs = np.kron(d1, minus) + np.kron(np.kron(plus, plus), r)
-        rhs = np.kron(r, np.kron(minus, minus)) + np.kron(plus, d1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    return float(_coassociativity_defect(*_coproduct_images(kp, z, ktrig)))
+
+
+def _coassociativity_defect(rho: tuple, dress: tuple, images: tuple):
+    minus, plus = dress
+    with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
+        # J02 and J12 share their dressing and its Kronecker squares
+        shared = (minus, plus, _kron(minus, minus), _kron(plus, plus))
+        dressings = ((np.eye(3), np.eye(3), np.eye(9), np.eye(9)), shared, shared)
+        return functools.reduce(np.maximum, (
+            np.abs(_kron(d1, m) + _kron(pp, r) - (_kron(r, mm) + _kron(p, d1))).max(axis=(-2, -1))
+            for r, d1, (m, p, mm, pp) in zip(rho, images, dressings)
+        ))
+
+
+def _defect_stack(kp: KappaPair, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """deformed_relation_defect and coassociativity_defect at each z of the
+    1-D array z, from one build of the images, and the masks of the z where
+    each raises: failing images fail both, a failing series exponential the
+    relations.  The caller evaluates a flagged z again with the one-z call."""
+    flag, series = ktrig._Flag(z.shape), ktrig._Flag(z.shape)
+    rho, dress, images = _coproduct_images(kp, z, flag)
+    relation = _relation_defect(kp, z, images, series)
+    # sk raises ValueError where its circular branch meets an infinite
+    # argument, which no step flags; gamma = rho(J02)[2, 0] is a nan there
+    bad = flag.bad | (np.isnan(rho[1][:, 2, 0]) & (kp.k1 >= ktrig.TAYLOR_CUTOFF))
+    return relation, _coassociativity_defect(rho, dress, images), bad | series.bad, bad
 
 
 def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
@@ -139,17 +187,15 @@ def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
     off-span residual above 100 z**2 + 1e-13 raises ProjectionError, and
     a wedge basis or an image that overflows raises ChartDomainError.
     """
-    rho = rep_basis(kp)
+    rho = np.stack(rep_basis(kp))
+    i, j = np.array(_PAIRS).T
     # an overflow here is caught below, as a non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
-        basis = np.array(
-            [(np.kron(rho[i], rho[j]) - np.kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
-        ).T
-        skews = []
-        for name, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, z)[2]):
-            d = dz - coproduct_classical(kp, name)
-            # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
-            skews.append((d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel())
+        basis = (_kron(rho[i], rho[j]) - _kron(rho[j], rho[i])).reshape(len(_PAIRS), 81).T
+        classical = np.stack([coproduct_classical(kp, g) for g in GENERATOR_NAMES])
+        d = np.stack(_coproduct_images(kp, z, ktrig)[2]) - classical
+        # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
+        skews = (d - d.reshape(3, 3, 3, 3, 3).transpose(0, 2, 1, 4, 3).reshape(3, 9, 9)).reshape(3, 81)
     if not (np.isfinite(basis).all() and np.isfinite(skews).all()):
         raise ChartDomainError("first_order_delta: the wedge basis or a first-order image overflows")
     images = []
@@ -157,8 +203,6 @@ def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
         coeffs, *_ = np.linalg.lstsq(basis, skew, rcond=None)
         residual = float(np.max(np.abs(skew - basis @ coeffs)))
         if residual > 100.0 * z * z + 1e-13:
-            raise ProjectionError(
-                f"first-order image of {name} misses the wedge span by {residual:.3e}"
-            )
+            raise ProjectionError(f"first-order image of {name} misses the wedge span by {residual:.3e}")
         images.append(Bivector(*(float(c) for c in coeffs)))
     return CocommutatorMap(*images)

@@ -76,6 +76,16 @@ def test_quantum_overflow_is_a_failing_row():
     assert result.samples == 1
 
 
+def test_a_nan_quantum_defect_fails_its_check():
+    # the commutators of the images overflow to nan in two of the three
+    # relations; the coassociativity defect stays at rounding level
+    cfg = SweepConfig(kappa_grid=(KappaPair(1e150, -1e150),), z_values=(1e-300,))
+    relations = run_check("quantum_relations", cfg)
+    assert (relations.max_defect, relations.passed, relations.samples) == (math.inf, False, 1)
+    assert relations.detail == "z=1e-300 kappa=(1e+150,-1e+150)"
+    assert run_check("quantum_coassociativity", cfg).passed
+
+
 def test_full_run_passes_on_light_config():
     results = run_all(LIGHT)
     assert len(results) == len(CHECK_NAMES)

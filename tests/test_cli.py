@@ -77,6 +77,8 @@ _FAILING_GOLDENS = {
     "sweep_all_k1_1e150_k2_1e150_samples2.json",
     "sweep_all_k1_1_k2_1_z1e308_samples2.json",
     "sklyanin_k1_-1e20_k2_1_samples2.json",
+    "coproduct_k1_1_k2_1_z0.5_z4_z1e308.csv",
+    "coproduct_k1_-1e6_k2_1_z0.3_z1.5.csv",
 }
 
 
@@ -174,12 +176,32 @@ _FAILING_GOLDENS = {
             "sklyanin_k1_-1e20_k2_1_samples2.json",
             ["sklyanin", "--k1=-1e20", "--k2", "1", "--samples", "2"],
         ),
+        # error rows: the deformation domain at z = 4, the series scaling at 1e308
+        (
+            "coproduct_k1_1_k2_1_z0.5_z4_z1e308.csv",
+            ["coproduct", "--k1", "1", "--k2", "1", "--z", "0.5", "--z", "4", "--z", "1e308", "--format", "csv"],
+        ),
+        # an overflowing sk at z = 1.5 and huge finite defects at z = 0.3
+        (
+            "coproduct_k1_-1e6_k2_1_z0.3_z1.5.csv",
+            ["coproduct", "--k1=-1e6", "--k2", "1", "--z", "0.3", "--z", "1.5", "--format", "csv"],
+        ),
     ],
 )
 def test_report_matches_the_golden_bytes(capsys, golden, argv):
     status, out = run(capsys, *argv)
     assert status == (1 if golden in _FAILING_GOLDENS else 0)
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_a_nan_relation_defect_fails_its_row(capsys):
+    # two of the three relations overflow to nan inside a commutator; the
+    # pytest configuration turns any numpy RuntimeWarning into an error
+    status, out = run(capsys, "coproduct", "--k1=1e150", "--k2=-1e150", "--z", "1e-300")
+    assert status == 1
+    row = json.loads(out)["coproduct"][0]
+    assert (row["relation_defect"], row["passed"]) == ("nan", False)
+    assert row["coassociativity_defect"] <= row["coassociativity_tolerance"]
 
 
 def test_render_csv_spells_each_cell_type():

@@ -10,10 +10,12 @@ form's bit for bit.  The raising form is the scalar form where one stays
 to_ambient, expm_series, sklyanin_numeric) and otherwise the one-point call
 (coords_from_group, act, invariant_fields_numeric, sklyanin_closed,
 from_ambient, metric_main, killing_fields, gaussian_curvature,
-laplace_beltrami_apply, and the to_ambient, product and from_ambient of the
-checks' flow map).  The sweep evaluates a flagged sample through the
-transcription with ktrig as the steps; where a scalar form stays beside it,
-the error must be the scalar form's in type and text.
+laplace_beltrami_apply, the to_ambient, product and from_ambient of the
+checks' flow map, and the one-z deformed_relation_defect and
+coassociativity_defect of the quantum z axis, which are also held to a
+literal np.kron transcription).  The sweep evaluates a flagged sample
+through the transcription with ktrig as the steps; where a scalar form
+stays beside it, the error must be the scalar form's in type and text.
 """
 
 import math
@@ -30,6 +32,7 @@ from ckgeom import (
     Ambient,
     AlgebraElement,
     ConvergenceError,
+    DeformationDomainError,
     DeformationKind,
     DegenerateMetricError,
     GeometryError,
@@ -44,7 +47,9 @@ from ckgeom import (
     ambient_defect,
     bracket,
     ck,
+    coassociativity_defect,
     coords_from_group,
+    deformed_relation_defect,
     exp_one_param,
     expm_series,
     from_ambient,
@@ -57,6 +62,7 @@ from ckgeom import (
     laplace_beltrami_apply,
     metric_main,
     rep,
+    rep_basis,
     rmatrix,
     sk,
     sklyanin_closed,
@@ -64,8 +70,9 @@ from ckgeom import (
     tk,
     to_ambient,
     to_ambient_batch,
+    vk,
 )
-from ckgeom import checks, group, ktrig, poisson, spaces
+from ckgeom import checks, group, ktrig, poisson, quantum, spaces
 from ckgeom.algebra import _bracket_coeffs
 
 from helpers import same_error
@@ -466,3 +473,105 @@ def test_rejection_blocks_make_the_draws_of_the_loops(seed, loops, share, sizes)
 
     assert list(checks._rejection_sampled(many, loops, draw, block)) == want
     assert one.random() == many.random()
+
+
+# products of +-0.0, inf and nan keep their signs and nan payloads
+entry_st = st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan, 1e308, 5e-324]) | st.floats()
+
+
+@given(data=st.data(), n=st.sampled_from([3, 9]), m=st.sampled_from([3, 9]))
+@SETTINGS
+def test_kron_has_the_bits_of_np_kron(data, n, m):
+    a = np.array(data.draw(st.lists(entry_st, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = np.array(data.draw(st.lists(entry_st, min_size=m * m, max_size=m * m))).reshape(m, m)
+    with np.errstate(all="ignore"):
+        want = np.kron(a, b)
+        got = quantum._kron(a, b)
+        # broadcast over a leading axis, row by row
+        stacked = quantum._kron(np.stack([a, a.T]), b)
+        want_t = np.kron(a.T, b)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert stacked.view(np.uint64).tolist() == [want.view(np.uint64).tolist(), want_t.view(np.uint64).tolist()]
+
+
+def one_z(fn, kp, z):
+    """fn(kp, z), or the error it raises; math.sin raises ValueError at an
+    infinite argument."""
+    try:
+        return fn(kp, z)
+    except (GeometryError, ValueError) as exc:
+        return exc
+
+
+def kron_defects(kp, z):
+    """The relation and coassociativity defects of (kp, z), each or its
+    error, written with np.kron and the scalar steps, with nan-propagating
+    maxima."""
+    j01, j02, j12 = rep_basis(kp)
+    eye = np.eye(3)
+    with np.errstate(all="ignore"):
+        try:
+            u = z * kp.k2
+            gamma = 1.0
+            if u != 0.0:
+                ratio = sk(kp.k1, u) / u
+                if ratio <= 0.0:
+                    raise DeformationDomainError(
+                        f"deformation parameter too large: sk({kp.k1!r}, {u!r}) changes sign, no real rescaling exists"
+                    )
+                gamma = math.sqrt(ratio)
+            rho = (j01, gamma * j02, gamma * j12)
+            ts = (-0.5 * z * kp.k2, 0.5 * z * kp.k2)
+            minus, plus = (eye + sk(kp.k1, t) * j01 + vk(kp.k1, t) * (j01 @ j01) for t in ts)
+        except (GeometryError, ValueError) as exc:
+            return exc, exc
+        dress = ((eye, eye), (minus, plus), (minus, plus))
+        images = [np.kron(r, mi) + np.kron(pl, r) for r, (mi, pl) in zip(rho, dress)]
+        coassociativity = 0.0
+        for r, (mi, pl), d1 in zip(rho, dress, images):
+            lhs = np.kron(d1, mi) + np.kron(np.kron(pl, pl), r)
+            rhs = np.kron(r, np.kron(mi, mi)) + np.kron(pl, d1)
+            coassociativity = np.maximum(coassociativity, np.max(np.abs(lhs - rhs)))
+        a01, a02, a12 = images
+        m = z * kp.k2 * a01
+        try:
+            series = expm_series(np.stack([m, -m]))
+        except GeometryError as exc:
+            return exc, coassociativity
+        sinh = 0.5 * (series[0] - series[1])
+        relation = np.max([
+            np.max(np.abs(a12 @ a01 - a01 @ a12 - a02)),
+            np.max(np.abs(a12 @ a02 - a02 @ a12 + sinh / z)),
+            np.max(np.abs(a01 @ a02 - a02 @ a01 - kp.k1 * a12)),
+        ])
+        return relation, coassociativity
+
+
+z_st = st.sampled_from([0.1, -0.4, 0.5, 1.5, 4.0, 1e-9, 1e-300, 1e308, -1e308]) | st.floats(-20.0, 20.0)
+
+
+@given(kp=kp_st, zs=st.lists(z_st.filter(lambda z: z != 0.0), min_size=1, max_size=6))
+# the deformation domain at z = 4 and the series scaling at z = 1e308
+@example(kp=KappaPair(1.0, 1.0), zs=[0.5, 4.0, 1e308])
+# sk overflows at z = 1.5
+@example(kp=KappaPair(-1e6, 1.0), zs=[0.3, 1.5])
+# sk meets an infinite argument on its circular branch; at k1 = 0 its nan raises nothing
+@example(kp=KappaPair(1e150, 1e150), zs=[1e100, 0.1, 1e-200])
+@example(kp=KappaPair(0.0, 1e150), zs=[1e308, 0.2])
+# an overflow inside a commutator: a nan relation defect
+@example(kp=KappaPair(1e150, -1e150), zs=[1e-300])
+@SETTINGS
+def test_defect_stack_matches_the_one_z_calls(kp, zs):
+    relation, coassociativity, relation_bad, coassociativity_bad = quantum._defect_stack(kp, np.array(zs))
+    for i, z in enumerate(zs):
+        want = kron_defects(kp, z)
+        for values, bad, fn, ref in (
+            (relation, relation_bad, deformed_relation_defect, want[0]),
+            (coassociativity, coassociativity_bad, coassociativity_defect, want[1]),
+        ):
+            got = one_z(fn, kp, z)
+            assert bool(bad[i]) == isinstance(got, Exception), (z, got)
+            if isinstance(ref, Exception):
+                assert same_error(got, ref), (z, got, ref)
+            else:
+                assert same_bits(got, ref) and (bad[i] or same_bits(values[i], got)), (z, got, ref)
