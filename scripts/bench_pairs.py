@@ -4,20 +4,17 @@ For each workload and each pair i, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in the working tree (the change) and once in a checkout of a parent
-commit, with one seed S per pair on both sides: the parent first for even
-i, the change first for odd i.  It then writes BENCH_<workload>.json, named
-after the claimed workload, with the median, quartiles and runs of every
-end-to-end metric that BENCHMARK.json declares, the pairs the change wins
-in the metric's better direction, and the attempted and failed work units.
+once in the working tree (the change) and once in --parent-tree, a git
+checkout of the parent commit, with one seed S per pair on both sides: the
+parent first for even i, the change first for odd i.  It then writes
+BENCH_<first workload>.json at the root of the repository, with the median,
+quartiles and runs of every end-to-end metric that BENCHMARK.json declares,
+the pairs the change wins in the metric's better direction, the attempted
+and failed work units, and as the claim the first workload's units_per_cal.
 
-  python3 scripts/bench_pairs.py --workload deformation --pairs 6 --seed 900
-  python3 scripts/bench_pairs.py --workload deformation --workload sweep \\
-      --claim deformation:units_per_cal --parent HEAD~1 --description "..."
-
-The parent checkout is a `git worktree` of --parent, added under a
-temporary directory and removed at the end; --parent-tree runs an existing
-checkout instead.
+  git clone --quiet . ../parent && git -C ../parent checkout --quiet PARENT_COMMIT
+  python3 scripts/bench_pairs.py --parent-tree ../parent --workload deformation \\
+      --workload sweep --workload geodesics --description "..."
 """
 
 from __future__ import annotations
@@ -29,11 +26,11 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIMED_METRIC = "units_per_cal"
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -78,29 +75,17 @@ def summarize(end_to_end: list[dict], pairs: list[dict]) -> dict:
     return record
 
 
-def claim(workloads: dict, workload: str, metric: str) -> dict:
-    row = workloads[workload]["metrics"][metric]
+def claim(workloads: dict, workload: str) -> dict:
+    row = workloads[workload]["metrics"][CLAIMED_METRIC]
     p = row["parent"]
     return {
         "workload": workload,
-        "metric": metric,
+        "metric": CLAIMED_METRIC,
         "parent_median": p["median"],
         "change_median": row["change"]["median"],
         "parent_iqr": round(p["q3"] - p["q1"], 4),
         "change_wins": f"{row['change_wins']} of {workloads[workload]['pairs']} pairs",
     }
-
-
-def _parent_tree(args, stack) -> Path:
-    if args.parent_tree:
-        return Path(args.parent_tree).resolve()
-    tmp = Path(tempfile.mkdtemp(prefix="bench_parent_"))
-    tree = tmp / "tree"
-    subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent], cwd=ROOT, check=True,
-                   capture_output=True)
-    stack.append(lambda: subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
-                                        check=False, capture_output=True))
-    return tree
 
 
 def _rev(tree: Path) -> str:
@@ -110,60 +95,50 @@ def _rev(tree: Path) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent-tree", required=True, help="a git checkout of the parent commit")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of perfbench/run.py; repeat for several")
-    parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=900, help="seed of the first pair; pair i uses seed + i")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
-    parser.add_argument("--parent-tree", help="an existing checkout of the parent, instead of a worktree")
-    parser.add_argument("--claim", help="workload:metric of the claimed gain (default: the first "
-                                        "workload's units_per_cal)")
     parser.add_argument("--description", default="alternating parent/change runs of the repository benchmark")
-    parser.add_argument("--out-dir", default=str(ROOT))
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need at least 2 pairs for quartiles")
-    claimed, metric = (args.claim or f"{args.workload[0]}:units_per_cal").split(":")
+    trees = {"parent": Path(args.parent_tree).resolve(), "change": ROOT}
+    if trees["parent"] == ROOT:
+        parser.error("--parent-tree names the working tree under test")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    cleanup: list = []
-    try:
-        parent = _parent_tree(args, cleanup)
-        trees = {"parent": parent, "change": ROOT}
-        workloads = {}
-        seed = args.seed
-        for workload in args.workload:
-            pairs = []
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed}
-                for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
-                    print(f"{workload} pair {i} seed {seed} {side}: "
-                          f"{json.dumps({k: v['value'] for k, v in pair[side]['metrics'].items()})}",
-                          file=sys.stderr)
-                pairs.append(pair)
-                seed += 1
-            workloads[workload] = summarize(end_to_end, pairs)
-        parent_rev = _rev(parent)
-    finally:
-        for undo in cleanup:
-            undo()
+    workloads = {}
+    seed = args.seed
+    for workload in args.workload:
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed}
+            for side in order:
+                pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                print(f"{workload} pair {i} seed {seed} {side}: "
+                      f"{json.dumps({k: v['value'] for k, v in pair[side]['metrics'].items()})}",
+                      file=sys.stderr)
+            pairs.append(pair)
+            seed += 1
+        workloads[workload] = summarize(end_to_end, pairs)
 
     record = {
         "description": args.description,
         "command": f"python3 perfbench/run.py --workload {{{','.join(args.workload)}}} --seed N "
                    f"--seconds {args.seconds:g} --trace 0",
-        "parent": parent_rev,
+        "parent": _rev(trees["parent"]),
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                 f"numpy {metadata.version('numpy')}",
         "order": "pair i runs the parent first for even i and the change first for odd i; "
                  "each pair uses one seed on both sides",
-        "claim": claim(workloads, claimed, metric),
+        "claim": claim(workloads, args.workload[0]),
         "workloads": workloads,
     }
-    out = Path(args.out_dir) / f"BENCH_{claimed}.json"
+    out = ROOT / f"BENCH_{args.workload[0]}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(out)
     return 0

@@ -117,8 +117,10 @@ from .poisson import (
 )
 from .poisson import sklyanin_numeric  # noqa: F401  (perfbench/tests/test_tracer.py traces this binding)
 from .quantum import (
+    _coassociativity_defect,
     _coproduct_images,
-    _defect_stack,
+    _image_stack,
+    _relation_stack,
     coproduct_classical,
     coassociativity_defect,
     deformed_relation_defect,
@@ -1429,28 +1431,31 @@ def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
 # --- quantum suite -----------------------------------------------------------
 
 
-def _quantum_defects(cfg: SweepConfig, which: int, again: Callable[[KappaPair, float], float]) -> Defects:
-    """The relation (which = 0) or coassociativity (which = 1) defect at each
-    label pair and z, from one _defect_stack call per label pair; a flagged z
-    is evaluated again with again, and its GeometryError is an inf defect."""
-    for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
-        stack = _defect_stack(kp, np.array(cfg.z_values))
-        for z, defect, flagged in zip(cfg.z_values, stack[which].tolist(), stack[2 + which]):
-            try:
-                yield (again(kp, z) if flagged else defect), f"z={z:g} {tag}"
-            except GeometryError as exc:
-                yield math.inf, f"z={z:g} {tag}: {exc}"
+def _quantum_rows(kp: KappaPair, z_values: list, defects: np.ndarray, bad: np.ndarray, again: Callable) -> Defects:
+    """The defect at each z of a label pair's z-stack; a flagged z is
+    evaluated again with again, and its GeometryError is an inf defect."""
+    tag = _kp_tag(kp)
+    for z, defect, flagged in zip(z_values, defects.tolist(), bad):
+        try:
+            yield (again(kp, z) if flagged else defect), f"z={z:g} {tag}"
+        except GeometryError as exc:
+            yield math.inf, f"z={z:g} {tag}: {exc}"
 
 
 @check(1e-9)
 def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    yield from _quantum_defects(cfg, 0, deformed_relation_defect)
+    z_values = np.array(cfg.z_values)
+    for kp in cfg.kappa_grid:
+        relation, bad = _relation_stack(kp, z_values, *_image_stack(kp, z_values))
+        yield from _quantum_rows(kp, cfg.z_values, relation, bad, deformed_relation_defect)
 
 
 @check(1e-10)
 def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    yield from _quantum_defects(cfg, 1, coassociativity_defect)
+    z_values = np.array(cfg.z_values)
+    for kp in cfg.kappa_grid:
+        parts, bad = _image_stack(kp, z_values)
+        yield from _quantum_rows(kp, cfg.z_values, _coassociativity_defect(*parts), bad, coassociativity_defect)
 
 
 @check(10.0)

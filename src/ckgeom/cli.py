@@ -71,7 +71,9 @@ from .poisson import (
     schouten,
 )
 from .quantum import (
-    _defect_stack,
+    _coassociativity_defect,
+    _image_stack,
+    _relation_stack,
     coassociativity_defect,
     deformed_relation_defect,
 )
@@ -440,9 +442,12 @@ def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload = _base_payload(args, sweep)
     rel_tol = DEFAULT_TOLERANCES["quantum_relations"]
     co_tol = DEFAULT_TOLERANCES["quantum_coassociativity"]
+    z_values = np.array(sweep.z_values)
     rows = []
     for kp in sweep.kappa_grid:
-        relation, coassociativity, bad, _ = _defect_stack(kp, np.array(sweep.z_values))
+        parts, bad = _image_stack(kp, z_values)
+        relation, bad = _relation_stack(kp, z_values, parts, bad)
+        coassociativity = _coassociativity_defect(*parts)
         for z, rel, co, flagged in zip(sweep.z_values, relation.tolist(), coassociativity.tolist(), bad):
             row = {"k1": kp.k1, "k2": kp.k2, "z": z}
             try:

@@ -14,16 +14,12 @@ and J12 are rescaled by gamma = sqrt(sk(k1, z k2)/(z k2)), the unique
 positive factor making the single copy close on -sinh(z k2 rho(J01))/z
 instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.
 
-_coproduct_images (the scaled single copy, the dressing exponentials and
-the coproduct images) and the relation and coassociativity defects are
-written once over the steps of ktrig, for one z or an axis of them, and
-fold their entries with nan-propagating maxima.  The public functions are
-their one-z calls with ktrig as the steps.  _defect_stack evaluates both
-defects at every z of a label pair from one build of the images, and the
-Kronecker products are broadcast products (_kron) with np.kron's bits.  A
-`coproduct` command over normalized9 with 16 z makes 9 _defect_stack calls
-and 180 Kronecker products; one-z calls made 288 builds and 4,320 np.kron.
-
+_coproduct_images, deformation_scale, closed_exp_j01 and the two defects
+are written once over the steps of ktrig, for one z or an axis of them; the
+public functions are their one-z calls with ktrig.  Kronecker products are
+broadcast (_kron) with np.kron's bits.  A `coproduct` command over
+normalized9 with 16 z builds the images 9 times (_image_stack) and makes 180
+Kronecker products, where one-z calls made 288 builds and 4,320 np.kron.
 Matrix functions of rho(J01) use its minimal polynomial
 rho(J01)**3 = -k1 rho(J01), which closes exponentials in the labelled
 trigonometry of the parameter.
@@ -54,24 +50,30 @@ def _col(v) -> np.ndarray:
     return np.asarray(v)[..., None, None]
 
 
-def closed_exp_j01(kp: KappaPair, t, steps=ktrig) -> np.ndarray:
-    """exp(t rho(J01)) through the minimal-polynomial identity, at one t or
-    an axis of them, through steps (see ktrig)."""
+def closed_exp_j01(kp: KappaPair, t: float) -> np.ndarray:
+    """exp(t rho(J01)) through the minimal-polynomial identity."""
+    return _closed_exp_j01(kp, t, ktrig)
+
+
+def _closed_exp_j01(kp: KappaPair, t, steps) -> np.ndarray:
     p = rep_basis(kp)[0]
     s = steps.sk(kp.k1, t)
     h = steps.sk(kp.k1, 0.5 * t)  # the versine vk(k1, t) is 2 h**2
     return np.eye(3) + _col(s) * p + _col(2.0 * h * h) * (p @ p)
 
 
-def deformation_scale(kp: KappaPair, z, steps=ktrig):
-    """Rescaling gamma of the J02/J12 images at deformation parameter z, one
-    or an axis of them, through steps (see ktrig).
+def deformation_scale(kp: KappaPair, z: float) -> float:
+    """Rescaling gamma of the J02/J12 images at deformation parameter z.
 
     gamma**2 * k2 = sk(k1, z k2)/z, so the rescaled commutator of J12 and
     J02 equals -sinh(z k2 rho(J01))/z exactly.  Equals 1 when z k2 = 0.
     Raises DeformationDomainError where sk(k1, z k2) changes sign, so that
     no real gamma exists.
     """
+    return float(_deformation_scale(kp, z, ktrig))
+
+
+def _deformation_scale(kp: KappaPair, z, steps):
     u = z * kp.k2
     # u = 0 gives 0/0, a nan that fails no test and gives way to gamma = 1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -98,10 +100,10 @@ def _coproduct_images(kp: KappaPair, z, steps) -> tuple[tuple, tuple, tuple]:
     j01, j02, j12 = rep_basis(kp)
     eye = np.eye(3)
     with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
-        gamma = _col(deformation_scale(kp, z, steps))
+        gamma = _col(_deformation_scale(kp, z, steps))
         rho = (j01, gamma * j02, gamma * j12)
-        minus = closed_exp_j01(kp, -0.5 * z * kp.k2, steps)
-        plus = closed_exp_j01(kp, 0.5 * z * kp.k2, steps)
+        minus = _closed_exp_j01(kp, -0.5 * z * kp.k2, steps)
+        plus = _closed_exp_j01(kp, 0.5 * z * kp.k2, steps)
         images = (_kron(j01, eye) + _kron(eye, j01), *(_kron(r, minus) + _kron(plus, r) for r in rho[1:]))
     return rho, (minus, plus), images
 
@@ -162,18 +164,21 @@ def _coassociativity_defect(rho: tuple, dress: tuple, images: tuple):
         ))
 
 
-def _defect_stack(kp: KappaPair, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """deformed_relation_defect and coassociativity_defect at each z of the
-    1-D array z, from one build of the images, and the masks of the z where
-    each raises: failing images fail both, a failing series exponential the
-    relations.  The caller evaluates a flagged z again with the one-z call."""
-    flag, series = ktrig._Flag(z.shape), ktrig._Flag(z.shape)
-    rho, dress, images = _coproduct_images(kp, z, flag)
-    relation = _relation_defect(kp, z, images, series)
+def _image_stack(kp: KappaPair, z: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """_coproduct_images at each z of the 1-D array z, and the mask of the z
+    where it raises; the caller evaluates a flagged z again with a one-z call."""
+    flag = ktrig._Flag(z.shape)
+    parts = _coproduct_images(kp, z, flag)
     # sk raises ValueError where its circular branch meets an infinite
     # argument, which no step flags; gamma = rho(J02)[2, 0] is a nan there
-    bad = flag.bad | (np.isnan(rho[1][:, 2, 0]) & (kp.k1 >= ktrig.TAYLOR_CUTOFF))
-    return relation, _coassociativity_defect(rho, dress, images), bad | series.bad, bad
+    return parts, flag.bad | (np.isnan(parts[0][1][:, 2, 0]) & (kp.k1 >= ktrig.TAYLOR_CUTOFF))
+
+
+def _relation_stack(kp: KappaPair, z: np.ndarray, parts: tuple, bad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The relation defect at each z of _image_stack's parts and mask, and
+    its own mask: a failing series exponential fails the relations only."""
+    series = ktrig._Flag(z.shape)
+    return _relation_defect(kp, z, parts[2], series), bad | series.bad
 
 
 def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
@@ -187,15 +192,17 @@ def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
     off-span residual above 100 z**2 + 1e-13 raises ProjectionError, and
     a wedge basis or an image that overflows raises ChartDomainError.
     """
-    rho = np.stack(rep_basis(kp))
-    i, j = np.array(_PAIRS).T
+    rho = rep_basis(kp)
     # an overflow here is caught below, as a non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
-        basis = (_kron(rho[i], rho[j]) - _kron(rho[j], rho[i])).reshape(len(_PAIRS), 81).T
-        classical = np.stack([coproduct_classical(kp, g) for g in GENERATOR_NAMES])
-        d = np.stack(_coproduct_images(kp, z, ktrig)[2]) - classical
-        # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
-        skews = (d - d.reshape(3, 3, 3, 3, 3).transpose(0, 2, 1, 4, 3).reshape(3, 9, 9)).reshape(3, 81)
+        basis = np.array(
+            [(_kron(rho[i], rho[j]) - _kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
+        ).T
+        skews = []
+        for name, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, z, ktrig)[2]):
+            d = dz - coproduct_classical(kp, name)
+            # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
+            skews.append((d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel())
     if not (np.isfinite(basis).all() and np.isfinite(skews).all()):
         raise ChartDomainError("first_order_delta: the wedge basis or a first-order image overflows")
     images = []
@@ -203,6 +210,8 @@ def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
         coeffs, *_ = np.linalg.lstsq(basis, skew, rcond=None)
         residual = float(np.max(np.abs(skew - basis @ coeffs)))
         if residual > 100.0 * z * z + 1e-13:
-            raise ProjectionError(f"first-order image of {name} misses the wedge span by {residual:.3e}")
+            raise ProjectionError(
+                f"first-order image of {name} misses the wedge span by {residual:.3e}"
+            )
         images.append(Bivector(*(float(c) for c in coeffs)))
     return CocommutatorMap(*images)

@@ -61,11 +61,11 @@ def test_bench_pairs_summarizes_alternating_runs():
     # higher is better here, and a tie is no win
     assert units["change_wins"] == 3
     assert (record["change_attempted"], record["change_failed"], record["parent_failed"]) == (40, 1, 0)
-    assert bench.claim({"deformation": record}, "deformation", "op_p50_cal") == {
+    assert bench.claim({"deformation": record}, "deformation") == {
         "workload": "deformation",
-        "metric": "op_p50_cal",
-        "parent_median": 10.5,
-        "change_median": 5.5,
-        "parent_iqr": 1.5,
+        "metric": "units_per_cal",
+        "parent_median": 2.0,
+        "change_median": 3.5,
+        "parent_iqr": 0.5,
         "change_wins": "3 of 4 pairs",
     }

@@ -561,8 +561,11 @@ z_st = st.sampled_from([0.1, -0.4, 0.5, 1.5, 4.0, 1e-9, 1e-300, 1e308, -1e308]) 
 # an overflow inside a commutator: a nan relation defect
 @example(kp=KappaPair(1e150, -1e150), zs=[1e-300])
 @SETTINGS
-def test_defect_stack_matches_the_one_z_calls(kp, zs):
-    relation, coassociativity, relation_bad, coassociativity_bad = quantum._defect_stack(kp, np.array(zs))
+def test_z_stacks_match_the_one_z_calls(kp, zs):
+    z = np.array(zs)
+    parts, coassociativity_bad = quantum._image_stack(kp, z)
+    relation, relation_bad = quantum._relation_stack(kp, z, parts, coassociativity_bad)
+    coassociativity = quantum._coassociativity_defect(*parts)
     for i, z in enumerate(zs):
         want = kron_defects(kp, z)
         for values, bad, fn, ref in (
