@@ -77,7 +77,6 @@ from .poisson import (
     DeformationKind,
     InvariantFields,
     bialgebra_check,
-    cocommutator,
     cocommutator_map,
     coisotropy_check,
     invariant_fields_numeric,

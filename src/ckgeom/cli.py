@@ -460,7 +460,7 @@ def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     row["relation_defect"] <= rel_tol
                     and row["coassociativity_defect"] <= co_tol
                 )
-            except (ValueError, GeometryError) as exc:
+            except GeometryError as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
                 row["passed"] = False
             rows.append(row)

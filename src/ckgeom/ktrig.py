@@ -12,10 +12,12 @@ makes the contraction kappa -> 0 non-singular.  The functions here take
 scalars; ck_array, sk_array and kinv_array evaluate them over arrays for one
 scalar label and agree with ck, sk and kinv bit for bit element by element.
 Where a hyperbolic value overflows a double, ck and sk raise
-ChartDomainError and the array forms give an infinite element; kinv_array
-returns the mask of the elements where kinv raises.  The scalar forms stay:
-a sweep makes about 14,100 calls to ck, sk, tk and kinv at 0.2-0.3 us, and
-a one-element array call, at 2-11 us, would add about 0.1 s to its 0.27 s.
+ChartDomainError and the array forms give an infinite element; at an
+infinite circular angle they raise it too, and the array forms give nan.
+kinv_array returns the mask of the elements where kinv raises.  The scalar
+forms stay: a sweep makes about 14,100 calls to ck, sk, tk and kinv at
+0.2-0.3 us, and a one-element array call, at 2-11 us, would add about 0.1 s
+to its 0.27 s.
 
 A map that other modules evaluate at many points at once is written once,
 over steps: ck, sk, tk, kinv, each(form, rows) for k inputs per point, and
@@ -82,7 +84,10 @@ def ck(kappa: float, x: float) -> float:
         x2 = x * x
         return 1.0 + kappa * x2 * (-0.5 + kappa * x2 * (1.0 / 24.0 - kappa * x2 / 720.0))
     if kappa > 0.0:
-        return math.cos(math.sqrt(kappa) * x)
+        try:
+            return math.cos(math.sqrt(kappa) * x)
+        except ValueError:  # math.cos of an infinite angle
+            raise ChartDomainError(f"ck({kappa!r}, {float(x)!r}) has an infinite angle") from None
     v = _cosh_or_inf(math.sqrt(-kappa) * x)
     if math.isinf(v):
         raise ChartDomainError(f"ck({kappa!r}, {float(x)!r}) overflows a double")
@@ -97,7 +102,10 @@ def sk(kappa: float, x: float) -> float:
         return x * (1.0 + kappa * x2 * (-1.0 / 6.0 + kappa * x2 * (1.0 / 120.0 - kappa * x2 / 5040.0)))
     if kappa > 0.0:
         rk = math.sqrt(kappa)
-        return math.sin(rk * x) / rk
+        try:
+            return math.sin(rk * x) / rk
+        except ValueError:  # math.sin of an infinite angle
+            raise ChartDomainError(f"sk({kappa!r}, {float(x)!r}) has an infinite angle") from None
     rk = math.sqrt(-kappa)
     # the quotient can overflow where sinh does not, when -kappa < 1
     v = _sinh_or_inf(rk * x) / rk
@@ -227,16 +235,18 @@ class _Flag:
         self.bad |= mask
         return False
 
-    def _overflow(self, kappa: float, values: np.ndarray) -> np.ndarray:
-        if kappa <= -TAYLOR_CUTOFF:  # only the hyperbolic branch raises
+    def _raises(self, kappa: float, x, values: np.ndarray) -> np.ndarray:
+        if kappa <= -TAYLOR_CUTOFF:  # a hyperbolic value overflows
             self.bad |= np.isinf(values)
+        elif kappa >= TAYLOR_CUTOFF:  # a circular angle is infinite
+            self.bad |= np.isinf(math.sqrt(kappa) * x)
         return values
 
     def ck(self, kappa: float, x) -> np.ndarray:
-        return self._overflow(kappa, ck_array(kappa, x))
+        return self._raises(kappa, x, ck_array(kappa, x))
 
     def sk(self, kappa: float, x) -> np.ndarray:
-        return self._overflow(kappa, sk_array(kappa, x))
+        return self._raises(kappa, x, sk_array(kappa, x))
 
     def kinv(self, kappa: float, s, c) -> np.ndarray:
         x, bad = kinv_array(kappa, s, c)

@@ -4,7 +4,11 @@ Everything here is computed abstractly over structure constants in the
 ordered basis (J01, J02, J12); the 3x3 representation never enters.  The
 wedge convention is a ^ b = a (x) b - b (x) a.  Two coboundary families are
 covered: the "first kind" classical r-matrix z J12 ^ J02 (deforming the
-translation sector) and the "second kind" z J12 ^ J01.
+translation sector) and the "second kind" z J12 ^ J01.  A bivector has one
+layout, _wedge_rows: its components on the pairs (J01^J02, J01^J12,
+J02^J12) fill the upper triangle of an antisymmetric 3x3 matrix, in
+Bivector.as_tensor and in the bracket matrix P below alike.
+cocommutator_map forms the images of the whole basis in one broadcast.
 
 The induced multiplicative (Sklyanin) Poisson bracket on the group is one
 bivector: in the group coordinates x = (a1, a2, xi) it is the
@@ -27,12 +31,13 @@ from enum import Enum
 import numpy as np
 
 from . import ktrig
-from .algebra import BASIS, GENERATOR_NAMES, AlgebraElement, KappaPair, structure_tensor
+from .algebra import GENERATOR_NAMES, KappaPair, structure_tensor
 from .errors import ChartDomainError, PoleError
 from .group import GroupCoordinates, _coords, _group, _one_param
 # Kept bound here: perfbench/tests/test_tracer.py checks that the tracer
 # rebinds names a module imported from another layer, using this one.
 from .group import coords_from_group  # noqa: F401
+from .spaces import _matrix
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 # index of the upper triangle of a 3x3 matrix, in _PAIRS order
@@ -53,6 +58,13 @@ class CoisotropyVerdict(Enum):
     FAILS = "fails"
 
 
+def _wedge_rows(a, b, c) -> list:
+    """The rows of the antisymmetric matrix with a, b, c on the pairs
+    (J01^J02, J01^J12, J02^J12) above the diagonal: the one bivector layout.
+    The 0.0 + and 0.0 - round a signed zero as adding into a zero matrix does."""
+    return [[0.0, 0.0 + a, 0.0 + b], [0.0 - a, 0.0, 0.0 + c], [0.0 - b, 0.0 - c, 0.0]]
+
+
 @dataclass(frozen=True)
 class Bivector:
     """Element of Lambda^2 of the algebra over the ordered basis.
@@ -69,49 +81,14 @@ class Bivector:
 
     def component(self, i: int, j: int) -> float:
         """Coefficient of e_i ^ e_j for any index order (antisymmetric)."""
-        if i == j:
-            return 0.0
-        sign = 1.0 if i < j else -1.0
-        key = (min(i, j), max(i, j))
-        return sign * self.components()[_PAIRS.index(key)]
-
-    @classmethod
-    def wedge(cls, i: int, j: int, coeff: float) -> "Bivector":
-        """coeff * e_i ^ e_j."""
-        if i == j:
-            return cls()
-        parts = [0.0, 0.0, 0.0]
-        sign = 1.0 if i < j else -1.0
-        parts[_PAIRS.index((min(i, j), max(i, j)))] = sign * coeff
-        return cls(*parts)
+        return self.as_tensor()[i, j]
 
     def as_tensor(self) -> np.ndarray:
         """3x3 antisymmetric coefficient array over e_i (x) e_j."""
-        t = np.zeros((3, 3))
-        for idx, (i, j) in enumerate(_PAIRS):
-            c = self.components()[idx]
-            t[i, j] += c
-            t[j, i] -= c
-        return t
-
-    @classmethod
-    def from_tensor(cls, t: np.ndarray) -> "Bivector":
-        t = np.asarray(t, dtype=float)
-        skew = float(np.max(np.abs(t + t.T)))
-        if skew > 1e-12 * max(1.0, float(np.max(np.abs(t)))):
-            raise ValueError(f"tensor is not antisymmetric (defect {skew:.3e})")
-        return cls(float(t[0, 1]), float(t[0, 2]), float(t[1, 2]))
-
-    def __add__(self, other: "Bivector") -> "Bivector":
-        return Bivector(*(self.components() + other.components()))
+        return np.array(_wedge_rows(self.j01_j02, self.j01_j12, self.j02_j12))
 
     def __sub__(self, other: "Bivector") -> "Bivector":
         return Bivector(*(self.components() - other.components()))
-
-    def __mul__(self, scalar: float) -> "Bivector":
-        return Bivector(*(scalar * self.components()))
-
-    __rmul__ = __mul__
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.components())))
@@ -144,14 +121,13 @@ class BialgebraReport:
 def rmatrix(kind: DeformationKind, z: float) -> Bivector:
     """Classical r-matrix of the chosen family at deformation parameter z."""
     if kind is DeformationKind.FIRST_KIND:
-        return Bivector.wedge(2, 1, z)  # z J12 ^ J02
-    return Bivector.wedge(2, 0, z)  # z J12 ^ J01
+        return Bivector(j02_j12=-1.0 * z)  # z J12 ^ J02
+    return Bivector(j01_j12=-1.0 * z)  # z J12 ^ J01
 
 
-def _ad_matrix(kp: KappaPair, x: AlgebraElement) -> np.ndarray:
-    """ad[m, i] with [x, e_i] = sum_m ad[m, i] e_m."""
-    c = structure_tensor(kp)
-    return np.einsum("k,kim->mi", x.as_array(), c)
+def _ad(kp: KappaPair) -> np.ndarray:
+    """ad[x, m, i] with [e_x, e_i] = sum_m ad[x, m, i] e_m."""
+    return structure_tensor(kp).transpose(0, 2, 1)
 
 
 def _act(ad: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -159,13 +135,13 @@ def _act(ad: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ad @ t + t @ np.swapaxes(ad, -1, -2)
 
 
-def cocommutator(kp: KappaPair, r: Bivector, x: AlgebraElement) -> Bivector:
-    """Coboundary cocommutator delta(x) = [x (x) 1 + 1 (x) x, r]."""
-    return Bivector.from_tensor(_act(_ad_matrix(kp, x), r.as_tensor()))
-
-
 def cocommutator_map(kp: KappaPair, r: Bivector) -> CocommutatorMap:
-    return CocommutatorMap(*(cocommutator(kp, r, e) for e in BASIS))
+    """Coboundary cocommutator delta(x) = [x (x) 1 + 1 (x) x, r] on the
+    basis, the three images in one broadcast; an image whose sums overflow
+    holds inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = _act(_ad(kp), r.as_tensor())[:, _UPPER[0], _UPPER[1]]
+    return CocommutatorMap(*(Bivector(*row) for row in images.tolist()))
 
 
 def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
@@ -177,8 +153,7 @@ def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
     identity is evaluated directly.  A defect whose sums overflow is inf or
     nan.
     """
-    c = structure_tensor(kp)
-    ad = c.transpose(0, 2, 1)  # ad[i] = ad(e_i)
+    c, ad = structure_tensor(kp), _ad(kp)
     images = np.stack([delta.image(i).as_tensor() for i in range(3)])
 
     # a sum that overflows below makes its defect inf or nan, which no
@@ -226,7 +201,7 @@ def mcybe_defect(kp: KappaPair, r: Bivector) -> float:
     """Adjoint-invariance defect of [[r, r]] (modified classical YBE); a
     defect whose sums overflow is inf or nan."""
     t = _schouten_tensor(kp, r)
-    ad = structure_tensor(kp).transpose(0, 2, 1)  # ad[b, m, i] = c[b, i, m]
+    ad = _ad(kp)
     # a sum that overflows at huge labels makes the defect inf or nan, which
     # no tolerance passes
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,10 +226,8 @@ def coisotropy_check(kp: KappaPair, delta: CocommutatorMap, h: str) -> Coisotrop
     image = delta.image(k)
     if image.max_abs() <= 1e-13:
         return CoisotropyVerdict.POISSON_SUBGROUP
-    outside = max(
-        abs(image.component(i, j)) for i, j in _PAIRS if i != k and j != k
-    )
-    if outside <= 1e-13:
+    # _PAIRS[2 - k] is the one pair without e_k
+    if abs(image.components()[2 - k]) <= 1e-13:
         return CoisotropyVerdict.COISOTROPIC
     return CoisotropyVerdict.FAILS
 
@@ -275,7 +248,7 @@ def invariant_vector_fields(kp: KappaPair, gc: GroupCoordinates) -> InvariantFie
     """Closed-form left/right invariant fields in ordered-product coordinates."""
     k1, k2, k12 = kp.k1, kp.k2, kp.k12
     c2 = ktrig.ck(k12, gc.a2)
-    if abs(c2) < 1e-12:
+    if abs(c2) < ktrig.DEFAULT_POLE_TOL:
         raise ChartDomainError("invariant fields diverge where the a2 cosine factor vanishes")
     t2 = ktrig.tk(k12, gc.a2)
     cxi, sxi = ktrig.ck(k2, gc.xi), ktrig.sk(k2, gc.xi)
@@ -345,16 +318,11 @@ def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarra
     a2, xi = x[..., 1], x[..., 2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c2 = steps.ck(kp.k12, a2)
-        if steps.fails(abs(c2) < 1e-12):
+        if steps.fails(abs(c2) < ktrig.DEFAULT_POLE_TOL):
             raise ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
         s2, sxi, cxi = steps.sk(kp.k12, a2), steps.sk(kp.k2, xi), steps.ck(kp.k2, xi)
         upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
-    # laid out as Bivector.as_tensor lays out its components
-    p = np.zeros(x.shape[:-1] + (3, 3))
-    for (i, j), c in zip(_PAIRS, upper):
-        p[..., i, j] += c
-        p[..., j, i] -= c
-    return p
+    return _matrix(_wedge_rows(*upper))
 
 
 def _bracket(r: Bivector, fields: InvariantFields, steps) -> np.ndarray:

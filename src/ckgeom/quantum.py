@@ -168,10 +168,7 @@ def _image_stack(kp: KappaPair, z: np.ndarray) -> tuple[tuple, np.ndarray]:
     """_coproduct_images at each z of the 1-D array z, and the mask of the z
     where it raises; the caller evaluates a flagged z again with a one-z call."""
     flag = ktrig._Flag(z.shape)
-    parts = _coproduct_images(kp, z, flag)
-    # sk raises ValueError where its circular branch meets an infinite
-    # argument, which no step flags; gamma = rho(J02)[2, 0] is a nan there
-    return parts, flag.bad | (np.isnan(parts[0][1][:, 2, 0]) & (kp.k1 >= ktrig.TAYLOR_CUTOFF))
+    return _coproduct_images(kp, z, flag), flag.bad
 
 
 def _relation_stack(kp: KappaPair, z: np.ndarray, parts: tuple, bad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

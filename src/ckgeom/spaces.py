@@ -419,7 +419,7 @@ def _laplacian_of(kp: KappaPair, f: Callable, q: ParallelI, steps):
     # a point that fails a step below is flagged or raised there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = steps.ck(kp.k12, a2)
-        if steps.fails(abs(c) < 1e-12):
+        if steps.fails(abs(c) < ktrig.DEFAULT_POLE_TOL):
             raise ChartDomainError("operator coefficient diverges where the a2 cosine factor vanishes")
         f0 = f(a1, a2)
         d2_a1 = (f(a1 + h, a2) - 2.0 * f0 + f(a1 - h, a2)) / (h * h)

@@ -79,6 +79,7 @@ _FAILING_GOLDENS = {
     "sklyanin_k1_-1e20_k2_1_samples2.json",
     "coproduct_k1_1_k2_1_z0.5_z4_z1e308.csv",
     "coproduct_k1_-1e6_k2_1_z0.3_z1.5.csv",
+    "bialgebra_k1_1_k2_1e150_z1e308.csv",
 }
 
 
@@ -185,6 +186,17 @@ _FAILING_GOLDENS = {
         (
             "coproduct_k1_-1e6_k2_1_z0.3_z1.5.csv",
             ["coproduct", "--k1=-1e6", "--k2", "1", "--z", "0.3", "--z", "1.5", "--format", "csv"],
+        ),
+        # the cocommutator images and defects at inexact labels
+        (
+            "bialgebra_k1_0.7_k2_-1.3_z0.3_z1.1.csv",
+            ["bialgebra", "--k1", "0.7", "--k2=-1.3", "--z", "0.3", "--z", "1.1", "--format", "csv"],
+        ),
+        # the images overflow: nan defects beside the coisotropy verdicts, and
+        # under tier-1's warning filter no numpy warning
+        (
+            "bialgebra_k1_1_k2_1e150_z1e308.csv",
+            ["bialgebra", "--k1", "1", "--k2", "1e150", "--z", "1e308", "--format", "csv"],
         ),
     ],
 )
@@ -318,6 +330,8 @@ def test_sweep_reports_every_check_when_one_raises(capsys):
         ["--k1=-1e6", "--k2", "1", "--samples", "3"],
         ["--k1", "1", "--k2", "1", "--z", "1e308", "--samples", "2"],
         ["--k1", "1e150", "--k2", "1e150", "--samples", "2"],
+        # z k2 is an infinite circular angle of sk
+        ["--k1", "1", "--k2", "1e150", "--z", "1e308", "--samples", "2"],
     ],
 )
 def test_sweep_at_huge_labels_or_z_reports_every_check(capsys, argv):
@@ -326,6 +340,15 @@ def test_sweep_at_huge_labels_or_z_reports_every_check(capsys, argv):
     status, out = run(capsys, "sweep-all", *argv)
     assert status == 1
     assert len(json.loads(out)["checks"]) == len(checks.CHECK_NAMES) == 45
+
+
+def test_coproduct_at_an_infinite_angle_is_a_chart_domain_error(capsys):
+    # z k2 overflows to an infinite angle of the circular sk in the scaling
+    status, out = run(capsys, "coproduct", "--k1", "1", "--k2", "1e150", "--z", "1e308", "--format", "csv")
+    assert status == 1
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["error"] == "ChartDomainError: sk(1.0, inf) has an infinite angle"
+    assert row["passed"] == "false"
 
 
 def test_ybe_at_huge_labels_fails_its_row_without_a_warning(capsys):

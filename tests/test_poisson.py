@@ -9,6 +9,7 @@ from ckgeom import (
     GENERATOR_NAMES,
     Bivector,
     ChartDomainError,
+    CocommutatorMap,
     CoisotropyVerdict,
     DeformationKind,
     GroupCoordinates,
@@ -58,20 +59,24 @@ def small_coords(kp: KappaPair) -> GroupCoordinates:
     )
 
 
-@pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+# the nine planes and two pairs of inexact labels
+IMAGE_PAIRS = (*NINE, KappaPair(0.7, -1.3), KappaPair(-2.5, 0.4))
+
+
+@pytest.mark.parametrize("kp", IMAGE_PAIRS, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_first_kind_cocommutator_images(kp):
     cm = cocommutator_map(kp, rmatrix(DeformationKind.FIRST_KIND, Z))
     for idx, gen in enumerate(GENERATOR_NAMES):
         want = Z * np.array(cocomm_first(kp, gen))
-        assert np.array_equal(cm.image(idx).components(), want), gen
+        assert cm.image(idx).components().tobytes() == want.tobytes(), gen
 
 
-@pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+@pytest.mark.parametrize("kp", IMAGE_PAIRS, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_second_kind_cocommutator_images(kp):
     cm = cocommutator_map(kp, rmatrix(DeformationKind.SECOND_KIND, Z))
     for idx, gen in enumerate(GENERATOR_NAMES):
         want = Z * np.array(cocomm_second(kp, gen))
-        assert np.array_equal(cm.image(idx).components(), want), gen
+        assert cm.image(idx).components().tobytes() == want.tobytes(), gen
 
 
 @pytest.mark.parametrize("kind", DeformationKind, ids=lambda k: k.value)
@@ -126,6 +131,25 @@ def test_first_kind_coisotropy_pattern(kp):
     else:
         assert v02 is CoisotropyVerdict.COISOTROPIC
         assert v12 is CoisotropyVerdict.COISOTROPIC
+
+
+@pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+def test_second_kind_coisotropy_pattern(kp):
+    cm = cocommutator_map(kp, rmatrix(DeformationKind.SECOND_KIND, Z))
+    verdicts = [coisotropy_check(kp, cm, gen) for gen in GENERATOR_NAMES]
+    assert verdicts == [
+        CoisotropyVerdict.COISOTROPIC,
+        CoisotropyVerdict.POISSON_SUBGROUP,
+        CoisotropyVerdict.COISOTROPIC,
+    ]
+
+
+def test_an_image_on_the_pair_without_its_generator_fails_coisotropy():
+    # each image lies on the one wedge pair that does not contain its generator
+    cm = CocommutatorMap(Bivector(j02_j12=1.0), Bivector(j01_j12=-1.0), Bivector(j01_j02=1e-12))
+    kp = KappaPair(1.0, 1.0)
+    for gen in GENERATOR_NAMES:
+        assert coisotropy_check(kp, cm, gen) is CoisotropyVerdict.FAILS, gen
 
 
 def test_invariant_fields_match_numeric_differentials():

@@ -18,6 +18,7 @@ through the transcription with ktrig as the steps; where a scalar form
 stays beside it, the error must be the scalar form's in type and text.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -145,11 +146,16 @@ def test_kinv_array_matches_kinv(kappa, xs, off):
 
 
 @given(kappa=st.sampled_from(LABELS) | st.floats(-1e6, 4.0), xs=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=6))
+# an infinite circular angle, from an infinite x and from a product that overflows
+@example(kappa=1.0, xs=[math.inf, -math.inf, math.nan, 0.5])
+@example(kappa=1e300, xs=[1e200, -1e-200])
 @SETTINGS
 def test_flagged_ck_and_sk_match_ck_and_sk(kappa, xs):
     for form, name in ((ck, "ck"), (sk, "sk")):
         flag = ktrig._Flag(len(xs))
-        values = getattr(flag, name)(kappa, np.array(xs))
+        # np.cos and np.sin warn at an infinite angle; stack callers silence it
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = getattr(flag, name)(kappa, np.array(xs))
         assert_flags(values, flag.bad, [scalar(form, kappa, x) for x in xs])
 
 
@@ -228,6 +234,19 @@ def test_invariant_fields_stack_rows_match_one_row_calls(kp, x):
     values = np.stack([fields.left, fields.right], axis=1)
     results = [scalar(invariant_fields_numeric, kp, GroupCoordinates(*p)) for p in x.tolist()]
     assert_flags(values, bad, results, lambda f: np.stack([f.left, f.right]))
+
+
+def test_wedge_rows_round_as_adding_into_a_zero_matrix():
+    # a stack of every triple of these entries, signed zeros and non-finite ones
+    entries = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.5e-300)
+    a, b, c = np.array(list(itertools.product(entries, repeat=3))).T
+    want = np.zeros(a.shape + (3, 3))
+    for (i, j), v in zip(poisson._PAIRS, (a, b, c)):
+        want[..., i, j] += v
+        want[..., j, i] -= v
+    assert spaces._matrix(poisson._wedge_rows(a, b, c)).tobytes() == want.tobytes()
+    for row, t in zip(zip(a.tolist(), b.tolist(), c.tolist()), want):
+        assert np.array(poisson._wedge_rows(*row)).tobytes() == t.tobytes(), row
 
 
 @given(kp=kp_st, z=st.sampled_from([0.1, 1.3, -0.4, 1e308]), x=points_st)
