@@ -70,9 +70,6 @@ from .group import (
 )
 from .ktrig import ck, ck_array, half_period, kinv, kinv_array, sk, sk_array, tk, vk
 from .poisson import (
-    BialgebraReport,
-    Bivector,
-    CocommutatorMap,
     CoisotropyVerdict,
     DeformationKind,
     InvariantFields,

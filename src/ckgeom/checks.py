@@ -46,6 +46,7 @@ configuration produce identical results bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -102,7 +103,6 @@ from .poisson import (
     _invariant_fields,
     _sklyanin_closed,
     GROUP_COORD_PAIRS,
-    Bivector,
     CoisotropyVerdict,
     DeformationKind,
     bialgebra_check,
@@ -329,9 +329,6 @@ class SweepConfig:
     def validated(self) -> "SweepConfig":
         if not self.kappa_grid:
             raise ConfigError("kappa grid must not be empty")
-        for kp in self.kappa_grid:
-            if not (math.isfinite(kp.k1) and math.isfinite(kp.k2)):
-                raise ConfigError(f"non-finite kappa pair {kp}")
         if not self.z_values:
             raise ConfigError("need at least one deformation parameter z")
         for z in self.z_values:
@@ -1198,20 +1195,19 @@ def _check_geometry_domain_guards(cfg: SweepConfig, rng: np.random.Generator) ->
 # --- bialgebra suite ---------------------------------------------------------
 
 
-def _first_kind_images(kp: KappaPair, z: float) -> tuple[Bivector, Bivector, Bivector]:
-    return (
-        Bivector(0.0, 0.0, 0.0),
-        Bivector(z * kp.k2, 0.0, 0.0),
-        Bivector(0.0, z * kp.k2, 0.0),
-    )
+def _first_kind_images(kp: KappaPair, z) -> np.ndarray:
+    """delta(J01) = 0, delta(J02) = z k2 J01^J02, delta(J12) = z k2 J01^J12,
+    at z or an array of them: (..., 3 generators, 3 pairs)."""
+    d = np.zeros(np.shape(z) + (3, 3))
+    d[..., 1, 0] = d[..., 2, 1] = z * kp.k2
+    return d
 
 
-def _second_kind_images(kp: KappaPair, z: float) -> tuple[Bivector, Bivector, Bivector]:
-    return (
-        Bivector(z, 0.0, 0.0),
-        Bivector(0.0, 0.0, 0.0),
-        Bivector(0.0, 0.0, -z),
-    )
+def _second_kind_images(kp: KappaPair, z) -> np.ndarray:
+    """delta(J01) = z J01^J02, delta(J02) = 0, delta(J12) = -z J02^J12."""
+    d = np.zeros(np.shape(z) + (3, 3))
+    d[..., 0, 0], d[..., 2, 2] = z, -z
+    return d
 
 
 _KIND_IMAGES = {
@@ -1220,86 +1216,89 @@ _KIND_IMAGES = {
 }
 
 # expected coefficient of [[r, r]] on J01 ^ J02 ^ J12, by deformation kind
-SCHOUTEN_COEFFICIENTS: dict[DeformationKind, Callable[[KappaPair, float], float]] = {
+SCHOUTEN_COEFFICIENTS: dict[DeformationKind, Callable[[KappaPair, np.ndarray], np.ndarray]] = {
     DeformationKind.FIRST_KIND: lambda kp, z: z * z * kp.k2,
     DeformationKind.SECOND_KIND: lambda kp, z: z * z,
 }
 
 
+def kind_stack(fn: Callable, zs: Sequence[float], kinds: Sequence[DeformationKind] = tuple(DeformationKind)) -> np.ndarray:
+    """fn(kind, z) over the array of the zs, one call per kind, stacked on a
+    kind axis after the z axis: the (z, kind) rows of one label pair, with
+    shape (len(zs), len(kinds), ...), in the order z, then kind.  A value
+    that overflows is inf or nan, with no warning, as in float arithmetic."""
+    z = np.array(zs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([fn(kind, z) for kind in kinds], axis=1)
+
+
+def _kind_rows(kp: KappaPair, values: np.ndarray, fmt: str = "{kind} {kp}", inner: Sequence = ("",)) -> Defects:
+    """The defects of one label pair's (z, kind, inner) stack in row order,
+    each tagged fmt of its kind, its inner name and the label pair."""
+    tags = [fmt.format(kind=kind.value, inner=x, kp=_kp_tag(kp)) for kind, x in itertools.product(DeformationKind, inner)]
+    return zip(values.ravel().tolist(), itertools.cycle(tags))
+
+
 @check(1e-13)
 def _check_bialgebra_cocommutator(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            for kind, literal in _KIND_IMAGES.items():
-                cm = cocommutator_map(kp, rmatrix(kind, z))
-                for img, ref, gname in zip(
-                    (cm.d_j01, cm.d_j02, cm.d_j12), literal(kp, z), GENERATOR_NAMES
-                ):
-                    with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
-                        diff = img - ref
-                    yield diff.max_abs(), f"{kind.value} {gname} {_kp_tag(kp)}"
+        images = cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values))
+        literal = kind_stack(lambda kind, z: _KIND_IMAGES[kind](kp, z), cfg.z_values)
+        with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
+            defects = np.abs(images - literal).max(axis=-1)
+        yield from _kind_rows(kp, defects, "{kind} {inner} {kp}", GENERATOR_NAMES)
 
 
 @check(1e-13)
 def _check_bialgebra_cocycle(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            for kind in DeformationKind:
-                cm = cocommutator_map(kp, rmatrix(kind, z))
-                report = bialgebra_check(kp, cm)
-                yield report.cocycle_defect, f"{kind.value} {_kp_tag(kp)}"
+        cocycle, _, _ = bialgebra_check(kp, cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values)))
+        yield from _kind_rows(kp, cocycle)
 
 
 @check(1e-13)
 def _check_bialgebra_dual_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            for kind, literal in _KIND_IMAGES.items():
-                cm = cocommutator_map(kp, rmatrix(kind, z))
-                report = bialgebra_check(kp, cm)
-                yield report.dual_jacobi_defect, f"{kind.value} {_kp_tag(kp)}"
-                # [e^j, e^k] of the dual algebra reads the e_j ^ e_k components of the images
-                images = literal(kp, z)
-                for j, k in _PAIRS:
-                    ref = np.array([img.component(j, k) for img in images])
-                    got = report.dual_bracket_coeffs(j, k)
-                    with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
-                        diff = np.abs(got - ref).max()
-                    yield float(diff), f"dual [{j}{k}] {kind.value} {_kp_tag(kp)}"
+        _, jacobi, f = bialgebra_check(kp, cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values)))
+        # [e^j, e^k] of the dual algebra reads the e_j ^ e_k components of the images
+        literal = kind_stack(lambda kind, z: _KIND_IMAGES[kind](kp, z), cfg.z_values)
+        with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
+            dual = np.abs(f[..., _UPPER[0], _UPPER[1], :] - np.swapaxes(literal, -1, -2)).max(axis=-1)
+        # each row yields its Jacobi defect, then its dual brackets in _PAIRS order
+        inner = ("", *(f"dual [{j}{k}] " for j, k in _PAIRS))
+        yield from _kind_rows(kp, np.concatenate([jacobi[..., None], dual], axis=-1), "{inner}{kind} {kp}", inner)
 
 
 @check(1e-13)
 def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            for kind, expected in SCHOUTEN_COEFFICIENTS.items():
-                coeff = schouten(kp, rmatrix(kind, z))
-                yield abs(coeff - expected(kp, z)), f"{kind.value} {_kp_tag(kp)}"
+        coeff = schouten(kp, kind_stack(rmatrix, cfg.z_values))
+        expected = kind_stack(lambda kind, z: SCHOUTEN_COEFFICIENTS[kind](kp, z), cfg.z_values)
+        with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
+            defects = np.abs(coeff - expected)
+        yield from _kind_rows(kp, defects)
 
 
 @check(1e-13)
 def _check_bialgebra_mcybe(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            for kind in DeformationKind:
-                yield mcybe_defect(kp, rmatrix(kind, z)), f"{kind.value} {_kp_tag(kp)}"
+        yield from _kind_rows(kp, mcybe_defect(kp, kind_stack(rmatrix, cfg.z_values)))
 
 
 @check(0.5)
 def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
     for kp in cfg.kappa_grid:
-        for z in cfg.z_values:
-            cm = cocommutator_map(kp, rmatrix(DeformationKind.FIRST_KIND, z))
-            got01 = coisotropy_check(kp, cm, "J01")
-            yield 0.0 if got01 is CoisotropyVerdict.POISSON_SUBGROUP else 1.0, f"J01 {_kp_tag(kp)}"
-            expect = (
-                CoisotropyVerdict.POISSON_SUBGROUP
-                if kp.k2 == 0.0
-                else CoisotropyVerdict.COISOTROPIC
-            )
-            for gen in ("J12", "J02"):
-                got = coisotropy_check(kp, cm, gen)
-                yield 0.0 if got is expect else 1.0, f"{gen} {_kp_tag(kp)}"
+        images = cocommutator_map(kp, rmatrix(DeformationKind.FIRST_KIND, cfg.z_values))
+        expect = (
+            CoisotropyVerdict.POISSON_SUBGROUP
+            if kp.k2 == 0.0
+            else CoisotropyVerdict.COISOTROPIC
+        )
+        gens = ("J01", "J12", "J02")
+        got = np.stack([coisotropy_check(kp, images, gen) for gen in gens], axis=-1)
+        wrong = got != np.array([CoisotropyVerdict.POISSON_SUBGROUP, expect, expect], dtype=object)
+        tag = _kp_tag(kp)
+        yield from zip(wrong.astype(float).ravel().tolist(), itertools.cycle(f"{gen} {tag}" for gen in gens))
 
 
 # --- sklyanin suite ----------------------------------------------------------
@@ -1483,10 +1482,9 @@ def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> De
             except GeometryError as exc:
                 yield math.inf, f"z={z:g} {tag}: {exc}"
                 continue
-            literal = _first_kind_images(kp, z)
-            images = (cm.d_j01, cm.d_j02, cm.d_j12)
-            for got, ref, gname in zip(images, literal, GENERATOR_NAMES):
-                yield (got - ref).max_abs() / (z * z), f"{gname} z={z:g} {tag}"
+            defects = np.abs(cm - _first_kind_images(kp, z)).max(axis=-1) / (z * z)
+            for defect, gname in zip(defects.tolist(), GENERATOR_NAMES):
+                yield defect, f"{gname} z={z:g} {tag}"
 
 
 # --- registry and runner -----------------------------------------------------

@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import struct
@@ -41,6 +42,7 @@ from .checks import (
     SweepConfig,
     duality_morphism_defects,
     kappa_grid_from_name,
+    kind_stack,
     run_all,
     sample_group_stack,
     sklyanin_pair_defects,
@@ -333,29 +335,25 @@ def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     jacobi_tol = DEFAULT_TOLERANCES["bialgebra_dual_jacobi"]
     rows = []
     for kp in sweep.kappa_grid:
-        for z in sweep.z_values:
-            for kind in kinds:
-                cm = cocommutator_map(kp, rmatrix(kind, z))
-                rep = bialgebra_check(kp, cm)
-                verdicts = {
-                    gen: coisotropy_check(kp, cm, gen).value
-                    for gen in GENERATOR_NAMES
+        images = cocommutator_map(kp, kind_stack(rmatrix, sweep.z_values, kinds))
+        cocycle, jacobi, _ = bialgebra_check(kp, images)
+        verdicts = [coisotropy_check(kp, images, gen).ravel() for gen in GENERATOR_NAMES]
+        for (z, kind), c, j, *v in zip(
+            itertools.product(sweep.z_values, kinds), cocycle.ravel().tolist(), jacobi.ravel().tolist(), *verdicts
+        ):
+            rows.append(
+                {
+                    "k1": kp.k1,
+                    "k2": kp.k2,
+                    "z": z,
+                    "kind": kind.value,
+                    "cocycle_defect": c,
+                    "dual_jacobi_defect": j,
+                    "tolerance": tol,
+                    **{f"coisotropy_{gen}": verdict.value for gen, verdict in zip(GENERATOR_NAMES, v)},
+                    "passed": c <= tol and j <= jacobi_tol,
                 }
-                rows.append(
-                    {
-                        "k1": kp.k1,
-                        "k2": kp.k2,
-                        "z": z,
-                        "kind": kind.value,
-                        "cocycle_defect": rep.cocycle_defect,
-                        "dual_jacobi_defect": rep.dual_jacobi_defect,
-                        "tolerance": tol,
-                        "coisotropy_J01": verdicts["J01"],
-                        "coisotropy_J02": verdicts["J02"],
-                        "coisotropy_J12": verdicts["J12"],
-                        "passed": rep.cocycle_defect <= tol and rep.dual_jacobi_defect <= jacobi_tol,
-                    }
-                )
+            )
     payload["bialgebra"] = rows
     return Report(payload, rows)
 
@@ -367,25 +365,27 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     schouten_tol = DEFAULT_TOLERANCES["bialgebra_schouten"]
     rows = []
     for kp in sweep.kappa_grid:
-        for z in sweep.z_values:
-            for kind in kinds:
-                r = rmatrix(kind, z)
-                coeff = schouten(kp, r)
-                expected = SCHOUTEN_COEFFICIENTS[kind](kp, z)
-                defect = mcybe_defect(kp, r)
-                rows.append(
-                    {
-                        "k1": kp.k1,
-                        "k2": kp.k2,
-                        "z": z,
-                        "kind": kind.value,
-                        "schouten_coefficient": coeff,
-                        "schouten_expected": expected,
-                        "mcybe_defect": defect,
-                        "tolerance": tol,
-                        "passed": defect <= tol and abs(coeff - expected) <= schouten_tol,
-                    }
-                )
+        r = kind_stack(rmatrix, sweep.z_values, kinds)
+        expected = kind_stack(lambda kind, z: SCHOUTEN_COEFFICIENTS[kind](kp, z), sweep.z_values, kinds)
+        for (z, kind), coeff, want, defect in zip(
+            itertools.product(sweep.z_values, kinds),
+            schouten(kp, r).ravel().tolist(),
+            expected.ravel().tolist(),
+            mcybe_defect(kp, r).ravel().tolist(),
+        ):
+            rows.append(
+                {
+                    "k1": kp.k1,
+                    "k2": kp.k2,
+                    "z": z,
+                    "kind": kind.value,
+                    "schouten_coefficient": coeff,
+                    "schouten_expected": want,
+                    "mcybe_defect": defect,
+                    "tolerance": tol,
+                    "passed": defect <= tol and abs(coeff - want) <= schouten_tol,
+                }
+            )
     payload["ybe"] = rows
     return Report(payload, rows)
 
@@ -633,7 +633,10 @@ def _resolve_grid(args: argparse.Namespace) -> tuple[KappaPair, ...]:
     if k1s or k2s:
         if len(k1s) != len(k2s):
             raise ConfigError(f"--k1 given {len(k1s)} times but --k2 {len(k2s)} times")
-        return tuple(KappaPair(a, b) for a, b in zip(k1s, k2s))
+        try:
+            return tuple(KappaPair(a, b) for a, b in zip(k1s, k2s))
+        except ValueError as exc:  # a non-finite label
+            raise ConfigError(str(exc)) from exc
     if args.command in _GRID_COMMANDS:
         return kappa_grid_from_name("normalized9")
     raise ConfigError(f"{args.command} needs --k1 and --k2")

@@ -4,11 +4,16 @@ Everything here is computed abstractly over structure constants in the
 ordered basis (J01, J02, J12); the 3x3 representation never enters.  The
 wedge convention is a ^ b = a (x) b - b (x) a.  Two coboundary families are
 covered: the "first kind" classical r-matrix z J12 ^ J02 (deforming the
-translation sector) and the "second kind" z J12 ^ J01.  A bivector has one
-layout, _wedge_rows: its components on the pairs (J01^J02, J01^J12,
-J02^J12) fill the upper triangle of an antisymmetric 3x3 matrix, in
-Bivector.as_tensor and in the bracket matrix P below alike.
-cocommutator_map forms the images of the whole basis in one broadcast.
+translation sector) and the "second kind" z J12 ^ J01.
+
+A bivector is a float array of its components on the pairs (J01^J02,
+J01^J12, J02^J12), shape (..., 3).  It has one tensor layout, _wedge_rows:
+the components fill the upper triangle of an antisymmetric 3x3 matrix, in
+_tensor and in the bracket matrix P below alike.  rmatrix,
+cocommutator_map (images (..., 3 generators, 3 pairs)), bialgebra_check,
+schouten, mcybe_defect and coisotropy_check are written once over a leading
+stack of r-matrices, such as the (z, kind) rows of one label pair; one r is
+the stack of shape ().
 
 The induced multiplicative (Sklyanin) Poisson bracket on the group is one
 bivector: in the group coordinates x = (a1, a2, xi) it is the
@@ -65,64 +70,20 @@ def _wedge_rows(a, b, c) -> list:
     return [[0.0, 0.0 + a, 0.0 + b], [0.0 - a, 0.0, 0.0 + c], [0.0 - b, 0.0 - c, 0.0]]
 
 
-@dataclass(frozen=True)
-class Bivector:
-    """Element of Lambda^2 of the algebra over the ordered basis.
-
-    Components are stored on the pairs (J01^J02, J01^J12, J02^J12).
-    """
-
-    j01_j02: float = 0.0
-    j01_j12: float = 0.0
-    j02_j12: float = 0.0
-
-    def components(self) -> np.ndarray:
-        return np.array([self.j01_j02, self.j01_j12, self.j02_j12])
-
-    def component(self, i: int, j: int) -> float:
-        """Coefficient of e_i ^ e_j for any index order (antisymmetric)."""
-        return self.as_tensor()[i, j]
-
-    def as_tensor(self) -> np.ndarray:
-        """3x3 antisymmetric coefficient array over e_i (x) e_j."""
-        return np.array(_wedge_rows(self.j01_j02, self.j01_j12, self.j02_j12))
-
-    def __sub__(self, other: "Bivector") -> "Bivector":
-        return Bivector(*(self.components() - other.components()))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components())))
+def _tensor(r) -> np.ndarray:
+    """The antisymmetric (..., 3, 3) tensors of the bivectors r, (..., 3)."""
+    r = np.asarray(r, dtype=float)
+    return _matrix(_wedge_rows(r[..., 0], r[..., 1], r[..., 2]))
 
 
-@dataclass(frozen=True)
-class CocommutatorMap:
-    """Images of the basis under a cocommutator delta."""
-
-    d_j01: Bivector
-    d_j02: Bivector
-    d_j12: Bivector
-
-    def image(self, index: int) -> Bivector:
-        return (self.d_j01, self.d_j02, self.d_j12)[index]
-
-
-@dataclass(frozen=True)
-class BialgebraReport:
-    """Defects and dual structure produced by bialgebra_check."""
-
-    cocycle_defect: float
-    dual_jacobi_defect: float
-    dual_structure: np.ndarray  # f[j, k, i]: [xi^j, xi^k] = sum_i f[j,k,i] xi^i
-
-    def dual_bracket_coeffs(self, j: int, k: int) -> np.ndarray:
-        return np.asarray(self.dual_structure)[j, k, :].copy()
-
-
-def rmatrix(kind: DeformationKind, z: float) -> Bivector:
-    """Classical r-matrix of the chosen family at deformation parameter z."""
-    if kind is DeformationKind.FIRST_KIND:
-        return Bivector(j02_j12=-1.0 * z)  # z J12 ^ J02
-    return Bivector(j01_j12=-1.0 * z)  # z J12 ^ J01
+def rmatrix(kind: DeformationKind, z) -> np.ndarray:
+    """Classical r-matrix of the chosen family at deformation parameter z, a
+    scalar or an array of them: a bivector, shape np.shape(z) + (3,)."""
+    z = np.asarray(z, dtype=float)
+    r = np.zeros(z.shape + (3,))
+    # z J12 ^ J02 on J02^J12, z J12 ^ J01 on J01^J12
+    r[..., 2 if kind is DeformationKind.FIRST_KIND else 1] = -1.0 * z
+    return r
 
 
 def _ad(kp: KappaPair) -> np.ndarray:
@@ -135,17 +96,19 @@ def _act(ad: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ad @ t + t @ np.swapaxes(ad, -1, -2)
 
 
-def cocommutator_map(kp: KappaPair, r: Bivector) -> CocommutatorMap:
+def cocommutator_map(kp: KappaPair, r) -> np.ndarray:
     """Coboundary cocommutator delta(x) = [x (x) 1 + 1 (x) x, r] on the
-    basis, the three images in one broadcast; an image whose sums overflow
+    basis, for the bivectors r, (..., 3): the images (..., 3, 3), one
+    bivector per generator, in one broadcast.  An image whose sums overflow
     holds inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        images = _act(_ad(kp), r.as_tensor())[:, _UPPER[0], _UPPER[1]]
-    return CocommutatorMap(*(Bivector(*row) for row in images.tolist()))
+        return _act(_ad(kp), _tensor(r)[..., None, :, :])[..., _UPPER[0], _UPPER[1]]
 
 
-def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
-    """Cocycle and dual-Jacobi defects of a candidate cocommutator.
+def bialgebra_check(kp: KappaPair, images) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cocycle and dual-Jacobi defects of candidate cocommutator images,
+    (..., 3, 3) as cocommutator_map gives them, and the dual structure
+    tensor f, (..., 3, 3, 3): [xi^j, xi^k] = sum_i f[..., j, k, i] xi^i.
 
     The cocycle condition compares delta([e_i, e_j]) against the adjoint
     action of each argument on the other image.  The dual structure tensor
@@ -154,30 +117,30 @@ def bialgebra_check(kp: KappaPair, delta: CocommutatorMap) -> BialgebraReport:
     nan.
     """
     c, ad = structure_tensor(kp), _ad(kp)
-    images = np.stack([delta.image(i).as_tensor() for i in range(3)])
-
+    t = _tensor(images)
     # a sum that overflows below makes its defect inf or nan, which no
     # tolerance passes
     with np.errstate(over="ignore", invalid="ignore"):
-        # lhs[i, j] = delta([e_i, e_j]), act[i, j] = e_i acting on delta(e_j)
-        lhs = np.sum(c[:, :, :, None, None] * images, axis=2)
-        act = _act(ad[:, None], images[None, :])
-        cocycle = float(np.max(np.abs(lhs - (act - act.transpose(1, 0, 2, 3)))))
+        # lhs[..., i, j] = delta([e_i, e_j]), act[..., i, j] = e_i acting on delta(e_j)
+        lhs = np.sum(c[:, :, :, None, None] * t[..., None, None, :, :, :], axis=-3)
+        act = _act(ad[:, None], t[..., None, :, :, :])
+        cocycle = np.abs(lhs - (act - np.swapaxes(act, -4, -3))).max(axis=(-4, -3, -2, -1))
 
-        f = images.transpose(1, 2, 0)  # f[j, k, i] = delta(e_i) on e_j (x) e_k
-        jac = np.einsum("abm,mcn->abcn", f, f)
-        term = jac + jac.transpose(2, 0, 1, 3) + jac.transpose(1, 2, 0, 3)
-        jacobi = float(np.max(np.abs(term)))
-    return BialgebraReport(cocycle, jacobi, f)
+        f = np.moveaxis(t, -3, -1)  # f[..., j, k, i] = delta(e_i) on e_j (x) e_k
+        jac = np.einsum("...abm,...mcn->...abcn", f, f)
+        term = jac + np.moveaxis(jac, -2, -4) + np.moveaxis(jac, -4, -2)
+        jacobi = np.abs(term).max(axis=(-4, -3, -2, -1))
+    return cocycle, jacobi, f
 
 
-def _schouten_tensor(kp: KappaPair, r: Bivector) -> np.ndarray:
-    """[[r, r]] as a coefficient tensor on e_a (x) e_b (x) e_c."""
+def _schouten_tensor(kp: KappaPair, r) -> np.ndarray:
+    """[[r, r]] of the bivectors r, (..., 3), as coefficient tensors on
+    e_a (x) e_b (x) e_c, (..., 3, 3, 3)."""
     c = structure_tensor(kp)
-    t = r.as_tensor()
-    part12_13 = np.einsum("ij,kl,ikm->mjl", t, t, c)
-    part12_23 = np.einsum("ij,kl,jkm->iml", t, t, c)
-    part13_23 = np.einsum("ij,kl,jlm->ikm", t, t, c)
+    t = _tensor(r)
+    part12_13 = np.einsum("...ij,...kl,ikm->...mjl", t, t, c)
+    part12_23 = np.einsum("...ij,...kl,jkm->...iml", t, t, c)
+    part13_23 = np.einsum("...ij,...kl,jlm->...ikm", t, t, c)
     return part12_13 + part12_23 + part13_23
 
 
@@ -187,34 +150,40 @@ _EPSILON3 = {perm: sign for perm, sign in (
 )}
 
 
-def schouten(kp: KappaPair, r: Bivector) -> float:
-    """Coefficient of the Schouten bracket [[r, r]] on J01 ^ J02 ^ J12.
+def schouten(kp: KappaPair, r) -> np.ndarray:
+    """Coefficient of the Schouten bracket [[r, r]] on J01 ^ J02 ^ J12, for
+    the bivectors r, (..., 3).
 
     The projection is the alternating sum over the six index orders of the
     coefficient tensor, divided by 6.
     """
     t = _schouten_tensor(kp, r)
-    return float(sum(sign * t[perm] for perm, sign in _EPSILON3.items()) / 6.0)
+    return sum(sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()) / 6.0
 
 
-def mcybe_defect(kp: KappaPair, r: Bivector) -> float:
-    """Adjoint-invariance defect of [[r, r]] (modified classical YBE); a
-    defect whose sums overflow is inf or nan."""
+def mcybe_defect(kp: KappaPair, r) -> np.ndarray:
+    """Adjoint-invariance defect of [[r, r]] (modified classical YBE), for
+    the bivectors r, (..., 3); a defect whose sums overflow is inf or nan."""
     t = _schouten_tensor(kp, r)
     ad = _ad(kp)
     # a sum that overflows at huge labels makes the defect inf or nan, which
     # no tolerance passes
     with np.errstate(over="ignore", invalid="ignore"):
         moved = (
-            np.einsum("xam,mbc->xabc", ad, t)
-            + np.einsum("xbm,amc->xabc", ad, t)
-            + np.einsum("xcm,abm->xabc", ad, t)
+            np.einsum("xam,...mbc->...xabc", ad, t)
+            + np.einsum("xbm,...amc->...xabc", ad, t)
+            + np.einsum("xcm,...abm->...xabc", ad, t)
         )
-    return float(np.max(np.abs(moved)))
+    return np.abs(moved).max(axis=(-4, -3, -2, -1))
 
 
-def coisotropy_check(kp: KappaPair, delta: CocommutatorMap, h: str) -> CoisotropyVerdict:
-    """Classify the one-generator subalgebra h against the cocommutator.
+_VERDICTS = np.array(list(CoisotropyVerdict), dtype=object)
+
+
+def coisotropy_check(kp: KappaPair, images, h: str):
+    """Classify the one-generator subalgebra h against the cocommutator
+    images, (..., 3, 3): a CoisotropyVerdict, or an object array of them
+    over the stack.
 
     POISSON_SUBGROUP when delta(h) lies in h ^ h (for a line this means
     delta(h) = 0), COISOTROPIC when delta(h) only lies in h ^ g, FAILS
@@ -223,13 +192,10 @@ def coisotropy_check(kp: KappaPair, delta: CocommutatorMap, h: str) -> Coisotrop
     if h not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {h!r}, expected one of {GENERATOR_NAMES}")
     k = GENERATOR_NAMES.index(h)
-    image = delta.image(k)
-    if image.max_abs() <= 1e-13:
-        return CoisotropyVerdict.POISSON_SUBGROUP
+    image = np.abs(np.asarray(images)[..., k, :])
     # _PAIRS[2 - k] is the one pair without e_k
-    if abs(image.components()[2 - k]) <= 1e-13:
-        return CoisotropyVerdict.COISOTROPIC
-    return CoisotropyVerdict.FAILS
+    verdict = np.where(image.max(axis=-1) <= 1e-13, 0, np.where(image[..., 2 - k] <= 1e-13, 1, 2))
+    return _VERDICTS[verdict]
 
 
 @dataclass(frozen=True)
@@ -325,10 +291,11 @@ def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarra
     return _matrix(_wedge_rows(*upper))
 
 
-def _bracket(r: Bivector, fields: InvariantFields, steps) -> np.ndarray:
-    """L^T r L - R^T r R at the points of fields, one or a stack of them,
-    through steps (see ktrig): a bracket that overflows fails."""
-    t = r.as_tensor()
+def _bracket(r: np.ndarray, fields: InvariantFields, steps) -> np.ndarray:
+    """L^T r L - R^T r R of the bivector r, (3,), at the points of fields,
+    one or a stack of them, through steps (see ktrig): a bracket that
+    overflows fails."""
+    t = _tensor(r)
     left, right = fields.left, fields.right
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
@@ -337,9 +304,10 @@ def _bracket(r: Bivector, fields: InvariantFields, steps) -> np.ndarray:
     return p
 
 
-def sklyanin_numeric(r: Bivector, fields: InvariantFields) -> np.ndarray:
+def sklyanin_numeric(r: np.ndarray, fields: InvariantFields) -> np.ndarray:
     """Multiplicative bracket matrix P[i, j] = r^{ab} (L_a x_i L_b x_j -
-    R_a x_i R_b x_j) of the group coordinates, from invariant vector fields.
+    R_a x_i R_b x_j) of the group coordinates, from invariant vector fields
+    and the bivector r, (3,).
 
     The bracket is taken at the group point the fields were evaluated at:
     invariant_vector_fields gives the closed-form fields,

@@ -35,7 +35,7 @@ from . import ktrig
 from .algebra import GENERATOR_NAMES, KappaPair
 from .errors import ChartDomainError, DeformationDomainError, ProjectionError
 from .group import _series, rep_basis
-from .poisson import _PAIRS, Bivector, CocommutatorMap
+from .poisson import _PAIRS
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,8 +178,9 @@ def _relation_stack(kp: KappaPair, z: np.ndarray, parts: tuple, bad: np.ndarray)
     return _relation_defect(kp, z, parts[2], series), bad | series.bad
 
 
-def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
-    """Extract the first-order cocommutator from the deformed coproduct.
+def first_order_delta(kp: KappaPair, z: float) -> np.ndarray:
+    """Extract the first-order cocommutator from the deformed coproduct: the
+    images of the basis, (3, 3), laid out as poisson.cocommutator_map's.
 
     Antisymmetrizes (D_z - D_0)(X) with the tensor-square flip and projects
     back onto wedges of generators by least squares.  The wedge images are
@@ -210,5 +211,5 @@ def first_order_delta(kp: KappaPair, z: float) -> CocommutatorMap:
             raise ProjectionError(
                 f"first-order image of {name} misses the wedge span by {residual:.3e}"
             )
-        images.append(Bivector(*(float(c) for c in coeffs)))
-    return CocommutatorMap(*images)
+        images.append(coeffs)
+    return np.array(images)

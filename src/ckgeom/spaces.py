@@ -273,8 +273,11 @@ def _metric_of(kp: KappaPair, p: ChartPoint, steps) -> MetricValue:
 def _matrix(rows: list) -> np.ndarray:
     """The matrix of rows of floats and arrays, of shape (..., len(rows),
     len(rows[0])) for entries that broadcast to shape (...)."""
-    entries = np.broadcast_arrays(*(x for row in rows for x in row))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
+    m = np.empty(np.broadcast(*(x for row in rows for x in row)).shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            m[..., i, j] = x
+    return m
 
 
 def metric_subsidiary(kp: KappaPair, p: ChartPoint) -> MetricValue:

@@ -80,6 +80,8 @@ _FAILING_GOLDENS = {
     "coproduct_k1_1_k2_1_z0.5_z4_z1e308.csv",
     "coproduct_k1_-1e6_k2_1_z0.3_z1.5.csv",
     "bialgebra_k1_1_k2_1e150_z1e308.csv",
+    "ybe_k1_1e200_k2_1e200_z0.1_z1e308.csv",
+    "bialgebra_k1_1_k2_1e150_z0.3_z1e308.csv",
 }
 
 
@@ -197,6 +199,17 @@ _FAILING_GOLDENS = {
         (
             "bialgebra_k1_1_k2_1e150_z1e308.csv",
             ["bialgebra", "--k1", "1", "--k2", "1e150", "--z", "1e308", "--format", "csv"],
+        ),
+        # a stack of rows: a passing second-kind row beside nan mCYBE and inf
+        # Schouten rows
+        (
+            "ybe_k1_1e200_k2_1e200_z0.1_z1e308.csv",
+            ["ybe", "--k1", "1e200", "--k2", "1e200", "--z", "0.1", "--z", "1e308", "--format", "csv"],
+        ),
+        # finite rows beside nan rows in one stack
+        (
+            "bialgebra_k1_1_k2_1e150_z0.3_z1e308.csv",
+            ["bialgebra", "--k1", "1", "--k2", "1e150", "--z", "0.3", "--z", "1e308", "--format", "csv"],
         ),
     ],
 )
@@ -393,6 +406,16 @@ def test_mismatched_kappa_flags_are_a_config_error(capsys):
 
 def test_zero_z_is_a_config_error(capsys):
     assert main(["sweep-all", "--z", "0"]) == 2
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [*cli._GRID_COMMANDS, "duality", "export-geodesics", "metric"])
+def test_a_non_finite_label_is_a_config_error(capsys, command, label):
+    extra = ["--coords", "0.1,0.2"] if command == "metric" else []
+    assert main([command, f"--k1={label}", "--k2", "1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: k1 must be finite, got {float(label)!r}\n"
 
 
 def test_csv_format(capsys):

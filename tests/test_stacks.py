@@ -16,6 +16,13 @@ coassociativity_defect of the quantum z axis, which are also held to a
 literal np.kron transcription).  The sweep evaluates a flagged sample
 through the transcription with ktrig as the steps; where a scalar form
 stays beside it, the error must be the scalar form's in type and text.
+
+The bialgebra layer raises nothing and has no mask.  Over a stack of
+r-matrices of any leading shape, the cocommutator images, the cocycle and
+dual-Jacobi defects of bialgebra_check, the Schouten tensor and
+mcybe_defect must equal the one-r call bit for bit, row by row, and both
+must equal a literal Python-sum transcription: numpy documents no
+summation order for einsum or matmul.
 """
 
 import itertools
@@ -46,9 +53,11 @@ from ckgeom import (
     Polar,
     act,
     ambient_defect,
+    bialgebra_check,
     bracket,
     ck,
     coassociativity_defect,
+    cocommutator_map,
     coords_from_group,
     deformed_relation_defect,
     exp_one_param,
@@ -61,6 +70,7 @@ from ckgeom import (
     kinv,
     kinv_array,
     laplace_beltrami_apply,
+    mcybe_defect,
     metric_main,
     rep,
     rep_basis,
@@ -68,6 +78,7 @@ from ckgeom import (
     sk,
     sklyanin_closed,
     sklyanin_numeric,
+    structure_tensor,
     tk,
     to_ambient,
     to_ambient_batch,
@@ -597,3 +608,127 @@ def test_z_stacks_match_the_one_z_calls(kp, zs):
                 assert same_error(got, ref), (z, got, ref)
             else:
                 assert same_bits(got, ref) and (bad[i] or same_bits(values[i], got)), (z, got, ref)
+
+
+# --- the bialgebra layer over a stack of r-matrices --------------------------
+
+
+def wedge(v) -> list:
+    """The antisymmetric tensor of the pair components v, as poisson lays it out."""
+    a, b, c = v
+    return [[0.0, 0.0 + a, 0.0 + b], [0.0 - a, 0.0, 0.0 + c], [0.0 - b, 0.0 - c, 0.0]]
+
+
+def zero_sum(terms) -> float:
+    """0.0 + t0 + t1 + ..., left to right: the order of matmul and einsum."""
+    total = 0.0
+    for x in terms:
+        total = total + x
+    return total
+
+
+def nan_max(values) -> float:
+    values = list(values)
+    return math.nan if any(math.isnan(x) for x in values) else max(values)
+
+
+R3 = range(3)
+R4 = list(itertools.product(R3, repeat=4))
+
+
+def literal_images(kp, r) -> list:
+    """delta(e_x) = ad_x t + t ad_x^T on the pairs, with ad_x[m][i] = c[x][i][m]."""
+    c, t = structure_tensor(kp).tolist(), wedge(r)
+    return [
+        [
+            zero_sum(c[x][m][a] * t[m][b] for m in R3) + zero_sum(t[a][m] * c[x][m][b] for m in R3)
+            for a, b in poisson._PAIRS
+        ]
+        for x in R3
+    ]
+
+
+def literal_bialgebra(kp, images) -> tuple[float, float]:
+    """The cocycle and dual-Jacobi defects; np.sum adds its first term to
+    the rest, matmul and einsum start from 0.0."""
+    c, t = structure_tensor(kp).tolist(), [wedge(img) for img in images]
+
+    def act(x, y, a, b):  # e_x acting on delta(e_y)
+        return zero_sum(c[x][m][a] * t[y][m][b] for m in R3) + zero_sum(t[y][a][m] * c[x][m][b] for m in R3)
+
+    def lhs(i, j, a, b):  # delta([e_i, e_j])
+        return c[i][j][0] * t[0][a][b] + c[i][j][1] * t[1][a][b] + c[i][j][2] * t[2][a][b]
+
+    cocycle = nan_max(abs(lhs(i, j, a, b) - (act(i, j, a, b) - act(j, i, a, b))) for i, j, a, b in R4)
+    f = [[[t[i][j][k] for i in R3] for k in R3] for j in R3]  # f[j][k][i]
+    jac = {(a, b, d, n): zero_sum(f[a][b][m] * f[m][d][n] for m in R3) for a, b, d, n in R4}
+    jacobi = nan_max(abs(jac[a, b, d, n] + jac[b, d, a, n] + jac[d, a, b, n]) for a, b, d, n in R4)
+    return cocycle, jacobi
+
+
+def literal_schouten_tensor(kp, r) -> list:
+    c, t = structure_tensor(kp).tolist(), wedge(r)
+    pairs = list(itertools.product(R3, R3))
+    return [
+        [
+            [
+                zero_sum(t[i][b] * t[k][d] * c[i][k][a] for i, k in pairs)
+                + zero_sum(t[a][j] * t[k][d] * c[j][k][b] for j, k in pairs)
+                + zero_sum(t[a][j] * t[b][l] * c[j][l][d] for j, l in pairs)
+                for d in R3
+            ]
+            for b in R3
+        ]
+        for a in R3
+    ]
+
+
+def literal_mcybe(kp, s) -> float:
+    """The adjoint-invariance defect of the Schouten tensor s."""
+    c = structure_tensor(kp).tolist()
+    return nan_max(
+        abs(
+            zero_sum(c[x][m][a] * s[m][b][d] for m in R3)
+            + zero_sum(c[x][m][b] * s[a][m][d] for m in R3)
+            + zero_sum(c[x][m][d] * s[a][b][m] for m in R3)
+        )
+        for x, a, b, d in R4
+    )
+
+
+BIALGEBRA_LABELS = [
+    *checks.kappa_grid_from_name("normalized9"),
+    *(KappaPair(*p) for p in (
+        (0.7, -1.3), (-2.5, 0.4), (1e-3, 37.0), (-0.3, -0.01), (0.0, 0.0), (-0.0, 0.0), (1e150, 1e150),
+        (1e200, 1e200), (1.0, 1e150), (-1e6, 1.0), (3e-170, 1e-160),
+    )),
+]
+BIALGEBRA_ZS = (0.3, 1.1, 0.37, 1.3, 0.5, 7.0, 1e-300, 1e160, 1e308)
+# raw bivectors: signed zeros, infinities and nan on each pair
+RAW_BIVECTORS = np.array([
+    (0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (math.inf, 0.0, 1.0), (0.0, -math.inf, -0.0),
+    (math.nan, 0.5, 0.0), (-0.0, 2.0, math.nan), (1e200, -1e200, 3e-170),
+    # products that underflow to -0.0: sums that start from 0.0 end at +0.0
+    (-2.5e-300, -1e200, -1e200), (-3e-170, -1e-160, -2.5e-300), (2.5e-300, -3e-170, 1e-160),
+])
+
+
+@pytest.mark.parametrize("kp", BIALGEBRA_LABELS, ids=lambda kp: f"{kp.k1!r},{kp.k2!r}")
+def test_bialgebra_stacks_match_one_r_and_a_literal_sum(kp):
+    # the (z, kind) rows of one label pair, then the raw rows, as one stack
+    r = np.concatenate([checks.kind_stack(rmatrix, BIALGEBRA_ZS).reshape(-1, 3), RAW_BIVECTORS])
+    stack = r.reshape(-1, 7, 3)  # and a stack of two axes
+    with np.errstate(all="ignore"):
+        images = cocommutator_map(kp, stack)
+        cocycle, jacobi, _ = bialgebra_check(kp, images)
+        tensor = poisson._schouten_tensor(kp, stack)
+        mcybe = mcybe_defect(kp, stack)
+        for i, row in enumerate(r):
+            at = np.unravel_index(i, stack.shape[:-1])
+            one_images = cocommutator_map(kp, row)
+            one = (one_images, *bialgebra_check(kp, one_images)[:2], poisson._schouten_tensor(kp, row), mcybe_defect(kp, row))
+            lit_images = literal_images(kp, row.tolist())
+            lit_tensor = literal_schouten_tensor(kp, row.tolist())
+            literal = (lit_images, *literal_bialgebra(kp, lit_images), lit_tensor, literal_mcybe(kp, lit_tensor))
+            for name, got, o, lit in zip(("images", "cocycle", "jacobi", "schouten", "mcybe"), (images, cocycle, jacobi, tensor, mcybe), one, literal):
+                assert same_bits(got[at], o) and same_bits(o, lit), (name, row)
