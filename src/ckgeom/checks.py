@@ -8,29 +8,31 @@ closed forms, finite differences, series expansions and translation
 oracles.  Each check reports its worst defect over a seeded sample set
 and passes when that defect stays below its tolerance.
 
-A check is a generator registered with `@check(tol)`.  It yields one
-`(defect, where)` pair per evaluated sample, and one reducer turns the
-pairs into its CheckResult: the worst defect starts at 0.0, nan counts as
-inf, a strictly larger defect is needed to move the location (so the first
-worst sample wins), `samples` is the number of pairs, and the check passes
-when the worst defect is at most its tolerance.  A GeometryError that
-escapes the generator ends the check with defect inf and the detail
-"<Type>: <message>", so one check cannot abort the sweep; `samples` keeps
-the pairs yielded before it.
+A check is a generator registered with `@check(tol)`.  It yields blocks:
+a float array of defects, whose entries come in the order of the check's
+sample loop, and name(i), which formats the location of entry i of the
+raveled array.  One reducer folds the blocks into the CheckResult.  The
+worst entry of a block is its first largest one, with nan read as inf
+(worst_defect), and it moves the check's worst defect, which starts at 0.0,
+only when it is strictly larger, so the first worst entry wins; name is
+called for that entry alone.  `samples` is the number of entries, and the
+check passes when its worst defect is at most its tolerance.  A
+GeometryError that escapes the generator ends the check with defect inf and
+the detail "<Type>: <message>", so one check cannot abort the sweep;
+`samples` keeps the entries of the blocks before it.
 
-The group, Sklyanin and geometry checks evaluate the samples of one label
-pair (and z) at once, through the stack forms of group, poisson and
-spaces and the flow map _flow.  sample_group_stack and
-sample_parallel1_stack draw the same doubles as one sample_group_coords or
-sample_parallel1 call per sample, and the series exponentials a check
-needs for a label pair are one stack call.  A stack form flags the rows
-where the map raises (see ktrig).  The check then walks its samples in the
-order of a sample-by-sample loop.  At a flagged sample it evaluates the
-flagged stage again with ktrig as the steps, which raises the error of its
-first failing step, at the place and inside the `try` of that loop: a
-ChartDomainError that the loop skips skips the sample (_skipped), and any
-other error ends the check.  So `samples`, the defects and the detail are
-those of the sample-by-sample loop.
+The checks evaluate the samples of one label pair (and z) at once, through
+the array forms of ktrig, the stack forms of group, poisson, quantum and
+spaces and the flow map _flow; sample_group_stack and
+sample_parallel1_stack draw the points of a label pair in one call, the
+doubles of one point after another.  A stack form flags the samples where
+its map raises (see ktrig).  _flagged visits the flagged samples alone, in
+loop order, and evaluates each flagged stage (_Stage) again with ktrig as
+the steps, which raises the error of its first failing step: where the
+loop skips the stage on a ChartDomainError the entry is dropped, and any
+other error ends the check after a block of the entries before it.  So
+`samples`, the defects and the detail are those of a sample-by-sample
+loop.
 
 Two geometry checks draw by rejection, `while done < want and attempts <
 cap`.  _rejection_sampled draws a block of candidates ahead, as if every
@@ -38,7 +40,8 @@ attempt were accepted, and evaluates the block at once.  It then makes the
 attempts in order up to the first candidate the block gave to the wrong
 loop, puts rng back to its state before the block, and draws the
 candidates of those attempts again, so rng advances by the draws of the
-attempts the loop made.
+attempts the loop made.  The accepted attempts of a block are one block of
+defects.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.
@@ -49,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,10 +62,8 @@ from .algebra import (
     BASIS,
     GENERATOR_NAMES,
     NORMALIZED_PAIRS,
-    AlgebraElement,
     KappaPair,
     _bracket_coeffs,
-    bracket,
     casimir_coeffs,
     classify,
     kappa_from_kinematics,
@@ -101,6 +102,8 @@ from .poisson import (
     _UPPER,
     _bracket,
     _invariant_fields,
+    _invariant_vector_fields,
+    _phs_bracket,
     _sklyanin_closed,
     GROUP_COORD_PAIRS,
     CoisotropyVerdict,
@@ -169,15 +172,9 @@ def coord_bound(label: float, frac: float) -> float:
     return min(FLAT_BOUND, frac * ktrig.half_period(label))
 
 
-def sample_parallel1(rng: np.random.Generator, kp: KappaPair, frac: float) -> ParallelI:
-    b1 = coord_bound(kp.k1, frac)
-    b2 = coord_bound(kp.k12, frac)
-    return ParallelI(rng.uniform(-b1, b1), rng.uniform(-b2, b2))
-
-
 def sample_parallel1_stack(rng: np.random.Generator, kp: KappaPair, frac: float, n: int) -> np.ndarray:
-    """n sample_parallel1 draws as the rows (a1, a2) of an (n, 2) array: the
-    same doubles, leaving rng in the same state."""
+    """n parallel1 points (a1, a2), each coordinate drawn uniformly within
+    its coord_bound of frac, a1 first, as the rows of an (n, 2) array."""
     b = np.array([coord_bound(kp.k1, frac), coord_bound(kp.k12, frac)])
     return rng.uniform(-b, b, size=(n, 2))
 
@@ -186,22 +183,11 @@ def _group_bounds(kp: KappaPair, frac: float) -> tuple[float, float, float]:
     return coord_bound(kp.k1, frac), coord_bound(kp.k12, frac), coord_bound(kp.k2, frac)
 
 
-def sample_group_coords(rng: np.random.Generator, kp: KappaPair, frac: float) -> GroupCoordinates:
-    b1, b2, bx = _group_bounds(kp, frac)
-    return GroupCoordinates(
-        rng.uniform(-b1, b1), rng.uniform(-b2, b2), rng.uniform(-bx, bx)
-    )
-
-
 def sample_group_stack(rng: np.random.Generator, kp: KappaPair, frac: float, n: int) -> np.ndarray:
-    """n sample_group_coords draws as the rows (a1, a2, xi) of an (n, 3)
-    array: the same doubles, leaving rng in the same state."""
+    """n group points (a1, a2, xi), drawn as sample_parallel1_stack draws,
+    as the rows of an (n, 3) array."""
     b = np.array(_group_bounds(kp, frac))
     return rng.uniform(-b, b, size=(n, 3))
-
-
-def sample_element(rng: np.random.Generator) -> AlgebraElement:
-    return AlgebraElement(*rng.uniform(-2.0, 2.0, 3))
 
 
 # --- literal per-geometry reference rows -----------------------------------
@@ -350,9 +336,11 @@ def kappa_grid_from_name(name: str) -> tuple[KappaPair, ...]:
         raise ConfigError(f"unknown kappa grid {name!r}, expected one of {KAPPA_GRID_NAMES}") from None
 
 
-# one (defect, where) pair per evaluated sample
-Defects = Iterator[tuple[float, str]]
-CheckFn = Callable[[SweepConfig, np.random.Generator], Defects]
+# a block: float defects in the order of the check's sample loop, and
+# name(i), the location of entry i of the raveled array
+Block = tuple[np.ndarray, Callable[[int], str]]
+Blocks = Iterator[Block]
+CheckFn = Callable[[SweepConfig, np.random.Generator], Blocks]
 
 # (suite, name, function) in definition order; a check's index here seeds
 # its random stream
@@ -378,14 +366,61 @@ def _kp_tag(kp: KappaPair) -> str:
     return f"kappa=({kp.k1:g},{kp.k2:g})"
 
 
-def _unflagged(rows: Iterable, bad: np.ndarray, raise_at: Callable[[int], object]) -> Iterator:
-    """The rows of a stack form's results in order, up to the first row
-    flagged in the mask bad, where raise_at(i) evaluates row i with ktrig as
-    the steps, which raises its error."""
-    for i, row in enumerate(rows):
-        if bad[i]:
-            raise_at(i)
-        yield row
+def worst_defect(defects) -> tuple[float, int]:
+    """The largest entry of the raveled defects, with nan read as inf, and
+    the index of its first occurrence; (0.0, -1) when there is none."""
+    d = np.ravel(defects)
+    if not d.size:
+        return 0.0, -1
+    d = np.where(np.isnan(d), math.inf, d)
+    i = int(np.argmax(d))
+    return float(d[i]), i
+
+
+def _kept(defects, keep, name: Callable[[int], str]) -> Block:
+    """The entries of the raveled defects where keep is true, each named as
+    in defects."""
+    idx = np.flatnonzero(keep)
+    return np.ravel(defects)[idx], lambda j: name(int(idx[j]))
+
+
+class _Stage(NamedTuple):
+    """A stage that a sample loop runs before entry `entry` of each sample,
+    evaluated by a stack form: bad flags the samples where it fails, and
+    again(j) evaluates it at sample j with ktrig as the steps, which raises
+    the error of its first failing step.  An error in skips (the loop's
+    `except ChartDomainError`) drops the entry."""
+
+    bad: np.ndarray
+    again: Callable[[int], object]
+    entry: int = 0
+    skips: type[Exception] | tuple = ()
+
+
+def _flagged(defects: np.ndarray, name: Callable[[int], str], *stages: _Stage, keep=True) -> Blocks:
+    """The block (defects, name) of a stack form's samples, the rows of
+    defects, after their flagged stages are evaluated again.
+
+    keep marks the entries the loop evaluates.  The flagged entries are
+    visited in loop order, and each entry's stages in the order given: a
+    skipped error drops the entry and its later stages, and any other error
+    ends the check after a block of the entries before it.
+    """
+    width = defects.shape[1] if defects.ndim > 1 else 1
+    keep = np.array(np.broadcast_to(keep, defects.shape)).ravel()
+    dropped = set()
+    for i, k in sorted((j * width + t.entry, k) for k, t in enumerate(stages) for j in np.flatnonzero(t.bad).tolist()):
+        if i in dropped:
+            continue
+        try:
+            stages[k].again(i // width)
+        except stages[k].skips:
+            keep[i] = False
+            dropped.add(i)
+        except GeometryError:
+            yield _kept(defects, keep & (np.arange(keep.size) < i), name)
+            raise
+    yield _kept(defects, keep, name)
 
 
 def _accepted(exc: type[Exception], fn: Callable[..., object], *args: object) -> float:
@@ -398,35 +433,25 @@ def _accepted(exc: type[Exception], fn: Callable[..., object], *args: object) ->
     return 1.0
 
 
-def _skipped(flagged: bool, again: Callable[[], object]) -> bool:
-    """Whether a sample is skipped at a stage its check guards with
-    `except ChartDomainError`: where the stage's stack form flagged the
-    sample, again() evaluates it with ktrig as the steps, which raises the
-    error of its first failing step, and any other error ends the check."""
-    if flagged:
-        try:
-            again()
-        except ChartDomainError:
-            return True
-    return False
-
-
 def _rejection_sampled(
     rng: np.random.Generator,
     loops: Sequence[tuple[int, int]],
     draw: Callable[[list[int]], object],
-    block: Callable[[list[int], object], Callable[[int], tuple[float, str] | None]],
-) -> Defects:
+    block: Callable[[list[int], object], Callable[[int], float | None]],
+    name: Callable[[int], str],
+) -> Blocks:
     """The defects of the rejection-sampling loops `while done < want and
     attempts < cap`, loops[l] = (want, cap), run in turn, with their
-    attempts evaluated a block at a time (see the module docstring).
+    attempts evaluated a block at a time (see the module docstring); an
+    attempt of loop l is named name(l).
 
     draw(ids) draws from rng one candidate per attempt k, of loop ids[k], as
     the loops would.  block(ids, candidates) evaluates them and returns
-    outcome: outcome(k) is the (defect, where) of attempt k, None where it
-    is rejected, and raises where the loop raises.  A block holds the
-    attempts left if each is accepted, to the end of the last loop; after a
-    rejection, twice the attempts left in that loop alone.
+    outcome: outcome(k) is the defect of attempt k, None where it is
+    rejected, and raises where the loop raises.  A block holds the attempts
+    left if each is accepted, to the end of the last loop; after a
+    rejection, twice the attempts left in that loop alone.  The accepted
+    attempts of a block are one block of defects.
     """
     loop = done = attempts = 0
     rejected = False
@@ -437,179 +462,199 @@ def _rejection_sampled(
             ids += [later for later in range(loop + 1, len(loops)) for _ in range(min(loops[later]))]
         state = rng.bit_generator.state
         outcome = block(ids, draw(ids))
-        made = 0
-        while made < len(ids) and ids[made] == loop:
-            result = outcome(made)
-            made += 1
-            attempts += 1
-            if result is None:
-                rejected = True
-            else:
-                done += 1
-                yield result
-            if done == loops[loop][0] or attempts == loops[loop][1]:
-                loop, done, attempts, rejected = loop + 1, 0, 0, False
+        made, accepted, defects, error = 0, [], [], None
+        try:
+            while made < len(ids) and ids[made] == loop:
+                defect = outcome(made)
+                if defect is None:
+                    rejected = True
+                else:
+                    accepted.append(made)
+                    defects.append(defect)
+                    done += 1
+                made += 1
+                attempts += 1
+                if done == loops[loop][0] or attempts == loops[loop][1]:
+                    loop, done, attempts, rejected = loop + 1, 0, 0, False
+        except GeometryError as exc:
+            error = exc
+        yield np.array(defects, dtype=float), lambda j: name(ids[accepted[j]])
+        if error is not None:
+            raise error
         rng.bit_generator.state = state
         draw(ids[:made])
 
 
 # --- trig suite --------------------------------------------------------------
+#
+# On TRIG_GRID, at labels in [-2, 2], no ck or sk overflows, and tk is read
+# only where |ck| > 0.2, away from its poles: the steps of these checks flag
+# nothing that their entries read.
+
+def _last_where(mask: np.ndarray) -> np.ndarray:
+    """The entries of samples of three entries that a loop evaluates when it
+    evaluates the last one only where mask is true."""
+    return np.stack(np.broadcast_arrays(True, True, mask), axis=1)
 
 
 @check(1e-12)
-def _check_trig_identity(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    kappas = TRIG_KAPPAS + tuple(rng.uniform(-2.0, 2.0, 3))
-    for k in kappas:
-        for x in TRIG_GRID:
-            c, s = ktrig.ck(k, x), ktrig.sk(k, x)
-            yield abs(c * c + k * s * s - 1.0), f"identity k={k:g} x={x:g}"
-            yield abs(k * ktrig.vk(k, x) - (1.0 - c)), f"versine k={k:g} x={x:g}"
-            if abs(c) > 0.2:
-                yield abs(ktrig.tk(k, x) * c - s), f"tangent k={k:g} x={x:g}"
+def _check_trig_identity(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    x = TRIG_GRID
+    for k in TRIG_KAPPAS + tuple(rng.uniform(-2.0, 2.0, 3)):
+        steps = _Flag(x.shape)
+        c, s = steps.ck(k, x), steps.sk(k, x)
+        # each x has the entries (identity, versine, tangent)
+        defects = np.stack([c * c + k * s * s - 1.0, k * steps.vk(k, x) - (1.0 - c), steps.tk(k, x) * c - s], axis=1)
+        yield from _flagged(
+            np.abs(defects),
+            lambda i: f"{('identity', 'versine', 'tangent')[i % 3]} k={k:g} x={x[i // 3]:g}",
+            keep=_last_where(np.abs(c) > 0.2),
+        )
 
 
 @check(1e-12)
-def _check_trig_addition(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_trig_addition(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    ck, sk = ktrig.ck_array, ktrig.sk_array
     for k in TRIG_KAPPAS:
-        for x in TRIG_GRID:
-            c, s = ktrig.ck(k, x), ktrig.sk(k, x)
-            yield abs(ktrig.ck(k, 2.0 * x) - (c * c - k * s * s)), f"double ck k={k:g}"
-            yield abs(ktrig.sk(k, 2.0 * x) - 2.0 * s * c), f"double sk k={k:g}"
-        for _ in range(cfg.sample_count):
-            x, y = rng.uniform(-2.0, 2.0, 2)
-            cx, sx = ktrig.ck(k, x), ktrig.sk(k, x)
-            cy, sy = ktrig.ck(k, y), ktrig.sk(k, y)
-            yield abs(ktrig.ck(k, x + y) - (cx * cy - k * sx * sy)), f"sum ck k={k:g}"
-            yield abs(ktrig.sk(k, x + y) - (sx * cy + cx * sy)), f"sum sk k={k:g}"
+        # the grid (x, x), then the samples (x, y), each with a ck and an sk entry
+        x, y = np.concatenate([np.stack([TRIG_GRID] * 2), rng.uniform(-2.0, 2.0, (cfg.sample_count, 2)).T], axis=1)
+        cx, sx, cy, sy = ck(k, x), sk(k, x), ck(k, y), sk(k, y)
+        defects = np.stack([ck(k, x + y) - (cx * cy - k * sx * sy), sk(k, x + y) - (sx * cy + cx * sy)], axis=1)
+        doubles = 2 * len(TRIG_GRID)
+        yield np.abs(defects), lambda i: f"{'double' if i < doubles else 'sum'} {('ck', 'sk')[i % 2]} k={k:g}"
 
 
 @check(1e-8)
-def _check_trig_derivatives(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_trig_derivatives(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     h = 1e-5
+    x = TRIG_GRID
     for k in TRIG_KAPPAS:
-        for x in TRIG_GRID:
-            dc = (ktrig.ck(k, x + h) - ktrig.ck(k, x - h)) / (2.0 * h)
-            ds = (ktrig.sk(k, x + h) - ktrig.sk(k, x - h)) / (2.0 * h)
-            ec = -k * ktrig.sk(k, x)
-            es = ktrig.ck(k, x)
-            yield abs(dc - ec) / max(1.0, abs(ec)), f"d ck k={k:g} x={x:g}"
-            yield abs(ds - es) / max(1.0, abs(es)), f"d sk k={k:g} x={x:g}"
-            c = ktrig.ck(k, x)
-            if abs(c) > 0.2:
-                dt = (ktrig.tk(k, x + h) - ktrig.tk(k, x - h)) / (2.0 * h)
-                et = 1.0 / (c * c)
-                yield abs(dt - et) / max(1.0, abs(et)), f"d tk k={k:g} x={x:g}"
+        steps = _Flag(x.shape)
+        dc = (steps.ck(k, x + h) - steps.ck(k, x - h)) / (2.0 * h)
+        ds = (steps.sk(k, x + h) - steps.sk(k, x - h)) / (2.0 * h)
+        dt = (steps.tk(k, x + h) - steps.tk(k, x - h)) / (2.0 * h)
+        c = steps.ck(k, x)
+        expect = -k * steps.sk(k, x), c, 1.0 / (c * c)
+        defects = np.stack([np.abs(d - e) / np.maximum(1.0, np.abs(e)) for d, e in zip((dc, ds, dt), expect)], axis=1)
+        yield from _flagged(
+            defects,
+            lambda i: f"d {('ck', 'sk', 'tk')[i % 3]} k={k:g} x={x[i // 3]:g}",
+            keep=_last_where(np.abs(c) > 0.2),
+        )
 
 
 @check(1e-12)
-def _check_trig_taylor_match(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_trig_taylor_match(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # the small-label branch must agree with the exact circular/hyperbolic
     # forms evaluated just below the switch point
     for k in (9e-13, -9e-13):
         r = math.sqrt(abs(k))
-        for x in TRIG_GRID:
-            if k > 0:
-                ec, es = math.cos(r * x), math.sin(r * x) / r
-            else:
-                ec, es = math.cosh(r * x), math.sinh(r * x) / r
-            yield abs(ktrig.ck(k, x) - ec), f"taylor ck k={k:g}"
-            yield abs(ktrig.sk(k, x) - es) * r, f"taylor sk k={k:g}"
+        cf, sf = (math.cos, math.sin) if k > 0 else (math.cosh, math.sinh)
+        ec = np.array([cf(v) for v in r * TRIG_GRID])
+        es = np.array([sf(v) for v in r * TRIG_GRID]) / r
+        defects = [np.abs(ktrig.ck_array(k, TRIG_GRID) - ec), np.abs(ktrig.sk_array(k, TRIG_GRID) - es) * r]
+        yield np.stack(defects, axis=1), lambda i: f"taylor {('ck', 'sk')[i % 2]} k={k:g}"
 
 
 @check(1e-10)
-def _check_trig_inverse_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_trig_inverse_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for k in TRIG_KAPPAS:
         if k > 0:
             hp = ktrig.half_period(k)
-            xs = rng.uniform(-hp * 0.999, hp * 0.999, cfg.sample_count)
+            x = rng.uniform(-hp * 0.999, hp * 0.999, cfg.sample_count)
         else:
-            xs = rng.uniform(-3.0, 3.0, cfg.sample_count)
-        for x in xs:
-            y = ktrig.kinv(k, ktrig.sk(k, x), ktrig.ck(k, x))
-            yield abs(y - x), f"kinv k={k:g} x={x:g}"
+            x = rng.uniform(-3.0, 3.0, cfg.sample_count)
+        y, bad = ktrig.kinv_array(k, ktrig.sk_array(k, x), ktrig.ck_array(k, x))
+        again = _Stage(bad, lambda i: ktrig.kinv(k, ktrig.sk(k, x[i]), ktrig.ck(k, x[i])))
+        yield from _flagged(np.abs(y - x), lambda i: f"kinv k={k:g} x={x[i]:g}", again)
     # half period lands on the antipodal cosine for positive labels
-    for k in (0.25, 1.0, 2.0):
-        yield abs(ktrig.ck(k, ktrig.half_period(k)) + 1.0), f"half period k={k:g}"
+    ks = (0.25, 1.0, 2.0)
+    yield np.array([abs(ktrig.ck(k, ktrig.half_period(k)) + 1.0) for k in ks]), lambda i: f"half period k={ks[i]:g}"
 
 
 # --- algebra suite -----------------------------------------------------------
 
 
 @check(1e-13)
-def _check_algebra_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_algebra_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     pairs = cfg.kappa_grid + tuple(KappaPair(*rng.uniform(-2, 2, 2)) for _ in range(3))
     for kp in pairs:
-        for _ in range(cfg.sample_count):
-            x, y, zz = (sample_element(rng) for _ in range(3))
-            total = (
-                bracket(kp, bracket(kp, x, y), zz)
-                + bracket(kp, bracket(kp, y, zz), x)
-                + bracket(kp, bracket(kp, zz, x), y)
-            )
-            yield total.max_abs(), _kp_tag(kp)
+        # three elements per sample, as coefficient rows (3, n)
+        x, y, zz = rng.uniform(-2.0, 2.0, (cfg.sample_count, 3, 3)).transpose(1, 2, 0)
+
+        def b(u, v):
+            return np.array(_bracket_coeffs(kp, u, v))
+
+        # an overflow at huge labels is a nan or inf defect, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = b(b(x, y), zz) + b(b(y, zz), x) + b(b(zz, x), y)
+        yield np.abs(total).max(axis=0), lambda i: _kp_tag(kp)
 
 
 @check(1e-12)
-def _check_algebra_casimir_commutes(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_algebra_casimir_commutes(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         coeffs = casimir_coeffs(kp)
-        mats = rep_basis(kp)
+        mats = np.array(rep_basis(kp))
         # an overflow at huge labels is a nan or inf defect, which fails the check
         with np.errstate(over="ignore", invalid="ignore"):
             cas = sum(c * (m @ m) for c, m in zip(coeffs, mats))
-            defects = [float(np.abs(cas @ m - m @ cas).max()) for m in mats]
-        for defect in defects:
-            yield defect, _kp_tag(kp)
+            defects = np.abs(cas @ mats - mats @ cas).max(axis=(1, 2))
+        yield defects, lambda i: _kp_tag(kp)
 
 
 @check(1e-12)
-def _check_algebra_rep_homomorphism(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_algebra_rep_homomorphism(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        for _ in range(cfg.sample_count):
-            x, y = sample_element(rng), sample_element(rng)
-            lhs = rep(kp, bracket(kp, x, y))
+        # two elements per sample
+        x, y = rng.uniform(-2.0, 2.0, (cfg.sample_count, 2, 3)).transpose(1, 0, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = rep(kp, np.stack(_bracket_coeffs(kp, x.T, y.T), axis=-1))
             rx, ry = rep(kp, x), rep(kp, y)
-            yield float(np.abs(lhs - (rx @ ry - ry @ rx)).max()), _kp_tag(kp)
+            defects = np.abs(lhs - (rx @ ry - ry @ rx)).max(axis=(1, 2))
+        yield defects, lambda i: _kp_tag(kp)
 
 
 @check(1e-12)
-def _check_algebra_rep_metricity(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_algebra_rep_metricity(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
-        for m in rep_basis(kp):
-            yield float(np.abs(m.T @ im + im @ m).max()), _kp_tag(kp)
-        p = rep_basis(kp)[0]
-        yield float(np.abs(p @ p @ p + kp.k1 * p).max()), f"cube {_kp_tag(kp)}"
+        mats = np.array(rep_basis(kp))
+        p = mats[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = np.abs(np.swapaxes(mats, 1, 2) @ im + im @ mats).max(axis=(1, 2))
+            cube = np.abs(p @ p @ p + kp.k1 * p).max()
+        yield np.append(form, cube), lambda i: f"cube {_kp_tag(kp)}" if i == 3 else _kp_tag(kp)
 
 
 @check(0.5)
-def _check_algebra_classification(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_algebra_classification(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    defects = []
     for kp in NORMALIZED_PAIRS:
         label = classify(kp)
-        name, group, isotropy = _CLASSIFICATION_ROWS[kp.signs()]
-        ok = (
-            label.name.value == name
-            and label.group_name == group
-            and (label.h0, label.h01, label.h02) == isotropy
-        )
-        yield 0.0 if ok else 1.0, _kp_tag(kp)
+        got = label.name.value, label.group_name, (label.h0, label.h01, label.h02)
+        defects.append(0.0 if got == _CLASSIFICATION_ROWS[kp.signs()] else 1.0)
     # scaled pairs classify like their sign pattern
+    scaled = []
     for _ in range(cfg.sample_count):
         k1, k2 = rng.uniform(0.1, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
-        kp = KappaPair(float(k1), float(k2))
-        name, _, _ = _CLASSIFICATION_ROWS[kp.signs()]
-        yield 0.0 if classify(kp).name.value == name else 1.0, _kp_tag(kp)
-    lam, c = -1.0, 3.0
-    kp = kappa_from_kinematics(lam, c)
-    yield abs(kp.k1 - 1.0) + abs(kp.k2 + 1.0 / 9.0), "kinematics roundtrip"
-    try:
-        kappa_from_kinematics(1.0, 0.0)
-    except BadSpeedError:
-        return
-    yield 1.0, "zero speed accepted"
+        scaled.append(KappaPair(float(k1), float(k2)))
+    defects += [0.0 if classify(kp).name.value == _CLASSIFICATION_ROWS[kp.signs()][0] else 1.0 for kp in scaled]
+    kps = NORMALIZED_PAIRS + tuple(scaled)
+    kp = kappa_from_kinematics(-1.0, 3.0)
+    defects.append(abs(kp.k1 - 1.0) + abs(kp.k2 + 1.0 / 9.0))
+    notes = ["kinematics roundtrip"]
+    if _accepted(BadSpeedError, kappa_from_kinematics, 1.0, 0.0):
+        defects.append(1.0)
+        notes.append("zero speed accepted")
+    yield np.array(defects), lambda i: _kp_tag(kps[i]) if i < len(kps) else notes[i - len(kps)]
 
 
 # --- duality suite -----------------------------------------------------------
+
+
+def _label_distance(a: KappaPair, b: KappaPair) -> float:
+    return abs(a.k1 - b.k1) + abs(a.k2 - b.k2)
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -619,20 +664,20 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def duality_morphism_defects(
     kp: KappaPair, kpd: KappaPair, m: np.ndarray, rng: np.random.Generator, count: int
-) -> list[float]:
+) -> np.ndarray:
     """Bracket-morphism defect max|m [x, y]_kpd - [m x, m y]_kp| of the
     duality matrix m from the algebra labelled kpd to the one labelled kp,
-    at `count` pairs of elements, drawn from rng as pairs of sample_element
-    draws; an overflow at huge labels is an inf or nan defect."""
+    at `count` pairs of elements, each with its coefficients drawn from rng
+    in [-2, 2); an overflow at huge labels is an inf or nan defect."""
     x, y = rng.uniform(-2.0, 2.0, size=(count, 2, 3)).transpose(1, 0, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _apply(m, np.stack(_bracket_coeffs(kpd, x.T, y.T), axis=-1))
         rhs = np.stack(_bracket_coeffs(kp, _apply(m, x).T, _apply(m, y).T), axis=-1)
-        return np.abs(lhs - rhs).max(axis=1).tolist()
+        return np.abs(lhs - rhs).max(axis=1)
 
 
 @check(1e-13)
-def _check_duality_morphism(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_duality_morphism(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # each map sends the basis of the relabeled algebra to elements of the
     # original one; the images must reproduce the relabeled brackets inside
     # the original bracket
@@ -644,35 +689,27 @@ def _check_duality_morphism(cfg: SweepConfig, rng: np.random.Generator) -> Defec
                 m = duality_matrix(name, kp)
             except UndefinedDualityError:
                 continue
-            for defect in duality_morphism_defects(kp, kpd, m, rng, cfg.sample_count):
-                yield defect, f"{name.value} {_kp_tag(kp)}"
+            yield duality_morphism_defects(kp, kpd, m, rng, cfg.sample_count), lambda i: f"{name.value} {_kp_tag(kp)}"
 
 
 @check(1e-13)
-def _check_duality_involution(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_duality_involution(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     pairs = cfg.kappa_grid + tuple(KappaPair(*rng.uniform(-2, 2, 2)) for _ in range(3))
     for kp in pairs:
         kpd = duality_kappa(DualityName.D0, kp)
-        m1 = duality_matrix(DualityName.D0, kp)
-        m2 = duality_matrix(DualityName.D0, kpd)
-        yield float(np.abs(m2 @ m1 - np.eye(3)).max()), _kp_tag(kp)
-        kpdd = duality_kappa(DualityName.D0, kpd)
-        yield abs(kpdd.k1 - kp.k1) + abs(kpdd.k2 - kp.k2), f"labels {_kp_tag(kp)}"
-        mi = duality_matrix(DualityName.ID, kp)
-        yield float(np.abs(mi - np.eye(3)).max()), "identity map"
+        m = duality_matrix(DualityName.D0, kpd) @ duality_matrix(DualityName.D0, kp)
+        defects = [np.abs(m - np.eye(3)).max(), _label_distance(duality_kappa(DualityName.D0, kpd), kp)]
+        defects.append(np.abs(duality_matrix(DualityName.ID, kp) - np.eye(3)).max())
+        yield np.array(defects), lambda i: (_kp_tag(kp), f"labels {_kp_tag(kp)}", "identity map")[i]
 
 
 @check(1e-13)
-def _check_duality_kappa_action(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    sphere = KappaPair(1.0, 1.0)
-    for name in DUALITIES:
-        kpd = duality_kappa(name, sphere)
-        yield abs(kpd.k1 - 1.0) + abs(kpd.k2 - 1.0), f"sphere under {name.value}"
-    ads, ds = KappaPair(1.0, -1.0), KappaPair(-1.0, -1.0)
-    m1 = duality_kappa(DualityName.D2, ads)
-    m2 = duality_kappa(DualityName.D2, ds)
-    yield abs(m1.k1 - ds.k1) + abs(m1.k2 - ds.k2), "swap forward"
-    yield abs(m2.k1 - ads.k1) + abs(m2.k2 - ads.k2), "swap back"
+def _check_duality_kappa_action(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    sphere, ads, ds = KappaPair(1.0, 1.0), KappaPair(1.0, -1.0), KappaPair(-1.0, -1.0)
+    images = [duality_kappa(name, sphere) for name in DUALITIES]
+    yield np.array([_label_distance(kpd, sphere) for kpd in images]), lambda i: f"sphere under {DUALITIES[i].value}"
+    swaps = [_label_distance(duality_kappa(DualityName.D2, a), b) for a, b in ((ads, ds), (ds, ads))]
+    yield np.array(swaps), lambda i: ("swap forward", "swap back")[i]
     # triple application cycles the labels, six applications restore the map
     for kp in (KappaPair(1.0, 1.0), KappaPair(1.0, -1.0), KappaPair(-1.0, 1.0), KappaPair(-1.0, -1.0)):
         acc = np.eye(3)
@@ -680,49 +717,51 @@ def _check_duality_kappa_action(cfg: SweepConfig, rng: np.random.Generator) -> D
         for _ in range(6):
             acc = duality_matrix(DualityName.D0D1, cur) @ acc
             cur = duality_kappa(DualityName.D0D1, cur)
-        yield float(np.abs(acc - np.eye(3)).max()), f"sixth power {_kp_tag(kp)}"
-        yield abs(cur.k1 - kp.k1) + abs(cur.k2 - kp.k2), f"sixth labels {_kp_tag(kp)}"
+        defects = [np.abs(acc - np.eye(3)).max(), _label_distance(cur, kp)]
+        yield np.array(defects), lambda i: f"sixth {('power', 'labels')[i]} {_kp_tag(kp)}"
 
 
 @check(0.5)
-def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_duality_restrictions(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     cases = (
         (DualityName.D1, KappaPair(0.0, 1.0)),
         (DualityName.D0D1, KappaPair(0.0, -1.0)),
         (DualityName.D2, KappaPair(1.0, 0.0)),
         (DualityName.D0D2, KappaPair(-1.0, 0.0)),
     )
-    for name, kp in cases:
-        yield _accepted(UndefinedDualityError, apply_duality, name, kp, BASIS[0]), f"{name.value} accepted {_kp_tag(kp)}"
+    defects = [_accepted(UndefinedDualityError, apply_duality, name, kp, BASIS[0]) for name, kp in cases]
+    yield np.array(defects), lambda i: f"{cases[i][0].value} accepted {_kp_tag(cases[i][1])}"
+    grid = cfg.kappa_grid
     for name in DUALITIES:
-        for kp in cfg.kappa_grid:
+        defects = []
+        for kp in grid:
             restricted = (
                 (name in (DualityName.D1, DualityName.D0D1) and kp.k1 == 0.0)
                 or (name in (DualityName.D2, DualityName.D0D2) and kp.k2 == 0.0)
             )
             accepted = _accepted(UndefinedDualityError, apply_duality, name, kp, BASIS[1])
-            yield (accepted if restricted else 1.0 - accepted), f"{name.value} {_kp_tag(kp)}"
+            defects.append(accepted if restricted else 1.0 - accepted)
+        yield np.array(defects), lambda i: f"{name.value} {_kp_tag(grid[i])}"
 
 
 # --- group suite -------------------------------------------------------------
 
 
 @check(1e-12)
-def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     ts = np.linspace(-2.0, 2.0, 21)
     for kp in cfg.kappa_grid:
-        for i, gname in enumerate(GENERATOR_NAMES):
-            mats = ts[:, None, None] * rep(kp, BASIS[i])
+        for gname, x in zip(GENERATOR_NAMES, rep_basis(kp)):
             flag = _Flag(len(ts))
-            rows = zip(_one_param(kp, gname, ts, flag), _series(mats, flag))
-            for c, e in _unflagged(
-                rows, flag.bad, lambda k: (_one_param(kp, gname, ts[k], ktrig), _series(mats[k], ktrig))
-            ):
-                yield float(np.abs(c - e).max()), f"{gname} {_kp_tag(kp)}"
+            with np.errstate(over="ignore", invalid="ignore"):  # at a flagged t
+                mats = ts[:, None, None] * x
+                defects = np.abs(_one_param(kp, gname, ts, flag) - _series(mats, flag)).max(axis=(1, 2))
+            again = _Stage(flag.bad, lambda j: (_one_param(kp, gname, ts[j], ktrig), _series(mats[j], ktrig)))
+            yield from _flagged(defects, lambda i: f"{gname} {_kp_tag(kp)}", again)
 
 
 @check(1e-12)
-def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
         x = sample_group_stack(rng, kp, 0.4, 100)
@@ -732,26 +771,24 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Defec
         with np.errstate(over="ignore", invalid="ignore"):
             form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
             det = np.abs(np.linalg.det(g) - 1.0)
-        rows = zip(form.tolist(), det.tolist())
-        for form_defect, det_defect in _unflagged(rows, flag.bad, lambda i: _group(kp, x[i], ktrig)):
-            yield form_defect, _kp_tag(kp)
-            yield det_defect, f"det {_kp_tag(kp)}"
+        again = _Stage(flag.bad, lambda j: _group(kp, x[j], ktrig))
+        yield from _flagged(np.stack([form, det], axis=1), lambda i: ("", "det ")[i % 2] + _kp_tag(kp), again)
 
 
 @check(1e-10)
-def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
         flag = _Flag(len(x))
         back = _coords(kp, _group(kp, x, flag), flag)
         with np.errstate(invalid="ignore"):
             defects = np.abs(back - x).max(axis=1)
-        for defect in _unflagged(defects.tolist(), flag.bad, lambda i: _coords(kp, _group(kp, x[i], ktrig), ktrig)):
-            yield defect, _kp_tag(kp)
+        again = _Stage(flag.bad, lambda j: _coords(kp, _group(kp, x[j], ktrig), ktrig))
+        yield from _flagged(defects, lambda i: _kp_tag(kp), again)
 
 
 @check(1e-10)
-def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         # each sample draws its group point, then a parallel1 point (a1, a2)
         b = _group_bounds(kp, 0.35)
@@ -768,60 +805,73 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> D
         with np.errstate(over="ignore", invalid="ignore"):
             orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
         moved_defects = _ambient_defect_stack(kp, moved)
-        for i, (moved_defect, orbit_defect) in enumerate(zip(moved_defects.tolist(), orbit_defects.tolist())):
-            if flag.bad[i] or p_bad[i]:
-                _act(kp, _group(kp, x[i], ktrig), to_ambient(kp, ParallelI(*q[i].tolist())).as_array(), ktrig)
-            yield moved_defect, f"surface {_kp_tag(kp)}"
-            if expect_bad[i]:
-                to_ambient(kp, ParallelI(*x[i, :2].tolist()))
-            yield orbit_defect, f"orbit {_kp_tag(kp)}"
+        points = [ParallelI(a1, a2) for a1, a2 in q.tolist()]
+        yield from _flagged(
+            np.stack([moved_defects, orbit_defects], axis=1),
+            lambda i: f"{('surface', 'orbit')[i % 2]} {_kp_tag(kp)}",
+            _Stage(
+                flag.bad | p_bad,
+                lambda j: _act(kp, _group(kp, x[j], ktrig), to_ambient(kp, points[j]).as_array(), ktrig),
+            ),
+            _Stage(expect_bad, lambda j: to_ambient(kp, ParallelI(*x[j, :2].tolist())), 1),
+        )
 
 
 @check(1e-12)
-def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    ts = np.array([-1.5, -0.4, 0.7, 2.0])
     for kp in cfg.kappa_grid:
         p = rep_basis(kp)[0]
-        yield float(np.abs(p @ p @ p + kp.k1 * p).max()), f"cube {_kp_tag(kp)}"
-        ts = (-1.5, -0.4, 0.7, 2.0)
-        mats = np.array([[t * p, -t * p] for t in ts])
-        flag = _Flag(mats.shape[:2])
-        series = _series(mats, flag)
-        pairs = _unflagged(series, flag.bad.any(axis=1), lambda k: [_series(m, ktrig) for m in mats[k]])
-        for t, (plus, minus) in zip(ts, pairs):
-            m = 0.5 * (plus - minus)
-            yield float(np.abs(m - ktrig.sk(kp.k1, t) * p).max()), f"t={t:g} {_kp_tag(kp)}"
+        # an overflow at huge labels is a nan or inf defect, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            cube = np.abs(p @ p @ p + kp.k1 * p).max()
+            mats = np.stack([ts[:, None, None] * p, -ts[:, None, None] * p], axis=1)
+        yield np.array([cube]), lambda i: f"cube {_kp_tag(kp)}"
+        series, sk = _Flag(mats.shape[:2]), _Flag(ts.shape)
+        plus, minus = np.moveaxis(_series(mats, series), 1, 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # at a flagged t
+            defects = np.abs(0.5 * (plus - minus) - sk.sk(kp.k1, ts)[:, None, None] * p).max(axis=(1, 2))
+        yield from _flagged(
+            defects,
+            lambda k: f"t={ts[k]:g} {_kp_tag(kp)}",
+            _Stage(series.bad.any(axis=1), lambda k: [_series(m, ktrig) for m in mats[k]]),
+            _Stage(sk.bad, lambda k: ktrig.sk(kp.k1, ts[k].item())),
+        )
 
 
 # --- geometry suite ----------------------------------------------------------
 
 
 @check(1e-12)
-def _check_geometry_closed_forms(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
-    metric_rows = _metric_rows()
-    field_rows = _field_rows()
+def _check_geometry_closed_forms(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    metric_rows, field_rows = _metric_rows(), _field_rows()
     for kp in NORMALIZED_PAIRS:
-        mrow = metric_rows[kp.signs()]
-        frow = field_rows[kp.signs()]
-        for _ in range(cfg.sample_count):
-            p = sample_parallel1(rng, kp, 0.35)
-            g11, g22 = mrow(p.a1, p.a2)
-            m = metric_main(kp, p)
-            yield abs(m.g11 - g11), f"g11 {_kp_tag(kp)}"
-            yield abs(m.g12), f"g12 {_kp_tag(kp)}"
-            yield abs(m.g22 - g22), f"g22 {_kp_tag(kp)}"
-            if kp.k2 == 0.0:
-                sub = metric_subsidiary(kp, p)
-                yield abs(sub.g22 - 1.0) + abs(sub.g11) + abs(sub.g12), f"leaf {_kp_tag(kp)}"
-            fields = killing_fields(kp, p, chart="parallel1")
-            expect = frow(p.a1, p.a2)
-            for got, ref, gname in zip(fields, expect, GENERATOR_NAMES):
-                yield max(abs(got[0] - ref[0]), abs(got[1] - ref[1])), f"{gname} {_kp_tag(kp)}"
+        x = sample_parallel1_stack(rng, kp, 0.35, cfg.sample_count)
+        p, metric, fields = ParallelI(x[:, 0], x[:, 1]), _Flag(len(x)), _Flag(len(x))
+        m, got = _metric_of(kp, p, metric), _matrix(_fields_of(kp, p, fields))
+        # the literal rows are math.* code, one point at a time
+        g11, g22 = np.array([metric_rows[kp.signs()](*a) for a in x.tolist()]).T
+        ref = np.array([field_rows[kp.signs()](*a) for a in x.tolist()])
+        defects = [abs(m.g11 - g11), abs(m.g12), abs(m.g22 - g22)]
+        if kp.k2 == 0.0:
+            sub = metric_subsidiary(kp, p)
+            defects.append(abs(sub.g22 - 1.0) + abs(sub.g11) + abs(sub.g12))
+        # a sample has one entry per label: the metric, then one per field
+        labels = ("g11", "g12", "g22", "leaf")[: len(defects)] + GENERATOR_NAMES
+        field = _max(abs(got - ref)[..., 0], abs(got - ref)[..., 1])
+        defects = np.column_stack(np.broadcast_arrays(*defects, *field.T))
+
+        yield from _flagged(
+            defects,
+            lambda i: f"{labels[i % len(labels)]} {_kp_tag(kp)}",
+            _Stage(metric.bad, lambda j: metric_main(kp, ParallelI(*x[j].tolist()))),
+            _Stage(fields.bad, lambda j: killing_fields(kp, ParallelI(*x[j].tolist())), len(labels) - 3),
+        )
 
 
 @check(1e-10)
-def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         # each sample draws its point (a1, a2), then the radius of a polar point
         b1, b2 = coord_bound(kp.k1, 0.35), coord_bound(kp.k12, 0.35)
         x = rng.uniform([-b1, -b2, 0.2], [b1, b2, max(coord_bound(kp.k1, 0.3), 0.3)], size=(cfg.sample_count, 3))
@@ -832,20 +882,18 @@ def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) 
             s = _ambient_of(kp, p2, outside)
             narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
             back.append(_roundtrip(kp, p2, "polar", polar))
-            direct_d, second_d, polar_d = (
-                _max(abs(q.a1 - a.a1), abs(q.a2 - a.a2)).tolist() for q, a in zip(back, (p, p, p2))
-            )
-        for i, (a1, a2, r) in enumerate(x.tolist()):
-            if direct.bad[i]:
-                _convert(kp, ParallelI(a1, a2), "parallel1", ktrig)
-            yield direct_d[i], f"parallel1 {tag}"
-            if not _skipped(second.bad[i], lambda: _roundtrip(kp, ParallelI(a1, a2), "parallel2", ktrig)):
-                yield second_d[i], f"parallel2 {tag}"
-            if outside.bad[i]:
-                to_ambient(kp, ParallelI(r, a2))
-            if narrow[i] or _skipped(polar.bad[i], lambda: _roundtrip(kp, ParallelI(r, a2), "polar", ktrig)):
-                continue
-            yield polar_d[i], f"polar {tag}"
+            defects = np.stack([_max(abs(q.a1 - a.a1), abs(q.a2 - a.a2)) for q, a in zip(back, (p, p, p2))], axis=1)
+        points = [(ParallelI(a1, a2), ParallelI(r, a2)) for a1, a2, r in x.tolist()]
+        # a sample has the entries (parallel1, parallel2, polar)
+        yield from _flagged(
+            defects,
+            lambda i: f"{('parallel1', 'parallel2', 'polar')[i % 3]} {_kp_tag(kp)}",
+            _Stage(direct.bad, lambda j: _convert(kp, points[j][0], "parallel1", ktrig)),
+            _Stage(second.bad, lambda j: _roundtrip(kp, points[j][0], "parallel2", ktrig), 1, ChartDomainError),
+            _Stage(outside.bad, lambda j: to_ambient(kp, points[j][1]), 2),
+            _Stage(polar.bad & ~narrow, lambda j: _roundtrip(kp, points[j][1], "polar", ktrig), 2, ChartDomainError),
+            keep=_last_where(~narrow),
+        )
 
 
 def _roundtrip(kp: KappaPair, p: ParallelI, target: str, steps) -> ParallelI:
@@ -890,7 +938,7 @@ def _pullback_defect(jac: np.ndarray, gb: np.ndarray, ga: np.ndarray) -> np.ndar
 
 
 @check(1e-8)
-def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # The chart Jacobian J = dq/dp solves D_target(q) J = D_parallel1(p)
     # exactly (both sides are derivatives of the same ambient point, and
     # D_target has full column rank inside the chart), so J^T g_q J = g_p
@@ -900,7 +948,6 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
-        tag = _kp_tag(kp)
         # a parallel2 attempt draws a point (a1, a2); a polar one draws a
         # radius and a point, of which it keeps a2: a2 is the last draw of both
         b1, b2 = coord_bound(kp.k1, 0.3), coord_bound(kp.k12, 0.3)
@@ -909,7 +956,7 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
         def draw(ids: list[int]) -> list[np.ndarray]:
             return [rng.uniform(*bounds[t], size=(ids.count(t), len(bounds[t][0]))) for t in (0, 1)]
 
-        def block(ids: list[int], draws: list[np.ndarray]) -> Callable[[int], tuple[float, str] | None]:
+        def block(ids: list[int], draws: list[np.ndarray]) -> Callable[[int], float | None]:
             points = [ParallelI(x[:, 0], x[:, -1]) for x in draws]
             outside, flags = _Flag(len(draws[1])), [_Flag(len(x)) for x in draws]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -919,7 +966,7 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
             rows = [x.tolist() for x in draws]
             offset = ids.count(0)
 
-            def outcome(k: int) -> tuple[float, str] | None:
+            def outcome(k: int) -> float | None:
                 t, i = (0, k) if k < offset else (1, k - offset)
                 p = ParallelI(rows[t][i][0], rows[t][i][-1])
                 if t == 1:
@@ -930,31 +977,30 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
                 dq, dp, ga, gb = (term[i] for term in terms[t])
                 if flags[t].bad[i]:
                     try:
-                        dq, dp, ga, gb = _pullback_terms(kp, p, targets[t], ktrig)
+                        with np.errstate(over="ignore", invalid="ignore"):  # as in the stack form
+                            dq, dp, ga, gb = _pullback_terms(kp, p, targets[t], ktrig)
                     except ChartDomainError:
                         return None
                 jac = np.linalg.lstsq(dq, dp, rcond=None)[0]
-                return float(_pullback_defect(jac, gb, ga)), f"{targets[t]} {tag}"
+                return float(_pullback_defect(jac, gb, ga))
 
             return outcome
 
-        yield from _rejection_sampled(rng, [(cfg.sample_count, 20 * cfg.sample_count)] * 2, draw, block)
+        loops = [(cfg.sample_count, 20 * cfg.sample_count)] * 2
+        yield from _rejection_sampled(rng, loops, draw, block, lambda t: f"{targets[t]} {_kp_tag(kp)}")
 
 
 @check(1e-6)
-def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
-        tag = _kp_tag(kp)
         x = sample_parallel1_stack(rng, kp, 0.3, cfg.sample_count)
         flag = _Flag(len(x))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             defects = np.abs(_curvature_of(kp, ParallelI(x[:, 0], x[:, 1]), flag) - kp.k1)
-        for defect in _unflagged(
-            defects.tolist(), flag.bad, lambda i: gaussian_curvature(kp, ParallelI(*x[i].tolist()))
-        ):
-            yield defect, tag
+        again = _Stage(flag.bad, lambda j: gaussian_curvature(kp, ParallelI(*x[j].tolist())))
+        yield from _flagged(defects, lambda i: _kp_tag(kp), again)
 
 
 def _flow(kp: KappaPair, mat: np.ndarray, a1, a2, steps) -> tuple:
@@ -983,14 +1029,15 @@ def _flow_jacobian(kp: KappaPair, mat: np.ndarray, x: np.ndarray, h: float, step
 
 
 @check(1e-6)
-def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     h = 1e-6
-    flows = [(i, gname, t) for i, gname in enumerate(GENERATOR_NAMES) for t in (0.1, 0.3)]
+    # (generator, name, t)
+    flows = [(i, f"{gname} t={t:g}", t) for i, gname in enumerate(GENERATOR_NAMES) for t in (0.1, 0.3)]
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
-        tag = _kp_tag(kp)
-        gens = np.array([-t * rep(kp, BASIS[i]) for i, _, t in flows])
+        basis = rep_basis(kp)
+        gens = np.array([-t * basis[i] for i, _, t in flows])
         exp_flag = _Flag(len(flows))
         mats = _series(gens, exp_flag)
         b = np.array([coord_bound(kp.k1, 0.25), coord_bound(kp.k12, 0.25)])
@@ -998,39 +1045,40 @@ def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> 
         def draw(ids: list[int]) -> np.ndarray:
             return rng.uniform(-b, b, size=(len(ids), 2))
 
-        def block(ids: list[int], x: np.ndarray) -> Callable[[int], tuple[float, str] | None]:
+        def block(ids: list[int], x: np.ndarray) -> Callable[[int], float | None]:
             flag, at_p = _Flag(len(x)), _Flag(len(x))
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 jac, gq = _flow_jacobian(kp, mats[ids], x, h, flag)
                 gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), at_p).as_matrix()
                 defects = _pullback_defect(jac, gq, gp).tolist()
 
-            def outcome(k: int) -> tuple[float, str] | None:
+            def outcome(k: int) -> float | None:
                 f = ids[k]
                 if exp_flag.bad[f]:
                     _series(gens[f], ktrig)
-                p = ParallelI(*x[k].tolist())
-                if _skipped(flag.bad[k], lambda: _flow_jacobian(kp, mats[f], x[k], h, ktrig)):
-                    return None
+                if flag.bad[k]:
+                    try:
+                        _flow_jacobian(kp, mats[f], x[k], h, ktrig)
+                    except ChartDomainError:
+                        return None
                 if at_p.bad[k]:
-                    metric_main(kp, p)
-                _, gname, t = flows[f]
-                return defects[k], f"{gname} t={t:g} {tag}"
+                    metric_main(kp, ParallelI(*x[k].tolist()))
+                return defects[k]
 
             return outcome
 
-        yield from _rejection_sampled(rng, [(5, 100)] * len(flows), draw, block)
+        loops = [(5, 100)] * len(flows)
+        yield from _rejection_sampled(rng, loops, draw, block, lambda f: f"{flows[f][1]} {_kp_tag(kp)}")
 
 
 @check(1e-6)
-def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # the stored field components are the t-derivative at 0 of the inverse
     # one-parameter flow through the point
     h = 1e-6
     n = cfg.sample_count
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
-        gens = np.array([[-h * rep(kp, x), h * rep(kp, x)] for x in BASIS])
+        gens = np.array([[-h * x, h * x] for x in rep_basis(kp)])
         exp_flag = _Flag(gens.shape[:2])
         mats = _series(gens, exp_flag)
         # the samples of J01, then of J02 and J12
@@ -1045,34 +1093,36 @@ def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generat
             images = (mats[:, :, None] @ s[:, None, :, :, None])[..., 0]
             fd = (images[:, 0] - images[:, 1]) / (2.0 * h)
             fa = _matrix(_ambient_fields(kp, *np.moveaxis(s, -1, 0)))[own]
-            ambient_d = np.abs(fd - fa).max(axis=-1).tolist()
+            ambient_d = np.abs(fd - fa).max(axis=-1)
             pp, pm = (_chart_of(kp, *np.moveaxis(images[:, k], -1, 0), "parallel1", chart) for k in (0, 1))
             fc = _matrix(_fields_of(kp, p, fields))[own]
             d1 = (pp.a1 - pm.a1) / (2.0 * h)
             d2 = (pp.a2 - pm.a2) / (2.0 * h)
-            chart_d = _max(abs(d1 - fc[..., 0]), abs(d2 - fc[..., 1])).tolist()
+            chart_d = _max(abs(d1 - fc[..., 0]), abs(d2 - fc[..., 1]))
+        # a sample has the entries (ambient, chart)
         for i, gname in enumerate(GENERATOR_NAMES):
             if exp_flag.bad[i].any():
                 for g in gens[i]:
                     _series(g, ktrig)
-            for j, (a1, a2) in enumerate(x[i].tolist()):
-                if onto.bad[i, j]:
-                    to_ambient(kp, ParallelI(a1, a2))
-                yield ambient_d[i][j], f"ambient {gname} {tag}"
-                if _skipped(
-                    chart.bad[i, j], lambda: [from_ambient(kp, Ambient(*images[i, k, j]), "parallel1") for k in (0, 1)]
-                ):
-                    continue
-                if fields.bad[i, j]:
-                    killing_fields(kp, ParallelI(a1, a2), chart="parallel1")
-                yield chart_d[i][j], f"chart {gname} {tag}"
+            points = [ParallelI(a1, a2) for a1, a2 in x[i].tolist()]
+            yield from _flagged(
+                np.stack([ambient_d[i], chart_d[i]], axis=1),
+                lambda e: f"{('ambient', 'chart')[e % 2]} {gname} {_kp_tag(kp)}",
+                _Stage(onto.bad[i], lambda j: to_ambient(kp, points[j])),
+                _Stage(
+                    chart.bad[i],
+                    lambda j: [from_ambient(kp, Ambient(*images[i, k, j]), "parallel1") for k in (0, 1)],
+                    1,
+                    ChartDomainError,
+                ),
+                _Stage(fields.bad[i], lambda j: killing_fields(kp, points[j]), 1),
+            )
 
 
 @check(1e-5)
-def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     h = 1e-5
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         ct = structure_tensor(kp)
         x = sample_parallel1_stack(rng, kp, 0.3, max(4, cfg.sample_count // 4))
         a1, a2 = x[:, 0], x[:, 1]
@@ -1092,15 +1142,17 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
                 )
                 expect = ct[i, j, 0] * base[:, 0] + ct[i, j, 1] * base[:, 1] + ct[i, j, 2] * base[:, 2]
                 defects.append(np.abs(comm - expect).max(axis=-1))
-        rows = np.stack(defects, axis=-1).tolist()
-        again = lambda k: [killing_fields(kp, ParallelI(uu[k], vv[k])) for uu, vv in zip(u.tolist(), v.tolist())]
-        for row in _unflagged(rows, flag.bad.any(axis=0), again):
-            for (i, j), defect in zip(_PAIRS, row):
-                yield defect, f"[{i}{j}] {tag}"
+
+        stencils = np.stack([u, v], axis=-1).transpose(1, 0, 2).tolist()
+        yield from _flagged(
+            np.stack(defects, axis=-1),
+            lambda e: "[{}{}] {}".format(*_PAIRS[e % 3], _kp_tag(kp)),
+            _Stage(flag.bad.any(axis=0), lambda j: [killing_fields(kp, ParallelI(*uv)) for uv in stencils[j]]),
+        )
 
 
 @check(1e-5)
-def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # oracle: Casimir-weighted second differences along the generator flows,
     # with the O(h^2) truncation cancelled between steps h and 2h
     fine_coarse = (1e-3, 2e-3)
@@ -1110,10 +1162,9 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Def
         lambda a1, a2: np.cos(a2) * a1,
     )
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         coeffs = casimir_coeffs(kp)
         # (step, generator, sign): the flows of exp(-h x) and exp(h x)
-        gens = np.array([[[-h * rep(kp, x), h * rep(kp, x)] for x in BASIS] for h in fine_coarse])
+        gens = np.array([[[-h * x, h * x] for x in rep_basis(kp)] for h in fine_coarse])
         exp_flag = _Flag(gens.shape[:3])
         mats = _series(gens, exp_flag)
         if exp_flag.bad.any():
@@ -1134,28 +1185,35 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Def
                     for n, h in enumerate(fine_coarse)
                 )
                 oracle.append((4.0 * fine - coarse) / 3.0)
-            defects = np.abs(np.array(lb) - np.array(oracle)).tolist()
-        flow_bad = flow_flag.bad.any(axis=(0, 1, 2))
-        for k, f in enumerate(funcs):
-            for j, (u, v) in enumerate(x[k].tolist()):
-                if lb_flags[k].bad[j]:
-                    laplace_beltrami_apply(kp, f, ParallelI(u, v))
-                if _skipped(flow_bad[k, j], lambda: [_flow(kp, m, u, v, ktrig) for m in mats.reshape(-1, 3, 3)]):
-                    continue
-                yield defects[k][j], tag
+            defects = np.abs(np.array(lb) - np.array(oracle))
+
+        # sample j is sample j % 4 of function j // 4
+        points = x.reshape(-1, 2).tolist()
+        yield from _flagged(
+            defects.ravel(),
+            lambda e: _kp_tag(kp),
+            _Stage(
+                np.ravel([f.bad for f in lb_flags]),
+                lambda j: laplace_beltrami_apply(kp, funcs[j // 4], ParallelI(*points[j])),
+            ),
+            _Stage(
+                flow_flag.bad.any(axis=(0, 1, 2)).ravel(),
+                lambda j: [_flow(kp, m, *points[j], ktrig) for m in mats.reshape(-1, 3, 3)],
+                skips=ChartDomainError,
+            ),
+        )
     # flat-space reference values
-    kp = KappaPair(0.0, -1.0)
-    yield abs(laplace_beltrami_apply(kp, lambda a1, a2: a1 * a2, ParallelI(0.3, -0.2))), "product"
-    yield abs(laplace_beltrami_apply(kp, lambda a1, a2: 4.5, ParallelI(0.3, -0.2))), "constant"
+    kp, p = KappaPair(0.0, -1.0), ParallelI(0.3, -0.2)
+    flat = [abs(laplace_beltrami_apply(kp, f, p)) for f in (lambda a1, a2: a1 * a2, lambda a1, a2: 4.5)]
+    yield np.array(flat), lambda e: ("product", "constant")[e]
 
 
 @check(1e-12)
-def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         if kp.k2 != 0.0:
             continue
-        tag = _kp_tag(kp)
-        gens = np.array([-0.3 * rep(kp, BASIS[i]) for i in (1, 2)])
+        gens = -0.3 * np.array(rep_basis(kp)[1:])
         exp_flag = _Flag(2)
         mats = _series(gens, exp_flag)
         x = sample_parallel1_stack(rng, kp, 0.4, cfg.sample_count)
@@ -1164,32 +1222,37 @@ def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> Def
             fc = _matrix(_fields_of(kp, ParallelI(x[:, 0], x[:, 1]), fields))
             q1, _ = _flow(kp, mats[:, None], x[:, 0], x[:, 1], flow)
             # fibers a1 = const are preserved by the isotropy directions
-            across = np.abs(fc[:, 1:, 0]).tolist()
-            drift = np.abs(q1 - x[:, 0]).tolist()
-        for j, (a1, a2) in enumerate(x.tolist()):
-            if fields.bad[j]:
-                killing_fields(kp, ParallelI(a1, a2), chart="parallel1")
-            yield across[j][0], f"J02 {tag}"
-            yield across[j][1], f"J12 {tag}"
-            for k, i in enumerate((1, 2)):
-                if exp_flag.bad[k]:
-                    _series(gens[k], ktrig)
-                if flow.bad[k, j]:
-                    _flow(kp, mats[k], a1, a2, ktrig)
-                yield drift[k][j], f"flow J{i} {tag}"
+            across = np.abs(fc[:, 1:, 0])
+            drift = np.abs(q1 - x[:, 0])
+        # a sample has the entries (J02, J12, flow J1, flow J2); the flow of
+        # J1 is mats[0]
+        points = x.tolist()
+        stages = [_Stage(fields.bad, lambda j: killing_fields(kp, ParallelI(*points[j])))]
+        for k in (0, 1):
+            stages.append(_Stage(np.full(len(x), exp_flag.bad[k]), lambda j, k=k: _series(gens[k], ktrig), 2 + k))
+            stages.append(_Stage(flow.bad[k], lambda j, k=k: _flow(kp, mats[k], *points[j], ktrig), 2 + k))
+        yield from _flagged(
+            np.concatenate([across, drift.T], axis=1),
+            lambda e: f"{('J02', 'J12', 'flow J1', 'flow J2')[e % 4]} {_kp_tag(kp)}",
+            *stages,
+        )
 
 
 @check(0.5)
-def _check_geometry_domain_guards(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_geometry_domain_guards(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     sphere = KappaPair(1.0, 1.0)
-    yield _accepted(DegenerateMetricError, gaussian_curvature, KappaPair(1.0, 0.0), ParallelI(0.1, 0.2)), "curvature k2=0"
-    yield _accepted(ChartDomainError, from_ambient, sphere, Ambient(1.0, 0.0, 0.0), "polar"), "polar origin"
-    yield _accepted(ChartDomainError, from_ambient, sphere, Ambient(0.0, 0.0, 1.0), "parallel1"), "parallel1 pole"
-    yield _accepted(OffSurfaceError, from_ambient, sphere, Ambient(2.0, 0.0, 0.0), "parallel1"), "off surface"
-    yield _accepted(ChartDomainError, to_ambient, sphere, Polar(-0.5, 0.1)), "negative radius"
     kp = KappaPair(1.0, -1.0)
     left = to_ambient(kp, ParallelI(-0.8, 0.1))
-    yield _accepted(ChartDomainError, from_ambient, kp, left, "polar"), "polar wedge"
+    guards = {
+        "curvature k2=0": (DegenerateMetricError, gaussian_curvature, KappaPair(1.0, 0.0), ParallelI(0.1, 0.2)),
+        "polar origin": (ChartDomainError, from_ambient, sphere, Ambient(1.0, 0.0, 0.0), "polar"),
+        "parallel1 pole": (ChartDomainError, from_ambient, sphere, Ambient(0.0, 0.0, 1.0), "parallel1"),
+        "off surface": (OffSurfaceError, from_ambient, sphere, Ambient(2.0, 0.0, 0.0), "parallel1"),
+        "negative radius": (ChartDomainError, to_ambient, sphere, Polar(-0.5, 0.1)),
+        "polar wedge": (ChartDomainError, from_ambient, kp, left, "polar"),
+    }
+    names = list(guards)
+    yield np.array([_accepted(*guard) for guard in guards.values()]), names.__getitem__
 
 
 # --- bialgebra suite ---------------------------------------------------------
@@ -1222,7 +1285,9 @@ SCHOUTEN_COEFFICIENTS: dict[DeformationKind, Callable[[KappaPair, np.ndarray], n
 }
 
 
-def kind_stack(fn: Callable, zs: Sequence[float], kinds: Sequence[DeformationKind] = tuple(DeformationKind)) -> np.ndarray:
+def kind_stack(
+    fn: Callable, zs: Sequence[float], kinds: Sequence[DeformationKind] = tuple(DeformationKind)
+) -> np.ndarray:
     """fn(kind, z) over the array of the zs, one call per kind, stacked on a
     kind axis after the z axis: the (z, kind) rows of one label pair, with
     shape (len(zs), len(kinds), ...), in the order z, then kind.  A value
@@ -1232,61 +1297,67 @@ def kind_stack(fn: Callable, zs: Sequence[float], kinds: Sequence[DeformationKin
         return np.stack([fn(kind, z) for kind in kinds], axis=1)
 
 
-def _kind_rows(kp: KappaPair, values: np.ndarray, fmt: str = "{kind} {kp}", inner: Sequence = ("",)) -> Defects:
-    """The defects of one label pair's (z, kind, inner) stack in row order,
-    each tagged fmt of its kind, its inner name and the label pair."""
-    tags = [fmt.format(kind=kind.value, inner=x, kp=_kp_tag(kp)) for kind, x in itertools.product(DeformationKind, inner)]
-    return zip(values.ravel().tolist(), itertools.cycle(tags))
+def _kind_rows(kp: KappaPair, values: np.ndarray, fmt: str = "{kind} {kp}", inner: Sequence = ("",)) -> Block:
+    """The block of one label pair's (z, kind, inner) stack, each entry
+    named fmt of its kind, its inner name and the label pair."""
+    rows = list(itertools.product(DeformationKind, inner))
+
+    def name(i: int) -> str:
+        kind, x = rows[i % len(rows)]
+        return fmt.format(kind=kind.value, inner=x, kp=_kp_tag(kp))
+
+    return values, name
 
 
 @check(1e-13)
-def _check_bialgebra_cocommutator(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_bialgebra_cocommutator(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         images = cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values))
         literal = kind_stack(lambda kind, z: _KIND_IMAGES[kind](kp, z), cfg.z_values)
         with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
             defects = np.abs(images - literal).max(axis=-1)
-        yield from _kind_rows(kp, defects, "{kind} {inner} {kp}", GENERATOR_NAMES)
+        yield _kind_rows(kp, defects, "{kind} {inner} {kp}", GENERATOR_NAMES)
 
 
 @check(1e-13)
-def _check_bialgebra_cocycle(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_bialgebra_cocycle(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         cocycle, _, _ = bialgebra_check(kp, cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values)))
-        yield from _kind_rows(kp, cocycle)
+        yield _kind_rows(kp, cocycle)
 
 
 @check(1e-13)
-def _check_bialgebra_dual_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_bialgebra_dual_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         _, jacobi, f = bialgebra_check(kp, cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values)))
         # [e^j, e^k] of the dual algebra reads the e_j ^ e_k components of the images
         literal = kind_stack(lambda kind, z: _KIND_IMAGES[kind](kp, z), cfg.z_values)
         with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
             dual = np.abs(f[..., _UPPER[0], _UPPER[1], :] - np.swapaxes(literal, -1, -2)).max(axis=-1)
-        # each row yields its Jacobi defect, then its dual brackets in _PAIRS order
+        # each row has its Jacobi defect, then its dual brackets in _PAIRS order
         inner = ("", *(f"dual [{j}{k}] " for j, k in _PAIRS))
-        yield from _kind_rows(kp, np.concatenate([jacobi[..., None], dual], axis=-1), "{inner}{kind} {kp}", inner)
+        yield _kind_rows(kp, np.concatenate([jacobi[..., None], dual], axis=-1), "{inner}{kind} {kp}", inner)
 
 
 @check(1e-13)
-def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         coeff = schouten(kp, kind_stack(rmatrix, cfg.z_values))
         expected = kind_stack(lambda kind, z: SCHOUTEN_COEFFICIENTS[kind](kp, z), cfg.z_values)
         with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
             defects = np.abs(coeff - expected)
-        yield from _kind_rows(kp, defects)
+        yield _kind_rows(kp, defects)
 
 
 @check(1e-13)
-def _check_bialgebra_mcybe(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_bialgebra_mcybe(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        yield from _kind_rows(kp, mcybe_defect(kp, kind_stack(rmatrix, cfg.z_values)))
+        yield _kind_rows(kp, mcybe_defect(kp, kind_stack(rmatrix, cfg.z_values)))
 
 
 @check(0.5)
-def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
+    gens = ("J01", "J12", "J02")
     for kp in cfg.kappa_grid:
         images = cocommutator_map(kp, rmatrix(DeformationKind.FIRST_KIND, cfg.z_values))
         expect = (
@@ -1294,28 +1365,28 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> D
             if kp.k2 == 0.0
             else CoisotropyVerdict.COISOTROPIC
         )
-        gens = ("J01", "J12", "J02")
         got = np.stack([coisotropy_check(kp, images, gen) for gen in gens], axis=-1)
         wrong = got != np.array([CoisotropyVerdict.POISSON_SUBGROUP, expect, expect], dtype=object)
-        tag = _kp_tag(kp)
-        yield from zip(wrong.astype(float).ravel().tolist(), itertools.cycle(f"{gen} {tag}" for gen in gens))
+        yield wrong.astype(float), lambda i: f"{gens[i % 3]} {_kp_tag(kp)}"
 
 
 # --- sklyanin suite ----------------------------------------------------------
 
 @check(1e-8)
-def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        flag = _Flag(len(x))
+        closed_flag, flag = _Flag(len(x)), _Flag(len(x))
+        closed = _invariant_vector_fields(kp, *x.T, closed_flag)
         numeric = _invariant_fields(kp, x, flag)
-        for i, (point, left, right) in enumerate(zip(x.tolist(), numeric.left, numeric.right)):
-            closed = invariant_vector_fields(kp, GroupCoordinates(*point))
-            if flag.bad[i]:
-                _invariant_fields(kp, x[i], ktrig)
-            yield float(np.abs(closed.left - left).max()), f"left {tag}"
-            yield float(np.abs(closed.right - right).max()), f"right {tag}"
+        with np.errstate(over="ignore", invalid="ignore"):  # at a flagged point
+            defects = [np.abs(closed.left - numeric.left), np.abs(closed.right - numeric.right)]
+        yield from _flagged(
+            np.stack([d.max(axis=(1, 2)) for d in defects], axis=1),
+            lambda i: f"{('left', 'right')[i % 2]} {_kp_tag(kp)}",
+            _Stage(closed_flag.bad, lambda j: invariant_vector_fields(kp, GroupCoordinates(*x[j].tolist()))),
+            _Stage(flag.bad, lambda j: _invariant_fields(kp, x[j], ktrig)),
+        )
 
 
 def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
@@ -1333,27 +1404,31 @@ def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.n
         return np.abs(closed - numeric)[..., _UPPER[0], _UPPER[1]]
 
 
+def _pair_name(kp: KappaPair) -> Callable[[int], str]:
+    """The name of entry i of (point, pair of GROUP_COORD_PAIRS) defects."""
+    return lambda i: "{{{},{}}} {}".format(*GROUP_COORD_PAIRS[i % 3], _kp_tag(kp))
+
+
 @check(1e-6)
-def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, 50)
             flag = _Flag(len(x))
-            defects = sklyanin_pair_defects(kp, z, x, flag)
-            for row in _unflagged(defects.tolist(), flag.bad, lambda i: sklyanin_pair_defects(kp, z, x[i], ktrig)):
-                for (f, g), defect in zip(GROUP_COORD_PAIRS, row):
-                    yield defect, f"{{{f},{g}}} {tag}"
+            yield from _flagged(
+                sklyanin_pair_defects(kp, z, x, flag),
+                _pair_name(kp),
+                _Stage(flag.bad, lambda j: sklyanin_pair_defects(kp, z, x[j], ktrig)),
+            )
 
 
 @check(1e-5)
-def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # sum over cyclic (a, b, c) of {{x_a, x_b}, x_c} = grad P[a, b] . P[:, c],
     # each gradient by central differences of the bracket matrix
     h = 1e-5
     steps = h * np.eye(3)
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.3, max(3, cfg.sample_count // 5))
             # each sample's point, then the point + and - each step
@@ -1371,120 +1446,129 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Defect
                 )
             # a sample fails at its first flagged point, in the order of points
             bad = flag.bad.reshape(len(points), len(x)).any(axis=0)
-            for defect in _unflagged(
-                np.abs(total).tolist(), bad, lambda i: [_sklyanin_closed(kp, z, b[i], ktrig) for b in points]
-            ):
-                yield defect, tag
+            again = _Stage(bad, lambda j: [_sklyanin_closed(kp, z, b[j], ktrig) for b in points])
+            yield from _flagged(np.abs(total), lambda i: _kp_tag(kp), again)
 
 
 @check(1e-12)
-def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     rows = _sklyanin_rows()
     for kp in NORMALIZED_PAIRS:
         if kp.k2 == 0.0:
             continue
-        tag = _kp_tag(kp)
         row = rows[kp.signs()]
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
             flag = _Flag(len(x))
-            upper = zip(x.tolist(), _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]].tolist())
-            for point, got in _unflagged(upper, flag.bad, lambda i: _sklyanin_closed(kp, z, x[i], ktrig)):
-                for (f, g), val, ref in zip(GROUP_COORD_PAIRS, got, row(*point, z)):
-                    yield abs(val - ref), f"{{{f},{g}}} {tag}"
+            got = _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]]
+            # the literal rows are math.* code, one point at a time
+            ref = np.array([row(*point, z) for point in x.tolist()])
+            yield from _flagged(
+                np.abs(got - ref), _pair_name(kp), _Stage(flag.bad, lambda j: _sklyanin_closed(kp, z, x[j], ktrig))
+            )
 
 
 @check(1e-2)
-def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for z in cfg.z_values:
         for k1 in (-1.0, 0.0, 1.0):
             kp0 = KappaPair(k1, 0.0)
             x = sample_group_stack(rng, kp0, 0.4, cfg.sample_count)
             flag = _Flag(len(x))
-            upper = np.abs(_sklyanin_closed(kp0, z, x, flag)[:, _UPPER[0], _UPPER[1]]).tolist()
-            for vals in _unflagged(upper, flag.bad, lambda i: _sklyanin_closed(kp0, z, x[i], ktrig)):
-                for val in vals:
-                    yield val, f"vanish k1={k1:g}"
+            yield from _flagged(
+                np.abs(_sklyanin_closed(kp0, z, x, flag)[:, _UPPER[0], _UPPER[1]]),
+                lambda i: f"vanish k1={k1:g}",
+                _Stage(flag.bad, lambda j: _sklyanin_closed(kp0, z, x[j], ktrig)),
+            )
             # shrinking the second label scales every bracket linearly
-            gc = sample_group_coords(rng, kp0, 0.3)
+            gc = GroupCoordinates(*sample_group_stack(rng, kp0, 0.3, 1)[0].tolist())
             slopes = [sklyanin_closed(KappaPair(k1, k2), z, gc)[_UPPER] / k2 for k2 in (1e-4, 1e-6)]
-            yield float(np.abs(slopes[0] - slopes[1]).max()) / max(1.0, abs(z)), f"slope k1={k1:g}"
+            slope = float(np.abs(slopes[0] - slopes[1]).max()) / max(1.0, abs(z))
+            yield np.array([slope]), lambda i: f"slope k1={k1:g}"
 
 
 @check(1e-6)
-def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     h = 1e-6
+    kinds = DeformationKind.FIRST_KIND, DeformationKind.SECOND_KIND
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         for z in cfg.z_values:
-            for _ in range(cfg.sample_count):
-                p = sample_parallel1(rng, kp, 0.35)
-                try:
-                    first = phs_points_bracket(kp, z, DeformationKind.FIRST_KIND, p.a1, p.a2)
-                except ChartDomainError:
-                    continue
-                yield abs(first - z * kp.k2 * ktrig.tk(kp.k12, p.a2)), f"first {tag}"
-                second = phs_points_bracket(kp, z, DeformationKind.SECOND_KIND, p.a1, p.a2)
-                yield abs(second - z * ktrig.sk(kp.k1, p.a1)), f"second {tag}"
-            plus = phs_points_bracket(kp, z, DeformationKind.FIRST_KIND, 0.2, h)
-            minus = phs_points_bracket(kp, z, DeformationKind.FIRST_KIND, 0.2, -h)
-            yield abs((plus - minus) / (2.0 * h) - z * kp.k2), f"slope {tag}"
+            a1, a2 = sample_parallel1_stack(rng, kp, 0.35, cfg.sample_count).T
+            flags = _Flag(a1.shape), _Flag(a1.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # at a flagged point
+                first, second = (_phs_bracket(kp, z, kind, a1, a2, f) for kind, f in zip(kinds, flags))
+                defects = [first - z * kp.k2 * flags[0].tk(kp.k12, a2), second - z * flags[1].sk(kp.k1, a1)]
+
+            def again(kind: DeformationKind) -> Callable[[int], float]:
+                return lambda j: phs_points_bracket(kp, z, kind, a1[j].item(), a2[j].item())
+
+            # a point where the first-kind bracket is undefined is skipped
+            yield from _flagged(
+                np.abs(np.stack(defects, axis=1)),
+                lambda i: f"{('first', 'second')[i % 2]} {_kp_tag(kp)}",
+                _Stage(flags[0].bad, again(kinds[0]), 0, ChartDomainError),
+                _Stage(flags[0].bad, again(kinds[0]), 1, ChartDomainError),
+                _Stage(flags[1].bad, again(kinds[1]), 1),
+            )
+            plus = phs_points_bracket(kp, z, kinds[0], 0.2, h)
+            minus = phs_points_bracket(kp, z, kinds[0], 0.2, -h)
+            yield np.array([abs((plus - minus) / (2.0 * h) - z * kp.k2)]), lambda i: f"slope {_kp_tag(kp)}"
 
 
 # --- quantum suite -----------------------------------------------------------
 
 
-def _quantum_rows(kp: KappaPair, z_values: list, defects: np.ndarray, bad: np.ndarray, again: Callable) -> Defects:
-    """The defect at each z of a label pair's z-stack; a flagged z is
-    evaluated again with again, and its GeometryError is an inf defect."""
-    tag = _kp_tag(kp)
-    for z, defect, flagged in zip(z_values, defects.tolist(), bad):
+def _quantum_block(kp: KappaPair, z_values: tuple, defects: np.ndarray, bad: np.ndarray, again: Callable) -> Block:
+    """The block of a label pair's z-stack defects; a flagged z is evaluated
+    again with again, and a GeometryError there is an inf defect."""
+    defects, errors = defects.copy(), {}
+    for i in np.flatnonzero(bad).tolist():
         try:
-            yield (again(kp, z) if flagged else defect), f"z={z:g} {tag}"
+            defects[i] = again(kp, z_values[i])
         except GeometryError as exc:
-            yield math.inf, f"z={z:g} {tag}: {exc}"
+            defects[i], errors[i] = math.inf, f": {exc}"
+    return defects, lambda i: f"z={z_values[i]:g} {_kp_tag(kp)}{errors.get(i, '')}"
 
 
 @check(1e-9)
-def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_quantum_relations(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     z_values = np.array(cfg.z_values)
     for kp in cfg.kappa_grid:
         relation, bad = _relation_stack(kp, z_values, *_image_stack(kp, z_values))
-        yield from _quantum_rows(kp, cfg.z_values, relation, bad, deformed_relation_defect)
+        yield _quantum_block(kp, cfg.z_values, relation, bad, deformed_relation_defect)
 
 
 @check(1e-10)
-def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_quantum_coassociativity(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     z_values = np.array(cfg.z_values)
     for kp in cfg.kappa_grid:
         parts, bad = _image_stack(kp, z_values)
-        yield from _quantum_rows(kp, cfg.z_values, _coassociativity_defect(*parts), bad, coassociativity_defect)
+        yield _quantum_block(kp, cfg.z_values, _coassociativity_defect(*parts), bad, coassociativity_defect)
 
 
 @check(10.0)
-def _check_quantum_classical_limit(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_quantum_classical_limit(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     # the dressed coproduct approaches the primitive one linearly in z
     zt = 1e-6
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
-        for gen, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, zt, ktrig)[2]):
-            d0 = coproduct_classical(kp, gen)
-            yield float(np.abs(dz - d0).max()) / zt, f"{gen} {tag}"
+        images = _coproduct_images(kp, zt, ktrig)[2]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or nan defect
+            defects = [np.abs(dz - coproduct_classical(kp, gen)).max() for gen, dz in zip(GENERATOR_NAMES, images)]
+            defects = np.array(defects) / zt
+        yield defects, lambda i: f"{GENERATOR_NAMES[i]} {_kp_tag(kp)}"
 
 
 @check(10.0)
-def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> Defects:
+def _check_quantum_first_order(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        tag = _kp_tag(kp)
         for z in (1e-3, 1e-4):
             try:
                 cm = first_order_delta(kp, z)
             except GeometryError as exc:
-                yield math.inf, f"z={z:g} {tag}: {exc}"
+                yield np.array([math.inf]), lambda i, exc=exc: f"z={z:g} {_kp_tag(kp)}: {exc}"
                 continue
             defects = np.abs(cm - _first_kind_images(kp, z)).max(axis=-1) / (z * z)
-            for defect, gname in zip(defects.tolist(), GENERATOR_NAMES):
-                yield defect, f"{gname} z={z:g} {tag}"
+            yield defects, lambda i: f"{GENERATOR_NAMES[i]} z={z:g} {_kp_tag(kp)}"
 
 
 # --- registry and runner -----------------------------------------------------
@@ -1493,20 +1577,20 @@ CHECK_NAMES = tuple(name for _, name, _ in _REGISTRY)
 SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in _REGISTRY))
 
 
-def _reduce(suite: str, name: str, defects: Defects) -> CheckResult:
-    """Fold a check's (defect, where) pairs into its result, by the rules
-    the module docstring states."""
+def _reduce(suite: str, name: str, blocks: Blocks) -> CheckResult:
+    """Fold a check's blocks into its result, by the rules the module
+    docstring states."""
     worst, where, samples = 0.0, "", 0
     try:
-        for samples, (defect, tag) in enumerate(defects, 1):
-            if math.isnan(defect):
-                defect = math.inf
+        for defects, at in blocks:
+            defect, i = worst_defect(defects)
+            samples += np.size(defects)
             if defect > worst:
-                worst, where = defect, tag
+                worst, where = defect, at(i)
     except GeometryError as exc:
         worst, where = math.inf, f"{type(exc).__name__}: {exc}"
     tol = DEFAULT_TOLERANCES[name]
-    return CheckResult(suite, name, float(worst), tol, bool(worst <= tol), samples, where)
+    return CheckResult(suite, name, worst, tol, bool(worst <= tol), samples, where)
 
 
 def _run(cfg: SweepConfig, selected: Callable[[str, str], bool]) -> list[CheckResult]:

@@ -47,6 +47,7 @@ from .checks import (
     sample_group_stack,
     sklyanin_pair_defects,
     suite_summary,
+    worst_defect,
 )
 from .dualities import (
     DUALITIES,
@@ -62,15 +63,16 @@ from .errors import (
 from .ktrig import _Flag, span_bound
 from .poisson import (
     _PAIRS,
+    _mcybe_defect,
+    _schouten_coefficient,
+    _schouten_tensor,
     GROUP_COORD_PAIRS,
     DeformationKind,
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
-    mcybe_defect,
     phs_points_bracket,
     rmatrix,
-    schouten,
 )
 from .quantum import (
     _coassociativity_defect,
@@ -318,7 +320,7 @@ def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             row["target_k1"] = kpd.k1
             row["target_k2"] = kpd.k2
             row["matrix"] = [list(map(float, r)) for r in m]
-            worst = functools.reduce(max, duality_morphism_defects(kp, kpd, m, rng, sweep.sample_count), 0.0)
+            worst, _ = worst_defect(duality_morphism_defects(kp, kpd, m, rng, sweep.sample_count))
             row["morphism_defect"] = worst
             row["passed"] = worst <= tol
         except UndefinedDualityError as exc:
@@ -365,13 +367,14 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     schouten_tol = DEFAULT_TOLERANCES["bialgebra_schouten"]
     rows = []
     for kp in sweep.kappa_grid:
-        r = kind_stack(rmatrix, sweep.z_values, kinds)
+        # one Schouten tensor per stack, projected twice
+        t = _schouten_tensor(kp, kind_stack(rmatrix, sweep.z_values, kinds))
         expected = kind_stack(lambda kind, z: SCHOUTEN_COEFFICIENTS[kind](kp, z), sweep.z_values, kinds)
         for (z, kind), coeff, want, defect in zip(
             itertools.product(sweep.z_values, kinds),
-            schouten(kp, r).ravel().tolist(),
+            _schouten_coefficient(t).ravel().tolist(),
             expected.ravel().tolist(),
-            mcybe_defect(kp, r).ravel().tolist(),
+            _mcybe_defect(kp, t).ravel().tolist(),
         ):
             rows.append(
                 {
@@ -401,7 +404,7 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             rng = np.random.default_rng([sweep.seed, *label_bits])
             flag = _Flag(sweep.sample_count)
             defects = sklyanin_pair_defects(kp, z, sample_group_stack(rng, kp, 0.35, sweep.sample_count), flag)
-            worst = functools.reduce(max, defects[~flag.bad].ravel().tolist(), 0.0)
+            worst, _ = worst_defect(defects[~flag.bad])
             # every pair at a flagged point failed
             errors = len(GROUP_COORD_PAIRS) * int(np.count_nonzero(flag.bad))
             rows.append(

@@ -52,10 +52,12 @@ def rep_basis(kp: KappaPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j01, j02, j12
 
 
-def rep(kp: KappaPair, x: AlgebraElement) -> np.ndarray:
-    """Representation matrix of a general algebra element."""
+def rep(kp: KappaPair, x: AlgebraElement | np.ndarray) -> np.ndarray:
+    """Representation matrix of an algebra element, or the stack of those
+    of the elements with the coefficient rows x, (..., 3)."""
     j01, j02, j12 = rep_basis(kp)
-    return x.c01 * j01 + x.c02 * j02 + x.c12 * j12
+    c = x.as_array() if isinstance(x, AlgebraElement) else x
+    return c[..., 0, None, None] * j01 + c[..., 1, None, None] * j02 + c[..., 2, None, None] * j12
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ Where a hyperbolic value overflows a double, ck and sk raise
 ChartDomainError and the array forms give an infinite element; at an
 infinite circular angle they raise it too, and the array forms give nan.
 kinv_array returns the mask of the elements where kinv raises.  The scalar
-forms stay: a sweep makes about 14,100 calls to ck, sk, tk and kinv at
-0.2-0.3 us, and a one-element array call, at 2-11 us, would add about 0.1 s
-to its 0.27 s.
+forms stay for one-point callers: a default sweep makes about 1,100 calls
+to ck, sk, tk and kinv (cProfile at seeds 0 and 5) at 0.2-0.3 us, where a
+one-element array call takes 2-11 us.
 
 A map that other modules evaluate at many points at once is written once,
-over steps: ck, sk, tk, kinv, each(form, rows) for k inputs per point, and
+over steps: ck, sk, tk, vk, kinv, each(form, rows) for k inputs per point, and
 fails(mask) for a domain test, which reads `if steps.fails(mask): raise`.
 This module is the raising set of steps, for one point: the first step
 that fails raises, from its own raise site, and a message formats numpy
@@ -159,7 +159,12 @@ def vk(kappa: float, x: float) -> float:
     Evaluated through the half-argument identity 1 - ck(x) = 2 kappa sk(x/2)**2,
     which has no cancellation for small kappa * x**2.
     """
-    h = sk(kappa, 0.5 * x)
+    return _vk(kappa, x, sys.modules[__name__])
+
+
+def _vk(kappa: float, x, steps):
+    """vk through steps: the vk step of both sets."""
+    h = steps.sk(kappa, 0.5 * x)
     return 2.0 * h * h
 
 
@@ -256,6 +261,9 @@ class _Flag:
     def tk(self, kappa: float, x) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):  # a pole is flagged
             return _tk(kappa, np.asarray(x, dtype=float), self)
+
+    def vk(self, kappa: float, x) -> np.ndarray:
+        return _vk(kappa, np.asarray(x, dtype=float), self)
 
     def each(self, form: Callable, rows: np.ndarray) -> np.ndarray:
         """form(rows, steps) for a stack rows of k inputs per point, shape

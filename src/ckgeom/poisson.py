@@ -23,9 +23,10 @@ contraction L^T r L - R^T r R of the left/right invariant vector fields.
 The fields come in closed form or from an oracle that rebuilds them by
 differentiating group translations.
 
-The oracle fields, the closed-form bracket and the contraction are written
-once, as _invariant_fields, _sklyanin_closed and _bracket over the steps of
-ktrig (see there).
+The oracle and closed-form fields, the closed-form bracket, the contraction
+and the quotient bracket are written once, as _invariant_fields,
+_invariant_vector_fields, _sklyanin_closed, _bracket and _phs_bracket over
+the steps of ktrig (see there).
 """
 
 from __future__ import annotations
@@ -157,14 +158,22 @@ def schouten(kp: KappaPair, r) -> np.ndarray:
     The projection is the alternating sum over the six index orders of the
     coefficient tensor, divided by 6.
     """
-    t = _schouten_tensor(kp, r)
+    return _schouten_coefficient(_schouten_tensor(kp, r))
+
+
+def _schouten_coefficient(t: np.ndarray) -> np.ndarray:
+    """schouten of the tensors t of _schouten_tensor."""
     return sum(sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()) / 6.0
 
 
 def mcybe_defect(kp: KappaPair, r) -> np.ndarray:
     """Adjoint-invariance defect of [[r, r]] (modified classical YBE), for
     the bivectors r, (..., 3); a defect whose sums overflow is inf or nan."""
-    t = _schouten_tensor(kp, r)
+    return _mcybe_defect(kp, _schouten_tensor(kp, r))
+
+
+def _mcybe_defect(kp: KappaPair, t: np.ndarray) -> np.ndarray:
+    """mcybe_defect of the tensors t of _schouten_tensor."""
     ad = _ad(kp)
     # a sum that overflows at huge labels makes the defect inf or nan, which
     # no tolerance passes
@@ -212,28 +221,31 @@ class InvariantFields:
 
 def invariant_vector_fields(kp: KappaPair, gc: GroupCoordinates) -> InvariantFields:
     """Closed-form left/right invariant fields in ordered-product coordinates."""
+    return _invariant_vector_fields(kp, gc.a1, gc.a2, gc.xi, ktrig)
+
+
+def _invariant_vector_fields(kp: KappaPair, a1, a2, xi, steps) -> InvariantFields:
+    """The closed-form fields at the points (a1, a2, xi), floats or arrays of
+    one shape, through steps (see ktrig)."""
     k1, k2, k12 = kp.k1, kp.k2, kp.k12
-    c2 = ktrig.ck(k12, gc.a2)
-    if abs(c2) < ktrig.DEFAULT_POLE_TOL:
-        raise ChartDomainError("invariant fields diverge where the a2 cosine factor vanishes")
-    t2 = ktrig.tk(k12, gc.a2)
-    cxi, sxi = ktrig.ck(k2, gc.xi), ktrig.sk(k2, gc.xi)
-    c1, s1 = ktrig.ck(k1, gc.a1), ktrig.sk(k1, gc.a1)
-    left = np.array(
-        [
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # at a flagged point
+        c2 = steps.ck(k12, a2)
+        if steps.fails(abs(c2) < ktrig.DEFAULT_POLE_TOL):
+            raise ChartDomainError("invariant fields diverge where the a2 cosine factor vanishes")
+        t2 = steps.tk(k12, a2)
+        cxi, sxi = steps.ck(k2, xi), steps.sk(k2, xi)
+        c1, s1 = steps.ck(k1, a1), steps.sk(k1, a1)
+        left = [
             [cxi / c2, sxi, -k1 * t2 * cxi],
             [-k2 * sxi / c2, cxi, k12 * t2 * sxi],
             [0.0, 0.0, 1.0],
         ]
-    )
-    right = np.array(
-        [
+        right = [
             [1.0, 0.0, 0.0],
             [k12 * s1 * t2, c1, -k1 * s1 / c2],
             [-k2 * c1 * t2, s1, c1 / c2],
         ]
-    )
-    return InvariantFields(left, right)
+    return InvariantFields(_matrix(left), _matrix(right))
 
 
 def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFields:
@@ -329,9 +341,15 @@ def phs_points_bracket(
 
     First kind: z k2 tk(k1 k2, a2); second kind: z sk(k1, a1).
     """
+    try:
+        return _phs_bracket(kp, z, kind, a1, a2, ktrig)
+    except PoleError as exc:
+        raise ChartDomainError(f"first-kind bracket undefined here: {exc}") from exc
+
+
+def _phs_bracket(kp: KappaPair, z: float, kind: DeformationKind, a1, a2, steps):
+    """phs_points_bracket at the points (a1, a2), floats or arrays of one
+    shape, through steps (see ktrig), where a pole is a PoleError."""
     if kind is DeformationKind.FIRST_KIND:
-        try:
-            return z * kp.k2 * ktrig.tk(kp.k12, a2)
-        except PoleError as exc:
-            raise ChartDomainError(f"first-kind bracket undefined here: {exc}") from exc
-    return z * ktrig.sk(kp.k1, a1)
+        return z * kp.k2 * steps.tk(kp.k12, a2)
+    return z * steps.sk(kp.k1, a1)

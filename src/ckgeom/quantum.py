@@ -58,8 +58,7 @@ def closed_exp_j01(kp: KappaPair, t: float) -> np.ndarray:
 def _closed_exp_j01(kp: KappaPair, t, steps) -> np.ndarray:
     p = rep_basis(kp)[0]
     s = steps.sk(kp.k1, t)
-    h = steps.sk(kp.k1, 0.5 * t)  # the versine vk(k1, t) is 2 h**2
-    return np.eye(3) + _col(s) * p + _col(2.0 * h * h) * (p @ p)
+    return np.eye(3) + _col(s) * p + _col(steps.vk(kp.k1, t)) * (p @ p)
 
 
 def deformation_scale(kp: KappaPair, z: float) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ckgeom import (
@@ -21,10 +22,13 @@ from ckgeom import (
 )
 from ckgeom import checks
 from ckgeom.checks import SUITE_NAMES
-from ckgeom.errors import OffSurfaceError
+from ckgeom.errors import ChartDomainError, OffSurfaceError
 
 # each geometry check's result at seeds 0-7, as the sample-by-sample checks gave it
 GEOMETRY_GOLDEN = Path(__file__).parent / "golden" / "geometry_suite_seeds0-7.json"
+# every check's [repr(max_defect), samples, detail] at seeds 0-31, as the
+# checks that yielded one (defect, where) pair per sample gave it
+CHECKS_GOLDEN = Path(__file__).parent / "golden" / "checks_seeds0-31.json"
 
 LIGHT = SweepConfig(
     kappa_grid=kappa_grid_from_name("normalized9"),
@@ -39,33 +43,121 @@ def test_registry_and_tolerances_agree():
     assert len(CHECK_NAMES) == len(set(CHECK_NAMES))
 
 
-def test_every_check_is_a_generator():
-    assert [name for _, name, fn in checks._REGISTRY if not inspect.isgeneratorfunction(fn)] == []
+def test_every_check_yields_blocks():
+    # each block is a float array with a name for its entries, which the
+    # reducer reads while the check waits at that block
+    cfg = LIGHT.validated()
+    for idx, (_, name, fn) in enumerate(checks._REGISTRY):
+        blocks = fn(cfg, np.random.default_rng([cfg.seed, idx]))
+        assert inspect.isgenerator(blocks), name
+        for defects, at in blocks:
+            assert isinstance(defects, np.ndarray) and defects.dtype == np.float64, name
+            if defects.size:
+                assert isinstance(at(defects.size - 1), str), name
 
 
-def test_reduce_keeps_the_first_worst_sample_and_counts_every_yield():
-    def reduce(*pairs):
-        r = checks._reduce("trig", "trig_identity", iter(pairs))
+def blocks_of(*blocks):
+    """Blocks of the given (defects, names) pairs."""
+    return ((np.array(defects, dtype=float), names.__getitem__) for defects, names in blocks)
+
+
+def test_reduce_keeps_the_first_worst_entry_and_counts_every_entry():
+    def reduce(*blocks):
+        r = checks._reduce("trig", "trig_identity", blocks_of(*blocks))
         return r.max_defect, r.detail, r.samples, r.passed
 
     assert reduce() == (0.0, "", 0, True)
-    assert reduce((0.0, "zero"), (1e-12, "at tol")) == (1e-12, "at tol", 2, True)
-    assert reduce((0.0, "zero"), (2.0, "first"), (1.0, "less"), (2.0, "tie")) == (2.0, "first", 4, False)
-    assert reduce((1.0, "one"), (math.nan, "nan"), (math.inf, "inf")) == (math.inf, "nan", 3, False)
+    assert reduce(([0.0, 0.0], ["a", "b"])) == (0.0, "", 2, True)
+    assert reduce(([0.0, 1e-12], ["zero", "at tol"])) == (1e-12, "at tol", 2, True)
+    # a tie keeps the first worst entry, in a block and across blocks
+    assert reduce(([0.0, 2.0, 1.0, 2.0], ["zero", "first", "less", "tie"])) == (2.0, "first", 4, False)
+    assert reduce(([2.0], ["first"]), ([], []), ([1.0, 2.0], ["less", "tie"])) == (2.0, "first", 3, False)
+    assert reduce(([1.0], ["one"]), ([0.5, 3.0], ["half", "three"])) == (3.0, "three", 3, False)
+    # nan counts as inf
+    assert reduce(([1.0, math.nan, math.inf], ["one", "nan", "inf"])) == (math.inf, "nan", 3, False)
+    assert reduce(([1.0, math.inf, math.nan], ["one", "inf", "nan"])) == (math.inf, "inf", 3, False)
+    assert reduce(([math.inf], ["inf"]), ([math.nan], ["nan"])) == (math.inf, "inf", 2, False)
+
+
+def test_reduce_names_only_the_worst_entry():
+    named = []
+
+    def name(i):
+        named.append(i)
+        return f"entry {i}"
+
+    blocks = [(np.array([0.0, 3.0, 1.0]), name), (np.array([2.0]), name), (np.array([5.0, 4.0]), name)]
+    r = checks._reduce("trig", "trig_identity", iter(blocks))
+    assert (r.max_defect, r.detail, r.samples) == (5.0, "entry 0", 6)
+    assert named == [1, 0]
 
 
 def test_reduce_ends_a_check_at_an_escaping_geometry_error():
     def defects(error):
-        yield 0.5, "first"
+        yield from blocks_of(([0.5, 0.25], ["first", "second"]))
         raise error
 
     r = checks._reduce("trig", "trig_identity", defects(OffSurfaceError("misses the quadric")))
     assert (r.max_defect, r.detail, r.samples, r.passed) == (
-        math.inf, "OffSurfaceError: misses the quadric", 1, False
+        math.inf, "OffSurfaceError: misses the quadric", 2, False
     )
     # only geometry errors are results; anything else is a bug and propagates
     with pytest.raises(ValueError):
         checks._reduce("trig", "trig_identity", defects(ValueError("bug")))
+
+
+def test_flagged_entries_are_evaluated_again_in_order():
+    visits = []
+
+    def again(fail):
+        def evaluate(j):
+            visits.append(j)
+            if j in fail:
+                raise fail[j]
+
+        return evaluate
+
+    def reduce(*stages, keep=True):
+        visits.clear()
+        # two samples of two entries each
+        blocks = checks._flagged(np.array([[1.0, 5.0], [2.0, 3.0]]), "entry {}".format, *stages, keep=keep)
+        r = checks._reduce("trig", "trig_identity", blocks)
+        return r.max_defect, r.detail, r.samples
+
+    skip, both = ChartDomainError("off the chart"), np.array([True, True])
+    # a stage the loop skips on drops its entry; a flagged sample that
+    # evaluates keeps its stack value
+    dropping = checks._Stage(both, again({0: skip}), 1, ChartDomainError)
+    assert reduce(dropping) == (3.0, "entry 3", 3)
+    assert visits == [0, 1]
+    # a dropped entry runs none of its later stages; keep drops entries
+    # without a visit
+    later = checks._Stage(both, again({}), 1)
+    assert reduce(dropping, later, keep=[[True, True], [False, True]]) == (3.0, "entry 3", 2)
+    assert visits == [0, 1, 1]
+    # any other error ends the check after the entries before it
+    assert reduce(checks._Stage(both, again({1: skip}), 1)) == (math.inf, "ChartDomainError: off the chart", 3)
+    first = checks._Stage(both, again({}))
+    failing = checks._Stage(np.array([True, False]), again({0: OffSurfaceError("misses")}), 1, ChartDomainError)
+    assert reduce(failing, first) == (math.inf, "OffSurfaceError: misses", 1)
+    assert visits == [0, 0]
+
+
+def test_rejection_blocks_end_at_an_escaping_geometry_error():
+    rng = np.random.default_rng(0)
+
+    def block(ids, candidates):
+        def outcome(k):
+            if k == 3:
+                raise OffSurfaceError("misses")
+            return None if k == 1 else float(k)
+
+        return outcome
+
+    # attempt 1 is rejected and attempt 3 raises: the accepted 0 and 2 count
+    blocks = checks._rejection_sampled(rng, [(5, 10)], lambda ids: rng.random(len(ids)), block, "loop {}".format)
+    r = checks._reduce("trig", "trig_identity", blocks)
+    assert (r.max_defect, r.detail, r.samples) == (math.inf, "OffSurfaceError: misses", 2)
 
 
 def test_quantum_overflow_is_a_failing_row():
@@ -115,8 +207,11 @@ def test_check_results_are_order_independent():
 
 @pytest.mark.parametrize("seed", range(32))
 def test_sweep_passes_for_every_seed(seed):
-    failing = [(r.name, r.max_defect, r.detail) for r in run_all(SweepConfig(seed=seed)) if not r.passed]
+    results = run_all(SweepConfig(seed=seed))
+    failing = [(r.name, r.max_defect, r.detail) for r in results if not r.passed]
     assert failing == []
+    want = json.loads(CHECKS_GOLDEN.read_text())[str(seed)]
+    assert {r.name: [repr(r.max_defect), r.samples, r.detail] for r in results} == want
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -82,6 +82,8 @@ _FAILING_GOLDENS = {
     "bialgebra_k1_1_k2_1e150_z1e308.csv",
     "ybe_k1_1e200_k2_1e200_z0.1_z1e308.csv",
     "bialgebra_k1_1_k2_1e150_z0.3_z1e308.csv",
+    "sweep_all_k1_1e200_k2_1e200_samples2.json",
+    "sweep_all_k1_1e300_k2_1_samples2.json",
 }
 
 
@@ -210,6 +212,17 @@ _FAILING_GOLDENS = {
         (
             "bialgebra_k1_1_k2_1e150_z0.3_z1e308.csv",
             ["bialgebra", "--k1", "1", "--k2", "1e150", "--z", "0.3", "--z", "1e308", "--format", "csv"],
+        ),
+        # k1 k2 overflows: the bracket, representation and series products
+        # are inf or nan defects, with no numpy warning
+        (
+            "sweep_all_k1_1e200_k2_1e200_samples2.json",
+            ["sweep-all", "--k1=1e200", "--k2=1e200", "--samples", "2"],
+        ),
+        # the representation's cube and metricity products overflow
+        (
+            "sweep_all_k1_1e300_k2_1_samples2.json",
+            ["sweep-all", "--k1=1e300", "--k2=1", "--samples", "2"],
         ),
     ],
 )

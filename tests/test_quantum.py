@@ -9,6 +9,7 @@ from ckgeom import (
     DeformationKind,
     GENERATOR_NAMES,
     KappaPair,
+    ProjectionError,
     coassociativity_defect,
     cocommutator_map,
     coproduct_classical,
@@ -84,6 +85,13 @@ def test_first_order_images_that_overflow_are_a_domain_error():
     # the wedge basis holds products of k1 k2 = 1e300 with k2 = 1e150
     with pytest.raises(ChartDomainError, match="overflows"):
         first_order_delta(KappaPair(1e150, 1e150), 1e-3)
+
+
+def test_a_first_order_image_off_the_wedge_span_is_a_projection_error():
+    # at z = 1e-8 the residual allowed is 100 z**2 + 1e-13, about 1.1e-13;
+    # the image of J02 at labels -1e6 leaves about 1e-3
+    with pytest.raises(ProjectionError, match="first-order image of J02 misses the wedge span by 9.766e-04"):
+        first_order_delta(KappaPair(-1e6, -1e6), 1e-8)
 
 
 def test_relation_defect_grows_from_zero():

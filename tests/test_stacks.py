@@ -104,6 +104,18 @@ SETTINGS = settings(max_examples=60, deadline=None)
 ENTRY_OVERFLOW = (KappaPair(-1e6, 1.0), 0.7055)
 
 
+def sample_parallel1(rng, kp, frac) -> list:
+    """One parallel1 point as a sample-by-sample loop draws it: a1, then a2."""
+    b1, b2 = checks.coord_bound(kp.k1, frac), checks.coord_bound(kp.k12, frac)
+    return [rng.uniform(-b1, b1), rng.uniform(-b2, b2)]
+
+
+def sample_group_coords(rng, kp, frac) -> list:
+    """One group point as a sample-by-sample loop draws it: a1, a2, then xi."""
+    bx = checks.coord_bound(kp.k2, frac)
+    return sample_parallel1(rng, kp, frac) + [rng.uniform(-bx, bx)]
+
+
 def same_bits(a, b) -> bool:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -290,7 +302,7 @@ def test_sklyanin_numeric_of_stacked_fields_matches_each_point(z, entries):
 @SETTINGS
 def test_group_stack_sampling_draws_what_sample_group_coords_draws(seed, kp, frac, n):
     one, many = np.random.default_rng(seed), np.random.default_rng(seed)
-    each = [checks.sample_group_coords(one, kp, frac).as_array() for _ in range(n)]
+    each = [sample_group_coords(one, kp, frac) for _ in range(n)]
     assert same_bits(checks.sample_group_stack(many, kp, frac, n), np.array(each))
     assert one.random() == many.random()
 
@@ -302,7 +314,7 @@ def test_duality_defects_match_the_element_by_element_brackets(kp, kpd, seed, n)
     rng = np.random.default_rng(seed)
     want = []
     for _ in range(n):
-        x, y = (checks.sample_element(rng) for _ in range(2))
+        x, y = (AlgebraElement(*rng.uniform(-2.0, 2.0, 3)) for _ in range(2))
         lhs = m @ bracket(kpd, x, y).as_array()
         rhs = bracket(kp, AlgebraElement(*(m @ x.as_array())), AlgebraElement(*(m @ y.as_array()))).as_array()
         want.append(float(np.abs(lhs - rhs).max()))
@@ -464,7 +476,7 @@ def test_laplacian_stack_matches_laplace_beltrami_apply(kp, x):
 @SETTINGS
 def test_parallel1_stack_sampling_draws_what_sample_parallel1_draws(seed, kp, frac, n):
     one, many = np.random.default_rng(seed), np.random.default_rng(seed)
-    each = [[p.a1, p.a2] for p in (checks.sample_parallel1(one, kp, frac) for _ in range(n))]
+    each = [sample_parallel1(one, kp, frac) for _ in range(n)]
     assert same_bits(checks.sample_parallel1_stack(many, kp, frac, n), np.array(each))
     assert one.random() == many.random()
 
@@ -480,7 +492,7 @@ def test_rejection_blocks_make_the_draws_of_the_loops(seed, loops, share, sizes)
     # loop l draws sizes[l] doubles per attempt and accepts a candidate whose
     # first double is at least share; the defect is that double
     def accepted(x):
-        return (x[0], f"{x.tolist()}") if x[0] >= share else None
+        return x[0] if x[0] >= share else None
 
     one = np.random.default_rng(seed)
     want = []
@@ -488,10 +500,10 @@ def test_rejection_blocks_make_the_draws_of_the_loops(seed, loops, share, sizes)
         done = attempts = 0
         while done < n and attempts < cap:
             attempts += 1
-            result = accepted(one.random(sizes[l]))
-            if result is not None:
+            x = one.random(sizes[l])
+            if accepted(x) is not None:
                 done += 1
-                want.append(result)
+                want.append((x[0], f"loop {l}"))
 
     many = np.random.default_rng(seed)
 
@@ -501,7 +513,13 @@ def test_rejection_blocks_make_the_draws_of_the_loops(seed, loops, share, sizes)
     def block(ids, candidates):
         return lambda k: accepted(candidates[k])
 
-    assert list(checks._rejection_sampled(many, loops, draw, block)) == want
+    # each block of accepted attempts is named while the loops wait at it
+    got = [
+        (defect, name(i))
+        for defects, name in checks._rejection_sampled(many, loops, draw, block, "loop {}".format)
+        for i, defect in enumerate(defects.tolist())
+    ]
+    assert got == want
     assert one.random() == many.random()
 
 
