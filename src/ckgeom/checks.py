@@ -21,6 +21,12 @@ GeometryError that escapes the generator ends the check with defect inf and
 the detail "<Type>: <message>", so one check cannot abort the sweep;
 `samples` keeps the entries of the blocks before it.
 
+The reducer runs each check with numpy's overflow, invalid-value and
+divide-by-zero warnings off: the graded contractions put labels where
+stacked arithmetic overflows, and there a value is inf or nan, which as a
+defect fails the check.  A check body states no floating-point policy of
+its own.
+
 The checks evaluate the samples of one label pair (and z) at once, through
 the array forms of ktrig, the stack forms of group, poisson, quantum and
 spaces and the flow map _flow; sample_group_stack and
@@ -585,9 +591,7 @@ def _check_algebra_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
         def b(u, v):
             return np.array(_bracket_coeffs(kp, u, v))
 
-        # an overflow at huge labels is a nan or inf defect, which fails the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = b(b(x, y), zz) + b(b(y, zz), x) + b(b(zz, x), y)
+        total = b(b(x, y), zz) + b(b(y, zz), x) + b(b(zz, x), y)
         yield np.abs(total).max(axis=0), lambda i: _kp_tag(kp)
 
 
@@ -596,10 +600,8 @@ def _check_algebra_casimir_commutes(cfg: SweepConfig, rng: np.random.Generator) 
     for kp in cfg.kappa_grid:
         coeffs = casimir_coeffs(kp)
         mats = np.array(rep_basis(kp))
-        # an overflow at huge labels is a nan or inf defect, which fails the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            cas = sum(c * (m @ m) for c, m in zip(coeffs, mats))
-            defects = np.abs(cas @ mats - mats @ cas).max(axis=(1, 2))
+        cas = sum(c * (m @ m) for c, m in zip(coeffs, mats))
+        defects = np.abs(cas @ mats - mats @ cas).max(axis=(1, 2))
         yield defects, lambda i: _kp_tag(kp)
 
 
@@ -608,10 +610,9 @@ def _check_algebra_rep_homomorphism(cfg: SweepConfig, rng: np.random.Generator) 
     for kp in cfg.kappa_grid:
         # two elements per sample
         x, y = rng.uniform(-2.0, 2.0, (cfg.sample_count, 2, 3)).transpose(1, 0, 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = rep(kp, np.stack(_bracket_coeffs(kp, x.T, y.T), axis=-1))
-            rx, ry = rep(kp, x), rep(kp, y)
-            defects = np.abs(lhs - (rx @ ry - ry @ rx)).max(axis=(1, 2))
+        lhs = rep(kp, np.stack(_bracket_coeffs(kp, x.T, y.T), axis=-1))
+        rx, ry = rep(kp, x), rep(kp, y)
+        defects = np.abs(lhs - (rx @ ry - ry @ rx)).max(axis=(1, 2))
         yield defects, lambda i: _kp_tag(kp)
 
 
@@ -621,9 +622,8 @@ def _check_algebra_rep_metricity(cfg: SweepConfig, rng: np.random.Generator) -> 
         im = metric_matrix(kp)
         mats = np.array(rep_basis(kp))
         p = mats[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            form = np.abs(np.swapaxes(mats, 1, 2) @ im + im @ mats).max(axis=(1, 2))
-            cube = np.abs(p @ p @ p + kp.k1 * p).max()
+        form = np.abs(np.swapaxes(mats, 1, 2) @ im + im @ mats).max(axis=(1, 2))
+        cube = np.abs(p @ p @ p + kp.k1 * p).max()
         yield np.append(form, cube), lambda i: f"cube {_kp_tag(kp)}" if i == 3 else _kp_tag(kp)
 
 
@@ -753,9 +753,8 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
     for kp in cfg.kappa_grid:
         for gname, x in zip(GENERATOR_NAMES, rep_basis(kp)):
             flag = _Flag(len(ts))
-            with np.errstate(over="ignore", invalid="ignore"):  # at a flagged t
-                mats = ts[:, None, None] * x
-                defects = np.abs(_one_param(kp, gname, ts, flag) - _series(mats, flag)).max(axis=(1, 2))
+            mats = ts[:, None, None] * x
+            defects = np.abs(_one_param(kp, gname, ts, flag) - _series(mats, flag)).max(axis=(1, 2))
             again = _Stage(flag.bad, lambda j: (_one_param(kp, gname, ts[j], ktrig), _series(mats[j], ktrig)))
             yield from _flagged(defects, lambda i: f"{gname} {_kp_tag(kp)}", again)
 
@@ -767,10 +766,8 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Block
         x = sample_group_stack(rng, kp, 0.4, 100)
         flag = _Flag(len(x))
         g = _group(kp, x, flag)
-        # an overflow at huge labels is a nan or inf defect, which fails the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
-            det = np.abs(np.linalg.det(g) - 1.0)
+        form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
+        det = np.abs(np.linalg.det(g) - 1.0)
         again = _Stage(flag.bad, lambda j: _group(kp, x[j], ktrig))
         yield from _flagged(np.stack([form, det], axis=1), lambda i: ("", "det ")[i % 2] + _kp_tag(kp), again)
 
@@ -781,8 +778,7 @@ def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) ->
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
         flag = _Flag(len(x))
         back = _coords(kp, _group(kp, x, flag), flag)
-        with np.errstate(invalid="ignore"):
-            defects = np.abs(back - x).max(axis=1)
+        defects = np.abs(back - x).max(axis=1)
         again = _Stage(flag.bad, lambda j: _coords(kp, _group(kp, x[j], ktrig), ktrig))
         yield from _flagged(defects, lambda i: _kp_tag(kp), again)
 
@@ -802,16 +798,16 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> B
         moved = _act(kp, g, p.T, flag)
         # the orbit of the base point, the first column of g, recovers the
         # translation part; act at the base point cannot fail where g is finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
+        orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
         moved_defects = _ambient_defect_stack(kp, moved)
-        points = [ParallelI(a1, a2) for a1, a2 in q.tolist()]
         yield from _flagged(
             np.stack([moved_defects, orbit_defects], axis=1),
             lambda i: f"{('surface', 'orbit')[i % 2]} {_kp_tag(kp)}",
             _Stage(
                 flag.bad | p_bad,
-                lambda j: _act(kp, _group(kp, x[j], ktrig), to_ambient(kp, points[j]).as_array(), ktrig),
+                lambda j: _act(
+                    kp, _group(kp, x[j], ktrig), to_ambient(kp, ParallelI(*q[j].tolist())).as_array(), ktrig
+                ),
             ),
             _Stage(expect_bad, lambda j: to_ambient(kp, ParallelI(*x[j, :2].tolist())), 1),
         )
@@ -822,15 +818,12 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> Bl
     ts = np.array([-1.5, -0.4, 0.7, 2.0])
     for kp in cfg.kappa_grid:
         p = rep_basis(kp)[0]
-        # an overflow at huge labels is a nan or inf defect, which fails the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            cube = np.abs(p @ p @ p + kp.k1 * p).max()
-            mats = np.stack([ts[:, None, None] * p, -ts[:, None, None] * p], axis=1)
+        cube = np.abs(p @ p @ p + kp.k1 * p).max()
+        mats = np.stack([ts[:, None, None] * p, -ts[:, None, None] * p], axis=1)
         yield np.array([cube]), lambda i: f"cube {_kp_tag(kp)}"
         series, sk = _Flag(mats.shape[:2]), _Flag(ts.shape)
         plus, minus = np.moveaxis(_series(mats, series), 1, 0)
-        with np.errstate(over="ignore", invalid="ignore"):  # at a flagged t
-            defects = np.abs(0.5 * (plus - minus) - sk.sk(kp.k1, ts)[:, None, None] * p).max(axis=(1, 2))
+        defects = np.abs(0.5 * (plus - minus) - sk.sk(kp.k1, ts)[:, None, None] * p).max(axis=(1, 2))
         yield from _flagged(
             defects,
             lambda k: f"t={ts[k]:g} {_kp_tag(kp)}",
@@ -877,21 +870,24 @@ def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) 
         x = rng.uniform([-b1, -b2, 0.2], [b1, b2, max(coord_bound(kp.k1, 0.3), 0.3)], size=(cfg.sample_count, 3))
         p, p2 = ParallelI(x[:, 0], x[:, 1]), ParallelI(x[:, 2], x[:, 1])
         direct, second, outside, polar = (_Flag(len(x)) for _ in range(4))
-        with np.errstate(over="ignore", invalid="ignore"):
-            back = [_convert(kp, p, "parallel1", direct), _roundtrip(kp, p, "parallel2", second)]
-            s = _ambient_of(kp, p2, outside)
-            narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
-            back.append(_roundtrip(kp, p2, "polar", polar))
-            defects = np.stack([_max(abs(q.a1 - a.a1), abs(q.a2 - a.a2)) for q, a in zip(back, (p, p, p2))], axis=1)
-        points = [(ParallelI(a1, a2), ParallelI(r, a2)) for a1, a2, r in x.tolist()]
+        back = [_convert(kp, p, "parallel1", direct), _roundtrip(kp, p, "parallel2", second)]
+        s = _ambient_of(kp, p2, outside)
+        narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
+        back.append(_roundtrip(kp, p2, "polar", polar))
+        defects = np.stack([_max(abs(q.a1 - a.a1), abs(q.a2 - a.a2)) for q, a in zip(back, (p, p, p2))], axis=1)
+
+        def points(j: int) -> tuple[ParallelI, ParallelI]:
+            a1, a2, r = x[j].tolist()
+            return ParallelI(a1, a2), ParallelI(r, a2)
+
         # a sample has the entries (parallel1, parallel2, polar)
         yield from _flagged(
             defects,
             lambda i: f"{('parallel1', 'parallel2', 'polar')[i % 3]} {_kp_tag(kp)}",
-            _Stage(direct.bad, lambda j: _convert(kp, points[j][0], "parallel1", ktrig)),
-            _Stage(second.bad, lambda j: _roundtrip(kp, points[j][0], "parallel2", ktrig), 1, ChartDomainError),
-            _Stage(outside.bad, lambda j: to_ambient(kp, points[j][1]), 2),
-            _Stage(polar.bad & ~narrow, lambda j: _roundtrip(kp, points[j][1], "polar", ktrig), 2, ChartDomainError),
+            _Stage(direct.bad, lambda j: _convert(kp, points(j)[0], "parallel1", ktrig)),
+            _Stage(second.bad, lambda j: _roundtrip(kp, points(j)[0], "parallel2", ktrig), 1, ChartDomainError),
+            _Stage(outside.bad, lambda j: to_ambient(kp, points(j)[1]), 2),
+            _Stage(polar.bad & ~narrow, lambda j: _roundtrip(kp, points(j)[1], "polar", ktrig), 2, ChartDomainError),
             keep=_last_where(~narrow),
         )
 
@@ -944,50 +940,47 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
     # D_target has full column rank inside the chart), so J^T g_q J = g_p
     # holds up to rounding in the ck/sk products and the 2x2 solve; the
     # tolerance has no truncation error to cover.
-    targets = ("parallel2", "polar")
     for kp in cfg.kappa_grid:
         if kp.k2 == 0.0:
             continue
         # a parallel2 attempt draws a point (a1, a2); a polar one draws a
         # radius and a point, of which it keeps a2: a2 is the last draw of both
         b1, b2 = coord_bound(kp.k1, 0.3), coord_bound(kp.k12, 0.3)
-        bounds = ([-b1, -b2], [b1, b2]), ([0.2, -b1, -b2], [max(b1, 0.3), b1, b2])
+        boxes = {"parallel2": ([-b1, -b2], [b1, b2]), "polar": ([0.2, -b1, -b2], [max(b1, 0.3), b1, b2])}
+        for target, bounds in boxes.items():
 
-        def draw(ids: list[int]) -> list[np.ndarray]:
-            return [rng.uniform(*bounds[t], size=(ids.count(t), len(bounds[t][0]))) for t in (0, 1)]
+            def draw(ids: list[int]) -> np.ndarray:
+                return rng.uniform(*bounds, size=(len(ids), len(bounds[0])))
 
-        def block(ids: list[int], draws: list[np.ndarray]) -> Callable[[int], float | None]:
-            points = [ParallelI(x[:, 0], x[:, -1]) for x in draws]
-            outside, flags = _Flag(len(draws[1])), [_Flag(len(x)) for x in draws]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                s = _ambient_of(kp, points[1], outside)
-                narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
-                terms = [_pullback_terms(kp, p, target, f) for p, target, f in zip(points, targets, flags)]
-            rows = [x.tolist() for x in draws]
-            offset = ids.count(0)
+            def block(ids: list[int], x: np.ndarray) -> Callable[[int], float | None]:
+                p, outside, flag = ParallelI(x[:, 0], x[:, -1]), _Flag(len(x)), _Flag(len(x))
+                # a polar attempt is rejected near the origin of the chart
+                narrow = np.zeros(len(x), dtype=bool)
+                if target == "polar":
+                    s = _ambient_of(kp, p, outside)
+                    narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
+                terms = _pullback_terms(kp, p, target, flag)
+                rows = x.tolist()
 
-            def outcome(k: int) -> float | None:
-                t, i = (0, k) if k < offset else (1, k - offset)
-                p = ParallelI(rows[t][i][0], rows[t][i][-1])
-                if t == 1:
-                    if outside.bad[i]:
-                        to_ambient(kp, p)
-                    if narrow[i]:
+                def outcome(k: int) -> float | None:
+                    q = ParallelI(rows[k][0], rows[k][-1])
+                    if outside.bad[k]:
+                        to_ambient(kp, q)
+                    if narrow[k]:
                         return None
-                dq, dp, ga, gb = (term[i] for term in terms[t])
-                if flags[t].bad[i]:
-                    try:
-                        with np.errstate(over="ignore", invalid="ignore"):  # as in the stack form
-                            dq, dp, ga, gb = _pullback_terms(kp, p, targets[t], ktrig)
-                    except ChartDomainError:
-                        return None
-                jac = np.linalg.lstsq(dq, dp, rcond=None)[0]
-                return float(_pullback_defect(jac, gb, ga))
+                    dq, dp, ga, gb = (term[k] for term in terms)
+                    if flag.bad[k]:
+                        try:
+                            dq, dp, ga, gb = _pullback_terms(kp, q, target, ktrig)
+                        except ChartDomainError:
+                            return None
+                    jac = np.linalg.lstsq(dq, dp, rcond=None)[0]
+                    return float(_pullback_defect(jac, gb, ga))
 
-            return outcome
+                return outcome
 
-        loops = [(cfg.sample_count, 20 * cfg.sample_count)] * 2
-        yield from _rejection_sampled(rng, loops, draw, block, lambda t: f"{targets[t]} {_kp_tag(kp)}")
+            loops = [(cfg.sample_count, 20 * cfg.sample_count)]
+            yield from _rejection_sampled(rng, loops, draw, block, lambda _: f"{target} {_kp_tag(kp)}")
 
 
 @check(1e-6)
@@ -997,8 +990,7 @@ def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> Blo
             continue
         x = sample_parallel1_stack(rng, kp, 0.3, cfg.sample_count)
         flag = _Flag(len(x))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            defects = np.abs(_curvature_of(kp, ParallelI(x[:, 0], x[:, 1]), flag) - kp.k1)
+        defects = np.abs(_curvature_of(kp, ParallelI(x[:, 0], x[:, 1]), flag) - kp.k1)
         again = _Stage(flag.bad, lambda j: gaussian_curvature(kp, ParallelI(*x[j].tolist())))
         yield from _flagged(defects, lambda i: _kp_tag(kp), again)
 
@@ -1047,10 +1039,9 @@ def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> 
 
         def block(ids: list[int], x: np.ndarray) -> Callable[[int], float | None]:
             flag, at_p = _Flag(len(x)), _Flag(len(x))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                jac, gq = _flow_jacobian(kp, mats[ids], x, h, flag)
-                gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), at_p).as_matrix()
-                defects = _pullback_defect(jac, gq, gp).tolist()
+            jac, gq = _flow_jacobian(kp, mats[ids], x, h, flag)
+            gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), at_p).as_matrix()
+            defects = _pullback_defect(jac, gq, gp).tolist()
 
             def outcome(k: int) -> float | None:
                 f = ids[k]
@@ -1087,35 +1078,32 @@ def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generat
         onto, chart, fields = _Flag((3, n)), _Flag((3, n)), _Flag((3, n))
         # the field of each sample's own generator, of (generator, sample, field, 2 or 3)
         own = np.arange(3), slice(None), np.arange(3)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s = np.stack(np.broadcast_arrays(*_ambient_of(kp, p, onto)), axis=-1)
-            # (generator, sign, sample, 3)
-            images = (mats[:, :, None] @ s[:, None, :, :, None])[..., 0]
-            fd = (images[:, 0] - images[:, 1]) / (2.0 * h)
-            fa = _matrix(_ambient_fields(kp, *np.moveaxis(s, -1, 0)))[own]
-            ambient_d = np.abs(fd - fa).max(axis=-1)
-            pp, pm = (_chart_of(kp, *np.moveaxis(images[:, k], -1, 0), "parallel1", chart) for k in (0, 1))
-            fc = _matrix(_fields_of(kp, p, fields))[own]
-            d1 = (pp.a1 - pm.a1) / (2.0 * h)
-            d2 = (pp.a2 - pm.a2) / (2.0 * h)
-            chart_d = _max(abs(d1 - fc[..., 0]), abs(d2 - fc[..., 1]))
-        # a sample has the entries (ambient, chart)
+        s = np.stack(np.broadcast_arrays(*_ambient_of(kp, p, onto)), axis=-1)
+        # (generator, sign, sample, 3)
+        images = (mats[:, :, None] @ s[:, None, :, :, None])[..., 0]
+        fd = (images[:, 0] - images[:, 1]) / (2.0 * h)
+        fa = _matrix(_ambient_fields(kp, *np.moveaxis(s, -1, 0)))[own]
+        ambient_d = np.abs(fd - fa).max(axis=-1)
+        pp, pm = (_chart_of(kp, *np.moveaxis(images[:, k], -1, 0), "parallel1", chart) for k in (0, 1))
+        fc = _matrix(_fields_of(kp, p, fields))[own]
+        d1 = (pp.a1 - pm.a1) / (2.0 * h)
+        d2 = (pp.a2 - pm.a2) / (2.0 * h)
+        chart_d = _max(abs(d1 - fc[..., 0]), abs(d2 - fc[..., 1]))
+        # a sample has the entries (ambient, chart); the flows of a generator
+        # are built before its first sample
         for i, gname in enumerate(GENERATOR_NAMES):
-            if exp_flag.bad[i].any():
-                for g in gens[i]:
-                    _series(g, ktrig)
-            points = [ParallelI(a1, a2) for a1, a2 in x[i].tolist()]
             yield from _flagged(
                 np.stack([ambient_d[i], chart_d[i]], axis=1),
                 lambda e: f"{('ambient', 'chart')[e % 2]} {gname} {_kp_tag(kp)}",
-                _Stage(onto.bad[i], lambda j: to_ambient(kp, points[j])),
+                _Stage(np.full(n, exp_flag.bad[i].any()), lambda j: [_series(g, ktrig) for g in gens[i]]),
+                _Stage(onto.bad[i], lambda j: to_ambient(kp, ParallelI(*x[i, j].tolist()))),
                 _Stage(
                     chart.bad[i],
                     lambda j: [from_ambient(kp, Ambient(*images[i, k, j]), "parallel1") for k in (0, 1)],
                     1,
                     ChartDomainError,
                 ),
-                _Stage(fields.bad[i], lambda j: killing_fields(kp, points[j]), 1),
+                _Stage(fields.bad[i], lambda j: killing_fields(kp, ParallelI(*x[i, j].tolist())), 1),
             )
 
 
@@ -1130,24 +1118,25 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
         stencil = [(a1, a2), (a1 + h, a2), (a1 - h, a2), (a1, a2 + h), (a1, a2 - h)]
         u, v = (np.stack(c) for c in zip(*stencil))
         flag = _Flag(u.shape)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            base, up, um, vp, vm = _matrix(_fields_of(kp, ParallelI(u, v), flag))
-            du = (up - um) / (2.0 * h)
-            dv = (vp - vm) / (2.0 * h)
-            defects = []
-            for i, j in _PAIRS:
-                comm = (
-                    base[:, i, 0, None] * du[:, j] + base[:, i, 1, None] * dv[:, j]
-                    - base[:, j, 0, None] * du[:, i] - base[:, j, 1, None] * dv[:, i]
-                )
-                expect = ct[i, j, 0] * base[:, 0] + ct[i, j, 1] * base[:, 1] + ct[i, j, 2] * base[:, 2]
-                defects.append(np.abs(comm - expect).max(axis=-1))
+        base, up, um, vp, vm = _matrix(_fields_of(kp, ParallelI(u, v), flag))
+        du = (up - um) / (2.0 * h)
+        dv = (vp - vm) / (2.0 * h)
+        defects = []
+        for i, j in _PAIRS:
+            comm = (
+                base[:, i, 0, None] * du[:, j] + base[:, i, 1, None] * dv[:, j]
+                - base[:, j, 0, None] * du[:, i] - base[:, j, 1, None] * dv[:, i]
+            )
+            expect = ct[i, j, 0] * base[:, 0] + ct[i, j, 1] * base[:, 1] + ct[i, j, 2] * base[:, 2]
+            defects.append(np.abs(comm - expect).max(axis=-1))
 
-        stencils = np.stack([u, v], axis=-1).transpose(1, 0, 2).tolist()
         yield from _flagged(
             np.stack(defects, axis=-1),
             lambda e: "[{}{}] {}".format(*_PAIRS[e % 3], _kp_tag(kp)),
-            _Stage(flag.bad.any(axis=0), lambda j: [killing_fields(kp, ParallelI(*uv)) for uv in stencils[j]]),
+            _Stage(
+                flag.bad.any(axis=0),
+                lambda j: [killing_fields(kp, ParallelI(*uv)) for uv in zip(u[:, j].tolist(), v[:, j].tolist())],
+            ),
         )
 
 
@@ -1167,38 +1156,38 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Blo
         gens = np.array([[[-h * x, h * x] for x in rep_basis(kp)] for h in fine_coarse])
         exp_flag = _Flag(gens.shape[:3])
         mats = _series(gens, exp_flag)
-        if exp_flag.bad.any():
-            for g in gens.reshape(-1, 3, 3):
-                _series(g, ktrig)
         # four samples per function
         x = sample_parallel1_stack(rng, kp, 0.3, 4 * len(funcs)).reshape(len(funcs), 4, 2)
         a1, a2 = x[..., 0], x[..., 1]
         lb_flags, flow_flag = [_Flag(4) for _ in funcs], _Flag(mats.shape[:3] + a1.shape)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            q1, q2 = _flow(kp, mats[..., None, None, :, :], a1, a2, flow_flag)
-            lb, oracle = [], []
-            for k, f in enumerate(funcs):
-                lb.append(_laplacian_of(kp, f, ParallelI(a1[k], a2[k]), lb_flags[k]))
-                fq, f0 = f(q1[..., k, :], q2[..., k, :]), f(a1[k], a2[k])
-                fine, coarse = (
-                    sum(c * (fq[n, g, 0] - 2.0 * f0 + fq[n, g, 1]) / (h * h) for g, c in enumerate(coeffs))
-                    for n, h in enumerate(fine_coarse)
-                )
-                oracle.append((4.0 * fine - coarse) / 3.0)
-            defects = np.abs(np.array(lb) - np.array(oracle))
+        q1, q2 = _flow(kp, mats[..., None, None, :, :], a1, a2, flow_flag)
+        lb, oracle = [], []
+        for k, f in enumerate(funcs):
+            lb.append(_laplacian_of(kp, f, ParallelI(a1[k], a2[k]), lb_flags[k]))
+            fq, f0 = f(q1[..., k, :], q2[..., k, :]), f(a1[k], a2[k])
+            fine, coarse = (
+                sum(c * (fq[n, g, 0] - 2.0 * f0 + fq[n, g, 1]) / (h * h) for g, c in enumerate(coeffs))
+                for n, h in enumerate(fine_coarse)
+            )
+            oracle.append((4.0 * fine - coarse) / 3.0)
+        defects = np.abs(np.array(lb) - np.array(oracle))
 
-        # sample j is sample j % 4 of function j // 4
-        points = x.reshape(-1, 2).tolist()
+        # sample j is sample j % 4 of function j // 4; the flows are built
+        # before the first sample
         yield from _flagged(
             defects.ravel(),
             lambda e: _kp_tag(kp),
             _Stage(
+                np.full(defects.size, exp_flag.bad.any()),
+                lambda j: [_series(g, ktrig) for g in gens.reshape(-1, 3, 3)],
+            ),
+            _Stage(
                 np.ravel([f.bad for f in lb_flags]),
-                lambda j: laplace_beltrami_apply(kp, funcs[j // 4], ParallelI(*points[j])),
+                lambda j: laplace_beltrami_apply(kp, funcs[j // 4], ParallelI(*x[j // 4, j % 4].tolist())),
             ),
             _Stage(
                 flow_flag.bad.any(axis=(0, 1, 2)).ravel(),
-                lambda j: [_flow(kp, m, *points[j], ktrig) for m in mats.reshape(-1, 3, 3)],
+                lambda j: [_flow(kp, m, *x[j // 4, j % 4].tolist(), ktrig) for m in mats.reshape(-1, 3, 3)],
                 skips=ChartDomainError,
             ),
         )
@@ -1218,19 +1207,17 @@ def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> Blo
         mats = _series(gens, exp_flag)
         x = sample_parallel1_stack(rng, kp, 0.4, cfg.sample_count)
         fields, flow = _Flag(len(x)), _Flag((2, len(x)))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fc = _matrix(_fields_of(kp, ParallelI(x[:, 0], x[:, 1]), fields))
-            q1, _ = _flow(kp, mats[:, None], x[:, 0], x[:, 1], flow)
-            # fibers a1 = const are preserved by the isotropy directions
-            across = np.abs(fc[:, 1:, 0])
-            drift = np.abs(q1 - x[:, 0])
+        fc = _matrix(_fields_of(kp, ParallelI(x[:, 0], x[:, 1]), fields))
+        q1, _ = _flow(kp, mats[:, None], x[:, 0], x[:, 1], flow)
+        # fibers a1 = const are preserved by the isotropy directions
+        across = np.abs(fc[:, 1:, 0])
+        drift = np.abs(q1 - x[:, 0])
         # a sample has the entries (J02, J12, flow J1, flow J2); the flow of
         # J1 is mats[0]
-        points = x.tolist()
-        stages = [_Stage(fields.bad, lambda j: killing_fields(kp, ParallelI(*points[j])))]
+        stages = [_Stage(fields.bad, lambda j: killing_fields(kp, ParallelI(*x[j].tolist())))]
         for k in (0, 1):
             stages.append(_Stage(np.full(len(x), exp_flag.bad[k]), lambda j, k=k: _series(gens[k], ktrig), 2 + k))
-            stages.append(_Stage(flow.bad[k], lambda j, k=k: _flow(kp, mats[k], *points[j], ktrig), 2 + k))
+            stages.append(_Stage(flow.bad[k], lambda j, k=k: _flow(kp, mats[k], *x[j].tolist(), ktrig), 2 + k))
         yield from _flagged(
             np.concatenate([across, drift.T], axis=1),
             lambda e: f"{('J02', 'J12', 'flow J1', 'flow J2')[e % 4]} {_kp_tag(kp)}",
@@ -1314,8 +1301,7 @@ def _check_bialgebra_cocommutator(cfg: SweepConfig, rng: np.random.Generator) ->
     for kp in cfg.kappa_grid:
         images = cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values))
         literal = kind_stack(lambda kind, z: _KIND_IMAGES[kind](kp, z), cfg.z_values)
-        with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
-            defects = np.abs(images - literal).max(axis=-1)
+        defects = np.abs(images - literal).max(axis=-1)
         yield _kind_rows(kp, defects, "{kind} {inner} {kp}", GENERATOR_NAMES)
 
 
@@ -1332,8 +1318,7 @@ def _check_bialgebra_dual_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> 
         _, jacobi, f = bialgebra_check(kp, cocommutator_map(kp, kind_stack(rmatrix, cfg.z_values)))
         # [e^j, e^k] of the dual algebra reads the e_j ^ e_k components of the images
         literal = kind_stack(lambda kind, z: _KIND_IMAGES[kind](kp, z), cfg.z_values)
-        with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
-            dual = np.abs(f[..., _UPPER[0], _UPPER[1], :] - np.swapaxes(literal, -1, -2)).max(axis=-1)
+        dual = np.abs(f[..., _UPPER[0], _UPPER[1], :] - np.swapaxes(literal, -1, -2)).max(axis=-1)
         # each row has its Jacobi defect, then its dual brackets in _PAIRS order
         inner = ("", *(f"dual [{j}{k}] " for j, k in _PAIRS))
         yield _kind_rows(kp, np.concatenate([jacobi[..., None], dual], axis=-1), "{inner}{kind} {kp}", inner)
@@ -1344,9 +1329,7 @@ def _check_bialgebra_schouten(cfg: SweepConfig, rng: np.random.Generator) -> Blo
     for kp in cfg.kappa_grid:
         coeff = schouten(kp, kind_stack(rmatrix, cfg.z_values))
         expected = kind_stack(lambda kind, z: SCHOUTEN_COEFFICIENTS[kind](kp, z), cfg.z_values)
-        with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
-            defects = np.abs(coeff - expected)
-        yield _kind_rows(kp, defects)
+        yield _kind_rows(kp, np.abs(coeff - expected))
 
 
 @check(1e-13)
@@ -1379,8 +1362,7 @@ def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Blocks
         closed_flag, flag = _Flag(len(x)), _Flag(len(x))
         closed = _invariant_vector_fields(kp, *x.T, closed_flag)
         numeric = _invariant_fields(kp, x, flag)
-        with np.errstate(over="ignore", invalid="ignore"):  # at a flagged point
-            defects = [np.abs(closed.left - numeric.left), np.abs(closed.right - numeric.right)]
+        defects = [np.abs(closed.left - numeric.left), np.abs(closed.right - numeric.right)]
         yield from _flagged(
             np.stack([d.max(axis=(1, 2)) for d in defects], axis=1),
             lambda i: f"{('left', 'right')[i % 2]} {_kp_tag(kp)}",
@@ -1437,13 +1419,11 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Blocks
                 points += [x + step, x - step]
             flag = _Flag(len(points) * len(x))
             p = _sklyanin_closed(kp, z, np.concatenate(points), flag).reshape(len(points), len(x), 3, 3)
-            # an overflow at huge z is a nan or inf defect, which fails the check
-            with np.errstate(over="ignore", invalid="ignore"):
-                dp = np.stack([p[1] - p[2], p[3] - p[4], p[5] - p[6]], axis=1) / (2.0 * h)
-                total = sum(
-                    (dp[:, None, :, a, b] @ p[0, :, :, c, None])[:, 0, 0]
-                    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-                )
+            dp = np.stack([p[1] - p[2], p[3] - p[4], p[5] - p[6]], axis=1) / (2.0 * h)
+            total = sum(
+                (dp[:, None, :, a, b] @ p[0, :, :, c, None])[:, 0, 0]
+                for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+            )
             # a sample fails at its first flagged point, in the order of points
             bad = flag.bad.reshape(len(points), len(x)).any(axis=0)
             again = _Stage(bad, lambda j: [_sklyanin_closed(kp, z, b[j], ktrig) for b in points])
@@ -1495,9 +1475,8 @@ def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
         for z in cfg.z_values:
             a1, a2 = sample_parallel1_stack(rng, kp, 0.35, cfg.sample_count).T
             flags = _Flag(a1.shape), _Flag(a1.shape)
-            with np.errstate(over="ignore", invalid="ignore"):  # at a flagged point
-                first, second = (_phs_bracket(kp, z, kind, a1, a2, f) for kind, f in zip(kinds, flags))
-                defects = [first - z * kp.k2 * flags[0].tk(kp.k12, a2), second - z * flags[1].sk(kp.k1, a1)]
+            first, second = (_phs_bracket(kp, z, kind, a1, a2, f) for kind, f in zip(kinds, flags))
+            defects = [first - z * kp.k2 * flags[0].tk(kp.k12, a2), second - z * flags[1].sk(kp.k1, a1)]
 
             def again(kind: DeformationKind) -> Callable[[int], float]:
                 return lambda j: phs_points_bracket(kp, z, kind, a1[j].item(), a2[j].item())
@@ -1552,9 +1531,8 @@ def _check_quantum_classical_limit(cfg: SweepConfig, rng: np.random.Generator) -
     zt = 1e-6
     for kp in cfg.kappa_grid:
         images = _coproduct_images(kp, zt, ktrig)[2]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or nan defect
-            defects = [np.abs(dz - coproduct_classical(kp, gen)).max() for gen, dz in zip(GENERATOR_NAMES, images)]
-            defects = np.array(defects) / zt
+        defects = [np.abs(dz - coproduct_classical(kp, gen)).max() for gen, dz in zip(GENERATOR_NAMES, images)]
+        defects = np.array(defects) / zt
         yield defects, lambda i: f"{GENERATOR_NAMES[i]} {_kp_tag(kp)}"
 
 
@@ -1582,11 +1560,13 @@ def _reduce(suite: str, name: str, blocks: Blocks) -> CheckResult:
     docstring states."""
     worst, where, samples = 0.0, "", 0
     try:
-        for defects, at in blocks:
-            defect, i = worst_defect(defects)
-            samples += np.size(defects)
-            if defect > worst:
-                worst, where = defect, at(i)
+        # the check's body runs as the loop draws its blocks
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for defects, at in blocks:
+                defect, i = worst_defect(defects)
+                samples += np.size(defects)
+                if defect > worst:
+                    worst, where = defect, at(i)
     except GeometryError as exc:
         worst, where = math.inf, f"{type(exc).__name__}: {exc}"
     tol = DEFAULT_TOLERANCES[name]

@@ -507,10 +507,12 @@ def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Repor
         raise ConfigError(f"span must be a finite positive number, got {span!r}")
     if chart not in _LINE_CHARTS:
         raise ConfigError(f"chart {chart!r} has no coordinate lines, expected one of {_LINE_CHARTS}")
-    payload = _base_payload(args, sweep)
     # windows may pass the chart boundary; samples beyond it become truncation rows
     b1 = span_bound(kp.k1, span)
     b2 = span_bound(kp.k2 if chart == "polar" else kp.k12, span)
+    if not math.isfinite(2.0 * max(b1, b2)):
+        raise ConfigError(f"span {span!r} makes a coordinate window wider than the largest double")
+    payload = _base_payload(args, sweep)
     if chart == "polar":
         # radial coordinate is nonnegative; rays fan out from the origin
         consts1 = np.linspace(b1 / lines, b1, lines)

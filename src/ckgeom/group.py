@@ -55,9 +55,12 @@ def rep_basis(kp: KappaPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def rep(kp: KappaPair, x: AlgebraElement | np.ndarray) -> np.ndarray:
     """Representation matrix of an algebra element, or the stack of those
     of the elements with the coefficient rows x, (..., 3)."""
-    j01, j02, j12 = rep_basis(kp)
-    c = x.as_array() if isinstance(x, AlgebraElement) else x
-    return c[..., 0, None, None] * j01 + c[..., 1, None, None] * j02 + c[..., 2, None, None] * j12
+    c = (x.as_array() if isinstance(x, AlgebraElement) else np.asarray(x))[..., None, None]
+    basis = np.array(rep_basis(kp))
+    # an exact-zero coefficient adds nothing, also where k1 * k2 overflows to
+    # an infinite entry of the J02 image
+    terms = np.multiply(c, basis, out=np.zeros(np.broadcast_shapes(c.shape, basis.shape)), where=c != 0.0)
+    return terms.sum(axis=-3)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ and J12 are rescaled by gamma = sqrt(sk(k1, z k2)/(z k2)), the unique
 positive factor making the single copy close on -sinh(z k2 rho(J01))/z
 instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.
 
-_coproduct_images, deformation_scale, closed_exp_j01 and the two defects
+_coproduct_images, deformation_scale, _closed_exp_j01 and the two defects
 are written once over the steps of ktrig, for one z or an axis of them; the
 public functions are their one-z calls with ktrig.  Kronecker products are
 broadcast (_kron) with np.kron's bits.  A `coproduct` command over
 normalized9 with 16 z builds the images 9 times (_image_stack) and makes 180
-Kronecker products, where one-z calls made 288 builds and 4,320 np.kron.
+Kronecker products.
 Matrix functions of rho(J01) use its minimal polynomial
 rho(J01)**3 = -k1 rho(J01), which closes exponentials in the labelled
 trigonometry of the parameter.
@@ -50,12 +50,9 @@ def _col(v) -> np.ndarray:
     return np.asarray(v)[..., None, None]
 
 
-def closed_exp_j01(kp: KappaPair, t: float) -> np.ndarray:
-    """exp(t rho(J01)) through the minimal-polynomial identity."""
-    return _closed_exp_j01(kp, t, ktrig)
-
-
 def _closed_exp_j01(kp: KappaPair, t, steps) -> np.ndarray:
+    """exp(t rho(J01)) through the minimal-polynomial identity, through
+    steps (see ktrig)."""
     p = rep_basis(kp)[0]
     s = steps.sk(kp.k1, t)
     return np.eye(3) + _col(s) * p + _col(steps.vk(kp.k1, t)) * (p @ p)

@@ -18,7 +18,7 @@ public functions are their calls with ktrig as the steps, at one point;
 called with a ktrig._Flag they are stack forms, and to_ambient_batch is
 the one public stack form.  The geometry checks of the sweep evaluate their
 samples through the stack forms, so a sweep calls to_ambient 3 times and
-from_ambient 5 times, where it made about 4,800 and 4,500 one-point calls.
+from_ambient 5 times.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Lie algebra family: brackets, Jacobi, Casimir, matrix representation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from ckgeom import (
     kappa_from_kinematics,
     metric_matrix,
     rep,
+    rep_basis,
     structure_tensor,
 )
 
@@ -97,6 +100,33 @@ def test_rep_infinitesimal_metricity(kp):
     for x in BASIS:
         m = rep(kp, x)
         assert np.max(np.abs(m.T @ I + I @ m)) < 1e-15
+
+
+def test_rep_is_finite_where_k1_k2_overflows():
+    # J01 has exact-zero coefficients on J02, whose image holds -k1 k2 = -inf
+    kp = KappaPair(1e200, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = rep(kp, BASIS[0])
+        stack = rep(kp, np.eye(3))
+    assert np.isfinite(m).all()
+    assert np.array_equal(m, rep_basis(kp)[0])
+    assert np.array_equal(stack[0], m) and np.array_equal(stack[2], rep_basis(kp)[2])
+
+
+@given(
+    k=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    c=st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1e3, 1e3), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_rep_keeps_its_values_on_finite_inputs(k, c):
+    # the sum over the basis images, up to the sign of a zero
+    kp = KappaPair(*k)
+    x = np.reshape(c, (2, 3))
+    j01, j02, j12 = rep_basis(kp)
+    want = x[:, 0, None, None] * j01 + x[:, 1, None, None] * j02 + x[:, 2, None, None] * j12
+    np.testing.assert_array_equal(rep(kp, x), want)
+    np.testing.assert_array_equal(rep(kp, AlgebraElement(*c[:3])), want[0])
 
 
 def test_structure_tensor_contracts_like_bracket():

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_reduce_ends_a_check_at_an_escaping_geometry_error():
     # only geometry errors are results; anything else is a bug and propagates
     with pytest.raises(ValueError):
         checks._reduce("trig", "trig_identity", defects(ValueError("bug")))
+
+
+def test_reduce_reads_an_overflow_in_a_check_body_as_an_inf_defect():
+    # the body states no floating-point policy: the reducer's holds
+    def overflowing():
+        big = np.array([1e308, 1.0])
+        yield big * 10.0, "entry {}".format
+        yield np.abs(big * 10.0 - big * 10.0), "difference {}".format
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = checks._reduce("trig", "trig_identity", overflowing())
+    assert (r.max_defect, r.detail, r.samples, r.passed) == (math.inf, "entry 0", 4, False)
 
 
 def test_flagged_entries_are_evaluated_again_in_order():

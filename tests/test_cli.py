@@ -483,7 +483,8 @@ def test_coproduct_overflow_is_an_error_row(capsys):
     assert row["passed"] == "false"
 
 
-@pytest.mark.parametrize("span", ["nan", "inf", "0", "-0.3"])
+# at 6e307 the half-width of the window is finite, but not its width
+@pytest.mark.parametrize("span", ["nan", "inf", "0", "-0.3", "1e308", "6e307"])
 def test_geodesics_span_must_be_finite_and_positive(capsys, span):
     status, out = run(capsys, "export-geodesics", "--k1", "-1", "--k2", "1", "--span", span)
     assert status == 2
