@@ -9,21 +9,23 @@ Reports are deterministic for a fixed seed and configuration: no
 timestamps, sorted keys, repr-exact floats.  Exit status is 1 exactly when
 some report row has a false `passed`, 2 for configuration errors and 0
 otherwise.
+
+CSV spells a float by its repr (so nan, inf and -inf), a bool as
+`true`/`false` and a missing cell or None as an empty cell, and quotes
+minimally, as `csv.writer` does with a newline line terminator.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
 import struct
 import sys
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -133,38 +135,62 @@ def render_json(report: Report) -> str:
     return json.dumps(_clean(report.payload), indent=2, sort_keys=True) + "\n"
 
 
-# csv.writer spells cells of these types as _clean would: str as is, int
-# by str and float by repr, which gives nan, inf and -inf
-_CSV_PLAIN = frozenset((str, int, float))
+def _quote(text: str) -> str:
+    """A cell as csv.writer's minimal quoting writes it: quoted, with each
+    `"` doubled, when it holds a comma, a quote or a newline.  A carriage
+    return alone stays bare, since the line terminator is a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _csv_cell(value):
-    """A cell of any other type: bools as true/false, numpy scalars as their
-    Python values, containers through _clean."""
+def _spell_other(value) -> str:
+    """A cell of a type _SPELLERS lacks (numpy scalars, containers, None),
+    spelled from its _clean form."""
     value = _clean(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    if value is None:
+        return ""
+    speller = _SPELLERS.get(type(value))
+    return speller(value) if speller else _quote(str(value))
+
+
+# the spelling of each cell type; float repr gives nan, inf and -inf
+_SPELLERS = {
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    str: _quote,
+}
+
+
+def _spell_column(cells: list) -> Iterable[str]:
+    kinds = set(map(type, cells))
+    if kinds == {str}:
+        # few distinct values (labels, error texts): quote each once
+        quoted = {text: _quote(text) for text in set(cells)}
+        return map(quoted.__getitem__, cells)
+    if len(kinds) == 1:
+        return map(_SPELLERS.get(kinds.pop(), _spell_other), cells)
+    return (_SPELLERS.get(type(v), _spell_other)(v) for v in cells)
 
 
 def render_csv(report: Report) -> str:
-    if not report.rows:
+    rows = report.rows
+    if not rows:
         return ""
-    header = list(report.rows[0])
-    if len(set().union(*report.rows)) > len(header):
+    header = list(rows[0])
+    if len(set().union(*rows)) > len(header):
         # keys that first appear after the first row follow its keys, in order
-        header = list(dict.fromkeys(key for row in report.rows for key in row))
-    blanks = [""] * len(header)  # a key a row lacks is an empty cell
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(
-        [v if type(v) in _CSV_PLAIN else _csv_cell(v) for v in map(row.get, header, blanks)]
-        for row in report.rows
-    )
-    return buf.getvalue()
+        header = list(dict.fromkeys(key for row in rows for key in row))
+    if not header:
+        return "\n" * (len(rows) + 1)
+    # spelled a column at a time; a key a row lacks is an empty cell
+    columns = [_spell_column([row.get(key, "") for row in rows]) for key in header]
+    lines = [",".join(_spell_column(header)), *map(",".join, zip(*columns))]
+    if len(header) == 1:
+        # csv.writer quotes a row whose one cell is empty
+        lines = [line or '""' for line in lines]
+    return "\n".join(lines) + "\n"
 
 
 def _base_payload(args: argparse.Namespace, sweep: SweepConfig) -> dict:
@@ -532,7 +558,8 @@ def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Repor
         kept = np.abs(s[0]) >= 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
             beltrami = s[1:] / s[0]
-        label = f"{chart}:{family}:{c:+.3f}"
+        # fixed point while it spells at most 17 significant digits
+        label = f"{chart}:{family}:{c:+.3f}" if abs(c) < 1e14 else f"{chart}:{family}:{c:+.3e}"
         for ti, ok, u, v in zip(t.tolist(), kept.tolist(), *beltrami.tolist()):
             rows.append(
                 {

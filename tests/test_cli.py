@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckgeom import checks, cli
 from ckgeom.cli import main
@@ -111,6 +113,12 @@ _FAILING_GOLDENS = {
         (
             "export_geodesics_k1_0_k2_0_parallel1.csv",
             ["export-geodesics", "--k1", "0", "--k2", "0", "--chart", "parallel1", "--format", "csv"],
+        ),
+        # a window past 1e14: family labels switch from fixed point to exponent form
+        (
+            "export_geodesics_k1_0_k2_1_span1e300_points3_lines1.csv",
+            ["export-geodesics", "--k1=0", "--k2=1", "--span", "1e300", "--points", "3", "--lines", "1",
+             "--format", "csv"],
         ),
         # sphere polar rays through s0 = 0, where the projection truncates
         (
@@ -263,6 +271,69 @@ def test_render_csv_spells_each_cell_type():
         '"a,b",0.1,-0.0,nan,-inf,inf,true,false,3,-4,,"[1.5, \'nan\', True]"',
         "only" + "," * (len(row) - 1),
     ]
+
+
+def csv_writer_text(rows: list[dict]) -> str:
+    """The CSV that csv.writer writes for rows: keys in first-seen order, each
+    cell _clean'ed, bools as true/false and missing cells empty."""
+    if not rows:
+        return ""
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        cells = [cli._clean(row.get(key, "")) for key in header]
+        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in cells])
+    return buf.getvalue()
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308]))
+_SCALARS = [
+    st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "Z", "\u00e9"]), max_size=5),
+    st.none(),
+    st.integers(),
+    _FLOATS,
+    st.booleans(),
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+]
+_CELLS = [*_SCALARS, st.recursive(st.one_of(_SCALARS[1:]), lambda inner: st.lists(inner, max_size=3), max_leaves=5)]
+_KEYS = ["a", "b,c", 'q"k', " lead", "nl\nkey", "cr\rkey"]
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows whose keys each hold one cell type or a mix, as report columns do;
+    each row holds a random subset of the keys in a random order."""
+    keys = draw(st.lists(st.sampled_from(_KEYS), unique=True, max_size=4))
+    kinds = {key: draw(st.sampled_from([*_CELLS, st.one_of(_CELLS)])) for key in keys}
+    present = st.lists(st.sampled_from(keys), unique=True) if keys else st.just([])
+    return [{key: draw(kinds[key]) for key in draw(present)} for _ in range(draw(st.integers(1, 6)))]
+
+
+@given(rows=csv_rows())
+@example(rows=[{"a": ""}, {"a": None}, {"a": "x"}])
+@example(rows=[{}, {}])
+@example(rows=[{"a": "a\rb", "b,c": "", 'q"k': 'say "hi"', " lead": " x"}])
+@settings(max_examples=300, deadline=None)
+def test_render_csv_is_what_csv_writer_writes(rows):
+    assert cli.render_csv(cli.Report({}, rows)) == csv_writer_text(rows)
+
+
+def test_geodesics_csv_is_what_csv_writer_writes(capsys, monkeypatch):
+    reports = []
+    render = cli.render_csv
+    monkeypatch.setattr(cli, "render_csv", lambda report: reports.append(report) or render(report))
+    for kp in checks.NORMALIZED_PAIRS:
+        for chart in cli._LINE_CHARTS:
+            for span in ("0.3", "0.6", "1.7"):
+                status, out = run(capsys, "export-geodesics", f"--k1={kp.k1!r}", f"--k2={kp.k2!r}",
+                                  "--chart", chart, "--span", span, "--format", "csv")
+                assert status == 0
+                assert out == csv_writer_text(reports[-1].rows)
+    assert len(reports) == 27 * 3
 
 
 def test_csv_header_keeps_keys_first_seen_after_the_first_row(capsys):
