@@ -10,9 +10,13 @@ timestamps, sorted keys, repr-exact floats.  Exit status is 1 exactly when
 some report row has a false `passed`, 2 for configuration errors and 0
 otherwise.
 
-CSV spells a float by its repr (so nan, inf and -inf), a bool as
-`true`/`false` and a missing cell or None as an empty cell, and quotes
-minimally, as `csv.writer` does with a newline line terminator.
+JSON is what `json.dumps(indent=2, sort_keys=True)` writes: a 2-space
+indent, sorted keys and ASCII escapes.  It spells a float by its repr, a
+non-finite one as the string "nan", "inf" or "-inf", a tuple as a list and a
+numpy scalar as the Python one.  CSV spells a float by its repr (so nan, inf
+and -inf), a bool as `true`/`false` and a missing cell or None as an empty
+cell, and quotes minimally, as `csv.writer` does with a newline line
+terminator.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 import struct
 import sys
 from dataclasses import astuple, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -131,10 +136,6 @@ def _clean(value):
     return value
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(_clean(report.payload), indent=2, sort_keys=True) + "\n"
-
-
 def _quote(text: str) -> str:
     """A cell as csv.writer's minimal quoting writes it: quoted, with each
     `"` doubled, when it holds a comma, a quote or a newline.  A carriage
@@ -145,33 +146,83 @@ def _quote(text: str) -> str:
 
 
 def _spell_other(value) -> str:
-    """A cell of a type _SPELLERS lacks (numpy scalars, containers, None),
-    spelled from its _clean form."""
+    """A CSV cell of a type _CSV_SPELLERS lacks (numpy scalars, containers,
+    None), spelled from its _clean form."""
     value = _clean(value)
     if value is None:
         return ""
-    speller = _SPELLERS.get(type(value))
+    speller = _CSV_SPELLERS.get(type(value))
     return speller(value) if speller else _quote(str(value))
 
 
+_BOOLS = {True: "true", False: "false"}.__getitem__
+
 # the spelling of each cell type; float repr gives nan, inf and -inf
-_SPELLERS = {
-    float: float.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: int.__repr__,
-    str: _quote,
+_CSV_SPELLERS = {float: float.__repr__, bool: _BOOLS, int: int.__repr__, str: _quote}
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps spells its _clean form: repr, quoted if not finite."""
+    return float.__repr__(x) if math.isfinite(x) else f'"{x!r}"'
+
+
+# json.dumps's spelling of each scalar type
+_JSON_SPELLERS = {
+    float: _json_float, bool: _BOOLS, int: int.__repr__, str: encode_basestring_ascii, type(None): lambda _: "null",
 }
 
 
-def _spell_column(cells: list) -> Iterable[str]:
+def _spell_column(cells: list, spellers: dict, other: Callable) -> Iterable[str]:
+    """Each cell by the speller of its type in spellers, other for the rest."""
     kinds = set(map(type, cells))
     if kinds == {str}:
         # few distinct values (labels, error texts): quote each once
-        quoted = {text: _quote(text) for text in set(cells)}
+        quoted = {text: spellers[str](text) for text in set(cells)}
         return map(quoted.__getitem__, cells)
     if len(kinds) == 1:
-        return map(_SPELLERS.get(kinds.pop(), _spell_other), cells)
-    return (_SPELLERS.get(type(v), _spell_other)(v) for v in cells)
+        speller = spellers.get(kinds.pop(), other)
+        if speller is _json_float and all(map(math.isfinite, cells)):
+            # one C-level test spares each cell its own
+            speller = float.__repr__
+        return map(speller, cells)
+    return (spellers.get(type(v), other)(v) for v in cells)
+
+
+def _json_dicts(dicts: list, indent: str) -> list[str]:
+    """Dicts with one non-empty key set, each as json.dumps spells it at
+    indent: one template, filled a column at a time."""
+    keys = sorted(dicts[0])
+    inner = indent + "  "
+    entries = (encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{\n" + inner + (",\n" + inner).join(entries) + "\n" + indent + "}"
+    other = functools.partial(_json_text, indent=inner)
+    columns = [_spell_column([d[key] for d in dicts], _JSON_SPELLERS, other) for key in keys]
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _json_text(value, indent: str = "") -> str:
+    """value as json.dumps(_clean(value), indent=2, sort_keys=True) spells it at indent."""
+    speller = _JSON_SPELLERS.get(type(value))
+    if speller:
+        return speller(value)
+    if not isinstance(value, (dict, list, tuple)):
+        # numpy scalars and str or int subclasses, by the C encoder
+        return json.dumps(_clean(value))
+    if isinstance(value, dict):
+        return _json_dicts([value], indent)[0] if value else "{}"
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    if all(type(v) is dict and v and v.keys() == value[0].keys() for v in value):
+        # report rows
+        items = _json_dicts(value, inner)
+    else:
+        items = [_json_text(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def render_json(report: Report) -> str:
+    return _json_text(report.payload) + "\n"
 
 
 def render_csv(report: Report) -> str:
@@ -185,8 +236,8 @@ def render_csv(report: Report) -> str:
     if not header:
         return "\n" * (len(rows) + 1)
     # spelled a column at a time; a key a row lacks is an empty cell
-    columns = [_spell_column([row.get(key, "") for row in rows]) for key in header]
-    lines = [",".join(_spell_column(header)), *map(",".join, zip(*columns))]
+    columns = [_spell_column([row.get(key, "") for row in rows], _CSV_SPELLERS, _spell_other) for key in header]
+    lines = [",".join(_spell_column(header, _CSV_SPELLERS, _spell_other)), *map(",".join, zip(*columns))]
     if len(header) == 1:
         # csv.writer quotes a row whose one cell is empty
         lines = [line or '""' for line in lines]

@@ -86,6 +86,8 @@ _FAILING_GOLDENS = {
     "bialgebra_k1_1_k2_1e150_z0.3_z1e308.csv",
     "sweep_all_k1_1e200_k2_1e200_samples2.json",
     "sweep_all_k1_1e300_k2_1_samples2.json",
+    "coproduct_k1_1_k2_1_z0.5_z4_z1e308.json",
+    "ybe_k1_1e200_k2_1e200_z0.1_z1e308.json",
 }
 
 
@@ -232,6 +234,25 @@ _FAILING_GOLDENS = {
             ["export-geodesics", "--k1=0", "--k2=1", "--span", "1e300", "--points", "3", "--lines", "1",
              "--format", "csv"],
         ),
+        # the JSON of the deformation commands, whose rows are spelled a column at a time
+        (
+            "ybe_normalized9_z0.37_z1.3.json",
+            ["ybe", "--grid", "normalized9", "--z", "0.37", "--z", "1.3"],
+        ),
+        (
+            "coproduct_normalized9_z0.37_z1.3.json",
+            ["coproduct", "--grid", "normalized9", "--z", "0.37", "--z", "1.3"],
+        ),
+        # rows whose keys differ: two error rows beside a passing one
+        (
+            "coproduct_k1_1_k2_1_z0.5_z4_z1e308.json",
+            ["coproduct", "--k1", "1", "--k2", "1", "--z", "0.5", "--z", "4", "--z", "1e308"],
+        ),
+        # "nan" and "inf" cells in float columns
+        (
+            "ybe_k1_1e200_k2_1e200_z0.1_z1e308.json",
+            ["ybe", "--k1", "1e200", "--k2", "1e200", "--z", "0.1", "--z", "1e308"],
+        ),
     ],
 )
 def test_report_matches_the_golden_bytes(capsys, golden, argv):
@@ -334,6 +355,96 @@ def test_geodesics_csv_is_what_csv_writer_writes(capsys, monkeypatch):
                 assert status == 0
                 assert out == csv_writer_text(reports[-1].rows)
     assert len(reports) == 27 * 3
+
+
+def json_dumps_text(payload) -> str:
+    """The JSON that json.dumps writes for payload: _clean'ed, 2-space
+    indent, sorted keys, ASCII escapes."""
+    return json.dumps(cli._clean(payload), indent=2, sort_keys=True) + "\n"
+
+
+_JSON_TEXT = st.text(st.sampled_from(["a", '"', "\\", "\n", "\x00", "\x1f", "\u00e9", "\u2028", "\ud800", "%", "{"]),
+                     max_size=4)
+_JSON_SCALARS = [_JSON_TEXT, *_SCALARS[1:], st.floats(width=32).map(np.float32)]
+_JSON_CELLS = [*_JSON_SCALARS, st.lists(st.one_of(_JSON_SCALARS), max_size=3).map(tuple)]
+
+
+@st.composite
+def json_rows(draw):
+    """A report's rows: one key set in varying orders, each key one cell type
+    or a mix; sometimes one row lacks a key."""
+    keys = draw(st.lists(_JSON_TEXT, unique=True, max_size=4))
+    kinds = {key: draw(st.sampled_from([*_JSON_CELLS, st.one_of(_JSON_CELLS)])) for key in keys}
+    rows = [{key: draw(kinds[key]) for key in draw(st.permutations(keys))} for _ in range(draw(st.integers(1, 5)))]
+    if keys and draw(st.booleans()):
+        del rows[-1][keys[0]]
+    return rows
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(*_JSON_SCALARS, json_rows()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=2).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@given(payload=st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4))
+@example(payload={
+    "rows": [
+        {"x": 0.0, "y": "\u00e9\u2028", "n": 1},
+        {"x": -0.0, "y": '\x00\t"\\', "n": True},
+        {"x": 5e-324, "y": "", "n": None},
+        {"x": -2.2e-308, "y": "a", "n": 2**70},
+    ],
+    "nonfinite": [{"x": math.nan}, {"x": math.inf}, {"x": -math.inf}],
+    "tuple": (1, (2.5, "a"), ()),
+})
+@example(payload={
+    "rows": [{"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-3), "b": np.bool_(True)}],
+    "scalars": [np.float64(math.nan), np.float32(-math.inf), np.int64(2**62), np.bool_(False)],
+})
+@example(payload={"%s": {"{0}": 1, 'q"k': [], "%%": {}}, "rows": [{"%d": 1, "{}": "%s", '"': 3}, {'"': 6, "%d": 4, "{}": "{}"}]})
+@example(payload={
+    "empty": {}, "list": [], "no_keys": [{}, {}], "differ": [{"a": 1}, {"b": 2}],
+    "matrix": [{"name": "D1", "matrix": [[1.0, 0.0], [0.0, -1.0]]}, {"name": "D2", "matrix": [[0.0, 1.0], [1.0, 0.0]]}],
+})
+@settings(max_examples=200, deadline=None)
+def test_render_json_is_what_json_dumps_writes(payload):
+    assert cli.render_json(cli.Report(payload, [])) == json_dumps_text(payload)
+
+
+def _json_commands():
+    """Every subcommand over normalized9, the single-pair ones at each pair,
+    and the extreme labels of the goldens."""
+    grid = ("--grid", "normalized9")
+    yield from (
+        ["classify", *grid], ["bracket", *grid], ["bialgebra", *grid], ["ybe", *grid], ["phs", *grid],
+        ["coproduct", *grid], ["sklyanin", *grid, "--samples", "3"], ["sweep-all", *grid, "--samples", "2"],
+        ["coproduct", "--k1", "1", "--k2", "1", "--z", "0.5", "--z", "4", "--z", "1e308"],
+        ["ybe", "--k1", "1e200", "--k2", "1e200", "--z", "0.1", "--z", "1e308"],
+        ["sweep-all", "--k1=1e300", "--k2=1", "--samples", "2"],
+    )
+    for kp in checks.NORMALIZED_PAIRS:
+        pair = (f"--k1={kp.k1!r}", f"--k2={kp.k2!r}")
+        yield from (
+            ["convert", *pair, "--from", "parallel1", "--to", "polar", "--coords", "0.3,0.2"],
+            ["metric", *pair, "--chart", "polar", "--coords", "0.3,0.2"],
+            ["curvature", *pair, "--coords", "0.3,0.2"],
+            ["duality", *pair, "--samples", "3"],
+            ["export-geodesics", *pair, "--chart", "parallel2", "--span", "0.6", "--points", "20", "--lines", "3"],
+        )
+
+
+def test_each_json_report_is_what_json_dumps_writes(capsys, monkeypatch):
+    reports = []
+    render = cli.render_json
+    monkeypatch.setattr(cli, "render_json", lambda report: reports.append(report) or render(report))
+    commands = list(_json_commands())
+    for argv in commands:
+        _, out = run(capsys, *argv)
+        assert out == json_dumps_text(reports[-1].payload), argv
+    assert len(reports) == len(commands)
 
 
 def test_csv_header_keeps_keys_first_seen_after_the_first_row(capsys):
