@@ -108,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": Path(args.parent_tree).resolve(), "change": ROOT}
     if trees["parent"] == ROOT:
         parser.error("--parent-tree names the working tree under test")
+    # read before the runs: a parent tree that is not a checkout fails here, not after them
+    parent_rev = _rev(trees["parent"])
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}
@@ -130,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         "description": args.description,
         "command": f"python3 perfbench/run.py --workload {{{','.join(args.workload)}}} --seed N "
                    f"--seconds {args.seconds:g} --trace 0",
-        "parent": _rev(trees["parent"]),
+        "parent": parent_rev,
         "host": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
                 f"numpy {metadata.version('numpy')}",
         "order": "pair i runs the parent first for even i and the change first for odd i; "

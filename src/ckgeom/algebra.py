@@ -73,20 +73,6 @@ class AlgebraElement:
         _check_finite("c02", self.c02)
         _check_finite("c12", self.c12)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.c01 + other.c01, self.c02 + other.c02, self.c12 + other.c12)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.c01 - other.c01, self.c02 - other.c02, self.c12 - other.c12)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(-self.c01, -self.c02, -self.c12)
-
-    def __mul__(self, scalar: float) -> "AlgebraElement":
-        return AlgebraElement(scalar * self.c01, scalar * self.c02, scalar * self.c12)
-
-    __rmul__ = __mul__
-
     def as_array(self) -> np.ndarray:
         return np.array([self.c01, self.c02, self.c12], dtype=float)
 
@@ -94,9 +80,6 @@ class AlgebraElement:
     def from_array(cls, coeffs) -> "AlgebraElement":
         c = np.asarray(coeffs, dtype=float)
         return cls(float(c[0]), float(c[1]), float(c[2]))
-
-    def max_abs(self) -> float:
-        return max(abs(self.c01), abs(self.c02), abs(self.c12))
 
 
 J01 = AlgebraElement(1.0, 0.0, 0.0)

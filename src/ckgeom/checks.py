@@ -328,8 +328,8 @@ class SweepConfig:
                 raise ConfigError(f"z must be finite and nonzero, got {z!r}")
         if self.sample_count < 1:
             raise ConfigError(f"sample count must be positive, got {self.sample_count}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         grid = tuple(sorted(self.kappa_grid, key=lambda kp: (kp.k1, kp.k2)))
         zs = tuple(sorted(self.z_values))
         return replace(self, kappa_grid=grid, z_values=zs)

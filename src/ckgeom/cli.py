@@ -8,7 +8,11 @@ coordinate lines (export-geodesics).
 Reports are deterministic for a fixed seed and configuration: no
 timestamps, sorted keys, repr-exact floats.  Exit status is 1 exactly when
 some report row has a false `passed`, 2 for configuration errors and 0
-otherwise.
+otherwise.  A configuration error is an argument that no evaluation could
+accept: a label, coordinate or PHS point that is not a finite number, a
+coordinate list of the wrong length for its chart, a negative seed.  It is
+raised before any evaluation; a domain error of an evaluation at valid
+arguments becomes an `error` entry of its report row.
 
 JSON is what `json.dumps(indent=2, sort_keys=True)` writes: a 2-space
 indent, sorted keys and ASCII escapes.  It spells a float by its repr, a
@@ -325,10 +329,10 @@ def _cmd_convert(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     source = args.source_chart
     target = args.target_chart
     coords = _parse_coords(args.coords)
+    p = _parse_point(source, coords)
     payload = _base_payload(args, sweep)
     row = {"k1": kp.k1, "k2": kp.k2, "source": source, "target": target}
     try:
-        p = _parse_point(source, coords)
         ambient = to_ambient(kp, p)
         out = from_ambient(kp, ambient, target)
         row["ambient"] = list(ambient.as_array())
@@ -346,10 +350,10 @@ def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     kp = _single_pair(args, sweep)
     chart = args.chart
     coords = _parse_coords(args.coords)
+    p = _parse_point(chart, coords)
     payload = _base_payload(args, sweep)
     row = {"k1": kp.k1, "k2": kp.k2, "chart": chart, "coords": list(coords)}
     try:
-        p = _parse_point(chart, coords)
         m = metric_main(kp, p)
         row.update({"g11": m.g11, "g12": m.g12, "g22": m.g22})
         row["determinant"] = m.g11 * m.g22 - m.g12 * m.g12
@@ -365,11 +369,11 @@ def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
 def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     kp = _single_pair(args, sweep)
     coords = _parse_coords(args.coords)
+    p = _parse_point(args.chart, coords)
     payload = _base_payload(args, sweep)
     tol = DEFAULT_TOLERANCES["geometry_curvature"]
     row = {"k1": kp.k1, "k2": kp.k2, "coords": list(coords), "tolerance": tol}
     try:
-        p = _parse_point(args.chart, coords)
         value = gaussian_curvature(kp, p)
         row["curvature"] = value
         row["expected"] = kp.k1
@@ -503,8 +507,8 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
 def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> Report:
     payload = _base_payload(args, sweep)
     kind = DeformationKind(args.kind)
-    a1 = args.a1
-    a2 = args.a2
+    a1 = _finite("a1", args.a1)
+    a2 = _finite("a2", args.a2)
     rows = []
     for kp in sweep.kappa_grid:
         for z in sweep.z_values:
@@ -725,11 +729,18 @@ def _resolve_grid(args: argparse.Namespace) -> tuple[KappaPair, ...]:
     raise ConfigError(f"{args.command} needs --k1 and --k2")
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _parse_coords(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.split(","))
+        coords = tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad coordinate list {raw!r}") from exc
+    return tuple(_finite("a coordinate", x) for x in coords)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -29,14 +29,7 @@ class DualityName(Enum):
     ID = "ID"
 
 
-DUALITIES: tuple[DualityName, ...] = (
-    DualityName.D0,
-    DualityName.D1,
-    DualityName.D2,
-    DualityName.D0D1,
-    DualityName.D0D2,
-    DualityName.ID,
-)
+DUALITIES: tuple[DualityName, ...] = tuple(DualityName)
 
 # Curvature label whose vanishing makes the map undefined, if any.
 RESTRICTIONS = {

@@ -8,16 +8,13 @@ families in a single smooth parametrization:
     sk(kappa, x) = sin(sqrt(kappa) x) / sqrt(kappa) | x | sinh(sqrt(-kappa) x) / sqrt(-kappa)
 
 Both are entire functions of kappa * x**2 (times x for sk), which is what
-makes the contraction kappa -> 0 non-singular.  The functions here take
-scalars; ck_array, sk_array and kinv_array evaluate them over arrays for one
-scalar label and agree with ck, sk and kinv bit for bit element by element.
-Where a hyperbolic value overflows a double, ck and sk raise
-ChartDomainError and the array forms give an infinite element; at an
-infinite circular angle they raise it too, and the array forms give nan.
-kinv_array returns the mask of the elements where kinv raises.  The scalar
-forms stay for one-point callers: a default sweep makes about 1,100 calls
-to ck, sk, tk and kinv (cProfile at seeds 0 and 5) at 0.2-0.3 us, where a
-one-element array call takes 2-11 us.
+makes the contraction kappa -> 0 non-singular.  ck_array, sk_array and
+kinv_array evaluate them over arrays for one scalar label: where a
+hyperbolic value overflows a double the element is infinite, at an infinite
+circular angle it is nan, and kinv_array returns beside its values the mask
+of the elements off the curve or on the far branch.  ck, sk and kinv are
+those array forms at one point plus a raise where the element fails:
+ChartDomainError for ck and sk, OffCurveError for kinv.
 
 A map that other modules evaluate at many points at once is written once,
 over steps: ck, sk, tk, vk, kinv, each(form, rows) for k inputs per point, and
@@ -29,12 +26,12 @@ runs the array forms and ORs into its mask `bad` the points where a step
 would raise; its fails() returns False, so it raises and formats nothing.
 A map called with a _Flag is its stack form.
 
-Bit identity decides which function an array form calls.  Elementwise
-arithmetic, np.sqrt, np.cos and np.sin round like their scalar forms, so
-the array forms use them directly.  np.cosh, np.sinh, np.arcsinh and
-np.arctan2 differ from libm in the last place on a share of inputs, so the
-array forms map math.cosh, math.sinh, math.asinh and math.atan2 over the
-elements instead.
+Bit identity with libm decides which function an array form calls.
+Elementwise arithmetic, np.sqrt, np.cos and np.sin round like Python
+floats, math.sqrt, math.cos and math.sin, so the array forms use them
+directly.  np.cosh, np.sinh, np.arcsinh and np.arctan2 differ from libm in
+the last place on a share of inputs, so the array forms map math.cosh,
+math.sinh, math.asinh and math.atan2 over the elements instead.
 """
 
 from __future__ import annotations
@@ -77,48 +74,43 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 _asinh = np.frompyfunc(math.asinh, 1, 1)
 
 
+def _fails(kappa: float, x, values: np.ndarray) -> np.ndarray | bool:
+    """The mask of the elements where ck or sk raises, from x and the array
+    form's values at x; False for a label of the Taylor branch."""
+    if kappa <= -TAYLOR_CUTOFF:  # a hyperbolic value overflows
+        return np.isinf(values)
+    if kappa >= TAYLOR_CUTOFF:  # a circular angle is infinite
+        return np.isinf(math.sqrt(kappa) * x)
+    return False
+
+
+def _at_point(name: str, form: Callable, kappa: float, x) -> float:
+    """form(kappa, x) at one point, raising where _fails flags it."""
+    # numpy warns where Python floats overflow in silence; the failure is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = form(kappa, x)
+        if _fails(kappa, x, value):
+            why = "has an infinite angle" if kappa > 0.0 else "overflows a double"
+            raise ChartDomainError(f"{name}({kappa!r}, {float(x)!r}) {why}")
+    return float(value)
+
+
 def ck(kappa: float, x: float) -> float:
     """Generalized cosine of x at curvature kappa."""
-    if abs(kappa) < TAYLOR_CUTOFF:
-        # plain arithmetic, so ck_array passes arrays through this branch
-        x2 = x * x
-        return 1.0 + kappa * x2 * (-0.5 + kappa * x2 * (1.0 / 24.0 - kappa * x2 / 720.0))
-    if kappa > 0.0:
-        try:
-            return math.cos(math.sqrt(kappa) * x)
-        except ValueError:  # math.cos of an infinite angle
-            raise ChartDomainError(f"ck({kappa!r}, {float(x)!r}) has an infinite angle") from None
-    v = _cosh_or_inf(math.sqrt(-kappa) * x)
-    if math.isinf(v):
-        raise ChartDomainError(f"ck({kappa!r}, {float(x)!r}) overflows a double")
-    return v
+    return _at_point("ck", ck_array, kappa, x)
 
 
 def sk(kappa: float, x: float) -> float:
     """Generalized sine of x at curvature kappa (odd in x, sk ~ x near 0)."""
-    if abs(kappa) < TAYLOR_CUTOFF:
-        # plain arithmetic, so sk_array passes arrays through this branch
-        x2 = x * x
-        return x * (1.0 + kappa * x2 * (-1.0 / 6.0 + kappa * x2 * (1.0 / 120.0 - kappa * x2 / 5040.0)))
-    if kappa > 0.0:
-        rk = math.sqrt(kappa)
-        try:
-            return math.sin(rk * x) / rk
-        except ValueError:  # math.sin of an infinite angle
-            raise ChartDomainError(f"sk({kappa!r}, {float(x)!r}) has an infinite angle") from None
-    rk = math.sqrt(-kappa)
-    # the quotient can overflow where sinh does not, when -kappa < 1
-    v = _sinh_or_inf(rk * x) / rk
-    if math.isinf(v):
-        raise ChartDomainError(f"sk({kappa!r}, {float(x)!r}) overflows a double")
-    return v
+    return _at_point("sk", sk_array, kappa, x)
 
 
 def ck_array(kappa: float, x) -> np.ndarray:
     """ck(kappa, x) for every element of the array x."""
     x = np.asarray(x, dtype=float)
     if abs(kappa) < TAYLOR_CUTOFF:
-        return ck(kappa, x)
+        x2 = x * x
+        return 1.0 + kappa * x2 * (-0.5 + kappa * x2 * (1.0 / 24.0 - kappa * x2 / 720.0))
     if kappa > 0.0:
         return np.cos(math.sqrt(kappa) * x)
     with np.errstate(over="ignore"):  # an overflowing element is inf, as documented
@@ -129,12 +121,15 @@ def sk_array(kappa: float, x) -> np.ndarray:
     """sk(kappa, x) for every element of the array x."""
     x = np.asarray(x, dtype=float)
     if abs(kappa) < TAYLOR_CUTOFF:
-        return sk(kappa, x)
+        x2 = x * x
+        return x * (1.0 + kappa * x2 * (-1.0 / 6.0 + kappa * x2 * (1.0 / 120.0 - kappa * x2 / 5040.0)))
     if kappa > 0.0:
         rk = math.sqrt(kappa)
         return np.sin(rk * x) / rk
     rk = math.sqrt(-kappa)
-    with np.errstate(over="ignore"):  # an overflowing element is inf, as documented
+    # an overflowing element is inf, as documented; the quotient can
+    # overflow where sinh does not, when -kappa < 1
+    with np.errstate(over="ignore"):
         return np.asarray(_sinh(rk * x), dtype=float) / rk
 
 
@@ -192,22 +187,15 @@ def kinv(kappa: float, s: float, c: float) -> float:
     for kappa > 0 (ties at c = -1 resolve to +pi/sqrt(kappa)) and all of
     the reals otherwise.
     """
-    deviation = abs(c * c + kappa * s * s - 1.0)
-    if deviation > DEFAULT_CURVE_TOL:
-        raise OffCurveError(
-            f"kinv({kappa!r}): pair (c={float(c)!r}, s={float(s)!r}) misses the unit curve by {deviation:.3e}"
-        )
-    if kappa > TAYLOR_CUTOFF:
-        if s == 0.0:
-            # atan2 would return -pi for s = -0.0; pin the antipode to +pi.
-            return math.pi / math.sqrt(kappa) if c < 0.0 else 0.0
-        return math.atan2(math.sqrt(kappa) * s, c) / math.sqrt(kappa)
-    if c < 0.0:
+    x, bad = kinv_array(kappa, s, c)
+    if bad:
+        deviation = abs(c * c + kappa * s * s - 1.0)
+        if deviation > DEFAULT_CURVE_TOL:
+            raise OffCurveError(
+                f"kinv({kappa!r}): pair (c={float(c)!r}, s={float(s)!r}) misses the unit curve by {deviation:.3e}"
+            )
         raise OffCurveError(f"kinv({kappa!r}): c={float(c)!r} lies on the branch not connected to the identity")
-    if abs(kappa) <= TAYLOR_CUTOFF:
-        return s
-    rk = math.sqrt(-kappa)
-    return math.asinh(rk * s) / rk
+    return float(x)
 
 
 def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +208,7 @@ def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, np.ndarray]:
         if kappa > TAYLOR_CUTOFF:
             rk = math.sqrt(kappa)
             x = np.asarray(_atan2(rk * s, c), dtype=float) / rk
-            # the antipode pin of kinv, for s = +0.0 and -0.0 alike
+            # atan2 would give -pi for s = -0.0: pin the antipode to +pi, for s = +0.0 and -0.0 alike
             return np.where(s == 0.0, np.where(c < 0.0, math.pi / rk, 0.0), x), bad
         bad |= c < 0.0
         if abs(kappa) <= TAYLOR_CUTOFF:
@@ -231,7 +219,7 @@ def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, np.ndarray]:
 
 class _Flag:
     """The steps of a stack form over arrays: each ORs into bad, an array of
-    the stack's shape, the rows where the step's scalar form raises."""
+    the stack's shape, the rows where the raising step raises."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.bad = np.zeros(shape, dtype=bool)
@@ -240,18 +228,15 @@ class _Flag:
         self.bad |= mask
         return False
 
-    def _raises(self, kappa: float, x, values: np.ndarray) -> np.ndarray:
-        if kappa <= -TAYLOR_CUTOFF:  # a hyperbolic value overflows
-            self.bad |= np.isinf(values)
-        elif kappa >= TAYLOR_CUTOFF:  # a circular angle is infinite
-            self.bad |= np.isinf(math.sqrt(kappa) * x)
+    def ck(self, kappa: float, x) -> np.ndarray:
+        values = ck_array(kappa, x)
+        self.bad |= _fails(kappa, x, values)
         return values
 
-    def ck(self, kappa: float, x) -> np.ndarray:
-        return self._raises(kappa, x, ck_array(kappa, x))
-
     def sk(self, kappa: float, x) -> np.ndarray:
-        return self._raises(kappa, x, sk_array(kappa, x))
+        values = sk_array(kappa, x)
+        self.bad |= _fails(kappa, x, values)
+        return values
 
     def kinv(self, kappa: float, s, c) -> np.ndarray:
         x, bad = kinv_array(kappa, s, c)

@@ -613,6 +613,49 @@ def test_a_non_finite_label_is_a_config_error(capsys, command, label):
     assert captured.err == f"configuration error: k1 must be finite, got {float(label)!r}\n"
 
 
+@pytest.mark.parametrize("command", ["sweep-all", "sklyanin", "duality"])
+def test_a_negative_seed_is_a_config_error(capsys, command):
+    assert main([command, "--k1", "1", "--k2", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ("1", "parallel1 chart needs two coordinates"),
+        ("1,2,3", "parallel1 chart needs two coordinates"),
+        ("nan,0", "a coordinate must be finite, got nan"),
+        ("0,-inf", "a coordinate must be finite, got -inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["curvature", "metric", "convert"])
+def test_a_bad_coordinate_list_is_a_config_error(capsys, command, coords, message):
+    charts = ["--from", "parallel1", "--to", "polar"] if command == "convert" else []
+    assert main([command, "--k1", "1", "--k2", "1", f"--coords={coords}", *charts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["a1", "a2"])
+def test_a_non_finite_phs_point_is_a_config_error(capsys, name, value):
+    assert main(["phs", f"--{name}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {name} must be finite, got {float(value)!r}\n"
+
+
+def test_phs_at_a_first_kind_pole_is_an_error_row(capsys):
+    status, out = run(capsys, "phs", "--k1", "1", "--k2", "1", "--a2", repr(math.pi / 2))
+    assert status == 0
+    (row,) = json.loads(out)["phs"]
+    assert "bracket" not in row
+    assert row["error"].startswith("ChartDomainError: first-kind bracket undefined here: tk(")
+
+
 def test_csv_format(capsys):
     status, out = run(capsys, "bracket", "--k1", "1", "--k2", "-1", "--format", "csv")
     assert status == 0

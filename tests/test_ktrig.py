@@ -128,6 +128,15 @@ def test_array_forms_match_the_scalar_pair_bit_for_bit(kappa):
         assert batched(kappa, x).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kappa", [-2.7, -1.0, -0.5, 0.5, 1.0, 3.1])
+def test_array_forms_have_the_bits_of_libm(kappa):
+    x = np.append(np.linspace(-3.0, 3.0, 601), -0.0).tolist()
+    rk = math.sqrt(abs(kappa))
+    cos, sin = (math.cos, math.sin) if kappa > 0.0 else (math.cosh, math.sinh)
+    assert ck_array(kappa, x).tobytes() == np.array([cos(rk * v) for v in x]).tobytes()
+    assert sk_array(kappa, x).tobytes() == np.array([sin(rk * v) / rk for v in x]).tobytes()
+
+
 @pytest.mark.parametrize("kappa", [-1.0, -2.7])
 def test_hyperbolic_overflow_is_a_domain_error(kappa):
     for scalar in (ck, sk):

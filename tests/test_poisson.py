@@ -263,3 +263,16 @@ def test_rmatrix_layout():
     # both generators deform along a single wedge direction
     assert np.count_nonzero(r1) == 1
     assert np.count_nonzero(r2) == 1
+
+
+def test_first_kind_phs_bracket_at_a_pole_is_a_chart_domain_error():
+    with pytest.raises(ChartDomainError, match=r"^first-kind bracket undefined here: tk\("):
+        phs_points_bracket(KappaPair(1.0, 1.0), 0.1, DeformationKind.FIRST_KIND, 0.0, math.pi / 2)
+
+
+def test_closed_forms_raise_where_the_a2_cosine_factor_vanishes():
+    kp, gc = KappaPair(1.0, 1.0), GroupCoordinates(0.2, math.pi / 2, 0.3)
+    with pytest.raises(ChartDomainError, match="invariant fields diverge"):
+        invariant_vector_fields(kp, gc)
+    with pytest.raises(ChartDomainError, match="bracket coefficients diverge"):
+        sklyanin_closed(kp, 0.1, gc)

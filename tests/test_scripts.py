@@ -3,8 +3,11 @@ the aggregation of the benchmark pairs, which runs no benchmark."""
 
 import csv
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "phs_bracket_scan.py"
 
@@ -69,3 +72,14 @@ def test_bench_pairs_summarizes_alternating_runs():
         "parent_iqr": 0.5,
         "change_wins": "3 of 4 pairs",
     }
+
+
+def test_bench_pairs_reads_the_parent_revision_before_any_run(tmp_path, monkeypatch):
+    bench = _load("bench_pairs")
+    runs = []
+    monkeypatch.setattr(bench, "run_once", lambda *args: runs.append(args))
+    # tmp_path is not a git checkout, and git may not look above it: git rev-parse fails
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    with pytest.raises(subprocess.CalledProcessError):
+        bench.main(["--parent-tree", str(tmp_path), "--workload", "sweep", "--pairs", "2"])
+    assert runs == []

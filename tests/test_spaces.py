@@ -131,6 +131,23 @@ def test_subsidiary_metric_on_degenerate_planes():
 
 
 @pytest.mark.parametrize("kp", NONDEGENERATE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+def test_subsidiary_metric_is_the_main_metric_over_k2(kp):
+    p = ParallelI(0.3, 0.4)
+    main = metric_main(kp, p)
+    sub = metric_subsidiary(kp, p)
+    assert (sub.g11, sub.g12, sub.g22) == (main.g11 / kp.k2, main.g12 / kp.k2, 1.0)
+
+
+@pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
+def test_main_metric_of_an_ambient_point_is_in_parallel1_components(kp):
+    m = metric_main(kp, to_ambient(kp, ParallelI(0.3, 0.4)))
+    g11, g12, g22 = parallel1_metric(kp, 0.3, 0.4)
+    assert abs(m.g11 - g11) < 1e-12
+    assert abs(m.g12 - g12) < 1e-12
+    assert abs(m.g22 - g22) < 1e-12
+
+
+@pytest.mark.parametrize("kp", NONDEGENERATE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_gaussian_curvature_equals_first_label(kp):
     for p in sample_points(kp, n=4, frac=0.25):
         assert abs(gaussian_curvature(kp, p) - kp.k1) < 1e-6
