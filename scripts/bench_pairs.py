@@ -12,8 +12,12 @@ quartiles and runs of every end-to-end metric that BENCHMARK.json declares,
 the pairs the change wins in the metric's better direction, the attempted
 and failed work units, and as the claim the first workload's units_per_cal.
 
-  git clone --quiet . ../parent && git -C ../parent checkout --quiet PARENT_COMMIT
-  python3 scripts/bench_pairs.py --parent-tree ../parent --workload deformation \\
+The two trees must have paths of one length, since peak_rss_mb moves by
+about 3% with the length of the tree's path alone: a checkout ../prnt
+beside a working tree named repo, say.
+
+  git clone --quiet . ../prnt && git -C ../prnt checkout --quiet PARENT_COMMIT
+  python3 scripts/bench_pairs.py --parent-tree ../prnt --workload deformation \\
       --workload sweep --workload geodesics --description "..."
 """
 
@@ -95,7 +99,8 @@ def _rev(tree: Path) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent-tree", required=True, help="a git checkout of the parent commit")
+    parser.add_argument("--parent-tree", required=True,
+                        help="a git checkout of the parent commit, at a path as long as the working tree's")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of perfbench/run.py; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
@@ -110,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--parent-tree names the working tree under test")
     # read before the runs: a parent tree that is not a checkout fails here, not after them
     parent_rev = _rev(trees["parent"])
+    if len(str(trees["parent"])) != len(str(ROOT)):
+        parser.error(f"--parent-tree {trees['parent']} and the working tree {ROOT} have paths of different "
+                     "lengths, which alone move peak_rss_mb")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads = {}

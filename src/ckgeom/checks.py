@@ -32,19 +32,20 @@ the array forms of ktrig, the stack forms of group, poisson, quantum and
 spaces and the flow map _flow; sample_group_stack and
 sample_parallel1_stack draw the points of a label pair in one call, the
 doubles of one point after another.  A stack form flags the samples where
-its map raises (see ktrig).  _flagged visits the flagged samples alone, in
-loop order, and evaluates each flagged stage (_Stage) again with ktrig as
-the steps, which raises the error of its first failing step: where the
-loop skips the stage on a ChartDomainError the entry is dropped, and any
-other error ends the check after a block of the entries before it.  So
-`samples`, the defects and the detail are those of a sample-by-sample
-loop.
-
-Two geometry checks draw by rejection, `while done < want and attempts <
-cap`.  _rejection_sampled draws a block of candidates ahead, as if every
-attempt were accepted, and evaluates the block at once.  It then makes the
-attempts in order up to the first candidate the block gave to the wrong
-loop, puts rng back to its state before the block, and draws the
+its map raises (see ktrig), and one rule settles a flagged sample:
+_survives evaluates it again at each stage (_Stage) that flags it, in the
+loop's order, with ktrig as the steps, which raises the error of its first
+failing step.  An error the loop skips (its `except ChartDomainError`)
+drops the sample, and any other error ends the check after a block of the
+samples before it.  So `samples`, the defects and the detail are those of a
+sample-by-sample loop.  _flagged applies the rule to a fixed set of
+samples, and _rejection_sampled to the two geometry checks that draw by
+rejection, `while done < want and attempts < cap`: an attempt is accepted
+where it survives its stages and the check keeps it, and only then is its
+defect evaluated.  _rejection_sampled draws a block of candidates ahead, as
+if every attempt were accepted, and evaluates the block at once.  It makes
+the attempts in order up to the first candidate the block gave to the
+wrong loop, puts rng back to its state before the block, and draws the
 candidates of those attempts again, so rng advances by the draws of the
 attempts the loop made.  The accepted attempts of a block are one block of
 defects.
@@ -156,7 +157,6 @@ from .spaces import (
     metric_main,
     metric_subsidiary,
     to_ambient,
-    to_ambient_batch,
 )
 
 _KAPPA_GRIDS = {"normalized9": NORMALIZED_PAIRS}
@@ -403,26 +403,30 @@ class _Stage(NamedTuple):
     skips: type[Exception] | tuple = ()
 
 
+def _survives(stages: Sequence[_Stage], i: int, width: int = 1) -> bool:
+    """Whether entry i, of samples of width entries, survives the stages
+    that flag it, each evaluated again in the order given: False where an
+    error in that stage's skips drops it; any other error propagates."""
+    j, entry = divmod(i, width)
+    for t in stages:
+        if t.entry == entry and t.bad[j]:
+            try:
+                t.again(j)
+            except t.skips:
+                return False
+    return True
+
+
 def _flagged(defects: np.ndarray, name: Callable[[int], str], *stages: _Stage, keep=True) -> Blocks:
     """The block (defects, name) of a stack form's samples, the rows of
-    defects, after their flagged stages are evaluated again.
-
-    keep marks the entries the loop evaluates.  The flagged entries are
-    visited in loop order, and each entry's stages in the order given: a
-    skipped error drops the entry and its later stages, and any other error
-    ends the check after a block of the entries before it.
-    """
+    defects, whose flagged entries survive their stages (_survives) in loop
+    order; keep marks the entries the loop evaluates.  A GeometryError from a
+    stage ends the check after a block of the entries before it."""
     width = defects.shape[1] if defects.ndim > 1 else 1
     keep = np.array(np.broadcast_to(keep, defects.shape)).ravel()
-    dropped = set()
-    for i, k in sorted((j * width + t.entry, k) for k, t in enumerate(stages) for j in np.flatnonzero(t.bad).tolist()):
-        if i in dropped:
-            continue
+    for i in sorted({j * width + t.entry for t in stages for j in np.flatnonzero(t.bad).tolist()}):
         try:
-            stages[k].again(i // width)
-        except stages[k].skips:
-            keep[i] = False
-            dropped.add(i)
+            keep[i] &= _survives(stages, i, width)
         except GeometryError:
             yield _kept(defects, keep & (np.arange(keep.size) < i), name)
             raise
@@ -443,7 +447,7 @@ def _rejection_sampled(
     rng: np.random.Generator,
     loops: Sequence[tuple[int, int]],
     draw: Callable[[list[int]], object],
-    block: Callable[[list[int], object], Callable[[int], float | None]],
+    block: Callable[[list[int], object], tuple[Sequence[_Stage], np.ndarray, Callable[[int], float]]],
     name: Callable[[int], str],
 ) -> Blocks:
     """The defects of the rejection-sampling loops `while done < want and
@@ -453,11 +457,11 @@ def _rejection_sampled(
 
     draw(ids) draws from rng one candidate per attempt k, of loop ids[k], as
     the loops would.  block(ids, candidates) evaluates them and returns
-    outcome: outcome(k) is the defect of attempt k, None where it is
-    rejected, and raises where the loop raises.  A block holds the attempts
-    left if each is accepted, to the end of the last loop; after a
-    rejection, twice the attempts left in that loop alone.  The accepted
-    attempts of a block are one block of defects.
+    (stages, keep, defect): attempt k is accepted where it survives its
+    stages (_survives) and keep[k] holds, and only then is defect(k)
+    evaluated.  A block holds the attempts left if each is accepted, to the
+    end of the last loop; after a rejection, twice the attempts left in that
+    loop alone.  The accepted attempts of a block are one block of defects.
     """
     loop = done = attempts = 0
     rejected = False
@@ -467,17 +471,16 @@ def _rejection_sampled(
         if not rejected:
             ids += [later for later in range(loop + 1, len(loops)) for _ in range(min(loops[later]))]
         state = rng.bit_generator.state
-        outcome = block(ids, draw(ids))
+        stages, keep, defect = block(ids, draw(ids))
         made, accepted, defects, error = 0, [], [], None
         try:
             while made < len(ids) and ids[made] == loop:
-                defect = outcome(made)
-                if defect is None:
-                    rejected = True
-                else:
+                if _survives(stages, made) and keep[made]:
+                    defects.append(defect(made))
                     accepted.append(made)
-                    defects.append(defect)
                     done += 1
+                else:
+                    rejected = True
                 made += 1
                 attempts += 1
                 if done == loops[loop][0] or attempts == loops[loop][1]:
@@ -791,25 +794,25 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> B
         b = np.array(b + b[:2])
         draws = rng.uniform(-b, b, size=(cfg.sample_count, 5))
         x, q = draws[:, :3], draws[:, 3:]
-        flag = _Flag(len(x))
+        flag, orbit = _Flag(len(x)), _Flag(len(x))
         g = _group(kp, x, flag)
-        p, p_bad = to_ambient_batch(kp, "parallel1", q[:, 0], q[:, 1])
-        expect, expect_bad = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
-        moved = _act(kp, g, p.T, flag)
+        p = _ambient_stack(kp, ParallelI(q[:, 0], q[:, 1]), flag)
+        expect = _ambient_stack(kp, ParallelI(x[:, 0], x[:, 1]), orbit)
+        moved = _act(kp, g, p, flag)
         # the orbit of the base point, the first column of g, recovers the
         # translation part; act at the base point cannot fail where g is finite
-        orbit_defects = np.abs(g[:, :, 0] - expect.T).max(axis=1)
+        orbit_defects = np.abs(g[:, :, 0] - expect).max(axis=1)
         moved_defects = _ambient_defect_stack(kp, moved)
         yield from _flagged(
             np.stack([moved_defects, orbit_defects], axis=1),
             lambda i: f"{('surface', 'orbit')[i % 2]} {_kp_tag(kp)}",
             _Stage(
-                flag.bad | p_bad,
+                flag.bad,
                 lambda j: _act(
                     kp, _group(kp, x[j], ktrig), to_ambient(kp, ParallelI(*q[j].tolist())).as_array(), ktrig
                 ),
             ),
-            _Stage(expect_bad, lambda j: to_ambient(kp, ParallelI(*x[j, :2].tolist())), 1),
+            _Stage(orbit.bad, lambda j: to_ambient(kp, ParallelI(*x[j, :2].tolist())), 1),
         )
 
 
@@ -952,32 +955,28 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
             def draw(ids: list[int]) -> np.ndarray:
                 return rng.uniform(*bounds, size=(len(ids), len(bounds[0])))
 
-            def block(ids: list[int], x: np.ndarray) -> Callable[[int], float | None]:
+            def block(ids: list[int], x: np.ndarray) -> tuple:
                 p, outside, flag = ParallelI(x[:, 0], x[:, -1]), _Flag(len(x)), _Flag(len(x))
                 # a polar attempt is rejected near the origin of the chart
                 narrow = np.zeros(len(x), dtype=bool)
                 if target == "polar":
                     s = _ambient_of(kp, p, outside)
                     narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
-                terms = _pullback_terms(kp, p, target, flag)
-                rows = x.tolist()
+                dq, dp, ga, gb = _pullback_terms(kp, p, target, flag)
 
-                def outcome(k: int) -> float | None:
-                    q = ParallelI(rows[k][0], rows[k][-1])
-                    if outside.bad[k]:
-                        to_ambient(kp, q)
-                    if narrow[k]:
-                        return None
-                    dq, dp, ga, gb = (term[k] for term in terms)
-                    if flag.bad[k]:
-                        try:
-                            dq, dp, ga, gb = _pullback_terms(kp, q, target, ktrig)
-                        except ChartDomainError:
-                            return None
-                    jac = np.linalg.lstsq(dq, dp, rcond=None)[0]
-                    return float(_pullback_defect(jac, gb, ga))
+                def point(k: int) -> ParallelI:
+                    return ParallelI(*x[k, [0, -1]].tolist())
 
-                return outcome
+                def defect(k: int) -> float:
+                    return float(_pullback_defect(np.linalg.lstsq(dq[k], dp[k], rcond=None)[0], gb[k], ga[k]))
+
+                stages = (
+                    _Stage(outside.bad, lambda k: to_ambient(kp, point(k))),
+                    _Stage(
+                        flag.bad & ~narrow, lambda k: _pullback_terms(kp, point(k), target, ktrig), 0, ChartDomainError
+                    ),
+                )
+                return stages, ~narrow, defect
 
             loops = [(cfg.sample_count, 20 * cfg.sample_count)]
             yield from _rejection_sampled(rng, loops, draw, block, lambda _: f"{target} {_kp_tag(kp)}")
@@ -995,12 +994,18 @@ def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> Blo
         yield from _flagged(defects, lambda i: _kp_tag(kp), again)
 
 
+def _ambient_stack(kp: KappaPair, p: ParallelI, steps) -> np.ndarray:
+    """The ambient triples of the parallel1 points p, as the last axis of an
+    array, through steps (see ktrig)."""
+    return np.stack(np.broadcast_arrays(*_ambient_of(kp, p, steps)), axis=-1)
+
+
 def _flow(kp: KappaPair, mat: np.ndarray, a1, a2, steps) -> tuple:
     """The parallel1 image (a1, a2) of the parallel1 points (a1, a2) under
     the ambient matrices mat, (..., 3, 3), through steps (see ktrig)."""
     # a point that fails a step below is flagged or raised there
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.stack(np.broadcast_arrays(*_ambient_of(kp, ParallelI(a1, a2), steps)), axis=-1)
+        s = _ambient_stack(kp, ParallelI(a1, a2), steps)
         image = (mat @ s[..., None])[..., 0]
     q = _chart_of(kp, *np.moveaxis(image, -1, 0), "parallel1", steps)
     return q.a1, q.a2
@@ -1037,26 +1042,17 @@ def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> 
         def draw(ids: list[int]) -> np.ndarray:
             return rng.uniform(-b, b, size=(len(ids), 2))
 
-        def block(ids: list[int], x: np.ndarray) -> Callable[[int], float | None]:
-            flag, at_p = _Flag(len(x)), _Flag(len(x))
+        def block(ids: list[int], x: np.ndarray) -> tuple:
+            flag = _Flag(len(x))
             jac, gq = _flow_jacobian(kp, mats[ids], x, h, flag)
-            gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), at_p).as_matrix()
+            # the stencil starts at the point: the flow flags all the metric there flags
+            gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), flag).as_matrix()
             defects = _pullback_defect(jac, gq, gp).tolist()
-
-            def outcome(k: int) -> float | None:
-                f = ids[k]
-                if exp_flag.bad[f]:
-                    _series(gens[f], ktrig)
-                if flag.bad[k]:
-                    try:
-                        _flow_jacobian(kp, mats[f], x[k], h, ktrig)
-                    except ChartDomainError:
-                        return None
-                if at_p.bad[k]:
-                    metric_main(kp, ParallelI(*x[k].tolist()))
-                return defects[k]
-
-            return outcome
+            stages = (
+                _Stage(exp_flag.bad[ids], lambda k: _series(gens[ids[k]], ktrig)),
+                _Stage(flag.bad, lambda k: _flow_jacobian(kp, mats[ids[k]], x[k], h, ktrig), 0, ChartDomainError),
+            )
+            return stages, np.ones(len(x), dtype=bool), lambda k: defects[k]
 
         loops = [(5, 100)] * len(flows)
         yield from _rejection_sampled(rng, loops, draw, block, lambda f: f"{flows[f][1]} {_kp_tag(kp)}")
@@ -1078,7 +1074,7 @@ def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generat
         onto, chart, fields = _Flag((3, n)), _Flag((3, n)), _Flag((3, n))
         # the field of each sample's own generator, of (generator, sample, field, 2 or 3)
         own = np.arange(3), slice(None), np.arange(3)
-        s = np.stack(np.broadcast_arrays(*_ambient_of(kp, p, onto)), axis=-1)
+        s = _ambient_stack(kp, p, onto)
         # (generator, sign, sample, 3)
         images = (mats[:, :, None] @ s[:, None, :, :, None])[..., 0]
         fd = (images[:, 0] - images[:, 1]) / (2.0 * h)

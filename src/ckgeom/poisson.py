@@ -163,7 +163,9 @@ def schouten(kp: KappaPair, r) -> np.ndarray:
 
 def _schouten_coefficient(t: np.ndarray) -> np.ndarray:
     """schouten of the tensors t of _schouten_tensor."""
-    return sum(sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()) / 6.0
+    # a sum that overflows makes the coefficient inf or nan, which fails its row
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()) / 6.0
 
 
 def mcybe_defect(kp: KappaPair, r) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Lie algebra family: brackets, Jacobi, Casimir, matrix representation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -176,3 +177,5 @@ def test_kinematical_parameters():
     kp = kappa_from_kinematics(1.0, 3.0)
     assert kp.k1 == -1.0
     assert kp.k2 == pytest.approx(-1.0 / 9.0)
+    # an infinite speed is the nonrelativistic limit
+    assert kappa_from_kinematics(-1.0, math.inf) == KappaPair(1.0, 0.0)

@@ -161,12 +161,11 @@ def test_rejection_blocks_end_at_an_escaping_geometry_error():
     rng = np.random.default_rng(0)
 
     def block(ids, candidates):
-        def outcome(k):
-            if k == 3:
-                raise OffSurfaceError("misses")
-            return None if k == 1 else float(k)
+        def again(k):
+            raise OffSurfaceError("misses")
 
-        return outcome
+        k = np.arange(len(ids))
+        return [checks._Stage(k == 3, again)], k != 1, float
 
     # attempt 1 is rejected and attempt 3 raises: the accepted 0 and 2 count
     blocks = checks._rejection_sampled(rng, [(5, 10)], lambda ids: rng.random(len(ids)), block, "loop {}".format)
@@ -264,6 +263,8 @@ def test_config_validation_guards():
     with pytest.raises(ConfigError):
         SweepConfig(kappa_grid=()).validated()
     with pytest.raises(ConfigError):
+        SweepConfig(kappa_grid=LIGHT.kappa_grid, z_values=()).validated()
+    with pytest.raises(ConfigError):
         SweepConfig(kappa_grid=LIGHT.kappa_grid, z_values=(0.0,)).validated()
     with pytest.raises(ConfigError):
         SweepConfig(kappa_grid=LIGHT.kappa_grid, sample_count=0).validated()
@@ -279,3 +280,5 @@ def test_validated_sorts_the_grid():
 def test_unknown_check_name_raises():
     with pytest.raises(ConfigError):
         run_check("not_a_check", LIGHT)
+    with pytest.raises(ConfigError):
+        run_suite("nope", LIGHT)

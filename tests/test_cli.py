@@ -567,6 +567,13 @@ def test_ybe_at_huge_labels_fails_its_row_without_a_warning(capsys):
     assert any(row["passed"] is False for row in json.loads(out)["ybe"])
 
 
+def test_ybe_whose_schouten_sum_overflows_fails_its_row_without_a_warning(capsys):
+    status, out = run(capsys, "ybe", "--k1", "0", "--k2", "0", "--z", "1.3e154", "--format", "csv")
+    assert status == 1
+    rows = [(row["kind"], row["schouten_coefficient"], row["passed"]) for row in csv.DictReader(io.StringIO(out))]
+    assert rows == [("first", "0.0", "true"), ("second", "inf", "false")]
+
+
 @pytest.mark.parametrize("k1, k2", [("1", "-1"), ("-0.0", "1")])
 def test_sklyanin_row_is_the_same_alone_and_in_the_grid(capsys, k1, k2):
     # each pair seeds its stream from its own labels, with -0.0 read as 0.0
@@ -601,6 +608,36 @@ def test_mismatched_kappa_flags_are_a_config_error(capsys):
 
 def test_zero_z_is_a_config_error(capsys):
     assert main(["sweep-all", "--z", "0"]) == 2
+
+
+def test_export_geodesics_of_a_chart_without_lines_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-geodesics", "--k1", "1", "--k2", "1", "--chart", "ambient"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["export-geodesics", "--k1", "1", "--k2", "1", "--points", "1"], "need at least 2 points per line, got 1"),
+        (["export-geodesics", "--k1", "1", "--k2", "1", "--lines", "0"], "need at least one coordinate line, got 0"),
+        (
+            ["convert", "--k1=1", "--k1=0", "--k2=1", "--k2=1", "--from=parallel1", "--to=polar", "--coords=0.1,0.2"],
+            "convert needs exactly one kappa pair, got 2",
+        ),
+        (
+            ["sweep-all", "--grid", "normalized9", "--k1", "1", "--k2", "1"],
+            "give either --grid or explicit --k1/--k2 values, not both",
+        ),
+        (["curvature", "--coords", "0.1,0.2"], "curvature needs --k1 and --k2"),
+        (["curvature", "--k1", "1", "--k2", "1", "--coords", "1,x"], "bad coordinate list '1,x'"),
+    ],
+)
+def test_a_bad_configuration_exits_two(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])

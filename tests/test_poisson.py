@@ -112,6 +112,13 @@ def test_schouten_and_mcybe(kp):
     assert mcybe_defect(kp, r2) < 1e-13
 
 
+def test_schouten_whose_sum_overflows_is_inf_without_a_warning():
+    # the coefficient z^2 = 1.69e308 is finite, but the alternating sum
+    # overflows before its division by 6; tier-1 turns a RuntimeWarning into
+    # an error
+    assert schouten(KappaPair(0.0, 0.0), rmatrix(DeformationKind.SECOND_KIND, 1.3e154)) == math.inf
+
+
 @pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_first_kind_coisotropy_pattern(kp):
     cm = cocommutator_map(kp, rmatrix(DeformationKind.FIRST_KIND, Z))

@@ -83,3 +83,32 @@ def test_bench_pairs_reads_the_parent_revision_before_any_run(tmp_path, monkeypa
     with pytest.raises(subprocess.CalledProcessError):
         bench.main(["--parent-tree", str(tmp_path), "--workload", "sweep", "--pairs", "2"])
     assert runs == []
+
+
+def test_bench_pairs_refuses_trees_whose_paths_differ_in_length(tmp_path, monkeypatch, capsys):
+    bench = _load("bench_pairs")
+    runs = []
+
+    class Ran(Exception):
+        pass
+
+    def run_once(tree, *args):
+        runs.append(tree)
+        raise Ran
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "_rev", lambda tree: "0" * 40)
+    monkeypatch.setattr(bench, "ROOT", tmp_path / "repo")
+    (tmp_path / "repo").mkdir()
+    (tmp_path / "repo" / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    argv = ["--workload", "sweep", "--pairs", "2"]
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--parent-tree", str(tmp_path / "parent"), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--parent-tree {tmp_path / 'parent'} and the working tree {tmp_path / 'repo'}" in err
+    assert runs == []
+    # a parent path of the same length gets to the first run
+    with pytest.raises(Ran):
+        bench.main(["--parent-tree", str(tmp_path / "prnt"), *argv])
+    assert runs == [tmp_path / "prnt"]

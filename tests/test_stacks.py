@@ -447,6 +447,24 @@ def test_flow_jacobian_rows_match_one_point_calls(kp, x, generator, t):
     assert_flags(np.concatenate([jac, gq], axis=-1), bad, results, lambda r: np.concatenate(r, axis=-1))
 
 
+@given(
+    kp=st.builds(KappaPair, st.sampled_from(LABELS), st.sampled_from(LABELS)),
+    x=points_st,
+    generator=st.sampled_from(BASIS),
+    t=st.sampled_from([0.1, 0.3]),
+)
+@SETTINGS
+def test_flow_jacobian_flags_every_point_the_metric_there_flags(kp, x, generator, t):
+    # the killing-flow check evaluates the metric at its points under the
+    # flow's flag, and evaluates only the flow again: its stencil starts at
+    # the point
+    mat = scalar(expm_series, -t * rep(kp, generator))
+    assume(not isinstance(mat, GeometryError))
+    _, metric_bad = flagged(spaces._metric_of, len(x), kp, ParallelI(x[:, 0], x[:, 1]))
+    _, flow_bad = flagged(checks._flow_jacobian, len(x), kp, mat, x[:, :2], 1e-6)
+    assert not (metric_bad & ~flow_bad).any()
+
+
 @given(kp=kp_st, x=points_st)
 @example(kp=KappaPair(0.7, 1e-10), x=np.array([[0.3, 0.4, 0.0]]))
 @SETTINGS
@@ -511,7 +529,7 @@ def test_rejection_blocks_make_the_draws_of_the_loops(seed, loops, share, sizes)
         return [many.random(sizes[l]) for l in ids]
 
     def block(ids, candidates):
-        return lambda k: accepted(candidates[k])
+        return (), [accepted(x) is not None for x in candidates], lambda k: accepted(candidates[k])
 
     # each block of accepted attempts is named while the loops wait at it
     got = [
