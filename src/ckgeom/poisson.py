@@ -163,9 +163,15 @@ def schouten(kp: KappaPair, r) -> np.ndarray:
 
 def _schouten_coefficient(t: np.ndarray) -> np.ndarray:
     """schouten of the tensors t of _schouten_tensor."""
-    # a sum that overflows makes the coefficient inf or nan, which fails its row
+    terms = [sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()]
+    # a sum that overflows makes the coefficient inf or nan, which fails its
+    # row; where every term is finite, the terms each divided by 6 sum to it
     with np.errstate(over="ignore", invalid="ignore"):
-        return sum(sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()) / 6.0
+        coeff = sum(terms) / 6.0
+        if np.isfinite(coeff).all():
+            return coeff
+        redo = ~np.isfinite(coeff) & np.isfinite(terms).all(axis=0)
+        return np.where(redo, sum(x / 6.0 for x in terms), coeff)[()]
 
 
 def mcybe_defect(kp: KappaPair, r) -> np.ndarray:

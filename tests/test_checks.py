@@ -3,7 +3,10 @@
 import inspect
 import json
 import math
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from ckgeom import (
 )
 from ckgeom import checks
 from ckgeom.checks import SUITE_NAMES
+from ckgeom.cli import main
 from ckgeom.errors import ChartDomainError, OffSurfaceError
 
 # each geometry check's result at seeds 0-7, as the sample-by-sample checks gave it
@@ -251,6 +255,93 @@ def test_tolerance_override_can_fail_a_check(monkeypatch):
     result = run_check("geometry_curvature", cfg)
     assert not result.passed
     assert result.tolerance == 1e-18
+
+
+# the checks that draw nothing from their stream on normalized9 at z = 0.1
+SEED_FREE = (
+    "trig_derivatives", "trig_taylor_match",
+    "algebra_casimir_commutes", "algebra_rep_metricity",
+    "duality_kappa_action", "duality_restrictions",
+    "group_closed_vs_series", "group_sinh_identity",
+    "geometry_domain_guards",
+    "bialgebra_cocommutator", "bialgebra_cocycle", "bialgebra_dual_jacobi",
+    "bialgebra_schouten", "bialgebra_mcybe", "bialgebra_coisotropy",
+    "quantum_relations", "quantum_coassociativity", "quantum_classical_limit", "quantum_first_order",
+)
+
+
+def test_kept_folds_give_the_results_of_fresh_runs():
+    warm = [repr(run_all(SweepConfig(seed=seed))) for seed in range(8)]
+    assert sorted(checks._SEED_FREE) == sorted(SEED_FREE)
+    assert "geometry_curvature" not in checks._SEED_FREE
+    fresh = []
+    for seed in range(8):
+        checks._SEED_FREE.clear()
+        fresh.append(repr(run_all(SweepConfig(seed=seed))))
+    assert warm == fresh
+
+
+def counted_runs(monkeypatch, name):
+    """The configurations check name runs at from here on."""
+    runs = []
+
+    def counting(suite, cname, fn):
+        def run(cfg, rng):
+            runs.append(cfg)
+            return fn(cfg, rng)
+
+        return suite, cname, run if cname == name else fn
+
+    monkeypatch.setattr(checks, "_REGISTRY", [counting(*entry) for entry in checks._REGISTRY])
+    return runs
+
+
+def test_a_patched_tolerance_judges_a_kept_fold(monkeypatch):
+    cfg = SweepConfig(kappa_grid=(KappaPair(1.0, 1.0),), sample_count=2)
+    kept = run_check("group_closed_vs_series", cfg)
+    assert kept.passed
+    runs = counted_runs(monkeypatch, "group_closed_vs_series")
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "group_closed_vs_series", -1.0)
+    result = run_check("group_closed_vs_series", replace(cfg, seed=1))
+    assert runs == []
+    assert (result.tolerance, result.passed) == (-1.0, False)
+    assert (result.max_defect, result.detail, result.samples) == (kept.max_defect, kept.detail, kept.samples)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"z_values": (0.2,)},
+        {"kappa_grid": (KappaPair(-0.0, 1.0),)},
+        {"kappa_grid": (KappaPair(0.0, 1.0), KappaPair(1.0, 1.0))},
+        {"sample_count": 3},
+    ],
+    ids=["z", "signed zero", "grid", "samples"],
+)
+def test_another_configuration_misses_the_kept_fold(monkeypatch, change):
+    runs = counted_runs(monkeypatch, "quantum_first_order")
+    cfg = SweepConfig(kappa_grid=(KappaPair(0.0, 1.0),), sample_count=2)
+    for seed in range(3):
+        run_check("quantum_first_order", replace(cfg, seed=seed))
+    assert len(runs) == 1
+    changed = run_check("quantum_first_order", replace(cfg, **change))
+    assert len(runs) == 2
+    checks._SEED_FREE.clear()
+    assert run_check("quantum_first_order", replace(cfg, **change)) == changed
+
+
+def test_a_sweep_at_signed_zero_after_zero_prints_what_a_fresh_process_prints(capsys):
+    argvs = (["sweep-all", "--k1", "0", "--k2", "1"], ["sweep-all", "--k1=-0.0", "--k2", "1"])
+    in_one = []
+    for argv in argvs:
+        main(argv)
+        in_one.append(capsys.readouterr().out)
+    fresh = [
+        subprocess.run([sys.executable, "-m", "ckgeom", *argv], capture_output=True, text=True, check=True).stdout
+        for argv in argvs
+    ]
+    assert in_one == fresh
+    assert "kappa=(-0,1)" in fresh[1] and "kappa=(-0,1)" not in fresh[0]
 
 
 def test_grid_name_guard():

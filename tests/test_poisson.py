@@ -1,5 +1,6 @@
 """Poisson-Lie layer: cocommutators, bialgebra checks, Sklyanin brackets."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from ckgeom import (
     sklyanin_closed,
     sklyanin_numeric,
 )
-from ckgeom.poisson import TRANSLATION_STEP
+from ckgeom.poisson import _EPSILON3, TRANSLATION_STEP, _schouten_tensor
 
 from helpers import (
     NINE,
@@ -112,11 +113,27 @@ def test_schouten_and_mcybe(kp):
     assert mcybe_defect(kp, r2) < 1e-13
 
 
-def test_schouten_whose_sum_overflows_is_inf_without_a_warning():
+def test_schouten_whose_sum_overflows_is_finite_without_a_warning():
     # the coefficient z^2 = 1.69e308 is finite, but the alternating sum
     # overflows before its division by 6; tier-1 turns a RuntimeWarning into
     # an error
-    assert schouten(KappaPair(0.0, 0.0), rmatrix(DeformationKind.SECOND_KIND, 1.3e154)) == math.inf
+    assert schouten(KappaPair(0.0, 0.0), rmatrix(DeformationKind.SECOND_KIND, 1.3e154)) == 1.3e154 * 1.3e154
+
+
+def test_schouten_keeps_the_bits_of_the_one_sum_wherever_it_is_finite():
+    labels = (0.0, -0.0, 1.0, -1.0, 0.7, -1.3, 1e-300, 1e150, -1e308)
+    zs = (0.1, 1.3, 1e-300, 1e154, 1.3e154, 2e154, 1e200, 1e308)
+    r = np.array([rmatrix(kind, z) for z in zs for kind in DeformationKind])
+    for k1, k2 in itertools.product(labels, labels):
+        t = _schouten_tensor(KappaPair(k1, k2), r)
+        terms = np.array([sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_sum = sum(terms) / 6.0
+        got = schouten(KappaPair(k1, k2), r)
+        kept = np.isfinite(one_sum)
+        assert got[kept].tobytes() == one_sum[kept].tobytes(), (k1, k2)
+        # a row whose one sum overflows is finite where its six terms are
+        assert np.isfinite(got[~kept]).tolist() == np.isfinite(terms[:, ~kept]).all(axis=0).tolist(), (k1, k2)
 
 
 @pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
