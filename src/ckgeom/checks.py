@@ -35,20 +35,28 @@ doubles of one point after another.  A stack form flags the samples where
 its map raises (see ktrig), and one rule settles a flagged sample:
 _survives evaluates it again at each stage (_Stage) that flags it, in the
 loop's order, with ktrig as the steps, which raises the error of its first
-failing step.  An error the loop skips (its `except ChartDomainError`)
-drops the sample, and any other error ends the check after a block of the
-samples before it.  So `samples`, the defects and the detail are those of a
+failing step.  A stage is built from the form it evaluates again: _staged
+evaluates a form over the samples through a _Flag and returns the stage
+that evaluates the same form at one sample, so each computation is written
+once.  Stages of one entry that the loop runs one after another are one
+form: at a sample that only a later one flags, the earlier ones raise
+nothing, so the form raises the error the stages raised.  The series
+exponentials of a flow that a loop builds once, before its first sample,
+keep hand-built stages.  A stage passes the numpy rows of its sample to
+the raising steps, whose messages print numpy scalars as floats (see
+ktrig).  An error the loop skips (its `except ChartDomainError`) drops the
+sample, and any other error ends the check after a block of the samples
+before it.  So `samples`, the defects and the detail are those of a
 sample-by-sample loop.  _flagged applies the rule to a fixed set of
 samples, and _rejection_sampled to the two geometry checks that draw by
 rejection, `while done < want and attempts < cap`: an attempt is accepted
 where it survives its stages and the check keeps it, and only then is its
 defect evaluated.  _rejection_sampled draws a block of candidates ahead, as
 if every attempt were accepted, and evaluates the block at once.  It makes
-the attempts in order up to the first candidate the block gave to the
-wrong loop, puts rng back to its state before the block, and draws the
-candidates of those attempts again, so rng advances by the draws of the
-attempts the loop made.  The accepted attempts of a block are one block of
-defects.
+the attempts in order up to the first candidate the block gave to the wrong
+loop, puts rng back to its state before the block, and draws the candidates
+of those attempts again, so rng advances by the draws of the attempts the
+loop made.  The accepted attempts of a block are one block of defects.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.  No check reads the
@@ -66,6 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -97,6 +106,7 @@ from .errors import (
     DegenerateMetricError,
     GeometryError,
     OffSurfaceError,
+    PoleError,
     UndefinedDualityError,
 )
 from .group import (
@@ -125,7 +135,6 @@ from .poisson import (
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
-    invariant_vector_fields,
     mcybe_defect,
     phs_points_bracket,
     rmatrix,
@@ -159,9 +168,7 @@ from .spaces import (
     _metric_of,
     from_ambient,
     gaussian_curvature,
-    killing_fields,
     laplace_beltrami_apply,
-    metric_main,
     metric_subsidiary,
     to_ambient,
 )
@@ -424,6 +431,14 @@ def _survives(stages: Sequence[_Stage], i: int, width: int = 1) -> bool:
     return True
 
 
+def _staged(form: Callable, *rows: np.ndarray, entry: int = 0, skips: type[Exception] | tuple = ()) -> tuple:
+    """form(*rows, steps) at the samples, the leading axis of each of rows,
+    through a _Flag, and the _Stage of that form before entry `entry`, which
+    evaluates form(*(r[j] for r in rows), ktrig) again at sample j."""
+    flag = _Flag(len(rows[0]))
+    return form(*rows, flag), _Stage(flag.bad, lambda j: form(*(r[j] for r in rows), ktrig), entry, skips)
+
+
 def _flagged(defects: np.ndarray, name: Callable[[int], str], *stages: _Stage, keep=True) -> Blocks:
     """The block (defects, name) of a stack form's samples, the rows of
     defects, whose flagged entries survive their stages (_survives) in loop
@@ -580,8 +595,7 @@ def _check_trig_inverse_roundtrip(cfg: SweepConfig, rng: np.random.Generator) ->
             x = rng.uniform(-hp * 0.999, hp * 0.999, cfg.sample_count)
         else:
             x = rng.uniform(-3.0, 3.0, cfg.sample_count)
-        y, bad = ktrig.kinv_array(k, ktrig.sk_array(k, x), ktrig.ck_array(k, x))
-        again = _Stage(bad, lambda i: ktrig.kinv(k, ktrig.sk(k, x[i]), ktrig.ck(k, x[i])))
+        y, again = _staged(lambda x, steps: steps.kinv(k, steps.sk(k, x), steps.ck(k, x)), x)
         yield from _flagged(np.abs(y - x), lambda i: f"kinv k={k:g} x={x[i]:g}", again)
     # half period lands on the antipodal cosine for positive labels
     ks = (0.25, 1.0, 2.0)
@@ -762,10 +776,12 @@ def _check_group_closed_vs_series(cfg: SweepConfig, rng: np.random.Generator) ->
     ts = np.linspace(-2.0, 2.0, 21)
     for kp in cfg.kappa_grid:
         for gname, x in zip(GENERATOR_NAMES, rep_basis(kp)):
-            flag = _Flag(len(ts))
-            mats = ts[:, None, None] * x
-            defects = np.abs(_one_param(kp, gname, ts, flag) - _series(mats, flag)).max(axis=(1, 2))
-            again = _Stage(flag.bad, lambda j: (_one_param(kp, gname, ts[j], ktrig), _series(mats[j], ktrig)))
+
+            def gap(t, steps):
+                closed, series = _one_param(kp, gname, t, steps), _series(np.multiply.outer(t, x), steps)
+                return np.abs(closed - series).max(axis=(-2, -1))
+
+            defects, again = _staged(gap, ts)
             yield from _flagged(defects, lambda i: f"{gname} {_kp_tag(kp)}", again)
 
 
@@ -774,11 +790,9 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Block
     for kp in cfg.kappa_grid:
         im = metric_matrix(kp)
         x = sample_group_stack(rng, kp, 0.4, 100)
-        flag = _Flag(len(x))
-        g = _group(kp, x, flag)
+        g, again = _staged(partial(_group, kp), x)
         form = np.abs(np.swapaxes(g, 1, 2) @ im @ g - im).max(axis=(1, 2))
         det = np.abs(np.linalg.det(g) - 1.0)
-        again = _Stage(flag.bad, lambda j: _group(kp, x[j], ktrig))
         yield from _flagged(np.stack([form, det], axis=1), lambda i: ("", "det ")[i % 2] + _kp_tag(kp), again)
 
 
@@ -786,11 +800,8 @@ def _check_group_invariants(cfg: SweepConfig, rng: np.random.Generator) -> Block
 def _check_group_coords_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        flag = _Flag(len(x))
-        back = _coords(kp, _group(kp, x, flag), flag)
-        defects = np.abs(back - x).max(axis=1)
-        again = _Stage(flag.bad, lambda j: _coords(kp, _group(kp, x[j], ktrig), ktrig))
-        yield from _flagged(defects, lambda i: _kp_tag(kp), again)
+        back, again = _staged(lambda x, steps: _coords(kp, _group(kp, x, steps), steps), x)
+        yield from _flagged(np.abs(back - x).max(axis=1), lambda i: _kp_tag(kp), again)
 
 
 @check(1e-10)
@@ -799,13 +810,14 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> B
         # each sample draws its group point, then a parallel1 point (a1, a2)
         b = _group_bounds(kp, 0.35)
         b = np.array(b + b[:2])
-        draws = rng.uniform(-b, b, size=(cfg.sample_count, 5))
-        x, q = draws[:, :3], draws[:, 3:]
-        flag, orbit = _Flag(len(x)), _Flag(len(x))
-        g = _group(kp, x, flag)
-        p = _ambient_stack(kp, ParallelI(q[:, 0], q[:, 1]), flag)
-        expect = _ambient_stack(kp, ParallelI(x[:, 0], x[:, 1]), orbit)
-        moved = _act(kp, g, p, flag)
+        x = rng.uniform(-b, b, size=(cfg.sample_count, 5))
+
+        def act(x, steps):
+            g = _group(kp, x[..., :3], steps)
+            return g, _act(kp, g, _ambient_stack(kp, x[..., 3:], steps), steps)
+
+        (g, moved), surface = _staged(act, x)
+        expect, orbit = _staged(partial(_ambient_stack, kp), x, entry=1)
         # the orbit of the base point, the first column of g, recovers the
         # translation part; act at the base point cannot fail where g is finite
         orbit_defects = np.abs(g[:, :, 0] - expect).max(axis=1)
@@ -813,13 +825,8 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> B
         yield from _flagged(
             np.stack([moved_defects, orbit_defects], axis=1),
             lambda i: f"{('surface', 'orbit')[i % 2]} {_kp_tag(kp)}",
-            _Stage(
-                flag.bad,
-                lambda j: _act(
-                    kp, _group(kp, x[j], ktrig), to_ambient(kp, ParallelI(*q[j].tolist())).as_array(), ktrig
-                ),
-            ),
-            _Stage(orbit.bad, lambda j: to_ambient(kp, ParallelI(*x[j, :2].tolist())), 1),
+            surface,
+            orbit,
         )
 
 
@@ -829,20 +836,23 @@ def _check_group_sinh_identity(cfg: SweepConfig, rng: np.random.Generator) -> Bl
     for kp in cfg.kappa_grid:
         p = rep_basis(kp)[0]
         cube = np.abs(p @ p @ p + kp.k1 * p).max()
-        mats = np.stack([ts[:, None, None] * p, -ts[:, None, None] * p], axis=1)
         yield np.array([cube]), lambda i: f"cube {_kp_tag(kp)}"
-        series, sk = _Flag(mats.shape[:2]), _Flag(ts.shape)
-        plus, minus = np.moveaxis(_series(mats, series), 1, 0)
-        defects = np.abs(0.5 * (plus - minus) - sk.sk(kp.k1, ts)[:, None, None] * p).max(axis=(1, 2))
-        yield from _flagged(
-            defects,
-            lambda k: f"t={ts[k]:g} {_kp_tag(kp)}",
-            _Stage(series.bad.any(axis=1), lambda k: [_series(m, ktrig) for m in mats[k]]),
-            _Stage(sk.bad, lambda k: ktrig.sk(kp.k1, ts[k].item())),
-        )
+
+        def gap(t, steps):
+            # the series of t p, then of -t p, then sk
+            plus, minus = steps.each(_series, np.multiply.outer(np.stack([t, -t]), p))
+            return np.abs(0.5 * (plus - minus) - np.multiply.outer(steps.sk(kp.k1, t), p)).max(axis=(-2, -1))
+
+        defects, again = _staged(gap, ts)
+        yield from _flagged(defects, lambda k: f"t={ts[k]:g} {_kp_tag(kp)}", again)
 
 
 # --- geometry suite ----------------------------------------------------------
+
+
+def _parallel1(x: np.ndarray) -> ParallelI:
+    """The parallel1 points of the rows x, (..., 2 or more): a1, then a2."""
+    return ParallelI(x[..., 0], x[..., 1])
 
 
 @check(1e-12)
@@ -850,61 +860,60 @@ def _check_geometry_closed_forms(cfg: SweepConfig, rng: np.random.Generator) -> 
     metric_rows, field_rows = _metric_rows(), _field_rows()
     for kp in NORMALIZED_PAIRS:
         x = sample_parallel1_stack(rng, kp, 0.35, cfg.sample_count)
-        p, metric, fields = ParallelI(x[:, 0], x[:, 1]), _Flag(len(x)), _Flag(len(x))
-        m, got = _metric_of(kp, p, metric), _matrix(_fields_of(kp, p, fields))
+        m, metric = _staged(lambda x, steps: _metric_of(kp, _parallel1(x), steps), x)
         # the literal rows are math.* code, one point at a time
         g11, g22 = np.array([metric_rows[kp.signs()](*a) for a in x.tolist()]).T
         ref = np.array([field_rows[kp.signs()](*a) for a in x.tolist()])
         defects = [abs(m.g11 - g11), abs(m.g12), abs(m.g22 - g22)]
         if kp.k2 == 0.0:
-            sub = metric_subsidiary(kp, p)
+            sub = metric_subsidiary(kp, _parallel1(x))
             defects.append(abs(sub.g22 - 1.0) + abs(sub.g11) + abs(sub.g12))
         # a sample has one entry per label: the metric, then one per field
         labels = ("g11", "g12", "g22", "leaf")[: len(defects)] + GENERATOR_NAMES
+        got, fields = _staged(partial(_field_matrix, kp), x, entry=len(labels) - 3)
         field = _max(abs(got - ref)[..., 0], abs(got - ref)[..., 1])
         defects = np.column_stack(np.broadcast_arrays(*defects, *field.T))
-
-        yield from _flagged(
-            defects,
-            lambda i: f"{labels[i % len(labels)]} {_kp_tag(kp)}",
-            _Stage(metric.bad, lambda j: metric_main(kp, ParallelI(*x[j].tolist()))),
-            _Stage(fields.bad, lambda j: killing_fields(kp, ParallelI(*x[j].tolist())), len(labels) - 3),
-        )
+        yield from _flagged(defects, lambda i: f"{labels[i % len(labels)]} {_kp_tag(kp)}", metric, fields)
 
 
 @check(1e-10)
 def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
-        # each sample draws its point (a1, a2), then the radius of a polar point
+        # each sample draws its point (a1, a2), then the radius r of a polar
+        # point, which is the parallel1 point (r, a2)
         b1, b2 = coord_bound(kp.k1, 0.35), coord_bound(kp.k12, 0.35)
         x = rng.uniform([-b1, -b2, 0.2], [b1, b2, max(coord_bound(kp.k1, 0.3), 0.3)], size=(cfg.sample_count, 3))
-        p, p2 = ParallelI(x[:, 0], x[:, 1]), ParallelI(x[:, 2], x[:, 1])
-        direct, second, outside, polar = (_Flag(len(x)) for _ in range(4))
-        back = [_convert(kp, p, "parallel1", direct), _roundtrip(kp, p, "parallel2", second)]
-        s = _ambient_of(kp, p2, outside)
-        narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
-        back.append(_roundtrip(kp, p2, "polar", polar))
-        defects = np.stack([_max(abs(q.a1 - a.a1), abs(q.a2 - a.a2)) for q, a in zip(back, (p, p, p2))], axis=1)
-
-        def points(j: int) -> tuple[ParallelI, ParallelI]:
-            a1, a2, r = x[j].tolist()
-            return ParallelI(a1, a2), ParallelI(r, a2)
-
-        # a sample has the entries (parallel1, parallel2, polar)
+        y = x[:, [2, 1]]
+        direct, first = _staged(lambda x, steps: _convert(kp, _parallel1(x), "parallel1", steps), x)
+        second, via = _staged(partial(_roundtrip, kp, "parallel2"), x, entry=1, skips=ChartDomainError)
+        s, outside = _staged(partial(_ambient_stack, kp), y, entry=2)
+        narrow = s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1
+        polar, around = _staged(partial(_roundtrip, kp, "polar"), y, entry=2, skips=ChartDomainError)
+        back = zip((direct, second, polar), (x, x, y))
+        defects = [_max(abs(q.a1 - a[:, 0]), abs(q.a2 - a[:, 1])) for q, a in back]
+        # a sample has the entries (parallel1, parallel2, polar); the polar
+        # roundtrip is evaluated away from the origin of the chart only
         yield from _flagged(
-            defects,
+            np.stack(defects, axis=1),
             lambda i: f"{('parallel1', 'parallel2', 'polar')[i % 3]} {_kp_tag(kp)}",
-            _Stage(direct.bad, lambda j: _convert(kp, points(j)[0], "parallel1", ktrig)),
-            _Stage(second.bad, lambda j: _roundtrip(kp, points(j)[0], "parallel2", ktrig), 1, ChartDomainError),
-            _Stage(outside.bad, lambda j: to_ambient(kp, points(j)[1]), 2),
-            _Stage(polar.bad & ~narrow, lambda j: _roundtrip(kp, points(j)[1], "polar", ktrig), 2, ChartDomainError),
+            first,
+            via,
+            outside,
+            around._replace(bad=around.bad & ~narrow),
             keep=_last_where(~narrow),
         )
 
 
-def _roundtrip(kp: KappaPair, p: ParallelI, target: str, steps) -> ParallelI:
-    """convert(convert(p, target), "parallel1") through steps (see ktrig)."""
-    return _convert(kp, _convert(kp, p, target, steps), "parallel1", steps)
+def _field_matrix(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
+    """The parallel1 components, (..., 3, 2), of (J01, J02, J12) at the
+    parallel1 points of the rows x, through steps (see ktrig)."""
+    return _matrix(_fields_of(kp, _parallel1(x), steps))
+
+
+def _roundtrip(kp: KappaPair, target: str, x: np.ndarray, steps) -> ParallelI:
+    """convert(convert(p, target), "parallel1") of the parallel1 points p
+    of the rows x, through steps (see ktrig)."""
+    return _convert(kp, _convert(kp, _parallel1(x), target, steps), "parallel1", steps)
 
 
 def _max(a, b):
@@ -930,9 +939,11 @@ def _chart_derivative(kp: KappaPair, p: ParallelI | ParallelII | Polar, steps) -
     return _matrix([[-k1 * sr, 0.0], [cr * cp, -k2 * sr * sp], [cr * sp, sr * cp]])
 
 
-def _pullback_terms(kp: KappaPair, p: ParallelI, target: str, steps) -> tuple:
+def _pullback_terms(kp: KappaPair, target: str, x: np.ndarray, steps) -> tuple:
     """The chart derivatives at q = convert(p, target) and at p, and the
-    metric matrices at p and at q, through steps (see ktrig)."""
+    metric matrices at p and at q, of the parallel1 points p of the rows x,
+    through steps (see ktrig)."""
+    p = _parallel1(x)
     q = _convert(kp, p, target, steps)
     dq, dp = _chart_derivative(kp, q, steps), _chart_derivative(kp, p, steps)
     return dq, dp, _metric_of(kp, p, steps).as_matrix(), _metric_of(kp, q, steps).as_matrix()
@@ -963,27 +974,18 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
                 return rng.uniform(*bounds, size=(len(ids), len(bounds[0])))
 
             def block(ids: list[int], x: np.ndarray) -> tuple:
-                p, outside, flag = ParallelI(x[:, 0], x[:, -1]), _Flag(len(x)), _Flag(len(x))
+                x = x[:, [0, -1]]  # the point (a1, a2)
                 # a polar attempt is rejected near the origin of the chart
-                narrow = np.zeros(len(x), dtype=bool)
+                narrow, stages = np.zeros(len(x), dtype=bool), []
                 if target == "polar":
-                    s = _ambient_of(kp, p, outside)
-                    narrow = s[1] * s[1] + kp.k2 * s[2] * s[2] < 0.1
-                dq, dp, ga, gb = _pullback_terms(kp, p, target, flag)
-
-                def point(k: int) -> ParallelI:
-                    return ParallelI(*x[k, [0, -1]].tolist())
+                    s, outside = _staged(partial(_ambient_stack, kp), x)
+                    narrow, stages = s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1, [outside]
+                (dq, dp, ga, gb), again = _staged(partial(_pullback_terms, kp, target), x, skips=ChartDomainError)
 
                 def defect(k: int) -> float:
                     return float(_pullback_defect(np.linalg.lstsq(dq[k], dp[k], rcond=None)[0], gb[k], ga[k]))
 
-                stages = (
-                    _Stage(outside.bad, lambda k: to_ambient(kp, point(k))),
-                    _Stage(
-                        flag.bad & ~narrow, lambda k: _pullback_terms(kp, point(k), target, ktrig), 0, ChartDomainError
-                    ),
-                )
-                return stages, ~narrow, defect
+                return [*stages, again._replace(bad=again.bad & ~narrow)], ~narrow, defect
 
             loops = [(cfg.sample_count, 20 * cfg.sample_count)]
             yield from _rejection_sampled(rng, loops, draw, block, lambda _: f"{target} {_kp_tag(kp)}")
@@ -995,41 +997,49 @@ def _check_geometry_curvature(cfg: SweepConfig, rng: np.random.Generator) -> Blo
         if kp.k2 == 0.0:
             continue
         x = sample_parallel1_stack(rng, kp, 0.3, cfg.sample_count)
-        flag = _Flag(len(x))
-        defects = np.abs(_curvature_of(kp, ParallelI(x[:, 0], x[:, 1]), flag) - kp.k1)
-        again = _Stage(flag.bad, lambda j: gaussian_curvature(kp, ParallelI(*x[j].tolist())))
-        yield from _flagged(defects, lambda i: _kp_tag(kp), again)
+        curvature, again = _staged(lambda x, steps: _curvature_of(kp, _parallel1(x), steps), x)
+        yield from _flagged(np.abs(curvature - kp.k1), lambda i: _kp_tag(kp), again)
 
 
-def _ambient_stack(kp: KappaPair, p: ParallelI, steps) -> np.ndarray:
-    """The ambient triples of the parallel1 points p, as the last axis of an
-    array, through steps (see ktrig)."""
-    return np.stack(np.broadcast_arrays(*_ambient_of(kp, p, steps)), axis=-1)
+def _ambient_stack(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
+    """The ambient triples, (..., 3), of the parallel1 points of the rows x,
+    through steps (see ktrig)."""
+    return np.stack(np.broadcast_arrays(*_ambient_of(kp, _parallel1(x), steps)), axis=-1)
 
 
-def _flow(kp: KappaPair, mat: np.ndarray, a1, a2, steps) -> tuple:
-    """The parallel1 image (a1, a2) of the parallel1 points (a1, a2) under
-    the ambient matrices mat, (..., 3, 3), through steps (see ktrig)."""
-    # a point that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = _ambient_stack(kp, ParallelI(a1, a2), steps)
-        image = (mat @ s[..., None])[..., 0]
-    q = _chart_of(kp, *np.moveaxis(image, -1, 0), "parallel1", steps)
-    return q.a1, q.a2
+def _parallel1_stack(kp: KappaPair, s: np.ndarray, steps) -> np.ndarray:
+    """The parallel1 points, (..., 2), of the ambient triples s, (..., 3),
+    through steps (see ktrig)."""
+    q = _chart_of(kp, *np.moveaxis(s, -1, 0), "parallel1", steps)
+    return np.stack([q.a1, q.a2], axis=-1)
+
+
+def _parallel1_each(kp: KappaPair, s: np.ndarray, steps) -> np.ndarray:
+    """The parallel1 points, (k, ..., 2), of the ambient triples s,
+    (..., k, 3), the k of a point one after another, through steps (see
+    ktrig)."""
+    return steps.each(partial(_parallel1_stack, kp), np.moveaxis(s, -2, 0))
+
+
+def _flow(kp: KappaPair, mat: np.ndarray, x: np.ndarray, steps) -> np.ndarray:
+    """The parallel1 images, (..., 2), of the parallel1 points x, (..., 2),
+    under the ambient matrices mat, (..., 3, 3), through steps (see ktrig)."""
+    return _parallel1_stack(kp, (mat @ _ambient_stack(kp, x, steps)[..., None])[..., 0], steps)
+
+
+def _stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The parallel1 points x, (..., 2), then their central-difference
+    stencil of step h in (a1, a2) order: (5, ..., 2)."""
+    return np.stack([x, x + [h, 0.0], x - [h, 0.0], x + [0.0, h], x - [0.0, h]])
 
 
 def _flow_jacobian(kp: KappaPair, mat: np.ndarray, x: np.ndarray, h: float, steps) -> tuple:
     """The Jacobian, by central differences of step h, of the flow of mat at
     the parallel1 points x, (..., 2), and the metric matrix at their
     images, through steps (see ktrig)."""
-    a1, a2 = x[..., 0], x[..., 1]
-    # the point, then the stencil in (a1, a2) order
-    stencil = [(a1, a2), (a1 + h, a2 + 0.0), (a1 - h, a2 - 0.0), (a1 + 0.0, a2 + h), (a1 - 0.0, a2 - h)]
-    stencil = np.stack([np.stack(uv, axis=-1) for uv in stencil])
-    q = steps.each(lambda uv, st: np.stack(_flow(kp, mat, uv[..., 0], uv[..., 1], st), axis=-1), stencil)
-    with np.errstate(over="ignore", invalid="ignore"):  # at a flagged point
-        jac = np.stack([(q[1] - q[2]) / (2.0 * h), (q[3] - q[4]) / (2.0 * h)], axis=-1)
-    return jac, _metric_of(kp, ParallelI(q[0][..., 0], q[0][..., 1]), steps).as_matrix()
+    q = steps.each(partial(_flow, kp, mat), _stencil(x, h))
+    jac = np.stack([(q[1] - q[2]) / (2.0 * h), (q[3] - q[4]) / (2.0 * h)], axis=-1)
+    return jac, _metric_of(kp, _parallel1(q[0]), steps).as_matrix()
 
 
 @check(1e-6)
@@ -1042,24 +1052,20 @@ def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> 
             continue
         basis = rep_basis(kp)
         gens = np.array([-t * basis[i] for i, _, t in flows])
-        exp_flag = _Flag(len(flows))
-        mats = _series(gens, exp_flag)
         b = np.array([coord_bound(kp.k1, 0.25), coord_bound(kp.k12, 0.25)])
 
         def draw(ids: list[int]) -> np.ndarray:
             return rng.uniform(-b, b, size=(len(ids), 2))
 
+        def defect(gen: np.ndarray, x: np.ndarray, steps) -> np.ndarray:
+            # the flow is built before its first attempt; the stencil starts
+            # at the point, so the flow flags all the metric there flags
+            jac, gq = _flow_jacobian(kp, _series(gen, steps), x, h, steps)
+            return _pullback_defect(jac, gq, _metric_of(kp, _parallel1(x), steps).as_matrix())
+
         def block(ids: list[int], x: np.ndarray) -> tuple:
-            flag = _Flag(len(x))
-            jac, gq = _flow_jacobian(kp, mats[ids], x, h, flag)
-            # the stencil starts at the point: the flow flags all the metric there flags
-            gp = _metric_of(kp, ParallelI(x[:, 0], x[:, 1]), flag).as_matrix()
-            defects = _pullback_defect(jac, gq, gp).tolist()
-            stages = (
-                _Stage(exp_flag.bad[ids], lambda k: _series(gens[ids[k]], ktrig)),
-                _Stage(flag.bad, lambda k: _flow_jacobian(kp, mats[ids[k]], x[k], h, ktrig), 0, ChartDomainError),
-            )
-            return stages, np.ones(len(x), dtype=bool), lambda k: defects[k]
+            defects, again = _staged(defect, gens[ids], x, skips=ChartDomainError)
+            return [again], np.ones(len(x), dtype=bool), defects.tolist().__getitem__
 
         loops = [(5, 100)] * len(flows)
         yield from _rejection_sampled(rng, loops, draw, block, lambda f: f"{flows[f][1]} {_kp_tag(kp)}")
@@ -1075,39 +1081,32 @@ def _check_geometry_killing_fields_flow(cfg: SweepConfig, rng: np.random.Generat
         gens = np.array([[-h * x, h * x] for x in rep_basis(kp)])
         exp_flag = _Flag(gens.shape[:2])
         mats = _series(gens, exp_flag)
-        # the samples of J01, then of J02 and J12
-        x = sample_parallel1_stack(rng, kp, 0.3, 3 * n).reshape(3, n, 2)
-        p = ParallelI(x[..., 0], x[..., 1])
-        onto, chart, fields = _Flag((3, n)), _Flag((3, n)), _Flag((3, n))
-        # the field of each sample's own generator, of (generator, sample, field, 2 or 3)
-        own = np.arange(3), slice(None), np.arange(3)
-        s = _ambient_stack(kp, p, onto)
-        # (generator, sign, sample, 3)
-        images = (mats[:, :, None] @ s[:, None, :, :, None])[..., 0]
+        # the samples of J01, then of J02 and J12, each flowed by its own generator
+        x = sample_parallel1_stack(rng, kp, 0.3, 3 * n)
+        own = np.arange(3 * n), np.arange(3 * n) // n
+        s, onto = _staged(partial(_ambient_stack, kp), x)
+        # (sample, sign, 3)
+        images = (mats[own[1]] @ s[:, None, :, None])[..., 0]
         fd = (images[:, 0] - images[:, 1]) / (2.0 * h)
         fa = _matrix(_ambient_fields(kp, *np.moveaxis(s, -1, 0)))[own]
         ambient_d = np.abs(fd - fa).max(axis=-1)
-        pp, pm = (_chart_of(kp, *np.moveaxis(images[:, k], -1, 0), "parallel1", chart) for k in (0, 1))
-        fc = _matrix(_fields_of(kp, p, fields))[own]
-        d1 = (pp.a1 - pm.a1) / (2.0 * h)
-        d2 = (pp.a2 - pm.a2) / (2.0 * h)
-        chart_d = _max(abs(d1 - fc[..., 0]), abs(d2 - fc[..., 1]))
-        # a sample has the entries (ambient, chart); the flows of a generator
-        # are built before its first sample
-        for i, gname in enumerate(GENERATOR_NAMES):
-            yield from _flagged(
-                np.stack([ambient_d[i], chart_d[i]], axis=1),
-                lambda e: f"{('ambient', 'chart')[e % 2]} {gname} {_kp_tag(kp)}",
-                _Stage(np.full(n, exp_flag.bad[i].any()), lambda j: [_series(g, ktrig) for g in gens[i]]),
-                _Stage(onto.bad[i], lambda j: to_ambient(kp, ParallelI(*x[i, j].tolist()))),
-                _Stage(
-                    chart.bad[i],
-                    lambda j: [from_ambient(kp, Ambient(*images[i, k, j]), "parallel1") for k in (0, 1)],
-                    1,
-                    ChartDomainError,
-                ),
-                _Stage(fields.bad[i], lambda j: killing_fields(kp, ParallelI(*x[i, j].tolist())), 1),
-            )
+        (pp, pm), chart = _staged(partial(_parallel1_each, kp), images, entry=1, skips=ChartDomainError)
+        fc, fields = _staged(partial(_field_matrix, kp), x, entry=1)
+        fc = fc[own]
+        d = (pp - pm) / (2.0 * h)
+        chart_d = _max(abs(d[:, 0] - fc[:, 0]), abs(d[:, 1] - fc[:, 1]))
+        # a sample has the entries (ambient, chart); hand-built: the flows of a
+        # generator are built once, before its first sample, and a form of the
+        # samples would build them again at each
+        built = _Stage(exp_flag.bad.any(axis=1)[own[1]], lambda j: ktrig.each(_series, gens[j // n]))
+        yield from _flagged(
+            np.stack([ambient_d, chart_d], axis=1),
+            lambda e: f"{('ambient', 'chart')[e % 2]} {GENERATOR_NAMES[e // (2 * n)]} {_kp_tag(kp)}",
+            built,
+            onto,
+            chart,
+            fields,
+        )
 
 
 @check(1e-5)
@@ -1116,12 +1115,11 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
     for kp in cfg.kappa_grid:
         ct = structure_tensor(kp)
         x = sample_parallel1_stack(rng, kp, 0.3, max(4, cfg.sample_count // 4))
-        a1, a2 = x[:, 0], x[:, 1]
-        # each sample's point, then its stencil in (a1, a2) order
-        stencil = [(a1, a2), (a1 + h, a2), (a1 - h, a2), (a1, a2 + h), (a1, a2 - h)]
-        u, v = (np.stack(c) for c in zip(*stencil))
-        flag = _Flag(u.shape)
-        base, up, um, vp, vm = _matrix(_fields_of(kp, ParallelI(u, v), flag))
+
+        def fields(x, steps):
+            return steps.each(partial(_field_matrix, kp), _stencil(x, h))
+
+        (base, up, um, vp, vm), again = _staged(fields, x)
         du = (up - um) / (2.0 * h)
         dv = (vp - vm) / (2.0 * h)
         defects = []
@@ -1134,12 +1132,7 @@ def _check_geometry_field_commutators(cfg: SweepConfig, rng: np.random.Generator
             defects.append(np.abs(comm - expect).max(axis=-1))
 
         yield from _flagged(
-            np.stack(defects, axis=-1),
-            lambda e: "[{}{}] {}".format(*_PAIRS[e % 3], _kp_tag(kp)),
-            _Stage(
-                flag.bad.any(axis=0),
-                lambda j: [killing_fields(kp, ParallelI(*uv)) for uv in zip(u[:, j].tolist(), v[:, j].tolist())],
-            ),
+            np.stack(defects, axis=-1), lambda e: "[{}{}] {}".format(*_PAIRS[e % 3], _kp_tag(kp)), again
         )
 
 
@@ -1148,52 +1141,37 @@ def _check_geometry_laplacian(cfg: SweepConfig, rng: np.random.Generator) -> Blo
     # oracle: Casimir-weighted second differences along the generator flows,
     # with the O(h^2) truncation cancelled between steps h and 2h
     fine_coarse = (1e-3, 2e-3)
-    funcs = (
-        lambda a1, a2: np.sin(a1) + a2 * a2,
-        lambda a1, a2: a1 * a2,
-        lambda a1, a2: np.cos(a2) * a1,
-    )
+
+    def funcs(a1, a2):  # the three test functions, stacked
+        return np.stack([np.sin(a1) + a2 * a2, a1 * a2, np.cos(a2) * a1])
+
     for kp in cfg.kappa_grid:
         coeffs = casimir_coeffs(kp)
         # (step, generator, sign): the flows of exp(-h x) and exp(h x)
         gens = np.array([[[-h * x, h * x] for x in rep_basis(kp)] for h in fine_coarse])
         exp_flag = _Flag(gens.shape[:3])
-        mats = _series(gens, exp_flag)
-        # four samples per function
-        x = sample_parallel1_stack(rng, kp, 0.3, 4 * len(funcs)).reshape(len(funcs), 4, 2)
-        a1, a2 = x[..., 0], x[..., 1]
-        lb_flags, flow_flag = [_Flag(4) for _ in funcs], _Flag(mats.shape[:3] + a1.shape)
-        q1, q2 = _flow(kp, mats[..., None, None, :, :], a1, a2, flow_flag)
-        lb, oracle = [], []
-        for k, f in enumerate(funcs):
-            lb.append(_laplacian_of(kp, f, ParallelI(a1[k], a2[k]), lb_flags[k]))
-            fq, f0 = f(q1[..., k, :], q2[..., k, :]), f(a1[k], a2[k])
-            fine, coarse = (
-                sum(c * (fq[n, g, 0] - 2.0 * f0 + fq[n, g, 1]) / (h * h) for g, c in enumerate(coeffs))
-                for n, h in enumerate(fine_coarse)
-            )
-            oracle.append((4.0 * fine - coarse) / 3.0)
-        defects = np.abs(np.array(lb) - np.array(oracle))
+        mats = _series(gens, exp_flag).reshape(-1, 3, 3)
+        # four samples per function: sample j is of function j // 4
+        x = sample_parallel1_stack(rng, kp, 0.3, 12)
+        own = np.arange(12) // 4, np.arange(12)
+        lb, operator = _staged(lambda x, steps: _laplacian_of(kp, funcs, _parallel1(x), steps), x)
 
-        # sample j is sample j % 4 of function j // 4; the flows are built
-        # before the first sample
-        yield from _flagged(
-            defects.ravel(),
-            lambda e: _kp_tag(kp),
-            _Stage(
-                np.full(defects.size, exp_flag.bad.any()),
-                lambda j: [_series(g, ktrig) for g in gens.reshape(-1, 3, 3)],
-            ),
-            _Stage(
-                np.ravel([f.bad for f in lb_flags]),
-                lambda j: laplace_beltrami_apply(kp, funcs[j // 4], ParallelI(*x[j // 4, j % 4].tolist())),
-            ),
-            _Stage(
-                flow_flag.bad.any(axis=(0, 1, 2)).ravel(),
-                lambda j: [_flow(kp, m, *x[j // 4, j % 4].tolist(), ktrig) for m in mats.reshape(-1, 3, 3)],
-                skips=ChartDomainError,
-            ),
+        def flows(x, steps):  # the image of a point under each flow in turn
+            return _parallel1_each(kp, (mats @ _ambient_stack(kp, x, steps)[..., None, :, None])[..., 0], steps)
+
+        q, flown = _staged(flows, x, skips=ChartDomainError)
+        # (function, step, generator, sign, sample)
+        fq = funcs(q[..., 0], q[..., 1]).reshape(3, *gens.shape[:3], 12)
+        f0 = funcs(x[:, 0], x[:, 1])
+        fine, coarse = (
+            sum(c * (fq[:, n, g, 0] - 2.0 * f0 + fq[:, n, g, 1]) / (h * h) for g, c in enumerate(coeffs))
+            for n, h in enumerate(fine_coarse)
         )
+        # hand-built: the flows are built once, before the first sample, and
+        # a form of the samples would build them again at each
+        built = _Stage(np.full(12, exp_flag.bad.any()), lambda j: ktrig.each(_series, gens.reshape(-1, 3, 3)))
+        defects = np.abs(lb - (4.0 * fine - coarse) / 3.0)[own]
+        yield from _flagged(defects, lambda e: _kp_tag(kp), built, operator, flown)
     # flat-space reference values
     kp, p = KappaPair(0.0, -1.0), ParallelI(0.3, -0.2)
     flat = [abs(laplace_beltrami_apply(kp, f, p)) for f in (lambda a1, a2: a1 * a2, lambda a1, a2: 4.5)]
@@ -1205,24 +1183,18 @@ def _check_geometry_foliation(cfg: SweepConfig, rng: np.random.Generator) -> Blo
     for kp in cfg.kappa_grid:
         if kp.k2 != 0.0:
             continue
-        gens = -0.3 * np.array(rep_basis(kp)[1:])
-        exp_flag = _Flag(2)
-        mats = _series(gens, exp_flag)
         x = sample_parallel1_stack(rng, kp, 0.4, cfg.sample_count)
-        fields, flow = _Flag(len(x)), _Flag((2, len(x)))
-        fc = _matrix(_fields_of(kp, ParallelI(x[:, 0], x[:, 1]), fields))
-        q1, _ = _flow(kp, mats[:, None], x[:, 0], x[:, 1], flow)
-        # fibers a1 = const are preserved by the isotropy directions
-        across = np.abs(fc[:, 1:, 0])
-        drift = np.abs(q1 - x[:, 0])
-        # a sample has the entries (J02, J12, flow J1, flow J2); the flow of
-        # J1 is mats[0]
-        stages = [_Stage(fields.bad, lambda j: killing_fields(kp, ParallelI(*x[j].tolist())))]
-        for k in (0, 1):
-            stages.append(_Stage(np.full(len(x), exp_flag.bad[k]), lambda j, k=k: _series(gens[k], ktrig), 2 + k))
-            stages.append(_Stage(flow.bad[k], lambda j, k=k: _flow(kp, mats[k], *x[j].tolist(), ktrig), 2 + k))
+        fc, fields = _staged(partial(_field_matrix, kp), x)
+        # fibers a1 = const are preserved by the isotropy directions; a
+        # sample has the entries (J02, J12, flow J1, flow J2), and each flow
+        # is built before the first sample: where one fails, all are flagged
+        defects, stages = [np.abs(fc[:, 1:, 0])], [fields]
+        for k, gen in enumerate(-0.3 * np.array(rep_basis(kp)[1:])):
+            q, flow = _staged(lambda x, steps, g=gen: _flow(kp, _series(g, steps), x, steps), x, entry=2 + k)
+            defects.append(np.abs(q[:, 0] - x[:, 0]))
+            stages.append(flow)
         yield from _flagged(
-            np.concatenate([across, drift.T], axis=1),
+            np.column_stack(defects),
             lambda e: f"{('J02', 'J12', 'flow J1', 'flow J2')[e % 4]} {_kp_tag(kp)}",
             *stages,
         )
@@ -1362,16 +1334,15 @@ def _check_bialgebra_coisotropy(cfg: SweepConfig, rng: np.random.Generator) -> B
 def _check_sklyanin_fields(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     for kp in cfg.kappa_grid:
         x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-        closed_flag, flag = _Flag(len(x)), _Flag(len(x))
-        closed = _invariant_vector_fields(kp, *x.T, closed_flag)
-        numeric = _invariant_fields(kp, x, flag)
-        defects = [np.abs(closed.left - numeric.left), np.abs(closed.right - numeric.right)]
-        yield from _flagged(
-            np.stack([d.max(axis=(1, 2)) for d in defects], axis=1),
-            lambda i: f"{('left', 'right')[i % 2]} {_kp_tag(kp)}",
-            _Stage(closed_flag.bad, lambda j: invariant_vector_fields(kp, GroupCoordinates(*x[j].tolist()))),
-            _Stage(flag.bad, lambda j: _invariant_fields(kp, x[j], ktrig)),
-        )
+
+        def gaps(x, steps):  # the closed-form fields, then the oracle's
+            closed = _invariant_vector_fields(kp, *np.moveaxis(x, -1, 0), steps)
+            numeric = _invariant_fields(kp, x, steps)
+            pairs = (closed.left, numeric.left), (closed.right, numeric.right)
+            return [np.abs(c - n).max(axis=(-2, -1)) for c, n in pairs]
+
+        defects, again = _staged(gaps, x)
+        yield from _flagged(np.stack(defects, axis=1), lambda i: f"{('left', 'right')[i % 2]} {_kp_tag(kp)}", again)
 
 
 def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
@@ -1399,12 +1370,8 @@ def _check_sklyanin_closed_vs_numeric(cfg: SweepConfig, rng: np.random.Generator
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, 50)
-            flag = _Flag(len(x))
-            yield from _flagged(
-                sklyanin_pair_defects(kp, z, x, flag),
-                _pair_name(kp),
-                _Stage(flag.bad, lambda j: sklyanin_pair_defects(kp, z, x[j], ktrig)),
-            )
+            defects, again = _staged(partial(sklyanin_pair_defects, kp, z), x)
+            yield from _flagged(defects, _pair_name(kp), again)
 
 
 @check(1e-5)
@@ -1412,24 +1379,20 @@ def _check_sklyanin_jacobi(cfg: SweepConfig, rng: np.random.Generator) -> Blocks
     # sum over cyclic (a, b, c) of {{x_a, x_b}, x_c} = grad P[a, b] . P[:, c],
     # each gradient by central differences of the bracket matrix
     h = 1e-5
-    steps = h * np.eye(3)
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.3, max(3, cfg.sample_count // 5))
-            # each sample's point, then the point + and - each step
-            points = [x]
-            for step in steps:
-                points += [x + step, x - step]
-            flag = _Flag(len(points) * len(x))
-            p = _sklyanin_closed(kp, z, np.concatenate(points), flag).reshape(len(points), len(x), 3, 3)
+
+            def brackets(x, steps):  # at the point, then at the point + and - each step
+                points = np.stack([x, *(y for step in h * np.eye(3) for y in (x + step, x - step))])
+                return steps.each(partial(_sklyanin_closed, kp, z), points)
+
+            p, again = _staged(brackets, x)
             dp = np.stack([p[1] - p[2], p[3] - p[4], p[5] - p[6]], axis=1) / (2.0 * h)
             total = sum(
                 (dp[:, None, :, a, b] @ p[0, :, :, c, None])[:, 0, 0]
                 for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
             )
-            # a sample fails at its first flagged point, in the order of points
-            bad = flag.bad.reshape(len(points), len(x)).any(axis=0)
-            again = _Stage(bad, lambda j: [_sklyanin_closed(kp, z, b[j], ktrig) for b in points])
             yield from _flagged(np.abs(total), lambda i: _kp_tag(kp), again)
 
 
@@ -1442,13 +1405,10 @@ def _check_sklyanin_specializations(cfg: SweepConfig, rng: np.random.Generator) 
         row = rows[kp.signs()]
         for z in cfg.z_values:
             x = sample_group_stack(rng, kp, 0.35, cfg.sample_count)
-            flag = _Flag(len(x))
-            got = _sklyanin_closed(kp, z, x, flag)[:, _UPPER[0], _UPPER[1]]
+            got, again = _staged(lambda x, steps: _sklyanin_closed(kp, z, x, steps)[..., _UPPER[0], _UPPER[1]], x)
             # the literal rows are math.* code, one point at a time
             ref = np.array([row(*point, z) for point in x.tolist()])
-            yield from _flagged(
-                np.abs(got - ref), _pair_name(kp), _Stage(flag.bad, lambda j: _sklyanin_closed(kp, z, x[j], ktrig))
-            )
+            yield from _flagged(np.abs(got - ref), _pair_name(kp), again)
 
 
 @check(1e-2)
@@ -1457,12 +1417,8 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> B
         for k1 in (-1.0, 0.0, 1.0):
             kp0 = KappaPair(k1, 0.0)
             x = sample_group_stack(rng, kp0, 0.4, cfg.sample_count)
-            flag = _Flag(len(x))
-            yield from _flagged(
-                np.abs(_sklyanin_closed(kp0, z, x, flag)[:, _UPPER[0], _UPPER[1]]),
-                lambda i: f"vanish k1={k1:g}",
-                _Stage(flag.bad, lambda j: _sklyanin_closed(kp0, z, x[j], ktrig)),
-            )
+            got, again = _staged(lambda x, steps: _sklyanin_closed(kp0, z, x, steps)[..., _UPPER[0], _UPPER[1]], x)
+            yield from _flagged(np.abs(got), lambda i: f"vanish k1={k1:g}", again)
             # shrinking the second label scales every bracket linearly
             gc = GroupCoordinates(*sample_group_stack(rng, kp0, 0.3, 1)[0].tolist())
             slopes = [sklyanin_closed(KappaPair(k1, k2), z, gc)[_UPPER] / k2 for k2 in (1e-4, 1e-6)]
@@ -1473,27 +1429,30 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> B
 @check(1e-6)
 def _check_sklyanin_phs(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
     h = 1e-6
-    kinds = DeformationKind.FIRST_KIND, DeformationKind.SECOND_KIND
+    first, second = DeformationKind.FIRST_KIND, DeformationKind.SECOND_KIND
     for kp in cfg.kappa_grid:
         for z in cfg.z_values:
-            a1, a2 = sample_parallel1_stack(rng, kp, 0.35, cfg.sample_count).T
-            flags = _Flag(a1.shape), _Flag(a1.shape)
-            first, second = (_phs_bracket(kp, z, kind, a1, a2, f) for kind, f in zip(kinds, flags))
-            defects = [first - z * kp.k2 * flags[0].tk(kp.k12, a2), second - z * flags[1].sk(kp.k1, a1)]
+            x = sample_parallel1_stack(rng, kp, 0.35, cfg.sample_count)
 
-            def again(kind: DeformationKind) -> Callable[[int], float]:
-                return lambda j: phs_points_bracket(kp, z, kind, a1[j].item(), a2[j].item())
+            def first_gap(x, steps):
+                return _phs_bracket(kp, z, first, *x.T, steps) - z * kp.k2 * steps.tk(kp.k12, x[..., 1])
 
-            # a point where the first-kind bracket is undefined is skipped
+            def second_gap(x, steps):
+                return _phs_bracket(kp, z, second, *x.T, steps) - z * steps.sk(kp.k1, x[..., 0])
+
+            # a point where the first-kind bracket is undefined, at a pole or
+            # where phs_points_bracket raises ChartDomainError, is skipped
+            d1, undefined = _staged(first_gap, x, skips=(ChartDomainError, PoleError))
+            d2, again = _staged(second_gap, x, entry=1)
             yield from _flagged(
-                np.abs(np.stack(defects, axis=1)),
+                np.abs(np.stack([d1, d2], axis=1)),
                 lambda i: f"{('first', 'second')[i % 2]} {_kp_tag(kp)}",
-                _Stage(flags[0].bad, again(kinds[0]), 0, ChartDomainError),
-                _Stage(flags[0].bad, again(kinds[0]), 1, ChartDomainError),
-                _Stage(flags[1].bad, again(kinds[1]), 1),
+                undefined,
+                undefined._replace(entry=1),
+                again,
             )
-            plus = phs_points_bracket(kp, z, kinds[0], 0.2, h)
-            minus = phs_points_bracket(kp, z, kinds[0], 0.2, -h)
+            plus = phs_points_bracket(kp, z, first, 0.2, h)
+            minus = phs_points_bracket(kp, z, first, 0.2, -h)
             yield np.array([abs((plus - minus) / (2.0 * h) - z * kp.k2)]), lambda i: f"slope {_kp_tag(kp)}"
 
 

@@ -143,7 +143,7 @@ def _tk(kappa: float, x, steps):
     c = steps.ck(kappa, x)
     if steps.fails(abs(c) < DEFAULT_POLE_TOL):
         raise PoleError(
-            f"tk({kappa!r}, {x!r}): cosine factor {c!r} is inside the pole tolerance {DEFAULT_POLE_TOL!r}"
+            f"tk({kappa!r}, {float(x)!r}): cosine factor {c!r} is inside the pole tolerance {DEFAULT_POLE_TOL!r}"
         )
     return steps.sk(kappa, x) / c
 

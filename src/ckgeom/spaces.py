@@ -17,8 +17,9 @@ symmetry fields, the curvature stencil and the operator stencil.  The
 public functions are their calls with ktrig as the steps, at one point;
 called with a ktrig._Flag they are stack forms, and to_ambient_batch is
 the one public stack form.  The geometry checks of the sweep evaluate their
-samples through the stack forms, so a sweep calls to_ambient 3 times and
-from_ambient 5 times.
+samples, and a flagged sample again, through these transcriptions, so a
+sweep calls to_ambient 2 times and from_ambient 4 times, all in its domain
+guards.
 """
 
 from __future__ import annotations
@@ -100,18 +101,24 @@ class MetricValue:
         return _matrix([[self.g11, self.g12], [self.g12, self.g22]])
 
 
+def _floats(p: ChartPoint) -> ChartPoint:
+    """The chart point p with its coordinates as Python floats, as a message
+    prints it."""
+    return type(p)(*(float(x) for x in vars(p).values()))
+
+
 # Chart domain tests of a float or an array of values, through steps (see
 # ktrig).
 def _in_period(steps, value, kappa: float, label: str) -> None:
     half = ktrig.half_period(kappa)
     if steps.fails(abs(value) > half + DEFAULT_CHART_TOL):
-        raise ChartDomainError(f"{label} = {value!r} outside principal period (+-{half!r})")
+        raise ChartDomainError(f"{label} = {float(value)!r} outside principal period (+-{half!r})")
 
 
 def _below_quarter(steps, value, kappa: float, label: str) -> None:
     # Positive cosine factor needed for invertibility of the chart.
     if steps.fails(kappa > 0.0 and abs(value) >= 0.5 * math.pi / math.sqrt(kappa) - DEFAULT_CHART_TOL):
-        raise ChartDomainError(f"{label} = {value!r} reaches the cosine zero of its curvature {kappa!r}")
+        raise ChartDomainError(f"{label} = {float(value)!r} reaches the cosine zero of its curvature {kappa!r}")
 
 
 def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
@@ -131,7 +138,7 @@ def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
         s = c1 * steps.ck(k12, p.b2), steps.sk(k1, p.b1), c1 * steps.sk(k12, p.b2)
     elif isinstance(p, Polar):
         if steps.fails(p.r < 0.0):
-            raise ChartDomainError(f"polar radius must be nonnegative, got {p.r!r}")
+            raise ChartDomainError(f"polar radius must be nonnegative, got {float(p.r)!r}")
         _in_period(steps, p.r, k1, "r")
         _in_period(steps, p.phi, k2, "phi")
         sr = steps.sk(k1, p.r)
@@ -140,7 +147,7 @@ def _ambient_of(kp: KappaPair, p: ChartPoint, steps) -> tuple:
         raise TypeError(f"unsupported chart point {type(p).__name__}")
     # x * 0.0 is 0.0 for a finite x and nan otherwise
     if steps.fails(s[0] * 0.0 + s[1] * 0.0 + s[2] * 0.0 != 0.0):
-        raise ChartDomainError(f"{p} has the non-finite ambient triple ({s[0]!r}, {s[1]!r}, {s[2]!r})")
+        raise ChartDomainError(f"{_floats(p)} has the non-finite ambient triple ({s[0]!r}, {s[1]!r}, {s[2]!r})")
     return s
 
 
@@ -172,8 +179,7 @@ def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.
 
 def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:
     """Convert an ambient point to the named chart by inverting the pair maps."""
-    q = _chart_of(kp, float(s.s0), float(s.s1), float(s.s2), target, ktrig)
-    return type(q)(*(float(x) for x in vars(q).values()))
+    return _floats(_chart_of(kp, float(s.s0), float(s.s1), float(s.s2), target, ktrig))
 
 
 def _chart_of(kp: KappaPair, s0, s1, s2, target: str, steps) -> ChartPoint:
@@ -266,7 +272,7 @@ def _metric_of(kp: KappaPair, p: ChartPoint, steps) -> MetricValue:
             raise TypeError(f"unsupported chart point {type(p).__name__}")
         # x * 0.0 is 0.0 for a finite x and nan otherwise
         if steps.fails(g[0] * 0.0 + g[1] * 0.0 + g[2] * 0.0 != 0.0):
-            raise ChartDomainError(f"{p} has the non-finite metric ({g[0]!r}, {g[1]!r}, {g[2]!r})")
+            raise ChartDomainError(f"{_floats(p)} has the non-finite metric ({g[0]!r}, {g[1]!r}, {g[2]!r})")
         return MetricValue(*g)
 
 

@@ -24,7 +24,7 @@ from ckgeom import (
     run_suite,
     suite_summary,
 )
-from ckgeom import checks
+from ckgeom import checks, ktrig
 from ckgeom.checks import SUITE_NAMES
 from ckgeom.cli import main
 from ckgeom.errors import ChartDomainError, OffSurfaceError
@@ -34,6 +34,10 @@ GEOMETRY_GOLDEN = Path(__file__).parent / "golden" / "geometry_suite_seeds0-7.js
 # every check's [repr(max_defect), samples, detail] at seeds 0-31, as the
 # checks that yielded one (defect, where) pair per sample gave it
 CHECKS_GOLDEN = Path(__file__).parent / "golden" / "checks_seeds0-31.json"
+# every check's [repr(max_defect), samples, detail] at ten label pairs off
+# normalized9, keyed "k1,k2", each run as its own grid with 5 samples at
+# seed 1: there most error details come from a flagged sample evaluated again
+OFF_GRID_GOLDEN = Path(__file__).parent / "golden" / "checks_offgrid_samples5_seed1.json"
 
 LIGHT = SweepConfig(
     kappa_grid=kappa_grid_from_name("normalized9"),
@@ -161,6 +165,17 @@ def test_flagged_entries_are_evaluated_again_in_order():
     assert visits == [0, 0]
 
 
+def test_a_stage_evaluates_its_stack_form_again_at_one_sample():
+    x = np.array([0.1, 800.0])
+    values, stage = checks._staged(lambda x, steps: steps.ck(-1e6, x), x, entry=2, skips=ChartDomainError)
+    assert stage.bad.tolist() == [False, True]
+    assert (stage.entry, stage.skips) == (2, ChartDomainError)
+    assert stage.again(0) == values[0] == ktrig.ck(-1e6, 0.1)
+    # the raising steps print the numpy row of the sample as a float
+    with pytest.raises(ChartDomainError, match=r"^ck\(-1000000\.0, 800\.0\) overflows a double$"):
+        stage.again(1)
+
+
 def test_rejection_blocks_end_at_an_escaping_geometry_error():
     rng = np.random.default_rng(0)
 
@@ -228,6 +243,14 @@ def test_sweep_passes_for_every_seed(seed):
     failing = [(r.name, r.max_defect, r.detail) for r in results if not r.passed]
     assert failing == []
     want = json.loads(CHECKS_GOLDEN.read_text())[str(seed)]
+    assert {r.name: [repr(r.max_defect), r.samples, r.detail] for r in results} == want
+
+
+@pytest.mark.parametrize("pair", list(json.loads(OFF_GRID_GOLDEN.read_text())))
+def test_checks_off_the_grid_match_their_pinned_results(pair):
+    kp = KappaPair(*map(float, pair.split(",")))
+    results = run_all(SweepConfig(kappa_grid=(kp,), sample_count=5, seed=1))
+    want = json.loads(OFF_GRID_GOLDEN.read_text())[pair]
     assert {r.name: [repr(r.max_defect), r.samples, r.detail] for r in results} == want
 
 

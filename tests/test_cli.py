@@ -1,10 +1,13 @@
 """Command-line interface: report shapes, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -849,3 +852,75 @@ def test_each_defect_is_judged_by_its_own_checks_tolerance(capsys, monkeypatch, 
     assert status == 1
     (row,) = json.loads(out)[command]
     assert row["passed"] is False
+
+
+# labels, z values and coordinates: normal, tiny and huge, then the values
+# no evaluation accepts
+_ARG_LABELS = ("0", "1", "-1", "0.7", "-1.3", "1e-10", "1e-320", "-1e-300", "1e150", "-1e308"), ("nan", "inf")
+_ARG_ZS = ("0.1", "-0.5", "1.3", "1e308"), ("0", "nan")
+_ARG_COORDS = ("0.3", "-0.4", "0", "1.5", "1e300"), ("nan", "x")
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """An argv of any subcommand with arguments argparse accepts; one argv
+    in four may hold values no evaluation accepts.  sweep-all gets one label
+    pair and 1 sample."""
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    broken = draw(st.integers(0, 3)) == 0
+
+    def pick(valid, invalid=()):
+        return draw(st.sampled_from(tuple(valid) + (tuple(invalid) if broken else ())))
+
+    argv = [command]
+    labels = "pair" if command == "sweep-all" else pick(["pair"], ["none", "unpaired"])
+    if labels != "none":
+        argv.append(f"--k1={pick(*_ARG_LABELS)}")
+    if labels == "pair":
+        argv.append(f"--k2={pick(*_ARG_LABELS)}")
+    if draw(st.booleans()):
+        argv.append(f"--z={pick(*_ARG_ZS)}")
+    samples = ["1"] if command == "sweep-all" else ["1", "2"]
+    argv += [f"--samples={pick(samples, ['0'])}", f"--seed={pick(['0', '5'], ['-1'])}"]
+    argv.append(f"--format={pick(['json', 'csv'])}")
+    coords = ",".join(draw(st.lists(st.sampled_from(_ARG_COORDS[0]), min_size=2, max_size=2)))
+    coords = pick([coords], [coords + ",0.1", "nan,0.2", "x,0.2"])
+    if command == "convert":
+        argv += ["--from", pick(cli.CHART_NAMES), "--to", pick(cli.CHART_NAMES), f"--coords={coords}"]
+    elif command in ("metric", "curvature"):
+        argv += ["--chart", pick(cli.CHART_NAMES), f"--coords={coords}"]
+    elif command == "phs":
+        argv += ["--kind", pick(["first", "second"]), f"--a1={pick(*_ARG_COORDS)}", f"--a2={pick(_ARG_COORDS[0])}"]
+    elif command in ("bialgebra", "ybe"):
+        argv += ["--kind", pick(["first", "second", "both"])]
+    elif command == "export-geodesics":
+        argv += ["--chart", pick(cli._LINE_CHARTS), f"--points={pick(['2', '3'], ['1'])}"]
+        argv += [f"--lines={pick(['1', '2'], ['0'])}", f"--span={pick(['0.3', '0.6', '1e308'], ['0', 'nan'])}"]
+    return argv
+
+
+@given(argv=cli_argvs())
+@example(argv=["sweep-all", "--k1=1e200", "--k2=1", "--samples=1", "--seed=0", "--format=json"])
+@example(argv=["sweep-all", "--k1=-30", "--k2=1", "--samples=1", "--seed=0", "--format=csv"])
+@example(argv=["phs", "--k1=1", "--k2=1", "--samples=1", "--seed=0", "--format=json", "--a1=nan", "--a2=0"])
+@settings(max_examples=150, deadline=None)
+def test_any_argv_exits_0_1_or_2_and_says_why(argv):
+    reports = []
+
+    def recording(render):
+        return lambda report: reports.append(report) or render(report)
+
+    err = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for name in ("render_json", "render_csv"):
+            stack.enter_context(mock.patch.object(cli, name, recording(getattr(cli, name))))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(argv)
+    assert status in (0, 1, 2)
+    # exit 1 exactly when a report row has a false passed
+    assert (status == 1) == any(not row.get("passed", True) for report in reports for row in report.rows)
+    # a configuration error is reported, with exit 2 and no report
+    assert ("configuration error:" in err.getvalue()) == (status == 2) == (not reports)

@@ -131,6 +131,12 @@ def scalar(fn, *args):
         return exc
 
 
+def in_check():
+    """The floating-point policy a check body runs under (see checks), for
+    the checks' own stack forms, which state none."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def flagged(form, shape, *args):
     """The stack form of the transcription form: form(*args, steps) with
     flagging steps for a stack of the given shape, and their mask."""
@@ -146,6 +152,30 @@ def assert_flags(values, bad, results, value_of=lambda r: r):
         assert bool(bad[i]) == isinstance(want, GeometryError), (i, want)
         if not bad[i]:
             assert same_bits(got, value_of(want)), i
+
+
+SPHERE = KappaPair(1.0, 1.0)
+
+
+# each raise site that prints a coordinate, with a call that reaches it
+@pytest.mark.parametrize(
+    "raise_at, coords",
+    [
+        (lambda x: tk(1.0, x), (math.pi / 2,)),
+        (lambda a1, a2: to_ambient(SPHERE, ParallelI(a1, a2)), (4.0, 0.1)),
+        (lambda a1, a2: metric_main(SPHERE, ParallelI(a1, a2)), (0.1, 2.0)),
+        (lambda r, phi: to_ambient(SPHERE, Polar(r, phi)), (-0.5, 0.1)),
+        (lambda a1, a2: to_ambient(KappaPair(-1e6, 1.0), ParallelI(a1, a2)), (0.7, 0.1)),
+        (lambda a1, a2: metric_main(KappaPair(1e5, -3.0), ParallelI(a1, a2)), (0.0, 0.8)),
+    ],
+    ids=["tk pole", "period", "cosine zero", "polar radius", "ambient triple", "metric"],
+)
+def test_a_raise_site_prints_a_numpy_scalar_as_a_float(raise_at, coords):
+    # a check evaluates a flagged sample again at the numpy rows of the sample
+    as_float = scalar(raise_at, *coords)
+    assert isinstance(as_float, GeometryError)
+    as_numpy = scalar(raise_at, *map(np.float64, coords))
+    assert (type(as_numpy), str(as_numpy)) == (type(as_float), str(as_float))
 
 
 @given(
@@ -422,7 +452,8 @@ def test_field_stacks_match_killing_fields(kp, x):
 def test_flow_stack_matches_the_flow_of_each_point(kp, x, generator, t):
     mats, bad = flagged(group._series, len(x), t * np.arange(1.0, len(x) + 1.0)[:, None, None] * rep(kp, generator))
     mats, x = mats[~bad], x[~bad]
-    (a1, a2), bad = flagged(checks._flow, len(x), kp, mats, x[:, 0], x[:, 1])
+    with in_check():
+        q, bad = flagged(checks._flow, len(x), kp, mats, x[:, :2])
 
     def flow(mat, u, v):
         s = to_ambient(kp, ParallelI(u, v)).as_array()
@@ -431,7 +462,16 @@ def test_flow_stack_matches_the_flow_of_each_point(kp, x, generator, t):
         return from_ambient(kp, Ambient(*image), "parallel1")
 
     results = [scalar(flow, m, *p[:2]) for m, p in zip(mats, x.tolist())]
-    assert_flags(np.stack([a1, a2], axis=-1), bad, results, components)
+    assert_flags(q, bad, results, components)
+
+    # every matrix at each point, one after another, as the Laplacian check reads them
+    def images(y, steps):
+        return checks._parallel1_each(kp, (mats @ checks._ambient_stack(kp, y, steps)[..., None, :, None])[..., 0], steps)
+
+    with in_check():
+        q, bad = flagged(images, len(x), x[:, :2])
+    results = [scalar(lambda u, v: [flow(m, u, v) for m in mats], *p[:2]) for p in x.tolist()]
+    assert_flags(np.moveaxis(q, 0, 1), bad, results, lambda r: np.array([components(c) for c in r]))
 
 
 @given(kp=kp_st, x=points_st, generator=st.sampled_from(BASIS), t=st.sampled_from([0.1, -0.3, 2.0]))
@@ -442,8 +482,9 @@ def test_flow_jacobian_rows_match_one_point_calls(kp, x, generator, t):
     # the killing-flow check evaluates a flagged sample again with ktrig as the steps
     mat = scalar(expm_series, t * rep(kp, generator))
     assume(not isinstance(mat, GeometryError))
-    (jac, gq), bad = flagged(checks._flow_jacobian, len(x), kp, mat, x[:, :2], 1e-6)
-    results = [scalar(checks._flow_jacobian, kp, mat, p, 1e-6, ktrig) for p in x[:, :2]]
+    with in_check():
+        (jac, gq), bad = flagged(checks._flow_jacobian, len(x), kp, mat, x[:, :2], 1e-6)
+        results = [scalar(checks._flow_jacobian, kp, mat, p, 1e-6, ktrig) for p in x[:, :2]]
     assert_flags(np.concatenate([jac, gq], axis=-1), bad, results, lambda r: np.concatenate(r, axis=-1))
 
 
@@ -455,13 +496,14 @@ def test_flow_jacobian_rows_match_one_point_calls(kp, x, generator, t):
 )
 @SETTINGS
 def test_flow_jacobian_flags_every_point_the_metric_there_flags(kp, x, generator, t):
-    # the killing-flow check evaluates the metric at its points under the
-    # flow's flag, and evaluates only the flow again: its stencil starts at
-    # the point
+    # the killing-flow check evaluates a flagged sample again through the
+    # flow, then the metric at the point: its stencil starts at the point,
+    # so the metric there raises nowhere the flow does not raise first
     mat = scalar(expm_series, -t * rep(kp, generator))
     assume(not isinstance(mat, GeometryError))
     _, metric_bad = flagged(spaces._metric_of, len(x), kp, ParallelI(x[:, 0], x[:, 1]))
-    _, flow_bad = flagged(checks._flow_jacobian, len(x), kp, mat, x[:, :2], 1e-6)
+    with in_check():
+        _, flow_bad = flagged(checks._flow_jacobian, len(x), kp, mat, x[:, :2], 1e-6)
     assert not (metric_bad & ~flow_bad).any()
 
 
