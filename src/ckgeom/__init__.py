@@ -58,10 +58,7 @@ from .errors import (
 from .group import (
     GroupCoordinates,
     GroupElement,
-    act,
-    ambient_defect,
     coords_from_group,
-    exp_one_param,
     expm_series,
     group_from_coords,
     metric_matrix,
@@ -76,20 +73,15 @@ from .poisson import (
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
-    invariant_fields_numeric,
-    invariant_vector_fields,
     mcybe_defect,
     phs_points_bracket,
     rmatrix,
     schouten,
-    sklyanin_closed,
     sklyanin_numeric,
 )
 from .quantum import (
     coassociativity_defect,
     coproduct_classical,
-    coproduct_rep,
-    deformation_scale,
     deformed_relation_defect,
     first_order_delta,
 )
@@ -103,7 +95,6 @@ from .spaces import (
     convert,
     from_ambient,
     gaussian_curvature,
-    killing_fields,
     laplace_beltrami_apply,
     metric_main,
     metric_subsidiary,

@@ -110,7 +110,6 @@ from .errors import (
     UndefinedDualityError,
 )
 from .group import (
-    GroupCoordinates,
     _act,
     _ambient_defect_stack,
     _coords,
@@ -139,7 +138,6 @@ from .poisson import (
     phs_points_bracket,
     rmatrix,
     schouten,
-    sklyanin_closed,
 )
 from .poisson import sklyanin_numeric  # noqa: F401  (perfbench/tests/test_tracer.py traces this binding)
 from .quantum import (
@@ -812,11 +810,11 @@ def _check_group_action_surface(cfg: SweepConfig, rng: np.random.Generator) -> B
         b = np.array(b + b[:2])
         x = rng.uniform(-b, b, size=(cfg.sample_count, 5))
 
-        def act(x, steps):
+        def group_and_image(x, steps):
             g = _group(kp, x[..., :3], steps)
             return g, _act(kp, g, _ambient_stack(kp, x[..., 3:], steps), steps)
 
-        (g, moved), surface = _staged(act, x)
+        (g, moved), surface = _staged(group_and_image, x)
         expect, orbit = _staged(partial(_ambient_stack, kp), x, entry=1)
         # the orbit of the base point, the first column of g, recovers the
         # translation part; act at the base point cannot fail where g is finite
@@ -1420,8 +1418,8 @@ def _check_sklyanin_kappa2_zero(cfg: SweepConfig, rng: np.random.Generator) -> B
             got, again = _staged(lambda x, steps: _sklyanin_closed(kp0, z, x, steps)[..., _UPPER[0], _UPPER[1]], x)
             yield from _flagged(np.abs(got), lambda i: f"vanish k1={k1:g}", again)
             # shrinking the second label scales every bracket linearly
-            gc = GroupCoordinates(*sample_group_stack(rng, kp0, 0.3, 1)[0].tolist())
-            slopes = [sklyanin_closed(KappaPair(k1, k2), z, gc)[_UPPER] / k2 for k2 in (1e-4, 1e-6)]
+            x1 = sample_group_stack(rng, kp0, 0.3, 1)[0]
+            slopes = [_sklyanin_closed(KappaPair(k1, k2), z, x1, ktrig)[_UPPER] / k2 for k2 in (1e-4, 1e-6)]
             slope = float(np.abs(slopes[0] - slopes[1]).max()) / max(1.0, abs(z))
             yield np.array([slope]), lambda i: f"slope k1={k1:g}"
 

@@ -13,10 +13,10 @@ function that returns one validates its 3x3 matrix in __post_init__, which
 rejects a non-finite matrix with ValueError.  A one-parameter factor or a
 product of finite elements that overflows is a ChartDomainError instead.
 
-_one_param, _product, _group, _coords, _act and _series are written once,
-over the steps of ktrig (see there): exp_one_param, the group product,
-coords_from_group, act and expm_series are their raising calls, and
-ambient_defect is a one-row call of _ambient_defect_stack.
+_one_param, _product, _group, _coords, _act, _ambient_defect_stack and
+_series are written once, over the steps of ktrig (see there): the group
+product, group_from_coords, coords_from_group and expm_series are their
+raising calls.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ class GroupCoordinates:
         return np.array([self.a1, self.a2, self.xi], dtype=float)
 
 
+# Kept public: perfbench/tests/test_tracer.py traces its validation and product.
 @dataclass(frozen=True)
 class GroupElement:
     """A 3x3 matrix in the motion group of the labels kp."""
@@ -138,12 +139,7 @@ def _group(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
     return _product(_product(g1, g2, steps), g3, steps)
 
 
-def exp_one_param(kp: KappaPair, generator: str, t: float) -> GroupElement:
-    """Closed-form exponential exp(t * rho(generator)); an entry that
-    overflows a double raises ChartDomainError."""
-    return GroupElement(_one_param(kp, generator, t, ktrig), kp)
-
-
+# Kept public: the README names it as the oracle of the closed exponentials.
 def expm_series(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by truncated power series with scaling and squaring.
 
@@ -212,14 +208,15 @@ def _series(a: np.ndarray, steps) -> np.ndarray:
     return final
 
 
+# Kept public: perfbench/tests/test_tracer.py traces a call of it.
 def group_from_coords(kp: KappaPair, gc: GroupCoordinates) -> GroupElement:
     """Ordered product exp(a1 rho J01) exp(a2 rho J02) exp(xi rho J12)."""
-    g1 = exp_one_param(kp, "J01", gc.a1)
-    g2 = exp_one_param(kp, "J02", gc.a2)
-    g3 = exp_one_param(kp, "J12", gc.xi)
+    factors = zip(GENERATOR_NAMES, (gc.a1, gc.a2, gc.xi))
+    g1, g2, g3 = (GroupElement(_one_param(kp, name, t, ktrig), kp) for name, t in factors)
     return g1 @ g2 @ g3
 
 
+# Kept public: perfbench/tests/test_tracer.py traces its rebinding in poisson.
 def coords_from_group(kp: KappaPair, g: GroupElement) -> GroupCoordinates:
     """Invert the ordered-product coordinates.
 
@@ -255,22 +252,12 @@ def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndar
     return x
 
 
-def ambient_defect(kp: KappaPair, point) -> float:
-    """Deviation of a length-3 point from the quadric s . I_k s = 1; inf
-    where the quadratic form overflows."""
-    return float(_ambient_defect_stack(kp, np.asarray(point, dtype=float)))
-
-
 def _ambient_defect_stack(kp: KappaPair, s: np.ndarray) -> np.ndarray:
-    """ambient_defect at each row of the array s, (..., 3)."""
+    """Deviation of each row of the array s, (..., 3), from the quadric
+    s . I_k s = 1; inf where the quadratic form overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         q = (s[..., None, :] @ metric_matrix(kp) @ s[..., :, None])[..., 0, 0]
         return np.where(np.isfinite(q), np.abs(q - 1.0), math.inf)
-
-
-def act(kp: KappaPair, g: GroupElement, point) -> np.ndarray:
-    """Apply a group element to an ambient triple on the quadric."""
-    return _act(kp, g.m, np.asarray(point, dtype=float), ktrig)
 
 
 def _act(kp: KappaPair, g: np.ndarray, s: np.ndarray, steps) -> np.ndarray:

@@ -227,14 +227,9 @@ class InvariantFields:
     right: np.ndarray
 
 
-def invariant_vector_fields(kp: KappaPair, gc: GroupCoordinates) -> InvariantFields:
-    """Closed-form left/right invariant fields in ordered-product coordinates."""
-    return _invariant_vector_fields(kp, gc.a1, gc.a2, gc.xi, ktrig)
-
-
 def _invariant_vector_fields(kp: KappaPair, a1, a2, xi, steps) -> InvariantFields:
-    """The closed-form fields at the points (a1, a2, xi), floats or arrays of
-    one shape, through steps (see ktrig)."""
+    """Closed-form left/right invariant fields at the points (a1, a2, xi),
+    floats or arrays of one shape, through steps (see ktrig)."""
     k1, k2, k12 = kp.k1, kp.k2, kp.k12
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # at a flagged point
         c2 = steps.ck(k12, a2)
@@ -256,24 +251,12 @@ def _invariant_vector_fields(kp: KappaPair, a1, a2, xi, steps) -> InvariantField
     return InvariantFields(_matrix(left), _matrix(right))
 
 
-def invariant_fields_numeric(kp: KappaPair, gc: GroupCoordinates) -> InvariantFields:
-    """Oracle route: rebuild the invariant fields by differentiating group
-    translations g exp(t X) (left fields) and exp(t X) g (right fields).
-
-    The point g and its twelve translates are composed as raw 3x3 arrays.
-    Non-finite coordinates raise ValueError.  Finite ones whose product g,
-    or whose differentiated coordinates, overflow raise ChartDomainError:
-    the translates differ from g by TRANSLATION_STEP, but reading their
-    coordinates back squares the entries of g.
-    """
-    if not np.isfinite(gc.as_array()).all():
-        raise ValueError(f"group coordinates {gc} are not finite")
-    return _invariant_fields(kp, gc.as_array(), ktrig)
-
-
 def _invariant_fields(kp: KappaPair, x: np.ndarray, steps) -> InvariantFields:
-    """The oracle fields at the points x, (..., 3), through steps (see
-    ktrig).  The twelve translates of every point are read back at once."""
+    """Oracle route: the invariant fields at the points x, (..., 3), from
+    the translations g exp(t X) (left) and exp(t X) g (right), through steps
+    (see ktrig).  The twelve translates of every point are read back at
+    once; they differ from g by TRANSLATION_STEP, but reading their
+    coordinates back squares the entries of g, which can overflow."""
     g0 = _group(kp, x, steps)
     translates = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,16 +274,9 @@ def _invariant_fields(kp: KappaPair, x: np.ndarray, steps) -> InvariantFields:
     return InvariantFields(left, right)
 
 
-def sklyanin_closed(kp: KappaPair, z: float, gc: GroupCoordinates) -> np.ndarray:
-    """Closed-form first-kind multiplicative bracket as the antisymmetric
-    3x3 matrix P[i, j] = {x_i, x_j} over the group coordinates
-    x = (a1, a2, xi)."""
-    return _sklyanin_closed(kp, z, gc.as_array(), ktrig)
-
-
 def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarray:
-    """The closed-form bracket matrices at the points x, (..., 3), through
-    steps (see ktrig)."""
+    """Closed-form first-kind bracket matrices P[i, j] = {x_i, x_j} at the
+    group points x = (a1, a2, xi), (..., 3), through steps (see ktrig)."""
     a2, xi = x[..., 1], x[..., 2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c2 = steps.ck(kp.k12, a2)
@@ -324,16 +300,17 @@ def _bracket(r: np.ndarray, fields: InvariantFields, steps) -> np.ndarray:
     return p
 
 
+# Kept public: perfbench/tests/test_tracer.py traces its rebinding in checks.
 def sklyanin_numeric(r: np.ndarray, fields: InvariantFields) -> np.ndarray:
     """Multiplicative bracket matrix P[i, j] = r^{ab} (L_a x_i L_b x_j -
     R_a x_i R_b x_j) of the group coordinates, from invariant vector fields
     and the bivector r, (3,).
 
     The bracket is taken at the group point the fields were evaluated at:
-    invariant_vector_fields gives the closed-form fields,
-    invariant_fields_numeric the translation-differentiation oracle.  Fields
-    stacked over N points give the (N, 3, 3) stack of their brackets.  A
-    bracket that overflows raises ChartDomainError.
+    _invariant_vector_fields gives the closed-form fields, _invariant_fields
+    the translation-differentiation oracle.  Fields stacked over N points
+    give the (N, 3, 3) stack of their brackets.  A bracket that overflows
+    raises ChartDomainError.
     """
     flag = ktrig._Flag(np.shape(fields.left)[:-2])
     p = _bracket(r, fields, flag)

@@ -14,7 +14,7 @@ and J12 are rescaled by gamma = sqrt(sk(k1, z k2)/(z k2)), the unique
 positive factor making the single copy close on -sinh(z k2 rho(J01))/z
 instead of the undeformed -k2 rho(J01); gamma -> 1 as z k2 -> 0.
 
-_coproduct_images, deformation_scale, _closed_exp_j01 and the two defects
+_coproduct_images, _deformation_scale, _closed_exp_j01 and the two defects
 are written once over the steps of ktrig, for one z or an axis of them; the
 public functions are their one-z calls with ktrig.  Kronecker products are
 broadcast (_kron) with np.kron's bits.  A `coproduct` command over
@@ -58,18 +58,15 @@ def _closed_exp_j01(kp: KappaPair, t, steps) -> np.ndarray:
     return np.eye(3) + _col(s) * p + _col(steps.vk(kp.k1, t)) * (p @ p)
 
 
-def deformation_scale(kp: KappaPair, z: float) -> float:
-    """Rescaling gamma of the J02/J12 images at deformation parameter z.
+def _deformation_scale(kp: KappaPair, z, steps):
+    """Rescaling gamma of the J02/J12 images at one deformation parameter z
+    or an axis of them, through steps (see ktrig).
 
     gamma**2 * k2 = sk(k1, z k2)/z, so the rescaled commutator of J12 and
     J02 equals -sinh(z k2 rho(J01))/z exactly.  Equals 1 when z k2 = 0.
-    Raises DeformationDomainError where sk(k1, z k2) changes sign, so that
-    no real gamma exists.
+    Fails with DeformationDomainError where sk(k1, z k2) changes sign, so
+    that no real gamma exists.
     """
-    return float(_deformation_scale(kp, z, ktrig))
-
-
-def _deformation_scale(kp: KappaPair, z, steps):
     u = z * kp.k2
     # u = 0 gives 0/0, a nan that fails no test and gives way to gamma = 1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -86,7 +83,7 @@ def _coproduct_images(kp: KappaPair, z, steps) -> tuple[tuple, tuple, tuple]:
     """Single-copy images, dressing and coproduct images of (J01, J02, J12)
     at one z or an axis of them, through steps (see ktrig).
 
-    rho keeps J01 and scales J02, J12 by deformation_scale, after which
+    rho keeps J01 and scales J02, J12 by _deformation_scale, after which
     [J12, J02] = -sinh(z k2 J01)/z holds in the single copy and the other
     two relations are untouched.  The dressing (minus, plus) =
     exp(-+(z/2) k2 rho(J01)) gives D_z(g) = rho_g (x) minus + plus (x) rho_g
@@ -109,13 +106,6 @@ def coproduct_classical(kp: KappaPair, generator: str) -> np.ndarray:
     rho = dict(zip(GENERATOR_NAMES, rep_basis(kp)))[generator]
     eye = np.eye(3)
     return _kron(rho, eye) + _kron(eye, rho)
-
-
-def coproduct_rep(kp: KappaPair, z: float, generator: str) -> np.ndarray:
-    """Deformed coproduct image of a generator in the 9x9 tensor square."""
-    if generator not in GENERATOR_NAMES:
-        raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
-    return _coproduct_images(kp, z, ktrig)[2][GENERATOR_NAMES.index(generator)]
 
 
 def deformed_relation_defect(kp: KappaPair, z: float) -> float:

@@ -300,36 +300,15 @@ def metric_subsidiary(kp: KappaPair, p: ChartPoint) -> MetricValue:
     return MetricValue(inv * main.g11, inv * main.g12, inv * main.g22)
 
 
-def killing_fields(
-    kp: KappaPair, p: ChartPoint, chart: str = "parallel1"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluated symmetry vector fields of (J01, J02, J12) at p.
-
-    chart selects the component frame: "parallel1" gives (d/da1, d/da2)
-    components, "ambient" gives ambient components of the quadric-tangent
-    fields.
-    """
-    if chart == "ambient":
-        s = to_ambient(kp, p)
-        fields = _ambient_fields(kp, s.s0, s.s1, s.s2)
-    elif chart == "parallel1":
-        fields = _fields_of(kp, _as_parallel1(kp, p), ktrig)
-    else:
-        raise ValueError(f"unsupported field frame {chart!r}, expected 'parallel1' or 'ambient'")
-    j01, j02, j12 = (np.array(f) for f in fields)
-    return j01, j02, j12
-
-
 def _ambient_fields(kp: KappaPair, s0, s1, s2) -> tuple:
-    """The ambient components of (J01, J02, J12) at the ambient triples
-    (s0, s1, s2), for floats and arrays."""
+    """The ambient components of the quadric-tangent fields of (J01, J02,
+    J12) at the ambient triples (s0, s1, s2), for floats and arrays."""
     return (kp.k1 * s1, -s0, 0.0), (kp.k12 * s2, 0.0, -s0), (0.0, kp.k2 * s2, -s1)
 
 
 def _fields_of(kp: KappaPair, q: ParallelI, steps) -> tuple:
-    """The parallel1 components of (J01, J02, J12) at the parallel1 point q,
-    through steps (see ktrig): written once for killing_fields and its
-    stack form, whose points hold floats and arrays."""
+    """The (d/da1, d/da2) components of the fields of (J01, J02, J12) at the
+    parallel1 point q, of floats or arrays, through steps (see ktrig)."""
     k1, k12 = kp.k1, kp.k12
     # a point that fails a step below is flagged or raised there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

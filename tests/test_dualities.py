@@ -14,6 +14,7 @@ from ckgeom import (
     duality_kappa,
     duality_matrix,
 )
+from ckgeom.dualities import RESTRICTIONS
 
 from helpers import NINE
 
@@ -43,9 +44,16 @@ def morphism_defect(name: DualityName, kp: KappaPair) -> float | None:
 @pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_bracket_morphism_exact_on_sign_pairs(name, kp):
     defect = morphism_defect(name, kp)
+    # the map is undefined exactly where the label its restriction names vanishes
+    vanishing = RESTRICTIONS[name] is not None and getattr(kp, RESTRICTIONS[name]) == 0.0
+    assert (defect is None) == vanishing
     if defect is None:
-        pytest.skip("map undefined at this sign pair")
-    assert defect == 0.0
+        with pytest.raises(UndefinedDualityError):
+            duality_kappa(name, kp)
+        with pytest.raises(UndefinedDualityError):
+            duality_matrix(name, kp)
+    else:
+        assert defect == 0.0
 
 
 @pytest.mark.parametrize("name", DUALITIES, ids=lambda n: n.value)

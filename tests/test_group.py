@@ -14,16 +14,15 @@ from ckgeom import (
     GroupCoordinates,
     GroupElement,
     KappaPair,
-    act,
-    ambient_defect,
     coords_from_group,
-    exp_one_param,
     expm_series,
     group_from_coords,
-    invariant_fields_numeric,
+    ktrig,
     metric_matrix,
     rep,
 )
+from ckgeom.group import _act, _ambient_defect_stack, _one_param
+from ckgeom.poisson import _invariant_fields
 
 from helpers import NINE, ref_ck, ref_sk
 
@@ -47,7 +46,7 @@ def random_coords(kp: KappaPair) -> GroupCoordinates:
 @pytest.mark.parametrize("gen", GENERATOR_NAMES)
 def test_one_parameter_closed_form_matches_series(kp, gen):
     for t in (-1.7, -0.4, 0.0, 0.8, 2.0):
-        closed = exp_one_param(kp, gen, t).m
+        closed = _one_param(kp, gen, t, ktrig)
         idx = GENERATOR_NAMES.index(gen)
         series = expm_series(t * rep(kp, BASIS[idx]))
         assert np.max(np.abs(closed - series)) < 1e-12
@@ -57,7 +56,7 @@ def test_exp_j01_rotates_in_the_01_plane():
     # closed form written independently, first kind of rotation block
     kp = KappaPair(1.0, -1.0)
     t = 0.73
-    got = exp_one_param(kp, "J01", t).m
+    got = _one_param(kp, "J01", t, ktrig)
     want = np.array(
         [
             [math.cos(t), -math.sin(t), 0.0],
@@ -71,7 +70,7 @@ def test_exp_j01_rotates_in_the_01_plane():
 def test_exp_j12_is_a_k2_block():
     kp = KappaPair(1.0, -1.0)
     t = 0.51
-    got = exp_one_param(kp, "J12", t).m
+    got = _one_param(kp, "J12", t, ktrig)
     want = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -106,15 +105,15 @@ def test_action_stays_on_the_surface(kp):
     origin = np.array([1.0, 0.0, 0.0])
     for _ in range(20):
         g = group_from_coords(kp, random_coords(kp))
-        moved = act(kp, g, origin)
-        assert ambient_defect(kp, moved) < 1e-10
+        moved = _act(kp, g.m, origin, ktrig)
+        assert _ambient_defect_stack(kp, moved) < 1e-10
 
 
 def test_action_moves_the_origin_by_the_translation_part():
     kp = KappaPair(1.0, 1.0)
     a1 = 0.6
-    g = exp_one_param(kp, "J01", a1)
-    moved = act(kp, g, np.array([1.0, 0.0, 0.0]))
+    g = _one_param(kp, "J01", a1, ktrig)
+    moved = _act(kp, g, np.array([1.0, 0.0, 0.0]), ktrig)
     assert moved == pytest.approx(
         np.array([ref_ck(kp.k1, a1), ref_sk(kp.k1, a1), 0.0]), abs=1e-14
     )
@@ -145,8 +144,8 @@ def test_group_element_rejects_a_non_finite_matrix():
 def test_overflowing_product_of_finite_elements_is_a_domain_error():
     # cosh(500) * cosh(500) overflows a double
     kp = KappaPair(-1e6, 1.0)
-    g = exp_one_param(kp, "J01", 0.5)
-    h = exp_one_param(kp, "J02", 0.5)
+    g = GroupElement(_one_param(kp, "J01", 0.5, ktrig), kp)
+    h = GroupElement(_one_param(kp, "J02", 0.5, ktrig), kp)
     with pytest.raises(ChartDomainError):
         g @ h
 
@@ -157,15 +156,16 @@ def test_group_element_rejects_a_non_3x3_matrix():
 
 
 def test_product_over_different_labels_is_rejected():
-    g = exp_one_param(KappaPair(1.0, 1.0), "J01", 0.3)
-    h = exp_one_param(KappaPair(-1.0, 1.0), "J01", 0.3)
+    kp, other = KappaPair(1.0, 1.0), KappaPair(-1.0, 1.0)
+    g = GroupElement(_one_param(kp, "J01", 0.3, ktrig), kp)
+    h = GroupElement(_one_param(other, "J01", 0.3, ktrig), other)
     with pytest.raises(ValueError):
         g @ h
 
 
 def test_exponential_of_a_non_finite_parameter_is_rejected():
     with pytest.raises(ValueError):
-        exp_one_param(KappaPair(1.0, 1.0), "J01", math.nan)
+        group_from_coords(KappaPair(1.0, 1.0), GroupCoordinates(math.nan, 0.0, 0.0))
 
 
 def test_coordinates_at_the_chart_edge_are_a_domain_error():
@@ -188,17 +188,12 @@ def test_an_image_that_overflows_is_a_domain_error():
     kp = KappaPair(1.0, 1.0)
     g = GroupElement(np.full((3, 3), 1.5e308), kp)
     with pytest.raises(ChartDomainError, match="overflows"):
-        act(kp, g, [0.6, 0.8, 0.0])
+        _act(kp, g.m, np.array([0.6, 0.8, 0.0]), ktrig)
 
 
 def test_quadric_defect_of_a_point_whose_form_overflows_is_infinite():
-    assert ambient_defect(KappaPair(1.0, 1.0), [1e200, 0.0, 0.0]) == math.inf
-    assert ambient_defect(KappaPair(-1.0, 1.0), [1e200, 1e200, 0.0]) == math.inf
-
-
-def test_numeric_invariant_fields_reject_non_finite_coordinates():
-    with pytest.raises(ValueError):
-        invariant_fields_numeric(KappaPair(1.0, 1.0), GroupCoordinates(math.nan, 0.0, 0.0))
+    assert _ambient_defect_stack(KappaPair(1.0, 1.0), np.array([1e200, 0.0, 0.0])) == math.inf
+    assert _ambient_defect_stack(KappaPair(-1.0, 1.0), np.array([1e200, 1e200, 0.0])) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -213,7 +208,7 @@ def test_numeric_invariant_fields_reject_non_finite_coordinates():
 )
 def test_numeric_invariant_fields_overflow_is_a_domain_error(gc, message):
     with pytest.raises(ChartDomainError, match=message):
-        invariant_fields_numeric(KappaPair(-1e6, 1.0), gc)
+        _invariant_fields(KappaPair(-1e6, 1.0), gc.as_array(), ktrig)
 
 
 @pytest.mark.parametrize(

@@ -12,24 +12,30 @@ from ckgeom import (
     CoisotropyVerdict,
     DeformationKind,
     GroupCoordinates,
+    GroupElement,
     InvariantFields,
     KappaPair,
     bialgebra_check,
     cocommutator_map,
     coisotropy_check,
     coords_from_group,
-    exp_one_param,
     group_from_coords,
-    invariant_fields_numeric,
-    invariant_vector_fields,
+    ktrig,
     mcybe_defect,
     phs_points_bracket,
     rmatrix,
     schouten,
-    sklyanin_closed,
     sklyanin_numeric,
 )
-from ckgeom.poisson import _EPSILON3, TRANSLATION_STEP, _schouten_tensor
+from ckgeom.group import _one_param
+from ckgeom.poisson import (
+    _EPSILON3,
+    TRANSLATION_STEP,
+    _invariant_fields,
+    _invariant_vector_fields,
+    _schouten_tensor,
+    _sklyanin_closed,
+)
 
 from helpers import (
     NINE,
@@ -45,17 +51,18 @@ Z = 0.17
 RNG = np.random.default_rng(41)
 
 
-def small_coords(kp: KappaPair) -> GroupCoordinates:
+def small_coords(kp: KappaPair) -> np.ndarray:
+    """One group point (a1, a2, xi)."""
     def bound(label):
         if label > 1e-12:
             return 0.35 * math.pi / math.sqrt(label)
         return 1.0
 
-    return GroupCoordinates(
+    return np.array([
         RNG.uniform(-bound(kp.k1), bound(kp.k1)),
         RNG.uniform(-bound(kp.k12), bound(kp.k12)),
         RNG.uniform(-bound(kp.k2), bound(kp.k2)),
-    )
+    ])
 
 
 # the nine planes and two pairs of inexact labels
@@ -174,23 +181,21 @@ def test_an_image_on_the_pair_without_its_generator_fails_coisotropy():
 def test_invariant_fields_match_numeric_differentials():
     for kp in (KappaPair(1.0, 1.0), KappaPair(0.0, -1.0), KappaPair(-1.0, 1.0)):
         for _ in range(4):
-            gc = small_coords(kp)
-            closed = invariant_vector_fields(kp, gc)
-            numeric = invariant_fields_numeric(kp, gc)
+            x = small_coords(kp)
+            closed = _invariant_vector_fields(kp, *x, ktrig)
+            numeric = _invariant_fields(kp, x, ktrig)
             assert np.max(np.abs(closed.left - numeric.left)) < 1e-8
             assert np.max(np.abs(closed.right - numeric.right)) < 1e-8
 
 
-def reference_fields_numeric(
-    kp: KappaPair, gc: GroupCoordinates, step: float = TRANSLATION_STEP
-) -> InvariantFields:
+def reference_fields_numeric(kp: KappaPair, x: np.ndarray, step: float = TRANSLATION_STEP) -> InvariantFields:
     """The oracle written through validated GroupElements at every product."""
-    g0 = group_from_coords(kp, gc)
+    g0 = group_from_coords(kp, GroupCoordinates(*x))
     left = np.zeros((3, 3))
     right = np.zeros((3, 3))
     for i, name in enumerate(GENERATOR_NAMES):
-        plus = exp_one_param(kp, name, step)
-        minus = exp_one_param(kp, name, -step)
+        plus = GroupElement(_one_param(kp, name, step, ktrig), kp)
+        minus = GroupElement(_one_param(kp, name, -step, ktrig), kp)
         left[i] = (
             coords_from_group(kp, g0 @ plus).as_array() - coords_from_group(kp, g0 @ minus).as_array()
         ) / (2.0 * step)
@@ -203,9 +208,9 @@ def reference_fields_numeric(
 @pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_numeric_fields_equal_the_validated_reference(kp):
     for _ in range(3):
-        gc = small_coords(kp)
-        iv = invariant_fields_numeric(kp, gc)
-        ref = reference_fields_numeric(kp, gc)
+        x = small_coords(kp)
+        iv = _invariant_fields(kp, x, ktrig)
+        ref = reference_fields_numeric(kp, x)
         assert np.array_equal(iv.left, ref.left)
         assert np.array_equal(iv.right, ref.right)
 
@@ -213,9 +218,9 @@ def test_numeric_fields_equal_the_validated_reference(kp):
 @pytest.mark.parametrize("kp", NONDEGENERATE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_sklyanin_closed_forms_match_reference(kp):
     for _ in range(10):
-        gc = small_coords(kp)
-        want = sklyanin_rows(kp, Z, gc.a1, gc.a2, gc.xi)
-        p = sklyanin_closed(kp, Z, gc)
+        x = small_coords(kp)
+        want = sklyanin_rows(kp, Z, *x)
+        p = _sklyanin_closed(kp, Z, x, ktrig)
         got = (p[0, 1], p[0, 2], p[1, 2])
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-12
@@ -225,17 +230,16 @@ def test_sklyanin_closed_forms_match_reference(kp):
 def test_sklyanin_closed_vs_numeric_oracle(kp):
     r = rmatrix(DeformationKind.FIRST_KIND, Z)
     for _ in range(4):
-        gc = small_coords(kp)
-        closed = sklyanin_closed(kp, Z, gc)
-        numeric = sklyanin_numeric(r, invariant_fields_numeric(kp, gc))
+        x = small_coords(kp)
+        closed = _sklyanin_closed(kp, Z, x, ktrig)
+        numeric = sklyanin_numeric(r, _invariant_fields(kp, x, ktrig))
         assert np.abs(closed - numeric).max() < 1e-6
 
 
 def test_sklyanin_antisymmetry_and_leibniz_sanity():
     kp = KappaPair(1.0, 1.0)
     r = rmatrix(DeformationKind.FIRST_KIND, Z)
-    gc = GroupCoordinates(0.2, 0.3, -0.4)
-    iv = invariant_vector_fields(kp, gc)
+    iv = _invariant_vector_fields(kp, 0.2, 0.3, -0.4, ktrig)
     p = sklyanin_numeric(r, iv)
     assert np.abs(p + p.T).max() < 1e-9
 
@@ -257,9 +261,9 @@ def test_numeric_bracket_that_overflows_is_a_domain_error():
 
 def test_sklyanin_brackets_scale_linearly_in_z():
     kp = KappaPair(-1.0, 1.0)
-    gc = GroupCoordinates(0.2, 0.3, -0.4)
-    one = sklyanin_closed(kp, 0.1, gc)[0, 1]
-    two = sklyanin_closed(kp, 0.2, gc)[0, 1]
+    x = np.array([0.2, 0.3, -0.4])
+    one = _sklyanin_closed(kp, 0.1, x, ktrig)[0, 1]
+    two = _sklyanin_closed(kp, 0.2, x, ktrig)[0, 1]
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -295,8 +299,8 @@ def test_first_kind_phs_bracket_at_a_pole_is_a_chart_domain_error():
 
 
 def test_closed_forms_raise_where_the_a2_cosine_factor_vanishes():
-    kp, gc = KappaPair(1.0, 1.0), GroupCoordinates(0.2, math.pi / 2, 0.3)
+    kp, x = KappaPair(1.0, 1.0), np.array([0.2, math.pi / 2, 0.3])
     with pytest.raises(ChartDomainError, match="invariant fields diverge"):
-        invariant_vector_fields(kp, gc)
+        _invariant_vector_fields(kp, *x, ktrig)
     with pytest.raises(ChartDomainError, match="bracket coefficients diverge"):
-        sklyanin_closed(kp, 0.1, gc)
+        _sklyanin_closed(kp, 0.1, x, ktrig)

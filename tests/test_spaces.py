@@ -17,7 +17,7 @@ from ckgeom import (
     convert,
     from_ambient,
     gaussian_curvature,
-    killing_fields,
+    ktrig,
     laplace_beltrami_apply,
     metric_main,
     metric_subsidiary,
@@ -25,7 +25,7 @@ from ckgeom import (
     to_ambient_batch,
 )
 from ckgeom.group import DEFAULT_CHART_TOL
-from ckgeom.spaces import CHARTS
+from ckgeom.spaces import CHARTS, _ambient_fields, _fields_of
 
 from helpers import (
     NINE,
@@ -161,7 +161,7 @@ def test_gaussian_curvature_rejects_degenerate_metric():
 @pytest.mark.parametrize("kp", NINE, ids=lambda kp: f"{kp.k1:g},{kp.k2:g}")
 def test_killing_fields_match_reference_rows(kp):
     for p in sample_points(kp):
-        got = killing_fields(kp, p, chart="parallel1")
+        got = _fields_of(kp, p, ktrig)
         want = killing_rows(kp, p.a1, p.a2)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - np.array(w))) < 1e-12
@@ -172,8 +172,8 @@ def test_ambient_killing_fields_are_tangent(kp):
     for p in sample_points(kp, n=6):
         s = to_ambient(kp, p).as_array()
         grad = np.array([2 * s[0], 2 * kp.k1 * s[1], 2 * kp.k12 * s[2]])
-        for v in killing_fields(kp, p, chart="ambient"):
-            assert abs(grad @ v) < 1e-12
+        for v in _ambient_fields(kp, *s):
+            assert abs(grad @ np.array(v)) < 1e-12
 
 
 def test_laplacian_flat_reference():
@@ -196,7 +196,7 @@ def test_degenerate_fibration_is_preserved():
     # k2 = 0: isotropy flows keep the base coordinate a1 fixed
     for kp in (KappaPair(1.0, 0.0), KappaPair(0.0, 0.0), KappaPair(-1.0, 0.0)):
         p = ParallelI(0.4, 0.3)
-        fields = killing_fields(kp, p, chart="parallel1")
+        fields = _fields_of(kp, p, ktrig)
         assert fields[1][0] == 0.0
         assert fields[2][0] == 0.0
 

@@ -6,14 +6,15 @@ nothing, and the flag's mask bad marks the rows where the raising form
 raises.  For every stack form, bad must equal the set of rows where the
 raising form raises, and the unflagged values must equal the raising
 form's bit for bit.  The raising form is the scalar form where one stays
-(ktrig's kinv, ck, sk and tk, exp_one_param, group_from_coords,
-to_ambient, expm_series, sklyanin_numeric) and otherwise the one-point call
-(coords_from_group, act, invariant_fields_numeric, sklyanin_closed,
-from_ambient, metric_main, killing_fields, gaussian_curvature,
-laplace_beltrami_apply, the to_ambient, product and from_ambient of the
-checks' flow map, and the one-z deformed_relation_defect and
-coassociativity_defect of the quantum z axis, which are also held to a
-literal np.kron transcription).  The sweep evaluates a flagged sample
+(ktrig's kinv, ck, sk and tk, group_from_coords, to_ambient, expm_series,
+sklyanin_numeric), the one-point call where one stays (coords_from_group,
+from_ambient, metric_main, gaussian_curvature, laplace_beltrami_apply, the
+to_ambient, product and from_ambient of the checks' flow map, and the one-z
+deformed_relation_defect and coassociativity_defect of the quantum z axis,
+which are also held to a literal np.kron transcription), and otherwise the
+transcription itself at one point with ktrig as the steps (the
+one-parameter exponential, act, the numeric invariant fields, the closed
+Sklyanin bracket and the symmetry fields).  The sweep evaluates a flagged sample
 through the transcription with ktrig as the steps; where a scalar form
 stays beside it, the error must be the scalar form's in type and text.
 
@@ -51,8 +52,6 @@ from ckgeom import (
     ParallelI,
     ParallelII,
     Polar,
-    act,
-    ambient_defect,
     bialgebra_check,
     bracket,
     ck,
@@ -60,13 +59,10 @@ from ckgeom import (
     cocommutator_map,
     coords_from_group,
     deformed_relation_defect,
-    exp_one_param,
     expm_series,
     from_ambient,
     gaussian_curvature,
     group_from_coords,
-    invariant_fields_numeric,
-    killing_fields,
     kinv,
     kinv_array,
     laplace_beltrami_apply,
@@ -76,7 +72,6 @@ from ckgeom import (
     rep_basis,
     rmatrix,
     sk,
-    sklyanin_closed,
     sklyanin_numeric,
     structure_tensor,
     tk,
@@ -217,7 +212,7 @@ def test_flagged_ck_and_sk_match_ck_and_sk(kappa, xs):
 @SETTINGS
 def test_exp_stack_matches_exp_matrix(kp, generator, ts):
     stack, bad = flagged(group._one_param, len(ts), kp, generator, np.array(ts))
-    assert_flags(stack, bad, [scalar(exp_one_param, kp, generator, t) for t in ts], lambda g: g.m)
+    assert_flags(stack, bad, [scalar(group._one_param, kp, generator, t, ktrig) for t in ts])
 
 
 @given(kp=kp_st, x=points_st)
@@ -285,7 +280,7 @@ def test_series_exponential_of_a_stack_matches_each_matrix(kp, ts, extra):
 def test_invariant_fields_stack_rows_match_one_row_calls(kp, x):
     fields, bad = flagged(poisson._invariant_fields, len(x), kp, x)
     values = np.stack([fields.left, fields.right], axis=1)
-    results = [scalar(invariant_fields_numeric, kp, GroupCoordinates(*p)) for p in x.tolist()]
+    results = [scalar(poisson._invariant_fields, kp, p, ktrig) for p in x]
     assert_flags(values, bad, results, lambda f: np.stack([f.left, f.right]))
 
 
@@ -306,7 +301,7 @@ def test_wedge_rows_round_as_adding_into_a_zero_matrix():
 @SETTINGS
 def test_sklyanin_closed_stack_rows_match_one_row_calls(kp, z, x):
     p, bad = flagged(poisson._sklyanin_closed, len(x), kp, z, x)
-    assert_flags(p, bad, [scalar(sklyanin_closed, kp, z, GroupCoordinates(*q)) for q in x.tolist()])
+    assert_flags(p, bad, [scalar(poisson._sklyanin_closed, kp, z, q, ktrig) for q in x])
 
 
 @given(
@@ -366,7 +361,7 @@ def test_bracket_coefficients_of_arrays_match_bracket(kp, xs):
 @SETTINGS
 def test_ambient_defect_stack_matches_ambient_defect(kp, s):
     got = group._ambient_defect_stack(kp, np.array(s))
-    assert same_bits(got, [ambient_defect(kp, p) for p in s])
+    assert same_bits(got, [group._ambient_defect_stack(kp, np.array(p)) for p in s])
 
 
 @given(
@@ -382,7 +377,7 @@ def test_act_stack_rows_match_one_row_calls(kp, x, s):
     orbit = (np.arange(len(g)) % 2 == 0)[:, None]
     points = np.where(orbit, g[:, :, 0], np.array(s)[: len(g)])
     images, bad = flagged(group._act, len(g), kp, g, points)
-    assert_flags(images, bad, [scalar(act, kp, GroupElement(a, kp), q) for a, q in zip(g, points)])
+    assert_flags(images, bad, [scalar(group._act, kp, a, q, ktrig) for a, q in zip(g, points)])
 
 
 # --- the geometry stack forms ------------------------------------------------
@@ -436,13 +431,17 @@ def test_field_stacks_match_killing_fields(kp, x):
     p = ParallelI(x[:, 0], x[:, 1])
     fields, bad = flagged(spaces._fields_of, len(x), kp, p)
     points = [ParallelI(*q[:2]) for q in x.tolist()]
-    results = [scalar(killing_fields, kp, q, "parallel1") for q in points]
+    results = [scalar(spaces._fields_of, kp, q, ktrig) for q in points]
     assert_flags(spaces._matrix(fields), bad, results, np.array)
+
     # the ambient frame, at the points to_ambient takes
+    def ambient_fields(q):
+        s = to_ambient(kp, q)
+        return spaces._ambient_fields(kp, s.s0, s.s1, s.s2)
+
     s, bad = to_ambient_batch(kp, "parallel1", x[:, 0], x[:, 1])
     fields = spaces._matrix(spaces._ambient_fields(kp, *s))
-    results = [scalar(killing_fields, kp, q, "ambient") for q in points]
-    assert_flags(fields, bad, results, np.array)
+    assert_flags(fields, bad, [scalar(ambient_fields, q) for q in points], np.array)
 
 
 @given(kp=kp_st, x=points_st, generator=st.sampled_from(BASIS), t=st.sampled_from([0.1, -0.3, 2.0, 40.0]))
