@@ -205,14 +205,14 @@ def kappa_from_kinematics(lam: float, c: float) -> KappaPair:
     """Curvature labels of the kinematical algebra with cosmological constant
     lam and speed parameter c: (k1, k2) = (-lam, -1/c**2).
 
-    c = math.inf encodes the nonrelativistic limit k2 = 0; c = 0 is rejected.
+    c = math.inf encodes the nonrelativistic limit k2 = 0; a speed whose
+    -1/c**2 is not a finite double, c = 0 among them, is rejected.
     """
     _check_finite("lam", lam)
-    if c == 0.0:
-        raise BadSpeedError("speed parameter c = 0 does not define a geometry")
     if math.isinf(c):
-        k2 = 0.0
-    else:
-        _check_finite("c", c)
-        k2 = -1.0 / (c * c)
-    return KappaPair(-lam, k2)
+        return KappaPair(-lam, 0.0)
+    _check_finite("c", c)
+    c2 = c * c
+    if c2 == 0.0 or math.isinf(1.0 / c2):
+        raise BadSpeedError(f"speed parameter c = {c!r} gives no finite k2 = -1/c**2")
+    return KappaPair(-lam, -1.0 / c2)

@@ -21,11 +21,12 @@ GeometryError that escapes the generator ends the check with defect inf and
 the detail "<Type>: <message>", so one check cannot abort the sweep;
 `samples` keeps the entries of the blocks before it.
 
-The reducer runs each check with numpy's overflow, invalid-value and
-divide-by-zero warnings off: the graded contractions put labels where
+The reducer holds the package's floating-point policy, ktrig.quiet (see
+ktrig), while it runs each check: the graded contractions put labels where
 stacked arithmetic overflows, and there a value is inf or nan, which as a
-defect fails the check.  A check body states no floating-point policy of
-its own.
+defect fails the check.  A check body states no policy of its own, and
+neither do duality_morphism_defects, kind_stack and sklyanin_pair_defects,
+which the CLI calls under cli.main's.
 
 The checks evaluate the samples of one label pair (and z) at once, through
 the array forms of ktrig, the stack forms of group, poisson, quantum and
@@ -47,16 +48,18 @@ the raising steps, whose messages print numpy scalars as floats (see
 ktrig).  An error the loop skips (its `except ChartDomainError`) drops the
 sample, and any other error ends the check after a block of the samples
 before it.  So `samples`, the defects and the detail are those of a
-sample-by-sample loop.  _flagged applies the rule to a fixed set of
-samples, and _rejection_sampled to the two geometry checks that draw by
-rejection, `while done < want and attempts < cap`: an attempt is accepted
-where it survives its stages and the check keeps it, and only then is its
-defect evaluated.  _rejection_sampled draws a block of candidates ahead, as
-if every attempt were accepted, and evaluates the block at once.  It makes
-the attempts in order up to the first candidate the block gave to the wrong
-loop, puts rng back to its state before the block, and draws the candidates
-of those attempts again, so rng advances by the draws of the attempts the
-loop made.  The accepted attempts of a block are one block of defects.
+sample-by-sample loop.  A stage with no replay is a test the loop skips
+on, such as `if abs(c) <= 0.2: continue`: it drops the entries it flags.
+_flagged applies the rule to a fixed set of samples, and _rejection_sampled
+to the two geometry checks that draw by rejection, `while done < want and
+attempts < cap`: an attempt is accepted where it survives its stages, and
+only then is its defect evaluated.  _rejection_sampled draws a block of
+candidates ahead, as if every attempt were accepted, and evaluates the
+block at once.  It makes the attempts in order up to the first candidate
+the block gave to the wrong loop, puts rng back to its state before the
+block, and draws the candidates of those attempts again, so rng advances
+by the draws of the attempts the loop made.  The accepted attempts of a
+block are one block of defects.
 
 Checks are pure functions of a SweepConfig; two runs with the same
 configuration produce identical results bit for bit.  No check reads the
@@ -407,21 +410,25 @@ class _Stage(NamedTuple):
     evaluated by a stack form: bad flags the samples where it fails, and
     again(j) evaluates it at sample j with ktrig as the steps, which raises
     the error of its first failing step.  An error in skips (the loop's
-    `except ChartDomainError`) drops the entry."""
+    `except ChartDomainError`) drops the entry.  A stage whose again is None
+    drops every entry it flags."""
 
     bad: np.ndarray
-    again: Callable[[int], object]
+    again: Callable[[int], object] | None
     entry: int = 0
     skips: type[Exception] | tuple = ()
 
 
 def _survives(stages: Sequence[_Stage], i: int, width: int = 1) -> bool:
     """Whether entry i, of samples of width entries, survives the stages
-    that flag it, each evaluated again in the order given: False where an
-    error in that stage's skips drops it; any other error propagates."""
+    that flag it, each evaluated again in the order given: False where a
+    stage with no replay or an error in that stage's skips drops it; any
+    other error propagates."""
     j, entry = divmod(i, width)
     for t in stages:
         if t.entry == entry and t.bad[j]:
+            if t.again is None:
+                return False
             try:
                 t.again(j)
             except t.skips:
@@ -437,16 +444,16 @@ def _staged(form: Callable, *rows: np.ndarray, entry: int = 0, skips: type[Excep
     return form(*rows, flag), _Stage(flag.bad, lambda j: form(*(r[j] for r in rows), ktrig), entry, skips)
 
 
-def _flagged(defects: np.ndarray, name: Callable[[int], str], *stages: _Stage, keep=True) -> Blocks:
+def _flagged(defects: np.ndarray, name: Callable[[int], str], *stages: _Stage) -> Blocks:
     """The block (defects, name) of a stack form's samples, the rows of
     defects, whose flagged entries survive their stages (_survives) in loop
-    order; keep marks the entries the loop evaluates.  A GeometryError from a
-    stage ends the check after a block of the entries before it."""
+    order.  A GeometryError from a stage ends the check after a block of the
+    entries before it."""
     width = defects.shape[1] if defects.ndim > 1 else 1
-    keep = np.array(np.broadcast_to(keep, defects.shape)).ravel()
+    keep = np.ones(defects.size, dtype=bool)
     for i in sorted({j * width + t.entry for t in stages for j in np.flatnonzero(t.bad).tolist()}):
         try:
-            keep[i] &= _survives(stages, i, width)
+            keep[i] = _survives(stages, i, width)
         except GeometryError:
             yield _kept(defects, keep & (np.arange(keep.size) < i), name)
             raise
@@ -467,7 +474,7 @@ def _rejection_sampled(
     rng: np.random.Generator,
     loops: Sequence[tuple[int, int]],
     draw: Callable[[list[int]], object],
-    block: Callable[[list[int], object], tuple[Sequence[_Stage], np.ndarray, Callable[[int], float]]],
+    block: Callable[[list[int], object], tuple[Sequence[_Stage], Callable[[int], float]]],
     name: Callable[[int], str],
 ) -> Blocks:
     """The defects of the rejection-sampling loops `while done < want and
@@ -477,11 +484,10 @@ def _rejection_sampled(
 
     draw(ids) draws from rng one candidate per attempt k, of loop ids[k], as
     the loops would.  block(ids, candidates) evaluates them and returns
-    (stages, keep, defect): attempt k is accepted where it survives its
-    stages (_survives) and keep[k] holds, and only then is defect(k)
-    evaluated.  A block holds the attempts left if each is accepted, to the
-    end of the last loop; after a rejection, twice the attempts left in that
-    loop alone.  The accepted attempts of a block are one block of defects.
+    (stages, defect): attempt k is accepted where it survives its stages
+    (_survives), and only then is defect(k) evaluated.  A block holds the
+    attempts left if each is accepted, to the end of the last loop; after a
+    rejection, twice the attempts left in that loop alone.  The accepted attempts of a block are one block of defects.
     """
     loop = done = attempts = 0
     rejected = False
@@ -491,11 +497,11 @@ def _rejection_sampled(
         if not rejected:
             ids += [later for later in range(loop + 1, len(loops)) for _ in range(min(loops[later]))]
         state = rng.bit_generator.state
-        stages, keep, defect = block(ids, draw(ids))
+        stages, defect = block(ids, draw(ids))
         made, accepted, defects, error = 0, [], [], None
         try:
             while made < len(ids) and ids[made] == loop:
-                if _survives(stages, made) and keep[made]:
+                if _survives(stages, made):
                     defects.append(defect(made))
                     accepted.append(made)
                     done += 1
@@ -518,12 +524,8 @@ def _rejection_sampled(
 #
 # On TRIG_GRID, at labels in [-2, 2], no ck or sk overflows, and tk is read
 # only where |ck| > 0.2, away from its poles: the steps of these checks flag
-# nothing that their entries read.
-
-def _last_where(mask: np.ndarray) -> np.ndarray:
-    """The entries of samples of three entries that a loop evaluates when it
-    evaluates the last one only where mask is true."""
-    return np.stack(np.broadcast_arrays(True, True, mask), axis=1)
+# nothing that their entries read.  A stage with no replay drops the tk entry
+# elsewhere, a nan ck among them.
 
 
 @check(1e-12)
@@ -537,7 +539,7 @@ def _check_trig_identity(cfg: SweepConfig, rng: np.random.Generator) -> Blocks:
         yield from _flagged(
             np.abs(defects),
             lambda i: f"{('identity', 'versine', 'tangent')[i % 3]} k={k:g} x={x[i // 3]:g}",
-            keep=_last_where(np.abs(c) > 0.2),
+            _Stage(~(np.abs(c) > 0.2), None, 2),
         )
 
 
@@ -568,7 +570,7 @@ def _check_trig_derivatives(cfg: SweepConfig, rng: np.random.Generator) -> Block
         yield from _flagged(
             defects,
             lambda i: f"d {('ck', 'sk', 'tk')[i % 3]} k={k:g} x={x[i // 3]:g}",
-            keep=_last_where(np.abs(c) > 0.2),
+            _Stage(~(np.abs(c) > 0.2), None, 2),
         )
 
 
@@ -692,10 +694,9 @@ def duality_morphism_defects(
     at `count` pairs of elements, each with its coefficients drawn from rng
     in [-2, 2); an overflow at huge labels is an inf or nan defect."""
     x, y = rng.uniform(-2.0, 2.0, size=(count, 2, 3)).transpose(1, 0, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = _apply(m, np.stack(_bracket_coeffs(kpd, x.T, y.T), axis=-1))
-        rhs = np.stack(_bracket_coeffs(kp, _apply(m, x).T, _apply(m, y).T), axis=-1)
-        return np.abs(lhs - rhs).max(axis=1)
+    lhs = _apply(m, np.stack(_bracket_coeffs(kpd, x.T, y.T), axis=-1))
+    rhs = np.stack(_bracket_coeffs(kp, _apply(m, x).T, _apply(m, y).T), axis=-1)
+    return np.abs(lhs - rhs).max(axis=1)
 
 
 @check(1e-13)
@@ -897,8 +898,8 @@ def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) 
             first,
             via,
             outside,
-            around._replace(bad=around.bad & ~narrow),
-            keep=_last_where(~narrow),
+            _Stage(narrow, None, 2),
+            around,
         )
 
 
@@ -973,17 +974,17 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
 
             def block(ids: list[int], x: np.ndarray) -> tuple:
                 x = x[:, [0, -1]]  # the point (a1, a2)
-                # a polar attempt is rejected near the origin of the chart
-                narrow, stages = np.zeros(len(x), dtype=bool), []
+                stages = []
                 if target == "polar":
+                    # a polar attempt is rejected near the origin of the chart
                     s, outside = _staged(partial(_ambient_stack, kp), x)
-                    narrow, stages = s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1, [outside]
+                    stages = [outside, _Stage(s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1, None)]
                 (dq, dp, ga, gb), again = _staged(partial(_pullback_terms, kp, target), x, skips=ChartDomainError)
 
                 def defect(k: int) -> float:
                     return float(_pullback_defect(np.linalg.lstsq(dq[k], dp[k], rcond=None)[0], gb[k], ga[k]))
 
-                return [*stages, again._replace(bad=again.bad & ~narrow)], ~narrow, defect
+                return [*stages, again], defect
 
             loops = [(cfg.sample_count, 20 * cfg.sample_count)]
             yield from _rejection_sampled(rng, loops, draw, block, lambda _: f"{target} {_kp_tag(kp)}")
@@ -1063,7 +1064,7 @@ def _check_geometry_killing_flow(cfg: SweepConfig, rng: np.random.Generator) -> 
 
         def block(ids: list[int], x: np.ndarray) -> tuple:
             defects, again = _staged(defect, gens[ids], x, skips=ChartDomainError)
-            return [again], np.ones(len(x), dtype=bool), defects.tolist().__getitem__
+            return [again], defects.tolist().__getitem__
 
         loops = [(5, 100)] * len(flows)
         yield from _rejection_sampled(rng, loops, draw, block, lambda f: f"{flows[f][1]} {_kp_tag(kp)}")
@@ -1251,10 +1252,9 @@ def kind_stack(
     """fn(kind, z) over the array of the zs, one call per kind, stacked on a
     kind axis after the z axis: the (z, kind) rows of one label pair, with
     shape (len(zs), len(kinds), ...), in the order z, then kind.  A value
-    that overflows is inf or nan, with no warning, as in float arithmetic."""
+    that overflows is inf or nan."""
     z = np.array(zs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([fn(kind, z) for kind in kinds], axis=1)
+    return np.stack([fn(kind, z) for kind in kinds], axis=1)
 
 
 def _kind_rows(kp: KappaPair, values: np.ndarray, fmt: str = "{kind} {kp}", inner: Sequence = ("",)) -> Block:
@@ -1354,8 +1354,7 @@ def sklyanin_pair_defects(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.n
     """
     numeric = _bracket(rmatrix(DeformationKind.FIRST_KIND, z), _invariant_fields(kp, x, steps), steps)
     closed = _sklyanin_closed(kp, z, x, steps)
-    with np.errstate(invalid="ignore"):
-        return np.abs(closed - numeric)[..., _UPPER[0], _UPPER[1]]
+    return np.abs(closed - numeric)[..., _UPPER[0], _UPPER[1]]
 
 
 def _pair_name(kp: KappaPair) -> Callable[[int], str]:
@@ -1521,7 +1520,7 @@ def _reduce(suite: str, name: str, blocks: Blocks) -> CheckResult:
     worst, where, samples = 0.0, "", 0
     try:
         # the check's body runs as the loop draws its blocks
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with ktrig.quiet():
             for defects, at in blocks:
                 defect, i = worst_defect(defects)
                 samples += np.size(defects)

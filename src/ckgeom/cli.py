@@ -71,7 +71,7 @@ from .errors import (
     GeometryError,
     UndefinedDualityError,
 )
-from .ktrig import _Flag, span_bound
+from .ktrig import _Flag, quiet, span_bound
 from .poisson import (
     _PAIRS,
     _mcybe_defect,
@@ -609,8 +609,7 @@ def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Repor
         # the projection plane s0 = 1 is unreachable from s0 = 0; a point
         # outside the chart has the nan triple, which fails the test too
         kept = np.abs(s[0]) >= 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beltrami = s[1:] / s[0]
+        beltrami = s[1:] / s[0]
         # fixed point while it spells at most 17 significant digits
         label = f"{chart}:{family}:{c:+.3f}" if abs(c) < 1e14 else f"{chart}:{family}:{c:+.3e}"
         for ti, ok, u, v in zip(t.tolist(), kept.tolist(), *beltrami.tolist()):
@@ -746,7 +745,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Returns the exit status.  Domain errors inside single evaluations become
     report entries; a ConfigError becomes exit status 2, as argparse's own
-    usage errors do.
+    usage errors do.  The handler runs under the package's floating-point
+    policy (ktrig.quiet).
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -756,7 +756,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             sample_count=args.samples,
             seed=args.seed,
         ).validated()
-        report = _HANDLERS[args.command](args, sweep)
+        with quiet():
+            report = _HANDLERS[args.command](args, sweep)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

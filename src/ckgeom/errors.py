@@ -22,7 +22,7 @@ class OffCurveError(GeometryError):
 
 
 class BadSpeedError(GeometryError):
-    """Kinematical speed parameter c = 0 has no associated geometry."""
+    """Kinematical speed parameter c with no finite -1/c**2, such as c = 0, has no associated geometry."""
 
 
 class UndefinedDualityError(GeometryError):

@@ -92,14 +92,14 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.kp != self.kp:
             raise ValueError("cannot compose elements over different curvature labels")
-        return GroupElement(_product(self.m, other.m, ktrig), self.kp)
+        with ktrig.quiet():
+            return GroupElement(_product(self.m, other.m, ktrig), self.kp)
 
 
 def _product(a: np.ndarray, b: np.ndarray, steps) -> np.ndarray:
     """The product a @ b of raw matrices or stacks of them, through steps
     (see ktrig): an overflowing product fails."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = a @ b
+    m = a @ b
     if steps.fails(~np.isfinite(m).all(axis=(-2, -1))):
         raise ChartDomainError("two finite group elements overflow the group product")
     return m
@@ -116,11 +116,9 @@ def _one_param(kp: KappaPair, generator: str, t, steps) -> np.ndarray:
         i, j, kappa = 1, 2, kp.k2
     else:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATOR_NAMES}")
-    # an entry that overflows fails its step; -kappa * s can overflow where
-    # sk does not, when |kappa| > 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, s = steps.ck(kappa, t), steps.sk(kappa, t)
-        ks = -kappa * s
+    c, s = steps.ck(kappa, t), steps.sk(kappa, t)
+    # -kappa * s can overflow where sk does not, when |kappa| > 1
+    ks = -kappa * s
     if steps.fails(abs(ks) == math.inf):
         raise ChartDomainError(f"{-kappa!r} * sk({kappa!r}, {float(t)!r}) overflows a double")
     m = np.zeros(np.shape(t) + (3, 3))
@@ -140,6 +138,7 @@ def _group(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
 
 
 # Kept public: the README names it as the oracle of the closed exponentials.
+@ktrig.quiet()
 def expm_series(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by truncated power series with scaling and squaring.
 
@@ -165,46 +164,44 @@ def expm_series(a: np.ndarray) -> np.ndarray:
 def _series(a: np.ndarray, steps) -> np.ndarray:
     """The series exponential of the matrices a, (..., n, n), through steps
     (see ktrig)."""
-    # a matrix that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-        if steps.fails(~np.isfinite(norm)):
-            raise ConvergenceError(f"series exponential of a matrix with entry {float(norm)!r}")
-        # the number of halvings that bring the norm to SERIES_SCALE_THRESHOLD
-        # or below: with norm / (2 SERIES_SCALE_THRESHOLD) = mant * 2**e and
-        # 0.5 <= mant < 1, that is e, plus one where mant > 0.5
-        mant, e = np.frexp(norm / (2.0 * SERIES_SCALE_THRESHOLD))
-        squarings = np.maximum(e + (mant > 0.5), 0)
-        overflow = squarings >= sys.float_info.max_exp
-        if steps.fails(overflow):
-            raise ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows")
-        squarings = np.where(overflow, 0, squarings)  # a flagged matrix is not squared
-        b = a / np.ldexp(1.0, squarings)[..., None, None]
-        result = term = np.eye(a.shape[-1])
-        # each matrix keeps the sum and term norm of the term that stopped
-        # it: the first below 1e-17, or the last
-        final = np.empty(a.shape)
-        final_norm = np.empty(norm.shape)
-        running = np.ones(norm.shape, dtype=bool)
-        for n in range(1, SERIES_MAX_TERMS + 1):
-            term = term @ b / n
-            result = result + term
-            term_norm = np.abs(term).max(axis=(-2, -1))
-            stop = running & (term_norm < 1e-17) if n < SERIES_MAX_TERMS else running
-            if np.count_nonzero(stop):
-                np.copyto(final, result, where=stop[..., None, None])
-                np.copyto(final_norm, term_norm, where=stop)
-                running &= ~stop
-                if not np.count_nonzero(running):
-                    break
-        if steps.fails(final_norm > SERIES_RESIDUAL_TOL):
-            raise ConvergenceError(
-                f"series exponential: residual {float(final_norm):.3e} after {SERIES_MAX_TERMS} terms"
-            )
-        for k in range(int(squarings.max(initial=0))):
-            np.copyto(final, final @ final, where=(squarings > k)[..., None, None])
-        if steps.fails(~np.isfinite(final).all(axis=(-2, -1))):
-            raise ConvergenceError(f"series exponential: {int(squarings)} squarings overflow")
+    norm = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    if steps.fails(~np.isfinite(norm)):
+        raise ConvergenceError(f"series exponential of a matrix with entry {float(norm)!r}")
+    # the number of halvings that bring the norm to SERIES_SCALE_THRESHOLD
+    # or below: with norm / (2 SERIES_SCALE_THRESHOLD) = mant * 2**e and
+    # 0.5 <= mant < 1, that is e, plus one where mant > 0.5
+    mant, e = np.frexp(norm / (2.0 * SERIES_SCALE_THRESHOLD))
+    squarings = np.maximum(e + (mant > 0.5), 0)
+    overflow = squarings >= sys.float_info.max_exp
+    if steps.fails(overflow):
+        raise ConvergenceError(f"series exponential: the scaling 2**{int(squarings)} overflows")
+    squarings = np.where(overflow, 0, squarings)  # a flagged matrix is not squared
+    b = a / np.ldexp(1.0, squarings)[..., None, None]
+    result = term = np.eye(a.shape[-1])
+    # each matrix keeps the sum and term norm of the term that stopped
+    # it: the first below 1e-17, or the last
+    final = np.empty(a.shape)
+    final_norm = np.empty(norm.shape)
+    running = np.ones(norm.shape, dtype=bool)
+    for n in range(1, SERIES_MAX_TERMS + 1):
+        term = term @ b / n
+        result = result + term
+        term_norm = np.abs(term).max(axis=(-2, -1))
+        stop = running & (term_norm < 1e-17) if n < SERIES_MAX_TERMS else running
+        if np.count_nonzero(stop):
+            np.copyto(final, result, where=stop[..., None, None])
+            np.copyto(final_norm, term_norm, where=stop)
+            running &= ~stop
+            if not np.count_nonzero(running):
+                break
+    if steps.fails(final_norm > SERIES_RESIDUAL_TOL):
+        raise ConvergenceError(
+            f"series exponential: residual {float(final_norm):.3e} after {SERIES_MAX_TERMS} terms"
+        )
+    for k in range(int(squarings.max(initial=0))):
+        np.copyto(final, final @ final, where=(squarings > k)[..., None, None])
+    if steps.fails(~np.isfinite(final).all(axis=(-2, -1))):
+        raise ConvergenceError(f"series exponential: {int(squarings)} squarings overflow")
     return final
 
 
@@ -217,6 +214,7 @@ def group_from_coords(kp: KappaPair, gc: GroupCoordinates) -> GroupElement:
 
 
 # Kept public: perfbench/tests/test_tracer.py traces its rebinding in poisson.
+@ktrig.quiet()
 def coords_from_group(kp: KappaPair, g: GroupElement) -> GroupCoordinates:
     """Invert the ordered-product coordinates.
 
@@ -234,17 +232,16 @@ def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndar
     """The coordinates (a1, a2, xi) of the matrices m, (..., 3, 3) -> (..., 3),
     through steps (see ktrig); finite=False leaves out the last step, the
     check that they are finite."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s0, s1, s2 = m[..., 0, 0], m[..., 1, 0], m[..., 2, 0]
-        c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
-        if steps.fails(c2 < DEFAULT_CHART_TOL):
-            raise ChartDomainError(
-                f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}"
-            )
-        a2 = steps.kinv(kp.k12, s2, c2)
-        a1 = steps.kinv(kp.k1, s1 / c2, s0 / c2)
-        h = _one_param(kp, "J02", -a2, steps) @ _one_param(kp, "J01", -a1, steps) @ m
-        xi = steps.kinv(kp.k2, h[..., 2, 1], h[..., 1, 1])
+    s0, s1, s2 = m[..., 0, 0], m[..., 1, 0], m[..., 2, 0]
+    c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
+    if steps.fails(c2 < DEFAULT_CHART_TOL):
+        raise ChartDomainError(
+            f"coords_from_group: cosine factor {c2:.3e} of a2 below tolerance {DEFAULT_CHART_TOL!r}"
+        )
+    a2 = steps.kinv(kp.k12, s2, c2)
+    a1 = steps.kinv(kp.k1, s1 / c2, s0 / c2)
+    h = _one_param(kp, "J02", -a2, steps) @ _one_param(kp, "J01", -a1, steps) @ m
+    xi = steps.kinv(kp.k2, h[..., 2, 1], h[..., 1, 1])
     x = np.stack([a1, a2, xi], axis=-1)
     if finite and steps.fails(~np.isfinite(x).all(axis=-1)):
         gc = GroupCoordinates(*x.tolist())
@@ -255,9 +252,8 @@ def _coords(kp: KappaPair, m: np.ndarray, steps, finite: bool = True) -> np.ndar
 def _ambient_defect_stack(kp: KappaPair, s: np.ndarray) -> np.ndarray:
     """Deviation of each row of the array s, (..., 3), from the quadric
     s . I_k s = 1; inf where the quadratic form overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = (s[..., None, :] @ metric_matrix(kp) @ s[..., :, None])[..., 0, 0]
-        return np.where(np.isfinite(q), np.abs(q - 1.0), math.inf)
+    q = (s[..., None, :] @ metric_matrix(kp) @ s[..., :, None])[..., 0, 0]
+    return np.where(np.isfinite(q), np.abs(q - 1.0), math.inf)
 
 
 def _act(kp: KappaPair, g: np.ndarray, s: np.ndarray, steps) -> np.ndarray:
@@ -266,8 +262,7 @@ def _act(kp: KappaPair, g: np.ndarray, s: np.ndarray, steps) -> np.ndarray:
     defect = _ambient_defect_stack(kp, s)
     if steps.fails(defect > DEFAULT_SURFACE_TOL):
         raise OffSurfaceError(f"act: point {s.tolist()} misses the quadric by {float(defect):.3e}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = (g @ s[..., None])[..., 0]
+    image = (g @ s[..., None])[..., 0]
     if steps.fails(~np.isfinite(image).all(axis=-1)):
         raise ChartDomainError(f"act: the image of the point {s.tolist()} overflows")
     return image

@@ -26,6 +26,15 @@ runs the array forms and ORs into its mask `bad` the points where a step
 would raise; its fails() returns False, so it raises and formats nothing.
 A map called with a _Flag is its stack form.
 
+The graded contractions put labels where stacked arithmetic overflows:
+there a value is inf or nan, which a step flags or a defect fails, and
+numpy warns of nothing.  quiet() is that floating-point policy, stated
+once: numpy's overflow, invalid-value and divide-by-zero warnings off.
+Only the entry points hold it: the array forms and one-point steps here,
+each public function of the package whose transcription can warn,
+checks._reduce and cli.main.  A transcription over steps states none, so
+a caller that calls one directly holds quiet() around it.
+
 Bit identity with libm decides which function an array form calls.
 Elementwise arithmetic, np.sqrt, np.cos and np.sin round like Python
 floats, math.sqrt, math.cos and math.sin, so the array forms use them
@@ -84,10 +93,16 @@ def _fails(kappa: float, x, values: np.ndarray) -> np.ndarray | bool:
     return False
 
 
+def quiet() -> np.errstate:
+    """The package's floating-point policy, a fresh np.errstate each call
+    (numpy enters one instance once): overflow, invalid-value and
+    divide-by-zero warnings off.  See the module docstring."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _at_point(name: str, form: Callable, kappa: float, x) -> float:
     """form(kappa, x) at one point, raising where _fails flags it."""
-    # numpy warns where Python floats overflow in silence; the failure is raised below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet():
         value = form(kappa, x)
         if _fails(kappa, x, value):
             why = "has an infinite angle" if kappa > 0.0 else "overflows a double"
@@ -105,6 +120,7 @@ def sk(kappa: float, x: float) -> float:
     return _at_point("sk", sk_array, kappa, x)
 
 
+@quiet()
 def ck_array(kappa: float, x) -> np.ndarray:
     """ck(kappa, x) for every element of the array x."""
     x = np.asarray(x, dtype=float)
@@ -113,10 +129,10 @@ def ck_array(kappa: float, x) -> np.ndarray:
         return 1.0 + kappa * x2 * (-0.5 + kappa * x2 * (1.0 / 24.0 - kappa * x2 / 720.0))
     if kappa > 0.0:
         return np.cos(math.sqrt(kappa) * x)
-    with np.errstate(over="ignore"):  # an overflowing element is inf, as documented
-        return np.asarray(_cosh(math.sqrt(-kappa) * x), dtype=float)
+    return np.asarray(_cosh(math.sqrt(-kappa) * x), dtype=float)
 
 
+@quiet()
 def sk_array(kappa: float, x) -> np.ndarray:
     """sk(kappa, x) for every element of the array x."""
     x = np.asarray(x, dtype=float)
@@ -127,10 +143,8 @@ def sk_array(kappa: float, x) -> np.ndarray:
         rk = math.sqrt(kappa)
         return np.sin(rk * x) / rk
     rk = math.sqrt(-kappa)
-    # an overflowing element is inf, as documented; the quotient can
-    # overflow where sinh does not, when -kappa < 1
-    with np.errstate(over="ignore"):
-        return np.asarray(_sinh(rk * x), dtype=float) / rk
+    # the quotient can overflow where sinh does not, when -kappa < 1
+    return np.asarray(_sinh(rk * x), dtype=float) / rk
 
 
 def tk(kappa: float, x: float) -> float:
@@ -198,23 +212,23 @@ def kinv(kappa: float, s: float, c: float) -> float:
     return float(x)
 
 
+@quiet()
 def kinv_array(kappa: float, s, c) -> tuple[np.ndarray, np.ndarray]:
     """kinv(kappa, s, c) for every element of the arrays s and c, of one
     shape, and the mask of the elements where kinv raises."""
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.abs(c * c + kappa * s * s - 1.0) > DEFAULT_CURVE_TOL
-        if kappa > TAYLOR_CUTOFF:
-            rk = math.sqrt(kappa)
-            x = np.asarray(_atan2(rk * s, c), dtype=float) / rk
-            # atan2 would give -pi for s = -0.0: pin the antipode to +pi, for s = +0.0 and -0.0 alike
-            return np.where(s == 0.0, np.where(c < 0.0, math.pi / rk, 0.0), x), bad
-        bad |= c < 0.0
-        if abs(kappa) <= TAYLOR_CUTOFF:
-            return s.copy(), bad
-        rk = math.sqrt(-kappa)
-        return np.asarray(_asinh(rk * s), dtype=float) / rk, bad
+    bad = np.abs(c * c + kappa * s * s - 1.0) > DEFAULT_CURVE_TOL
+    if kappa > TAYLOR_CUTOFF:
+        rk = math.sqrt(kappa)
+        x = np.asarray(_atan2(rk * s, c), dtype=float) / rk
+        # atan2 would give -pi for s = -0.0: pin the antipode to +pi, for s = +0.0 and -0.0 alike
+        return np.where(s == 0.0, np.where(c < 0.0, math.pi / rk, 0.0), x), bad
+    bad |= c < 0.0
+    if abs(kappa) <= TAYLOR_CUTOFF:
+        return s.copy(), bad
+    rk = math.sqrt(-kappa)
+    return np.asarray(_asinh(rk * s), dtype=float) / rk, bad
 
 
 class _Flag:
@@ -244,8 +258,7 @@ class _Flag:
         return x
 
     def tk(self, kappa: float, x) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):  # a pole is flagged
-            return _tk(kappa, np.asarray(x, dtype=float), self)
+        return _tk(kappa, np.asarray(x, dtype=float), self)
 
     def vk(self, kappa: float, x) -> np.ndarray:
         return _vk(kappa, np.asarray(x, dtype=float), self)

@@ -97,15 +97,16 @@ def _act(ad: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ad @ t + t @ np.swapaxes(ad, -1, -2)
 
 
+@ktrig.quiet()
 def cocommutator_map(kp: KappaPair, r) -> np.ndarray:
     """Coboundary cocommutator delta(x) = [x (x) 1 + 1 (x) x, r] on the
     basis, for the bivectors r, (..., 3): the images (..., 3, 3), one
     bivector per generator, in one broadcast.  An image whose sums overflow
     holds inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _act(_ad(kp), _tensor(r)[..., None, :, :])[..., _UPPER[0], _UPPER[1]]
+    return _act(_ad(kp), _tensor(r)[..., None, :, :])[..., _UPPER[0], _UPPER[1]]
 
 
+@ktrig.quiet()
 def bialgebra_check(kp: KappaPair, images) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cocycle and dual-Jacobi defects of candidate cocommutator images,
     (..., 3, 3) as cocommutator_map gives them, and the dual structure
@@ -119,18 +120,15 @@ def bialgebra_check(kp: KappaPair, images) -> tuple[np.ndarray, np.ndarray, np.n
     """
     c, ad = structure_tensor(kp), _ad(kp)
     t = _tensor(images)
-    # a sum that overflows below makes its defect inf or nan, which no
-    # tolerance passes
-    with np.errstate(over="ignore", invalid="ignore"):
-        # lhs[..., i, j] = delta([e_i, e_j]), act[..., i, j] = e_i acting on delta(e_j)
-        lhs = np.sum(c[:, :, :, None, None] * t[..., None, None, :, :, :], axis=-3)
-        act = _act(ad[:, None], t[..., None, :, :, :])
-        cocycle = np.abs(lhs - (act - np.swapaxes(act, -4, -3))).max(axis=(-4, -3, -2, -1))
+    # lhs[..., i, j] = delta([e_i, e_j]), act[..., i, j] = e_i acting on delta(e_j)
+    lhs = np.sum(c[:, :, :, None, None] * t[..., None, None, :, :, :], axis=-3)
+    act = _act(ad[:, None], t[..., None, :, :, :])
+    cocycle = np.abs(lhs - (act - np.swapaxes(act, -4, -3))).max(axis=(-4, -3, -2, -1))
 
-        f = np.moveaxis(t, -3, -1)  # f[..., j, k, i] = delta(e_i) on e_j (x) e_k
-        jac = np.einsum("...abm,...mcn->...abcn", f, f)
-        term = jac + np.moveaxis(jac, -2, -4) + np.moveaxis(jac, -4, -2)
-        jacobi = np.abs(term).max(axis=(-4, -3, -2, -1))
+    f = np.moveaxis(t, -3, -1)  # f[..., j, k, i] = delta(e_i) on e_j (x) e_k
+    jac = np.einsum("...abm,...mcn->...abcn", f, f)
+    term = jac + np.moveaxis(jac, -2, -4) + np.moveaxis(jac, -4, -2)
+    jacobi = np.abs(term).max(axis=(-4, -3, -2, -1))
     return cocycle, jacobi, f
 
 
@@ -151,6 +149,7 @@ _EPSILON3 = {perm: sign for perm, sign in (
 )}
 
 
+@ktrig.quiet()
 def schouten(kp: KappaPair, r) -> np.ndarray:
     """Coefficient of the Schouten bracket [[r, r]] on J01 ^ J02 ^ J12, for
     the bivectors r, (..., 3).
@@ -164,16 +163,16 @@ def schouten(kp: KappaPair, r) -> np.ndarray:
 def _schouten_coefficient(t: np.ndarray) -> np.ndarray:
     """schouten of the tensors t of _schouten_tensor."""
     terms = [sign * t[(..., *perm)] for perm, sign in _EPSILON3.items()]
-    # a sum that overflows makes the coefficient inf or nan, which fails its
-    # row; where every term is finite, the terms each divided by 6 sum to it
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeff = sum(terms) / 6.0
-        if np.isfinite(coeff).all():
-            return coeff
-        redo = ~np.isfinite(coeff) & np.isfinite(terms).all(axis=0)
-        return np.where(redo, sum(x / 6.0 for x in terms), coeff)[()]
+    # where the sum overflows but every term is finite, the terms each
+    # divided by 6 sum to the coefficient
+    coeff = sum(terms) / 6.0
+    if np.isfinite(coeff).all():
+        return coeff
+    redo = ~np.isfinite(coeff) & np.isfinite(terms).all(axis=0)
+    return np.where(redo, sum(x / 6.0 for x in terms), coeff)[()]
 
 
+@ktrig.quiet()
 def mcybe_defect(kp: KappaPair, r) -> np.ndarray:
     """Adjoint-invariance defect of [[r, r]] (modified classical YBE), for
     the bivectors r, (..., 3); a defect whose sums overflow is inf or nan."""
@@ -183,14 +182,11 @@ def mcybe_defect(kp: KappaPair, r) -> np.ndarray:
 def _mcybe_defect(kp: KappaPair, t: np.ndarray) -> np.ndarray:
     """mcybe_defect of the tensors t of _schouten_tensor."""
     ad = _ad(kp)
-    # a sum that overflows at huge labels makes the defect inf or nan, which
-    # no tolerance passes
-    with np.errstate(over="ignore", invalid="ignore"):
-        moved = (
-            np.einsum("xam,...mbc->...xabc", ad, t)
-            + np.einsum("xbm,...amc->...xabc", ad, t)
-            + np.einsum("xcm,...abm->...xabc", ad, t)
-        )
+    moved = (
+        np.einsum("xam,...mbc->...xabc", ad, t)
+        + np.einsum("xbm,...amc->...xabc", ad, t)
+        + np.einsum("xcm,...abm->...xabc", ad, t)
+    )
     return np.abs(moved).max(axis=(-4, -3, -2, -1))
 
 
@@ -231,23 +227,22 @@ def _invariant_vector_fields(kp: KappaPair, a1, a2, xi, steps) -> InvariantField
     """Closed-form left/right invariant fields at the points (a1, a2, xi),
     floats or arrays of one shape, through steps (see ktrig)."""
     k1, k2, k12 = kp.k1, kp.k2, kp.k12
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # at a flagged point
-        c2 = steps.ck(k12, a2)
-        if steps.fails(abs(c2) < ktrig.DEFAULT_POLE_TOL):
-            raise ChartDomainError("invariant fields diverge where the a2 cosine factor vanishes")
-        t2 = steps.tk(k12, a2)
-        cxi, sxi = steps.ck(k2, xi), steps.sk(k2, xi)
-        c1, s1 = steps.ck(k1, a1), steps.sk(k1, a1)
-        left = [
-            [cxi / c2, sxi, -k1 * t2 * cxi],
-            [-k2 * sxi / c2, cxi, k12 * t2 * sxi],
-            [0.0, 0.0, 1.0],
-        ]
-        right = [
-            [1.0, 0.0, 0.0],
-            [k12 * s1 * t2, c1, -k1 * s1 / c2],
-            [-k2 * c1 * t2, s1, c1 / c2],
-        ]
+    c2 = steps.ck(k12, a2)
+    if steps.fails(abs(c2) < ktrig.DEFAULT_POLE_TOL):
+        raise ChartDomainError("invariant fields diverge where the a2 cosine factor vanishes")
+    t2 = steps.tk(k12, a2)
+    cxi, sxi = steps.ck(k2, xi), steps.sk(k2, xi)
+    c1, s1 = steps.ck(k1, a1), steps.sk(k1, a1)
+    left = [
+        [cxi / c2, sxi, -k1 * t2 * cxi],
+        [-k2 * sxi / c2, cxi, k12 * t2 * sxi],
+        [0.0, 0.0, 1.0],
+    ]
+    right = [
+        [1.0, 0.0, 0.0],
+        [k12 * s1 * t2, c1, -k1 * s1 / c2],
+        [-k2 * c1 * t2, s1, c1 / c2],
+    ]
     return InvariantFields(_matrix(left), _matrix(right))
 
 
@@ -259,15 +254,14 @@ def _invariant_fields(kp: KappaPair, x: np.ndarray, steps) -> InvariantFields:
     coordinates back squares the entries of g, which can overflow."""
     g0 = _group(kp, x, steps)
     translates = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name in GENERATOR_NAMES:
-            plus, minus = (_one_param(kp, name, t, steps) for t in (TRANSLATION_STEP, -TRANSLATION_STEP))
-            translates += [g0 @ plus, g0 @ minus, plus @ g0, minus @ g0]
-        coords = steps.each(lambda m, each: _coords(kp, m, each, finite=False), np.stack(translates))
-        # [generator, translate, ..., coordinate] -> [translate, ..., generator, coordinate]
-        c = np.moveaxis(coords.reshape(3, 4, *x.shape), 0, -2)
-        left = (c[0] - c[1]) / (2.0 * TRANSLATION_STEP)
-        right = (c[2] - c[3]) / (2.0 * TRANSLATION_STEP)
+    for name in GENERATOR_NAMES:
+        plus, minus = (_one_param(kp, name, t, steps) for t in (TRANSLATION_STEP, -TRANSLATION_STEP))
+        translates += [g0 @ plus, g0 @ minus, plus @ g0, minus @ g0]
+    coords = steps.each(lambda m, each: _coords(kp, m, each, finite=False), np.stack(translates))
+    # [generator, translate, ..., coordinate] -> [translate, ..., generator, coordinate]
+    c = np.moveaxis(coords.reshape(3, 4, *x.shape), 0, -2)
+    left = (c[0] - c[1]) / (2.0 * TRANSLATION_STEP)
+    right = (c[2] - c[3]) / (2.0 * TRANSLATION_STEP)
     finite = np.isfinite(left).all(axis=(-2, -1)) & np.isfinite(right).all(axis=(-2, -1))
     if steps.fails(~finite):
         raise ChartDomainError(f"numeric invariant fields at {GroupCoordinates(*x.tolist())} overflow")
@@ -278,12 +272,11 @@ def _sklyanin_closed(kp: KappaPair, z: float, x: np.ndarray, steps) -> np.ndarra
     """Closed-form first-kind bracket matrices P[i, j] = {x_i, x_j} at the
     group points x = (a1, a2, xi), (..., 3), through steps (see ktrig)."""
     a2, xi = x[..., 1], x[..., 2]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c2 = steps.ck(kp.k12, a2)
-        if steps.fails(abs(c2) < ktrig.DEFAULT_POLE_TOL):
-            raise ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
-        s2, sxi, cxi = steps.sk(kp.k12, a2), steps.sk(kp.k2, xi), steps.ck(kp.k2, xi)
-        upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
+    c2 = steps.ck(kp.k12, a2)
+    if steps.fails(abs(c2) < ktrig.DEFAULT_POLE_TOL):
+        raise ChartDomainError("bracket coefficients diverge where the a2 cosine factor vanishes")
+    s2, sxi, cxi = steps.sk(kp.k12, a2), steps.sk(kp.k2, xi), steps.ck(kp.k2, xi)
+    upper = (z * kp.k2 * (s2 / c2), z * kp.k2 * sxi / c2, -z * (c2 * cxi - 1.0) / c2)
     return _matrix(_wedge_rows(*upper))
 
 
@@ -293,14 +286,14 @@ def _bracket(r: np.ndarray, fields: InvariantFields, steps) -> np.ndarray:
     overflows fails."""
     t = _tensor(r)
     left, right = fields.left, fields.right
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
+    p = np.swapaxes(left, -1, -2) @ t @ left - np.swapaxes(right, -1, -2) @ t @ right
     if steps.fails(~np.isfinite(p).all(axis=(-2, -1))):
         raise ChartDomainError("the numeric Sklyanin bracket overflows")
     return p
 
 
 # Kept public: perfbench/tests/test_tracer.py traces its rebinding in checks.
+@ktrig.quiet()
 def sklyanin_numeric(r: np.ndarray, fields: InvariantFields) -> np.ndarray:
     """Multiplicative bracket matrix P[i, j] = r^{ab} (L_a x_i L_b x_j -
     R_a x_i R_b x_j) of the group coordinates, from invariant vector fields

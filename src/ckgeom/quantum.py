@@ -69,11 +69,10 @@ def _deformation_scale(kp: KappaPair, z, steps):
     """
     u = z * kp.k2
     # u = 0 gives 0/0, a nan that fails no test and gives way to gamma = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(steps.sk(kp.k1, u), u)
+    ratio = np.divide(steps.sk(kp.k1, u), u)
     if steps.fails(ratio <= 0.0):
         raise DeformationDomainError(
-            f"deformation parameter too large: sk({kp.k1!r}, {u!r}) changes sign, "
+            f"deformation parameter too large: sk({kp.k1!r}, {float(u)!r}) changes sign, "
             "no real rescaling exists"
         )
     return np.sqrt(np.where(u == 0.0, 1.0, ratio))
@@ -92,15 +91,15 @@ def _coproduct_images(kp: KappaPair, z, steps) -> tuple[tuple, tuple, tuple]:
     """
     j01, j02, j12 = rep_basis(kp)
     eye = np.eye(3)
-    with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
-        gamma = _col(_deformation_scale(kp, z, steps))
-        rho = (j01, gamma * j02, gamma * j12)
-        minus = _closed_exp_j01(kp, -0.5 * z * kp.k2, steps)
-        plus = _closed_exp_j01(kp, 0.5 * z * kp.k2, steps)
-        images = (_kron(j01, eye) + _kron(eye, j01), *(_kron(r, minus) + _kron(plus, r) for r in rho[1:]))
+    gamma = _col(_deformation_scale(kp, z, steps))
+    rho = (j01, gamma * j02, gamma * j12)
+    minus = _closed_exp_j01(kp, -0.5 * z * kp.k2, steps)
+    plus = _closed_exp_j01(kp, 0.5 * z * kp.k2, steps)
+    images = (_kron(j01, eye) + _kron(eye, j01), *(_kron(r, minus) + _kron(plus, r) for r in rho[1:]))
     return rho, (minus, plus), images
 
 
+@ktrig.quiet()
 def coproduct_classical(kp: KappaPair, generator: str) -> np.ndarray:
     """Undeformed (primitive) coproduct image in the 9x9 tensor square."""
     rho = dict(zip(GENERATOR_NAMES, rep_basis(kp)))[generator]
@@ -108,6 +107,7 @@ def coproduct_classical(kp: KappaPair, generator: str) -> np.ndarray:
     return _kron(rho, eye) + _kron(eye, rho)
 
 
+@ktrig.quiet()
 def deformed_relation_defect(kp: KappaPair, z: float) -> float:
     """Largest defect of the deformed commutation relations.
 
@@ -122,17 +122,17 @@ def deformed_relation_defect(kp: KappaPair, z: float) -> float:
 
 def _relation_defect(kp: KappaPair, z, images: tuple, steps):
     a01, a02, a12 = images
-    with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
-        m = _col(z * kp.k2) * a01
-        plus, minus = steps.each(_series, np.stack([m, -m]))
-        defects = (
-            a12 @ a01 - a01 @ a12 - a02,
-            a12 @ a02 - a02 @ a12 + 0.5 * (plus - minus) / _col(z),
-            a01 @ a02 - a02 @ a01 - kp.k1 * a12,
-        )
-        return functools.reduce(np.maximum, (np.abs(d).max(axis=(-2, -1)) for d in defects))
+    m = _col(z * kp.k2) * a01
+    plus, minus = steps.each(_series, np.stack([m, -m]))
+    defects = (
+        a12 @ a01 - a01 @ a12 - a02,
+        a12 @ a02 - a02 @ a12 + 0.5 * (plus - minus) / _col(z),
+        a01 @ a02 - a02 @ a01 - kp.k1 * a12,
+    )
+    return functools.reduce(np.maximum, (np.abs(d).max(axis=(-2, -1)) for d in defects))
 
 
+@ktrig.quiet()
 def coassociativity_defect(kp: KappaPair, z: float) -> float:
     """Largest entry of (D (x) id) D - (id (x) D) D over the generators."""
     return float(_coassociativity_defect(*_coproduct_images(kp, z, ktrig)))
@@ -140,14 +140,13 @@ def coassociativity_defect(kp: KappaPair, z: float) -> float:
 
 def _coassociativity_defect(rho: tuple, dress: tuple, images: tuple):
     minus, plus = dress
-    with np.errstate(all="ignore"):  # an overflow is an inf or nan defect
-        # J02 and J12 share their dressing and its Kronecker squares
-        shared = (minus, plus, _kron(minus, minus), _kron(plus, plus))
-        dressings = ((np.eye(3), np.eye(3), np.eye(9), np.eye(9)), shared, shared)
-        return functools.reduce(np.maximum, (
-            np.abs(_kron(d1, m) + _kron(pp, r) - (_kron(r, mm) + _kron(p, d1))).max(axis=(-2, -1))
-            for r, d1, (m, p, mm, pp) in zip(rho, images, dressings)
-        ))
+    # J02 and J12 share their dressing and its Kronecker squares
+    shared = (minus, plus, _kron(minus, minus), _kron(plus, plus))
+    dressings = ((np.eye(3), np.eye(3), np.eye(9), np.eye(9)), shared, shared)
+    return functools.reduce(np.maximum, (
+        np.abs(_kron(d1, m) + _kron(pp, r) - (_kron(r, mm) + _kron(p, d1))).max(axis=(-2, -1))
+        for r, d1, (m, p, mm, pp) in zip(rho, images, dressings)
+    ))
 
 
 def _image_stack(kp: KappaPair, z: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -164,6 +163,7 @@ def _relation_stack(kp: KappaPair, z: np.ndarray, parts: tuple, bad: np.ndarray)
     return _relation_defect(kp, z, parts[2], series), bad | series.bad
 
 
+@ktrig.quiet()
 def first_order_delta(kp: KappaPair, z: float) -> np.ndarray:
     """Extract the first-order cocommutator from the deformed coproduct: the
     images of the basis, (3, 3), laid out as poisson.cocommutator_map's.
@@ -177,16 +177,14 @@ def first_order_delta(kp: KappaPair, z: float) -> np.ndarray:
     a wedge basis or an image that overflows raises ChartDomainError.
     """
     rho = rep_basis(kp)
-    # an overflow here is caught below, as a non-finite entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        basis = np.array(
-            [(_kron(rho[i], rho[j]) - _kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
-        ).T
-        skews = []
-        for name, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, z, ktrig)[2]):
-            d = dz - coproduct_classical(kp, name)
-            # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
-            skews.append((d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel())
+    basis = np.array(
+        [(_kron(rho[i], rho[j]) - _kron(rho[j], rho[i])).ravel() for i, j in _PAIRS]
+    ).T
+    skews = []
+    for name, dz in zip(GENERATOR_NAMES, _coproduct_images(kp, z, ktrig)[2]):
+        d = dz - coproduct_classical(kp, name)
+        # u (x) v -> v (x) u on both sides: swap the two factors of rows and columns
+        skews.append((d - d.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)).ravel())
     if not (np.isfinite(basis).all() and np.isfinite(skews).all()):
         raise ChartDomainError("first_order_delta: the wedge basis or a first-order image overflows")
     images = []

@@ -158,6 +158,7 @@ def to_ambient(kp: KappaPair, p: ChartPoint) -> Ambient:
     return Ambient(*_ambient_of(kp, p, ktrig))
 
 
+@ktrig.quiet()
 def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """to_ambient of the points with coordinates (x1, x2) of a two-coordinate
     chart, for arrays x1 and x2 that broadcast together to shape.
@@ -171,12 +172,11 @@ def to_ambient_batch(kp: KappaPair, chart: str, x1, x2) -> tuple[np.ndarray, np.
         raise ValueError(f"chart {chart!r} has no two-coordinate map, expected parallel1, parallel2 or polar")
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     flag = ktrig._Flag(np.broadcast_shapes(x1.shape, x2.shape))
-    # overflowing points give inf or nan here and are flagged
-    with np.errstate(over="ignore", invalid="ignore"):
-        triple = np.stack(np.broadcast_arrays(*_ambient_of(kp, cls(x1, x2), flag)))
+    triple = np.stack(np.broadcast_arrays(*_ambient_of(kp, cls(x1, x2), flag)))
     return np.where(flag.bad, np.nan, triple), flag.bad
 
 
+@ktrig.quiet()
 def from_ambient(kp: KappaPair, s: Ambient, target: str) -> ChartPoint:
     """Convert an ambient point to the named chart by inverting the pair maps."""
     return _floats(_chart_of(kp, float(s.s0), float(s.s1), float(s.s2), target, ktrig))
@@ -186,38 +186,36 @@ def _chart_of(kp: KappaPair, s0, s1, s2, target: str, steps) -> ChartPoint:
     """The target chart point of the ambient triples (s0, s1, s2), through
     steps (see ktrig): written once for from_ambient and its stack form,
     whose triples hold floats and arrays."""
-    # a point that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        defect = _ambient_defect_stack(kp, np.stack(np.broadcast_arrays(s0, s1, s2), axis=-1))
-        if steps.fails(defect > DEFAULT_SURFACE_TOL):
-            raise OffSurfaceError(f"from_ambient: point misses the quadric by {defect:.3e}")
-        if target == "ambient":
-            return Ambient(s0, s1, s2)
-        try:
-            if target == "parallel1":
-                c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
-                if steps.fails(c2 < DEFAULT_CHART_TOL):
-                    raise ChartDomainError("parallel1 chart: cosine factor of a2 vanishes here")
-                a2 = steps.kinv(kp.k12, s2, c2)
-                return ParallelI(steps.kinv(kp.k1, s1 / c2, s0 / c2), a2)
-            if target == "parallel2":
-                c1 = np.sqrt(np.maximum(s0 * s0 + kp.k12 * s2 * s2, 0.0))
-                if steps.fails(c1 < DEFAULT_CHART_TOL):
-                    raise ChartDomainError("parallel2 chart: cosine factor of b1 vanishes here")
-                b1 = steps.kinv(kp.k1, s1, c1)
-                return ParallelII(b1, steps.kinv(kp.k12, s2 / c1, s0 / c1))
-            if target == "polar":
-                sr_sq = s1 * s1 + kp.k2 * s2 * s2
-                if steps.fails(sr_sq < DEFAULT_CHART_TOL * DEFAULT_CHART_TOL):
-                    raise ChartDomainError(
-                        "polar chart: radial sine vanishes (origin, antipode or null sector), phi undefined"
-                    )
-                sr = np.sqrt(sr_sq)
-                r = steps.kinv(kp.k1, sr, s0)
-                return Polar(r, steps.kinv(kp.k2, s2 / sr, s1 / sr))
-        except OffCurveError as exc:
-            # negative-label inversions reject points outside the chart's wedge
-            raise ChartDomainError(f"{target} chart does not cover this point: {exc}") from exc
+    defect = _ambient_defect_stack(kp, np.stack(np.broadcast_arrays(s0, s1, s2), axis=-1))
+    if steps.fails(defect > DEFAULT_SURFACE_TOL):
+        raise OffSurfaceError(f"from_ambient: point misses the quadric by {defect:.3e}")
+    if target == "ambient":
+        return Ambient(s0, s1, s2)
+    try:
+        if target == "parallel1":
+            c2 = np.sqrt(np.maximum(s0 * s0 + kp.k1 * s1 * s1, 0.0))
+            if steps.fails(c2 < DEFAULT_CHART_TOL):
+                raise ChartDomainError("parallel1 chart: cosine factor of a2 vanishes here")
+            a2 = steps.kinv(kp.k12, s2, c2)
+            return ParallelI(steps.kinv(kp.k1, s1 / c2, s0 / c2), a2)
+        if target == "parallel2":
+            c1 = np.sqrt(np.maximum(s0 * s0 + kp.k12 * s2 * s2, 0.0))
+            if steps.fails(c1 < DEFAULT_CHART_TOL):
+                raise ChartDomainError("parallel2 chart: cosine factor of b1 vanishes here")
+            b1 = steps.kinv(kp.k1, s1, c1)
+            return ParallelII(b1, steps.kinv(kp.k12, s2 / c1, s0 / c1))
+        if target == "polar":
+            sr_sq = s1 * s1 + kp.k2 * s2 * s2
+            if steps.fails(sr_sq < DEFAULT_CHART_TOL * DEFAULT_CHART_TOL):
+                raise ChartDomainError(
+                    "polar chart: radial sine vanishes (origin, antipode or null sector), phi undefined"
+                )
+            sr = np.sqrt(sr_sq)
+            r = steps.kinv(kp.k1, sr, s0)
+            return Polar(r, steps.kinv(kp.k2, s2 / sr, s1 / sr))
+    except OffCurveError as exc:
+        # negative-label inversions reject points outside the chart's wedge
+        raise ChartDomainError(f"{target} chart does not cover this point: {exc}") from exc
     raise ValueError(f"unknown chart {target!r}, expected one of {CHART_NAMES}")
 
 
@@ -255,25 +253,23 @@ def _metric_of(kp: KappaPair, p: ChartPoint, steps) -> MetricValue:
     ktrig): written once for metric_main and its stack form, whose points
     and components hold floats and arrays."""
     k1, k12, k2 = kp.k1, kp.k12, kp.k2
-    # a point that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(p, ParallelI):
-            _below_quarter(steps, p.a2, k12, "a2")
-            c = steps.ck(k12, p.a2)
-            g = c * c, 0.0, k2
-        elif isinstance(p, ParallelII):
-            _below_quarter(steps, p.b1, k1, "b1")
-            c = steps.ck(k1, p.b1)
-            g = 1.0, 0.0, k2 * c * c
-        elif isinstance(p, Polar):
-            s = steps.sk(k1, p.r)
-            g = 1.0, 0.0, k2 * s * s
-        else:
-            raise TypeError(f"unsupported chart point {type(p).__name__}")
-        # x * 0.0 is 0.0 for a finite x and nan otherwise
-        if steps.fails(g[0] * 0.0 + g[1] * 0.0 + g[2] * 0.0 != 0.0):
-            raise ChartDomainError(f"{_floats(p)} has the non-finite metric ({g[0]!r}, {g[1]!r}, {g[2]!r})")
-        return MetricValue(*g)
+    if isinstance(p, ParallelI):
+        _below_quarter(steps, p.a2, k12, "a2")
+        c = steps.ck(k12, p.a2)
+        g = c * c, 0.0, k2
+    elif isinstance(p, ParallelII):
+        _below_quarter(steps, p.b1, k1, "b1")
+        c = steps.ck(k1, p.b1)
+        g = 1.0, 0.0, k2 * c * c
+    elif isinstance(p, Polar):
+        s = steps.sk(k1, p.r)
+        g = 1.0, 0.0, k2 * s * s
+    else:
+        raise TypeError(f"unsupported chart point {type(p).__name__}")
+    # x * 0.0 is 0.0 for a finite x and nan otherwise
+    if steps.fails(g[0] * 0.0 + g[1] * 0.0 + g[2] * 0.0 != 0.0):
+        raise ChartDomainError(f"{_floats(p)} has the non-finite metric ({g[0]!r}, {g[1]!r}, {g[2]!r})")
+    return MetricValue(*g)
 
 
 def _matrix(rows: list) -> np.ndarray:
@@ -310,14 +306,13 @@ def _fields_of(kp: KappaPair, q: ParallelI, steps) -> tuple:
     """The (d/da1, d/da2) components of the fields of (J01, J02, J12) at the
     parallel1 point q, of floats or arrays, through steps (see ktrig)."""
     k1, k12 = kp.k1, kp.k12
-    # a point that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _below_quarter(steps, q.a2, k12, "a2")
-        c1, s1 = steps.ck(k1, q.a1), steps.sk(k1, q.a1)
-        t2 = steps.tk(k12, q.a2)
-        return (-1.0, 0.0), (-k12 * s1 * t2, -c1), (kp.k2 * c1 * t2, -s1)
+    _below_quarter(steps, q.a2, k12, "a2")
+    c1, s1 = steps.ck(k1, q.a1), steps.sk(k1, q.a1)
+    t2 = steps.tk(k12, q.a2)
+    return (-1.0, 0.0), (-k12 * s1 * t2, -c1), (kp.k2 * c1 * t2, -s1)
 
 
+@ktrig.quiet()
 def gaussian_curvature(kp: KappaPair, p: ChartPoint) -> float:
     """Gaussian curvature at p from second differences of the main metric.
 
@@ -334,11 +329,9 @@ def _curvature_of(kp: KappaPair, p: ChartPoint, steps):
     if kp.k2 == 0.0:
         raise DegenerateMetricError("curvature of the degenerate main metric is undefined")
     q = _as_parallel1(kp, p)
-    # a point that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coarse = _brioschi_curvature(kp, q, 2.0 * CURVATURE_STEP, steps)
-        fine = _brioschi_curvature(kp, q, CURVATURE_STEP, steps)
-        return (4.0 * fine - coarse) / 3.0
+    coarse = _brioschi_curvature(kp, q, 2.0 * CURVATURE_STEP, steps)
+    fine = _brioschi_curvature(kp, q, CURVATURE_STEP, steps)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _brioschi_curvature(kp: KappaPair, q: ParallelI, step: float, steps):
@@ -389,6 +382,7 @@ def _brioschi_curvature(kp: KappaPair, q: ParallelI, step: float, steps):
     return (np.linalg.det(m1) - np.linalg.det(m2)) / (det * det)
 
 
+@ktrig.quiet()
 def laplace_beltrami_apply(kp: KappaPair, f: Callable[[float, float], float], p: ChartPoint) -> float:
     """Apply the invariant second-order operator to a scalar field f(a1, a2).
 
@@ -404,14 +398,12 @@ def _laplacian_of(kp: KappaPair, f: Callable, q: ParallelI, steps):
     ktrig): written once for it and its stack form, whose points hold floats
     and arrays, and whose f takes arrays."""
     a1, a2, h = q.a1, q.a2, OPERATOR_STEP
-    # a point that fails a step below is flagged or raised there
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = steps.ck(kp.k12, a2)
-        if steps.fails(abs(c) < ktrig.DEFAULT_POLE_TOL):
-            raise ChartDomainError("operator coefficient diverges where the a2 cosine factor vanishes")
-        f0 = f(a1, a2)
-        d2_a1 = (f(a1 + h, a2) - 2.0 * f0 + f(a1 - h, a2)) / (h * h)
-        f_vp, f_vm = f(a1, a2 + h), f(a1, a2 - h)
-        d2_a2 = (f_vp - 2.0 * f0 + f_vm) / (h * h)
-        d_a2 = (f_vp - f_vm) / (2.0 * h)
-        return kp.k2 / (c * c) * d2_a1 + d2_a2 - kp.k12 * steps.tk(kp.k12, a2) * d_a2
+    c = steps.ck(kp.k12, a2)
+    if steps.fails(abs(c) < ktrig.DEFAULT_POLE_TOL):
+        raise ChartDomainError("operator coefficient diverges where the a2 cosine factor vanishes")
+    f0 = f(a1, a2)
+    d2_a1 = (f(a1 + h, a2) - 2.0 * f0 + f(a1 - h, a2)) / (h * h)
+    f_vp, f_vm = f(a1, a2 + h), f(a1, a2 - h)
+    d2_a2 = (f_vp - 2.0 * f0 + f_vm) / (h * h)
+    d_a2 = (f_vp - f_vm) / (2.0 * h)
+    return kp.k2 / (c * c) * d2_a1 + d2_a2 - kp.k12 * steps.tk(kp.k12, a2) * d_a2

@@ -173,6 +173,13 @@ def test_zero_speed_has_no_geometry():
         kappa_from_kinematics(0.0, 0.0)
 
 
+# c * c underflows to 0.0 at 1e-200, and -1/c**2 overflows a double at 1e-160
+@pytest.mark.parametrize("c", [1e-160, -1e-200, 1e-200])
+def test_a_speed_with_no_finite_k2_has_no_geometry(c):
+    with pytest.raises(BadSpeedError, match=f"c = {c!r} gives no finite k2"):
+        kappa_from_kinematics(1.0, c)
+
+
 def test_kinematical_parameters():
     kp = kappa_from_kinematics(1.0, 3.0)
     assert kp.k1 == -1.0

@@ -5,6 +5,9 @@ A binding kept only for another module to find is marked `# noqa: F401`
 on its import line and is exempt.  A public top-level function or class
 must be referenced by package code outside its own definition, or be named
 by the README, scripts/, perfbench/ or pyproject.toml.
+
+The floating-point policy is stated once: no module names np.errstate
+outside ktrig.quiet (see ktrig).
 """
 
 import ast
@@ -76,3 +79,32 @@ def test_a_dead_public_name_is_found():
         "class Named:\n    pass\n\n\ndef _private():\n    used()\n"
     )
     assert dead_public_names({"m": source}, "see Named") == ["m.dead"]
+
+
+def errstate_sites(sources: dict[str, str]) -> list[str]:
+    """module:line of each errstate that the modules sources (module ->
+    source) name outside the function quiet of ktrig."""
+    sites = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        policy = [s for s in tree.body if module == "ktrig" and isinstance(s, ast.FunctionDef) and s.name == "quiet"]
+        allowed = {id(n) for stmt in policy for n in ast.walk(stmt)}
+        sites += [
+            f"{module}:{n.lineno}"
+            for n in ast.walk(tree)
+            if id(n) not in allowed
+            and "errstate" in (getattr(n, "attr", None), getattr(n, "id", None), getattr(n, "name", None))
+        ]
+    return sites
+
+
+def test_the_floating_point_policy_is_stated_once():
+    assert errstate_sites({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_an_errstate_outside_quiet_is_found():
+    policy = "import numpy as np\n\n\ndef quiet() -> np.errstate:\n    return np.errstate(over='ignore')\n"
+    stray = "from numpy import errstate\n\n\ndef f(x):\n    with np.errstate(over='ignore'):\n        return x\n"
+    assert errstate_sites({"ktrig": policy, "group": policy, "spaces": stray}) == [
+        "group:4", "group:5", "spaces:1", "spaces:5",
+    ]
