@@ -886,7 +886,7 @@ def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) 
         direct, first = _staged(lambda x, steps: _convert(kp, _parallel1(x), "parallel1", steps), x)
         second, via = _staged(partial(_roundtrip, kp, "parallel2"), x, entry=1, skips=ChartDomainError)
         s, outside = _staged(partial(_ambient_stack, kp), y, entry=2)
-        narrow = s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1
+        narrow = _near_polar_origin(kp, s)
         polar, around = _staged(partial(_roundtrip, kp, "polar"), y, entry=2, skips=ChartDomainError)
         back = zip((direct, second, polar), (x, x, y))
         defects = [_max(abs(q.a1 - a[:, 0]), abs(q.a2 - a[:, 1])) for q, a in back]
@@ -901,6 +901,12 @@ def _check_geometry_chart_roundtrip(cfg: SweepConfig, rng: np.random.Generator) 
             _Stage(narrow, None, 2),
             around,
         )
+
+
+def _near_polar_origin(kp: KappaPair, s: np.ndarray) -> np.ndarray:
+    """The rows of the ambient points s, (N, 3), near the origin of the
+    polar chart, s1^2 + k2 s2^2 < 0.1: a polar check samples away from it."""
+    return s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1
 
 
 def _field_matrix(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
@@ -978,7 +984,7 @@ def _check_geometry_metric_pullback(cfg: SweepConfig, rng: np.random.Generator) 
                 if target == "polar":
                     # a polar attempt is rejected near the origin of the chart
                     s, outside = _staged(partial(_ambient_stack, kp), x)
-                    stages = [outside, _Stage(s[:, 1] * s[:, 1] + kp.k2 * s[:, 2] * s[:, 2] < 0.1, None)]
+                    stages = [outside, _Stage(_near_polar_origin(kp, s), None)]
                 (dq, dp, ga, gb), again = _staged(partial(_pullback_terms, kp, target), x, skips=ChartDomainError)
 
                 def defect(k: int) -> float:

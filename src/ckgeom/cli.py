@@ -5,6 +5,11 @@ metric, curvature, duality, bialgebra, ybe, sklyanin, phs, coproduct),
 the full verification sweep (sweep-all) and plot-ready exports of chart
 coordinate lines (export-geodesics).
 
+A handler returns only its command's payload entries, one of which holds
+its report rows: a list of dicts, or one dict for a single-row command.
+main adds the envelope (schema, command and config) and writes the report:
+JSON writes the whole payload, CSV the rows.
+
 Reports are deterministic for a fixed seed and configuration: no
 timestamps, sorted keys, repr-exact floats.  Exit status is 1 exactly when
 some report row has a false `passed`, 2 for configuration errors and 0
@@ -32,7 +37,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
@@ -89,7 +94,6 @@ from .quantum import (
     _coassociativity_defect,
     _image_stack,
     _relation_stack,
-    coassociativity_defect,
     deformed_relation_defect,
 )
 from .spaces import (
@@ -270,12 +274,11 @@ def _single_pair(args: argparse.Namespace, sweep: SweepConfig) -> KappaPair:
 # --- subcommand implementations ----------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
-    entries = []
+def _cmd_classify(args: argparse.Namespace, sweep: SweepConfig) -> dict:
+    rows = []
     for kp in sweep.kappa_grid:
         label = classify(kp)
-        entries.append(
+        rows.append(
             {
                 "k1": kp.k1,
                 "k2": kp.k2,
@@ -288,12 +291,10 @@ def _cmd_classify(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                 "h02": label.h02,
             }
         )
-    payload["geometries"] = entries
-    return Report(payload, entries)
+    return {"geometries": rows}
 
 
-def _cmd_bracket(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_bracket(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     rows = []
     for kp in sweep.kappa_grid:
         for i, j in _PAIRS:
@@ -309,11 +310,8 @@ def _cmd_bracket(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     "c12": out.c12,
                 }
             )
-    payload["brackets"] = rows
-    payload["casimir_coefficients"] = {
-        f"({kp.k1:g},{kp.k2:g})": list(casimir_coeffs(kp)) for kp in sweep.kappa_grid
-    }
-    return Report(payload, rows)
+    casimir = {f"({kp.k1:g},{kp.k2:g})": list(casimir_coeffs(kp)) for kp in sweep.kappa_grid}
+    return {"brackets": rows, "casimir_coefficients": casimir}
 
 
 def _parse_point(chart: str, coords: Sequence[float]):
@@ -324,13 +322,12 @@ def _parse_point(chart: str, coords: Sequence[float]):
     return make(*coords)
 
 
-def _cmd_convert(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+def _cmd_convert(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kp = _single_pair(args, sweep)
     source = args.source_chart
     target = args.target_chart
     coords = _parse_coords(args.coords)
     p = _parse_point(source, coords)
-    payload = _base_payload(args, sweep)
     row = {"k1": kp.k1, "k2": kp.k2, "source": source, "target": target}
     try:
         ambient = to_ambient(kp, p)
@@ -342,16 +339,14 @@ def _cmd_convert(args: argparse.Namespace, sweep: SweepConfig) -> Report:
         row["roundtrip_defect"] = max(abs(a - b) for a, b in zip(astuple(back), astuple(p)))
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    payload["conversion"] = row
-    return Report(payload, [row])
+    return {"conversion": row}
 
 
-def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kp = _single_pair(args, sweep)
     chart = args.chart
     coords = _parse_coords(args.coords)
     p = _parse_point(chart, coords)
-    payload = _base_payload(args, sweep)
     row = {"k1": kp.k1, "k2": kp.k2, "chart": chart, "coords": list(coords)}
     try:
         m = metric_main(kp, p)
@@ -362,15 +357,13 @@ def _cmd_metric(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             row.update({"sub_g11": sub.g11, "sub_g12": sub.g12, "sub_g22": sub.g22})
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    payload["metric"] = row
-    return Report(payload, [row])
+    return {"metric": row}
 
 
-def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kp = _single_pair(args, sweep)
     coords = _parse_coords(args.coords)
     p = _parse_point(args.chart, coords)
-    payload = _base_payload(args, sweep)
     tol = DEFAULT_TOLERANCES["geometry_curvature"]
     row = {"k1": kp.k1, "k2": kp.k2, "coords": list(coords), "tolerance": tol}
     try:
@@ -381,15 +374,13 @@ def _cmd_curvature(args: argparse.Namespace, sweep: SweepConfig) -> Report:
         row["passed"] = row["defect"] <= tol
     except GeometryError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    payload["curvature"] = row
-    return Report(payload, [row])
+    return {"curvature": row}
 
 
-def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kp = _single_pair(args, sweep)
     wanted = args.name
     names = [DualityName(wanted)] if wanted else list(DUALITIES)
-    payload = _base_payload(args, sweep)
     tol = DEFAULT_TOLERANCES["duality_morphism"]
     rows = []
     rng = np.random.default_rng(sweep.seed)
@@ -407,12 +398,10 @@ def _cmd_duality(args: argparse.Namespace, sweep: SweepConfig) -> Report:
         except UndefinedDualityError as exc:
             row["error"] = f"UndefinedDualityError: {exc}"
         rows.append(row)
-    payload["dualities"] = rows
-    return Report(payload, rows)
+    return {"dualities": rows}
 
 
-def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kinds = tuple(DeformationKind) if args.kind == "both" else (DeformationKind(args.kind),)
     tol = DEFAULT_TOLERANCES["bialgebra_cocycle"]
     jacobi_tol = DEFAULT_TOLERANCES["bialgebra_dual_jacobi"]
@@ -437,12 +426,10 @@ def _cmd_bialgebra(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     "passed": c <= tol and j <= jacobi_tol,
                 }
             )
-    payload["bialgebra"] = rows
-    return Report(payload, rows)
+    return {"bialgebra": rows}
 
 
-def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kinds = tuple(DeformationKind) if args.kind == "both" else (DeformationKind(args.kind),)
     tol = DEFAULT_TOLERANCES["bialgebra_mcybe"]
     schouten_tol = DEFAULT_TOLERANCES["bialgebra_schouten"]
@@ -470,12 +457,10 @@ def _cmd_ybe(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     "passed": defect <= tol and abs(coeff - want) <= schouten_tol,
                 }
             )
-    payload["ybe"] = rows
-    return Report(payload, rows)
+    return {"ybe": rows}
 
 
-def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     tol = DEFAULT_TOLERANCES["sklyanin_closed_vs_numeric"]
     rows = []
     for kp in sweep.kappa_grid:
@@ -500,12 +485,10 @@ def _cmd_sklyanin(args: argparse.Namespace, sweep: SweepConfig) -> Report:
                     "passed": worst <= tol and errors < len(GROUP_COORD_PAIRS) * sweep.sample_count,
                 }
             )
-    payload["sklyanin"] = rows
-    return Report(payload, rows)
+    return {"sklyanin": rows}
 
 
-def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kind = DeformationKind(args.kind)
     a1 = _finite("a1", args.a1)
     a2 = _finite("a2", args.a2)
@@ -518,12 +501,10 @@ def _cmd_phs(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             except GeometryError as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
-    payload["phs"] = rows
-    return Report(payload, rows)
+    return {"phs": rows}
 
 
-def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     rel_tol = DEFAULT_TOLERANCES["quantum_relations"]
     co_tol = DEFAULT_TOLERANCES["quantum_coassociativity"]
     z_values = np.array(sweep.z_values)
@@ -537,44 +518,27 @@ def _cmd_coproduct(args: argparse.Namespace, sweep: SweepConfig) -> Report:
             try:
                 # a flagged z is evaluated again, which raises its error
                 row["relation_defect"] = deformed_relation_defect(kp, z) if flagged else rel
-                row["coassociativity_defect"] = coassociativity_defect(kp, z) if flagged else co
+                row["coassociativity_defect"] = co
                 row["relation_tolerance"] = rel_tol
                 row["coassociativity_tolerance"] = co_tol
-                row["passed"] = (
-                    row["relation_defect"] <= rel_tol
-                    and row["coassociativity_defect"] <= co_tol
-                )
+                row["passed"] = row["relation_defect"] <= rel_tol and co <= co_tol
             except GeometryError as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
                 row["passed"] = False
             rows.append(row)
-    payload["coproduct"] = rows
-    return Report(payload, rows)
+    return {"coproduct": rows}
 
 
-def _cmd_sweep_all(args: argparse.Namespace, sweep: SweepConfig) -> Report:
-    payload = _base_payload(args, sweep)
+def _cmd_sweep_all(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     results = run_all(sweep)
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "max_defect": r.max_defect,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "samples": r.samples,
-                "detail": r.detail,
-            }
-        )
-    payload["checks"] = rows
-    payload["suites"] = suite_summary(results)
-    payload["passed"] = all(r.passed for r in results)
-    return Report(payload, rows)
+    return {
+        "checks": list(map(asdict, results)),
+        "suites": suite_summary(results),
+        "passed": all(r.passed for r in results),
+    }
 
 
-def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Report:
+def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> dict:
     kp = _single_pair(args, sweep)
     chart = args.chart
     n = args.points
@@ -591,7 +555,6 @@ def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Repor
     b2 = span_bound(kp.k2 if chart == "polar" else kp.k12, span)
     if not math.isfinite(2.0 * max(b1, b2)):
         raise ConfigError(f"span {span!r} makes a coordinate window wider than the largest double")
-    payload = _base_payload(args, sweep)
     if chart == "polar":
         # radial coordinate is nonnegative; rays fan out from the origin
         consts1 = np.linspace(b1 / lines, b1, lines)
@@ -622,25 +585,25 @@ def _cmd_export_geodesics(args: argparse.Namespace, sweep: SweepConfig) -> Repor
                     "truncated": not ok,
                 }
             )
-    payload["chart"] = chart
-    payload["points"] = rows
-    return Report(payload, rows)
+    return {"chart": chart, "points": rows}
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace, SweepConfig], Report]] = {
-    "classify": _cmd_classify,
-    "bracket": _cmd_bracket,
-    "convert": _cmd_convert,
-    "metric": _cmd_metric,
-    "curvature": _cmd_curvature,
-    "duality": _cmd_duality,
-    "bialgebra": _cmd_bialgebra,
-    "ybe": _cmd_ybe,
-    "sklyanin": _cmd_sklyanin,
-    "phs": _cmd_phs,
-    "coproduct": _cmd_coproduct,
-    "sweep-all": _cmd_sweep_all,
-    "export-geodesics": _cmd_export_geodesics,
+# each command's handler and the payload key of its report rows, in --help
+# order: the grid commands first
+_HANDLERS: dict[str, tuple[Callable[[argparse.Namespace, SweepConfig], dict], str]] = {
+    "classify": (_cmd_classify, "geometries"),
+    "bracket": (_cmd_bracket, "brackets"),
+    "bialgebra": (_cmd_bialgebra, "bialgebra"),
+    "ybe": (_cmd_ybe, "ybe"),
+    "sklyanin": (_cmd_sklyanin, "sklyanin"),
+    "phs": (_cmd_phs, "phs"),
+    "coproduct": (_cmd_coproduct, "coproduct"),
+    "sweep-all": (_cmd_sweep_all, "checks"),
+    "convert": (_cmd_convert, "conversion"),
+    "metric": (_cmd_metric, "metric"),
+    "curvature": (_cmd_curvature, "curvature"),
+    "duality": (_cmd_duality, "dualities"),
+    "export-geodesics": (_cmd_export_geodesics, "points"),
 }
 
 
@@ -667,27 +630,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json", dest="output_format")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
-    for name in _GRID_COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
-        common(p, grid_default=True)
+        common(p, grid_default=name in _GRID_COMMANDS)
         if name in ("bialgebra", "ybe"):
             p.add_argument("--kind", choices=["first", "second", "both"], default="both")
         if name == "phs":
             p.add_argument("--kind", choices=["first", "second"], default="first")
             p.add_argument("--a1", type=float, default=0.0)
             p.add_argument("--a2", type=float, default=0.0)
-
-    for name in [cmd for cmd in _HANDLERS if cmd not in _GRID_COMMANDS]:
-        p = sub.add_parser(name)
-        common(p, grid_default=False)
         if name == "convert":
             p.add_argument("--from", dest="source_chart", choices=CHART_NAMES, required=True)
             p.add_argument("--to", dest="target_chart", choices=CHART_NAMES, required=True)
             p.add_argument("--coords", required=True, help="comma-separated source coordinates")
-        if name == "metric":
-            p.add_argument("--chart", choices=CHART_NAMES, default="parallel1")
-            p.add_argument("--coords", required=True)
-        if name == "curvature":
+        if name in ("metric", "curvature"):
             p.add_argument("--chart", choices=CHART_NAMES, default="parallel1")
             p.add_argument("--coords", required=True)
         if name == "duality":
@@ -756,11 +712,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             sample_count=args.samples,
             seed=args.seed,
         ).validated()
+        handler, key = _HANDLERS[args.command]
         with quiet():
-            report = _HANDLERS[args.command](args, sweep)
+            entries = handler(args, sweep)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    rows = entries[key]
+    report = Report({**_base_payload(args, sweep), **entries}, rows if isinstance(rows, list) else [rows])
     text = render_json(report) if args.output_format == "json" else render_csv(report)
     if args.out:
         with open(args.out, "w", newline="") as fh:

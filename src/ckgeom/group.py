@@ -134,7 +134,9 @@ def _group(kp: KappaPair, x: np.ndarray, steps) -> np.ndarray:
     """The ordered product of group_from_coords at the points x, (..., 3),
     as raw (..., 3, 3) arrays, through steps (see ktrig)."""
     g1, g2, g3 = (_one_param(kp, name, x[..., k], steps) for k, name in enumerate(GENERATOR_NAMES))
-    return _product(_product(g1, g2, steps), g3, steps)
+    # one check of the whole product: a non-finite entry of g1 @ g2 makes
+    # its row of the product non-finite (inf * 0 and inf - inf are nan)
+    return _product(g1 @ g2, g3, steps)
 
 
 # Kept public: the README names it as the oracle of the closed exponentials.

@@ -30,10 +30,12 @@ The graded contractions put labels where stacked arithmetic overflows:
 there a value is inf or nan, which a step flags or a defect fails, and
 numpy warns of nothing.  quiet() is that floating-point policy, stated
 once: numpy's overflow, invalid-value and divide-by-zero warnings off.
-Only the entry points hold it: the array forms and one-point steps here,
-each public function of the package whose transcription can warn,
-checks._reduce and cli.main.  A transcription over steps states none, so
-a caller that calls one directly holds quiet() around it.
+Only the entry points hold it: the public array forms and one-point steps
+here, each public function of the package whose transcription can warn,
+checks._reduce and cli.main.  A transcription over steps states none, and
+neither does a _Flag, whose steps run the undecorated bodies of the array
+forms (their __wrapped__), so a caller that calls one directly holds
+quiet() around it.
 
 Bit identity with libm decides which function an array form calls.
 Elementwise arithmetic, np.sqrt, np.cos and np.sin round like Python
@@ -112,12 +114,12 @@ def _at_point(name: str, form: Callable, kappa: float, x) -> float:
 
 def ck(kappa: float, x: float) -> float:
     """Generalized cosine of x at curvature kappa."""
-    return _at_point("ck", ck_array, kappa, x)
+    return _at_point("ck", ck_array.__wrapped__, kappa, x)
 
 
 def sk(kappa: float, x: float) -> float:
     """Generalized sine of x at curvature kappa (odd in x, sk ~ x near 0)."""
-    return _at_point("sk", sk_array, kappa, x)
+    return _at_point("sk", sk_array.__wrapped__, kappa, x)
 
 
 @quiet()
@@ -243,17 +245,17 @@ class _Flag:
         return False
 
     def ck(self, kappa: float, x) -> np.ndarray:
-        values = ck_array(kappa, x)
+        values = ck_array.__wrapped__(kappa, x)
         self.bad |= _fails(kappa, x, values)
         return values
 
     def sk(self, kappa: float, x) -> np.ndarray:
-        values = sk_array(kappa, x)
+        values = sk_array.__wrapped__(kappa, x)
         self.bad |= _fails(kappa, x, values)
         return values
 
     def kinv(self, kappa: float, s, c) -> np.ndarray:
-        x, bad = kinv_array(kappa, s, c)
+        x, bad = kinv_array.__wrapped__(kappa, s, c)
         self.bad |= bad
         return x
 

@@ -169,7 +169,8 @@ def test_flagged_entries_are_evaluated_again_in_order():
 
 def test_a_stage_evaluates_its_stack_form_again_at_one_sample():
     x = np.array([0.1, 800.0])
-    values, stage = checks._staged(lambda x, steps: steps.ck(-1e6, x), x, entry=2, skips=ChartDomainError)
+    with ktrig.quiet():
+        values, stage = checks._staged(lambda x, steps: steps.ck(-1e6, x), x, entry=2, skips=ChartDomainError)
     assert stage.bad.tolist() == [False, True]
     assert (stage.entry, stage.skips) == (2, ChartDomainError)
     assert stage.again(0) == values[0] == ktrig.ck(-1e6, 0.1)
@@ -280,6 +281,13 @@ def test_tolerance_override_can_fail_a_check(monkeypatch):
     result = run_check("geometry_curvature", cfg)
     assert not result.passed
     assert result.tolerance == 1e-18
+
+
+def test_a_kinematics_guard_that_accepts_zero_speed_fails_the_classification(monkeypatch):
+    real = checks.kappa_from_kinematics
+    monkeypatch.setattr(checks, "kappa_from_kinematics", lambda lam, c: real(lam, c) if c else KappaPair(1.0, 0.0))
+    result = run_check("algebra_classification", SweepConfig(sample_count=1))
+    assert (result.max_defect, result.passed, result.detail) == (1.0, False, "zero speed accepted")
 
 
 # the checks that draw nothing from their stream on normalized9 at z = 0.1

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -44,6 +46,15 @@ def test_phs_example(capsys):
     doc = json.loads(out)
     value = doc["phs"][0]["bracket"]
     assert value == pytest.approx(0.1 * math.tan(0.5), abs=1e-15)
+
+
+def test_python_dash_m_runs_the_console_entry_point(capsys, monkeypatch):
+    # `python -m ckgeom` calls cli.entrypoint, which exits with main's status
+    monkeypatch.setattr(sys, "argv", ["ckgeom", "classify", "--k1", "0", "--k2", "-1"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("ckgeom", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == run(capsys, "classify", "--k1", "0", "--k2", "-1")[1]
 
 
 def test_classify_defaults_to_the_full_grid(capsys):
@@ -344,6 +355,10 @@ def csv_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_render_csv_is_what_csv_writer_writes(rows):
     assert cli.render_csv(cli.Report({}, rows)) == csv_writer_text(rows)
+
+
+def test_csv_of_a_report_without_rows_is_empty():
+    assert cli.render_csv(cli.Report({"schema": cli.SCHEMA_VERSION}, [])) == ""
 
 
 def test_geodesics_csv_is_what_csv_writer_writes(capsys, monkeypatch):

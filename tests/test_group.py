@@ -21,6 +21,7 @@ from ckgeom import (
     metric_matrix,
     rep,
 )
+from ckgeom import group
 from ckgeom.group import _act, _ambient_defect_stack, _one_param
 from ckgeom.poisson import _invariant_fields
 
@@ -227,3 +228,14 @@ def test_numeric_invariant_fields_overflow_is_a_domain_error(gc, message):
 def test_series_exponential_overflow_is_a_convergence_error(a):
     with pytest.raises(ConvergenceError):
         expm_series(a)
+
+
+def test_series_exponential_still_above_its_residual_at_the_term_cap_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(group, "SERIES_MAX_TERMS", 2)
+    with pytest.raises(ConvergenceError, match=r"^series exponential: residual .* after 2 terms$"):
+        expm_series(np.diag([0.1, 0.0, 0.0]))
+
+
+def test_one_parameter_subgroup_of_an_unknown_generator_is_rejected():
+    with pytest.raises(ValueError, match="unknown generator 'J00'"):
+        _one_param(KappaPair(1.0, 1.0), "J00", 0.1, ktrig)

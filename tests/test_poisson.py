@@ -178,6 +178,12 @@ def test_an_image_on_the_pair_without_its_generator_fails_coisotropy():
         assert coisotropy_check(kp, cm, gen) is CoisotropyVerdict.FAILS, gen
 
 
+def test_coisotropy_of_an_unknown_generator_is_rejected():
+    cm = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="unknown generator 'J00'"):
+        coisotropy_check(KappaPair(1.0, 1.0), cm, "J00")
+
+
 def test_invariant_fields_match_numeric_differentials():
     for kp in (KappaPair(1.0, 1.0), KappaPair(0.0, -1.0), KappaPair(-1.0, 1.0)):
         for _ in range(4):

@@ -99,3 +99,8 @@ def test_relation_defect_grows_from_zero():
     kp = KappaPair(1.0, 1.0)
     small = deformed_relation_defect(kp, 1e-6)
     assert small < 1e-11
+
+
+def test_deformed_relations_at_zero_z_are_rejected():
+    with pytest.raises(ValueError, match="need z != 0"):
+        deformed_relation_defect(KappaPair(1.0, 1.0), 0.0)

@@ -25,7 +25,7 @@ from ckgeom import (
     to_ambient_batch,
 )
 from ckgeom.group import DEFAULT_CHART_TOL
-from ckgeom.spaces import CHARTS, _ambient_fields, _fields_of
+from ckgeom.spaces import CHARTS, _ambient_fields, _ambient_of, _fields_of, _metric_of
 
 from helpers import (
     NINE,
@@ -221,6 +221,17 @@ def test_parallel1_pole_is_excluded():
     kp = KappaPair(1.0, 1.0)
     with pytest.raises(ChartDomainError):
         from_ambient(kp, Ambient(0.0, 0.0, 1.0), "parallel1")
+
+
+def test_chart_maps_reject_a_chart_they_do_not_map():
+    kp = KappaPair(1.0, 1.0)
+    for form in (_ambient_of, _metric_of):
+        with pytest.raises(TypeError, match="^unsupported chart point Ambient$"):
+            form(kp, Ambient(1.0, 0.0, 0.0), ktrig)
+    with pytest.raises(ValueError, match="^chart 'ambient' has no two-coordinate map"):
+        to_ambient_batch(kp, "ambient", [0.1], [0.2])
+    with pytest.raises(ValueError, match="^unknown chart 'mercator'"):
+        from_ambient(kp, Ambient(1.0, 0.0, 0.0), "mercator")
 
 
 def test_sphere_distances_along_axes():
